@@ -8,20 +8,22 @@ them). Two encoders fed the same typical sub-block emit bit-identical
 outputs, which is the agreement property the whole construction rides on.
 
 The outer stage realizes binning operationally at desk scale: the encoder
-sends a seeded universal hash of the whole m x l source matrix, and the
-decoder searches error patterns touching at most E_max rows, re-completing
-flagged rows from a caller-supplied candidate rule, accepting the unique
-digest match. The hash is a polynomial over row limbs modulo a prime
-sized to the bit budget; two distinct matrices collide with probability
-at most (#limbs)/P over the seed draw, and the linearity in the limbs is
-what lets the pattern search run as an exact meet-in-the-middle instead
-of a cartesian sweep.
+sends a seeded GF(2)-linear digest of the whole m x l source matrix (a
+syndrome H . bits(x) for a random binary H), and the decoder searches
+error patterns touching at most E_max rows, re-completing flagged rows
+from a caller-supplied candidate rule, accepting the unique digest match.
+Two distinct matrices collide with probability exactly 2^-b over the draw
+of H, at any width b, and the linearity of the digest is what lets the
+pattern search run as one batched XOR-and-join pass instead of a
+cartesian sweep.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -291,19 +293,6 @@ def build_inner_code(p_k1: Pmf, l: int, delta: float, cu_size: int | None = None
     return InnerCode(p_k1, l, delta, codebook, cu_size=cu_size)
 
 
-def encode_inner(block, code: InnerCode) -> InnerEncodeResult:
-    return code.encode(block)
-
-
-def decode_inner(y_block, code: InnerCode, induced: Dmc | None = None,
-                 exact: bool = False) -> InnerDecodeResult:
-    if exact:
-        return code.decode_exact(y_block)
-    if induced is None:
-        raise ValueError("ML decoding needs the induced channel")
-    return code.decode_ml(y_block, induced)
-
-
 # ---------------------------------------------------------------------------
 # interleaving
 # ---------------------------------------------------------------------------
@@ -364,7 +353,7 @@ def deinterleave(mat, perm: PermutationSet):
 
 
 # ---------------------------------------------------------------------------
-# seeded universal hashing over matrices
+# seeded GF(2)-linear digest over matrices
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -373,49 +362,26 @@ class Digest:
     value: int
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in small:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _words_to_int(words: np.ndarray) -> int:
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
 
 
-def _prime_below(n: int) -> int:
-    """Largest prime <= n (deterministic bases; fixed-base SPRP above 3e24)."""
-    if n < 2:
-        raise ValueError("no prime at or below 1")
-    c = n if n % 2 == 1 else n - 1
-    while c > 2 and not _is_probable_prime(c):
-        c -= 2
-    return c if c > 2 else 2
+def _int_to_words(value: int, n_words: int) -> np.ndarray:
+    return np.frombuffer(value.to_bytes(8 * n_words, "little"), dtype="<u8").astype(np.uint64)
 
 
 class MatrixHasher:
-    """Seeded polynomial hash of an m x l symbol matrix.
+    """Seeded GF(2)-linear (syndrome) digest of an m x l symbol matrix.
 
-    Rows pack to base-alphabet integers, split into limbs strictly below
-    the modulus; the digest is sum(limb * beta^position) mod P with beta
-    drawn from the seed. Distinct matrices collide with probability at
-    most (total limbs)/P over the beta draw. The map is linear in the
-    limbs, so single-row substitutions shift the digest by a precomputable
-    delta; the binning decoder exploits this.
+    Each symbol expands to sym_bits = max(1, bitlen(a - 1)) bits, low bit
+    first, so the matrix becomes a vector bits(x) of m * l * sym_bits bits.
+    The digest is H . bits(x) over GF(2), where H is a uniform
+    b x (m * l * sym_bits) binary matrix drawn from the seed. A random
+    linear map is a universal hash: two distinct matrices get equal digests
+    with probability exactly 2^-b over the draw of H, at every width b.
+    Linearity is what the binning decoder exploits: changing one symbol
+    XORs a fixed set of H columns into the digest, whatever the rest of
+    the matrix holds.
     """
 
     def __init__(self, bits: int, seed: int, alphabet_size: int, l: int, m: int):
@@ -424,56 +390,46 @@ class MatrixHasher:
         self.alphabet_size = int(alphabet_size)
         self.l = int(l)
         self.m = int(m)
-        if self.bits <= 0:
-            self.modulus = 1
-            self.beta = 0
-            self.limbs_per_row = 1
-            self._powers = [0]
-            return
-        self.modulus = _prime_below(2 ** self.bits) if self.bits >= 2 else 2
-        limb_bits = max(1, min(96, self.bits - 7)) if self.bits >= 8 else 1
-        row_bits = self.l * max(1, (self.alphabet_size - 1).bit_length())
-        self.limbs_per_row = max(1, -(-row_bits // limb_bits))
-        self._limb_mask = (1 << limb_bits) - 1
-        self._limb_bits = limb_bits
+        self.sym_bits = max(1, (self.alphabet_size - 1).bit_length())
+        self.words = -(-max(self.bits, 0) // 64)
+        # column p of H, packed little-endian into words of 64 digest bits
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0x4855)))
-        raw = int.from_bytes(rng.bytes(32), "big")
-        self.beta = 2 + raw % max(1, self.modulus - 2)
-        total = self.m * self.limbs_per_row
-        powers = [1] * total
-        for i in range(1, total):
-            powers[i] = powers[i - 1] * self.beta % self.modulus
-        self._powers = powers
+        cols = rng.integers(0, 2 ** 64 - 1, size=(self.m * self.l * self.sym_bits, self.words),
+                            dtype=np.uint64, endpoint=True)
+        if self.words:
+            cols[:, -1] &= np.uint64((1 << (self.bits - 64 * (self.words - 1))) - 1)
+        self._cols = cols
 
-    def encode_row(self, row) -> int:
-        v = 0
-        a = self.alphabet_size
-        for s in np.asarray(row, dtype=np.int64):
-            v = v * a + int(s)
-        return v
+    def _check_symbols(self, rows: np.ndarray) -> None:
+        if rows.size and (rows.min() < 0 or rows.max() >= self.alphabet_size):
+            raise ValueError("symbols outside the hasher's alphabet")
 
-    def row_contribution(self, t: int, row) -> int:
-        if self.bits <= 0:
-            return 0
-        v = self.encode_row(row)
-        acc = 0
-        base = t * self.limbs_per_row
-        for s in range(self.limbs_per_row):
-            limb = v & self._limb_mask
-            v >>= self._limb_bits
-            acc = (acc + limb * self._powers[base + s]) % self.modulus
-        return acc
+    def _bit_planes(self, rows: np.ndarray) -> np.ndarray:
+        """(n, l) symbols -> (n, l * sym_bits) bits; symbol i owns bits i*sym_bits.."""
+        shifts = np.arange(self.sym_bits)
+        return ((rows[:, :, None] >> shifts) & 1).astype(bool).reshape(rows.shape[0], -1)
+
+    def _xor_columns(self, owners: np.ndarray, planes: np.ndarray) -> np.ndarray:
+        """Digest change, as (n, words), of XOR-ing planes[c] into the bits of row owners[c]."""
+        c, pos = np.nonzero(planes)
+        out = np.zeros((planes.shape[0], self.words), dtype=np.uint64)
+        if c.size:
+            starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+            gathered = self._cols[owners[c] * planes.shape[1] + pos]
+            out[c[starts]] = np.bitwise_xor.reduceat(gathered, starts, axis=0)
+        return out
+
+    def _digest_words(self, matrix) -> np.ndarray:
+        arr = _as_entries(matrix)
+        if arr.shape != (self.m, self.l):
+            raise ValueError("matrix shape disagrees with the hasher")
+        self._check_symbols(arr)
+        return np.bitwise_xor.reduce(self._cols[self._bit_planes(arr).ravel()], axis=0)
 
     def digest(self, matrix) -> Digest:
         if self.bits <= 0:
             return Digest(bits=0, value=0)
-        arr = _as_entries(matrix)
-        if arr.shape != (self.m, self.l):
-            raise ValueError("matrix shape disagrees with the hasher")
-        acc = 0
-        for t in range(self.m):
-            acc = (acc + self.row_contribution(t, arr[t])) % self.modulus
-        return Digest(bits=self.bits, value=acc)
+        return Digest(bits=self.bits, value=_words_to_int(self._digest_words(matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +447,10 @@ class OuterEncodeResult:
 def outer_encode(s_matrix, code: InnerCode, hash_rate: float, seed: int,
                  hasher: MatrixHasher | None = None,
                  hash_bits: int | None = None) -> OuterEncodeResult:
-    """Per-row residual bits plus a seeded hash of the whole source matrix.
+    """Per-row residual bits plus a seeded digest of the whole source matrix.
 
     The digest length is ceil(hash_rate * m / log 2) bits unless an
-    explicit bit count is forced.
+    explicit bit count is forced; its alphabet is the inner code's.
     """
     arr = _as_entries(s_matrix)
     m = arr.shape[0]
@@ -502,8 +458,7 @@ def outer_encode(s_matrix, code: InnerCode, hash_rate: float, seed: int,
         raise ValueError("hash_rate must be non-negative")
     bits = hash_bits if hash_bits is not None else math.ceil(hash_rate * m / math.log(2.0) - 1e-12)
     if hasher is None:
-        alph = s_matrix.alphabet_size if isinstance(s_matrix, BlockMatrix) else int(arr.max()) + 1
-        hasher = MatrixHasher(bits, seed, alph, arr.shape[1], m)
+        hasher = MatrixHasher(bits, seed, code.p_k1.alphabet_size, arr.shape[1], m)
     residuals = []
     atypical = []
     for t in range(m):
@@ -522,21 +477,60 @@ class OuterDecodeResult:
     searched: int
 
 
+def _first_distinct(owner: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Mask keeping the first occurrence of each distinct (owner, planes row) pair."""
+    packed = np.packbits(planes, axis=1)
+    keys = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    keys[:, :packed.shape[1]] = packed
+    keys = keys.view(np.uint64)
+    order = np.lexsort((*keys.T, owner))  # stable, owner first
+    k, o = keys[order], owner[order]
+    repeat = (o[1:] == o[:-1]) & (k[1:] == k[:-1]).all(axis=1)
+    keep = np.ones(owner.shape[0], dtype=bool)
+    keep[order[1:][repeat]] = False
+    return keep
+
+
+def _pair_matches(owner: np.ndarray, delta: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """All (i, j) with owner[i] < owner[j] and delta[i] ^ delta[j] == need.
+
+    A sort/searchsorted join on the first digest word; every index in the
+    [left, right) range of an equal key is paired, then the full words
+    are compared.
+    """
+    key = delta[:, 0]
+    order = np.argsort(key, kind="stable")
+    target = key ^ need[0]
+    lo = np.searchsorted(key[order], target, "left")
+    counts = np.searchsorted(key[order], target, "right") - lo
+    i = np.repeat(np.arange(key.shape[0]), counts)
+    j = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    hit = (owner[j] > owner[i]) & ((delta[i] ^ delta[j]) == need).all(axis=1)
+    return np.stack([i[hit], j[hit]], axis=1)
+
+
 def outer_decode(khat, residuals, digest: Digest, code: InnerCode, side,
                  e_max: int, hasher: MatrixHasher) -> OuterDecodeResult:
     """Digest-verified bounded-error-pattern search.
 
     khat is the decoder's per-row baseline (already refined by residual
-    bits). side(t, row, residual) yields candidate replacement rows for
-    row t. All patterns touching at most e_max rows are examined; the
-    unique digest match wins, two distinct matches report ambiguity, none
-    reports a search failure. Enumeration order is lexicographic in
-    (rows touched, candidate indices), so outcomes are reproducible.
+    bits). side(t, row, residual) returns the candidate replacement rows
+    for row t as a 2-D array; candidates equal to the baseline row and
+    repeats within a row are dropped. All patterns touching at most e_max
+    rows are examined; the unique digest match wins, two distinct matches
+    report ambiguity, none reports a search failure. searched counts the
+    baseline, the distinct candidates and the matched row pairs.
+
+    The digest is linear, so a candidate's effect on it is a fixed delta
+    and a pattern matches when the XOR of its deltas equals
+    digest ^ digest(khat). One- and two-row patterns are found in one
+    batched pass (word equality, then a sorted join); deeper patterns by
+    exact recursion, which is combinatorial and meant for desk scale.
     """
     if e_max < 0:
         raise ValueError("e_max must be non-negative")
     base = _as_entries(khat).copy()
-    m = base.shape[0]
+    m, l = base.shape
     if digest.bits != hasher.bits:
         raise ValueError("digest width disagrees with the hasher")
 
@@ -545,115 +539,102 @@ def outer_decode(khat, residuals, digest: Digest, code: InnerCode, side,
         status = "ok" if e_max == 0 else "ambiguous"
         return OuterDecodeResult(status=status, matrix=base if e_max == 0 else None,
                                  matches=1 if e_max == 0 else 2, searched=1)
+    if not 0 <= digest.value < 1 << hasher.bits:
+        raise ValueError("digest value exceeds its width")
 
-    p = hasher.modulus
-    base_contrib = [hasher.row_contribution(t, base[t]) for t in range(m)]
-    base_val = sum(base_contrib) % p
-    need = (digest.value - base_val) % p
+    need = _int_to_words(digest.value, hasher.words) ^ hasher._digest_words(base)
+    per_row = [np.asarray(side(t, base[t], residuals[t]), dtype=np.int64).reshape(-1, l)
+               if e_max >= 1 else np.empty((0, l), dtype=np.int64) for t in range(m)]
+    cands = np.concatenate(per_row)
+    owner = np.repeat(np.arange(m), [c.shape[0] for c in per_row])
+    hasher._check_symbols(cands)
+    planes = hasher._bit_planes(cands ^ base[owner])
+    keep = planes.any(axis=1) & _first_distinct(owner, planes)
+    cands, owner, planes = cands[keep], owner[keep], planes[keep]
+    delta = hasher._xor_columns(owner, planes)
+    searched = 1 + cands.shape[0]
 
-    candidates: list[list[np.ndarray]] = []
-    deltas: list[list[int]] = []
-    searched = 1
-    for t in range(m):
-        seen = set()
-        rows_t, deltas_t = [], []
-        for cand in side(t, base[t], residuals[t]) if e_max >= 1 else []:
-            cr = np.asarray(cand, dtype=np.int64)
-            key = cr.tobytes()
-            if key in seen or np.array_equal(cr, base[t]):
-                continue
-            seen.add(key)
-            rows_t.append(cr)
-            deltas_t.append((hasher.row_contribution(t, cr) - base_contrib[t]) % p)
-        candidates.append(rows_t)
-        deltas.append(deltas_t)
-        searched += len(rows_t)
-
+    # patterns as tuples of candidate indices, at most one per row
     matches: list[tuple] = []
-    if need == 0:
+    if not need.any():
         matches.append(())
-
-    if e_max >= 1:
-        for t in range(m):
-            for ci, d in enumerate(deltas[t]):
-                if d == need:
-                    matches.append(((t, ci),))
+    matches += [(int(c),) for c in np.flatnonzero((delta == need).all(axis=1))]
 
     if e_max >= 2:
-        by_delta: dict[int, list[tuple[int, int]]] = {}
-        for t in range(m):
-            for ci, d in enumerate(deltas[t]):
-                by_delta.setdefault(d, []).append((t, ci))
-        pair_count = 0
-        for t1 in range(m):
-            for c1, d1 in enumerate(deltas[t1]):
-                target = (need - d1) % p
-                for (t2, c2) in by_delta.get(target, ()):
-                    if t2 > t1:
-                        matches.append(((t1, c1), (t2, c2)))
-                        pair_count += 1
-        searched += pair_count
+        pairs = _pair_matches(owner, delta, need)
+        matches += [tuple(p) for p in pairs.tolist()]
+        searched += pairs.shape[0]
 
     if e_max >= 3:
         # exact recursion for deeper patterns; combinatorial, desk scale only
-        def recurse(start_t: int, chosen: list, acc: int):
-            if len(chosen) >= 3 and acc == need:
+        need_int = _words_to_int(need)
+        ints = [_words_to_int(d) for d in delta]
+        rows = [np.flatnonzero(owner == t).tolist() for t in np.unique(owner)]
+
+        def recurse(start: int, chosen: list, acc: int):
+            if len(chosen) >= 3 and acc == need_int:
                 matches.append(tuple(chosen))
             if len(chosen) >= e_max:
                 return
-            for t in range(start_t, m):
-                for ci, d in enumerate(deltas[t]):
-                    chosen.append((t, ci))
-                    recurse(t + 1, chosen, (acc + d) % p)
+            for r in range(start, len(rows)):
+                for c in rows[r]:
+                    chosen.append(c)
+                    recurse(r + 1, chosen, acc ^ ints[c])
                     chosen.pop()
         recurse(0, [], 0)
 
-    matches = sorted(set(matches))
     if not matches:
         return OuterDecodeResult(status="failed", matrix=None, matches=0, searched=searched)
     if len(matches) > 1:
         return OuterDecodeResult(status="ambiguous", matrix=None,
                                  matches=len(matches), searched=searched)
-    out = base
-    for (t, ci) in matches[0]:
-        out[t] = candidates[t][ci]
-    return OuterDecodeResult(status="ok", matrix=out, matches=1, searched=searched)
+    pattern = list(matches[0])
+    base[owner[pattern]] = cands[pattern]
+    return OuterDecodeResult(status="ok", matrix=base, matches=1, searched=searched)
 
 
 # ---------------------------------------------------------------------------
 # candidate rules for flagged-row completion
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _substitution_layout(l: int, n_pos: int, alphabet_size: int, radius: int):
+    """Every substitution of exactly radius symbols among the first n_pos
+    of an l-symbol row: position sets in lexicographic order, then
+    replacement symbols in lexicographic order. Returns the positions,
+    the symbol offsets and the flat indices into the (substitutions, l)
+    output."""
+    sites = np.array(list(itertools.combinations(range(n_pos), radius)),
+                     dtype=np.int64).reshape(-1, radius)
+    offsets = np.array(list(itertools.product(range(alphabet_size - 1), repeat=radius)),
+                       dtype=np.int64).reshape(-1, radius)
+    pos = np.repeat(sites, offsets.shape[0], axis=0)
+    alt = np.tile(offsets, (sites.shape[0], 1))
+    flat = np.arange(pos.shape[0])[:, None] * l + pos
+    for arr in (pos, alt, flat):
+        arr.setflags(write=False)
+    return pos, alt, flat
+
+
+def _substitutions(row: np.ndarray, n_pos: int, alphabet_size: int, radius: int) -> np.ndarray:
+    pos, alt, flat = _substitution_layout(row.shape[0], n_pos, alphabet_size, radius)
+    out = np.empty((pos.shape[0], row.shape[0]), dtype=np.int64)
+    out[:] = row
+    # offset k is the k-th symbol, ascending, other than the current one
+    np.put(out, flat, alt + (alt >= row[pos]))
+    return out
+
+
 def hamming_ball_rule(alphabet_size: int, radius: int = 1):
-    """All rows within the given Hamming distance, nearest first."""
+    """All rows within the given Hamming distance, nearest first, as one 2-D array."""
     if radius not in (1, 2):
         raise ValueError("supported radii are 1 and 2")
 
     def rule(t, row, residual):
         del t, residual
-        out = []
-        l = row.shape[0]
-        for i in range(l):
-            for s in range(alphabet_size):
-                if s == row[i]:
-                    continue
-                alt = row.copy()
-                alt[i] = s
-                out.append(alt)
-        if radius == 2:
-            for i in range(l):
-                for j in range(i + 1, l):
-                    for si in range(alphabet_size):
-                        if si == row[i]:
-                            continue
-                        for sj in range(alphabet_size):
-                            if sj == row[j]:
-                                continue
-                            alt = row.copy()
-                            alt[i] = si
-                            alt[j] = sj
-                            out.append(alt)
-        return out
+        row = np.asarray(row, dtype=np.int64)
+        return np.concatenate([_substitutions(row, row.shape[0], alphabet_size, r)
+                               for r in range(1, radius + 1)])
 
     return rule
 
@@ -664,7 +645,8 @@ def prefix_flip_rule(code: InnerCode, alphabet_size: int):
     Valid when the typical set is the full cube over a power-of-two
     alphabet: ranks are then base-n values of the rows, the address bits
     are exactly the leading symbols, and only those can be corrupted by a
-    shared-channel disagreement (the residual pins the rest).
+    shared-channel disagreement (the residual pins the rest). The rule
+    returns the flipped rows as one 2-D array.
     """
     n = alphabet_size
     sym_bits = (n - 1).bit_length()
@@ -676,15 +658,8 @@ def prefix_flip_rule(code: InnerCode, alphabet_size: int):
 
     def rule(t, row, residual):
         del t, residual
-        out = []
-        for i in range(min(prefix_syms, row.shape[0])):
-            for s in range(n):
-                if s == row[i]:
-                    continue
-                alt = row.copy()
-                alt[i] = s
-                out.append(alt)
-        return out
+        row = np.asarray(row, dtype=np.int64)
+        return _substitutions(row, min(prefix_syms, row.shape[0]), n, 1)
 
     return rule
 

@@ -87,6 +87,19 @@ def _sample_pairs(rng, joint: JointPmf, m: int, l: int) -> tuple[np.ndarray, np.
     return s1, s2
 
 
+def _outer_decode_counts(results) -> dict:
+    """Per-user tally of how the outer decodes ended and how many candidates
+    they searched (deterministic sums, so thread-count independent)."""
+    out = {k: [0, 0] for k in ("ok", "ambiguous", "failed", "searched")}
+    for r in results:
+        for j, dec in enumerate(r["decode"]):
+            if dec is not None:
+                status, searched = dec
+                out[status][j] += 1
+                out["searched"][j] += searched
+    return out
+
+
 # ---------------------------------------------------------------------------
 # end-to-end chain on the worked example (or a materialized fixture)
 # ---------------------------------------------------------------------------
@@ -161,7 +174,7 @@ def simulate_dueck(
         counters = {
             "rows_mismatch": int((s1 != s2).any(axis=1).sum()),
             "inner": [0, 0], "rows_wrong": [0, 0], "matrix_fail": [0, 0],
-            "wrong_accept": [0, 0],
+            "wrong_accept": [0, 0], "decode": [None, None],
         }
         enc = [[code.encode(mats[j][t_]) for t_ in range(sp.m)] for j in (0, 1)]
         u = [np.stack([e.codeword for e in enc[j]]) for j in (0, 1)]
@@ -185,6 +198,7 @@ def simulate_dueck(
             residuals = [e.residual for e in enc[j]]
             result = _codec.outer_decode(khat, residuals, digest, code, side,
                                          e_max, hashers[j])
+            counters["decode"][j] = (result.status, result.searched)
             final = result.matrix if result.status == "ok" else khat
             wrong_rows = int((final != mats[j]).any(axis=1).sum())
             counters["rows_wrong"][j] = wrong_rows
@@ -217,7 +231,7 @@ def simulate_dueck(
         extras={
             "e_max": e_max, "digest_bits": digest_bits, "hash_bits": hash_bits,
             "la_bits": code.la_bits, "lb_bits": code.lb_bits,
-            "xi_symbol": xi,
+            "xi_symbol": xi, "outer_decode": _outer_decode_counts(results),
         },
     )
 
@@ -289,7 +303,7 @@ def simulate_generic(
         counters = {
             "rows_mismatch": int((kmats[0] != kmats[1]).any(axis=1).sum()),
             "inner": [0, 0], "rows_wrong": [0, 0], "matrix_fail": [0, 0],
-            "wrong_accept": [0, 0],
+            "wrong_accept": [0, 0], "decode": [None, None],
             "vy": [np.zeros((nv[0], ny1), dtype=np.int64),
                    np.zeros((nv[1], ny2), dtype=np.int64)],
         }
@@ -326,6 +340,7 @@ def simulate_generic(
                 residuals = [e.residual for e in enc[j]]
                 result = _codec.outer_decode(khat, residuals, digest, code, side,
                                              e_max, hashers[j])
+                counters["decode"][j] = (result.status, result.searched)
                 final = result.matrix if result.status == "ok" else khat
                 wrong_rows = int((final != mats[j]).any(axis=1).sum())
                 counters["rows_wrong"][j] = wrong_rows
@@ -400,7 +415,7 @@ def simulate_generic(
         extras={
             "e_max": e_max, "digest_bits": hash_bits,
             "la_bits": code.la_bits, "lb_bits": code.lb_bits,
-            "channel_quality": quality,
+            "channel_quality": quality, "outer_decode": _outer_decode_counts(results),
         },
     )
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fblic import codec as cd
 from fblic import probkit as pk
@@ -262,10 +265,56 @@ def test_equal_matrices_equal_digests():
     assert h2.digest(mat) != h.digest(mat)
 
 
-def test_prime_below():
-    assert cd._prime_below(2 ** 8) == 251
-    assert cd._prime_below(100) == 97
-    assert cd._is_probable_prime(2 ** 127 - 1)
+def test_outer_encode_digest_uses_the_code_alphabet():
+    # a ternary source matrix that never uses symbol 2 is still hashed as
+    # ternary, so the decoder's hasher verifies it
+    code = cd.build_inner_code(pk.Pmf([0.5, 0.3, 0.2]), 4, 2.0)
+    mat = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1]])
+    out = cd.outer_encode(mat, code, 0.0, seed=5, hash_bits=64)
+    assert out.digest == cd.MatrixHasher(64, 5, 3, 4, 3).digest(mat)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 200), st.integers(0, 2 ** 32),
+       st.data())
+def test_digest_is_linear_over_gf2(m, l, bits, seed, data):
+    h = cd.MatrixHasher(bits, seed, 2, l, m)
+    shape = (m, l)
+    a = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 1)))
+    b = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 1)))
+    assert h.digest(a).value ^ h.digest(b).value == h.digest(a ^ b).value
+    assert h.digest(np.zeros(shape, dtype=np.int64)).value == 0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 4), st.integers(1, 4), st.integers(1, 130),
+       st.integers(0, 2 ** 32), st.data())
+def test_digest_symbol_change_shift_is_context_free(a, m, l, bits, seed, data):
+    h = cd.MatrixHasher(bits, seed, a, l, m)
+    t = data.draw(st.integers(0, m - 1))
+    i = data.draw(st.integers(0, l - 1))
+    old, new = data.draw(st.lists(st.integers(0, a - 1), min_size=2, max_size=2, unique=True))
+    shifts = set()
+    for _ in range(2):
+        mat = data.draw(hnp.arrays(np.int64, (m, l), elements=st.integers(0, a - 1)))
+        mat[t, i] = old
+        before = h.digest(mat).value
+        mat[t, i] = new
+        shifts.add(before ^ h.digest(mat).value)
+    assert len(shifts) == 1
+
+
+def test_digest_collision_rate_is_two_to_minus_b():
+    # one fixed distinct pair over 4096 independent maps of b = 4 bits
+    rng = np.random.default_rng(17)
+    x = rng.integers(0, 3, size=(3, 5))
+    y = x.copy()
+    y[1, 2] = (y[1, 2] + 1) % 3
+    y[2, 4] = (y[2, 4] + 2) % 3
+    n, p = 4096, 2.0 ** -4
+    hashers = (cd.MatrixHasher(4, s, 3, 5, 3) for s in range(n))
+    hits = sum(h.digest(x) == h.digest(y) for h in hashers)
+    assert abs(hits - n * p) <= 3 * math.sqrt(n * p * (1 - p))
 
 
 def test_outer_decode_clean_matrix():
@@ -330,6 +379,87 @@ def test_outer_decode_matches_brute_force_enumeration():
             assert res.status == "failed"
         else:
             assert res.status == "ambiguous"
+
+
+# name: (inner code, candidate rule, alphabet, m, e_max, digest bits)
+NARROW_CASES = {
+    # ternary alphabet: sym_bits = 2 and the bit pattern of symbol 3 is unused
+    "ternary_hamming": (lambda: cd.build_inner_code(pk.Pmf([0.5, 0.3, 0.2]), 2, 5.0),
+                        lambda code: cd.hamming_ball_rule(3, radius=1), 3, 3, 2, 6),
+    "quaternary_prefix": (lambda: cd.build_inner_code(pk.Pmf.uniform(4), 3, 5.0, cu_size=1 << 3,
+                                                      codebook=cd.FullCubeCode(4, 3)),
+                          lambda code: cd.prefix_flip_rule(code, 4), 4, 3, 2, 7),
+    "binary_e_max_3": (lambda: cd.build_inner_code(pk.Pmf.uniform(2), 2, 5.0),
+                       lambda code: cd.hamming_ball_rule(2, radius=1), 2, 4, 3, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NARROW_CASES))
+def test_outer_decode_matches_brute_force_narrow_digest(case):
+    # a digest of a few bits makes spurious matches and equal join keys
+    # common, so every status occurs and each is checked against the oracle
+    make_code, make_rule, a, m, e_max, bits = NARROW_CASES[case]
+    code = make_code()
+    side = make_rule(code)
+    l = code.l
+    rng = np.random.default_rng(21)
+    seen = set()
+    for r in range(80):
+        h = cd.MatrixHasher(bits, seed=r, alphabet_size=a, l=l, m=m)
+        truth = rng.integers(0, a, size=(m, l))
+        khat = truth.copy()
+        for t in rng.choice(m, size=min(m, int(rng.integers(0, e_max + 2))), replace=False):
+            i = int(rng.integers(0, l))
+            khat[t, i] = (khat[t, i] + rng.integers(1, a)) % a
+        digest = h.digest(truth)
+        res = cd.outer_decode(khat.copy(), [0] * m, digest, code, side, e_max, h)
+        brute = brute_force_outer(khat, digest, side, e_max, h, [0] * m)
+        seen.add(res.status)
+        if len(brute) == 1:
+            assert res.status == "ok"
+            assert np.array_equal(res.matrix, brute[0])
+        elif len(brute) == 0:
+            assert res.status == "failed"
+        else:
+            assert res.status == "ambiguous" and res.matches == len(brute)
+    assert seen == {"ok", "ambiguous", "failed"}
+
+
+def test_outer_decode_drops_baseline_and_repeated_candidates():
+    p = pk.Pmf.uniform(2)
+    code = cd.build_inner_code(p, 4, 1.0)
+    truth = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
+    khat = truth.copy()
+    khat[1, 3] ^= 1
+    ball = cd.hamming_ball_rule(2, radius=1)
+
+    def noisy(t, row, residual):
+        cands = ball(t, row, residual)
+        return np.concatenate([row[None, :], cands, cands[::-1], row[None, :]])
+
+    h = cd.MatrixHasher(64, seed=9, alphabet_size=2, l=4, m=3)
+    res = cd.outer_decode(khat, [0] * 3, h.digest(truth), code, noisy, 2, h)
+    ref = cd.outer_decode(khat, [0] * 3, h.digest(truth), code, ball, 2, h)
+    assert res.status == ref.status == "ok"
+    assert np.array_equal(res.matrix, truth)
+    assert res.searched == ref.searched == 1 + 3 * 4
+
+
+def test_outer_decode_compares_every_digest_word():
+    # a target that agrees with a reachable pattern on the low 64 bits but
+    # not above them must not match: the join keys on the first word only
+    p = pk.Pmf.uniform(2)
+    code = cd.build_inner_code(p, 4, 1.0)
+    side = cd.hamming_ball_rule(2, radius=1)
+    h = cd.MatrixHasher(128, seed=4, alphabet_size=2, l=4, m=3)
+    khat = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
+    for rows in ((1,), (0, 2)):
+        truth = khat.copy()
+        truth[list(rows), 2] ^= 1
+        exact = h.digest(truth)
+        assert cd.outer_decode(khat, [0] * 3, exact, code, side, 2, h).status == "ok"
+        off = cd.Digest(128, exact.value ^ (1 << 100))
+        assert cd.outer_decode(khat, [0] * 3, off, code, side, 2, h).status == "failed"
 
 
 def test_outer_decode_failure_when_pattern_exceeds_e_max():

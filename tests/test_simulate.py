@@ -41,6 +41,12 @@ def test_simulate_dueck_regression_fixture_small():
         assert stats.inner_error_rate[j] <= stats.phi_bound + 3 * math.sqrt(
             stats.phi_bound * (1 - stats.phi_bound) / (120 * 64))
     assert stats.wrong_accepts == (0, 0)
+    # every outer decode is tallied once, with at least its baseline searched
+    dec = stats.extras["outer_decode"]
+    for j in (0, 1):
+        assert dec["ok"][j] + dec["ambiguous"][j] + dec["failed"][j] == 120
+        assert dec["searched"][j] >= 120
+        assert dec["failed"][j] + dec["ambiguous"][j] >= round(stats.matrix_failure_rate[j] * 120)
     # the pair-mismatch frequency matches its block formula
     n = 120 * 64
     sigma = math.sqrt(stats.xi_block_expected * (1 - stats.xi_block_expected) / n)
@@ -102,6 +108,8 @@ def test_simulate_generic_reduces_to_clean_chain():
     assert stats.inner_error_rate == (0.0, 0.0)
     assert stats.block_error_rate == (0.0, 0.0)
     assert stats.wrong_accepts == (0, 0)
+    dec = stats.extras["outer_decode"]
+    assert dec["ok"] == [20, 20] and dec["ambiguous"] == [0, 0] and dec["failed"] == [0, 0]
 
 
 def test_simulate_generic_channel_quality_bounds():

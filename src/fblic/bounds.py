@@ -30,6 +30,7 @@ from .probkit import (
     conditional_entropy,
     entropy,
     least_positive_prob,
+    log_sum_exp,
     push_joint,
 )
 
@@ -149,14 +150,6 @@ def loss_channel(
             raise ValueError("thm3 variant needs sizes u, y, x_own, x_other")
         return hb + phi * math.log(u) + x_own * y * u * (1 + x_other) * plp
     raise ValueError(f"unknown loss variant {variant!r}")
-
-
-def _logaddexp(*vals: float) -> float:
-    finite = [v for v in vals if v > -math.inf]
-    if not finite:
-        return -math.inf
-    m = max(finite)
-    return m + math.log(sum(math.exp(v - m) for v in finite))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +435,7 @@ class ProblemInstance:
         if not is_type_of(self.p_u, sp.l):
             raise ValueError("p_U must be a type of denominator l")
         opts = solver_opts or {}
-        g = _exponent.g_rho_l(
+        log_g = _exponent.log_g_rho_l(
             sp.l, sp.A, sp.rho, self.p_u,
             (self.induced_to_user(1), self.induced_to_user(2)), **opts)
         xi_block = xi_l(self.xi_k(), sp.l)
@@ -455,7 +448,7 @@ class ProblemInstance:
             "I_vy": (self.mutual_information_vy(1), self.mutual_information_vy(2)),
             "log_tau": log_tau_l_delta(self.p_k1(), sp.l, sp.delta),
             "log_xi_l": math.log(xi_block) if xi_block > 0.0 else -math.inf,
-            "log_g": math.log(g) if g > 0.0 else -math.inf,
+            "log_g": log_g,
         }
 
 
@@ -472,7 +465,7 @@ def phi_total(inst: ProblemInstance, sp: SchemeParams, *, solver_opts: dict | No
 # ---------------------------------------------------------------------------
 
 def _phi_from_logs(q: dict) -> tuple[float, float]:
-    log_phi = min(0.0, _logaddexp(q["log_tau"], q["log_xi_l"], q["log_g"]))
+    log_phi = min(0.0, log_sum_exp(q["log_tau"], q["log_xi_l"], q["log_g"]))
     phi = math.exp(log_phi) if log_phi > -745.0 else 0.0
     return phi, log_phi
 
@@ -606,6 +599,7 @@ class SearchResult:
 
     feasible: list
     best_attempt: tuple | None  # (params, report) with the largest min slack
+    reports: list  # one report per grid point, in grid order
 
     def __iter__(self):
         return iter(self.feasible)
@@ -620,13 +614,16 @@ def search_feasible(make_case, grid, checker=check_thm1) -> SearchResult:
     make_case(params) must return (instance, scheme_params). The feasible
     list holds (params, report) pairs sorted by min slack, largest first;
     ties break on grid order, so the result is deterministic for a fixed
-    grid. best_attempt diagnoses an all-infeasible grid.
+    grid. best_attempt diagnoses an all-infeasible grid. reports holds every
+    point's report in grid order, so each point is checked once.
     """
     feasible = []
+    reports = []
     best = None
     for idx, params in enumerate(grid):
         inst, sp = make_case(params)
         report = checker(inst, sp)
+        reports.append(report)
         if report.overall:
             feasible.append((idx, params, report))
         if best is None or report.min_slack > best[0]:
@@ -635,4 +632,5 @@ def search_feasible(make_case, grid, checker=check_thm1) -> SearchResult:
     return SearchResult(
         feasible=[(p, r) for _, p, r in feasible],
         best_attempt=(best[1], best[2]) if best is not None else None,
+        reports=reports,
     )

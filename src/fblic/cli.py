@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -90,7 +91,9 @@ _COMMAND_OPTIONS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON file of option defaults")
@@ -291,11 +294,22 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_rates(text: str) -> list[float]:
+    """start:stop:step (stop included) or a comma list; a rate list is never empty."""
+    text = str(text)
     if ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"rates {text!r}: start, stop and step must be finite")
+        if step <= 0.0:
+            raise ValueError(f"rates {text!r}: step must be positive")
+        if stop < start:
+            raise ValueError(f"rates {text!r}: stop lies below start")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(n)]
-    return [float(v) for v in text.split(",")]
+    rates = [float(v) for v in text.split(",") if v.strip()]
+    if not rates:
+        raise ValueError(f"rates {text!r}: no rate given")
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +453,7 @@ def _cmd_bounds_search(cfg: RunConfig) -> int:
 
     result = _bounds.search_feasible(make_case, combos)
     rows = [tuple(names) + ("phi", "min_slack", "feasible")]
-    for combo in combos:
-        _, sp = make_case(combo)
-        rep = _bounds.check_thm1(inst, sp)
+    for combo, rep in zip(combos, result.reports):
         rows.append(combo + (rep.phi, rep.min_slack, bool(rep.overall)))
     payload = {
         "feasible": [{"params": dict(zip(names, c)), "min_slack": r.min_slack}
@@ -594,7 +606,8 @@ def run(cfg: RunConfig) -> int:
         return 2
     try:
         return handler(cfg)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+            _exponent.ExponentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

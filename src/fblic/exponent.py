@@ -1,41 +1,47 @@
 """Random coding exponent for constant-composition codes.
 
-The exponent is the minimum over test channels V of
+E_r(R, p, W) = min over test channels V of D(V||W|p) + |I(p;V) - R|+ is
+solved in its Lagrange-dual form (Arimoto 1976; Csiszar-Korner ch. 10):
 
-    D(V || W | p) + |I(p; V) - R|+
+    E_r(R) = max over rho in [0, 1] of F(rho) - rho*R,
+    F(rho) = min over V of D(V||W|p) + rho*I(p;V).
 
-which is convex in V. The kink is handled by splitting into two smooth
-convex subproblems and combining their values:
+F is concave, and its slope at rho is I(p;V_rho), the mutual information
+of the minimizing test channel, which falls as rho grows from
+I(p;W) at rho = 0 (where V_0 = W). So the maximum sits at rho = 1 when
+I(p;V_1) >= R (rates below the critical rate) and otherwise at the root
+of I(p;V_rho) = R in (0, 1), which a regula falsi search (Anderson-Bjorck
+variant) finds from the bracket [0, 1]. As E(rho) = F(rho) - rho*R is
+concave with slope f = I(p;V_rho) - R, the maximum lies on the side of
+rho that f points to and exceeds E(rho) by at most |f| times the distance
+to that end of the bracket; the search stops when this bound falls below
+the tolerance.
 
-  * minimize D(V||W|p) + I(p;V) - R unconstrained; this value is the true
-    objective whenever its minimizer satisfies I(p;V) >= R, and is used
-    only then (below R it undershoots the objective and must be dropped);
-  * minimize D(V||W|p) subject to I(p;V) <= R, solved by bisecting the
-    penalty weight lam in D + lam*I until the constraint is active.
-
-Both subproblems reduce to minimizing D + lam*I, solved by alternating
-closed-form updates: hold the output pmf q fixed and set each row of V to
-the normalized geometric mixture W^(1/(1+lam)) * q^(lam/(1+lam)), then
-refresh q as the output marginal of V. Each step is the exact minimizer
-of the coordinate, so this is exponentiated-gradient descent with the
-step length solved in closed form; the objective is convex so restarts
-only serve as cheap insurance.
+F(rho) is minimized by alternating closed-form steps: hold the output
+pmf q fixed and set each row of V to the normalized geometric mixture
+W^a q^(1-a), a = 1/(1+rho), then refresh q as the output marginal of V.
+With q held, the step's value is read off the row normalizers
+s(x) = sum_y W^a q^(1-a) as G(q) = -(1+rho) sum_x p(x) log s(x), which
+falls monotonically to F(rho) and is the convergence test. Every solve
+of the search starts from the previous solve's q.
 
 The module also provides the channel a user code sees when both encoders
 transmit the same cloud-center word, and the two-user miss bound built
-from the exponent.
+from the exponent, in log domain.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .probkit import Dmc, Pmf, conditional_kl, mutual_information
+from .probkit import Dmc, Pmf, log_sum_exp
 
 _ACTIVE_TOL = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 class ExponentError(RuntimeError):
@@ -48,7 +54,13 @@ class ExponentError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExponentQuery:
-    """Arguments of one exponent evaluation."""
+    """Arguments of one exponent evaluation.
+
+    max_iters caps the inner iterations summed over the whole search.
+    restarts and seed are accepted but no longer read: the dual search is
+    deterministic and needs no restarts. They stay because callers and
+    traces key queries on every field.
+    """
 
     rate: float
     input_pmf: Pmf
@@ -59,147 +71,117 @@ class ExponentQuery:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rate < 0.0:
-            raise ValueError("rate must be non-negative")
+        if not self.rate >= 0.0:
+            raise ValueError(f"rate must be a non-negative number, got {self.rate!r}")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
         if len(self.input_pmf) != self.channel.num_inputs:
             raise ValueError("input pmf size does not match channel input alphabet")
 
 
-def _objective(v_rows: np.ndarray, w: Dmc, p: Pmf, lam: float) -> float:
-    v = Dmc(v_rows / v_rows.sum(axis=1, keepdims=True))
-    return conditional_kl(v, w, p) + lam * mutual_information(p, v)
-
-
 def _minimize_d_plus_lambda_i(
     p: np.ndarray,
     w: np.ndarray,
+    logw: np.ndarray,
     lam: float,
     tol: float,
     max_iters: int,
-    v0: np.ndarray | None = None,
+    q: np.ndarray,
 ) -> tuple[np.ndarray, float, float, int]:
     """Minimize D(V||W|p) + lam*I(p;V) by alternating closed-form steps.
 
-    Returns (V, D, I, iterations). Rows with p(u) = 0 are pinned to W.
+    p > 0 everywhere and every output of w is reached by some input, so q
+    stays positive unless it underflows; logw is log w with 0 where w = 0.
+    q is the starting output pmf (p @ w starts from V = W). Returns
+    (q, D, I, iterations) with q the output pmf of the returned V; D and I
+    may round below 0.
     """
-    active = p > 0.0
-    v = w.copy() if v0 is None else v0.copy()
-    v[~active] = w[~active]
     a = 1.0 / (1.0 + lam)
+    b = 1.0 - a
+    wa = w ** a
     prev = math.inf
     iters = 0
     for iters in range(1, max_iters + 1):
-        q = p @ v
-        # geometric-mixture row update; support stays inside support(W)
-        with np.errstate(divide="ignore"):
-            logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-320)), -np.inf)
-            logq = np.where(q > 0.0, np.log(np.maximum(q, 1e-320)), -np.inf)
-        logv = a * logw + (1.0 - a) * logq[None, :]
-        logv[~np.isfinite(logv)] = -np.inf
-        shift = logv.max(axis=1, keepdims=True)
-        vn = np.exp(logv - shift)
-        vn /= vn.sum(axis=1, keepdims=True)
-        v = np.where(active[:, None], vn, w)
-
-        d_val, i_val = _d_and_i(p, v, w)
-        cur = d_val + lam * i_val
+        q_prev = q
+        mix = wa * q ** b
+        s = np.add.reduce(mix, axis=1)
+        weights = p / s
+        q = weights @ mix
+        p_log_s = float(p @ np.log(s))
+        cur = -(1.0 + lam) * p_log_s
         if abs(prev - cur) <= tol * max(1.0, abs(cur)):
-            return v, d_val, i_val, iters
+            break
         prev = cur
-    d_val, i_val = _d_and_i(p, v, w)
-    return v, d_val, i_val, iters
-
-
-def _d_and_i(p: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    mask = v > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_terms = np.where(mask, v * (np.log(np.maximum(v, 1e-320)) - np.log(np.maximum(w, 1e-320))), 0.0)
-    d_val = float((p[:, None] * d_terms).sum())
-    q = p @ v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        i_terms = np.where(mask & (q[None, :] > 0.0),
-                           v * (np.log(np.maximum(v, 1e-320)) - np.log(np.maximum(q, 1e-320))[None, :]),
-                           0.0)
-    i_val = float((p[:, None] * i_terms).sum())
-    return max(0.0, d_val), max(0.0, i_val)
+    # V = mix / s. Under p(x)V(y|x), E[log W] = sum of weights * mix * log W and
+    # E[log V] = a E[log W] + (1-a) q . log q_prev - p . log s; an output mass
+    # that underflowed to 0 adds 0 to q . log q
+    v_log_w = float(weights @ (mix * logw).sum(axis=1))
+    d_val = b * (float(q @ np.log(np.maximum(q_prev, _TINY))) - v_log_w) - p_log_s
+    i_val = d_val + v_log_w - float(q @ np.log(np.maximum(q, _TINY)))
+    return q, d_val, i_val, iters
 
 
 def random_coding_exponent(q: ExponentQuery) -> float:
     """E_r(R, p, W) >= 0, within the query tolerance."""
-    p = q.input_pmf.probs.copy()
-    w = q.channel.rows.copy()
     rate = float(q.rate)
-    i_w = mutual_information(q.input_pmf, q.channel)
+    p, w = q.input_pmf.probs, q.channel.rows
+    # inputs of zero probability and outputs no used input reaches play no part
+    if not p.all():
+        w = w[p > 0.0]
+        p = p[p > 0.0]
+    q_w = p @ w
+    if not q_w.all():
+        w = w[:, q_w > 0.0]
+        q_w = q_w[q_w > 0.0]
+    logw = np.log(w, out=np.zeros_like(w), where=w > 0.0)
+    i_w = float(p @ (w * logw).sum(axis=1) - q_w @ np.log(q_w))
     if rate >= i_w - _ACTIVE_TOL:
         return 0.0
 
-    tol_inner = min(q.tolerance * 1e-3, 1e-10)
+    tol = min(q.tolerance * 1e-3, 1e-10)
     budget = q.max_iters
     spent = 0
-    candidates: list[float] = []
-    rng = np.random.default_rng(q.seed)
 
-    # unconstrained branch: min D + I - R, valid when its minimizer has I >= R
-    best_unc = None
-    inits: list[np.ndarray | None] = [None]
-    for _ in range(max(0, q.restarts - 1)):
-        rnd = rng.random(w.shape) * (w > 0.0)
-        rnd /= np.maximum(rnd.sum(axis=1, keepdims=True), 1e-300)
-        inits.append(rnd)
-    for v0 in inits:
-        v, d_val, i_val, used = _minimize_d_plus_lambda_i(p, w, 1.0, tol_inner, budget - spent, v0)
-        spent += used
-        val = d_val + i_val
-        if best_unc is None or val < best_unc[0]:
-            best_unc = (val, i_val)
+    def solve(rho: float, q_start: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """(q, slope I(p;V_rho) - R, value F(rho) - rho*R) at one rho."""
+        nonlocal spent
+        q_out, d_val, i_val, iters = _minimize_d_plus_lambda_i(
+            p, w, logw, rho, tol, budget - spent, q_start)
+        spent += iters
+        if not math.isfinite(d_val + i_val):
+            raise ExponentError(f"solve at rho={rho:.6g} lost precision", best=math.nan)
+        d_val, i_val = max(0.0, d_val), max(0.0, i_val)
+        value = d_val + rho * (i_val - rate)
         if spent >= budget:
-            raise ExponentError("iteration cap reached in unconstrained branch",
-                                best=max(0.0, (best_unc[0] - rate) if best_unc else math.inf))
-    assert best_unc is not None
-    if best_unc[1] >= rate - _ACTIVE_TOL:
-        candidates.append(best_unc[0] - rate)
+            raise ExponentError(f"iteration cap {budget} reached at rho={rho:.6g}",
+                                best=max(0.0, value))
+        return q_out, i_val - rate, value
 
-    # constrained branch: min D subject to I <= R, penalty weight bisection
-    lo, hi = 0.0, 1.0
-    v_warm = w.copy()
-    i_hi = i_w
-    found_hi = False
-    for _ in range(80):
-        v_warm, d_hi, i_hi, used = _minimize_d_plus_lambda_i(p, w, hi, tol_inner, budget - spent, v_warm)
-        spent += used
-        if spent >= budget:
-            raise ExponentError("iteration cap reached while bracketing",
-                                best=max(0.0, min(candidates) if candidates else d_hi))
-        if i_hi <= rate:
-            found_hi = True
-            break
-        lo = hi
-        hi *= 2.0
-    if found_hi:
-        d_at = d_hi
-        for _ in range(200):
-            if abs(i_hi - rate) <= max(1e-12, _ACTIVE_TOL * max(1.0, rate)):
-                break
-            mid = 0.5 * (lo + hi)
-            v_warm, d_mid, i_mid, used = _minimize_d_plus_lambda_i(p, w, mid, tol_inner, budget - spent, v_warm)
-            spent += used
-            if spent >= budget:
-                raise ExponentError("iteration cap reached in bisection",
-                                    best=max(0.0, min(candidates + [d_mid])))
-            if i_mid > rate:
-                lo = mid
-            else:
-                hi = mid
-                d_at, i_hi = d_mid, i_mid
-        candidates.append(d_at)
-    # else: no absolutely-continuous V reaches I <= R (e.g. noiseless rows);
-    # the unconstrained branch is then valid because I stays above R.
-
-    if not candidates:
-        raise ExponentError("no valid branch produced a value", best=math.inf)
-    return max(0.0, min(candidates))
+    # rho = 1: optimal when the slope there is still non-negative
+    q_out, f_hi, value = solve(1.0, q_w)
+    if f_hi >= -tol:
+        return max(0.0, value)
+    lo, hi, f_lo = 0.0, 1.0, i_w - rate
+    side = -1  # the last point, rho = 1, lies on the high side
+    while True:
+        rho = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        q_out, f, value = solve(rho, q_out)
+        # the maximum lies on the side of rho that f points to
+        if f * ((hi if f > 0.0 else lo) - rho) <= tol:
+            return max(0.0, value)
+        # Anderson-Bjorck: scale down the value kept at an end that stays twice in a row
+        if f > 0.0:
+            if side > 0:
+                m = 1.0 - f / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo = rho, f
+            side = 1
+        else:
+            if side < 0:
+                m = 1.0 - f / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi = rho, f
+            side = -1
 
 
 def is_deterministic_injective(w: Dmc) -> bool:
@@ -258,6 +240,44 @@ def induced_channel(
     return Dmc(rows)
 
 
+def log_g_rho_l(
+    l,
+    a_rate: float,
+    rho: float,
+    p_u: Pmf,
+    induced: tuple[Dmc, Dmc],
+    tolerance: float = 1e-6,
+    max_iters: int = 100_000,
+    exact_zero_when_noiseless: bool = True,
+) -> float:
+    """log sum_j exp{-l (E_r(A+rho, p, p_Yj|U) - rho)}, clamped to <= 0.
+
+    The sum is taken as a logsumexp, so the bound keeps its value at any
+    block length where exp would underflow. A deterministic injective
+    induced channel is decoded without error, so its term is taken as
+    exactly zero (-inf in log) unless exact_zero_when_noiseless is cleared
+    (useful when studying the exponent formula itself).
+    """
+    if not 0.0 < rho < a_rate:
+        raise ValueError("rho must lie strictly inside (0, A)")
+    if l < 1:
+        raise ValueError("block length must be positive")
+    lf = math.inf if l > sys.float_info.max else float(l)
+    logs = []
+    for w in induced:
+        if exact_zero_when_noiseless and is_deterministic_injective(w):
+            continue
+        er = random_coding_exponent(ExponentQuery(
+            rate=a_rate + rho, input_pmf=p_u, channel=w,
+            tolerance=tolerance, max_iters=max_iters,
+        ))
+        gap = er - rho
+        if gap <= 0.0:
+            return 0.0
+        logs.append(-lf * gap)
+    return min(0.0, log_sum_exp(*logs))
+
+
 def g_rho_l(
     l,
     a_rate: float,
@@ -266,33 +286,11 @@ def g_rho_l(
     induced: tuple[Dmc, Dmc],
     tolerance: float = 1e-6,
     max_iters: int = 100_000,
-    restarts: int = 8,
     exact_zero_when_noiseless: bool = True,
 ) -> float:
     """Two-user bound sum_j exp{-l (E_r(A+rho, p, p_Yj|U) - rho)}, clamped to [0, 1].
 
-    A deterministic injective induced channel is decoded without error, so
-    its term is taken as exactly zero unless exact_zero_when_noiseless is
-    cleared (useful when studying the exponent formula itself).
+    The exp of log_g_rho_l; it underflows to 0 where log_g_rho_l does not.
     """
-    if not 0.0 < rho < a_rate:
-        raise ValueError("rho must lie strictly inside (0, A)")
-    if l < 1:
-        raise ValueError("block length must be positive")
-    lf = float(l) if l < 10**15 else math.inf
-    total = 0.0
-    for w in induced:
-        if exact_zero_when_noiseless and is_deterministic_injective(w):
-            continue
-        er = random_coding_exponent(ExponentQuery(
-            rate=a_rate + rho, input_pmf=p_u, channel=w,
-            tolerance=tolerance, max_iters=max_iters, restarts=restarts,
-        ))
-        gap = er - rho
-        if gap <= 0.0:
-            return 1.0
-        term_log = -lf * gap
-        total += math.exp(term_log) if term_log > -745.0 else 0.0
-        if total >= 1.0:
-            return 1.0
-    return min(1.0, total)
+    return math.exp(log_g_rho_l(l, a_rate, rho, p_u, induced, tolerance, max_iters,
+                                exact_zero_when_noiseless))

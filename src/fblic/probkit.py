@@ -283,6 +283,15 @@ def conditional_kl(v: Dmc, w: Dmc, p: Pmf) -> float:
     return max(0.0, total)
 
 
+def log_sum_exp(*vals: float) -> float:
+    """log(sum_i exp(vals[i])) without overflow or underflow; -inf for no finite term."""
+    finite = [v for v in vals if v > -math.inf]
+    if not finite:
+        return -math.inf
+    m = max(finite)
+    return m + math.log(sum(math.exp(v - m) for v in finite))
+
+
 def least_positive_prob(p: Pmf) -> tuple[int, float]:
     """Symbol with the least positive probability; ties go to the lowest index."""
     best = -1

@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import bounds as _bounds
 from . import codec as _codec
@@ -459,6 +458,9 @@ def interleave_iid_test(position_pmfs, m: int, seed: int,
     adversarial control: it must fail whenever the law is position
     dependent.
     """
+    # scipy.stats costs about 70 MB and 0.3 s to import; only this test needs it
+    from scipy import stats as sstats
+
     pmfs = list(position_pmfs)
     l = len(pmfs)
     k = len(pmfs[0])

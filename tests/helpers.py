@@ -79,6 +79,106 @@ def er_grid_oracle(rate: float, channel: pk.Dmc, p: pk.Pmf, res: int = 1001) -> 
     return float(np.nanmin(objective))
 
 
+def _d_and_i(p, v, w):
+    """D(V||W|p) and I(p;V), both clamped at 0."""
+    mask = v > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logv = np.log(np.maximum(v, 1e-320))
+        d_terms = np.where(mask, v * (logv - np.log(np.maximum(w, 1e-320))), 0.0)
+        q = p @ v
+        i_terms = np.where(mask & (q[None, :] > 0.0),
+                           v * (logv - np.log(np.maximum(q, 1e-320))[None, :]), 0.0)
+    return (max(0.0, float((p[:, None] * d_terms).sum())),
+            max(0.0, float((p[:, None] * i_terms).sum())))
+
+
+def _two_branch_inner(p, w, lam, tol, max_iters, v0=None):
+    """min D(V||W|p) + lam*I(p;V) by the closed-form alternating steps, full V kept."""
+    active = p > 0.0
+    v = w.copy() if v0 is None else v0.copy()
+    v[~active] = w[~active]
+    a = 1.0 / (1.0 + lam)
+    prev = math.inf
+    iters = 0
+    d_val = i_val = 0.0
+    for iters in range(1, max_iters + 1):
+        q = p @ v
+        with np.errstate(divide="ignore"):
+            logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-320)), -np.inf)
+            logq = np.where(q > 0.0, np.log(np.maximum(q, 1e-320)), -np.inf)
+        logv = a * logw + (1.0 - a) * logq[None, :]
+        logv[~np.isfinite(logv)] = -np.inf
+        vn = np.exp(logv - logv.max(axis=1, keepdims=True))
+        vn /= vn.sum(axis=1, keepdims=True)
+        v = np.where(active[:, None], vn, w)
+        d_val, i_val = _d_and_i(p, v, w)
+        cur = d_val + lam * i_val
+        if abs(prev - cur) <= tol * max(1.0, abs(cur)):
+            break
+        prev = cur
+    return v, d_val, i_val, iters
+
+
+def er_two_branch_reference(rate: float, channel: pk.Dmc, p: pk.Pmf,
+                            tolerance: float = 1e-6, max_iters: int = 100_000,
+                            restarts: int = 8, seed: int = 0) -> float:
+    """The exponent solved as two smooth branches (the solver the dual search replaced).
+
+    * min D + I - R unconstrained, from V = W and restarts - 1 random
+      starts; its value is E_r only when its minimizer has I(p;V) >= R;
+    * min D subject to I(p;V) <= R, by doubling the penalty weight lam in
+      D + lam*I until the constraint holds, then bisecting lam.
+
+    E_r is the smaller valid branch value. Raises RuntimeError at the cap.
+    """
+    pr, w = p.probs.copy(), channel.rows.copy()
+    if rate >= pk.mutual_information(p, channel) - 1e-9:
+        return 0.0
+    tol = min(tolerance * 1e-3, 1e-10)
+    spent = 0
+    rng = np.random.default_rng(seed)
+    inits = [None]
+    for _ in range(max(0, restarts - 1)):
+        rnd = rng.random(w.shape) * (w > 0.0)
+        inits.append(rnd / np.maximum(rnd.sum(axis=1, keepdims=True), 1e-300))
+    best = None
+    for v0 in inits:
+        _, d_val, i_val, used = _two_branch_inner(pr, w, 1.0, tol, max_iters - spent, v0)
+        spent += used
+        if best is None or d_val + i_val < best[0]:
+            best = (d_val + i_val, i_val)
+        if spent >= max_iters:
+            raise RuntimeError("iteration cap reached in the unconstrained branch")
+    candidates = [best[0] - rate] if best[1] >= rate - 1e-9 else []
+
+    lo, hi, v = 0.0, 1.0, w.copy()
+    for _ in range(80):
+        v, d_hi, i_hi, used = _two_branch_inner(pr, w, hi, tol, max_iters - spent, v)
+        spent += used
+        if spent >= max_iters:
+            raise RuntimeError("iteration cap reached while bracketing")
+        if i_hi <= rate:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        # no V with support in W reaches I <= R; the unconstrained branch holds
+        return max(0.0, min(candidates))
+    d_at = d_hi
+    for _ in range(200):
+        if abs(i_hi - rate) <= max(1e-12, 1e-9 * max(1.0, rate)):
+            break
+        mid = 0.5 * (lo + hi)
+        v, d_mid, i_mid, used = _two_branch_inner(pr, w, mid, tol, max_iters - spent, v)
+        spent += used
+        if spent >= max_iters:
+            raise RuntimeError("iteration cap reached in bisection")
+        if i_mid > rate:
+            lo = mid
+        else:
+            hi, d_at, i_hi = mid, d_mid, i_mid
+    return max(0.0, min(candidates + [d_at]))
+
+
 def cross_ic(eps1: float, eps2: float, leak1: float, leak2: float) -> np.ndarray:
     """Binary interference channel: y_j = x_j xor Bern(eps_j + leak_j*[x_other=1])."""
     w = np.zeros((2, 2, 2, 2))

@@ -64,6 +64,23 @@ def test_invalid_subcommand_exits_2():
     assert cli.main(["nonsense"]) == 2
 
 
+def test_parser_reuse_gives_fresh_parse_results(tmp_path, bsc_file):
+    conf = write(tmp_path / "conf.json", {"seed": 5, "rates": "0:0.2:0.1"})
+    spec = write(tmp_path / "spec.json", {})
+    a = ["exponent", "--config", conf, "--channel", bsc_file, "--unit", "bits"]
+    b = ["bounds", "search", "--spec", spec, "--seed", "2", "--format", "csv"]
+
+    def fresh(argv):
+        cli._build_parser.cache_clear()
+        return cli.parse_config(argv)
+
+    alone = [fresh(a), fresh(b)]
+    in_turn = [cli.parse_config(argv) for argv in (a, b, a)]
+    assert in_turn == [alone[0], alone[1], alone[0]]
+    assert in_turn[0].seed == 5 and in_turn[0].options["rates"] == "0:0.2:0.1"
+    assert in_turn[1].options == {"spec": spec}
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -174,6 +191,31 @@ def test_bounds_search_command(tmp_path):
     assert "feasible" in doc["report"] and "best_attempt" in doc["report"]
 
 
+def test_bounds_search_checks_each_point_once(tmp_path, monkeypatch):
+    from fblic import bounds as bd
+    grid = {"B": [0.1, 0.6066017177982121], "rho": [0.01, 0.02]}
+    spec = write(tmp_path / "spec.json",
+                 {"instance": instance_doc(), "scheme": scheme_doc(), "grid": grid})
+    evals = []
+    original = bd.ProblemInstance.thm1_quantities
+
+    def counted(self, sp, **kw):
+        evals.append(sp)
+        return original(self, sp, **kw)
+
+    monkeypatch.setattr(bd.ProblemInstance, "thm1_quantities", counted)
+    out = tmp_path / "search.csv"
+    run_cli(["bounds", "search", "--spec", spec, "--format", "csv", "--out", str(out)])
+    assert len(evals) == 4
+    # every CSV row is the report a fresh check of its point gives
+    inst = cli._load_instance_from_doc(instance_doc())
+    rows = out.read_text().splitlines()
+    assert rows[0] == "B,rho,phi,min_slack,feasible"
+    for row, sp in zip(rows[1:], evals):
+        rep = bd.check_thm1(inst, sp)
+        assert row == f"{sp.B!r},{sp.rho!r},{rep.phi!r},{rep.min_slack!r},{bool(rep.overall)}"
+
+
 def test_simulate_dueck_command(tmp_path):
     params = write(tmp_path / "params.json",
                    {"joint": [[0.4995, 0.0005], [0.0005, 0.4995]]})
@@ -249,6 +291,32 @@ def test_test_cc_exponent_command(tmp_path, bsc_file):
 
 def test_missing_input_file_exits_2(tmp_path):
     assert run_cli(["exponent", "--channel", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("rates, message", [
+    ("0:0.8:0", "step must be positive"),
+    ("0.8:0:0.1", "stop lies below start"),
+    ("0.1,nan", "rate must be a non-negative number"),
+    ("0:inf:0.1", "must be finite"),
+    (",", "no rate given"),
+])
+def test_exponent_bad_rates_exit_2(tmp_path, bsc_file, capsys, rates, message):
+    out = tmp_path / "curve.json"
+    code = cli.main(["exponent", "--channel", bsc_file, "--rates", rates, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_exponent_solver_error_exits_2(monkeypatch, bsc_file, capsys):
+    def capped(q):
+        raise cli._exponent.ExponentError("iteration cap 3 reached", best=0.0)
+
+    monkeypatch.setattr(cli._exponent, "random_coding_exponent", capped)
+    assert cli.main(["exponent", "--channel", bsc_file, "--rates", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: iteration cap 3 reached\n"
 
 
 def test_report_embeds_config(tmp_path, bsc_file):

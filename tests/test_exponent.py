@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fblic import bounds as bd
 from fblic import exponent as ex
 from fblic import probkit as pk
-from helpers import er_grid_oracle
+from helpers import er_grid_oracle, er_two_branch_reference, small_instance
 
 LN2 = math.log(2.0)
 
@@ -135,8 +138,10 @@ def test_exponent_monotone_in_rate():
 
 
 def test_exponent_iteration_cap_raises_with_best_value():
+    # R = 0.2 lies above the critical rate (~0.131) of BSC(0.1), so the rho
+    # search must run past the rho = 1 solve and hits the cap
     w = pk.Dmc.binary_symmetric(0.1)
-    q = query(0.1, w, tolerance=1e-12, max_iters=3)
+    q = query(0.2, w, tolerance=1e-12, max_iters=3)
     with pytest.raises(ex.ExponentError) as err:
         ex.random_coding_exponent(q)
     assert hasattr(err.value, "best")
@@ -147,7 +152,72 @@ def test_exponent_rejects_bad_query():
     with pytest.raises(ValueError):
         ex.ExponentQuery(rate=-0.1, input_pmf=pk.Pmf.uniform(2), channel=w)
     with pytest.raises(ValueError):
+        ex.ExponentQuery(rate=math.nan, input_pmf=pk.Pmf.uniform(2), channel=w)
+    with pytest.raises(ValueError):
         ex.ExponentQuery(rate=0.1, input_pmf=pk.Pmf.uniform(3), channel=w)
+
+
+def random_case(seed, shape):
+    rng = np.random.default_rng(seed)
+    w = pk.Dmc(rng.dirichlet(np.ones(shape[1]), size=shape[0]))
+    p = pk.Pmf(rng.dirichlet(2.0 * np.ones(shape[0])))
+    return w, p
+
+
+REFERENCE_FRACS = (0.02, 0.1, 0.35, 0.7, 0.95)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("seed", [11, 12])
+def test_exponent_matches_two_branch_reference(seed, shape):
+    w, p = random_case(seed, shape)
+    cap = pk.mutual_information(p, w)
+    e0 = ex.random_coding_exponent(query(0.0, w, p))
+    below = above = 0
+    for frac in REFERENCE_FRACS:
+        rate = frac * cap
+        want = er_two_branch_reference(rate, w, p)
+        assert ex.random_coding_exponent(query(rate, w, p)) == pytest.approx(want, abs=1e-8)
+        # below the critical rate E_r(R) = E_r(0) - R; above it E_r lies higher
+        assert e0 - want <= rate + 1e-8
+        if e0 - want >= rate - 1e-8:
+            below += 1
+        else:
+            above += 1
+    assert below >= 1 and above >= 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]),
+       f1=st.floats(0.0, 1.05), f2=st.floats(0.0, 1.05))
+def test_exponent_properties(seed, shape, f1, f2):
+    w, p = random_case(seed, shape)
+    cap = pk.mutual_information(p, w)
+    r1, r2 = sorted((f1 * cap, f2 * cap))
+
+    def er(rate):
+        return ex.random_coding_exponent(query(rate, w, p))
+
+    e1, e2, em = er(r1), er(r2), er(0.5 * (r1 + r2))
+    assert min(e1, e2, em) >= 0.0
+    assert er(cap) == 0.0 and er(cap + 1e-3) == 0.0
+    assert e2 <= e1 + 1e-8  # non-increasing in R
+    assert em <= 0.5 * (e1 + e2) + 1e-8  # convex in R
+    assert e2 - e1 >= -(r2 - r1) - 1e-8  # slope -rho* >= -1
+
+
+def test_exponent_zero_input_probability_and_unreached_output():
+    # input 1 is never sent and output 2 is reached only from it
+    w = pk.Dmc([[0.7, 0.3, 0.0], [0.0, 0.0, 1.0], [0.2, 0.8, 0.0]])
+    p = pk.Pmf([0.5, 0.0, 0.5])
+    w_used = pk.Dmc([[0.7, 0.3], [0.2, 0.8]])
+    p_used = pk.Pmf([0.5, 0.5])
+    cap = pk.mutual_information(p, w)
+    for frac in (0.0, 0.3, 0.8):
+        got = ex.random_coding_exponent(query(frac * cap, w, p))
+        assert got == pytest.approx(er_grid_oracle(frac * cap, w_used, p_used, res=2001), abs=1e-3)
+        assert got == pytest.approx(ex.random_coding_exponent(query(frac * cap, w_used, p_used)),
+                                    abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +258,28 @@ def test_g_rho_l_decreasing_in_l_near_noiseless():
     for hi, lo in zip(vals[:-1], vals[1:]):
         assert lo <= hi + 1e-12
     assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+@pytest.mark.parametrize("l", [10**4, 10**16])
+def test_log_g_rho_l_stays_finite_where_g_underflows(l):
+    w = pk.Dmc.binary_symmetric(0.05)
+    p = pk.Pmf.uniform(2)
+    gap = ex.random_coding_exponent(query(0.11, w)) - 0.01
+    log_g = ex.log_g_rho_l(l, 0.1, 0.01, p, (w, w))
+    # two equal terms: log 2 - l * gap (about log 2 - 2113.6 at l = 10^4)
+    assert math.isfinite(log_g)
+    assert log_g == pytest.approx(LN2 - l * gap, rel=1e-12)
+    assert ex.g_rho_l(l, 0.1, 0.01, p, (w, w)) == 0.0
+
+
+def test_thm1_quantities_log_g_in_log_domain():
+    inst = small_instance()
+    sp = bd.SchemeParams(l=10_000, delta=0.75, A=0.1, B=0.6, rho=0.01, m=4)
+    log_g = inst.thm1_quantities(sp)["log_g"]
+    want = ex.log_g_rho_l(sp.l, sp.A, sp.rho, inst.p_u,
+                          (inst.induced_to_user(1), inst.induced_to_user(2)))
+    assert math.isfinite(log_g) and log_g < -700.0
+    assert log_g == want
 
 
 def test_is_deterministic_injective():

@@ -305,8 +305,8 @@ class ProblemInstance:
         w = np.asarray(ic, dtype=float)
         if w.ndim != 4:
             raise ValueError("interference channel must be W[x1, x2, y1, y2]")
-        sums = w.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        # the checks are phrased so that a NaN entry fails them
+        if not (np.all(w >= 0.0) and np.all(np.abs(w.sum(axis=(2, 3)) - 1.0) <= 1e-9)):
             raise ValueError("interference channel rows must be stochastic")
         self.ic = w
         self.p_u = p_u
@@ -320,7 +320,7 @@ class ProblemInstance:
                              ("user 2", self.p_x2_given_uv2, p_v2)):
             if px.ndim != 3 or px.shape[0] != len(p_u) or px.shape[1] != len(pv):
                 raise ValueError(f"{name} input kernel has a bad shape")
-            if np.any(np.abs(px.sum(axis=2) - 1.0) > 1e-9):
+            if not (np.all(px >= 0.0) and np.all(np.abs(px.sum(axis=2) - 1.0) <= 1e-9)):
                 raise ValueError(f"{name} input kernel rows must be stochastic")
         if self.p_x1_given_uv1.shape[2] != w.shape[0] or self.p_x2_given_uv2.shape[2] != w.shape[1]:
             raise ValueError("input kernels do not match the channel input alphabets")
@@ -334,17 +334,6 @@ class ProblemInstance:
     @property
     def ny(self) -> tuple[int, int]:
         return int(self.ic.shape[2]), int(self.ic.shape[3])
-
-    @classmethod
-    def from_paired_dmc(cls, source, f1, f2, ic_dmc: Dmc, output_sizes: tuple[int, int], **kw):
-        ny1, ny2 = output_sizes
-        nx_total = ic_dmc.num_inputs
-        nx1 = kw.pop("nx1", None)
-        if nx1 is None:
-            raise ValueError("from_paired_dmc needs nx1 to unflatten the input pairing")
-        nx2 = nx_total // nx1
-        w = ic_dmc.rows.reshape(nx1, nx2, ny1, ny2)
-        return cls(source, f1, f2, w, **kw)
 
     # derived quantities ----------------------------------------------------
     def joint_k(self) -> JointPmf:

@@ -266,27 +266,23 @@ def _load_dmc(path: str) -> _probkit.Dmc:
     return _probkit.Dmc(_load_json(path)["rows"])
 
 
-def _load_scheme(path: str) -> _bounds.SchemeParams:
-    d = _load_json(path)
-    return _bounds.SchemeParams(l=int(d["l"]), delta=float(d["delta"]),
-                                A=float(d["A"]), B=float(d["B"]),
-                                rho=float(d["rho"]), m=int(d.get("m", 1)))
-
-
-def _load_instance(path: str) -> _bounds.ProblemInstance:
-    d = _load_json(path)
+def _load_instance_from_doc(d: dict) -> _bounds.ProblemInstance:
     kw = {}
     if d.get("p_w1") is not None:
         kw["p_w1"] = _probkit.Pmf(d["p_w1"])
     if d.get("p_w2") is not None:
         kw["p_w2"] = _probkit.Pmf(d["p_w2"])
     return _bounds.ProblemInstance(
-        source=_probkit.JointPmf(d["source"]),
-        f1=d["f1"], f2=d["f2"], ic=d["ic"],
-        p_u=_probkit.Pmf(d["p_u"]),
-        p_v1=_probkit.Pmf(d["p_v1"]), p_v2=_probkit.Pmf(d["p_v2"]),
-        p_x1_given_uv1=d["p_x1_given_uv1"], p_x2_given_uv2=d["p_x2_given_uv2"],
-        k_size=d.get("k_size"), **kw)
+        source=_probkit.JointPmf(d["source"]), f1=d["f1"], f2=d["f2"], ic=d["ic"],
+        p_u=_probkit.Pmf(d["p_u"]), p_v1=_probkit.Pmf(d["p_v1"]),
+        p_v2=_probkit.Pmf(d["p_v2"]), p_x1_given_uv1=d["p_x1_given_uv1"],
+        p_x2_given_uv2=d["p_x2_given_uv2"], k_size=d.get("k_size"), **kw)
+
+
+def _scheme_from_doc(d: dict) -> _bounds.SchemeParams:
+    return _bounds.SchemeParams(l=int(d["l"]), delta=float(d["delta"]),
+                                A=float(d["A"]), B=float(d["B"]),
+                                rho=float(d["rho"]), m=int(d.get("m", 1)))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -418,8 +414,8 @@ def _cmd_dueck_feasibility(cfg: RunConfig) -> int:
 
 
 def _cmd_bounds_check(cfg: RunConfig) -> int:
-    inst = _load_instance(_require(cfg, "instance"))
-    sp = _load_scheme(_require(cfg, "scheme"))
+    inst = _load_instance_from_doc(_load_json(_require(cfg, "instance")))
+    sp = _scheme_from_doc(_load_json(_require(cfg, "scheme")))
     theorem = _opt(cfg, "theorem", "thm1")
     if theorem == "thm1":
         report = _bounds.check_thm1(inst, sp)
@@ -444,12 +440,7 @@ def _cmd_bounds_search(cfg: RunConfig) -> int:
         combos = [c + (v,) for c in combos for v in grid_axes[name]]
 
     def make_case(combo):
-        params = dict(base)
-        params.update(dict(zip(names, combo)))
-        sp = _bounds.SchemeParams(l=int(params["l"]), delta=float(params["delta"]),
-                                  A=float(params["A"]), B=float(params["B"]),
-                                  rho=float(params["rho"]), m=int(params.get("m", 1)))
-        return inst, sp
+        return inst, _scheme_from_doc({**base, **dict(zip(names, combo))})
 
     result = _bounds.search_feasible(make_case, combos)
     rows = [tuple(names) + ("phi", "min_slack", "feasible")]
@@ -466,25 +457,6 @@ def _cmd_bounds_search(cfg: RunConfig) -> int:
     }
     _emit(payload, cfg, csv_rows=rows)
     return 0 if result.feasible else 1
-
-
-def _load_instance_from_doc(d: dict) -> _bounds.ProblemInstance:
-    kw = {}
-    if d.get("p_w1") is not None:
-        kw["p_w1"] = _probkit.Pmf(d["p_w1"])
-    if d.get("p_w2") is not None:
-        kw["p_w2"] = _probkit.Pmf(d["p_w2"])
-    return _bounds.ProblemInstance(
-        source=_probkit.JointPmf(d["source"]), f1=d["f1"], f2=d["f2"], ic=d["ic"],
-        p_u=_probkit.Pmf(d["p_u"]), p_v1=_probkit.Pmf(d["p_v1"]),
-        p_v2=_probkit.Pmf(d["p_v2"]), p_x1_given_uv1=d["p_x1_given_uv1"],
-        p_x2_given_uv2=d["p_x2_given_uv2"], k_size=d.get("k_size"), **kw)
-
-
-def _scheme_from_doc(d: dict) -> _bounds.SchemeParams:
-    return _bounds.SchemeParams(l=int(d["l"]), delta=float(d["delta"]),
-                                A=float(d["A"]), B=float(d["B"]),
-                                rho=float(d["rho"]), m=int(d.get("m", 1)))
 
 
 _STATS_COLUMNS = (
@@ -513,41 +485,35 @@ def _emit_stats(all_stats: list, cfg: RunConfig) -> None:
     _emit(docs[0] if len(docs) == 1 else docs, cfg, csv_rows=rows)
 
 
+def _simulate_each_scheme(cfg: RunConfig, chain, first, **kw) -> int:
+    """Run ``chain(first, scheme, ...)`` for the --scheme document, or for
+    each scheme of a list, and emit the reports together."""
+    scheme_doc = _load_json(_require(cfg, "scheme"))
+    schemes = scheme_doc if isinstance(scheme_doc, list) else [scheme_doc]
+    _emit_stats([chain(first, _scheme_from_doc(sd), seed=cfg.seed, threads=cfg.threads,
+                       **kw) for sd in schemes], cfg)
+    return 0
+
+
 def _cmd_simulate_dueck(cfg: RunConfig) -> int:
     d = _load_json(_require(cfg, "params"))
     if "joint" in d:
         source = _probkit.JointPmf(d["joint"])
     else:
         source = _dueck.DueckParams(int(d["a"]), int(d["k"]), int(d["eta"]))
-    scheme_doc = _load_json(_require(cfg, "scheme"))
-    schemes = scheme_doc if isinstance(scheme_doc, list) else [scheme_doc]
-    all_stats = [
-        _simulate.simulate_dueck(
-            source, _scheme_from_doc(sd), trials=int(_opt(cfg, "trials", 1000)),
-            seed=cfg.seed, e_max=int(_opt(cfg, "e_max", 2)),
-            hash_bits=int(_opt(cfg, "hash_bits", 128)),
-            capacity_slack=float(_opt(cfg, "capacity_slack", 0.2)),
-            threads=cfg.threads)
-        for sd in schemes
-    ]
-    _emit_stats(all_stats, cfg)
-    return 0
+    return _simulate_each_scheme(
+        cfg, _simulate.simulate_dueck, source,
+        trials=int(_opt(cfg, "trials", 1000)), e_max=int(_opt(cfg, "e_max", 2)),
+        hash_bits=int(_opt(cfg, "hash_bits", 128)),
+        capacity_slack=float(_opt(cfg, "capacity_slack", 0.2)))
 
 
 def _cmd_simulate_generic(cfg: RunConfig) -> int:
-    inst = _load_instance(_require(cfg, "instance"))
-    scheme_doc = _load_json(_require(cfg, "scheme"))
-    schemes = scheme_doc if isinstance(scheme_doc, list) else [scheme_doc]
-    all_stats = [
-        _simulate.simulate_generic(
-            inst, _scheme_from_doc(sd), trials=int(_opt(cfg, "trials", 200)),
-            seed=cfg.seed, e_max=int(_opt(cfg, "e_max", 1)),
-            hash_bits=int(_opt(cfg, "hash_bits", 96)),
-            threads=cfg.threads)
-        for sd in schemes
-    ]
-    _emit_stats(all_stats, cfg)
-    return 0
+    return _simulate_each_scheme(
+        cfg, _simulate.simulate_generic,
+        _load_instance_from_doc(_load_json(_require(cfg, "instance"))),
+        trials=int(_opt(cfg, "trials", 200)), e_max=int(_opt(cfg, "e_max", 1)),
+        hash_bits=int(_opt(cfg, "hash_bits", 96)))
 
 
 def _convert_stats(stats: _simulate.TrialStats, cfg: RunConfig) -> dict:
@@ -614,14 +580,18 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(sys.argv[1:] if argv is None else argv)
+        return run(parse_config(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         if isinstance(code, str):
             print(code, file=sys.stderr)
             return 2
         return 2 if code not in (0, None) else int(code or 0)
-    return run(cfg)
+    except Exception as exc:
+        # exit 1 means a written infeasible/failed report, so a crash is an error
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

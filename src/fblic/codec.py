@@ -543,8 +543,13 @@ def outer_decode(khat, residuals, digest: Digest, code: InnerCode, side,
         raise ValueError("digest value exceeds its width")
 
     need = _int_to_words(digest.value, hasher.words) ^ hasher._digest_words(base)
+    if e_max == 0:
+        # no row may change: the baseline stands or falls on its own digest
+        if need.any():
+            return OuterDecodeResult(status="failed", matrix=None, matches=0, searched=1)
+        return OuterDecodeResult(status="ok", matrix=base, matches=1, searched=1)
     per_row = [np.asarray(side(t, base[t], residuals[t]), dtype=np.int64).reshape(-1, l)
-               if e_max >= 1 else np.empty((0, l), dtype=np.int64) for t in range(m)]
+               for t in range(m)]
     cands = np.concatenate(per_row)
     owner = np.repeat(np.arange(m), [c.shape[0] for c in per_row])
     hasher._check_symbols(cands)

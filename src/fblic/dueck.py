@@ -459,10 +459,6 @@ def section3a_feasibility(params: DueckParams,
     return report
 
 
-# keep the module-level name aligned with the operation map
-section3A_feasibility = section3a_feasibility
-
-
 # ---------------------------------------------------------------------------
 # the layered scheme's witness instantiation for the general theorem
 # ---------------------------------------------------------------------------

@@ -99,100 +99,61 @@ def _outer_decode_counts(results) -> dict:
     return out
 
 
+def _check_run(trials: int, hash_bits: int, capacity_slack: float = 0.0) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if hash_bits < 0:
+        raise ValueError(f"hash_bits must be non-negative, got {hash_bits}")
+    if not math.isfinite(capacity_slack):
+        raise ValueError(f"capacity_slack must be finite, got {capacity_slack}")
+
+
 # ---------------------------------------------------------------------------
-# end-to-end chain on the worked example (or a materialized fixture)
+# the one chain: inner code over a shared channel, digest-verified binning
 # ---------------------------------------------------------------------------
 
-def simulate_dueck(
-    source,
-    sp: _bounds.SchemeParams,
-    trials: int,
-    seed: int,
-    e_max: int = 2,
-    hash_bits: int = 128,
-    capacity_slack: float = 0.2,
-    satellite_capacity: float | None = None,
-    shared_alphabet: int | None = None,
-    threads: int = 1,
-) -> TrialStats:
-    """Full chain: sample sub-block pairs, conditional-code them onto the
-    shared deterministic channel, carry residuals and a digest on the
-    private pipes, bin-decode, tally.
+def _simulate(sp, trials: int, seed: int, threads: int, *, joint: JointPmf, maps,
+              code, side, digest_bits: int, e_max: int, outer: bool, channel,
+              phi_bound: float, xi_block: float, extras: dict,
+              capacity: float = math.inf, rate_exceeded: bool = False) -> TrialStats:
+    """Sample sub-block pairs, map them to their common parts K, inner-code
+    both users onto the shared channel, rebuild K from each decoded index
+    and residual, then, when ``outer`` (K is the source itself), bin-decode
+    each user's matrix against its digest_bits-bit digest; tally.
 
-    source is the example's parameter triple, its exact class-mass form,
-    or any materialized joint pmf fixture (a^k <= 4096 for dense work).
+    ``channel.transmit(t, rng, codewords)`` returns both users' decoded
+    inner indices per row and a per-trial probe; ``channel.check(kmats,
+    enc, bad)`` vets a user's inner-error rows; ``channel.extras(probes)``
+    adds report fields.
     """
-    if isinstance(source, _dueck.DueckParams):
-        joint = _dueck.build_source(source).materialize()
-        a_sh = source.a if shared_alphabet is None else shared_alphabet
-    elif isinstance(source, _dueck.DueckSource):
-        joint = source.materialize()
-        a_sh = source.params.a if shared_alphabet is None else shared_alphabet
-    elif isinstance(source, JointPmf):
-        joint = source
-        a_sh = joint.row_size if shared_alphabet is None else shared_alphabet
-    else:
-        raise TypeError("source must be example parameters or a joint pmf")
-
-    p_s1 = joint.row_marginal()
-    la_target = int(math.floor(sp.l * sp.A / _LN2 + 1e-9))
-    code = _codec.build_inner_code(
-        p_s1, sp.l, sp.delta,
-        cu_size=1 << la_target,
-        codebook=_codec.FullCubeCode(a_sh, sp.l),
-    )
-
-    # satellite budget: residuals first, the digest gets the remainder
-    demand_full = (code.lb_bits * sp.m + hash_bits) * _LN2 / (sp.m * sp.l)
-    if satellite_capacity is None:
-        satellite_capacity = demand_full * (1.0 + capacity_slack)
-    budget_bits = int(math.floor(satellite_capacity * sp.m * sp.l / _LN2 + 1e-9))
-    digest_bits = max(0, min(hash_bits, budget_bits - code.lb_bits * sp.m))
-    rate_exceeded = code.lb_bits * sp.m > budget_bits
-    demand = (code.lb_bits * sp.m + digest_bits) * _LN2 / (sp.m * sp.l)
-
-    try:
-        side = _codec.prefix_flip_rule(code, p_s1.alphabet_size)
-    except ValueError:
-        side = _codec.hamming_ball_rule(p_s1.alphabet_size, radius=1)
-
-    jk = joint.probs
-    xi = max(0.0, 1.0 - float(np.trace(jk)))
-    xi_block = _bounds.xi_l(xi, sp.l)
-    phi_bound = min(1.0, xi_block + _bounds.tau_l_delta(p_s1, sp.l, sp.delta))
-
     hashers = [
-        _codec.MatrixHasher(digest_bits, _child_seed(seed, 0xD1, j), joint.row_size, sp.l, sp.m)
-        for j in (1, 2)
+        _codec.MatrixHasher(digest_bits, _child_seed(seed, 0xD1, j), size, sp.l, sp.m)
+        for j, size in ((1, joint.row_size), (2, joint.col_size))
     ]
+    demand = (code.lb_bits * sp.m + digest_bits) * _LN2 / (sp.m * sp.l)
 
     def one_trial(t: int) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(t))))
-        s1, s2 = _sample_pairs(rng, joint, sp.m, sp.l)
-        mats = (s1, s2)
+        mats = _sample_pairs(rng, joint, sp.m, sp.l)
+        kmats = (maps[0][mats[0]], maps[1][mats[1]])
+        enc = [[code.encode(row) for row in kmat] for kmat in kmats]
+        index, probe = channel.transmit(t, rng, [np.stack([e.codeword for e in enc_j])
+                                                 for enc_j in enc])
         counters = {
-            "rows_mismatch": int((s1 != s2).any(axis=1).sum()),
+            "rows_mismatch": int((kmats[0] != kmats[1]).any(axis=1).sum()),
             "inner": [0, 0], "rows_wrong": [0, 0], "matrix_fail": [0, 0],
-            "wrong_accept": [0, 0], "decode": [None, None],
+            "wrong_accept": [0, 0], "decode": [None, None], "probe": probe,
         }
-        enc = [[code.encode(mats[j][t_]) for t_ in range(sp.m)] for j in (0, 1)]
-        u = [np.stack([e.codeword for e in enc[j]]) for j in (0, 1)]
-        y = np.where(u[0] == u[1], u[0], 0)
-
         for j in (0, 1):
-            khat = np.empty_like(s1)
-            for t_ in range(sp.m):
-                dec = code.decode_exact(y[t_])
-                row = code.reconstruct(dec.index, enc[j][t_].residual)
-                khat[t_] = 0 if row is None else row
-            bad = (khat != s1).any(axis=1)
+            khat = np.empty_like(kmats[0])
+            for r in range(sp.m):
+                row = code.reconstruct(index[j][r], enc[j][r].residual)
+                khat[r] = 0 if row is None else row
+            bad = (khat != kmats[0]).any(axis=1)
             counters["inner"][j] = int(bad.sum())
-            envelope = (s1 != s2).any(axis=1) | np.array(
-                [e.atypical for e in enc[0]], dtype=bool)
-            if not bool(np.all(~bad | envelope)):
-                raise AssertionError(
-                    "an inner error escaped the mismatch/atypicality envelope")
-
+            channel.check(kmats, enc, bad)
+            if not outer:
+                continue
             digest = hashers[j].digest(mats[j])
             residuals = [e.residual for e in enc[j]]
             result = _codec.outer_decode(khat, residuals, digest, code, side,
@@ -208,36 +169,196 @@ def simulate_dueck(
 
     results = _run_trials(one_trial, trials, threads)
     total_rows = trials * sp.m
-    inner = tuple(sum(r["inner"][j] for r in results) / total_rows for j in (0, 1))
-    rows_wrong = tuple(sum(r["rows_wrong"][j] for r in results) / total_rows for j in (0, 1))
-    mat_fail = tuple(sum(r["matrix_fail"][j] for r in results) / trials for j in (0, 1))
-    wrong_acc = tuple(sum(r["wrong_accept"][j] for r in results) for j in (0, 1))
-    mismatch = sum(r["rows_mismatch"] for r in results) / total_rows
 
+    def per_user(key: str, scale: int | None = None) -> tuple:
+        sums = tuple(sum(r[key][j] for r in results) for j in (0, 1))
+        return sums if scale is None else tuple(s / scale for s in sums)
+
+    inner = per_user("inner", total_rows)
     return TrialStats(
         trials=trials, m=sp.m, l=sp.l, seed=seed,
         inner_error_rate=inner,
-        block_error_rate=rows_wrong,
-        matrix_failure_rate=mat_fail,
-        wrong_accepts=wrong_acc,
+        block_error_rate=per_user("rows_wrong", total_rows),
+        matrix_failure_rate=per_user("matrix_fail", trials),
+        wrong_accepts=per_user("wrong_accept"),
         rate_demand=(demand, demand),
-        satellite_capacity=(satellite_capacity, satellite_capacity),
+        satellite_capacity=(capacity, capacity),
         rate_exceeded=(rate_exceeded, rate_exceeded),
         phi_bound=phi_bound,
         phi_empirical=inner,
-        s1_neq_s2_rate=mismatch,
+        s1_neq_s2_rate=sum(r["rows_mismatch"] for r in results) / total_rows,
         xi_block_expected=xi_block,
-        extras={
-            "e_max": e_max, "digest_bits": digest_bits, "hash_bits": hash_bits,
-            "la_bits": code.la_bits, "lb_bits": code.lb_bits,
-            "xi_symbol": xi, "outer_decode": _outer_decode_counts(results),
-        },
+        extras={**extras, **channel.extras([r["probe"] for r in results]),
+                "outer_decode": _outer_decode_counts(results)},
     )
 
 
+class _ExampleChannel:
+    """The worked example's deterministic shared channel: each symbol of the
+    common codeword where both users send the same one, 0 elsewhere; both
+    users see the same output and decode it exactly."""
+
+    def __init__(self, code):
+        self.code = code
+
+    def transmit(self, t, rng, u):
+        y = np.where(u[0] == u[1], u[0], 0)
+        index = [self.code.decode_exact(row).index for row in y]
+        return (index, index), None
+
+    def check(self, kmats, enc, bad) -> None:
+        envelope = (kmats[0] != kmats[1]).any(axis=1) | np.array(
+            [e.atypical for e in enc[0]], dtype=bool)
+        if not bool(np.all(~bad | envelope)):
+            raise AssertionError(
+                "an inner error escaped the mismatch/atypicality envelope")
+
+    def extras(self, probes) -> dict:
+        return {}
+
+
+class _SampledChannel:
+    """A generic instance's interference channel: each user's V drawn and
+    deinterleaved, inputs multiplexed from (U, V), the channel sampled, and
+    U decoded by ML over each user's induced channel. The interleaved
+    column-0 (V, Y) pairs are tallied for the channel-quality check."""
+
+    def __init__(self, inst: _bounds.ProblemInstance, code, sp, seed: int,
+                 phi_bound: float):
+        self.inst, self.code, self.sp, self.seed = inst, code, sp, seed
+        self.phi_bound = phi_bound
+        nx1, nx2 = inst.nx
+        ny1, ny2 = inst.ny
+        self.wcum = np.cumsum(inst.ic.reshape(nx1 * nx2, ny1 * ny2), axis=1)
+        self.induced = (inst.induced_to_user(1), inst.induced_to_user(2))
+        self.users = ((inst.p_v1, inst.p_x1_given_uv1, ny1),
+                      (inst.p_v2, inst.p_x2_given_uv2, ny2))
+
+    def transmit(self, t, rng, u):
+        m, l = self.sp.m, self.sp.l
+        perms = _codec.draw_permutations(m, l, _child_seed(self.seed, t, 0x9E))
+        vpi, x = [], []
+        for j, (p_v, px_uv, _) in enumerate(self.users):
+            vpi.append(rng.choice(len(p_v), size=(m, l), p=p_v.probs))
+            v_j = _codec.deinterleave(vpi[j], perms)
+            x.append(_codec.multiplex_inputs(u[j], v_j, px_uv,
+                                             _child_seed(self.seed, t, 0x58, j)))
+        pair = (x[0] * self.inst.nx[1] + x[1]).ravel()
+        r = rng.random(pair.shape[0])
+        y_pair = (self.wcum[pair] > r[:, None]).argmax(axis=1).reshape(m, l)
+        y = divmod(y_pair, self.inst.ny[1])
+        index = tuple([self.code.decode_ml(row, self.induced[j]).index for row in y[j]]
+                      for j in (0, 1))
+        vy = []
+        for j, (p_v, _, ny) in enumerate(self.users):
+            counts = np.zeros((len(p_v), ny), dtype=np.int64)
+            np.add.at(counts, (vpi[j][:, 0], _codec.interleave(y[j], perms)[:, 0]), 1)
+            vy.append(counts)
+        return index, vy
+
+    def check(self, kmats, enc, bad) -> None:
+        pass
+
+    def extras(self, probes) -> dict:
+        """(V, Y) column law against its ideal single-letter law, in total
+        variation and in estimated mutual information."""
+        quality = {}
+        for j in (1, 2):
+            counts = sum(p[j - 1] for p in probes)
+            n = int(counts.sum())
+            emp = counts / n
+            ideal = self.inst.ideal_joint_vy(j).probs
+            tv = 0.5 * float(np.abs(emp - ideal).sum())
+            sigma_tv = 0.5 * float(np.sqrt(ideal * (1.0 - ideal) / n).sum())
+            i_ideal = entropy(JointPmf(ideal / ideal.sum()).col_marginal()) - \
+                conditional_entropy(JointPmf(ideal / ideal.sum()))
+            emp_j = JointPmf(emp / emp.sum())
+            i_plug = entropy(emp_j.col_marginal()) - conditional_entropy(emp_j)
+            # Miller-Madow style first-order bias removal for the plug-in MI
+            bias = (counts.shape[0] - 1) * (counts.shape[1] - 1) / (2.0 * n)
+            i_emp = max(0.0, i_plug - bias)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pv = ideal.sum(axis=1, keepdims=True)
+                py = ideal.sum(axis=0, keepdims=True)
+                ratio = np.where(ideal > 0.0, ideal / (pv * py), 1.0)
+                terms = np.where(ideal > 0.0, np.log(ratio), 0.0)
+            var_mi = float((ideal * terms * terms).sum() - i_ideal ** 2)
+            sigma_mi = math.sqrt(max(0.0, var_mi) / n) + bias
+            lc = _bounds.loss_channel("thm1", min(self.phi_bound, 0.499999),
+                                      u=len(self.inst.p_u), y=self.users[j - 1][2])
+            quality[f"user{j}"] = {
+                "tv": tv, "tv_threshold": self.phi_bound + 3.0 * sigma_tv,
+                "mi_ideal": i_ideal, "mi_empirical": i_emp,
+                "mi_gap": i_ideal - i_emp,
+                "mi_gap_threshold": lc + 3.0 * sigma_mi,
+                "samples": n,
+            }
+        return {"channel_quality": quality}
+
+
 # ---------------------------------------------------------------------------
-# generic layered pipeline with interleaved outer codebooks
+# the two set-ups: the worked example (or a materialized fixture) and
+# generic layered instances
 # ---------------------------------------------------------------------------
+
+def simulate_dueck(
+    source,
+    sp: _bounds.SchemeParams,
+    trials: int,
+    seed: int,
+    e_max: int = 2,
+    hash_bits: int = 128,
+    capacity_slack: float = 0.2,
+    threads: int = 1,
+) -> TrialStats:
+    """The chain on the worked example's deterministic shared channel, with
+    residuals and a digest on private pipes of capacity (1 + capacity_slack)
+    times the full demand.
+
+    source is the example's parameter triple or any materialized joint pmf
+    fixture (a^k <= 4096 for dense work).
+    """
+    _check_run(trials, hash_bits, capacity_slack)
+    if isinstance(source, _dueck.DueckParams):
+        joint = _dueck.build_source(source).materialize()
+        a_sh = source.a
+    elif isinstance(source, JointPmf):
+        joint = source
+        a_sh = joint.row_size
+    else:
+        raise TypeError("source must be example parameters or a joint pmf")
+
+    p_s1 = joint.row_marginal()
+    la_target = int(math.floor(sp.l * sp.A / _LN2 + 1e-9))
+    code = _codec.build_inner_code(
+        p_s1, sp.l, sp.delta,
+        cu_size=1 << la_target,
+        codebook=_codec.FullCubeCode(a_sh, sp.l),
+    )
+
+    # satellite budget: residuals first, the digest gets the remainder
+    demand_full = (code.lb_bits * sp.m + hash_bits) * _LN2 / (sp.m * sp.l)
+    capacity = demand_full * (1.0 + capacity_slack)
+    budget_bits = int(math.floor(capacity * sp.m * sp.l / _LN2 + 1e-9))
+    digest_bits = max(0, min(hash_bits, budget_bits - code.lb_bits * sp.m))
+
+    try:
+        side = _codec.prefix_flip_rule(code, p_s1.alphabet_size)
+    except ValueError:
+        side = _codec.hamming_ball_rule(p_s1.alphabet_size, radius=1)
+
+    xi = max(0.0, 1.0 - float(np.trace(joint.probs)))
+    xi_block = _bounds.xi_l(xi, sp.l)
+    phi_bound = min(1.0, xi_block + _bounds.tau_l_delta(p_s1, sp.l, sp.delta))
+    return _simulate(
+        sp, trials, seed, threads, joint=joint,
+        maps=(np.arange(joint.row_size), np.arange(joint.col_size)),
+        code=code, side=side, digest_bits=digest_bits, e_max=e_max, outer=True,
+        channel=_ExampleChannel(code), phi_bound=phi_bound, xi_block=xi_block,
+        capacity=capacity, rate_exceeded=code.lb_bits * sp.m > budget_bits,
+        extras={"e_max": e_max, "digest_bits": digest_bits, "hash_bits": hash_bits,
+                "la_bits": code.la_bits, "lb_bits": code.lb_bits, "xi_symbol": xi})
+
 
 def simulate_generic(
     inst: _bounds.ProblemInstance,
@@ -247,24 +368,25 @@ def simulate_generic(
     e_max: int = 1,
     hash_bits: int = 96,
     threads: int = 1,
-    probe_column: int = 0,
-    solver_opts: dict | None = None,
 ) -> TrialStats:
-    """Layered pipeline on an arbitrary instance at desk scale.
+    """The chain on an arbitrary instance at desk scale.
 
     The cloud-center codebook is constant composition with ML decoding
     over the induced channel; the outer layer is transmitted but
     validated at the channel level: the interleaved (V, Y) column law is
     compared against its ideal single-letter law in total variation and
     estimated mutual information, per the rate-loss bound it must obey.
+    The outer decode runs only when K is the source itself.
     """
+    _check_run(trials, hash_bits)
     comp = np.round(inst.p_u.probs * sp.l).astype(int)
     if comp.sum() != sp.l or not _bounds.is_type_of(inst.p_u, sp.l):
         raise ValueError("p_U must be a type of denominator l")
-    end_to_end = (
-        inst.k_size == inst.source.row_size == inst.source.col_size
-        and np.array_equal(inst.f1, np.arange(inst.source.row_size))
-        and np.array_equal(inst.f2, np.arange(inst.source.col_size))
+    src = inst.source
+    outer = (
+        inst.k_size == src.row_size == src.col_size
+        and np.array_equal(inst.f1, np.arange(src.row_size))
+        and np.array_equal(inst.f2, np.arange(src.col_size))
     )
     p_k1 = inst.p_k1()
     n_words = max(1, int(math.floor(math.exp(sp.l * sp.A))))
@@ -272,151 +394,15 @@ def simulate_generic(
         tuple(int(c) for c in comp), sp.A, sp.l, _child_seed(seed, 0xCC),
         n_codewords=min(n_words, _codec.type_class_size(comp)))
     code = _codec.build_inner_code(p_k1, sp.l, sp.delta, codebook=cc)
-
-    induced = (inst.induced_to_user(1), inst.induced_to_user(2))
-    side = _codec.hamming_ball_rule(p_k1.alphabet_size, radius=1)
-    phi_bound = _bounds.phi_total(inst, sp, solver_opts=solver_opts)
-
-    nx1, nx2 = inst.nx
-    ny1, ny2 = inst.ny
-    wflat = inst.ic.reshape(nx1 * nx2, ny1 * ny2)
-    wcum = np.cumsum(wflat, axis=1)
-    sizes = (inst.source.row_size, inst.source.col_size)
-    hashers = [
-        _codec.MatrixHasher(hash_bits, _child_seed(seed, 0xD1, j), sizes[j - 1], sp.l, sp.m)
-        for j in (1, 2)
-    ]
-    f_maps = (inst.f1, inst.f2)
-    p_vs = (inst.p_v1, inst.p_v2)
-    px_uv = (inst.p_x1_given_uv1, inst.p_x2_given_uv2)
-    nv = (len(inst.p_v1), len(inst.p_v2))
-
-    vy_counts = [np.zeros((nv[0], ny1), dtype=np.int64),
-                 np.zeros((nv[1], ny2), dtype=np.int64)]
-
-    def one_trial(t: int) -> dict:
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(t))))
-        s1, s2 = _sample_pairs(rng, inst.source, sp.m, sp.l)
-        mats = (s1, s2)
-        kmats = (f_maps[0][s1], f_maps[1][s2])
-        counters = {
-            "rows_mismatch": int((kmats[0] != kmats[1]).any(axis=1).sum()),
-            "inner": [0, 0], "rows_wrong": [0, 0], "matrix_fail": [0, 0],
-            "wrong_accept": [0, 0], "decode": [None, None],
-            "vy": [np.zeros((nv[0], ny1), dtype=np.int64),
-                   np.zeros((nv[1], ny2), dtype=np.int64)],
-        }
-        perms = _codec.draw_permutations(sp.m, sp.l, _child_seed(seed, t, 0x9E))
-
-        enc, u_m, v_m, x_m = [], [], [], []
-        for j in (0, 1):
-            enc_j = [code.encode(kmats[j][t_]) for t_ in range(sp.m)]
-            u_j = np.stack([e.codeword for e in enc_j])
-            vpi = rng.choice(nv[j], size=(sp.m, sp.l), p=p_vs[j].probs)
-            v_j = _codec.deinterleave(vpi, perms)
-            x_j = _codec.multiplex_inputs(u_j, v_j, px_uv[j], _child_seed(seed, t, 0x58, j))
-            enc.append(enc_j)
-            u_m.append(u_j)
-            v_m.append(v_j)
-            x_m.append(x_j)
-
-        pair = (x_m[0] * nx2 + x_m[1]).ravel()
-        r = rng.random(pair.shape[0])
-        y_pair = (wcum[pair] > r[:, None]).argmax(axis=1).reshape(sp.m, sp.l)
-        y = (y_pair // ny2, y_pair % ny2)
-
-        for j in (0, 1):
-            khat = np.empty_like(kmats[0])
-            for t_ in range(sp.m):
-                dec = code.decode_ml(y[j][t_], induced[j])
-                row = code.reconstruct(dec.index, enc[j][t_].residual)
-                khat[t_] = 0 if row is None else row
-            counters["inner"][j] = int((khat != kmats[0]).any(axis=1).sum())
-
-            if end_to_end:
-                # binning recovery only lines up when K is the source itself
-                digest = hashers[j].digest(mats[j])
-                residuals = [e.residual for e in enc[j]]
-                result = _codec.outer_decode(khat, residuals, digest, code, side,
-                                             e_max, hashers[j])
-                counters["decode"][j] = (result.status, result.searched)
-                final = result.matrix if result.status == "ok" else khat
-                wrong_rows = int((final != mats[j]).any(axis=1).sum())
-                counters["rows_wrong"][j] = wrong_rows
-                counters["matrix_fail"][j] = int(wrong_rows > 0)
-                if result.status == "ok" and not np.array_equal(result.matrix, mats[j]):
-                    counters["wrong_accept"][j] = 1
-
-            vpi_j = _codec.interleave(v_m[j], perms)
-            ypi_j = _codec.interleave(y[j], perms)
-            np.add.at(counters["vy"][j], (vpi_j[:, probe_column], ypi_j[:, probe_column]), 1)
-        return counters
-
-    results = _run_trials(one_trial, trials, threads)
-    total_rows = trials * sp.m
-    for r in results:
-        vy_counts[0] += r["vy"][0]
-        vy_counts[1] += r["vy"][1]
-
-    quality = {}
-    for j in (1, 2):
-        counts = vy_counts[j - 1]
-        n = int(counts.sum())
-        emp = counts / n
-        ideal = inst.ideal_joint_vy(j).probs
-        tv = 0.5 * float(np.abs(emp - ideal).sum())
-        sigma_tv = 0.5 * float(np.sqrt(ideal * (1.0 - ideal) / n).sum())
-        i_ideal = entropy(JointPmf(ideal / ideal.sum()).col_marginal()) - \
-            conditional_entropy(JointPmf(ideal / ideal.sum()))
-        emp_j = JointPmf(emp / emp.sum())
-        i_plug = entropy(emp_j.col_marginal()) - conditional_entropy(emp_j)
-        # Miller-Madow style first-order bias removal for the plug-in MI
-        bias = (counts.shape[0] - 1) * (counts.shape[1] - 1) / (2.0 * n)
-        i_emp = max(0.0, i_plug - bias)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pv = ideal.sum(axis=1, keepdims=True)
-            py = ideal.sum(axis=0, keepdims=True)
-            ratio = np.where(ideal > 0.0, ideal / (pv * py), 1.0)
-            terms = np.where(ideal > 0.0, np.log(ratio), 0.0)
-        var_mi = float((ideal * terms * terms).sum() - i_ideal ** 2)
-        sigma_mi = math.sqrt(max(0.0, var_mi) / n) + bias
-        lc = _bounds.loss_channel("thm1", min(phi_bound, 0.499999),
-                                  u=len(inst.p_u), y=(ny1 if j == 1 else ny2))
-        quality[f"user{j}"] = {
-            "tv": tv, "tv_threshold": phi_bound + 3.0 * sigma_tv,
-            "mi_ideal": i_ideal, "mi_empirical": i_emp,
-            "mi_gap": i_ideal - i_emp,
-            "mi_gap_threshold": lc + 3.0 * sigma_mi,
-            "samples": n,
-        }
-
-    inner = tuple(sum(r["inner"][j] for r in results) / total_rows for j in (0, 1))
-    rows_wrong = tuple(sum(r["rows_wrong"][j] for r in results) / total_rows for j in (0, 1))
-    mat_fail = tuple(sum(r["matrix_fail"][j] for r in results) / trials for j in (0, 1))
-    wrong_acc = tuple(sum(r["wrong_accept"][j] for r in results) for j in (0, 1))
-    mismatch = sum(r["rows_mismatch"] for r in results) / total_rows
-    demand = (code.lb_bits * sp.m + hash_bits) * _LN2 / (sp.m * sp.l)
-    xi_block = _bounds.xi_l(inst.xi_k(), sp.l)
-
-    return TrialStats(
-        trials=trials, m=sp.m, l=sp.l, seed=seed,
-        inner_error_rate=inner,
-        block_error_rate=rows_wrong,
-        matrix_failure_rate=mat_fail,
-        wrong_accepts=wrong_acc,
-        rate_demand=(demand, demand),
-        satellite_capacity=(math.inf, math.inf),
-        rate_exceeded=(False, False),
-        phi_bound=phi_bound,
-        phi_empirical=inner,
-        s1_neq_s2_rate=mismatch,
-        xi_block_expected=xi_block,
-        extras={
-            "e_max": e_max, "digest_bits": hash_bits,
-            "la_bits": code.la_bits, "lb_bits": code.lb_bits,
-            "channel_quality": quality, "outer_decode": _outer_decode_counts(results),
-        },
-    )
+    phi_bound = _bounds.phi_total(inst, sp)
+    return _simulate(
+        sp, trials, seed, threads, joint=src, maps=(inst.f1, inst.f2), code=code,
+        side=_codec.hamming_ball_rule(p_k1.alphabet_size, radius=1),
+        digest_bits=hash_bits, e_max=e_max, outer=outer,
+        channel=_SampledChannel(inst, code, sp, seed, phi_bound),
+        phi_bound=phi_bound, xi_block=_bounds.xi_l(inst.xi_k(), sp.l),
+        extras={"e_max": e_max, "digest_bits": hash_bits,
+                "la_bits": code.la_bits, "lb_bits": code.lb_bits})
 
 
 # ---------------------------------------------------------------------------

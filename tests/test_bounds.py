@@ -186,6 +186,17 @@ def test_instance_validation():
             p_x1_given_uv1=inst.p_x1_given_uv1, p_x2_given_uv2=inst.p_x2_given_uv2)
 
 
+@pytest.mark.parametrize("field", ["ic", "p_x1_given_uv1", "p_x2_given_uv2"])
+def test_instance_rejects_nan_kernel_entry(field):
+    inst = small_instance()
+    kw = {"ic": inst.ic.copy(), "p_x1_given_uv1": inst.p_x1_given_uv1.copy(),
+          "p_x2_given_uv2": inst.p_x2_given_uv2.copy()}
+    kw[field].reshape(-1)[0] = math.nan
+    with pytest.raises(ValueError, match="stochastic"):
+        bd.ProblemInstance(source=inst.source, f1=[0, 1], f2=[0, 1], p_u=inst.p_u,
+                           p_v1=inst.p_v1, p_v2=inst.p_v2, **kw)
+
+
 def test_instance_derived_quantities():
     inst = small_instance(xi=0.01)
     assert inst.xi_k() == pytest.approx(0.01, rel=1e-9)

@@ -267,6 +267,51 @@ def test_simulate_generic_command(tmp_path):
     assert "channel_quality" in doc["report"]["extras"]
 
 
+def test_simulate_dueck_e_max_zero(tmp_path):
+    params = write(tmp_path / "params.json",
+                   {"joint": [[0.4995, 0.0005], [0.0005, 0.4995]]})
+    sch = write(tmp_path / "scheme.json", dict(scheme_doc(l=32, la_bits=16), m=8))
+    out = tmp_path / "stats.json"
+    code = cli.main(["simulate", "dueck", "--params", params, "--scheme", sch,
+                     "--trials", "2", "--e-max", "0", "--out", str(out)])
+    assert code == 0
+    dec = json.loads(out.read_text())["report"]["extras"]["outer_decode"]
+    assert dec["searched"] == [2, 2]
+
+
+@pytest.mark.parametrize("chain, flags, message", [
+    ("dueck", ["--trials", "0"], "trials must be at least 1"),
+    ("dueck", ["--trials", "-3"], "trials must be at least 1"),
+    ("dueck", ["--hash-bits", "-5"], "hash_bits must be non-negative"),
+    ("dueck", ["--capacity-slack", "nan"], "capacity_slack must be finite"),
+    ("dueck", ["--capacity-slack", "inf"], "capacity_slack must be finite"),
+    ("generic", ["--trials", "0"], "trials must be at least 1"),
+    ("generic", ["--hash-bits", "-5"], "hash_bits must be non-negative"),
+])
+def test_simulate_bad_input_exits_2(tmp_path, capsys, chain, flags, message):
+    sch = write(tmp_path / "scheme.json", scheme_doc())
+    if chain == "dueck":
+        inputs = ["--params", write(tmp_path / "params.json", {"joint": [[0.5, 0], [0, 0.5]]})]
+    else:
+        inputs = ["--instance", write(tmp_path / "inst.json", instance_doc())]
+    out = tmp_path / "stats.json"
+    code = cli.main(["simulate", chain, *inputs, "--scheme", sch, "--trials", "2",
+                     *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_uncaught_exception_exits_2_with_one_line(monkeypatch, bsc_file, capsys):
+    def broken(q):
+        raise ZeroDivisionError("float division\nby zero")
+
+    monkeypatch.setattr(cli._exponent, "random_coding_exponent", broken)
+    assert cli.main(["exponent", "--channel", bsc_file, "--rates", "0.1"]) == 2
+    assert capsys.readouterr().err == "error: ZeroDivisionError: float division by zero\n"
+
+
 def test_test_interleave_command(tmp_path):
     law = write(tmp_path / "law.json", {
         "positions": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]})

@@ -488,6 +488,22 @@ def test_outer_decode_zero_width_digest():
     assert cd.outer_decode(mat, [0] * 3, cd.Digest(0, 0), code, side, 1, h).status == "ambiguous"
 
 
+def test_outer_decode_e_max_zero_checks_only_the_baseline():
+    p = pk.Pmf.uniform(2)
+    code = cd.build_inner_code(p, 5, 1.0, cu_size=1 << 3)
+    side = cd.hamming_ball_rule(2, radius=1)
+    rng = np.random.default_rng(4)
+    truth = rng.integers(0, 2, size=(4, 5))
+    h = cd.MatrixHasher(64, seed=3, alphabet_size=2, l=5, m=4)
+    res = cd.outer_decode(truth.copy(), [0] * 4, h.digest(truth), code, side, 0, h)
+    assert (res.status, res.matches, res.searched) == ("ok", 1, 1)
+    assert np.array_equal(res.matrix, truth)
+    khat = truth.copy()
+    khat[2, 0] ^= 1
+    res = cd.outer_decode(khat, [0] * 4, h.digest(truth), code, side, 0, h)
+    assert (res.status, res.matrix, res.matches, res.searched) == ("failed", None, 0, 1)
+
+
 def test_outer_decode_no_wrong_accepts_fuzz():
     # ten thousand corruption rounds, wide digest: never accept a wrong matrix
     p = pk.Pmf.uniform(2)

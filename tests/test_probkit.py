@@ -41,6 +41,28 @@ def test_joint_and_dmc_validation():
     assert w.num_inputs == w.num_outputs == 2
 
 
+@pytest.mark.parametrize("build", [
+    lambda: pk.Pmf([math.nan, math.nan]),
+    lambda: pk.Pmf([0.5, math.nan]),
+    lambda: pk.Pmf([math.inf, 0.0]),
+    lambda: pk.JointPmf([[0.5, math.nan], [0.25, 0.25]]),
+    lambda: pk.Dmc([[1.0, 0.0], [math.nan, math.nan]]),
+])
+def test_non_finite_probabilities_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_mutual_information_of_input_independent_channel_is_not_negative():
+    # identical rows: the output ignores the input, so I = 0, and rounding
+    # must not push it below (unclamped, seed 0 gives -1.1e-16 by draw 15)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        w = pk.Dmc(np.tile(rng.dirichlet(np.ones(3)), (4, 1)))
+        mi = pk.mutual_information(pk.Pmf(rng.dirichlet(np.ones(4))), w)
+        assert 0.0 <= mi <= 1e-15
+
+
 def test_json_round_trips():
     p = pk.Pmf([0.2, 0.3, 0.5])
     assert pk.Pmf.from_json(p.to_json()) == p
@@ -142,14 +164,14 @@ def test_least_positive_prob():
 def test_is_typical_basics():
     p = pk.Pmf([0.5, 0.5])
     t = pk.TypicalityParams(4, 0.5)
-    assert pk.is_typical([0, 1, 0, 1], p, t)
+    assert pk.typical_set(p, t).contains([0, 1, 0, 1])
     # boundary count sits exactly on the closed inequality
-    assert pk.is_typical([0, 0, 0, 1], p, t)
+    assert pk.typical_set(p, t).contains([0, 0, 0, 1])
     # zero-probability symbol is fatal
     p2 = pk.Pmf([0.5, 0.5, 0.0])
-    assert not pk.is_typical([0, 1, 2, 0], p2, pk.TypicalityParams(4, 1.0))
+    assert not pk.typical_set(p2, pk.TypicalityParams(4, 1.0)).contains([0, 1, 2, 0])
     with pytest.raises(ValueError):
-        pk.is_typical([0, 1], p, t)
+        pk.typical_set(p, t).contains([0, 1])
 
 
 def test_is_typical_matches_brute_force_l8():
@@ -158,7 +180,7 @@ def test_is_typical_matches_brute_force_l8():
     for seq in all_binary_sequences(8):
         ones = sum(seq)
         expect = abs(ones / 8 - 0.5) <= 0.25 * 0.5 and abs((8 - ones) / 8 - 0.5) <= 0.25 * 0.5
-        assert pk.is_typical(seq, p, t) == expect
+        assert pk.typical_set(p, t).contains(seq) == expect
 
 
 def test_typical_log_size():
@@ -168,7 +190,7 @@ def test_typical_log_size():
     assert pk.typical_log_size(p, pk.TypicalityParams(4, 1.0)) == pytest.approx(4 * LN2, abs=1e-12)
     # exhaustive l=8 delta=0.25
     t = pk.TypicalityParams(8, 0.25)
-    count = sum(1 for seq in all_binary_sequences(8) if pk.is_typical(seq, p, t))
+    count = sum(1 for seq in all_binary_sequences(8) if pk.typical_set(p, t).contains(seq))
     assert pk.typical_set(p, t).size == count
     assert pk.typical_log_size(p, t) == pytest.approx(math.log(count), abs=1e-12)
 

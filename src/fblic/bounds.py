@@ -420,13 +420,12 @@ class ProblemInstance:
             push_joint(self.source, self.f1, None, self.k_size, None))
 
     # quantity protocol -----------------------------------------------------
-    def thm1_quantities(self, sp: SchemeParams, *, solver_opts: dict | None = None) -> dict:
+    def thm1_quantities(self, sp: SchemeParams) -> dict:
         if not is_type_of(self.p_u, sp.l):
             raise ValueError("p_U must be a type of denominator l")
-        opts = solver_opts or {}
         log_g = _exponent.log_g_rho_l(
             sp.l, sp.A, sp.rho, self.p_u,
-            (self.induced_to_user(1), self.induced_to_user(2)), **opts)
+            (self.induced_to_user(1), self.induced_to_user(2)))
         xi_block = xi_l(self.xi_k(), sp.l)
         return {
             "H_K1": entropy(self.p_k1()),
@@ -441,11 +440,10 @@ class ProblemInstance:
         }
 
 
-def phi_total(inst: ProblemInstance, sp: SchemeParams, *, solver_opts: dict | None = None) -> float:
+def phi_total(inst: ProblemInstance, sp: SchemeParams) -> float:
     """g + xi^[l](K pair) + tau_{l,delta}(K_1), clamped to [0, 1]."""
-    opts = solver_opts or {}
     g = _exponent.g_rho_l(sp.l, sp.A, sp.rho, inst.p_u,
-                          (inst.induced_to_user(1), inst.induced_to_user(2)), **opts)
+                          (inst.induced_to_user(1), inst.induced_to_user(2)))
     return min(1.0, g + xi_l(inst.xi_k(), sp.l) + tau_l_delta(inst.p_k1(), sp.l, sp.delta))
 
 
@@ -459,119 +457,114 @@ def _phi_from_logs(q: dict) -> tuple[float, float]:
     return phi, log_phi
 
 
+def _check(inst, sp: SchemeParams, guard: float, phi_override: float | None,
+           theorem) -> ConditionReport:
+    """The analysis every checker shares, finished by ``theorem``.
+
+    Computes the quantities and the miss bound phi (or takes phi_override),
+    checks the A+B budget and phi < 1/2, and stops with infeasible-by-phi
+    when phi is too large for the loss terms. Otherwise theorem(q, phi)
+    returns the theorem's own inequalities, placed between the budget row
+    and the phi row, and its extras, placed before the quantity summary.
+    """
+    q = inst.thm1_quantities(sp)
+    phi, log_phi = _phi_from_logs(q)
+    if phi_override is not None:
+        phi = phi_override
+        log_phi = math.log(phi) if phi > 0.0 else -math.inf
+    budget = Inequality("A+B >= (1+delta)*H(K1)", sp.A + sp.B,
+                        (1.0 + sp.delta) * q["H_K1"], kind="ge", guard=guard)
+    phi_iq = Inequality("phi < 1/2", phi, 0.5, kind="lt", guard=guard)
+    if phi >= 0.5:
+        return ConditionReport(
+            inequalities=(budget, phi_iq), phi=phi, log_phi=log_phi,
+            status="infeasible-by-phi", extras={"quantities": _q_summary(q)})
+    rows, extras = theorem(q, phi)
+    report = ConditionReport(
+        inequalities=(budget, *rows, phi_iq), phi=phi, log_phi=log_phi, status="",
+        extras={**extras, "quantities": _q_summary(q)})
+    report.status = "feasible" if report.overall else "infeasible"
+    return report
+
+
 def check_thm1(inst, sp: SchemeParams, guard: float = DEFAULT_GUARD,
-               phi_override: float | None = None, **quantity_opts) -> ConditionReport:
+               phi_override: float | None = None) -> ConditionReport:
     """Separation-based sufficient conditions with per-user private streams.
 
     Accepts the dense ProblemInstance or any object implementing
     thm1_quantities(sp). phi_override substitutes the miss bound (analysis
     aid); everything else is computed from the instance.
     """
-    q = inst.thm1_quantities(sp, **quantity_opts)
-    phi, log_phi = _phi_from_logs(q)
-    if phi_override is not None:
-        phi = phi_override
-        log_phi = math.log(phi) if phi > 0.0 else -math.inf
-    ineqs = [Inequality("A+B >= (1+delta)*H(K1)", sp.A + sp.B,
-                        (1.0 + sp.delta) * q["H_K1"], kind="ge", guard=guard)]
-    phi_iq = Inequality("phi < 1/2", phi, 0.5, kind="lt", guard=guard)
-    if phi >= 0.5:
-        return ConditionReport(
-            inequalities=tuple(ineqs + [phi_iq]), phi=phi, log_phi=log_phi,
-            status="infeasible-by-phi",
-            extras={"quantities": _q_summary(q)})
-    for j in (1, 2):
-        ls = loss_source_from_log_size(phi, sp.l, q["log_S_sizes"][j - 1])
-        lc = loss_channel("thm1", phi, u=q["u_size"], y=q["y_sizes"][j - 1])
-        left = sp.B + q["H_S_given_K1"][j - 1] + ls
-        right = q["I_vy"][j - 1] - lc
-        ineqs.append(Inequality(
-            f"user{j}: B + H(S{j}|K1) + L^S < I(V{j};Y{j}) - L^C", left, right,
-            kind="lt", guard=guard))
-    ineqs.append(phi_iq)
-    report = ConditionReport(
-        inequalities=tuple(ineqs), phi=phi, log_phi=log_phi, status="",
-        extras={"quantities": _q_summary(q)})
-    report.status = "feasible" if report.overall else "infeasible"
-    return report
+    def user_rows(q, phi):
+        rows = []
+        for j in (1, 2):
+            ls = loss_source_from_log_size(phi, sp.l, q["log_S_sizes"][j - 1])
+            lc = loss_channel("thm1", phi, u=q["u_size"], y=q["y_sizes"][j - 1])
+            left = sp.B + q["H_S_given_K1"][j - 1] + ls
+            right = q["I_vy"][j - 1] - lc
+            rows.append(Inequality(
+                f"user{j}: B + H(S{j}|K1) + L^S < I(V{j};Y{j}) - L^C", left, right,
+                kind="lt", guard=guard))
+        return rows, {}
+
+    return _check(inst, sp, guard, phi_override, user_rows)
 
 
 def check_thm3(inst: ProblemInstance, sp: SchemeParams, guard: float = DEFAULT_GUARD,
-               phi_override: float | None = None,
-               solver_opts: dict | None = None) -> ConditionReport:
+               phi_override: float | None = None) -> ConditionReport:
     """Conditional-decoding conditions: the decoded shared word is side info.
 
     Note the source-loss term here takes the common alphabet |K|, not
     |S_j|, and the mutual informations condition on U.
     """
-    q = inst.thm1_quantities(sp, solver_opts=solver_opts)
-    phi, log_phi = _phi_from_logs(q)
-    if phi_override is not None:
-        phi = phi_override
-        log_phi = math.log(phi) if phi > 0.0 else -math.inf
-    ineqs = [Inequality("A+B >= (1+delta)*H(K1)", sp.A + sp.B,
-                        (1.0 + sp.delta) * q["H_K1"], kind="ge", guard=guard)]
-    phi_iq = Inequality("phi < 1/2", phi, 0.5, kind="lt", guard=guard)
-    if phi >= 0.5:
-        return ConditionReport(
-            inequalities=tuple(ineqs + [phi_iq]), phi=phi, log_phi=log_phi,
-            status="infeasible-by-phi", extras={"quantities": _q_summary(q)})
-    nx1, nx2 = inst.nx
-    for j in (1, 2):
-        ls = loss_source(phi, sp.l, inst.k_size)
-        lc = loss_channel("thm3", phi, u=q["u_size"], y=q["y_sizes"][j - 1],
-                          x_own=nx1 if j == 1 else nx2,
-                          x_other=nx2 if j == 1 else nx1)
-        left = sp.B + q["H_S_given_K1"][j - 1] + ls
-        right = inst.cond_mi_x_y_given_u(j) - lc
-        ineqs.append(Inequality(
-            f"user{j}: B + H(S{j}|K1) + L^S < I(X{j};Y{j}|U) - L^C", left, right,
-            kind="lt", guard=guard))
-    ineqs.append(phi_iq)
-    report = ConditionReport(
-        inequalities=tuple(ineqs), phi=phi, log_phi=log_phi, status="",
-        extras={"quantities": _q_summary(q)})
-    report.status = "feasible" if report.overall else "infeasible"
-    return report
+    def user_rows(q, phi):
+        nx1, nx2 = inst.nx
+        rows = []
+        for j in (1, 2):
+            ls = loss_source(phi, sp.l, inst.k_size)
+            lc = loss_channel("thm3", phi, u=q["u_size"], y=q["y_sizes"][j - 1],
+                              x_own=nx1 if j == 1 else nx2,
+                              x_other=nx2 if j == 1 else nx1)
+            left = sp.B + q["H_S_given_K1"][j - 1] + ls
+            right = inst.cond_mi_x_y_given_u(j) - lc
+            rows.append(Inequality(
+                f"user{j}: B + H(S{j}|K1) + L^S < I(X{j};Y{j}|U) - L^C", left, right,
+                kind="lt", guard=guard))
+        return rows, {}
+
+    return _check(inst, sp, guard, phi_override, user_rows)
 
 
 def check_thm2_rate_point(inst: ProblemInstance, sp: SchemeParams,
-                          hk_oracle=None, guard: float = DEFAULT_GUARD,
-                          solver_opts: dict | None = None) -> ConditionReport:
+                          hk_oracle=None, guard: float = DEFAULT_GUARD) -> ConditionReport:
     """Rate point for the message-splitting step, membership delegated.
 
     The region itself is defined in an external reference, so membership
     is a pluggable predicate hk_oracle(rate_point, inst) -> bool. With no
     predicate the report is marked indeterminate.
     """
-    q = inst.thm1_quantities(sp, solver_opts=solver_opts)
-    phi, log_phi = _phi_from_logs(q)
-    ineqs = [Inequality("A+B >= (1+delta)*H(K1)", sp.A + sp.B,
-                        (1.0 + sp.delta) * q["H_K1"], kind="ge", guard=guard)]
-    phi_iq = Inequality("phi < 1/2", phi, 0.5, kind="lt", guard=guard)
-    ineqs.append(phi_iq)
-    if phi >= 0.5:
-        return ConditionReport(
-            inequalities=tuple(ineqs), phi=phi, log_phi=log_phi,
-            status="infeasible-by-phi", extras={"quantities": _q_summary(q)})
-    nw1 = len(inst.p_w1) if inst.p_w1 is not None else 1
-    nw2 = len(inst.p_w2) if inst.p_w2 is not None else 1
-    uvw = len(inst.p_u) * len(inst.p_v1) * len(inst.p_v2) * nw1 * nw2
-    lc = loss_channel("thm2", phi, uvw=uvw)
-    rate_point = tuple(
-        (sp.B + lc,
-         q["H_S_given_K1"][j - 1] + loss_source_from_log_size(phi, sp.l, q["log_S_sizes"][j - 1]))
-        for j in (1, 2)
-    )
-    extras = {"rate_point": rate_point, "uvw_size": uvw, "quantities": _q_summary(q)}
+    def rate_point(q, phi):
+        nw1 = len(inst.p_w1) if inst.p_w1 is not None else 1
+        nw2 = len(inst.p_w2) if inst.p_w2 is not None else 1
+        uvw = len(inst.p_u) * len(inst.p_v1) * len(inst.p_v2) * nw1 * nw2
+        lc = loss_channel("thm2", phi, uvw=uvw)
+        point = tuple(
+            (sp.B + lc,
+             q["H_S_given_K1"][j - 1]
+             + loss_source_from_log_size(phi, sp.l, q["log_S_sizes"][j - 1]))
+            for j in (1, 2)
+        )
+        return (), {"rate_point": point, "uvw_size": uvw}
+
+    report = _check(inst, sp, guard, None, rate_point)
+    if report.status == "infeasible-by-phi":
+        return report
     if hk_oracle is None:
-        return ConditionReport(inequalities=tuple(ineqs), phi=phi, log_phi=log_phi,
-                               status="indeterminate", extras=extras)
-    member = bool(hk_oracle(rate_point, inst))
-    extras["hk_member"] = member
-    ok = member and all(iq.satisfied for iq in ineqs)
-    return ConditionReport(inequalities=tuple(ineqs), phi=phi, log_phi=log_phi,
-                           status="feasible" if ok else "infeasible", extras=extras)
+        report.status = "indeterminate"
+        return report
+    report.extras["hk_member"] = bool(hk_oracle(report.extras["rate_point"], inst))
+    report.status = "feasible" if report.overall else "infeasible"
+    return report
 
 
 def _q_summary(q: dict) -> dict:

@@ -14,8 +14,10 @@ Commands:
 Global flags: --config FILE (JSON of long option names; explicit flags
 win), --seed, --out, --format {json,csv}, --threads, --unit {nats,bits},
 --no-timestamp. The environment variable FBLIC_SEED supplies the default
-seed. Exit code 0 means success (and feasible/passed where applicable),
-1 means an infeasible or failed report, 2 means an error.
+seed. --threads is accepted for compatibility; trials always run in order
+on one thread; it never changes a report. Exit code 0 means success (and
+feasible/passed where applicable), 1 means an infeasible or failed report,
+2 means an error.
 
 Everything internal is in nats. With --unit bits the unambiguous rate
 outputs (exponent curves, simulation rate fields, the cc-exponent rate
@@ -234,6 +236,8 @@ def parse_config(argv) -> RunConfig:
         raise SystemExit(f"error: malformed value for field 'format': {fmt!r}")
     if unit not in ("nats", "bits"):
         raise SystemExit(f"error: malformed value for field 'unit': {unit!r}")
+    if threads < 1:
+        raise SystemExit(f"error: threads must be at least 1, got {threads}")
 
     casters = {
         "trials": int, "e_max": int, "hash_bits": int, "m": int, "l": int,
@@ -490,8 +494,8 @@ def _simulate_each_scheme(cfg: RunConfig, chain, first, **kw) -> int:
     each scheme of a list, and emit the reports together."""
     scheme_doc = _load_json(_require(cfg, "scheme"))
     schemes = scheme_doc if isinstance(scheme_doc, list) else [scheme_doc]
-    _emit_stats([chain(first, _scheme_from_doc(sd), seed=cfg.seed, threads=cfg.threads,
-                       **kw) for sd in schemes], cfg)
+    _emit_stats([chain(first, _scheme_from_doc(sd), seed=cfg.seed, **kw)
+                 for sd in schemes], cfg)
     return 0
 
 

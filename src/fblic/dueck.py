@@ -471,7 +471,7 @@ class DueckThm2Instance:
     params: DueckParams
     sat_output_sizes: tuple[int, int] = (4, 4)
 
-    def thm1_quantities(self, sp: SchemeParams, **_ignored) -> dict:
+    def thm1_quantities(self, sp: SchemeParams) -> dict:
         p = self.params
         a, k, eta = p.a, p.k, p.eta
         la = math.log(a)

@@ -246,8 +246,6 @@ def log_g_rho_l(
     rho: float,
     p_u: Pmf,
     induced: tuple[Dmc, Dmc],
-    tolerance: float = 1e-6,
-    max_iters: int = 100_000,
     exact_zero_when_noiseless: bool = True,
 ) -> float:
     """log sum_j exp{-l (E_r(A+rho, p, p_Yj|U) - rho)}, clamped to <= 0.
@@ -268,9 +266,7 @@ def log_g_rho_l(
         if exact_zero_when_noiseless and is_deterministic_injective(w):
             continue
         er = random_coding_exponent(ExponentQuery(
-            rate=a_rate + rho, input_pmf=p_u, channel=w,
-            tolerance=tolerance, max_iters=max_iters,
-        ))
+            rate=a_rate + rho, input_pmf=p_u, channel=w))
         gap = er - rho
         if gap <= 0.0:
             return 0.0
@@ -284,13 +280,10 @@ def g_rho_l(
     rho: float,
     p_u: Pmf,
     induced: tuple[Dmc, Dmc],
-    tolerance: float = 1e-6,
-    max_iters: int = 100_000,
     exact_zero_when_noiseless: bool = True,
 ) -> float:
     """Two-user bound sum_j exp{-l (E_r(A+rho, p, p_Yj|U) - rho)}, clamped to [0, 1].
 
     The exp of log_g_rho_l; it underflows to 0 where log_g_rho_l does not.
     """
-    return math.exp(log_g_rho_l(l, a_rate, rho, p_u, induced, tolerance, max_iters,
-                                exact_zero_when_noiseless))
+    return math.exp(log_g_rho_l(l, a_rate, rho, p_u, induced, exact_zero_when_noiseless))

@@ -1,10 +1,10 @@
 """Monte Carlo harness: end-to-end chains and statistical validation runs.
 
 Reproducibility contract: every trial derives its own generator from
-(master seed, trial index), aggregation is a sum of per-trial counters,
-and thread pools only change scheduling, never results. Statistical pass
-thresholds are three sigmas (or significance 0.01 for chi-square tests)
-and are recorded in every report.
+(master seed, trial index) and aggregation is a sum of per-trial
+counters, so a run is fixed by its seed. Statistical pass thresholds are
+three sigmas (or significance 0.01 for chi-square tests) and are
+recorded in every report.
 
 The private links are ideal rate-counted pipes: residual bits always
 arrive (a capacity shortfall is flagged, not simulated as loss), while
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,13 +70,6 @@ def _child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
-def _run_trials(trial_fn, trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [trial_fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(trial_fn, range(trials)))
-
-
 def _sample_pairs(rng, joint: JointPmf, m: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     flat = joint.probs.ravel()
     idx = rng.choice(flat.shape[0], size=m * l, p=flat)
@@ -88,7 +80,7 @@ def _sample_pairs(rng, joint: JointPmf, m: int, l: int) -> tuple[np.ndarray, np.
 
 def _outer_decode_counts(results) -> dict:
     """Per-user tally of how the outer decodes ended and how many candidates
-    they searched (deterministic sums, so thread-count independent)."""
+    they searched."""
     out = {k: [0, 0] for k in ("ok", "ambiguous", "failed", "searched")}
     for r in results:
         for j, dec in enumerate(r["decode"]):
@@ -112,7 +104,7 @@ def _check_run(trials: int, hash_bits: int, capacity_slack: float = 0.0) -> None
 # the one chain: inner code over a shared channel, digest-verified binning
 # ---------------------------------------------------------------------------
 
-def _simulate(sp, trials: int, seed: int, threads: int, *, joint: JointPmf, maps,
+def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
               code, side, digest_bits: int, e_max: int, outer: bool, channel,
               phi_bound: float, xi_block: float, extras: dict,
               capacity: float = math.inf, rate_exceeded: bool = False) -> TrialStats:
@@ -167,7 +159,7 @@ def _simulate(sp, trials: int, seed: int, threads: int, *, joint: JointPmf, maps
                 counters["wrong_accept"][j] = 1
         return counters
 
-    results = _run_trials(one_trial, trials, threads)
+    results = [one_trial(t) for t in range(trials)]
     total_rows = trials * sp.m
 
     def per_user(key: str, scale: int | None = None) -> tuple:
@@ -309,7 +301,6 @@ def simulate_dueck(
     e_max: int = 2,
     hash_bits: int = 128,
     capacity_slack: float = 0.2,
-    threads: int = 1,
 ) -> TrialStats:
     """The chain on the worked example's deterministic shared channel, with
     residuals and a digest on private pipes of capacity (1 + capacity_slack)
@@ -351,7 +342,7 @@ def simulate_dueck(
     xi_block = _bounds.xi_l(xi, sp.l)
     phi_bound = min(1.0, xi_block + _bounds.tau_l_delta(p_s1, sp.l, sp.delta))
     return _simulate(
-        sp, trials, seed, threads, joint=joint,
+        sp, trials, seed, joint=joint,
         maps=(np.arange(joint.row_size), np.arange(joint.col_size)),
         code=code, side=side, digest_bits=digest_bits, e_max=e_max, outer=True,
         channel=_ExampleChannel(code), phi_bound=phi_bound, xi_block=xi_block,
@@ -367,7 +358,6 @@ def simulate_generic(
     seed: int,
     e_max: int = 1,
     hash_bits: int = 96,
-    threads: int = 1,
 ) -> TrialStats:
     """The chain on an arbitrary instance at desk scale.
 
@@ -396,7 +386,7 @@ def simulate_generic(
     code = _codec.build_inner_code(p_k1, sp.l, sp.delta, codebook=cc)
     phi_bound = _bounds.phi_total(inst, sp)
     return _simulate(
-        sp, trials, seed, threads, joint=src, maps=(inst.f1, inst.f2), code=code,
+        sp, trials, seed, joint=src, maps=(inst.f1, inst.f2), code=code,
         side=_codec.hamming_ball_rule(p_k1.alphabet_size, radius=1),
         digest_bits=hash_bits, e_max=e_max, outer=outer,
         channel=_SampledChannel(inst, code, sp, seed, phi_bound),
@@ -444,6 +434,8 @@ def interleave_iid_test(position_pmfs, m: int, seed: int,
     adversarial control: it must fail whenever the law is position
     dependent.
     """
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     # scipy.stats costs about 70 MB and 0.3 s to import; only this test needs it
     from scipy import stats as sstats
 
@@ -521,20 +513,21 @@ class CcExponentReport:
 
 def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
                      codebooks: int, trials_per_book: int, seed: int,
-                     solver_opts: dict | None = None,
                      max_codewords: int = 1 << 20) -> CcExponentReport:
     """Ensemble-average ML error of constant-composition codes against
     2 exp(-l E_r(R)); a rate at or above capacity makes the bound vacuous
     and the test auto-passes. Codebooks are capped at max_codewords (a
     subsampled ensemble keeps the empirical mean honest; exp(lR) words at
     high rates would dwarf memory)."""
+    if codebooks < 1 or trials_per_book < 1:
+        raise ValueError(f"codebooks and trials_per_book must be at least 1, "
+                         f"got {codebooks} and {trials_per_book}")
     comp = tuple(int(c) for c in composition)
     if sum(comp) != l:
         raise ValueError("composition must sum to the block length")
     p_u = Pmf(np.array(comp, dtype=float) / l)
-    opts = solver_opts or {}
     er = _exponent.random_coding_exponent(_exponent.ExponentQuery(
-        rate=rate, input_pmf=p_u, channel=channel, **opts))
+        rate=rate, input_pmf=p_u, channel=channel))
     bound = 2.0 * math.exp(-l * er)
 
     n_words = max(2, int(math.floor(math.exp(l * rate))))
@@ -563,7 +556,7 @@ def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
             errors += int((dec != sent[s:s + chunk]).sum())
             decoded += ys.shape[0]
 
-    empirical = errors / decoded if decoded else 0.0
+    empirical = errors / decoded
     return CcExponentReport(rate=float(rate), exponent=float(er), bound=float(bound),
                             empirical=float(empirical), errors=errors,
                             decoded=decoded, codebooks=codebooks)

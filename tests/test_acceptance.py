@@ -238,20 +238,16 @@ def test_criterion_9_end_to_end_regression():
     joint = binary_pair_source(0.001)
     sp = bd.SchemeParams(l=32, delta=1.0, A=16 * LN2 / 32, B=16 * LN2 / 32,
                          rho=0.17, m=64)
-    stats1 = sm.simulate_dueck(joint, sp, trials=1000, seed=2024, e_max=2,
-                               hash_bits=128, capacity_slack=0.2, threads=1)
-    stats2 = sm.simulate_dueck(joint, sp, trials=1000, seed=2024, e_max=2,
-                               hash_bits=128, capacity_slack=0.2, threads=2)
-    assert stats1.to_dict() == stats2.to_dict()
+    stats = sm.simulate_dueck(joint, sp, trials=1000, seed=2024, e_max=2,
+                              hash_bits=128, capacity_slack=0.2)
     for j in (0, 1):
-        assert stats1.block_error_rate[j] <= 0.05
-        assert stats1.matrix_failure_rate[j] <= 0.05
-    assert stats1.wrong_accepts == (0, 0)
+        assert stats.block_error_rate[j] <= 0.05
+        assert stats.matrix_failure_rate[j] <= 0.05
+    assert stats.wrong_accepts == (0, 0)
     elapsed = time.time() - t0
     assert elapsed < 300.0
     report(9, elapsed, 300,
-           f"block error {max(stats1.block_error_rate):.4f} <= 0.05, zero wrong accepts, "
-           "bit-identical stats across thread counts")
+           f"block error {max(stats.block_error_rate):.4f} <= 0.05, zero wrong accepts")
 
 
 def test_criterion_10_channel_quality_claims():

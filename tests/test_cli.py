@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblic import cli
 
@@ -301,6 +305,115 @@ def test_simulate_bad_input_exits_2(tmp_path, capsys, chain, flags, message):
     assert code == 2
     assert message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("chain", ["dueck", "generic"])
+def test_simulate_report_independent_of_threads(tmp_path, chain):
+    sch = write(tmp_path / "scheme.json", scheme_doc())
+    if chain == "dueck":
+        inputs = ["--params", write(tmp_path / "params.json",
+                                    {"joint": [[0.4995, 0.0005], [0.0005, 0.4995]]})]
+    else:
+        inputs = ["--instance", write(tmp_path / "inst.json", instance_doc())]
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.json"
+        assert cli.main(["simulate", chain, *inputs, "--scheme", sch, "--trials", "6",
+                         "--seed", "17", "--threads", threads, "--no-timestamp",
+                         "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert [d["config"]["threads"] for d in docs] == [1, 2]
+    assert docs[0]["report"] == docs[1]["report"]
+
+
+_COMMANDS = [["exponent"], ["dueck", "lc-check"], ["dueck", "feasibility"],
+             ["bounds", "check"], ["bounds", "search"], ["simulate", "dueck"],
+             ["simulate", "generic"], ["test", "interleave"], ["test", "cc-exponent"]]
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=" ".join)
+def test_threads_below_one_exits_2(tmp_path, capsys, command):
+    conf = write(tmp_path / "conf.json", {"threads": 0})
+    out = tmp_path / "report.json"
+    for flags in (["--threads", "0"], ["--threads", "-1"], ["--config", conf]):
+        code = cli.main([*command, *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, flags
+        assert "threads must be at least 1" in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("interleave", ["--m", "0"], "m must be at least 1"),
+    ("interleave", ["--m", "-2"], "m must be at least 1"),
+    ("cc-exponent", ["--codebooks", "0"], "must be at least 1"),
+    ("cc-exponent", ["--trials-per-book", "0"], "must be at least 1"),
+    ("cc-exponent", ["--codebooks", "-1"], "must be at least 1"),
+])
+def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, message):
+    if command == "interleave":
+        inputs = ["--law", write(tmp_path / "law.json", {"positions": [[0.5, 0.5]] * 3})]
+    else:
+        inputs = ["--channel", bsc_file, "--composition", "4,4", "--rate", "0.1",
+                  "--l", "8", "--codebooks", "2", "--trials-per-book", "2"]
+    out = tmp_path / "report.json"
+    code = cli.main(["test", command, *inputs, *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    return {
+        ("simulate", "dueck"): [
+            "--params", write(d / "params.json", {"joint": [[0.45, 0.05], [0.05, 0.45]]}),
+            "--scheme", write(d / "dscheme.json", dict(scheme_doc(la_bits=8), m=2))],
+        ("simulate", "generic"): [
+            "--instance", write(d / "inst.json", instance_doc()),
+            "--scheme", write(d / "gscheme.json", dict(scheme_doc(), m=2))],
+        ("test", "interleave"): [
+            "--law", write(d / "law.json", {"positions": [[0.5, 0.5], [0.2, 0.8]]})],
+        ("test", "cc-exponent"): [
+            "--channel", write(d / "bsc.json", {"rows": [[0.9, 0.1], [0.1, 0.9]]}),
+            "--composition", "4,4", "--rate", "0.1", "--l", "8"],
+        "out": d / "report.json",
+    }
+
+
+_FUZZ_FLAGS = {
+    ("simulate", "dueck"): ("--trials", "--hash-bits", "--e-max"),
+    ("simulate", "generic"): ("--trials", "--hash-bits", "--e-max"),
+    ("test", "interleave"): ("--m",),
+    ("test", "cc-exponent"): ("--codebooks", "--trials-per-book"),
+}
+# the least value each flag accepts
+_FUZZ_LEAST = {"--threads": 1, "--trials": 1, "--hash-bits": 0, "--e-max": 0, "--m": 1,
+               "--codebooks": 1, "--trials-per-book": 1}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(command=st.sampled_from(sorted(_FUZZ_FLAGS)),
+       values=st.lists(st.integers(-2, 3), min_size=4, max_size=4))
+def test_exit_code_contract_fuzz(fuzz_inputs, command, values):
+    # exit 2, exactly when a value lies below the least its flag accepts, writes
+    # nothing and says why in one line; exit 0 or 1 writes a report
+    drawn = list(zip(("--threads", *_FUZZ_FLAGS[command]), values))
+    flags = [str(v) for pair in drawn for v in pair]
+    out = fuzz_inputs["out"]
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([*command, *fuzz_inputs[command], *flags, "--out", str(out)])
+    assert code in (0, 1, 2), (command, flags)
+    assert (code == 2) == any(v < _FUZZ_LEAST[f] for f, v in drawn), (command, flags)
+    if code == 2:
+        assert not out.exists(), (command, flags)
+        assert err.getvalue().count("\n") == 1, (command, flags, err.getvalue())
+    else:
+        assert out.exists(), (command, flags)
 
 
 def test_uncaught_exception_exits_2_with_one_line(monkeypatch, bsc_file, capsys):

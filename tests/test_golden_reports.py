@@ -2,8 +2,9 @@
 
 ``golden_reports.json`` holds ``TrialStats.to_dict()`` (through its JSON
 form, so floats compare by their exact repr) for small runs of both
-chains, at one and two threads. A refactor of the chains must reproduce
-every field exactly. To re-record after an intended change of output:
+chains; the ``_t2`` cases were recorded with two trial threads, and a run
+in order must match them. A refactor of the chains must reproduce every
+field exactly. To re-record after an intended change of output:
 
     PYTHONPATH=src:tests python tests/test_golden_reports.py > tests/golden_reports.json
 """
@@ -45,8 +46,7 @@ CASES = {
     "dueck_fixture_t1": lambda: sm.simulate_dueck(
         binary_pair_source(0.01), _fixture_scheme(8), trials=4, seed=3, e_max=1),
     "dueck_fixture_t2": lambda: sm.simulate_dueck(
-        binary_pair_source(0.02), _fixture_scheme(8), trials=4, seed=11, e_max=2,
-        threads=2),
+        binary_pair_source(0.02), _fixture_scheme(8), trials=4, seed=11, e_max=2),
     "dueck_starved": lambda: sm.simulate_dueck(
         binary_pair_source(0.004), _fixture_scheme(8), trials=4, seed=31,
         capacity_slack=-1.0),
@@ -58,7 +58,7 @@ CASES = {
         small_instance(), small_scheme(m=8), trials=4, seed=9, e_max=1),
     "generic_t2": lambda: sm.simulate_generic(
         small_instance(xi=0.05, eps=0.02), small_scheme(m=8), trials=4, seed=12,
-        e_max=1, threads=2),
+        e_max=1),
     "generic_folded": lambda: sm.simulate_generic(
         _folded_instance(), small_scheme(m=8), trials=4, seed=5),
 }

@@ -53,13 +53,13 @@ def test_simulate_dueck_regression_fixture_small():
     assert abs(stats.s1_neq_s2_rate - stats.xi_block_expected) <= 3 * sigma
 
 
-def test_simulate_dueck_reproducible_across_threads():
+def test_simulate_dueck_reproducible():
     joint = binary_pair_source(0.001)
     sp = regression_scheme(m=16)
-    a = sm.simulate_dueck(joint, sp, trials=30, seed=77, threads=1)
-    b = sm.simulate_dueck(joint, sp, trials=30, seed=77, threads=3)
+    a = sm.simulate_dueck(joint, sp, trials=30, seed=77)
+    b = sm.simulate_dueck(joint, sp, trials=30, seed=77)
     assert a.to_dict() == b.to_dict()
-    c = sm.simulate_dueck(joint, sp, trials=30, seed=78, threads=1)
+    c = sm.simulate_dueck(joint, sp, trials=30, seed=78)
     assert c.to_dict() != a.to_dict()
 
 
@@ -127,9 +127,11 @@ def test_simulate_generic_channel_quality_bounds():
 def test_simulate_generic_reproducible():
     inst = small_instance()
     sp = small_scheme(m=8)
-    a = sm.simulate_generic(inst, sp, trials=12, seed=9, threads=1)
-    b = sm.simulate_generic(inst, sp, trials=12, seed=9, threads=2)
+    a = sm.simulate_generic(inst, sp, trials=12, seed=9)
+    b = sm.simulate_generic(inst, sp, trials=12, seed=9)
     assert a.to_dict() == b.to_dict()
+    c = sm.simulate_generic(inst, sp, trials=12, seed=10)
+    assert c.to_dict() != a.to_dict()
 
 
 def test_simulate_generic_requires_type_pmf():
@@ -169,6 +171,12 @@ def test_interleave_iid_passes_and_control_fails():
     assert ctrl.pooled_p < 1e-9
 
 
+@pytest.mark.parametrize("m", [0, -4])
+def test_interleave_iid_rejects_empty_matrix(m):
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        sm.interleave_iid_test(make_position_law(), m=m, seed=1)
+
+
 def test_interleave_iid_report_serializes():
     rep = sm.interleave_iid_test(make_position_law(), m=500, seed=2)
     d = rep.to_dict()
@@ -205,3 +213,12 @@ def test_cc_exponent_half_capacity_run():
     assert rep.decoded == 500
     assert rep.empirical <= rep.bound
     assert rep.passed
+
+
+@pytest.mark.parametrize("codebooks, trials_per_book", [(0, 5), (2, 0), (-1, 5), (2, -3)])
+def test_cc_exponent_rejects_empty_ensemble(codebooks, trials_per_book):
+    # with nothing decoded there is no error rate to set against the bound
+    with pytest.raises(ValueError, match="must be at least 1"):
+        sm.cc_exponent_test(pk.Dmc.binary_symmetric(0.1), (4, 4), rate=0.1, l=8,
+                            codebooks=codebooks, trials_per_book=trials_per_book,
+                            seed=1)

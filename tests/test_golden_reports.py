@@ -47,6 +47,8 @@ CASES = {
         binary_pair_source(0.01), _fixture_scheme(8), trials=4, seed=3, e_max=1),
     "dueck_fixture_t2": lambda: sm.simulate_dueck(
         binary_pair_source(0.02), _fixture_scheme(8), trials=4, seed=11, e_max=2),
+    "dueck_fixture_e3": lambda: sm.simulate_dueck(
+        binary_pair_source(0.02), _fixture_scheme(8), trials=4, seed=11, e_max=3),
     "dueck_starved": lambda: sm.simulate_dueck(
         binary_pair_source(0.004), _fixture_scheme(8), trials=4, seed=31,
         capacity_slack=-1.0),

@@ -245,7 +245,7 @@ def parse_config(argv) -> RunConfig:
         "rate": float, "significance": float, "capacity_slack": float,
     }
     options = {}
-    for name in _COMMAND_OPTIONS.get((command, subcommand), set()):
+    for name in sorted(_COMMAND_OPTIONS.get((command, subcommand), ())):
         options[name] = pick(name, None, casters.get(name))
 
     return RunConfig(command=command, subcommand=subcommand, seed=seed, out=out,

@@ -10,12 +10,13 @@ outputs, which is the agreement property the whole construction rides on.
 The outer stage realizes binning operationally at desk scale: the encoder
 sends a seeded GF(2)-linear digest of the whole m x l source matrix (a
 syndrome H . bits(x) for a random binary H), and the decoder searches
-error patterns touching at most E_max rows, re-completing flagged rows
-from a caller-supplied candidate rule, accepting the unique digest match.
-Two distinct matrices collide with probability exactly 2^-b over the draw
-of H, at any width b, and the linearity of the digest is what lets the
-pattern search run as one batched XOR-and-join pass instead of a
-cartesian sweep.
+error patterns touching at most E_max rows, replacing rows with the
+candidates a caller-supplied rule side(base) -> (cands, owner) proposes
+for the whole baseline matrix, accepting the unique digest match. Two
+distinct matrices collide with probability exactly 2^-b over the draw of
+H, at any width b, and the linearity of the digest is what lets the
+pattern search run as one sorted join of XOR-delta tables per error
+depth instead of a cartesian sweep.
 """
 
 from __future__ import annotations
@@ -406,8 +407,9 @@ class MatrixHasher:
 
     def _bit_planes(self, rows: np.ndarray) -> np.ndarray:
         """(n, l) symbols -> (n, l * sym_bits) bits; symbol i owns bits i*sym_bits.."""
+        n, width = rows.shape
         shifts = np.arange(self.sym_bits)
-        return ((rows[:, :, None] >> shifts) & 1).astype(bool).reshape(rows.shape[0], -1)
+        return ((rows[:, :, None] >> shifts) & 1).astype(bool).reshape(n, width * self.sym_bits)
 
     def _xor_columns(self, owners: np.ndarray, planes: np.ndarray) -> np.ndarray:
         """Digest change, as (n, words), of XOR-ing planes[c] into the bits of row owners[c]."""
@@ -477,60 +479,99 @@ class OuterDecodeResult:
     searched: int
 
 
-def _first_distinct(owner: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """Mask keeping the first occurrence of each distinct (owner, planes row) pair."""
+def _distinct_changes(owner: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Indices of the distinct nonzero (owner, planes row) pairs, in row order."""
     packed = np.packbits(planes, axis=1)
     keys = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     keys[:, :packed.shape[1]] = packed
     keys = keys.view(np.uint64)
     order = np.lexsort((*keys.T, owner))  # stable, owner first
     k, o = keys[order], owner[order]
-    repeat = (o[1:] == o[:-1]) & (k[1:] == k[:-1]).all(axis=1)
-    keep = np.ones(owner.shape[0], dtype=bool)
-    keep[order[1:][repeat]] = False
-    return keep
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = (o[1:] != o[:-1]) | (k[1:] != k[:-1]).any(axis=1)
+    keep = order[first]
+    return keep[planes[keep].any(axis=1)]
 
 
-def _pair_matches(owner: np.ndarray, delta: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """All (i, j) with owner[i] < owner[j] and delta[i] ^ delta[j] == need.
+def _capped(total: int, what: str) -> int:
+    """total, unless it exceeds the 2^20 patterns or pairs one search step may hold."""
+    if total > 1 << 20:
+        raise ValueError(f"refusing to build {total} {what}: more than 2^20")
+    return total
 
-    A sort/searchsorted join on the first digest word; every index in the
-    [left, right) range of an equal key is paired, then the full words
-    are compared.
+
+@dataclass(frozen=True)
+class _Patterns:
+    """Row-disjoint patterns of k candidates each: the candidate indices
+    (n, k) by increasing row, the XOR of their digest deltas (n, words),
+    and each pattern's lowest and highest row."""
+
+    idx: np.ndarray
+    delta: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _extend(table: _Patterns, owner: np.ndarray, delta: np.ndarray) -> _Patterns:
+    """Every pattern of the table plus one candidate from a row above its
+    highest; owner is non-decreasing, so those candidates are a suffix."""
+    start = np.searchsorted(owner, table.hi, "right")
+    counts = owner.shape[0] - start
+    total = _capped(int(counts.sum()), "error patterns")
+    src = np.repeat(np.arange(counts.shape[0]), counts)
+    c = np.arange(total) - np.repeat(np.cumsum(counts) - counts - start, counts)
+    return _Patterns(np.column_stack([table.idx[src], c]), table.delta[src] ^ delta[c],
+                     np.minimum(table.lo[src], owner[c]), owner[c])
+
+
+def _join(left: _Patterns, right: _Patterns, need: np.ndarray) -> np.ndarray:
+    """Every left pattern below a right one whose deltas XOR to need, joined.
+
+    A sort/searchsorted join on the first digest word: each left pattern
+    is paired with every right one in its equal-key range, then the full
+    words and the row order are checked.
     """
-    key = delta[:, 0]
-    order = np.argsort(key, kind="stable")
-    target = key ^ need[0]
-    lo = np.searchsorted(key[order], target, "left")
-    counts = np.searchsorted(key[order], target, "right") - lo
-    i = np.repeat(np.arange(key.shape[0]), counts)
-    j = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
-    hit = (owner[j] > owner[i]) & ((delta[i] ^ delta[j]) == need).all(axis=1)
-    return np.stack([i[hit], j[hit]], axis=1)
+    order = np.argsort(right.delta[:, 0], kind="stable")
+    key = right.delta[order, 0]
+    target = left.delta[:, 0] ^ need[0]
+    lo = np.searchsorted(key, target, "left")
+    counts = np.searchsorted(key, target, "right") - lo
+    total = _capped(int(counts.sum()), "pattern pairs with equal digest keys")
+    i = np.repeat(np.arange(target.shape[0]), counts)
+    j = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)]
+    hit = (left.hi[i] < right.lo[j]) & ((left.delta[i] ^ right.delta[j]) == need).all(axis=1)
+    return np.column_stack([left.idx[i[hit]], right.idx[j[hit]]])
 
 
-def outer_decode(khat, residuals, digest: Digest, code: InnerCode, side,
-                 e_max: int, hasher: MatrixHasher) -> OuterDecodeResult:
+def outer_decode(khat, digest: Digest, side, e_max: int,
+                 hasher: MatrixHasher) -> OuterDecodeResult:
     """Digest-verified bounded-error-pattern search.
 
     khat is the decoder's per-row baseline (already refined by residual
-    bits). side(t, row, residual) returns the candidate replacement rows
-    for row t as a 2-D array; candidates equal to the baseline row and
+    bits). side(base) returns the candidate replacement rows of the whole
+    (m, l) baseline as (cands, owner): a (n, l) array and the row each
+    candidate replaces. Candidates equal to their baseline row and
     repeats within a row are dropped. All patterns touching at most e_max
     rows are examined; the unique digest match wins, two distinct matches
     report ambiguity, none reports a search failure. searched counts the
-    baseline, the distinct candidates and the matched row pairs.
+    baseline, the distinct candidates (when e_max >= 1) and the matched
+    row pairs (when e_max >= 2).
 
     The digest is linear, so a candidate's effect on it is a fixed delta
     and a pattern matches when the XOR of its deltas equals
-    digest ^ digest(khat). One- and two-row patterns are found in one
-    batched pass (word equality, then a sorted join); deeper patterns by
-    exact recursion, which is combinatorial and meant for desk scale.
+    digest ^ digest(khat). Table k holds every pattern of k rows (T_0 is
+    the empty pattern, T_1 the candidates), each built from the one below
+    by adding a candidate above the pattern's highest row. A d-row
+    pattern, read by increasing row, splits once into its lowest d // 2
+    rows and the rest, so depth d is one sorted join of T_(d // 2)
+    against T_(d - d // 2): depth 0 tests the baseline itself, depth 1
+    the single candidates. A table of more than 2^20 patterns, or a join
+    with more than 2^20 equal-key pairs to compare (a narrow digest), is
+    refused.
     """
     if e_max < 0:
         raise ValueError("e_max must be non-negative")
     base = _as_entries(khat).copy()
-    m, l = base.shape
     if digest.bits != hasher.bits:
         raise ValueError("digest width disagrees with the hasher")
 
@@ -543,57 +584,30 @@ def outer_decode(khat, residuals, digest: Digest, code: InnerCode, side,
         raise ValueError("digest value exceeds its width")
 
     need = _int_to_words(digest.value, hasher.words) ^ hasher._digest_words(base)
-    if e_max == 0:
-        # no row may change: the baseline stands or falls on its own digest
-        if need.any():
-            return OuterDecodeResult(status="failed", matrix=None, matches=0, searched=1)
-        return OuterDecodeResult(status="ok", matrix=base, matches=1, searched=1)
-    per_row = [np.asarray(side(t, base[t], residuals[t]), dtype=np.int64).reshape(-1, l)
-               for t in range(m)]
-    cands = np.concatenate(per_row)
-    owner = np.repeat(np.arange(m), [c.shape[0] for c in per_row])
+    cands, owner = (np.asarray(a, dtype=np.int64) for a in side(base))
     hasher._check_symbols(cands)
     planes = hasher._bit_planes(cands ^ base[owner])
-    keep = planes.any(axis=1) & _first_distinct(owner, planes)
-    cands, owner, planes = cands[keep], owner[keep], planes[keep]
-    delta = hasher._xor_columns(owner, planes)
-    searched = 1 + cands.shape[0]
+    keep = _distinct_changes(owner, planes)
+    cands, owner = cands[keep], owner[keep]
+    delta = hasher._xor_columns(owner, planes[keep])
 
-    # patterns as tuples of candidate indices, at most one per row
-    matches: list[tuple] = []
-    if not need.any():
-        matches.append(())
-    matches += [(int(c),) for c in np.flatnonzero((delta == need).all(axis=1))]
+    tables = [_Patterns(np.zeros((1, 0), dtype=np.int64),
+                        np.zeros((1, hasher.words), dtype=np.uint64),
+                        np.array([base.shape[0]]), np.array([-1]))]
+    found = []
+    for d in range(e_max + 1):
+        if len(tables) <= d - d // 2:
+            tables.append(_extend(tables[-1], owner, delta))
+        found.append(_join(tables[d // 2], tables[d - d // 2], need))
+    searched = 1 + (cands.shape[0] if e_max >= 1 else 0) + sum(f.shape[0] for f in found[2:3])
+    matches = sum(f.shape[0] for f in found)
 
-    if e_max >= 2:
-        pairs = _pair_matches(owner, delta, need)
-        matches += [tuple(p) for p in pairs.tolist()]
-        searched += pairs.shape[0]
-
-    if e_max >= 3:
-        # exact recursion for deeper patterns; combinatorial, desk scale only
-        need_int = _words_to_int(need)
-        ints = [_words_to_int(d) for d in delta]
-        rows = [np.flatnonzero(owner == t).tolist() for t in np.unique(owner)]
-
-        def recurse(start: int, chosen: list, acc: int):
-            if len(chosen) >= 3 and acc == need_int:
-                matches.append(tuple(chosen))
-            if len(chosen) >= e_max:
-                return
-            for r in range(start, len(rows)):
-                for c in rows[r]:
-                    chosen.append(c)
-                    recurse(r + 1, chosen, acc ^ ints[c])
-                    chosen.pop()
-        recurse(0, [], 0)
-
-    if not matches:
+    if matches == 0:
         return OuterDecodeResult(status="failed", matrix=None, matches=0, searched=searched)
-    if len(matches) > 1:
+    if matches > 1:
         return OuterDecodeResult(status="ambiguous", matrix=None,
-                                 matches=len(matches), searched=searched)
-    pattern = list(matches[0])
+                                 matches=matches, searched=searched)
+    pattern = next(f[0] for f in found if f.shape[0])
     base[owner[pattern]] = cands[pattern]
     return OuterDecodeResult(status="ok", matrix=base, matches=1, searched=searched)
 
@@ -621,25 +635,28 @@ def _substitution_layout(l: int, n_pos: int, alphabet_size: int, radius: int):
     return pos, alt, flat
 
 
-def _substitutions(row: np.ndarray, n_pos: int, alphabet_size: int, radius: int) -> np.ndarray:
-    pos, alt, flat = _substitution_layout(row.shape[0], n_pos, alphabet_size, radius)
-    out = np.empty((pos.shape[0], row.shape[0]), dtype=np.int64)
-    out[:] = row
-    # offset k is the k-th symbol, ascending, other than the current one
-    np.put(out, flat, alt + (alt >= row[pos]))
-    return out
+def _substitutions(base: np.ndarray, n_pos: int, alphabet_size: int, radii) -> tuple:
+    """Every row of base with r of its first n_pos symbols replaced, for each
+    r in radii, nearest first: (cands, owner), the rows and whose they are."""
+    m, l = base.shape
+    subs = []
+    for radius in radii:
+        pos, alt, flat = _substitution_layout(l, n_pos, alphabet_size, radius)
+        out = np.repeat(base[:, None, :], pos.shape[0], axis=1)
+        # offset k is the k-th symbol, ascending, other than the current one
+        out.reshape(m, -1)[:, flat] = alt + (alt >= base[:, pos])
+        subs.append(out)
+    out = np.concatenate(subs, axis=1)
+    return out.reshape(-1, l), np.repeat(np.arange(m), out.shape[1])
 
 
 def hamming_ball_rule(alphabet_size: int, radius: int = 1):
-    """All rows within the given Hamming distance, nearest first, as one 2-D array."""
+    """Every row's neighbours within the given Hamming distance, nearest first."""
     if radius not in (1, 2):
         raise ValueError("supported radii are 1 and 2")
 
-    def rule(t, row, residual):
-        del t, residual
-        row = np.asarray(row, dtype=np.int64)
-        return np.concatenate([_substitutions(row, row.shape[0], alphabet_size, r)
-                               for r in range(1, radius + 1)])
+    def rule(base):
+        return _substitutions(base, base.shape[1], alphabet_size, range(1, radius + 1))
 
     return rule
 
@@ -650,8 +667,7 @@ def prefix_flip_rule(code: InnerCode, alphabet_size: int):
     Valid when the typical set is the full cube over a power-of-two
     alphabet: ranks are then base-n values of the rows, the address bits
     are exactly the leading symbols, and only those can be corrupted by a
-    shared-channel disagreement (the residual pins the rest). The rule
-    returns the flipped rows as one 2-D array.
+    shared-channel disagreement (the residual pins the rest).
     """
     n = alphabet_size
     sym_bits = (n - 1).bit_length()
@@ -661,10 +677,8 @@ def prefix_flip_rule(code: InnerCode, alphabet_size: int):
         raise ValueError("prefix rule needs the full-cube typical set")
     prefix_syms = -(-code.la_bits // sym_bits)
 
-    def rule(t, row, residual):
-        del t, residual
-        row = np.asarray(row, dtype=np.int64)
-        return _substitutions(row, min(prefix_syms, row.shape[0]), n, 1)
+    def rule(base):
+        return _substitutions(base, min(prefix_syms, base.shape[1]), n, (1,))
 
     return rule
 

@@ -91,9 +91,12 @@ def _outer_decode_counts(results) -> dict:
     return out
 
 
-def _check_run(trials: int, hash_bits: int, capacity_slack: float = 0.0) -> None:
+def _check_run(trials: int, hash_bits: int, e_max: int,
+               capacity_slack: float = 0.0) -> None:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if e_max < 0:
+        raise ValueError(f"e_max must be non-negative, got {e_max}")
     if hash_bits < 0:
         raise ValueError(f"hash_bits must be non-negative, got {hash_bits}")
     if not math.isfinite(capacity_slack):
@@ -147,9 +150,7 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
             if not outer:
                 continue
             digest = hashers[j].digest(mats[j])
-            residuals = [e.residual for e in enc[j]]
-            result = _codec.outer_decode(khat, residuals, digest, code, side,
-                                         e_max, hashers[j])
+            result = _codec.outer_decode(khat, digest, side, e_max, hashers[j])
             counters["decode"][j] = (result.status, result.searched)
             final = result.matrix if result.status == "ok" else khat
             wrong_rows = int((final != mats[j]).any(axis=1).sum())
@@ -309,7 +310,7 @@ def simulate_dueck(
     source is the example's parameter triple or any materialized joint pmf
     fixture (a^k <= 4096 for dense work).
     """
-    _check_run(trials, hash_bits, capacity_slack)
+    _check_run(trials, hash_bits, e_max, capacity_slack)
     if isinstance(source, _dueck.DueckParams):
         joint = _dueck.build_source(source).materialize()
         a_sh = source.a
@@ -368,7 +369,7 @@ def simulate_generic(
     estimated mutual information, per the rate-loss bound it must obey.
     The outer decode runs only when K is the source itself.
     """
-    _check_run(trials, hash_bits)
+    _check_run(trials, hash_bits, e_max)
     comp = np.round(inst.p_u.probs * sp.l).astype(int)
     if comp.sum() != sp.l or not _bounds.is_type_of(inst.p_u, sp.l):
         raise ValueError("p_U must be a type of denominator l")

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +126,25 @@ def test_reports_reproducible_without_timestamp(tmp_path, bsc_file):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_reports_byte_identical_across_hash_seeds(tmp_path):
+    # fresh interpreters differ in their string hash seed; the config echo
+    # must not depend on it
+    params = write(tmp_path / "params.json", {"joint": [[0.45, 0.05], [0.05, 0.45]]})
+    sch = write(tmp_path / "scheme.json", dict(scheme_doc(la_bits=8), m=2))
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    outs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"h{hash_seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "fblic.cli", "simulate", "dueck",
+                        "--params", params, "--scheme", sch, "--trials", "1",
+                        "--seed", "1", "--no-timestamp", "--out", str(out)],
+                       env=env, check=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_dueck_feasibility_exit_codes(tmp_path):
     out = tmp_path / "feas.json"
     ok = run_cli(["dueck", "feasibility", "--a", "512", "--k", "500",
@@ -158,6 +181,14 @@ def instance_doc():
         "p_x1_given_uv1": mix_kernel(0.98).tolist(),
         "p_x2_given_uv2": mix_kernel(0.98).tolist(),
     }
+
+
+def folded_instance_doc():
+    # a 4-symbol source folded onto 2 common-part symbols
+    return dict(instance_doc(),
+                source=[[0.24, 0.01, 0.0, 0.0], [0.01, 0.24, 0.0, 0.0],
+                        [0.0, 0.0, 0.24, 0.01], [0.0, 0.0, 0.01, 0.24]],
+                f1=[0, 1, 0, 1], f2=[0, 1, 0, 1])
 
 
 def scheme_doc(l=16, la_bits=2):
@@ -291,13 +322,23 @@ def test_simulate_dueck_e_max_zero(tmp_path):
     ("dueck", ["--capacity-slack", "inf"], "capacity_slack must be finite"),
     ("generic", ["--trials", "0"], "trials must be at least 1"),
     ("generic", ["--hash-bits", "-5"], "hash_bits must be non-negative"),
+    ("dueck", ["--e-max", "-1"], "e_max must be non-negative"),
+    # 16 rows of 16 one-symbol flips make C(16, 3) * 16^3 > 2^20 three-row
+    # patterns, which e_max=5 needs
+    ("dueck", ["--e-max", "5"], "more than 2^20"),
+    ("generic", ["--e-max", "-1"], "e_max must be non-negative"),
+    # K is not the source here, so the outer decode never runs
+    ("folded", ["--e-max", "-3"], "e_max must be non-negative"),
 ])
 def test_simulate_bad_input_exits_2(tmp_path, capsys, chain, flags, message):
     sch = write(tmp_path / "scheme.json", scheme_doc())
     if chain == "dueck":
         inputs = ["--params", write(tmp_path / "params.json", {"joint": [[0.5, 0], [0, 0.5]]})]
-    else:
+    elif chain == "generic":
         inputs = ["--instance", write(tmp_path / "inst.json", instance_doc())]
+    else:
+        inputs = ["--instance", write(tmp_path / "inst.json", folded_instance_doc())]
+        chain = "generic"
     out = tmp_path / "stats.json"
     code = cli.main(["simulate", chain, *inputs, "--scheme", sch, "--trials", "2",
                      *flags, "--out", str(out)])

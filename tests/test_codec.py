@@ -193,15 +193,19 @@ def test_permutation_uniformity_chi_square():
     assert p_value > 0.01
 
 
-def test_interleave_identity_and_roundtrip():
-    ident = cd.PermutationSet(rows=np.tile(np.arange(6), (4, 1)), seed=0)
-    a = np.arange(24).reshape(4, 6)
-    assert np.array_equal(cd.interleave(a, ident), a)
-    rng = np.random.default_rng(2)
-    perm = cd.draw_permutations(4, 6, seed=3)
-    for _ in range(20):
-        mat = rng.integers(0, 5, size=(4, 6))
-        assert np.array_equal(cd.deinterleave(cd.interleave(mat, perm), perm), mat)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(m=st.integers(1, 6), l=st.integers(1, 12), alphabet=st.integers(2, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_interleave_identity_and_roundtrip(m, l, alphabet, seed):
+    mat = np.random.default_rng(seed).integers(0, alphabet, size=(m, l))
+    ident = cd.PermutationSet(rows=np.tile(np.arange(l), (m, 1)), seed=0)
+    assert np.array_equal(cd.interleave(mat, ident), mat)
+    perm = cd.draw_permutations(m, l, seed)
+    assert np.array_equal(cd.deinterleave(cd.interleave(mat, perm), perm), mat)
+    inv = perm.inverse()
+    ref = np.broadcast_to(np.arange(l), (m, l))
+    assert np.array_equal(np.take_along_axis(perm.rows, inv, axis=1), ref)
+    assert np.array_equal(np.take_along_axis(inv, perm.rows, axis=1), ref)
 
 
 def test_interleave_block_matrix_wrapper():
@@ -318,21 +322,20 @@ def test_digest_collision_rate_is_two_to_minus_b():
 
 
 def test_outer_decode_clean_matrix():
-    p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 6, 1.0, cu_size=1 << 3)
     rng = np.random.default_rng(1)
     truth = rng.integers(0, 2, size=(5, 6))
     h = cd.MatrixHasher(80, seed=2, alphabet_size=2, l=6, m=5)
     side = cd.hamming_ball_rule(2, radius=1)
-    res = cd.outer_decode(truth.copy(), [0] * 5, h.digest(truth), code, side, 2, h)
+    res = cd.outer_decode(truth.copy(), h.digest(truth), side, 2, h)
     assert res.status == "ok"
     assert np.array_equal(res.matrix, truth)
 
 
-def brute_force_outer(khat, digest, side, e_max, hasher, residuals):
+def brute_force_outer(khat, digest, side, e_max, hasher):
     """Enumerate every candidate matrix within e_max row changes."""
     m = khat.shape[0]
-    cands = [list(side(t, khat[t], residuals[t])) for t in range(m)]
+    rows, owner = side(khat)
+    cands = [list(rows[owner == t]) for t in range(m)]
     matches = []
     rows_sets = []
     for r in range(e_max + 1):
@@ -356,8 +359,6 @@ def brute_force_outer(khat, digest, side, e_max, hasher, residuals):
 
 
 def test_outer_decode_matches_brute_force_enumeration():
-    p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 5, 1.0, cu_size=1 << 3)
     side = cd.hamming_ball_rule(2, radius=1)
     rng = np.random.default_rng(8)
     h = cd.MatrixHasher(64, seed=3, alphabet_size=2, l=5, m=4)
@@ -369,8 +370,8 @@ def test_outer_decode_matches_brute_force_enumeration():
             pos = int(rng.integers(0, 5))
             khat[t, pos] ^= 1
         digest = h.digest(truth)
-        res = cd.outer_decode(khat.copy(), [0] * 4, digest, code, side, 2, h)
-        brute = brute_force_outer(khat, digest, side, 2, h, [0] * 4)
+        res = cd.outer_decode(khat.copy(), digest, side, 2, h)
+        brute = brute_force_outer(khat, digest, side, 2, h)
         if len(brute) == 1:
             assert res.status == "ok"
             assert np.array_equal(res.matrix, brute[0])
@@ -391,6 +392,8 @@ NARROW_CASES = {
                           lambda code: cd.prefix_flip_rule(code, 4), 4, 3, 2, 7),
     "binary_e_max_3": (lambda: cd.build_inner_code(pk.Pmf.uniform(2), 2, 5.0),
                        lambda code: cd.hamming_ball_rule(2, radius=1), 2, 4, 3, 6),
+    "binary_e_max_4": (lambda: cd.build_inner_code(pk.Pmf.uniform(2), 2, 5.0),
+                       lambda code: cd.hamming_ball_rule(2, radius=1), 2, 5, 4, 7),
 }
 
 
@@ -412,8 +415,8 @@ def test_outer_decode_matches_brute_force_narrow_digest(case):
             i = int(rng.integers(0, l))
             khat[t, i] = (khat[t, i] + rng.integers(1, a)) % a
         digest = h.digest(truth)
-        res = cd.outer_decode(khat.copy(), [0] * m, digest, code, side, e_max, h)
-        brute = brute_force_outer(khat, digest, side, e_max, h, [0] * m)
+        res = cd.outer_decode(khat.copy(), digest, side, e_max, h)
+        brute = brute_force_outer(khat, digest, side, e_max, h)
         seen.add(res.status)
         if len(brute) == 1:
             assert res.status == "ok"
@@ -426,20 +429,21 @@ def test_outer_decode_matches_brute_force_narrow_digest(case):
 
 
 def test_outer_decode_drops_baseline_and_repeated_candidates():
-    p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 4, 1.0)
     truth = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
     khat = truth.copy()
     khat[1, 3] ^= 1
     ball = cd.hamming_ball_rule(2, radius=1)
 
-    def noisy(t, row, residual):
-        cands = ball(t, row, residual)
-        return np.concatenate([row[None, :], cands, cands[::-1], row[None, :]])
+    def noisy(base):
+        # every baseline row and every candidate twice, rows out of order
+        cands, owner = ball(base)
+        rows = np.arange(base.shape[0])
+        return (np.concatenate([base[::-1], cands, cands[::-1], base]),
+                np.concatenate([rows[::-1], owner, owner[::-1], rows]))
 
     h = cd.MatrixHasher(64, seed=9, alphabet_size=2, l=4, m=3)
-    res = cd.outer_decode(khat, [0] * 3, h.digest(truth), code, noisy, 2, h)
-    ref = cd.outer_decode(khat, [0] * 3, h.digest(truth), code, ball, 2, h)
+    res = cd.outer_decode(khat, h.digest(truth), noisy, 2, h)
+    ref = cd.outer_decode(khat, h.digest(truth), ball, 2, h)
     assert res.status == ref.status == "ok"
     assert np.array_equal(res.matrix, truth)
     assert res.searched == ref.searched == 1 + 3 * 4
@@ -448,8 +452,6 @@ def test_outer_decode_drops_baseline_and_repeated_candidates():
 def test_outer_decode_compares_every_digest_word():
     # a target that agrees with a reachable pattern on the low 64 bits but
     # not above them must not match: the join keys on the first word only
-    p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 4, 1.0)
     side = cd.hamming_ball_rule(2, radius=1)
     h = cd.MatrixHasher(128, seed=4, alphabet_size=2, l=4, m=3)
     khat = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
@@ -457,14 +459,12 @@ def test_outer_decode_compares_every_digest_word():
         truth = khat.copy()
         truth[list(rows), 2] ^= 1
         exact = h.digest(truth)
-        assert cd.outer_decode(khat, [0] * 3, exact, code, side, 2, h).status == "ok"
+        assert cd.outer_decode(khat, exact, side, 2, h).status == "ok"
         off = cd.Digest(128, exact.value ^ (1 << 100))
-        assert cd.outer_decode(khat, [0] * 3, off, code, side, 2, h).status == "failed"
+        assert cd.outer_decode(khat, off, side, 2, h).status == "failed"
 
 
 def test_outer_decode_failure_when_pattern_exceeds_e_max():
-    p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 5, 1.0, cu_size=1 << 3)
     side = cd.hamming_ball_rule(2, radius=1)
     rng = np.random.default_rng(9)
     truth = rng.integers(0, 2, size=(6, 5))
@@ -472,42 +472,53 @@ def test_outer_decode_failure_when_pattern_exceeds_e_max():
     for t in (0, 2, 4):
         khat[t, 1] ^= 1
     h = cd.MatrixHasher(80, seed=1, alphabet_size=2, l=5, m=6)
-    res = cd.outer_decode(khat, [0] * 6, h.digest(truth), code, side, 2, h)
+    res = cd.outer_decode(khat, h.digest(truth), side, 2, h)
     assert res.status == "failed"
-    res3 = cd.outer_decode(khat, [0] * 6, h.digest(truth), code, side, 3, h)
+    res3 = cd.outer_decode(khat, h.digest(truth), side, 3, h)
     assert res3.status == "ok" and np.array_equal(res3.matrix, truth)
 
 
 def test_outer_decode_zero_width_digest():
-    p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 4, 1.0)
     h = cd.MatrixHasher(0, seed=0, alphabet_size=2, l=4, m=3)
     mat = np.zeros((3, 4), dtype=int)
     side = cd.hamming_ball_rule(2, radius=1)
-    assert cd.outer_decode(mat, [0] * 3, cd.Digest(0, 0), code, side, 0, h).status == "ok"
-    assert cd.outer_decode(mat, [0] * 3, cd.Digest(0, 0), code, side, 1, h).status == "ambiguous"
+    assert cd.outer_decode(mat, cd.Digest(0, 0), side, 0, h).status == "ok"
+    assert cd.outer_decode(mat, cd.Digest(0, 0), side, 1, h).status == "ambiguous"
 
 
 def test_outer_decode_e_max_zero_checks_only_the_baseline():
-    p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 5, 1.0, cu_size=1 << 3)
     side = cd.hamming_ball_rule(2, radius=1)
     rng = np.random.default_rng(4)
     truth = rng.integers(0, 2, size=(4, 5))
     h = cd.MatrixHasher(64, seed=3, alphabet_size=2, l=5, m=4)
-    res = cd.outer_decode(truth.copy(), [0] * 4, h.digest(truth), code, side, 0, h)
+    res = cd.outer_decode(truth.copy(), h.digest(truth), side, 0, h)
     assert (res.status, res.matches, res.searched) == ("ok", 1, 1)
     assert np.array_equal(res.matrix, truth)
     khat = truth.copy()
     khat[2, 0] ^= 1
-    res = cd.outer_decode(khat, [0] * 4, h.digest(truth), code, side, 0, h)
+    res = cd.outer_decode(khat, h.digest(truth), side, 0, h)
     assert (res.status, res.matrix, res.matches, res.searched) == ("failed", None, 0, 1)
+
+
+def test_outer_decode_without_candidates():
+    # no address bits: the prefix rule proposes nothing, so only the
+    # baseline can match, at every depth
+    code = cd.build_inner_code(pk.Pmf.uniform(2), 4, 1.0, cu_size=1,
+                               codebook=cd.FullCubeCode(2, 4))
+    side = cd.prefix_flip_rule(code, 2)
+    h = cd.MatrixHasher(32, seed=5, alphabet_size=2, l=4, m=3)
+    truth = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
+    khat = truth.copy()
+    khat[1, 0] ^= 1
+    for e_max in range(4):
+        res = cd.outer_decode(truth, h.digest(truth), side, e_max, h)
+        assert (res.status, res.searched) == ("ok", 1) and np.array_equal(res.matrix, truth)
+        res = cd.outer_decode(khat, h.digest(truth), side, e_max, h)
+        assert (res.status, res.matches, res.searched) == ("failed", 0, 1)
 
 
 def test_outer_decode_no_wrong_accepts_fuzz():
     # ten thousand corruption rounds, wide digest: never accept a wrong matrix
-    p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 4, 1.0, cu_size=1 << 2)
     side = cd.hamming_ball_rule(2, radius=1)
     h = cd.MatrixHasher(96, seed=11, alphabet_size=2, l=4, m=4)
     rng = np.random.default_rng(12)
@@ -517,10 +528,28 @@ def test_outer_decode_no_wrong_accepts_fuzz():
         khat = truth.copy()
         for t in rng.choice(4, size=int(rng.integers(0, 3)), replace=False):
             khat[t] = rng.integers(0, 2, size=4)
-        res = cd.outer_decode(khat, [0] * 4, h.digest(truth), code, side, 2, h)
+        res = cd.outer_decode(khat, h.digest(truth), side, 2, h)
         if res.status == "ok" and not np.array_equal(res.matrix, truth):
             wrong += 1
     assert wrong == 0
+
+
+def test_outer_decode_refuses_an_oversized_pattern_table():
+    # 64 rows of 32 bits give 2048 single flips and 2016 * 32 * 32 > 2^20
+    # two-row patterns: e_max=3 needs that table and is refused from its
+    # size, before it is built
+    h = cd.MatrixHasher(64, seed=1, alphabet_size=2, l=32, m=64)
+    khat = np.zeros((64, 32), dtype=np.int64)
+    side = cd.hamming_ball_rule(2, radius=1)
+    with pytest.raises(ValueError, match=r"more than 2\^20"):
+        cd.outer_decode(khat, cd.Digest(64, 1), side, 3, h)
+    res = cd.outer_decode(khat, cd.Digest(64, 1), side, 2, h)
+    assert res.searched >= 1 + 2048
+    # a one-bit digest gives at least 2048^2 / 2 > 2^20 two-row pairs with
+    # equal keys when the target is the baseline's digest: refused too
+    narrow = cd.MatrixHasher(1, seed=1, alphabet_size=2, l=32, m=64)
+    with pytest.raises(ValueError, match=r"more than 2\^20"):
+        cd.outer_decode(khat, narrow.digest(khat), side, 2, narrow)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +561,12 @@ def test_prefix_flip_rule_positions():
     code = cd.build_inner_code(p, 8, 1.0, cu_size=1 << 3,
                                codebook=cd.FullCubeCode(2, 8))
     rule = cd.prefix_flip_rule(code, 2)
-    row = np.zeros(8, dtype=int)
-    cands = rule(0, row, 0)
-    assert len(cands) == 3  # one flip per address position
-    for cand in cands:
-        diff = np.flatnonzero(cand != row)
+    base = np.array([np.zeros(8, dtype=int), np.ones(8, dtype=int)])
+    cands, owner = rule(base)
+    assert len(cands) == 2 * 3  # one flip per address position, row by row
+    assert owner.tolist() == [0, 0, 0, 1, 1, 1]
+    for cand, t in zip(cands, owner):
+        diff = np.flatnonzero(cand != base[t])
         assert diff.shape == (1,) and diff[0] < 3
     with pytest.raises(ValueError):
         cd.prefix_flip_rule(cd.build_inner_code(p, 8, 0.25), 2)
@@ -544,9 +574,11 @@ def test_prefix_flip_rule_positions():
 
 def test_hamming_ball_rule_radius_two():
     rule = cd.hamming_ball_rule(2, radius=2)
-    row = np.zeros(3, dtype=int)
-    cands = rule(0, row, 0)
-    assert len(cands) == 3 + 3  # three singles, three pairs
+    base = np.zeros((2, 3), dtype=int)
+    cands, owner = rule(base)
+    assert len(cands) == 2 * (3 + 3)  # three singles, three pairs, per row
+    assert owner.tolist() == [0] * 6 + [1] * 6
+    assert (cands != 0).sum(axis=1).tolist() == [1, 1, 1, 2, 2, 2] * 2
 
 
 def test_multiplex_inputs():

@@ -28,6 +28,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,19 +109,31 @@ def _as_entries(mat) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class FullCubeCode:
-    """Every l-length word over the alphabet, addressed by base-a value."""
+    """Every l-length word over the alphabet, addressed by base-a value.
+
+    ``words`` and ``indices`` read whole arrays as base-a digits, in int64
+    while a^l < 2^63 and in exact Python ints (object arrays) beyond.
+    """
 
     def __init__(self, alphabet_size: int, l: int):
         if alphabet_size < 2 or l < 1:
             raise ValueError("need alphabet >= 2 and l >= 1")
         self.alphabet_size = int(alphabet_size)
         self.l = int(l)
+        exact = self.size >= 1 << 63
+        self._powers = np.array([self.alphabet_size ** e for e in range(self.l - 1, -1, -1)],
+                                dtype=object if exact else np.int64)
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """a^l; len() only works below 2^63."""
         return self.alphabet_size ** self.l
 
+    def __len__(self) -> int:
+        return self.size
+
     def codeword(self, idx: int) -> np.ndarray:
-        if not 0 <= idx < len(self):
+        if not 0 <= idx < self.size:
             raise IndexError("codeword index out of range")
         out = np.zeros(self.l, dtype=np.int64)
         v = int(idx)
@@ -136,6 +149,19 @@ class FullCubeCode:
         for s in w:
             v = v * self.alphabet_size + int(s)
         return v
+
+    def words(self, idx) -> np.ndarray:
+        """codeword() of every entry of a 1-D index array, as (rows, l)."""
+        idx = np.asarray(idx, dtype=self._powers.dtype)
+        return (idx[:, None] // self._powers % self.alphabet_size).astype(np.int64)
+
+    def indices(self, words) -> np.ndarray:
+        """index_of() of every row of a (rows, l) array."""
+        w = np.asarray(words, dtype=np.int64)
+        if w.ndim != 2 or w.shape[1] != self.l or (
+                w.size and (w.min() < 0 or w.max() >= self.alphabet_size)):
+            raise ValueError("word outside the cube")
+        return w.astype(self._powers.dtype) @ self._powers
 
 
 @dataclass(frozen=True)
@@ -163,11 +189,18 @@ class ConstantCompositionCode:
     def alphabet_size(self) -> int:
         return len(self.composition)
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
         return int(self.codewords.shape[0])
+
+    def __len__(self) -> int:
+        return self.size
 
     def codeword(self, idx: int) -> np.ndarray:
         return self.codewords[idx]
+
+    def words(self, idx) -> np.ndarray:
+        return self.codewords[np.asarray(idx, dtype=np.int64)]
 
 
 def type_class_size(composition) -> int:
@@ -209,22 +242,23 @@ def sample_constant_composition(composition, rate_a: float, l: int, seed: int,
 # the inner fixed-length code
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InnerEncodeResult:
-    index: int
-    codeword: np.ndarray
-    residual: int
-    atypical: bool
+class InnerRows(NamedTuple):
+    """The inner code's output for each row of a block array."""
 
-
-@dataclass(frozen=True)
-class InnerDecodeResult:
-    index: int
-    fallback: bool
+    index: np.ndarray
+    codewords: np.ndarray
+    residual: np.ndarray
+    atypical: np.ndarray
 
 
 class InnerCode:
-    """Typical-set source code split into a codeword address and a residual."""
+    """Typical-set source code split into a codeword address and a residual.
+
+    Every method takes a whole (rows, l) array (or one value per row).
+    Ranks and their index/residual split are int64 while the typical set
+    has at most 2^63 members and exact Python ints (object arrays)
+    beyond; full-cube indices follow FullCubeCode's own bound.
+    """
 
     def __init__(self, p_k1: Pmf, l: int, delta: float, codebook, cu_size: int | None = None):
         self.p_k1 = p_k1
@@ -236,39 +270,45 @@ class InnerCode:
             raise ValueError("the typical set is empty")
         self.codebook = codebook
         self.total_bits = (size - 1).bit_length()
-        cap = len(codebook) if cu_size is None else min(int(cu_size), len(codebook))
+        cap = codebook.size if cu_size is None else min(int(cu_size), codebook.size)
         self.la_bits = min(cap.bit_length() - 1, self.total_bits) if cap >= 1 else 0
         self.lb_bits = self.total_bits - self.la_bits
 
-    def encode(self, block) -> InnerEncodeResult:
-        blk = np.asarray(block, dtype=np.int64)
-        if self.typical.contains(blk):
-            r = self.typical.rank(blk)
-            idx = r >> self.lb_bits
-            res = r & ((1 << self.lb_bits) - 1)
-            return InnerEncodeResult(index=idx, codeword=self.codebook.codeword(idx),
-                                     residual=res, atypical=False)
-        return InnerEncodeResult(index=0, codeword=self.codebook.codeword(0),
-                                 residual=0, atypical=True)
+    def encode_rows(self, blocks) -> InnerRows:
+        """Rank each typical row and split the rank into the codeword index
+        (top la_bits) and the residual; atypical rows get codeword 0 and a
+        zero residual."""
+        blk = np.asarray(blocks, dtype=np.int64)
+        atypical = ~self.typical.contains_rows(blk)
+        rank = np.zeros(blk.shape[0], dtype=self.typical.rank_dtype)
+        rank[~atypical] = self.typical.rank_rows(blk[~atypical])
+        index = rank >> self.lb_bits
+        return InnerRows(index=index, codewords=self.codebook.words(index),
+                         residual=rank & ((1 << self.lb_bits) - 1), atypical=atypical)
 
-    def decode_exact(self, y_word) -> InnerDecodeResult:
-        """Invert a deterministic shared channel; out-of-range means fallback."""
+    def decode_exact_rows(self, y_words) -> tuple[np.ndarray, np.ndarray]:
+        """Invert a deterministic shared channel row by row: (index, fallback);
+        a cube index beyond the la_bits address range falls back to 0."""
         if not isinstance(self.codebook, FullCubeCode):
             raise TypeError("exact inversion needs the full-cube codebook")
-        idx = self.codebook.index_of(y_word)
-        if idx >> self.la_bits:
-            return InnerDecodeResult(index=0, fallback=True)
-        return InnerDecodeResult(index=idx, fallback=False)
+        idx = self.codebook.indices(y_words)
+        fallback = (idx >> self.la_bits) != 0
+        return np.where(fallback, 0, idx), fallback
 
-    def decode_ml(self, y_word, induced: Dmc) -> InnerDecodeResult:
-        """Maximum-likelihood codeword decision; ties go to the lowest index."""
+    def decode_ml_rows(self, y_words, induced: Dmc) -> np.ndarray:
+        """Maximum-likelihood codeword decision per row; ties go to the
+        lowest index."""
         words = self._materialized_words()
-        y = np.asarray(y_word, dtype=np.int64)
+        y = np.asarray(y_words, dtype=np.int64)
         with np.errstate(divide="ignore"):
             logw = np.where(induced.rows > 0.0, np.log(np.maximum(induced.rows, 1e-320)),
                             _NEG_INF_LLH)
-        scores = logw[words, np.broadcast_to(y, words.shape)].sum(axis=1)
-        return InnerDecodeResult(index=int(np.argmax(scores)), fallback=False)
+        out = np.empty(y.shape[0], dtype=np.int64)
+        chunk = max(1, 2_000_000 // words.size)
+        for s in range(0, y.shape[0], chunk):
+            scores = logw[words[None, :, :], y[s:s + chunk, None, :]].sum(axis=2)
+            out[s:s + chunk] = scores.argmax(axis=1)
+        return out
 
     def _materialized_words(self) -> np.ndarray:
         if isinstance(self.codebook, ConstantCompositionCode):
@@ -276,14 +316,18 @@ class InnerCode:
         n = 1 << self.la_bits
         if n > 1 << 20:
             raise ValueError("refusing to materialize more than 2^20 codewords")
-        return np.stack([self.codebook.codeword(i) for i in range(n)])
+        return self.codebook.words(np.arange(n))
 
-    def reconstruct(self, index: int, residual: int) -> np.ndarray | None:
-        """Unrank (index || residual); None when the rank is out of range."""
-        r = (int(index) << self.lb_bits) | int(residual)
-        if r >= self.typical.size:
-            return None
-        return self.typical.unrank(r)
+    def reconstruct_rows(self, index, residual) -> np.ndarray:
+        """Unrank (index || residual) per row; a rank beyond the typical set
+        gives an all-zero row."""
+        dtype = self.typical.rank_dtype
+        rank = np.asarray(index).astype(dtype) << self.lb_bits
+        rank |= np.asarray(residual).astype(dtype)
+        ok = rank < self.typical.size
+        out = np.zeros((rank.shape[0], self.l), dtype=np.int64)
+        out[ok] = self.typical.unrank_rows(rank[ok])
+        return out
 
 
 def build_inner_code(p_k1: Pmf, l: int, delta: float, cu_size: int | None = None,
@@ -306,11 +350,10 @@ class PermutationSet:
     seed: int
 
     def __post_init__(self):
-        m, l = self.rows.shape
-        ref = np.arange(l)
-        for t in range(m):
-            if not np.array_equal(np.sort(self.rows[t]), ref):
-                raise ValueError(f"row {t} is not a permutation")
+        _, l = self.rows.shape
+        bad = np.flatnonzero((np.sort(self.rows, axis=1) != np.arange(l)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"row {int(bad[0])} is not a permutation")
 
     @property
     def m(self) -> int:
@@ -461,14 +504,11 @@ def outer_encode(s_matrix, code: InnerCode, hash_rate: float, seed: int,
     bits = hash_bits if hash_bits is not None else math.ceil(hash_rate * m / math.log(2.0) - 1e-12)
     if hasher is None:
         hasher = MatrixHasher(bits, seed, code.p_k1.alphabet_size, arr.shape[1], m)
-    residuals = []
-    atypical = []
-    for t in range(m):
-        enc = code.encode(arr[t])
-        residuals.append(enc.residual)
-        atypical.append(enc.atypical)
-    return OuterEncodeResult(residuals=tuple(residuals), residual_bits=code.lb_bits,
-                             atypical=tuple(atypical), digest=hasher.digest(arr))
+    enc = code.encode_rows(arr)
+    return OuterEncodeResult(residuals=tuple(int(r) for r in enc.residual),
+                             residual_bits=code.lb_bits,
+                             atypical=tuple(bool(a) for a in enc.atypical),
+                             digest=hasher.digest(arr))
 
 
 @dataclass(frozen=True)

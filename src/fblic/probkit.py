@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -337,12 +337,24 @@ def _count_bounds(probs: np.ndarray, l: int, delta: float) -> tuple[tuple[int, .
     return tuple(lo), tuple(hi)
 
 
+_TABLE_ENTRIES = 1 << 22  # largest (l + 2)^k for which rows use the count table
+
+
 class TypicalSet:
     """Exact enumeration context for T_delta^l of a pmf.
 
     Counting walks prefix count vectors with memoization, in exact integer
     arithmetic (sizes overflow 64 bits already at moderate block lengths).
     Rank is the lexicographic position within the set; unrank inverts it.
+
+    The ``*_rows`` methods work on a whole (rows, l) array at once. Rank
+    and unrank then read a dense int64 table of cumulative completion
+    counts indexed by count vector (coordinate s runs over 0..hi_s + 1),
+    filled once from the memo that ``size`` builds. The table is used only
+    while |T| < 2^63, so every rank fits int64, and (l + 2)^k <= 2^22 for k
+    symbols, which caps it at 2^22 (k + 1) entries. Outside those bounds the
+    rows methods loop the exact-int ``rank``/``unrank``, and ranks come back
+    as an object array of Python ints when |T| > 2^63.
     """
 
     def __init__(self, p: Pmf, params: TypicalityParams):
@@ -432,6 +444,86 @@ class TypicalSet:
                 counts[s] -= 1
             else:
                 raise RuntimeError("unrank walked off the enumeration")
+        return out
+
+    # -- whole (rows, l) arrays ---------------------------------------------
+
+    @property
+    def rank_dtype(self):
+        """int64 while every rank fits it, else object (exact Python ints)."""
+        return np.int64 if self.size <= 1 << 63 else object
+
+    @cached_property
+    def _table(self):
+        """(strides, cum) or None: cum[v, s] is the number of typical
+        sequences extending a prefix with flat count index v by a symbol
+        below s, for s = 0..k; v = sum_s counts[s] * strides[s]."""
+        k = len(self.p)
+        if self.size >= 1 << 63 or (self.l + 2) ** k > _TABLE_ENTRIES:
+            return None
+        radix = np.array(self.hi, dtype=np.int64) + 2
+        strides = np.concatenate(([1], np.cumprod(radix)[:-1]))
+        # nonzero entries all have counts <= hi, so they fit the radix; one
+        # zero layer above each hi makes v + strides[s] safe to read
+        known = [(c, n) for c, n in self._memo.items() if n]
+        keys = np.array([c for c, _ in known], dtype=np.int64).reshape(-1, k)
+        n = int(np.prod(radix))
+        flat = np.zeros(n + int(strides[-1]), dtype=np.int64)
+        flat[keys @ strides] = [n_c for _, n_c in known]
+        cum = np.zeros((n, k + 1), dtype=np.int64)
+        for s in range(k):
+            cum[:, s + 1] = cum[:, s] + flat[strides[s]:strides[s] + n]
+        return strides, cum
+
+    def contains_rows(self, x) -> np.ndarray:
+        """contains() of every row of a (rows, l) array, as a bool array."""
+        seq = np.asarray(x, dtype=np.int64)
+        if seq.ndim != 2 or seq.shape[1] != self.l:
+            raise ValueError(f"rows must have length {self.l}")
+        k = len(self.p)
+        valid = (seq >= 0) & (seq < k)
+        offset = np.where(valid, seq, 0) + k * np.arange(seq.shape[0])[:, None]
+        counts = np.bincount(offset.ravel(), minlength=seq.shape[0] * k).reshape(-1, k)
+        probs = self.p.probs
+        ok = np.where(probs == 0.0, counts == 0,
+                      np.abs(counts / self.l - probs) <= self.delta * probs)
+        return valid.all(axis=1) & ok.all(axis=1)
+
+    def rank_rows(self, x) -> np.ndarray:
+        """rank() of every row of a (rows, l) array."""
+        seq = np.asarray(x, dtype=np.int64)
+        if not self.contains_rows(seq).all():
+            raise ValueError("sequence is not typical")
+        table = self._table
+        if table is None:
+            return np.array([self.rank(row) for row in seq], dtype=self.rank_dtype)
+        strides, cum = table
+        step = strides[seq]
+        prefix = np.cumsum(step, axis=1) - step
+        return cum[prefix, seq].sum(axis=1)
+
+    def unrank_rows(self, r) -> np.ndarray:
+        """unrank() of every entry of a 1-D array of ranks, as (rows, l)."""
+        ranks = np.asarray(r)
+        if ranks.ndim != 1:
+            raise ValueError("ranks must be a 1-D array")
+        if ranks.size and (ranks.min() < 0 or ranks.max() >= self.size):
+            raise ValueError(f"rank outside [0, {self.size})")
+        table = self._table
+        if table is None:
+            return np.array([self.unrank(int(v)) for v in ranks],
+                            dtype=int).reshape(ranks.shape[0], self.l)
+        strides, cum = table
+        rest = ranks.astype(np.int64)
+        at = np.zeros(rest.shape[0], dtype=np.int64)
+        out = np.empty((rest.shape[0], self.l), dtype=np.int64)
+        rows = np.arange(rest.shape[0])
+        for i in range(self.l):
+            below = cum[at]
+            sym = (below[:, 1:] <= rest[:, None]).sum(axis=1)
+            rest -= below[rows, sym]
+            at += strides[sym]
+            out[:, i] = sym
         return out
 
 

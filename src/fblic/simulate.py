@@ -131,19 +131,15 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(t))))
         mats = _sample_pairs(rng, joint, sp.m, sp.l)
         kmats = (maps[0][mats[0]], maps[1][mats[1]])
-        enc = [[code.encode(row) for row in kmat] for kmat in kmats]
-        index, probe = channel.transmit(t, rng, [np.stack([e.codeword for e in enc_j])
-                                                 for enc_j in enc])
+        enc = [code.encode_rows(kmat) for kmat in kmats]
+        index, probe = channel.transmit(t, rng, [e.codewords for e in enc])
         counters = {
             "rows_mismatch": int((kmats[0] != kmats[1]).any(axis=1).sum()),
             "inner": [0, 0], "rows_wrong": [0, 0], "matrix_fail": [0, 0],
             "wrong_accept": [0, 0], "decode": [None, None], "probe": probe,
         }
         for j in (0, 1):
-            khat = np.empty_like(kmats[0])
-            for r in range(sp.m):
-                row = code.reconstruct(index[j][r], enc[j][r].residual)
-                khat[r] = 0 if row is None else row
+            khat = code.reconstruct_rows(index[j], enc[j].residual)
             bad = (khat != kmats[0]).any(axis=1)
             counters["inner"][j] = int(bad.sum())
             channel.check(kmats, enc, bad)
@@ -196,12 +192,11 @@ class _ExampleChannel:
 
     def transmit(self, t, rng, u):
         y = np.where(u[0] == u[1], u[0], 0)
-        index = [self.code.decode_exact(row).index for row in y]
+        index, _ = self.code.decode_exact_rows(y)
         return (index, index), None
 
     def check(self, kmats, enc, bad) -> None:
-        envelope = (kmats[0] != kmats[1]).any(axis=1) | np.array(
-            [e.atypical for e in enc[0]], dtype=bool)
+        envelope = (kmats[0] != kmats[1]).any(axis=1) | enc[0].atypical
         if not bool(np.all(~bad | envelope)):
             raise AssertionError(
                 "an inner error escaped the mismatch/atypicality envelope")
@@ -240,8 +235,7 @@ class _SampledChannel:
         r = rng.random(pair.shape[0])
         y_pair = (self.wcum[pair] > r[:, None]).argmax(axis=1).reshape(m, l)
         y = divmod(y_pair, self.inst.ny[1])
-        index = tuple([self.code.decode_ml(row, self.induced[j]).index for row in y[j]]
-                      for j in (0, 1))
+        index = tuple(self.code.decode_ml_rows(y[j], self.induced[j]) for j in (0, 1))
         vy = []
         for j, (p_v, _, ny) in enumerate(self.users):
             counts = np.zeros((len(p_v), ny), dtype=np.int64)

@@ -22,8 +22,8 @@ def test_build_inner_code_degenerate_source():
     code = cd.build_inner_code(p, 5, 0.5)
     assert code.typical.size == 1
     assert code.total_bits == 0 and code.lb_bits == 0
-    enc = code.encode([0, 0, 0, 0, 0])
-    assert enc.index == 0 and not enc.atypical
+    enc = code.encode_rows([[0, 0, 0, 0, 0]])
+    assert enc.index[0] == 0 and not enc.atypical[0]
 
 
 def test_build_inner_code_split_consistent_with_enumeration():
@@ -47,14 +47,13 @@ def test_encode_roundtrip_and_atypical_fallback():
     p = pk.Pmf.uniform(2)
     code = cd.build_inner_code(p, 8, 0.25)
     blk = np.array([0, 1, 1, 0, 1, 0, 0, 1])
-    enc = code.encode(blk)
-    assert not enc.atypical
-    rec = code.reconstruct(enc.index, enc.residual)
-    assert np.array_equal(rec, blk)
     bad = np.zeros(8, dtype=int)
-    enc2 = code.encode(bad)
-    assert enc2.atypical and enc2.index == 0 and enc2.residual == 0
-    assert np.array_equal(enc2.codeword, code.codebook.codeword(0))
+    enc = code.encode_rows([blk, bad])
+    assert not enc.atypical[0]
+    rec = code.reconstruct_rows(enc.index[:1], enc.residual[:1])
+    assert np.array_equal(rec[0], blk)
+    assert enc.atypical[1] and enc.index[1] == 0 and enc.residual[1] == 0
+    assert np.array_equal(enc.codewords[1], code.codebook.codeword(0))
 
 
 def test_conditional_coding_agreement_exhaustive():
@@ -62,14 +61,12 @@ def test_conditional_coding_agreement_exhaustive():
     p = pk.Pmf.uniform(2)
     enc1 = cd.build_inner_code(p, 6, 0.4)
     enc2 = cd.build_inner_code(p, 6, 0.4)
-    for bits in itertools.product((0, 1), repeat=6):
-        blk = np.array(bits)
-        if not enc1.typical.contains(blk):
-            continue
-        r1, r2 = enc1.encode(blk), enc2.encode(blk)
-        assert r1.index == r2.index
-        assert r1.residual == r2.residual
-        assert np.array_equal(r1.codeword, r2.codeword)
+    blks = np.array(list(itertools.product((0, 1), repeat=6)))
+    blks = blks[enc1.typical.contains_rows(blks)]
+    r1, r2 = enc1.encode_rows(blks), enc2.encode_rows(blks)
+    assert np.array_equal(r1.index, r2.index)
+    assert np.array_equal(r1.residual, r2.residual)
+    assert np.array_equal(r1.codewords, r2.codewords)
 
 
 def test_decode_exact_agreement_and_disagreement():
@@ -79,22 +76,21 @@ def test_decode_exact_agreement_and_disagreement():
                                codebook=cd.FullCubeCode(2, 8))
     blk1 = np.array([1, 0, 1, 0, 1, 0, 0, 1])
     blk2 = np.array([1, 0, 1, 0, 1, 0, 1, 1])  # differs in a residual position
-    e1, e2 = code.encode(blk1), code.encode(blk2)
-    # agreement: exact inversion recovers the index
-    y = np.where(e1.codeword == e2.codeword, e1.codeword, 0)
-    dec = code.decode_exact(y)
-    assert dec.index == e1.index and not dec.fallback
-    # disagreement on a codeword digit zeroes that output position
     blk3 = np.array([0, 0, 1, 0, 1, 0, 0, 1])  # differs in an address position
-    e3 = code.encode(blk3)
-    y2 = np.where(e1.codeword == e3.codeword, e1.codeword, 0)
-    assert (y2 != e1.codeword).any()
-    dec2 = code.decode_exact(y2)
-    assert dec2.index == cd.FullCubeCode(2, 8).index_of(y2)
+    enc = code.encode_rows([blk1, blk2, blk3])
+    e1, e2, e3 = enc.codewords
+    # agreement: exact inversion recovers the index
+    y = np.where(e1 == e2, e1, 0)
+    # disagreement on a codeword digit zeroes that output position
+    y2 = np.where(e1 == e3, e1, 0)
+    assert (y2 != e1).any()
+    index, fallback = code.decode_exact_rows([y, y2])
+    assert index[0] == enc.index[0] and not fallback[0]
+    assert index[1] == cd.FullCubeCode(2, 8).index_of(y2)
     # the example's channel law produces exactly this masking
     w = dk.shared_channel(2)
     lawful = np.array([int(np.argmax(w.rows[u1 * 2 + u2]))
-                       for u1, u2 in zip(e1.codeword, e3.codeword)])
+                       for u1, u2 in zip(e1, e3)])
     assert np.array_equal(lawful, y2)
 
 
@@ -103,8 +99,30 @@ def test_decode_exact_out_of_range_falls_back():
     code = cd.build_inner_code(p, 4, 1.0, cu_size=1 << 2,
                                codebook=cd.FullCubeCode(2, 4))
     # a word whose cube index exceeds the addressable range
-    dec = code.decode_exact(np.array([1, 1, 1, 1]))
-    assert dec.fallback and dec.index == 0
+    index, fallback = code.decode_exact_rows(np.array([[1, 1, 1, 1]]))
+    assert fallback[0] and index[0] == 0
+
+
+def test_rows_beyond_int64_use_exact_ints():
+    # a^l = 2^64 cube indices and |T| = 2^64 ranks do not fit int64
+    cube = cd.FullCubeCode(2, 64)
+    code = cd.build_inner_code(pk.Pmf.uniform(2), 64, 1.0, cu_size=1 << 40, codebook=cube)
+    assert code.la_bits == 40 and code.lb_bits == 24
+    rng = np.random.default_rng(5)
+    words = rng.integers(0, 2, size=(6, 64))
+    words[0] = 1  # index 2^64 - 1
+    words[1, :24] = 0  # index below 2^40
+    words[2] = 0
+    index, fallback = code.decode_exact_rows(words)
+    for w, i, f in zip(words, index, fallback):
+        exact = cube.index_of(w)
+        assert f == (exact >= 1 << 40)
+        assert i == (0 if f else exact)
+    assert not fallback[1] and not fallback[2] and fallback[0]
+    assert np.array_equal(cube.words(cube.indices(words)), words)
+    enc = code.encode_rows(words)
+    assert np.array_equal(code.reconstruct_rows(enc.index, enc.residual), words)
+    assert [int(i) for i in enc.index] == [cube.index_of(w) >> 24 for w in words]
 
 
 def test_decode_ml_matches_brute_force():
@@ -114,16 +132,16 @@ def test_decode_ml_matches_brute_force():
     book = cd.sample_constant_composition(comp, 0.4, 6, seed=1, n_codewords=12)
     code = cd.InnerCode(p_u, 6, 1.0, book)
     chan = pk.Dmc([[0.8, 0.2], [0.3, 0.7]])
-    for _ in range(40):
-        y = rng.integers(0, 2, size=6)
+    ys = rng.integers(0, 2, size=(40, 6))
+    got = code.decode_ml_rows(ys, chan)
+    for y, index in zip(ys, got):
         scores = []
         for i in range(1 << code.la_bits):
             w = book.codeword(i)
             scores.append(math.prod(chan.rows[int(w[t]), int(y[t])] for t in range(6)))
-        got = code.decode_ml(y, chan)
         # exact ties are not bit-stable across float paths; the decision
         # must achieve the brute-force maximum likelihood
-        assert scores[got.index] == pytest.approx(max(scores), rel=1e-9)
+        assert scores[index] == pytest.approx(max(scores), rel=1e-9)
 
 
 def test_decode_ml_tie_breaks_to_lowest_index():
@@ -134,7 +152,7 @@ def test_decode_ml_tie_breaks_to_lowest_index():
     code = cd.InnerCode(p_u, 2, 1.0, book)
     # symmetric channel and a symmetric observation tie both codewords
     chan = pk.Dmc([[0.5, 0.5], [0.5, 0.5]])
-    assert code.decode_ml(np.array([0, 0]), chan).index == 0
+    assert code.decode_ml_rows(np.array([[0, 0]]), chan)[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +197,14 @@ def test_permutations_basics():
     for row in perm2.rows:
         assert sorted(row.tolist()) == list(range(7))
     assert np.array_equal(cd.draw_permutations(50, 7, seed=1).rows, perm2.rows)
+
+
+def test_permutation_set_names_the_first_bad_row():
+    rows = np.tile(np.arange(5), (4, 1))
+    rows[2, 0] = 1
+    rows[3, 4] = 0
+    with pytest.raises(ValueError, match="row 2 is not a permutation"):
+        cd.PermutationSet(rows=rows, seed=0)
 
 
 def test_permutation_uniformity_chi_square():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fblic import dueck as dk
 from fblic import probkit as pk
@@ -233,6 +236,47 @@ def test_rank_unrank_errors():
         pk.unrank_typical(pk.typical_set(p, t).size, p, t)
     with pytest.raises(ValueError):
         pk.unrank_typical(-1, p, t)
+
+
+# (probs, l, delta, whether the rows methods use the count table)
+ROWS_CASES = [
+    ((0.5, 0.5), 32, 1.0, True),  # the dueck fixture, |T| = 2^32
+    ((0.7, 0.3), 9, 0.3, True),
+    ((0.25, 0.25, 0.5), 6, 0.6, True),
+    ((0.5, 0.3, 0.2), 12, 0.5, True),
+    ((0.5, 0.5, 0.0), 6, 1.0, True),
+    ((0.25, 0.25, 0.25, 0.25), 10, 0.8, True),
+    ((0.125,) * 8, 8, 1.0, False),  # (l + 2)^k = 10^8 > 2^22
+    ((0.5, 0.5), 63, 1.0, False),  # |T| = 2^63: ranks still fit int64
+    ((0.5, 0.5), 70, 1.0, False),  # |T| = 2^70: exact ints
+]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=st.sampled_from(ROWS_CASES), data=st.data())
+def test_rows_methods_equal_the_scalar_path(case, data):
+    probs, l, delta, table = case
+    ts = pk.TypicalSet(pk.Pmf(list(probs)), pk.TypicalityParams(l, delta))
+    assert (ts._table is not None) == table
+    k, n = len(probs), ts.size
+    ranks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    x = ts.unrank_rows(np.array(ranks, dtype=ts.rank_dtype))
+    assert np.array_equal(x, np.stack([ts.unrank(r) for r in ranks]))
+    got = ts.rank_rows(x)
+    assert got.dtype == ts.rank_dtype
+    assert [int(r) for r in got] == ranks == [ts.rank(row) for row in x]
+
+    rows = data.draw(hnp.arrays(np.int64, (6, l), elements=st.integers(-1, k)))
+    rows = np.vstack([rows, x])
+    assert ts.contains_rows(rows).tolist() == [ts.contains(row) for row in rows]
+    atypical = np.vstack([rows[~ts.contains_rows(rows)], np.full(l, k)])[0]
+    with pytest.raises(ValueError):
+        ts.rank(atypical)
+    with pytest.raises(ValueError):
+        ts.rank_rows(np.vstack([x, atypical]))
+    for bad in (-1, n):
+        with pytest.raises(ValueError):
+            ts.unrank_rows(np.array([0, bad], dtype=object))
 
 
 # ---------------------------------------------------------------------------

@@ -577,10 +577,10 @@ def _q_summary(q: dict) -> dict:
 
 @dataclass
 class SearchResult:
-    """Feasible grid points sorted by decreasing minimum slack."""
+    """Feasible grid points sorted by decreasing slack, log scale first."""
 
     feasible: list
-    best_attempt: tuple | None  # (params, report) with the largest min slack
+    best_attempt: tuple | None  # (params, report) ranked highest by slack
     reports: list  # one report per grid point, in grid order
 
     def __iter__(self):
@@ -590,29 +590,29 @@ class SearchResult:
         return len(self.feasible)
 
 
+def _slack_rank(report: ConditionReport) -> tuple:
+    """(least log-scale slack, least linear slack): nats and plain values
+    are never compared, and a scale without inequalities has no shortfall."""
+    return tuple(min((iq.slack for iq in report.inequalities if iq.scale == scale),
+                     default=math.inf) for scale in ("log", "linear"))
+
+
 def search_feasible(make_case, grid, checker=check_thm1) -> SearchResult:
     """Run a checker over a parameter grid.
 
-    make_case(params) must return (instance, scheme_params). The feasible
-    list holds (params, report) pairs sorted by min slack, largest first;
-    ties break on grid order, so the result is deterministic for a fixed
-    grid. best_attempt diagnoses an all-infeasible grid. reports holds every
-    point's report in grid order, so each point is checked once.
+    make_case(params) must return (instance, scheme_params). Points rank
+    by their least log-scale slack, then by their least linear slack,
+    larger first, and ties break on grid order, so the result is
+    deterministic for a fixed grid. The feasible list holds the feasible
+    (params, report) pairs in rank order; best_attempt, the top-ranked
+    point, diagnoses an all-infeasible grid. reports holds every point's
+    report in grid order, so each point is checked once.
     """
-    feasible = []
-    reports = []
-    best = None
-    for idx, params in enumerate(grid):
-        inst, sp = make_case(params)
-        report = checker(inst, sp)
-        reports.append(report)
-        if report.overall:
-            feasible.append((idx, params, report))
-        if best is None or report.min_slack > best[0]:
-            best = (report.min_slack, params, report)
-    feasible.sort(key=lambda t: (-t[2].min_slack, t[0]))
+    grid = list(grid)
+    reports = [checker(*make_case(params)) for params in grid]
+    ranked = sorted(range(len(grid)), key=lambda i: ([-s for s in _slack_rank(reports[i])], i))
     return SearchResult(
-        feasible=[(p, r) for _, p, r in feasible],
-        best_attempt=(best[1], best[2]) if best is not None else None,
+        feasible=[(grid[i], reports[i]) for i in ranked if reports[i].overall],
+        best_attempt=(grid[ranked[0]], reports[ranked[0]]) if ranked else None,
         reports=reports,
     )

@@ -10,13 +10,14 @@ outputs, which is the agreement property the whole construction rides on.
 The outer stage realizes binning operationally at desk scale: the encoder
 sends a seeded GF(2)-linear digest of the whole m x l source matrix (a
 syndrome H . bits(x) for a random binary H), and the decoder searches
-error patterns touching at most E_max rows, replacing rows with the
-candidates a caller-supplied rule side(base) -> (cands, owner) proposes
-for the whole baseline matrix, accepting the unique digest match. Two
-distinct matrices collide with probability exactly 2^-b over the draw of
-H, at any width b, and the linearity of the digest is what lets the
-pattern search run as one sorted join of XOR-delta tables per error
-depth instead of a cartesian sweep.
+error patterns touching at most E_max rows, applying the candidate
+substitutions (row, positions, new symbols) a caller-supplied rule
+side(base) proposes for the whole baseline matrix, accepting the unique
+digest match. Two distinct matrices collide with probability exactly
+2^-b over the draw of H, at any width b, and the linearity of the digest
+is what lets a candidate's digest change be read straight off the H
+columns of the bits it flips, and the pattern search run as one sorted
+join of XOR-delta tables per error depth instead of a cartesian sweep.
 """
 
 from __future__ import annotations
@@ -448,28 +449,15 @@ class MatrixHasher:
         if rows.size and (rows.min() < 0 or rows.max() >= self.alphabet_size):
             raise ValueError("symbols outside the hasher's alphabet")
 
-    def _bit_planes(self, rows: np.ndarray) -> np.ndarray:
-        """(n, l) symbols -> (n, l * sym_bits) bits; symbol i owns bits i*sym_bits.."""
-        n, width = rows.shape
-        shifts = np.arange(self.sym_bits)
-        return ((rows[:, :, None] >> shifts) & 1).astype(bool).reshape(n, width * self.sym_bits)
-
-    def _xor_columns(self, owners: np.ndarray, planes: np.ndarray) -> np.ndarray:
-        """Digest change, as (n, words), of XOR-ing planes[c] into the bits of row owners[c]."""
-        c, pos = np.nonzero(planes)
-        out = np.zeros((planes.shape[0], self.words), dtype=np.uint64)
-        if c.size:
-            starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-            gathered = self._cols[owners[c] * planes.shape[1] + pos]
-            out[c[starts]] = np.bitwise_xor.reduceat(gathered, starts, axis=0)
-        return out
-
     def _digest_words(self, matrix) -> np.ndarray:
         arr = _as_entries(matrix)
         if arr.shape != (self.m, self.l):
             raise ValueError("matrix shape disagrees with the hasher")
         self._check_symbols(arr)
-        return np.bitwise_xor.reduce(self._cols[self._bit_planes(arr).ravel()], axis=0)
+        # symbol i of the flattened matrix owns bits i*sym_bits.., low bit first
+        bits = (arr[:, :, None] >> np.arange(self.sym_bits)) & 1
+        cols = self._cols.take(np.flatnonzero(bits), axis=0)
+        return np.bitwise_xor.reduce(cols.T.copy(), axis=1)
 
     def digest(self, matrix) -> Digest:
         if self.bits <= 0:
@@ -519,20 +507,6 @@ class OuterDecodeResult:
     searched: int
 
 
-def _distinct_changes(owner: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """Indices of the distinct nonzero (owner, planes row) pairs, in row order."""
-    packed = np.packbits(planes, axis=1)
-    keys = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    keys[:, :packed.shape[1]] = packed
-    keys = keys.view(np.uint64)
-    order = np.lexsort((*keys.T, owner))  # stable, owner first
-    k, o = keys[order], owner[order]
-    first = np.ones(order.shape[0], dtype=bool)
-    first[1:] = (o[1:] != o[:-1]) | (k[1:] != k[:-1]).any(axis=1)
-    keep = order[first]
-    return keep[planes[keep].any(axis=1)]
-
-
 def _capped(total: int, what: str) -> int:
     """total, unless it exceeds the 2^20 patterns or pairs one search step may hold."""
     if total > 1 << 20:
@@ -540,16 +514,60 @@ def _capped(total: int, what: str) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class _Patterns:
-    """Row-disjoint patterns of k candidates each: the candidate indices
-    (n, k) by increasing row, the XOR of their digest deltas (n, words),
-    and each pattern's lowest and highest row."""
+def _candidates(base: np.ndarray, groups, hasher: MatrixHasher) -> tuple:
+    """Check a rule's substitution groups and merge them by row: each
+    candidate's row, digest delta (the XOR of the H columns of the bits
+    old ^ new it flips), and the flat cells and new symbols it writes,
+    padded to the widest radius by repeating its last cell."""
+    m, l = base.shape
+    a, bit = hasher.alphabet_size, np.arange(hasher.sym_bits)
+    parts, radii = [], []
+    for group in groups:
+        owner, pos, sym = (np.asarray(g, dtype=np.int64) for g in group)
+        n, r = pos.shape
+        if owner.shape != (n,) or sym.shape != (n, r) or r < 1 or r in radii:
+            raise ValueError("a candidate rule needs one (owner, pos, sym) group per radius")
+        if n and (owner.min() < 0 or owner.max() >= m or pos.min() < 0 or pos.max() >= l):
+            raise ValueError("a substitution lies outside the baseline")
+        hasher._check_symbols(sym)
+        cells = owner[:, None] * l + pos
+        flips = base.take(cells) ^ sym
+        # the cell-by-cell key of a group that rises strictly repeats no
+        # candidate (keys must fit int64: (m*l*a)^r < 2^63, else ValueError)
+        key = np.ravel_multi_index(tuple((cells * a + sym).T), (m * l * a,) * r)
+        if not (flips.all() and (pos[:, 1:] > pos[:, :-1]).all()
+                and (key[1:] > key[:-1]).all()):
+            raise ValueError("a candidate rule must list distinct substitutions that each "
+                             "change their cells, in increasing order")
+        on = (flips[:, :, None] >> bit & 1)[..., None].astype(np.uint64)
+        cols = hasher._cols.take(cells[:, :, None] * bit.size + bit, axis=0) * on
+        parts.append((owner, np.bitwise_xor.reduce(cols, axis=(1, 2)), cells, sym))
+        radii.append(r)
+    # a candidate repeats its last cell up to the widest radius: written
+    # twice, the cell is written once
+    widen = [np.minimum(np.arange(max(radii)), r - 1) for r in radii]
+    owner, delta, cells, sym = (np.concatenate(arrays) for arrays in zip(*(
+        (o, d, c.take(w, axis=1), s.take(w, axis=1)) for (o, d, c, s), w in zip(parts, widen))))
+    order = np.argsort(owner, kind="stable")
+    return tuple(arr.take(order, axis=0) for arr in (owner, delta, cells, sym))
+
+
+class _Patterns(NamedTuple):
+    """Row-disjoint patterns of k candidates each, sorted by the first word
+    of their digest delta: the candidate indices (n, k) by increasing row,
+    the XOR of their digest deltas (n, words), and each pattern's lowest
+    and highest row."""
 
     idx: np.ndarray
     delta: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+
+
+def _patterns(idx, delta, lo, hi) -> _Patterns:
+    """The table of these patterns, in the one order every join reads it in."""
+    order = np.argsort(delta[:, 0])
+    return _Patterns(*(a.take(order, axis=0) for a in (idx, delta, lo, hi)))
 
 
 def _extend(table: _Patterns, owner: np.ndarray, delta: np.ndarray) -> _Patterns:
@@ -560,27 +578,27 @@ def _extend(table: _Patterns, owner: np.ndarray, delta: np.ndarray) -> _Patterns
     total = _capped(int(counts.sum()), "error patterns")
     src = np.repeat(np.arange(counts.shape[0]), counts)
     c = np.arange(total) - np.repeat(np.cumsum(counts) - counts - start, counts)
-    return _Patterns(np.column_stack([table.idx[src], c]), table.delta[src] ^ delta[c],
-                     np.minimum(table.lo[src], owner[c]), owner[c])
+    return _patterns(np.column_stack([table.idx.take(src, axis=0), c]),
+                     table.delta.take(src, axis=0) ^ delta.take(c, axis=0),
+                     np.minimum(table.lo.take(src), owner.take(c)), owner.take(c))
 
 
 def _join(left: _Patterns, right: _Patterns, need: np.ndarray) -> np.ndarray:
     """Every left pattern below a right one whose deltas XOR to need, joined.
 
-    A sort/searchsorted join on the first digest word: each left pattern
-    is paired with every right one in its equal-key range, then the full
-    words and the row order are checked.
+    A searchsorted join on the first digest word, by which right is sorted:
+    each left pattern is paired with every right one in its equal-key
+    range, then the full words and the row order are checked.
     """
-    order = np.argsort(right.delta[:, 0], kind="stable")
-    key = right.delta[order, 0]
-    target = left.delta[:, 0] ^ need[0]
+    key, target = right.delta[:, 0], left.delta[:, 0] ^ need[0]
     lo = np.searchsorted(key, target, "left")
     counts = np.searchsorted(key, target, "right") - lo
     total = _capped(int(counts.sum()), "pattern pairs with equal digest keys")
     i = np.repeat(np.arange(target.shape[0]), counts)
-    j = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)]
-    hit = (left.hi[i] < right.lo[j]) & ((left.delta[i] ^ right.delta[j]) == need).all(axis=1)
-    return np.column_stack([left.idx[i[hit]], right.idx[j[hit]]])
+    j = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)
+    hit = (left.hi.take(i) < right.lo.take(j)) & (
+        (left.delta.take(i, axis=0) ^ right.delta.take(j, axis=0)) == need).all(axis=1)
+    return np.column_stack([left.idx.take(i[hit], axis=0), right.idx.take(j[hit], axis=0)])
 
 
 def outer_decode(khat, digest: Digest, side, e_max: int,
@@ -588,26 +606,32 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
     """Digest-verified bounded-error-pattern search.
 
     khat is the decoder's per-row baseline (already refined by residual
-    bits). side(base) returns the candidate replacement rows of the whole
-    (m, l) baseline as (cands, owner): a (n, l) array and the row each
-    candidate replaces. Candidates equal to their baseline row and
-    repeats within a row are dropped. All patterns touching at most e_max
-    rows are examined; the unique digest match wins, two distinct matches
-    report ambiguity, none reports a search failure. searched counts the
-    baseline, the distinct candidates (when e_max >= 1) and the matched
-    row pairs (when e_max >= 2).
+    bits). side(base) proposes the candidates for the whole (m, l)
+    baseline as substitutions: a sequence of Substitutions groups, one per
+    radius r, each giving for every candidate the row it rewrites and the
+    r positions (increasing) and new symbols it writes there. A group
+    lists its candidates row by row, in increasing lexicographic order of
+    their (position, symbol) pairs, and every written symbol differs from
+    the baseline's, so no candidate repeats another or leaves a cell
+    unchanged; a rule that breaks this is refused with ValueError. All patterns touching at most e_max rows are examined; the
+    unique digest match wins, two distinct matches report ambiguity, none
+    reports a search failure. searched counts the baseline, the
+    candidates (when e_max >= 1) and the matched row pairs (when
+    e_max >= 2).
 
-    The digest is linear, so a candidate's effect on it is a fixed delta
-    and a pattern matches when the XOR of its deltas equals
+    The digest is linear, so a candidate's effect on it is a fixed delta,
+    the XOR of the H columns of the bits its substitutions flip, and a
+    pattern matches when the XOR of its deltas equals
     digest ^ digest(khat). Table k holds every pattern of k rows (T_0 is
     the empty pattern, T_1 the candidates), each built from the one below
-    by adding a candidate above the pattern's highest row. A d-row
-    pattern, read by increasing row, splits once into its lowest d // 2
-    rows and the rest, so depth d is one sorted join of T_(d // 2)
-    against T_(d - d // 2): depth 0 tests the baseline itself, depth 1
-    the single candidates. A table of more than 2^20 patterns, or a join
-    with more than 2^20 equal-key pairs to compare (a narrow digest), is
-    refused.
+    by adding a candidate above the pattern's highest row and sorted once
+    by its first digest word. A d-row pattern, read by increasing row,
+    splits once into its lowest d // 2 rows and the rest, so depth d is
+    one searchsorted join of T_(d // 2) against T_(d - d // 2): depth 0
+    tests the baseline itself, depth 1 the single candidates, and T_1
+    serves depths 1 and 2, T_2 depths 3 and 4. A table of more than 2^20
+    patterns, or a join with more than 2^20 equal-key pairs to compare (a
+    narrow digest), is refused.
     """
     if e_max < 0:
         raise ValueError("e_max must be non-negative")
@@ -624,22 +648,17 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
         raise ValueError("digest value exceeds its width")
 
     need = _int_to_words(digest.value, hasher.words) ^ hasher._digest_words(base)
-    cands, owner = (np.asarray(a, dtype=np.int64) for a in side(base))
-    hasher._check_symbols(cands)
-    planes = hasher._bit_planes(cands ^ base[owner])
-    keep = _distinct_changes(owner, planes)
-    cands, owner = cands[keep], owner[keep]
-    delta = hasher._xor_columns(owner, planes[keep])
-
-    tables = [_Patterns(np.zeros((1, 0), dtype=np.int64),
+    owner, delta, cells, sym = _candidates(base, side(base), hasher)
+    tables = [_patterns(np.zeros((1, 0), dtype=np.int64),
                         np.zeros((1, hasher.words), dtype=np.uint64),
-                        np.array([base.shape[0]]), np.array([-1]))]
+                        np.array([base.shape[0]]), np.array([-1])),
+              _patterns(np.arange(len(owner))[:, None], delta, owner, owner)]
     found = []
     for d in range(e_max + 1):
         if len(tables) <= d - d // 2:
             tables.append(_extend(tables[-1], owner, delta))
         found.append(_join(tables[d // 2], tables[d - d // 2], need))
-    searched = 1 + (cands.shape[0] if e_max >= 1 else 0) + sum(f.shape[0] for f in found[2:3])
+    searched = 1 + (len(owner) if e_max >= 1 else 0) + sum(f.shape[0] for f in found[2:3])
     matches = sum(f.shape[0] for f in found)
 
     if matches == 0:
@@ -648,7 +667,7 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
         return OuterDecodeResult(status="ambiguous", matrix=None,
                                  matches=matches, searched=searched)
     pattern = next(f[0] for f in found if f.shape[0])
-    base[owner[pattern]] = cands[pattern]
+    base.reshape(-1)[cells[pattern]] = sym[pattern]
     return OuterDecodeResult(status="ok", matrix=base, matches=1, searched=searched)
 
 
@@ -656,42 +675,50 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
 # candidate rules for flagged-row completion
 # ---------------------------------------------------------------------------
 
+class Substitutions(NamedTuple):
+    """Candidates that each rewrite r cells of one baseline row: the row
+    (n,), the positions (n, r), increasing along each candidate, and the
+    new symbols (n, r)."""
+
+    owner: np.ndarray
+    pos: np.ndarray
+    sym: np.ndarray
+
+
 @functools.lru_cache(maxsize=64)
-def _substitution_layout(l: int, n_pos: int, alphabet_size: int, radius: int):
-    """Every substitution of exactly radius symbols among the first n_pos
-    of an l-symbol row: position sets in lexicographic order, then
-    replacement symbols in lexicographic order. Returns the positions,
-    the symbol offsets and the flat indices into the (substitutions, l)
-    output."""
-    sites = np.array(list(itertools.combinations(range(n_pos), radius)),
+def _substitution_layout(m: int, l: int, n_pos: int, alphabet_size: int, radius: int):
+    """Every substitution of exactly radius symbols among the first n_pos of
+    each row of an m x l matrix, row by row, each as (position, symbol
+    offset) pairs by increasing position, in lexicographic order of those
+    pairs. Returns the rows (n,) and the positions, offsets and flat cells,
+    each (n, radius)."""
+    alts = alphabet_size - 1
+    pairs = np.array([c for c in itertools.combinations(range(n_pos * alts), radius)
+                      if len({p // alts for p in c}) == radius],
                      dtype=np.int64).reshape(-1, radius)
-    offsets = np.array(list(itertools.product(range(alphabet_size - 1), repeat=radius)),
-                       dtype=np.int64).reshape(-1, radius)
-    pos = np.repeat(sites, offsets.shape[0], axis=0)
-    alt = np.tile(offsets, (sites.shape[0], 1))
-    flat = np.arange(pos.shape[0])[:, None] * l + pos
-    for arr in (pos, alt, flat):
+    owner = np.repeat(np.arange(m), pairs.shape[0])
+    pos, alt = np.divmod(np.tile(pairs, (m, 1)), alts)
+    cells = owner[:, None] * l + pos
+    for arr in (owner, pos, alt, cells):
         arr.setflags(write=False)
-    return pos, alt, flat
+    return owner, pos, alt, cells
 
 
 def _substitutions(base: np.ndarray, n_pos: int, alphabet_size: int, radii) -> tuple:
-    """Every row of base with r of its first n_pos symbols replaced, for each
-    r in radii, nearest first: (cands, owner), the rows and whose they are."""
-    m, l = base.shape
-    subs = []
+    """Every replacement of r of the first n_pos symbols of each row of
+    base, one Substitutions group per r in radii, each by row, then
+    position and symbol pairs."""
+    groups = []
     for radius in radii:
-        pos, alt, flat = _substitution_layout(l, n_pos, alphabet_size, radius)
-        out = np.repeat(base[:, None, :], pos.shape[0], axis=1)
+        owner, pos, alt, cells = _substitution_layout(*base.shape, n_pos, alphabet_size, radius)
         # offset k is the k-th symbol, ascending, other than the current one
-        out.reshape(m, -1)[:, flat] = alt + (alt >= base[:, pos])
-        subs.append(out)
-    out = np.concatenate(subs, axis=1)
-    return out.reshape(-1, l), np.repeat(np.arange(m), out.shape[1])
+        groups.append(Substitutions(owner, pos, alt + (alt >= base.take(cells))))
+    return tuple(groups)
 
 
 def hamming_ball_rule(alphabet_size: int, radius: int = 1):
-    """Every row's neighbours within the given Hamming distance, nearest first."""
+    """Every row's substitutions within the given Hamming distance, one
+    Substitutions group per distance, nearest first."""
     if radius not in (1, 2):
         raise ValueError("supported radii are 1 and 2")
 
@@ -702,7 +729,8 @@ def hamming_ball_rule(alphabet_size: int, radius: int = 1):
 
 
 def prefix_flip_rule(code: InnerCode, alphabet_size: int):
-    """Flips restricted to the symbol positions carried by the codeword address.
+    """One-symbol substitutions restricted to the positions carried by the
+    codeword address, as one Substitutions group.
 
     Valid when the typical set is the full cube over a power-of-two
     alphabet: ranks are then base-n values of the rows, the address bits

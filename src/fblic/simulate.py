@@ -138,8 +138,10 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
             "inner": [0, 0], "rows_wrong": [0, 0], "matrix_fail": [0, 0],
             "wrong_accept": [0, 0], "decode": [None, None], "probe": probe,
         }
-        for j in (0, 1):
-            khat = code.reconstruct_rows(index[j], enc[j].residual)
+        # both users' baselines in one unrank over 2m rows
+        khats = code.reconstruct_rows(np.concatenate(index),
+                                      np.concatenate([e.residual for e in enc]))
+        for j, khat in enumerate(khats.reshape(2, sp.m, sp.l)):
             bad = (khat != kmats[0]).any(axis=1)
             counters["inner"][j] = int(bad.sum())
             channel.check(kmats, enc, bad)

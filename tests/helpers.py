@@ -5,11 +5,13 @@ paths: brute-force sums, dense grids, and hand-rolled loops that the fast
 implementations are checked against.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from fblic import bounds as bd
+from fblic import codec as cd
 from fblic import probkit as pk
 
 
@@ -232,3 +234,158 @@ def small_scheme(l: int = 16, delta: float = 0.75, la_bits: int = 2,
     a = la_bits * ln2 / l
     return bd.SchemeParams(l=l, delta=delta, A=a, B=(l - la_bits) * ln2 / l,
                            rho=rho, m=m)
+
+
+# ---------------------------------------------------------------------------
+# the row-based outer decoder: rules that build every candidate as a whole
+# row, and a search that finds each candidate's digest change from its bit
+# planes; the reference the substitution-based codec.outer_decode must equal
+# ---------------------------------------------------------------------------
+
+def candidate_rows(base, groups):
+    """The candidate rows a rule's substitution groups describe, as
+    (rows, owner), ordered by row and, within a row, by group."""
+    rows, owner = [], []
+    for g_owner, pos, sym in groups:
+        cand = base[g_owner].copy()
+        np.put_along_axis(cand, pos, sym, axis=1)
+        rows.append(cand)
+        owner.append(g_owner)
+    owner = np.concatenate(owner)
+    order = np.argsort(owner, kind="stable")
+    return np.concatenate(rows)[order], owner[order]
+
+
+def _row_substitutions(base, n_pos, alphabet_size, radii):
+    """Every row of base with r of its first n_pos symbols replaced, for each
+    r in radii, nearest first: (cands, owner)."""
+    m, l = base.shape
+    subs = []
+    for radius in radii:
+        sites = np.array(list(itertools.combinations(range(n_pos), radius)),
+                         dtype=np.int64).reshape(-1, radius)
+        offsets = np.array(list(itertools.product(range(alphabet_size - 1), repeat=radius)),
+                           dtype=np.int64).reshape(-1, radius)
+        pos = np.repeat(sites, offsets.shape[0], axis=0)
+        alt = np.tile(offsets, (sites.shape[0], 1))
+        out = np.repeat(base[:, None, :], pos.shape[0], axis=1)
+        flat = np.arange(pos.shape[0])[:, None] * l + pos
+        # offset k is the k-th symbol, ascending, other than the current one
+        out.reshape(m, -1)[:, flat] = alt + (alt >= base[:, pos])
+        subs.append(out)
+    out = np.concatenate(subs, axis=1)
+    return out.reshape(-1, l), np.repeat(np.arange(m), out.shape[1])
+
+
+def hamming_ball_rows(alphabet_size, radius=1):
+    """Row form of codec.hamming_ball_rule."""
+    return lambda base: _row_substitutions(base, base.shape[1], alphabet_size,
+                                           range(1, radius + 1))
+
+
+def prefix_flip_rows(code, alphabet_size):
+    """Row form of codec.prefix_flip_rule (same preconditions)."""
+    cd.prefix_flip_rule(code, alphabet_size)
+    prefix_syms = -(-code.la_bits // (alphabet_size - 1).bit_length())
+    return lambda base: _row_substitutions(base, min(prefix_syms, base.shape[1]),
+                                           alphabet_size, (1,))
+
+
+def _bit_planes(hasher, rows):
+    n, width = rows.shape
+    shifts = np.arange(hasher.sym_bits)
+    return ((rows[:, :, None] >> shifts) & 1).astype(bool).reshape(n, width * hasher.sym_bits)
+
+
+def _distinct_changes(owner, planes):
+    """Indices of the distinct nonzero (owner, planes row) pairs, in row order."""
+    packed = np.packbits(planes, axis=1)
+    keys = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    keys[:, :packed.shape[1]] = packed
+    keys = keys.view(np.uint64)
+    order = np.lexsort((*keys.T, owner))  # stable, owner first
+    k, o = keys[order], owner[order]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = (o[1:] != o[:-1]) | (k[1:] != k[:-1]).any(axis=1)
+    keep = order[first]
+    return keep[planes[keep].any(axis=1)]
+
+
+def _xor_columns(hasher, owners, planes):
+    """Digest change, as (n, words), of XOR-ing planes[c] into the bits of row owners[c]."""
+    c, pos = np.nonzero(planes)
+    out = np.zeros((planes.shape[0], hasher.words), dtype=np.uint64)
+    if c.size:
+        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+        gathered = hasher._cols[owners[c] * planes.shape[1] + pos]
+        out[c[starts]] = np.bitwise_xor.reduceat(gathered, starts, axis=0)
+    return out
+
+
+def _words(value, n_words):
+    return np.frombuffer(value.to_bytes(8 * n_words, "little"), dtype="<u8").astype(np.uint64)
+
+
+def _capped(total, what):
+    if total > 1 << 20:
+        raise ValueError(f"refusing to build {total} {what}: more than 2^20")
+    return total
+
+
+def _extend_rows(table, owner, delta):
+    idx, tdelta, lo, hi = table
+    start = np.searchsorted(owner, hi, "right")
+    counts = owner.shape[0] - start
+    total = _capped(int(counts.sum()), "error patterns")
+    src = np.repeat(np.arange(counts.shape[0]), counts)
+    c = np.arange(total) - np.repeat(np.cumsum(counts) - counts - start, counts)
+    return (np.column_stack([idx[src], c]), tdelta[src] ^ delta[c],
+            np.minimum(lo[src], owner[c]), owner[c])
+
+
+def _join_rows(left, right, need):
+    order = np.argsort(right[1][:, 0], kind="stable")
+    key = right[1][order, 0]
+    target = left[1][:, 0] ^ need[0]
+    lo = np.searchsorted(key, target, "left")
+    counts = np.searchsorted(key, target, "right") - lo
+    total = _capped(int(counts.sum()), "pattern pairs with equal digest keys")
+    i = np.repeat(np.arange(target.shape[0]), counts)
+    j = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)]
+    hit = (left[3][i] < right[2][j]) & ((left[1][i] ^ right[1][j]) == need).all(axis=1)
+    return np.column_stack([left[0][i[hit]], right[0][j[hit]]])
+
+
+def row_outer_decode(khat, digest, side, e_max, hasher):
+    """codec.outer_decode over a row rule side(base) -> (cands, owner):
+    baseline rows and repeats within a row are dropped, each candidate's
+    digest delta is read off its changed bit planes, and depth d joins
+    pattern tables T_(d // 2) and T_(d - d // 2), each sorted per join."""
+    if e_max < 0:
+        raise ValueError("e_max must be non-negative")
+    base = np.asarray(khat, dtype=np.int64).copy()
+    if hasher.bits <= 0:
+        status = "ok" if e_max == 0 else "ambiguous"
+        return cd.OuterDecodeResult(status=status, matrix=base if e_max == 0 else None,
+                                    matches=1 if e_max == 0 else 2, searched=1)
+    need = _words(digest.value ^ hasher.digest(base).value, hasher.words)
+    cands, owner = (np.asarray(a, dtype=np.int64) for a in side(base))
+    planes = _bit_planes(hasher, cands ^ base[owner])
+    keep = _distinct_changes(owner, planes)
+    cands, owner = cands[keep], owner[keep]
+    delta = _xor_columns(hasher, owner, planes[keep])
+    tables = [(np.zeros((1, 0), dtype=np.int64), np.zeros((1, hasher.words), dtype=np.uint64),
+               np.array([base.shape[0]]), np.array([-1]))]
+    found = []
+    for d in range(e_max + 1):
+        if len(tables) <= d - d // 2:
+            tables.append(_extend_rows(tables[-1], owner, delta))
+        found.append(_join_rows(tables[d // 2], tables[d - d // 2], need))
+    searched = 1 + (cands.shape[0] if e_max >= 1 else 0) + sum(f.shape[0] for f in found[2:3])
+    matches = sum(f.shape[0] for f in found)
+    if matches != 1:
+        return cd.OuterDecodeResult(status="failed" if matches == 0 else "ambiguous",
+                                    matrix=None, matches=matches, searched=searched)
+    pattern = next(f[0] for f in found if f.shape[0])
+    base[owner[pattern]] = cands[pattern]
+    return cd.OuterDecodeResult(status="ok", matrix=base, matches=1, searched=searched)

@@ -398,6 +398,31 @@ def test_search_feasible_all_infeasible_diagnostics():
     assert report.overall is False
 
 
+def test_search_feasible_ranks_log_scale_slack_before_linear():
+    # point "a" has the larger log-scale slack but the smaller linear one,
+    # so the mixed min_slack would put "b" first; every point ties with "c"
+    # on log scale except "a", and "c" beats "b" on the linear slack
+    slacks = {"a": (3.0, 0.01), "b": (0.1, 0.2), "c": (0.1, 0.5), "d": (-1.0, 1.0),
+              "e": (-0.5, -0.01), "f": (-0.1, -2.0)}
+
+    def checker(_, point):
+        log_slack, linear_slack = slacks[point]
+        report = bd.ConditionReport(
+            inequalities=(bd.Inequality("log row", 0.0, log_slack, kind="le", scale="log"),
+                          bd.Inequality("linear row", 0.0, linear_slack, kind="lt")),
+            phi=0.0, log_phi=-math.inf, status="")
+        report.status = "feasible" if report.overall else "infeasible"
+        return report
+
+    result = bd.search_feasible(lambda p: (None, p), list("bdac"), checker=checker)
+    assert [p for p, _ in result.feasible] == ["a", "c", "b"]
+    assert result.best_attempt[0] == "a"
+    assert result.feasible[0][1].min_slack == 0.01  # the report itself is unchanged
+    # all infeasible: the best attempt falls short least on log scale
+    result = bd.search_feasible(lambda p: (None, p), list("ef"), checker=checker)
+    assert len(result) == 0 and result.best_attempt[0] == "f"
+
+
 def test_report_json_round_trip_and_determinism():
     inst = small_instance()
     sp = small_scheme()

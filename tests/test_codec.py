@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fblic import codec as cd
 from fblic import probkit as pk
+from helpers import candidate_rows, hamming_ball_rows, prefix_flip_rows, row_outer_decode
 
 LN2 = math.log(2.0)
 
@@ -360,7 +361,7 @@ def test_outer_decode_clean_matrix():
 def brute_force_outer(khat, digest, side, e_max, hasher):
     """Enumerate every candidate matrix within e_max row changes."""
     m = khat.shape[0]
-    rows, owner = side(khat)
+    rows, owner = candidate_rows(khat, side(khat))
     cands = [list(rows[owner == t]) for t in range(m)]
     matches = []
     rows_sets = []
@@ -454,25 +455,85 @@ def test_outer_decode_matches_brute_force_narrow_digest(case):
     assert seen == {"ok", "ambiguous", "failed"}
 
 
-def test_outer_decode_drops_baseline_and_repeated_candidates():
+def _decode_outcome(decode, *args):
+    try:
+        res = decode(*args)
+    except ValueError as exc:
+        return "refused", str(exc)
+    matrix = None if res.matrix is None else res.matrix.tolist()
+    return res.status, res.matches, res.searched, matrix
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(alphabet=st.sampled_from([2, 3, 4]), rule=st.sampled_from(["ball1", "ball2", "prefix"]),
+       e_max=st.integers(0, 4), bits=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64, 96, 128]),
+       m=st.integers(1, 5), l=st.integers(1, 6), la_share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+# both refusals: a join of too many equal-key pairs, a table of too many patterns
+@example(alphabet=4, rule="ball2", e_max=4, bits=1, m=5, l=6, la_share=0.0, seed=1)
+@example(alphabet=4, rule="ball2", e_max=3, bits=64, m=6, l=8, la_share=0.0, seed=1)
+def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l, la_share, seed):
+    # the substitution search against the row-based search it replaced:
+    # same status, matches, searched count and matrix, or the same refusal
+    if rule == "prefix":
+        alphabet = 2 if alphabet == 3 else alphabet
+        sym_bits = (alphabet - 1).bit_length()
+        code = cd.build_inner_code(pk.Pmf.uniform(alphabet), l, 5.0,
+                                   cu_size=1 << round(la_share * l * sym_bits),
+                                   codebook=cd.FullCubeCode(alphabet, l))
+        side, rows = cd.prefix_flip_rule(code, alphabet), prefix_flip_rows(code, alphabet)
+    else:
+        radius = int(rule[-1])
+        side, rows = cd.hamming_ball_rule(alphabet, radius), hamming_ball_rows(alphabet, radius)
+    rng = np.random.default_rng(seed)
+    h = cd.MatrixHasher(bits, seed=seed, alphabet_size=alphabet, l=l, m=m)
+    truth = rng.integers(0, alphabet, size=(m, l))
+    khat = truth.copy()
+    for t in rng.choice(m, size=min(m, int(rng.integers(0, e_max + 2))), replace=False):
+        i = rng.choice(l, size=min(l, int(rng.integers(1, 3))), replace=False)
+        khat[t, i] = (khat[t, i] + rng.integers(1, alphabet, size=i.shape[0])) % alphabet
+    digest = h.digest(truth)
+    assert (_decode_outcome(cd.outer_decode, khat, digest, side, e_max, h)
+            == _decode_outcome(row_outer_decode, khat, digest, rows, e_max, h))
+
+
+def test_outer_decode_refuses_repeated_and_no_op_substitutions():
+    # a rule must list distinct substitutions that each change their cells,
+    # in increasing order; anything else is refused, not cleaned up
     truth = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
     khat = truth.copy()
     khat[1, 3] ^= 1
-    ball = cd.hamming_ball_rule(2, radius=1)
-
-    def noisy(base):
-        # every baseline row and every candidate twice, rows out of order
-        cands, owner = ball(base)
-        rows = np.arange(base.shape[0])
-        return (np.concatenate([base[::-1], cands, cands[::-1], base]),
-                np.concatenate([rows[::-1], owner, owner[::-1], rows]))
-
     h = cd.MatrixHasher(64, seed=9, alphabet_size=2, l=4, m=3)
-    res = cd.outer_decode(khat, h.digest(truth), noisy, 2, h)
+    ball = cd.hamming_ball_rule(2, radius=1)
     ref = cd.outer_decode(khat, h.digest(truth), ball, 2, h)
-    assert res.status == ref.status == "ok"
-    assert np.array_equal(res.matrix, truth)
-    assert res.searched == ref.searched == 1 + 3 * 4
+    assert ref.status == "ok" and np.array_equal(ref.matrix, truth)
+    assert ref.searched == 1 + 3 * 4
+
+    def twice(base):  # every candidate twice, the copies after the originals
+        (g,) = ball(base)
+        return (cd.Substitutions(*(np.concatenate([a, a]) for a in g)),)
+
+    def unsorted(base):  # every candidate once, rows out of order
+        (g,) = ball(base)
+        return (cd.Substitutions(*(a[::-1] for a in g)),)
+
+    def no_op(base):  # the first candidate writes the symbol already there
+        (g,) = ball(base)
+        sym = g.sym.copy()
+        sym[0, 0] = base[g.owner[0], g.pos[0, 0]]
+        return (g._replace(sym=sym),)
+
+    def repeated_cell(base):  # one candidate writes one cell twice
+        rows = np.arange(base.shape[0])
+        pos = np.zeros((rows.shape[0], 2), dtype=np.int64)
+        return (cd.Substitutions(rows, pos, 1 - base[:, :1].repeat(2, axis=1)),)
+
+    def same_radius_twice(base):
+        return ball(base) + ball(base)
+
+    for rule in (twice, unsorted, no_op, repeated_cell, same_radius_twice):
+        with pytest.raises(ValueError, match="candidate rule"):
+            cd.outer_decode(khat, h.digest(truth), rule, 2, h)
 
 
 def test_outer_decode_compares_every_digest_word():
@@ -588,9 +649,11 @@ def test_prefix_flip_rule_positions():
                                codebook=cd.FullCubeCode(2, 8))
     rule = cd.prefix_flip_rule(code, 2)
     base = np.array([np.zeros(8, dtype=int), np.ones(8, dtype=int)])
-    cands, owner = rule(base)
+    (group,) = rule(base)
+    assert group.pos.shape == group.sym.shape == (6, 1)
+    cands, owner = candidate_rows(base, rule(base))
     assert len(cands) == 2 * 3  # one flip per address position, row by row
-    assert owner.tolist() == [0, 0, 0, 1, 1, 1]
+    assert owner.tolist() == group.owner.tolist() == [0, 0, 0, 1, 1, 1]
     for cand, t in zip(cands, owner):
         diff = np.flatnonzero(cand != base[t])
         assert diff.shape == (1,) and diff[0] < 3
@@ -601,7 +664,8 @@ def test_prefix_flip_rule_positions():
 def test_hamming_ball_rule_radius_two():
     rule = cd.hamming_ball_rule(2, radius=2)
     base = np.zeros((2, 3), dtype=int)
-    cands, owner = rule(base)
+    assert [g.pos.shape[1] for g in rule(base)] == [1, 2]  # one group per radius
+    cands, owner = candidate_rows(base, rule(base))
     assert len(cands) == 2 * (3 + 3)  # three singles, three pairs, per row
     assert owner.tolist() == [0] * 6 + [1] * 6
     assert (cands != 0).sum(axis=1).tolist() == [1, 1, 1, 2, 2, 2] * 2

@@ -11,11 +11,18 @@ Commands:
     test interleave              column-law chi-square report
     test cc-exponent             ensemble ML error vs the exponent bound
 
-Global flags: --config FILE (JSON of long option names; explicit flags
-win), --seed, --out, --format {json,csv}, --threads, --unit {nats,bits},
---no-timestamp. The environment variable FBLIC_SEED supplies the default
-seed. --threads is accepted for compatibility; trials always run in order
-on one thread; it never changes a report. Exit code 0 means success (and
+Global flags: --config FILE, --seed, --out, --format {json,csv}, --threads,
+--unit {nats,bits}, --no-timestamp. The environment variable FBLIC_SEED
+supplies the default seed.
+
+A --config file is a JSON object whose keys are long option names, with
+hyphens or underscores; it fills what the flags leave unset. Its values go
+through the same parser as the flags, under the same command, so they are
+checked exactly as the flags are: a switch takes JSON true or false, null
+leaves an option unset, and any other value is read as the flag's text.
+
+--threads is accepted for compatibility; trials always run in order on one
+thread; it never changes a report. Exit code 0 means success (and
 feasible/passed where applicable), 1 means an infeasible or failed report,
 2 means an error.
 
@@ -38,7 +45,7 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,13 +63,13 @@ SEED_ENV_VAR = "FBLIC_SEED"
 @dataclass
 class RunConfig:
     command: str
-    subcommand: str | None
-    seed: int
-    out: str | None
-    format: str
-    threads: int
-    unit: str
-    no_timestamp: bool
+    subcommand: str | None = None
+    seed: int = 0
+    out: str | None = None
+    format: str = "json"
+    threads: int = 1
+    unit: str = "nats"
+    no_timestamp: bool = False
     options: dict = field(default_factory=dict)
 
     def resolved(self) -> dict:
@@ -76,27 +83,18 @@ class RunConfig:
         }
 
 
-_GLOBAL_KEYS = {"seed", "out", "format", "threads", "unit", "no_timestamp", "config"}
-
-_COMMAND_OPTIONS = {
-    ("exponent", None): {"channel", "input_pmf", "rates"},
-    ("dueck", "lc-check"): {"a_grid", "k_grid", "eta", "sat_outputs"},
-    ("dueck", "feasibility"): {"a", "k", "eta", "sat_outputs"},
-    ("bounds", "check"): {"instance", "scheme", "theorem"},
-    ("bounds", "search"): {"spec"},
-    ("simulate", "dueck"): {"params", "scheme", "trials", "e_max", "hash_bits",
-                            "capacity_slack"},
-    ("simulate", "generic"): {"instance", "scheme", "trials", "e_max", "hash_bits"},
-    ("test", "interleave"): {"law", "m", "significance", "control"},
-    ("test", "cc-exponent"): {"channel", "composition", "rate", "l",
-                              "codebooks", "trials_per_book"},
-}
-
-
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use; parse_args leaves it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
+def _build_parser(strict: bool = False) -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parse_args leaves it unchanged.
+
+    The strict build reads --config files: it raises ArgumentError rather
+    than exiting, and takes neither abbreviated option names nor --help.
+    """
+    kw = dict(exit_on_error=not strict, allow_abbrev=not strict, add_help=not strict)
+    def shared(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    common = shared()
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON file of option defaults")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
@@ -106,151 +104,132 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     common.add_argument("--unit", choices=["nats", "bits"], default=argparse.SUPPRESS)
     common.add_argument("--no-timestamp", action="store_true", default=argparse.SUPPRESS)
+    # options of more than one command
+    channel = shared()
+    channel.add_argument("--channel", help="Dmc JSON file")
+    instance = shared()
+    instance.add_argument("--instance", help="ProblemInstance JSON file")
+    scheme = shared()
+    scheme.add_argument("--scheme", help="SchemeParams JSON file")
+    example = shared()
+    example.add_argument("--eta", type=int)
+    example.add_argument("--sat-outputs")
+    chain = shared(scheme)
+    chain.add_argument("--trials", type=int)
+    chain.add_argument("--e-max", type=int)
+    chain.add_argument("--hash-bits", type=int)
 
     p = argparse.ArgumentParser(prog="fblic", description=__doc__, parents=[common],
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+                                formatter_class=argparse.RawDescriptionHelpFormatter, **kw)
     p.add_argument("--version", action="version", version=__version__)
 
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_sub(parent, name, **kw):
-        return parent.add_parser(name, parents=[common], **kw)
+    def add_sub(parent, name, *parents, **extra):
+        return parent.add_parser(name, parents=[common, *parents], **kw, **extra)
 
-    pe = add_sub(sub, "exponent", help="(R, E_r) curve")
-    pe.add_argument("--channel", default=None, help="Dmc JSON file")
-    pe.add_argument("--input-pmf", dest="input_pmf", default=None, help="Pmf JSON file")
-    pe.add_argument("--rates", default=None,
-                    help="start:stop:step or comma list, nats (default 0:0.7:0.05)")
+    pe = add_sub(sub, "exponent", channel, help="(R, E_r) curve")
+    pe.add_argument("--input-pmf", help="Pmf JSON file")
+    pe.add_argument("--rates", help="start:stop:step or comma list, nats (default 0:0.7:0.05)")
 
-    pd = sub.add_parser("dueck", help="worked-example reports")
+    pd = sub.add_parser("dueck", help="worked-example reports", **kw)
     dsub = pd.add_subparsers(dest="subcommand", required=True)
-    plc = add_sub(dsub, "lc-check")
-    plc.add_argument("--a-grid", dest="a_grid", default=None)
-    plc.add_argument("--k-grid", dest="k_grid", default=None)
-    plc.add_argument("--eta", type=int, default=None)
-    plc.add_argument("--sat-outputs", dest="sat_outputs", default=None)
-    pfe = add_sub(dsub, "feasibility")
-    pfe.add_argument("--a", type=int, default=None)
-    pfe.add_argument("--k", type=int, default=None)
-    pfe.add_argument("--eta", type=int, default=None)
-    pfe.add_argument("--sat-outputs", dest="sat_outputs", default=None)
+    plc = add_sub(dsub, "lc-check", example)
+    plc.add_argument("--a-grid")
+    plc.add_argument("--k-grid")
+    pfe = add_sub(dsub, "feasibility", example)
+    pfe.add_argument("--a", type=int)
+    pfe.add_argument("--k", type=int)
 
-    pb = sub.add_parser("bounds", help="sufficient-condition checks")
+    pb = sub.add_parser("bounds", help="sufficient-condition checks", **kw)
     bsub = pb.add_subparsers(dest="subcommand", required=True)
-    pbc = add_sub(bsub, "check")
-    pbc.add_argument("--instance", default=None, help="ProblemInstance JSON file")
-    pbc.add_argument("--scheme", default=None, help="SchemeParams JSON file")
-    pbc.add_argument("--theorem", choices=["thm1", "thm3", "thm2-rate"], default=None)
+    pbc = add_sub(bsub, "check", instance, scheme)
+    pbc.add_argument("--theorem", choices=["thm1", "thm3", "thm2-rate"])
     pbs = add_sub(bsub, "search")
-    pbs.add_argument("--spec", default=None,
-                     help="JSON file with instance, base scheme, and grid lists")
+    pbs.add_argument("--spec", help="JSON file with instance, base scheme, and grid lists")
 
-    ps = sub.add_parser("simulate", help="Monte Carlo chains")
+    ps = sub.add_parser("simulate", help="Monte Carlo chains", **kw)
     ssub = ps.add_subparsers(dest="subcommand", required=True)
-    psd = add_sub(ssub, "dueck")
-    psd.add_argument("--params", default=None,
-                     help="JSON {a,k,eta} or {joint: [[...]]} file")
-    psd.add_argument("--scheme", default=None)
-    psd.add_argument("--trials", type=int, default=None)
-    psd.add_argument("--e-max", dest="e_max", type=int, default=None)
-    psd.add_argument("--hash-bits", dest="hash_bits", type=int, default=None)
-    psd.add_argument("--capacity-slack", dest="capacity_slack", type=float, default=None)
-    psg = add_sub(ssub, "generic")
-    psg.add_argument("--instance", default=None)
-    psg.add_argument("--scheme", default=None)
-    psg.add_argument("--trials", type=int, default=None)
-    psg.add_argument("--e-max", dest="e_max", type=int, default=None)
-    psg.add_argument("--hash-bits", dest="hash_bits", type=int, default=None)
+    psd = add_sub(ssub, "dueck", chain)
+    psd.add_argument("--params", help="JSON {a,k,eta} or {joint: [[...]]} file")
+    psd.add_argument("--capacity-slack", type=float)
+    add_sub(ssub, "generic", instance, chain)
 
-    pt = sub.add_parser("test", help="statistical validation runs")
+    pt = sub.add_parser("test", help="statistical validation runs", **kw)
     tsub = pt.add_subparsers(dest="subcommand", required=True)
     pti = add_sub(tsub, "interleave")
-    pti.add_argument("--law", default=None,
-                     help="JSON {positions: [[...], ...]} per-position pmfs")
-    pti.add_argument("--m", type=int, default=None)
-    pti.add_argument("--significance", type=float, default=None)
+    pti.add_argument("--law", help="JSON {positions: [[...], ...]} per-position pmfs")
+    pti.add_argument("--m", type=int)
+    pti.add_argument("--significance", type=float)
     pti.add_argument("--control", action="store_true", default=None,
                      help="test raw columns instead of interleaved ones")
-    ptc = add_sub(tsub, "cc-exponent")
-    ptc.add_argument("--channel", default=None)
-    ptc.add_argument("--composition", default=None, help="comma counts, sums to l")
-    ptc.add_argument("--rate", type=float, default=None, help="nats per symbol")
-    ptc.add_argument("--l", type=int, default=None)
-    ptc.add_argument("--codebooks", type=int, default=None)
-    ptc.add_argument("--trials-per-book", dest="trials_per_book", type=int, default=None)
+    ptc = add_sub(tsub, "cc-exponent", channel)
+    ptc.add_argument("--composition", help="comma counts, sums to l")
+    ptc.add_argument("--rate", type=float, help="nats per symbol")
+    ptc.add_argument("--l", type=int)
+    ptc.add_argument("--codebooks", type=int)
+    ptc.add_argument("--trials-per-book", type=int)
 
     return p
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse flags, then fill unset values from the --config file.
-
-    Unknown keys in the file are an error naming the key; malformed
-    numbers are an error naming the field.
-    """
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    values = vars(ns).copy()
-    command = values.pop("command")
-    subcommand = values.pop("subcommand", None)
-    config_path = values.pop("config", None)
-    values.setdefault("no_timestamp", None)
-
-    allowed = _GLOBAL_KEYS | _COMMAND_OPTIONS.get((command, subcommand), set())
-    file_values: dict = {}
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SystemExit(f"error: config file is not valid JSON: {exc}")
-        if not isinstance(file_values, dict):
-            raise SystemExit("error: config file must hold a JSON object")
-        for key in file_values:
-            norm = key.replace("-", "_")
-            if norm not in allowed:
-                raise SystemExit(f"error: unknown config key {key!r}")
-
-    def pick(name: str, default, caster=None):
-        val = values.get(name)
-        if val is None and name in {k.replace("-", "_") for k in file_values}:
-            raw = {k.replace("-", "_"): v for k, v in file_values.items()}[name]
-            if caster is not None:
-                try:
-                    val = caster(raw)
-                except (TypeError, ValueError):
-                    raise SystemExit(f"error: malformed value for field {name!r}: {raw!r}")
-            else:
-                val = raw
-        return default if val is None else val
-
+    """Parse flags, then fill what they leave unset from the --config file."""
+    ns = _build_parser().parse_args(argv)
+    if getattr(ns, "config", None):
+        _fill_from_config(ns, ns.config)
+    values = vars(ns)
+    values.pop("config", None)
     env_seed = os.environ.get(SEED_ENV_VAR)
-    default_seed = int(env_seed) if env_seed else 0
-    seed = pick("seed", default_seed, int)
-    out = pick("out", None, str)
-    fmt = pick("format", "json", str)
-    threads = pick("threads", 1, int)
-    unit = pick("unit", "nats", str)
-    nots = pick("no_timestamp", False, bool)
-    if fmt not in ("json", "csv"):
-        raise SystemExit(f"error: malformed value for field 'format': {fmt!r}")
-    if unit not in ("nats", "bits"):
-        raise SystemExit(f"error: malformed value for field 'unit': {unit!r}")
-    if threads < 1:
-        raise SystemExit(f"error: threads must be at least 1, got {threads}")
+    values.setdefault("seed", int(env_seed) if env_seed else 0)
+    names = {f.name for f in fields(RunConfig)}
+    cfg = RunConfig(**{k: values.pop(k) for k in list(values) if k in names},
+                    options=dict(sorted(values.items())))
+    if cfg.threads < 1:
+        raise SystemExit(f"error: threads must be at least 1, got {cfg.threads}")
+    return cfg
 
-    casters = {
-        "trials": int, "e_max": int, "hash_bits": int, "m": int, "l": int,
-        "codebooks": int, "trials_per_book": int, "a": int, "k": int, "eta": int,
-        "rate": float, "significance": float, "capacity_slack": float,
-    }
-    options = {}
-    for name in sorted(_COMMAND_OPTIONS.get((command, subcommand), ())):
-        options[name] = pick(name, None, casters.get(name))
 
-    return RunConfig(command=command, subcommand=subcommand, seed=seed, out=out,
-                     format=fmt, threads=threads, unit=unit, no_timestamp=bool(nots),
-                     options=options)
+def _fill_from_config(ns: argparse.Namespace, path: str) -> None:
+    """Set what the flags left unset in ``ns`` from a JSON file.
+
+    Each key is a long option name and goes through the same parser as the
+    flags, under the same command: a JSON true or false sets a switch, null
+    leaves the option unset, and any other value is read as the flag's text.
+    An unknown key, or a value its flag would refuse, is an error naming
+    the key.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SystemExit(f"error: config file is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise SystemExit("error: config file must hold a JSON object")
+    key_of, tokens = {}, []
+    for key, value in doc.items():
+        if not key.replace("-", "_").isidentifier():
+            # a space or "=" in a key would change how the parser splits its token
+            raise SystemExit(f"error: unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        key_of[flag] = key
+        if value is not None:
+            # a bool is the bare flag, which only a switch takes (false is restored below)
+            tokens.append(flag if isinstance(value, bool) else f"{flag}={value}")
+    command = [ns.command] + ([ns.subcommand] if getattr(ns, "subcommand", None) else [])
+    try:
+        found, unknown = _build_parser(strict=True).parse_known_args(command + tokens)
+    except argparse.ArgumentError as exc:
+        key = key_of.get(exc.argument_name, exc.argument_name)
+        raise SystemExit(f"error: config key {key!r}: {exc.message}")
+    if unknown:
+        raise SystemExit(f"error: unknown config key {key_of[unknown[0].split('=')[0]]!r}")
+    for key, value in doc.items():
+        if value is False:
+            setattr(found, key.replace("-", "_"), False)
+    for dest, value in vars(found).items():
+        if getattr(ns, dest, None) is None:
+            setattr(ns, dest, value)
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +268,16 @@ def _scheme_from_doc(d: dict) -> _bounds.SchemeParams:
                                 rho=float(d["rho"]), m=int(d.get("m", 1)))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in str(text).split(",") if str(v).strip()]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """A comma list of integers; an empty list is an error naming the flag."""
+    values = [int(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError(f"{flag} {text!r}: no value given")
+    return values
 
 
 def _parse_rates(text: str) -> list[float]:
     """start:stop:step (stop included) or a comma list; a rate list is never empty."""
-    text = str(text)
     if ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
         if not all(map(math.isfinite, (start, stop, step))):
@@ -365,6 +347,19 @@ def _opt(cfg: RunConfig, name: str, default):
     return default if val is None else val
 
 
+def _given(cfg: RunConfig, *names: str) -> dict:
+    """The named options that were set; the library's defaults cover the rest."""
+    return {name: cfg.options[name] for name in names if cfg.options[name] is not None}
+
+
+def _sat_outputs(cfg: RunConfig) -> tuple[int, int]:
+    text = _opt(cfg, "sat_outputs", "4,4")
+    sizes = _parse_int_list(text, "--sat-outputs")
+    if len(sizes) != 2 or min(sizes) < 1:
+        raise ValueError(f"--sat-outputs {text!r}: give two output sizes, each at least 1")
+    return sizes[0], sizes[1]
+
+
 def _require(cfg: RunConfig, name: str):
     val = cfg.options.get(name)
     if val is None:
@@ -390,20 +385,20 @@ def _cmd_exponent(cfg: RunConfig) -> int:
 
 
 def _cmd_dueck_lc_check(cfg: RunConfig) -> int:
-    a_grid = _parse_int_list(_opt(cfg, "a_grid", "2,4,8,16,32,64,128,256,512,1024,2048,4096"))
-    k_grid = _parse_int_list(_opt(cfg, "k_grid", "2,5,10,20,50,100,200,500,1000,2000"))
-    ny1, ny2 = _parse_int_list(_opt(cfg, "sat_outputs", "4,4"))
-    scan = _dueck.scan_lc_margin(a_grid, k_grid, eta=int(_opt(cfg, "eta", 8)),
-                                 sat_output_sizes=(ny1, ny2))
+    a_grid = _parse_int_list(
+        _opt(cfg, "a_grid", "2,4,8,16,32,64,128,256,512,1024,2048,4096"), "--a-grid")
+    k_grid = _parse_int_list(
+        _opt(cfg, "k_grid", "2,5,10,20,50,100,200,500,1000,2000"), "--k-grid")
+    scan = _dueck.scan_lc_margin(a_grid, k_grid, sat_output_sizes=_sat_outputs(cfg),
+                                 **_given(cfg, "eta"))
     rows = [("a", "k", "margin")] + [(a, k, m) for a, k, m in scan.margins]
     _emit(scan.to_dict(), cfg, csv_rows=rows)
     return 0 if scan.first_positive else 1
 
 
 def _cmd_dueck_feasibility(cfg: RunConfig) -> int:
-    params = _dueck.DueckParams(int(_require(cfg, "a")), int(_require(cfg, "k")),
-                                int(_opt(cfg, "eta", 8)))
-    ny1, ny2 = _parse_int_list(_opt(cfg, "sat_outputs", "4,4"))
+    params = _dueck.DueckParams(_require(cfg, "a"), _require(cfg, "k"), _opt(cfg, "eta", 8))
+    ny1, ny2 = _sat_outputs(cfg)
     report = _dueck.section3a_feasibility(params, sat_output_sizes=(ny1, ny2))
     payload = {"section3a": report.to_dict()}
     try:
@@ -441,6 +436,8 @@ def _cmd_bounds_search(cfg: RunConfig) -> int:
     names = sorted(grid_axes)
     combos = [()]
     for name in names:
+        if not grid_axes[name]:
+            raise ValueError(f"grid axis {name!r} is empty")
         combos = [c + (v,) for c in combos for v in grid_axes[name]]
 
     def make_case(combo):
@@ -506,18 +503,15 @@ def _cmd_simulate_dueck(cfg: RunConfig) -> int:
     else:
         source = _dueck.DueckParams(int(d["a"]), int(d["k"]), int(d["eta"]))
     return _simulate_each_scheme(
-        cfg, _simulate.simulate_dueck, source,
-        trials=int(_opt(cfg, "trials", 1000)), e_max=int(_opt(cfg, "e_max", 2)),
-        hash_bits=int(_opt(cfg, "hash_bits", 128)),
-        capacity_slack=float(_opt(cfg, "capacity_slack", 0.2)))
+        cfg, _simulate.simulate_dueck, source, trials=_opt(cfg, "trials", 1000),
+        **_given(cfg, "e_max", "hash_bits", "capacity_slack"))
 
 
 def _cmd_simulate_generic(cfg: RunConfig) -> int:
     return _simulate_each_scheme(
         cfg, _simulate.simulate_generic,
         _load_instance_from_doc(_load_json(_require(cfg, "instance"))),
-        trials=int(_opt(cfg, "trials", 200)), e_max=int(_opt(cfg, "e_max", 1)),
-        hash_bits=int(_opt(cfg, "hash_bits", 96)))
+        trials=_opt(cfg, "trials", 200), **_given(cfg, "e_max", "hash_bits"))
 
 
 def _convert_stats(stats: _simulate.TrialStats, cfg: RunConfig) -> dict:
@@ -533,21 +527,20 @@ def _cmd_test_interleave(cfg: RunConfig) -> int:
     d = _load_json(_require(cfg, "law"))
     pmfs = [_probkit.Pmf(p) for p in d["positions"]]
     report = _simulate.interleave_iid_test(
-        pmfs, m=int(_opt(cfg, "m", 10000)), seed=cfg.seed,
-        significance=float(_opt(cfg, "significance", 0.01)),
-        interleaved=not bool(_opt(cfg, "control", False)))
+        pmfs, m=_opt(cfg, "m", 10000), seed=cfg.seed,
+        interleaved=not cfg.options["control"], **_given(cfg, "significance"))
     _emit(report.to_dict(), cfg)
     return 0 if report.passed else 1
 
 
 def _cmd_test_cc_exponent(cfg: RunConfig) -> int:
     channel = _load_dmc(_require(cfg, "channel"))
-    comp = _parse_int_list(_require(cfg, "composition"))
+    comp = _parse_int_list(_require(cfg, "composition"), "--composition")
     factor = _unit_factor(cfg)
     report = _simulate.cc_exponent_test(
-        channel, comp, rate=float(_require(cfg, "rate")), l=int(_require(cfg, "l")),
-        codebooks=int(_opt(cfg, "codebooks", 100)),
-        trials_per_book=int(_opt(cfg, "trials_per_book", 20)), seed=cfg.seed)
+        channel, comp, rate=_require(cfg, "rate"), l=_require(cfg, "l"),
+        codebooks=_opt(cfg, "codebooks", 100),
+        trials_per_book=_opt(cfg, "trials_per_book", 20), seed=cfg.seed)
     doc = report.to_dict()
     if factor != 1.0:
         doc["rate"] /= factor

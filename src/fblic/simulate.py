@@ -101,6 +101,9 @@ def _check_run(trials: int, hash_bits: int, e_max: int,
         raise ValueError(f"hash_bits must be non-negative, got {hash_bits}")
     if not math.isfinite(capacity_slack):
         raise ValueError(f"capacity_slack must be finite, got {capacity_slack}")
+    if capacity_slack < -1.0:
+        # the private pipes would get a negative capacity
+        raise ValueError(f"capacity_slack must be at least -1, got {capacity_slack}")
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +436,8 @@ def interleave_iid_test(position_pmfs, m: int, seed: int,
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    if not 0.0 < significance < 1.0:
+        raise ValueError(f"significance must lie in (0, 1), got {significance}")
     # scipy.stats costs about 70 MB and 0.3 s to import; only this test needs it
     from scipy import stats as sstats
 

@@ -68,6 +68,92 @@ def test_config_unknown_key_and_malformed_value(tmp_path, bsc_file):
     assert "seed" in str(err2.value)
 
 
+# (command, inputs, key, value, the same value as flags)
+_REJECTED_CONFIG = [
+    (["bounds", "check"], "check", "theorem", "thm9", ["--theorem", "thm9"]),
+    (["test", "interleave"], "law", "control", "no", ["--control=no"]),
+    (["exponent"], "curve", "no_timestamp", "false", ["--no-timestamp=false"]),
+    (["simulate", "dueck"], "dueck", "e_max", 2.7, ["--e-max", "2.7"]),
+    (["simulate", "dueck"], "dueck", "trials", True, ["--trials"]),
+    (["exponent"], "curve", "format", "xml", ["--format", "xml"]),
+    (["exponent"], "curve", "unit", "furlongs", ["--unit", "furlongs"]),
+    (["exponent"], "curve", "seed", "x", ["--seed", "x"]),
+]
+
+
+@pytest.fixture
+def command_inputs(tmp_path, bsc_file):
+    inst = write(tmp_path / "inst.json", instance_doc())
+    sch = write(tmp_path / "scheme.json", dict(scheme_doc(la_bits=8), m=2))
+    params = write(tmp_path / "params.json", {"joint": [[0.45, 0.05], [0.05, 0.45]]})
+    law = write(tmp_path / "law.json", {"positions": [[0.5, 0.5], [0.2, 0.8]]})
+    return {
+        "check": ["--instance", inst, "--scheme", sch],
+        "law": ["--law", law, "--m", "500"],
+        "curve": ["--channel", bsc_file, "--rates", "0:0.2:0.1"],
+        "dueck": ["--params", params, "--scheme", sch],
+    }
+
+
+@pytest.mark.parametrize("command, inputs, key, value, flags", _REJECTED_CONFIG,
+                         ids=[case[2] for case in _REJECTED_CONFIG])
+def test_config_value_rejected_like_its_flag(tmp_path, capsys, command_inputs,
+                                             command, inputs, key, value, flags):
+    # a config value takes the flags' path, so it is refused exactly when its flag is
+    conf = write(tmp_path / "conf.json", {key: value})
+    out = tmp_path / "report.json"
+    args = [*command, *command_inputs[inputs]]
+    assert cli.main([*args, "--config", conf, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r}" in err and err.count("\n") == 1
+    assert not out.exists()
+    assert cli.main([*args, *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, inputs, flags", [
+    (["simulate", "dueck"], "dueck",
+     ["--trials", "2", "--e-max", "1", "--hash-bits", "64", "--capacity-slack", "0.5",
+      "--unit", "bits"]),
+    (["test", "interleave"], "law", ["--control", "--significance", "0.05"]),
+    (["exponent"], "curve", ["--format", "json", "--seed", "4", "--threads", "2"]),
+])
+def test_config_report_matches_flags(tmp_path, command_inputs, command, inputs, flags):
+    # the same run, configured once only by flags and once only by a file
+    tokens = [*command_inputs[inputs], *flags, "--no-timestamp"]
+    doc, i = {}, 0
+    while i < len(tokens):
+        key = tokens[i][2:].replace("-", "_")
+        if i + 1 < len(tokens) and not tokens[i + 1].startswith("--"):
+            doc[key], i = tokens[i + 1], i + 2
+        else:
+            doc[key], i = True, i + 1
+    conf = write(tmp_path / "conf.json", doc)
+    by_flags, by_file = tmp_path / "flags.json", tmp_path / "file.json"
+    code = cli.main([*command, *tokens, "--out", str(by_flags)])
+    assert cli.main([*command, "--config", conf, "--out", str(by_file)]) == code
+    assert code in (0, 1)
+    assert by_file.read_bytes() == by_flags.read_bytes()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"out=x.json": "y"}, "out=x.json"),
+    ({"out": True, "x y": 1}, "x y"),
+    ({"help": True}, "help"),
+    ({"tri": 2}, "tri"),
+])
+def test_config_key_not_an_option_name_is_unknown(tmp_path, monkeypatch, capsys,
+                                                  command_inputs, doc, key):
+    # neither an abbreviation nor a key the parser would split differently
+    # names an option, and no report is written under a name made from one
+    conf = write(tmp_path / "conf.json", doc)
+    monkeypatch.chdir(tmp_path)
+    inputs = sorted(tmp_path.iterdir())
+    assert cli.main(["simulate", "dueck", *command_inputs["dueck"], "--config", conf]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 def test_invalid_subcommand_exits_2():
     assert cli.main(["nonsense"]) == 2
 
@@ -320,6 +406,8 @@ def test_simulate_dueck_e_max_zero(tmp_path):
     ("dueck", ["--hash-bits", "-5"], "hash_bits must be non-negative"),
     ("dueck", ["--capacity-slack", "nan"], "capacity_slack must be finite"),
     ("dueck", ["--capacity-slack", "inf"], "capacity_slack must be finite"),
+    # a slack below -1 gives the private pipes a negative capacity
+    ("dueck", ["--capacity-slack", "-5"], "capacity_slack must be at least -1"),
     ("generic", ["--trials", "0"], "trials must be at least 1"),
     ("generic", ["--hash-bits", "-5"], "hash_bits must be non-negative"),
     ("dueck", ["--e-max", "-1"], "e_max must be non-negative"),
@@ -387,6 +475,11 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("command, flags, message", [
     ("interleave", ["--m", "0"], "m must be at least 1"),
     ("interleave", ["--m", "-2"], "m must be at least 1"),
+    ("interleave", ["--significance", "-1"], "significance must lie in (0, 1)"),
+    ("interleave", ["--significance", "0"], "significance must lie in (0, 1)"),
+    ("interleave", ["--significance", "1"], "significance must lie in (0, 1)"),
+    ("interleave", ["--significance", "2"], "significance must lie in (0, 1)"),
+    ("interleave", ["--significance", "nan"], "significance must lie in (0, 1)"),
     ("cc-exponent", ["--codebooks", "0"], "must be at least 1"),
     ("cc-exponent", ["--trials-per-book", "0"], "must be at least 1"),
     ("cc-exponent", ["--codebooks", "-1"], "must be at least 1"),
@@ -399,6 +492,27 @@ def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, mess
                   "--l", "8", "--codebooks", "2", "--trials-per-book", "2"]
     out = tmp_path / "report.json"
     code = cli.main(["test", command, *inputs, *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    (["dueck", "lc-check"], ["--a-grid", ""], "--a-grid '': no value given"),
+    (["dueck", "lc-check"], ["--k-grid", ""], "--k-grid '': no value given"),
+    (["dueck", "lc-check"], ["--sat-outputs", "4"], "--sat-outputs '4': give two"),
+    (["dueck", "lc-check"], ["--sat-outputs", "0,4"], "--sat-outputs '0,4': give two"),
+    (["dueck", "feasibility", "--a", "4", "--k", "2"], ["--sat-outputs", "4,4,4"],
+     "--sat-outputs '4,4,4': give two"),
+    (["bounds", "search"], {"l": []}, "grid axis 'l' is empty"),
+])
+def test_empty_grid_and_bad_sat_outputs_exit_2(tmp_path, capsys, command, flags, message):
+    if isinstance(flags, dict):
+        flags = ["--spec", write(tmp_path / "spec.json", {
+            "instance": instance_doc(), "scheme": scheme_doc(), "grid": flags})]
+    out = tmp_path / "report.json"
+    code = cli.main([*command, *flags, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and err.count("\n") == 1

@@ -406,8 +406,6 @@ def test_simulate_dueck_e_max_zero(tmp_path):
     ("dueck", ["--hash-bits", "-5"], "hash_bits must be non-negative"),
     ("dueck", ["--capacity-slack", "nan"], "capacity_slack must be finite"),
     ("dueck", ["--capacity-slack", "inf"], "capacity_slack must be finite"),
-    # a slack below -1 gives the private pipes a negative capacity
-    ("dueck", ["--capacity-slack", "-5"], "capacity_slack must be at least -1"),
     ("generic", ["--trials", "0"], "trials must be at least 1"),
     ("generic", ["--hash-bits", "-5"], "hash_bits must be non-negative"),
     ("dueck", ["--e-max", "-1"], "e_max must be non-negative"),
@@ -417,6 +415,8 @@ def test_simulate_dueck_e_max_zero(tmp_path):
     ("generic", ["--e-max", "-1"], "e_max must be non-negative"),
     # K is not the source here, so the outer decode never runs
     ("folded", ["--e-max", "-3"], "e_max must be non-negative"),
+    # a slack below -1 gives the private pipes a negative capacity
+    ("dueck", ["--capacity-slack", "-5"], "capacity_slack must be at least -1"),
 ])
 def test_simulate_bad_input_exits_2(tmp_path, capsys, chain, flags, message):
     sch = write(tmp_path / "scheme.json", scheme_doc())
@@ -475,14 +475,14 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("command, flags, message", [
     ("interleave", ["--m", "0"], "m must be at least 1"),
     ("interleave", ["--m", "-2"], "m must be at least 1"),
+    ("cc-exponent", ["--codebooks", "0"], "must be at least 1"),
+    ("cc-exponent", ["--trials-per-book", "0"], "must be at least 1"),
+    ("cc-exponent", ["--codebooks", "-1"], "must be at least 1"),
     ("interleave", ["--significance", "-1"], "significance must lie in (0, 1)"),
     ("interleave", ["--significance", "0"], "significance must lie in (0, 1)"),
     ("interleave", ["--significance", "1"], "significance must lie in (0, 1)"),
     ("interleave", ["--significance", "2"], "significance must lie in (0, 1)"),
     ("interleave", ["--significance", "nan"], "significance must lie in (0, 1)"),
-    ("cc-exponent", ["--codebooks", "0"], "must be at least 1"),
-    ("cc-exponent", ["--trials-per-book", "0"], "must be at least 1"),
-    ("cc-exponent", ["--codebooks", "-1"], "must be at least 1"),
 ])
 def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, message):
     if command == "interleave":

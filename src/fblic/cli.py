@@ -13,7 +13,8 @@ Commands:
 
 Global flags: --config FILE, --seed, --out, --format {json,csv}, --threads,
 --unit {nats,bits}, --no-timestamp. The environment variable FBLIC_SEED
-supplies the default seed.
+supplies the default seed. A seed, from any of the three, is a
+non-negative integer.
 
 A --config file is a JSON object whose keys are long option names, with
 hyphens or underscores; it fills what the flags leave unset. Its values go
@@ -83,6 +84,21 @@ class RunConfig:
         }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are one stderr line, like every
+    other error of the CLI; --help still prints the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """A seed: a non-negative integer, the only kind numpy's SeedSequence takes."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser(strict: bool = False) -> argparse.ArgumentParser:
     """The argument parser, built on first use; parse_args leaves it unchanged.
@@ -97,7 +113,7 @@ def _build_parser(strict: bool = False) -> argparse.ArgumentParser:
     common = shared()
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON file of option defaults")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output path (default stdout)")
     common.add_argument("--format", choices=["json", "csv"], default=argparse.SUPPRESS)
@@ -119,8 +135,8 @@ def _build_parser(strict: bool = False) -> argparse.ArgumentParser:
     chain.add_argument("--e-max", type=int)
     chain.add_argument("--hash-bits", type=int)
 
-    p = argparse.ArgumentParser(prog="fblic", description=__doc__, parents=[common],
-                                formatter_class=argparse.RawDescriptionHelpFormatter, **kw)
+    p = _Parser(prog="fblic", description=__doc__, parents=[common],
+                formatter_class=argparse.RawDescriptionHelpFormatter, **kw)
     p.add_argument("--version", action="version", version=__version__)
 
     sub = p.add_subparsers(dest="command", required=True)
@@ -180,8 +196,11 @@ def parse_config(argv) -> RunConfig:
         _fill_from_config(ns, ns.config)
     values = vars(ns)
     values.pop("config", None)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    values.setdefault("seed", int(env_seed) if env_seed else 0)
+    if "seed" not in values:
+        try:
+            values["seed"] = _seed(os.environ.get(SEED_ENV_VAR) or "0")
+        except argparse.ArgumentTypeError as exc:
+            raise SystemExit(f"error: {SEED_ENV_VAR}: {exc}")
     names = {f.name for f in fields(RunConfig)}
     cfg = RunConfig(**{k: values.pop(k) for k in list(values) if k in names},
                     options=dict(sorted(values.items())))
@@ -250,11 +269,7 @@ def _load_dmc(path: str) -> _probkit.Dmc:
 
 
 def _load_instance_from_doc(d: dict) -> _bounds.ProblemInstance:
-    kw = {}
-    if d.get("p_w1") is not None:
-        kw["p_w1"] = _probkit.Pmf(d["p_w1"])
-    if d.get("p_w2") is not None:
-        kw["p_w2"] = _probkit.Pmf(d["p_w2"])
+    kw = {k: _probkit.Pmf(d[k]) for k in ("p_w1", "p_w2") if d.get(k) is not None}
     return _bounds.ProblemInstance(
         source=_probkit.JointPmf(d["source"]), f1=d["f1"], f2=d["f2"], ic=d["ic"],
         p_u=_probkit.Pmf(d["p_u"]), p_v1=_probkit.Pmf(d["p_v1"]),
@@ -302,9 +317,7 @@ def _emit(payload, cfg: RunConfig, csv_rows=None) -> None:
     """Write the report atomically (or to stdout), embedding the config."""
     if cfg.format == "csv" and csv_rows is not None:
         buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-        for row in csv_rows:
-            writer.writerow(row)
+        csv.writer(buf).writerows(csv_rows)
         text = buf.getvalue()
     else:
         doc = {"config": cfg.resolved(), "unit": cfg.unit, "report": payload}
@@ -321,10 +334,8 @@ def _emit(payload, cfg: RunConfig, csv_rows=None) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if obj == math.inf:
@@ -415,13 +426,9 @@ def _cmd_dueck_feasibility(cfg: RunConfig) -> int:
 def _cmd_bounds_check(cfg: RunConfig) -> int:
     inst = _load_instance_from_doc(_load_json(_require(cfg, "instance")))
     sp = _scheme_from_doc(_load_json(_require(cfg, "scheme")))
-    theorem = _opt(cfg, "theorem", "thm1")
-    if theorem == "thm1":
-        report = _bounds.check_thm1(inst, sp)
-    elif theorem == "thm3":
-        report = _bounds.check_thm3(inst, sp)
-    else:
-        report = _bounds.check_thm2_rate_point(inst, sp)
+    check = {"thm1": _bounds.check_thm1, "thm3": _bounds.check_thm3,
+             "thm2-rate": _bounds.check_thm2_rate_point}[_opt(cfg, "theorem", "thm1")]
+    report = check(inst, sp)
     _emit(report.to_dict(), cfg)
     return 0 if report.overall else 1
 

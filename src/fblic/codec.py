@@ -345,7 +345,8 @@ def build_inner_code(p_k1: Pmf, l: int, delta: float, cu_size: int | None = None
 
 @dataclass(frozen=True)
 class PermutationSet:
-    """One permutation of [l] per row, each drawn from its own seeded stream."""
+    """One permutation of [l] per row, and the seed of the one stream they
+    were drawn from."""
 
     rows: np.ndarray
     seed: int
@@ -371,10 +372,9 @@ class PermutationSet:
 
 
 def draw_permutations(m: int, l: int, seed: int) -> PermutationSet:
-    rows = np.empty((m, l), dtype=np.int64)
-    for t in range(m):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), t)))
-        rows[t] = rng.permutation(l)
+    """m independent uniform permutations of [l], row after row from one
+    generator seeded by seed."""
+    rows = np.random.default_rng(int(seed)).permuted(np.tile(np.arange(l), (m, 1)), axis=1)
     return PermutationSet(rows=rows, seed=int(seed))
 
 
@@ -613,11 +613,12 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
     lists its candidates row by row, in increasing lexicographic order of
     their (position, symbol) pairs, and every written symbol differs from
     the baseline's, so no candidate repeats another or leaves a cell
-    unchanged; a rule that breaks this is refused with ValueError. All patterns touching at most e_max rows are examined; the
-    unique digest match wins, two distinct matches report ambiguity, none
-    reports a search failure. searched counts the baseline, the
-    candidates (when e_max >= 1) and the matched row pairs (when
-    e_max >= 2).
+    unchanged; a rule that breaks this is refused with ValueError. All
+    patterns touching at most e_max rows are examined; the unique digest
+    match wins, two distinct matches report ambiguity, none reports a
+    search failure. At e_max = 0 only the baseline is tested and the rule
+    is not consulted. searched counts the baseline, the candidates (when
+    e_max >= 1) and the matched row pairs (when e_max >= 2).
 
     The digest is linear, so a candidate's effect on it is a fixed delta,
     the XOR of the H columns of the bits its substitutions flip, and a
@@ -648,6 +649,10 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
         raise ValueError("digest value exceeds its width")
 
     need = _int_to_words(digest.value, hasher.words) ^ hasher._digest_words(base)
+    if e_max == 0:
+        hit = not need.any()
+        return OuterDecodeResult(status="ok" if hit else "failed", matrix=base if hit else None,
+                                 matches=int(hit), searched=1)
     owner, delta, cells, sym = _candidates(base, side(base), hasher)
     tables = [_patterns(np.zeros((1, 0), dtype=np.int64),
                         np.zeros((1, hasher.words), dtype=np.uint64),
@@ -658,7 +663,7 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
         if len(tables) <= d - d // 2:
             tables.append(_extend(tables[-1], owner, delta))
         found.append(_join(tables[d // 2], tables[d - d // 2], need))
-    searched = 1 + (len(owner) if e_max >= 1 else 0) + sum(f.shape[0] for f in found[2:3])
+    searched = 1 + len(owner) + sum(f.shape[0] for f in found[2:3])
     matches = sum(f.shape[0] for f in found)
 
     if matches == 0:

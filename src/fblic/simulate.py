@@ -1,10 +1,14 @@
 """Monte Carlo harness: end-to-end chains and statistical validation runs.
 
 Reproducibility contract: every trial derives its own generator from
-(master seed, trial index) and aggregation is a sum of per-trial
-counters, so a run is fixed by its seed. Statistical pass thresholds are
-three sigmas (or significance 0.01 for chi-square tests) and are
-recorded in every report.
+(master seed, trial index), and aggregation is a sum of per-trial
+counters, so a run is fixed by its seed. A generic trial also draws its
+m row interleavers, in one stream, from a generator seeded by the child
+seed of (master seed, trial index, 0x9E), and each user's input
+multiplexer is seeded by the child seed of (master seed, trial index,
+0x58, user). Statistical pass thresholds are three sigmas (or
+significance 0.01 for chi-square tests) and are recorded in every
+report.
 
 The private links are ideal rate-counted pipes: residual bits always
 arrive (a capacity shortfall is flagged, not simulated as loss), while
@@ -243,9 +247,8 @@ class _SampledChannel:
         index = tuple(self.code.decode_ml_rows(y[j], self.induced[j]) for j in (0, 1))
         vy = []
         for j, (p_v, _, ny) in enumerate(self.users):
-            counts = np.zeros((len(p_v), ny), dtype=np.int64)
-            np.add.at(counts, (vpi[j][:, 0], _codec.interleave(y[j], perms)[:, 0]), 1)
-            vy.append(counts)
+            y0 = np.take_along_axis(y[j], perms.rows[:, :1], axis=1)[:, 0]  # interleaved column 0
+            vy.append(np.bincount(vpi[j][:, 0] * ny + y0, minlength=len(p_v) * ny).reshape(-1, ny))
         return index, vy
 
     def check(self, kmats, enc, bad) -> None:

@@ -154,6 +154,26 @@ def test_config_key_not_an_option_name_is_unknown(tmp_path, monkeypatch, capsys,
     assert sorted(tmp_path.iterdir()) == inputs
 
 
+@pytest.mark.parametrize("source, value", [
+    ("config", -3), ("config", "x"), ("config", 1.5), ("env", "x"), ("env", "-3"),
+])
+def test_bad_seed_from_config_or_environment_exits_2(tmp_path, monkeypatch, capsys,
+                                                     bsc_file, source, value):
+    # one line naming the key or the variable, exit 2, no report
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    args = ["exponent", "--channel", bsc_file, "--rates", "0.1", "--out", str(tmp_path / "r.json")]
+    if source == "config":
+        args += ["--config", write(tmp_path / "conf.json", {"seed": value})]
+        where = "config key 'seed'"
+    else:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, value)
+        where = cli.SEED_ENV_VAR
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {where}: expected a non-negative integer, got {str(value)!r}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_invalid_subcommand_exits_2():
     assert cli.main(["nonsense"]) == 2
 
@@ -417,6 +437,9 @@ def test_simulate_dueck_e_max_zero(tmp_path):
     ("folded", ["--e-max", "-3"], "e_max must be non-negative"),
     # a slack below -1 gives the private pipes a negative capacity
     ("dueck", ["--capacity-slack", "-5"], "capacity_slack must be at least -1"),
+    # a seed is a non-negative integer, refused by the parser with one line
+    ("dueck", ["--seed", "-3"], "argument --seed: expected a non-negative integer, got '-3'"),
+    ("generic", ["--seed", "x"], "argument --seed: expected a non-negative integer, got 'x'"),
 ])
 def test_simulate_bad_input_exits_2(tmp_path, capsys, chain, flags, message):
     sch = write(tmp_path / "scheme.json", scheme_doc())
@@ -483,6 +506,8 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command):
     ("interleave", ["--significance", "1"], "significance must lie in (0, 1)"),
     ("interleave", ["--significance", "2"], "significance must lie in (0, 1)"),
     ("interleave", ["--significance", "nan"], "significance must lie in (0, 1)"),
+    ("interleave", ["--seed", "-3"], "argument --seed: expected a non-negative integer"),
+    ("cc-exponent", ["--seed", "1.5"], "argument --seed: expected a non-negative integer"),
 ])
 def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, message):
     if command == "interleave":
@@ -506,6 +531,10 @@ def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, mess
     (["dueck", "feasibility", "--a", "4", "--k", "2"], ["--sat-outputs", "4,4,4"],
      "--sat-outputs '4,4,4': give two"),
     (["bounds", "search"], {"l": []}, "grid axis 'l' is empty"),
+    # the seed is checked for every command, also one that draws nothing
+    (["exponent"], ["--seed", "-3"], "argument --seed: expected a non-negative integer"),
+    (["bounds", "search"], ["--seed", "-1"], "argument --seed: expected a non-negative integer"),
+    (["dueck", "lc-check"], ["--seed", "x"], "argument --seed: expected a non-negative integer"),
 ])
 def test_empty_grid_and_bad_sat_outputs_exit_2(tmp_path, capsys, command, flags, message):
     if isinstance(flags, dict):

@@ -220,6 +220,23 @@ def test_permutation_uniformity_chi_square():
     assert p_value > 0.01
 
 
+def test_permutation_rows_independent_chi_square():
+    # every row comes from one stream: the first entries of rows t and t + 1
+    # (disjoint pairs) must be independent
+    from scipy import stats as sstats
+    first = cd.draw_permutations(100_000, 2, seed=9).rows[:, 0]
+    table = np.zeros((2, 2), dtype=np.int64)
+    np.add.at(table, (first[0::2], first[1::2]), 1)
+    assert float(sstats.chi2_contingency(table).pvalue) > 0.01
+
+
+def test_permutations_differ_across_seeds():
+    sets = [cd.draw_permutations(64, 16, seed).rows.tobytes() for seed in range(50)]
+    assert len(set(sets)) == len(sets)
+    assert not np.array_equal(cd.draw_permutations(64, 16, 1).rows[0],
+                              cd.draw_permutations(64, 16, 1).rows[1])
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(m=st.integers(1, 6), l=st.integers(1, 12), alphabet=st.integers(2, 300),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -574,7 +591,9 @@ def test_outer_decode_zero_width_digest():
 
 
 def test_outer_decode_e_max_zero_checks_only_the_baseline():
-    side = cd.hamming_ball_rule(2, radius=1)
+    def side(base):  # depth 0 must not consult the rule
+        raise AssertionError("the rule was consulted")
+
     rng = np.random.default_rng(4)
     truth = rng.integers(0, 2, size=(4, 5))
     h = cd.MatrixHasher(64, seed=3, alphabet_size=2, l=5, m=4)
@@ -585,6 +604,8 @@ def test_outer_decode_e_max_zero_checks_only_the_baseline():
     khat[2, 0] ^= 1
     res = cd.outer_decode(khat, h.digest(truth), side, 0, h)
     assert (res.status, res.matrix, res.matches, res.searched) == ("failed", None, 0, 1)
+    with pytest.raises(AssertionError, match="consulted"):
+        cd.outer_decode(khat, h.digest(truth), side, 1, h)
 
 
 def test_outer_decode_without_candidates():

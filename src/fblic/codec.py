@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .probkit import Dmc, Pmf, TypicalityParams, typical_set
+from .probkit import BaseDigits, Dmc, Pmf, TypicalityParams, typical_set
 
 _MAGIC = b"FB"
 _NEG_INF_LLH = -1e30
@@ -112,8 +112,9 @@ def _as_entries(mat) -> np.ndarray:
 class FullCubeCode:
     """Every l-length word over the alphabet, addressed by base-a value.
 
-    ``words`` and ``indices`` read whole arrays as base-a digits, in int64
-    while a^l < 2^63 and in exact Python ints (object arrays) beyond.
+    ``words`` and ``indices`` read whole arrays as base-a digits through
+    ``BaseDigits``: int64 while a^l <= 2^63 and exact Python ints (object
+    arrays) beyond, the rule of ``TypicalSet.rank_dtype``.
     """
 
     def __init__(self, alphabet_size: int, l: int):
@@ -121,9 +122,7 @@ class FullCubeCode:
             raise ValueError("need alphabet >= 2 and l >= 1")
         self.alphabet_size = int(alphabet_size)
         self.l = int(l)
-        exact = self.size >= 1 << 63
-        self._powers = np.array([self.alphabet_size ** e for e in range(self.l - 1, -1, -1)],
-                                dtype=object if exact else np.int64)
+        self._digits = BaseDigits(self.alphabet_size, self.l)
 
     @property
     def size(self) -> int:
@@ -153,8 +152,7 @@ class FullCubeCode:
 
     def words(self, idx) -> np.ndarray:
         """codeword() of every entry of a 1-D index array, as (rows, l)."""
-        idx = np.asarray(idx, dtype=self._powers.dtype)
-        return (idx[:, None] // self._powers % self.alphabet_size).astype(np.int64)
+        return self._digits.digits(idx)
 
     def indices(self, words) -> np.ndarray:
         """index_of() of every row of a (rows, l) array."""
@@ -162,7 +160,7 @@ class FullCubeCode:
         if w.ndim != 2 or w.shape[1] != self.l or (
                 w.size and (w.min() < 0 or w.max() >= self.alphabet_size)):
             raise ValueError("word outside the cube")
-        return w.astype(self._powers.dtype) @ self._powers
+        return self._digits.values(w)
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ class InnerCode:
     Every method takes a whole (rows, l) array (or one value per row).
     Ranks and their index/residual split are int64 while the typical set
     has at most 2^63 members and exact Python ints (object arrays)
-    beyond; full-cube indices follow FullCubeCode's own bound.
+    beyond; full-cube codeword indices are int64 while a^l <= 2^63.
     """
 
     def __init__(self, p_k1: Pmf, l: int, delta: float, codebook, cu_size: int | None = None):
@@ -280,12 +278,12 @@ class InnerCode:
         (top la_bits) and the residual; atypical rows get codeword 0 and a
         zero residual."""
         blk = np.asarray(blocks, dtype=np.int64)
-        atypical = ~self.typical.contains_rows(blk)
+        typical = self.typical.contains_rows(blk)
         rank = np.zeros(blk.shape[0], dtype=self.typical.rank_dtype)
-        rank[~atypical] = self.typical.rank_rows(blk[~atypical])
+        rank[typical] = self.typical._rank_typical_rows(blk[typical])
         index = rank >> self.lb_bits
         return InnerRows(index=index, codewords=self.codebook.words(index),
-                         residual=rank & ((1 << self.lb_bits) - 1), atypical=atypical)
+                         residual=rank & ((1 << self.lb_bits) - 1), atypical=~typical)
 
     def decode_exact_rows(self, y_words) -> tuple[np.ndarray, np.ndarray]:
         """Invert a deterministic shared channel row by row: (index, fallback);

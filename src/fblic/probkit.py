@@ -337,6 +337,38 @@ def _count_bounds(probs: np.ndarray, l: int, delta: float) -> tuple[tuple[int, .
     return tuple(lo), tuple(hi)
 
 
+class BaseDigits:
+    """Rows of l base-a digits, most significant first, and their values.
+
+    Values are int64 while a^l <= 2^63, so that every l-digit value fits,
+    and exact Python ints (object arrays) beyond. Digits are not
+    range-checked here; callers check them where they can be wrong.
+    """
+
+    def __init__(self, a: int, l: int):
+        self.a = int(a)
+        self.dtype = np.int64 if self.a ** int(l) <= 1 << 63 else object
+        exponents = range(int(l) - 1, -1, -1)
+        self.powers = np.array([self.a ** e for e in exponents], dtype=self.dtype)
+        bits = self.a.bit_length() - 1
+        # a power-of-two base reads digits by shift and mask, ~5x faster than // and %
+        self._shifts = (np.array([bits * e for e in exponents], dtype=self.dtype)
+                        if 1 << bits == self.a else None)
+
+    def values(self, rows) -> np.ndarray:
+        """Base-a value of every row of a (rows, l) digit array."""
+        return np.asarray(rows, dtype=np.int64).astype(self.dtype, copy=False) @ self.powers
+
+    def digits(self, values) -> np.ndarray:
+        """Inverse of values(): the (rows, l) digits of a 1-D value array."""
+        v = np.asarray(values).astype(self.dtype, copy=False)[:, None]
+        if self._shifts is not None:
+            out = (v >> self._shifts) & (self.a - 1)
+        else:
+            out = v // self.powers % self.a
+        return out.astype(np.int64, copy=False)
+
+
 _TABLE_ENTRIES = 1 << 22  # largest (l + 2)^k for which rows use the count table
 
 
@@ -347,14 +379,21 @@ class TypicalSet:
     arithmetic (sizes overflow 64 bits already at moderate block lengths).
     Rank is the lexicographic position within the set; unrank inverts it.
 
-    The ``*_rows`` methods work on a whole (rows, l) array at once. Rank
-    and unrank then read a dense int64 table of cumulative completion
-    counts indexed by count vector (coordinate s runs over 0..hi_s + 1),
-    filled once from the memo that ``size`` builds. The table is used only
-    while |T| < 2^63, so every rank fits int64, and (l + 2)^k <= 2^22 for k
-    symbols, which caps it at 2^22 (k + 1) entries. Outside those bounds the
-    rows methods loop the exact-int ``rank``/``unrank``, and ranks come back
-    as an object array of Python ints when |T| > 2^63.
+    The ``*_rows`` methods work on a whole (rows, l) array at once, by the
+    first of three paths that applies:
+
+    * digit reads, when T is the full cube (|T| = k^l for k symbols): the
+      rank of a row is then its base-k value (``BaseDigits``), and
+      membership only asks that every symbol be in range;
+    * the count table: a dense int64 table of cumulative completion counts
+      indexed by count vector (coordinate s runs over 0..hi_s + 1), filled
+      once from the memo that ``size`` builds. Its entries reach |T|, so it
+      needs |T| < 2^63, and (l + 2)^k <= 2^22, which caps it at
+      2^22 (k + 1) entries;
+    * otherwise a loop of the exact-int ``rank``/``unrank``.
+
+    On every path ranks are int64 while |T| <= 2^63 and an object array of
+    Python ints beyond (``rank_dtype``). The scalar methods are the oracle.
     """
 
     def __init__(self, p: Pmf, params: TypicalityParams):
@@ -454,12 +493,20 @@ class TypicalSet:
         return np.int64 if self.size <= 1 << 63 else object
 
     @cached_property
+    def _cube(self) -> BaseDigits | None:
+        """The digit reader when T is the full cube, else None."""
+        k = len(self.p)
+        return BaseDigits(k, self.l) if self.size == k ** self.l else None
+
+    @cached_property
     def _table(self):
         """(strides, cum) or None: cum[v, s] is the number of typical
         sequences extending a prefix with flat count index v by a symbol
-        below s, for s = 0..k; v = sum_s counts[s] * strides[s]."""
+        below s, for s = 0..k; v = sum_s counts[s] * strides[s]. None on a
+        full cube, which reads digits instead."""
         k = len(self.p)
-        if self.size >= 1 << 63 or (self.l + 2) ** k > _TABLE_ENTRIES:
+        if (self._cube is not None or self.size >= 1 << 63
+                or (self.l + 2) ** k > _TABLE_ENTRIES):
             return None
         radix = np.array(self.hi, dtype=np.int64) + 2
         strides = np.concatenate(([1], np.cumprod(radix)[:-1]))
@@ -482,6 +529,8 @@ class TypicalSet:
             raise ValueError(f"rows must have length {self.l}")
         k = len(self.p)
         valid = (seq >= 0) & (seq < k)
+        if self._cube is not None:
+            return valid.all(axis=1)
         offset = np.where(valid, seq, 0) + k * np.arange(seq.shape[0])[:, None]
         counts = np.bincount(offset.ravel(), minlength=seq.shape[0] * k).reshape(-1, k)
         probs = self.p.probs
@@ -494,6 +543,12 @@ class TypicalSet:
         seq = np.asarray(x, dtype=np.int64)
         if not self.contains_rows(seq).all():
             raise ValueError("sequence is not typical")
+        return self._rank_typical_rows(seq)
+
+    def _rank_typical_rows(self, seq: np.ndarray) -> np.ndarray:
+        """rank_rows() of an int64 (rows, l) array already known typical."""
+        if self._cube is not None:
+            return self._cube.values(seq)
         table = self._table
         if table is None:
             return np.array([self.rank(row) for row in seq], dtype=self.rank_dtype)
@@ -509,6 +564,8 @@ class TypicalSet:
             raise ValueError("ranks must be a 1-D array")
         if ranks.size and (ranks.min() < 0 or ranks.max() >= self.size):
             raise ValueError(f"rank outside [0, {self.size})")
+        if self._cube is not None:
+            return self._cube.digits(ranks)
         table = self._table
         if table is None:
             return np.array([self.unrank(int(v)) for v in ranks],
@@ -551,16 +608,6 @@ def typical_log_size(p: Pmf, t: TypicalityParams) -> float:
                 f"typical set log-size {log_n} exceeds l(1+delta)H = {bound}"
             )
     return log_n
-
-
-def rank_typical(x, p: Pmf, t: TypicalityParams) -> int:
-    """Lexicographic rank of a typical sequence within T_delta^l."""
-    return typical_set(p, t).rank(x)
-
-
-def unrank_typical(r: int, p: Pmf, t: TypicalityParams) -> np.ndarray:
-    """Inverse of rank_typical."""
-    return typical_set(p, t).unrank(r)
 
 
 # ---------------------------------------------------------------------------

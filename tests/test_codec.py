@@ -126,6 +126,32 @@ def test_rows_beyond_int64_use_exact_ints():
     assert [int(i) for i in enc.index] == [cube.index_of(w) >> 24 for w in words]
 
 
+@pytest.mark.parametrize("l", [32, 63, 64])
+def test_inner_round_trip_at_the_int64_edge(l):
+    # the binary full cube reads digits; a^l = 2^63 is the last int64 size
+    cube = cd.FullCubeCode(2, l)
+    code = cd.build_inner_code(pk.Pmf.uniform(2), l, 1.0, cu_size=1 << (l // 2), codebook=cube)
+    assert code.typical.size == 2 ** l
+    rng = np.random.default_rng(l)
+    x = rng.integers(0, 2, size=(8, l))
+    x[0], x[1] = 1, 0  # the last and the first rank
+    x[2, l - 1] = 2  # out-of-range symbols make a row atypical
+    x[3, 0] = -1
+    enc = code.encode_rows(x)
+    assert enc.index.dtype == enc.residual.dtype == code.typical.rank_dtype
+    assert (enc.index.dtype == np.int64) == (l <= 63)
+    assert enc.atypical.tolist() == [False, False, True, True] + [False] * 4
+    assert [int(v) for v in enc.index[2:4]] == [int(v) for v in enc.residual[2:4]] == [0, 0]
+    assert not enc.codewords[2:4].any()
+    ok = ~enc.atypical
+    assert np.array_equal(code.reconstruct_rows(enc.index, enc.residual)[ok], x[ok])
+    for row, index, residual in zip(x[ok], enc.index[ok], enc.residual[ok]):
+        rank = code.typical.rank(row)
+        assert int(index) == rank >> code.lb_bits
+        assert int(residual) == rank & ((1 << code.lb_bits) - 1)
+        assert np.array_equal(cube.words(np.array([index]))[0], cube.codeword(int(index)))
+
+
 def test_decode_ml_matches_brute_force():
     rng = np.random.default_rng(3)
     p_u = pk.Pmf.uniform(2)

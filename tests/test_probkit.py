@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fblic import dueck as dk
 from fblic import probkit as pk
+from fblic.codec import FullCubeCode
 from helpers import entropy_brute, kl_row, mi_from_joint
 
 LN2 = math.log(2.0)
@@ -217,56 +218,61 @@ def test_rank_unrank_round_trip(probs, l, delta):
     assert n > 0
     prev = None
     for r in range(n):
-        x = pk.unrank_typical(r, p, t)
-        assert pk.rank_typical(x, p, t) == r
+        x = ts.unrank(r)
+        assert ts.rank(x) == r
         key = tuple(int(v) for v in x)
         if prev is not None:
             assert key > prev  # strictly increasing lexicographic order
         prev = key
     # the first typical sequence has rank 0
-    assert pk.rank_typical(pk.unrank_typical(0, p, t), p, t) == 0
+    assert ts.rank(ts.unrank(0)) == 0
 
 
 def test_rank_unrank_errors():
-    p = pk.Pmf.uniform(2)
-    t = pk.TypicalityParams(8, 0.25)
+    ts = pk.typical_set(pk.Pmf.uniform(2), pk.TypicalityParams(8, 0.25))
     with pytest.raises(ValueError):
-        pk.rank_typical([0] * 8, p, t)  # atypical
+        ts.rank([0] * 8)  # atypical
     with pytest.raises(ValueError):
-        pk.unrank_typical(pk.typical_set(p, t).size, p, t)
+        ts.unrank(ts.size)
     with pytest.raises(ValueError):
-        pk.unrank_typical(-1, p, t)
+        ts.unrank(-1)
 
 
-# (probs, l, delta, whether the rows methods use the count table)
+# (probs, l, delta, whether the rows methods use the count table); a set
+# that is the full cube (|T| = k^l) reads digits instead
 ROWS_CASES = [
-    ((0.5, 0.5), 32, 1.0, True),  # the dueck fixture, |T| = 2^32
+    ((0.5, 0.5), 32, 1.0, False),  # the dueck fixture, |T| = 2^32: full cube
     ((0.7, 0.3), 9, 0.3, True),
     ((0.25, 0.25, 0.5), 6, 0.6, True),
     ((0.5, 0.3, 0.2), 12, 0.5, True),
     ((0.5, 0.5, 0.0), 6, 1.0, True),
     ((0.25, 0.25, 0.25, 0.25), 10, 0.8, True),
     ((0.125,) * 8, 8, 1.0, False),  # (l + 2)^k = 10^8 > 2^22
-    ((0.5, 0.5), 63, 1.0, False),  # |T| = 2^63: ranks still fit int64
-    ((0.5, 0.5), 70, 1.0, False),  # |T| = 2^70: exact ints
+    ((0.5, 0.5), 63, 1.0, False),  # full cube, |T| = 2^63: ranks still fit int64
+    ((0.5, 0.5), 70, 1.0, False),  # full cube, |T| = 2^70: exact ints
+    # ternary full cube, |T| = 3^12 (at delta = 2 the constant rows sit on the
+    # closed boundary and rounding drops them)
+    ((1 / 3, 1 / 3, 1 / 3), 12, 2.5, False),
+    ((0.7, 0.3), 10, 2.5, False),  # a non-uniform pmf whose typical set is the full cube
+    ((0.5, 0.5), 64, 1.0, False),  # full cube, |T| = 2^64: exact ints
+    ((0.5, 0.5), 70, 0.5, False),  # not a full cube, |T| > 2^63: the exact-int loop
 ]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(case=st.sampled_from(ROWS_CASES), data=st.data())
-def test_rows_methods_equal_the_scalar_path(case, data):
+def _check_rows_case(case, ranks, rows):
+    """The rows methods against the scalar oracle on one ROWS_CASES entry:
+    unrank ``ranks``, rank them back, and test membership of ``rows``."""
     probs, l, delta, table = case
     ts = pk.TypicalSet(pk.Pmf(list(probs)), pk.TypicalityParams(l, delta))
     assert (ts._table is not None) == table
     k, n = len(probs), ts.size
-    ranks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    assert (ts._cube is not None) == (n == k ** l)
     x = ts.unrank_rows(np.array(ranks, dtype=ts.rank_dtype))
     assert np.array_equal(x, np.stack([ts.unrank(r) for r in ranks]))
     got = ts.rank_rows(x)
     assert got.dtype == ts.rank_dtype
     assert [int(r) for r in got] == ranks == [ts.rank(row) for row in x]
 
-    rows = data.draw(hnp.arrays(np.int64, (6, l), elements=st.integers(-1, k)))
     rows = np.vstack([rows, x])
     assert ts.contains_rows(rows).tolist() == [ts.contains(row) for row in rows]
     atypical = np.vstack([rows[~ts.contains_rows(rows)], np.full(l, k)])[0]
@@ -277,6 +283,46 @@ def test_rows_methods_equal_the_scalar_path(case, data):
     for bad in (-1, n):
         with pytest.raises(ValueError):
             ts.unrank_rows(np.array([0, bad], dtype=object))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=st.sampled_from(ROWS_CASES), data=st.data())
+def test_rows_methods_equal_the_scalar_path(case, data):
+    probs, l = case[0], case[1]
+    n = pk.typical_set(pk.Pmf(list(probs)), pk.TypicalityParams(l, case[2])).size
+    ranks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    rows = data.draw(hnp.arrays(np.int64, (6, l), elements=st.integers(-1, len(probs))))
+    _check_rows_case(case, ranks, rows)
+
+
+@pytest.mark.parametrize("index", range(len(ROWS_CASES)))
+def test_rows_methods_on_every_case(index):
+    # sampled_from does not reach every case in 60 examples; this does, at
+    # the first and last rank and at random ones
+    case = ROWS_CASES[index]
+    probs, l = case[0], case[1]
+    n = pk.typical_set(pk.Pmf(list(probs)), pk.TypicalityParams(l, case[2])).size
+    rng = np.random.default_rng(index)
+    ranks = [0, n - 1] + [int(rng.integers(0, n)) if n < 1 << 63 else
+                          int.from_bytes(rng.bytes(16), "big") % n for _ in range(6)]
+    rows = rng.integers(-1, len(probs) + 1, size=(6, l))
+    rows[:2] = rng.integers(0, len(probs), size=(2, l))  # in range, so sometimes typical
+    _check_rows_case(case, ranks, rows)
+
+
+@pytest.mark.parametrize("l", [62, 63, 64])
+def test_full_cube_words_and_ranks_share_the_int64_rule(l):
+    # a^l = 2^l: int64 up to 2^63 inclusive, where the top value 2^63 - 1
+    # still fits, and exact Python ints beyond
+    cube = FullCubeCode(2, l)
+    ts = pk.TypicalSet(pk.Pmf.uniform(2), pk.TypicalityParams(l, 1.0))
+    top = np.ones((1, l), dtype=np.int64)
+    idx = cube.indices(top)
+    assert idx.dtype == ts.rank_dtype == ts.rank_rows(top).dtype == ts._cube.dtype
+    assert (idx.dtype == np.int64) == (l <= 63)
+    assert int(idx[0]) == 2 ** l - 1 == int(ts.rank_rows(top)[0]) == ts.rank(top[0])
+    assert np.array_equal(cube.words(idx), top)
+    assert np.array_equal(ts.unrank_rows(idx), top)
 
 
 # ---------------------------------------------------------------------------

@@ -82,13 +82,9 @@ def log_xi_l(log_xi: float, log_l: float) -> float:
     return math.log(-math.expm1(t))
 
 
-def tau_l_delta(p_k: Pmf, l, delta: float) -> float:
-    """Atypicality bound 2|K| exp{-2 delta^2 p(a*)^2 l}, clamped to [0, 1]."""
-    return min(1.0, math.exp(min(0.0, log_tau_l_delta(p_k, l, delta))))
-
-
 def log_tau_l_delta(p_k: Pmf, l, delta: float) -> float:
-    """Natural log of the unclamped atypicality bound."""
+    """Natural log of the atypicality bound 2|K| exp{-2 delta^2 p(a*)^2 l},
+    unclamped (it may exceed 0)."""
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     if l < 1:
@@ -440,18 +436,13 @@ class ProblemInstance:
         }
 
 
-def phi_total(inst: ProblemInstance, sp: SchemeParams) -> float:
-    """g + xi^[l](K pair) + tau_{l,delta}(K_1), clamped to [0, 1]."""
-    g = _exponent.g_rho_l(sp.l, sp.A, sp.rho, inst.p_u,
-                          (inst.induced_to_user(1), inst.induced_to_user(2)))
-    return min(1.0, g + xi_l(inst.xi_k(), sp.l) + tau_l_delta(inst.p_k1(), sp.l, sp.delta))
-
-
 # ---------------------------------------------------------------------------
 # theorem checkers
 # ---------------------------------------------------------------------------
 
 def _phi_from_logs(q: dict) -> tuple[float, float]:
+    """The miss bound phi = min(1, tau + xi^[l] + g) and its log, summed from
+    the quantities' three log terms; the one phi of the checkers and chains."""
     log_phi = min(0.0, log_sum_exp(q["log_tau"], q["log_xi_l"], q["log_g"]))
     phi = math.exp(log_phi) if log_phi > -745.0 else 0.0
     return phi, log_phi

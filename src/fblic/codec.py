@@ -22,12 +22,9 @@ join of XOR-delta tables per error depth instead of a cartesian sweep.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,74 +32,7 @@ import numpy as np
 
 from .probkit import BaseDigits, Dmc, Pmf, TypicalityParams, typical_set
 
-_MAGIC = b"FB"
 _NEG_INF_LLH = -1e30
-
-
-# ---------------------------------------------------------------------------
-# block matrices
-# ---------------------------------------------------------------------------
-
-class BlockMatrix:
-    """m x l matrix of symbols from a named finite alphabet."""
-
-    def __init__(self, entries, alphabet_size: int):
-        arr = np.asarray(entries, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("entries must be a non-empty 2-D array")
-        if arr.min() < 0 or arr.max() >= alphabet_size:
-            raise ValueError("entries outside the alphabet range")
-        self.entries = arr
-        self.alphabet_size = int(alphabet_size)
-
-    @property
-    def m(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def l(self) -> int:
-        return int(self.entries.shape[1])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BlockMatrix)
-                and self.alphabet_size == other.alphabet_size
-                and np.array_equal(self.entries, other.entries))
-
-    def to_bytes(self) -> bytes:
-        if self.m > 0xFFFF or self.l > 0xFFFF or self.alphabet_size > 0xFFFF:
-            raise ValueError("binary format caps dimensions at 65535")
-        header = _MAGIC + struct.pack("<HHH", self.m, self.l, self.alphabet_size)
-        dtype = "<u1" if self.alphabet_size <= 256 else "<u2"
-        return header + self.entries.astype(dtype).tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "BlockMatrix":
-        if blob[:2] != _MAGIC:
-            raise ValueError("bad magic")
-        m, l, alph = struct.unpack("<HHH", blob[2:8])
-        dtype = "<u1" if alph <= 256 else "<u2"
-        arr = np.frombuffer(blob[8:], dtype=dtype).reshape(m, l)
-        return cls(arr, alph)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["m", "l", "alphabet_size"])
-        writer.writerow([self.m, self.l, self.alphabet_size])
-        for row in self.entries:
-            writer.writerow(row.tolist())
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "BlockMatrix":
-        rows = list(csv.reader(io.StringIO(text)))
-        m, l, alph = (int(v) for v in rows[1])
-        data = [[int(v) for v in row] for row in rows[2:2 + m]]
-        return cls(np.array(data), alph)
-
-
-def _as_entries(mat) -> np.ndarray:
-    return mat.entries if isinstance(mat, BlockMatrix) else np.asarray(mat, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +308,20 @@ def draw_permutations(m: int, l: int, seed: int) -> PermutationSet:
 
 def interleave(mat, perm: PermutationSet):
     """B(t, i) = A(t, pi_t(i))."""
-    arr = _as_entries(mat)
+    arr = np.asarray(mat, dtype=np.int64)
     if arr.shape != perm.rows.shape:
         raise ValueError("matrix and permutation shapes disagree")
-    out = np.take_along_axis(arr, perm.rows, axis=1)
-    return BlockMatrix(out, mat.alphabet_size) if isinstance(mat, BlockMatrix) else out
+    return np.take_along_axis(arr, perm.rows, axis=1)
 
 
 def deinterleave(mat, perm: PermutationSet):
     """Exact inverse of interleave."""
-    arr = _as_entries(mat)
+    arr = np.asarray(mat, dtype=np.int64)
     if arr.shape != perm.rows.shape:
         raise ValueError("matrix and permutation shapes disagree")
     out = np.empty_like(arr)
     np.put_along_axis(out, perm.rows, arr, axis=1)
-    return BlockMatrix(out, mat.alphabet_size) if isinstance(mat, BlockMatrix) else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +377,7 @@ class MatrixHasher:
             raise ValueError("symbols outside the hasher's alphabet")
 
     def _digest_words(self, matrix) -> np.ndarray:
-        arr = _as_entries(matrix)
+        arr = np.asarray(matrix, dtype=np.int64)
         if arr.shape != (self.m, self.l):
             raise ValueError("matrix shape disagrees with the hasher")
         self._check_symbols(arr)
@@ -466,36 +395,6 @@ class MatrixHasher:
 # ---------------------------------------------------------------------------
 # outer binning code
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OuterEncodeResult:
-    residuals: tuple
-    residual_bits: int
-    atypical: tuple
-    digest: Digest
-
-
-def outer_encode(s_matrix, code: InnerCode, hash_rate: float, seed: int,
-                 hasher: MatrixHasher | None = None,
-                 hash_bits: int | None = None) -> OuterEncodeResult:
-    """Per-row residual bits plus a seeded digest of the whole source matrix.
-
-    The digest length is ceil(hash_rate * m / log 2) bits unless an
-    explicit bit count is forced; its alphabet is the inner code's.
-    """
-    arr = _as_entries(s_matrix)
-    m = arr.shape[0]
-    if hash_rate < 0.0:
-        raise ValueError("hash_rate must be non-negative")
-    bits = hash_bits if hash_bits is not None else math.ceil(hash_rate * m / math.log(2.0) - 1e-12)
-    if hasher is None:
-        hasher = MatrixHasher(bits, seed, code.p_k1.alphabet_size, arr.shape[1], m)
-    enc = code.encode_rows(arr)
-    return OuterEncodeResult(residuals=tuple(int(r) for r in enc.residual),
-                             residual_bits=code.lb_bits,
-                             atypical=tuple(bool(a) for a in enc.atypical),
-                             digest=hasher.digest(arr))
-
 
 @dataclass(frozen=True)
 class OuterDecodeResult:
@@ -634,7 +533,7 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
     """
     if e_max < 0:
         raise ValueError("e_max must be non-negative")
-    base = _as_entries(khat).copy()
+    base = np.array(khat, dtype=np.int64)
     if digest.bits != hasher.bits:
         raise ValueError("digest width disagrees with the hasher")
 
@@ -760,8 +659,8 @@ def prefix_flip_rule(code: InnerCode, alphabet_size: int):
 
 def multiplex_inputs(u_mat, v_mat, p_x_given_uv, seed: int):
     """Sample X(t, i) ~ p(x | u(t,i), v(t,i)) entrywise, fixed by the seed."""
-    u = _as_entries(u_mat)
-    v = _as_entries(v_mat)
+    u = np.asarray(u_mat, dtype=np.int64)
+    v = np.asarray(v_mat, dtype=np.int64)
     if u.shape != v.shape:
         raise ValueError("matrix shapes disagree")
     p = np.asarray(p_x_given_uv, dtype=float)

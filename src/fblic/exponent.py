@@ -246,15 +246,13 @@ def log_g_rho_l(
     rho: float,
     p_u: Pmf,
     induced: tuple[Dmc, Dmc],
-    exact_zero_when_noiseless: bool = True,
 ) -> float:
     """log sum_j exp{-l (E_r(A+rho, p, p_Yj|U) - rho)}, clamped to <= 0.
 
     The sum is taken as a logsumexp, so the bound keeps its value at any
     block length where exp would underflow. A deterministic injective
     induced channel is decoded without error, so its term is taken as
-    exactly zero (-inf in log) unless exact_zero_when_noiseless is cleared
-    (useful when studying the exponent formula itself).
+    exactly zero (-inf in log).
     """
     if not 0.0 < rho < a_rate:
         raise ValueError("rho must lie strictly inside (0, A)")
@@ -263,7 +261,7 @@ def log_g_rho_l(
     lf = math.inf if l > sys.float_info.max else float(l)
     logs = []
     for w in induced:
-        if exact_zero_when_noiseless and is_deterministic_injective(w):
+        if is_deterministic_injective(w):
             continue
         er = random_coding_exponent(ExponentQuery(
             rate=a_rate + rho, input_pmf=p_u, channel=w))
@@ -273,17 +271,3 @@ def log_g_rho_l(
         logs.append(-lf * gap)
     return min(0.0, log_sum_exp(*logs))
 
-
-def g_rho_l(
-    l,
-    a_rate: float,
-    rho: float,
-    p_u: Pmf,
-    induced: tuple[Dmc, Dmc],
-    exact_zero_when_noiseless: bool = True,
-) -> float:
-    """Two-user bound sum_j exp{-l (E_r(A+rho, p, p_Yj|U) - rho)}, clamped to [0, 1].
-
-    The exp of log_g_rho_l; it underflows to 0 where log_g_rho_l does not.
-    """
-    return math.exp(log_g_rho_l(l, a_rate, rho, p_u, induced, exact_zero_when_noiseless))

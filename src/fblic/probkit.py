@@ -262,29 +262,6 @@ def mutual_information(p: Pmf, w: Dmc) -> float:
     return max(0.0, h_out - h_out_given_in)
 
 
-def conditional_kl(v: Dmc, w: Dmc, p: Pmf) -> float:
-    """sum_u p(u) D(v(.|u) || w(.|u)) in nats; +inf on a support violation.
-
-    A row of v placing mass where the matching row of w has none (and
-    p(u) > 0) makes the divergence infinite rather than raising.
-    """
-    if v.rows.shape != w.rows.shape:
-        raise ValueError("channel shapes disagree")
-    if len(p) != v.num_inputs:
-        raise ValueError("input pmf size does not match channel input alphabet")
-    total = 0.0
-    for u in range(v.num_inputs):
-        pu = float(p.probs[u])
-        if pu == 0.0:
-            continue
-        vr, wr = v.rows[u], w.rows[u]
-        if np.any((vr > 0.0) & (wr == 0.0)):
-            return math.inf
-        mask = vr > 0.0
-        total += pu * float((vr[mask] * (np.log(vr[mask]) - np.log(wr[mask]))).sum())
-    return max(0.0, total)
-
-
 def log_sum_exp(*vals: float) -> float:
     """log(sum_i exp(vals[i])) without overflow or underflow; -inf for no finite term."""
     finite = [v for v in vals if v > -math.inf]

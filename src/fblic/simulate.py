@@ -36,7 +36,12 @@ _LN2 = math.log(2.0)
 
 @dataclass
 class TrialStats:
-    """Aggregated outcome of a simulation run (rates are frequencies)."""
+    """Aggregated outcome of a simulation run (rates are frequencies).
+
+    phi_bound is the inner-layer miss bound phi = min(1, tau + xi^[l] + g)
+    in the checkers' log-domain form (bounds._phi_from_logs), so it is the
+    phi that check_thm1 reports for the same instance and scheme.
+    """
 
     trials: int
     m: int
@@ -310,7 +315,9 @@ def simulate_dueck(
     times the full demand.
 
     source is the example's parameter triple or any materialized joint pmf
-    fixture (a^k <= 4096 for dense work).
+    fixture (a^k <= 4096 for dense work). phi_bound is the checkers'
+    log-domain phi of log tau, log xi^[l] and log g = -inf, as the shared
+    channel is deterministic and injective.
     """
     _check_run(trials, hash_bits, e_max, capacity_slack)
     if isinstance(source, _dueck.DueckParams):
@@ -343,7 +350,12 @@ def simulate_dueck(
 
     xi = max(0.0, 1.0 - float(np.trace(joint.probs)))
     xi_block = _bounds.xi_l(xi, sp.l)
-    phi_bound = min(1.0, xi_block + _bounds.tau_l_delta(p_s1, sp.l, sp.delta))
+    # the shared channel is deterministic and injective: no codeword-miss term
+    phi_bound, _ = _bounds._phi_from_logs({
+        "log_tau": _bounds.log_tau_l_delta(p_s1, sp.l, sp.delta),
+        "log_xi_l": math.log(xi_block) if xi_block > 0.0 else -math.inf,
+        "log_g": -math.inf,
+    })
     return _simulate(
         sp, trials, seed, joint=joint,
         maps=(np.arange(joint.row_size), np.arange(joint.col_size)),
@@ -369,7 +381,8 @@ def simulate_generic(
     validated at the channel level: the interleaved (V, Y) column law is
     compared against its ideal single-letter law in total variation and
     estimated mutual information, per the rate-loss bound it must obey.
-    The outer decode runs only when K is the source itself.
+    The outer decode runs only when K is the source itself. phi_bound is
+    the checkers' log-domain phi of inst.thm1_quantities(sp).
     """
     _check_run(trials, hash_bits, e_max)
     comp = np.round(inst.p_u.probs * sp.l).astype(int)
@@ -387,7 +400,7 @@ def simulate_generic(
         tuple(int(c) for c in comp), sp.A, sp.l, _child_seed(seed, 0xCC),
         n_codewords=min(n_words, _codec.type_class_size(comp)))
     code = _codec.build_inner_code(p_k1, sp.l, sp.delta, codebook=cc)
-    phi_bound = _bounds.phi_total(inst, sp)
+    phi_bound, _ = _bounds._phi_from_logs(inst.thm1_quantities(sp))
     return _simulate(
         sp, trials, seed, joint=src, maps=(inst.f1, inst.f2), code=code,
         side=_codec.hamming_ball_rule(p_k1.alphabet_size, radius=1),

@@ -24,16 +24,6 @@ def entropy_brute(probs) -> float:
     return total
 
 
-def kl_row(v, w) -> float:
-    total = 0.0
-    for a, b in zip(v, w):
-        if a > 0 and b == 0:
-            return math.inf
-        if a > 0:
-            total += a * math.log(a / b)
-    return total
-
-
 def mi_from_joint(joint) -> float:
     joint = np.asarray(joint, dtype=float)
     pr = joint.sum(axis=1)

@@ -82,7 +82,7 @@ def test_criterion_3_typicality_bound_and_exact_counting():
     ]
     n = 10_000
     for p, l, delta in configs:
-        tau = bd.tau_l_delta(p, l, delta)
+        tau = math.exp(min(0.0, bd.log_tau_l_delta(p, l, delta)))
         counts = rng.multinomial(l, p.probs, size=n)
         ok = np.ones(n, dtype=bool)
         for s, prob in enumerate(p.probs):

@@ -63,17 +63,24 @@ def test_log_xi_l_tiny_regime():
     assert tiny == pytest.approx(-15000.0, rel=1e-9)
 
 
+def tau(p, l, delta):
+    return math.exp(min(0.0, bd.log_tau_l_delta(p, l, delta)))
+
+
 def test_tau_l_delta():
     p = pk.Pmf.uniform(2)
     # delta tiny: the bound exceeds one and clamps
-    assert bd.tau_l_delta(p, 10, 1e-6) == 1.0
+    assert bd.log_tau_l_delta(p, 10, 1e-6) > 0.0
+    assert tau(p, 10, 1e-6) == 1.0
     # l large: the bound collapses
-    assert bd.tau_l_delta(p, 10 ** 7, 0.1) < 1e-300 or bd.tau_l_delta(p, 10 ** 7, 0.1) == 0.0
-    val = bd.tau_l_delta(p, 200, 0.1)
+    assert tau(p, 10 ** 7, 0.1) < 1e-300
+    val = tau(p, 200, 0.1)
     expect = 2 * 2 * math.exp(-2 * 0.1 ** 2 * 0.25 * 200)
     assert val == pytest.approx(min(1.0, expect), rel=1e-12)
     with pytest.raises(ValueError):
-        bd.tau_l_delta(p, 200, 0.0)
+        bd.log_tau_l_delta(p, 200, 0.0)
+    with pytest.raises(ValueError):
+        bd.log_tau_l_delta(p, 0, 0.1)
 
 
 def test_tau_monte_carlo_bound():
@@ -83,7 +90,7 @@ def test_tau_monte_carlo_bound():
     counts = rng.binomial(l, 0.5, size=n)
     atypical = ~((np.abs(counts / l - 0.5) <= delta * 0.5)
                  & (np.abs((l - counts) / l - 0.5) <= delta * 0.5))
-    assert atypical.mean() <= bd.tau_l_delta(p, l, delta)
+    assert atypical.mean() <= tau(p, l, delta)
 
 
 def test_loss_source():
@@ -211,11 +218,14 @@ def test_instance_derived_quantities():
 def test_phi_total_term_by_term():
     inst = small_instance()
     sp = small_scheme()
-    g = ex.g_rho_l(sp.l, sp.A, sp.rho, inst.p_u,
-                   (inst.induced_to_user(1), inst.induced_to_user(2)))
-    tau = bd.tau_l_delta(inst.p_k1(), sp.l, sp.delta)
+    q = inst.thm1_quantities(sp)
+    g = math.exp(ex.log_g_rho_l(sp.l, sp.A, sp.rho, inst.p_u,
+                                (inst.induced_to_user(1), inst.induced_to_user(2))))
     xil = bd.xi_l(inst.xi_k(), sp.l)
-    assert bd.phi_total(inst, sp) == pytest.approx(min(1.0, g + tau + xil), rel=1e-12)
+    want = min(1.0, g + tau(inst.p_k1(), sp.l, sp.delta) + xil)
+    phi, log_phi = bd._phi_from_logs(q)
+    assert math.exp(log_phi) == pytest.approx(want, rel=1e-12)
+    assert phi == math.exp(log_phi)
 
 
 def test_phi_total_near_zero_for_clean_setup():
@@ -223,7 +233,10 @@ def test_phi_total_near_zero_for_clean_setup():
     # codeword term is exactly zero and the atypicality bound decays away
     inst = small_instance(xi=0.0, stay=1.0, eps=0.0, leak=0.0)
     sp = small_scheme(delta=5.0)
-    assert bd.phi_total(inst, sp) == pytest.approx(0.0, abs=1e-12)
+    q = inst.thm1_quantities(sp)
+    assert q["log_g"] == -math.inf and q["log_xi_l"] == -math.inf
+    assert bd._phi_from_logs(q)[0] == pytest.approx(0.0, abs=1e-12)
+    assert bd.check_thm1(inst, sp).phi == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -278,52 +278,19 @@ def test_interleave_identity_and_roundtrip(m, l, alphabet, seed):
     assert np.array_equal(np.take_along_axis(inv, perm.rows, axis=1), ref)
 
 
-def test_interleave_block_matrix_wrapper():
-    perm = cd.draw_permutations(3, 4, seed=1)
-    bm = cd.BlockMatrix(np.arange(12).reshape(3, 4) % 3, 3)
-    out = cd.interleave(bm, perm)
-    assert isinstance(out, cd.BlockMatrix)
-    assert cd.deinterleave(out, perm) == bm
-
-
-# ---------------------------------------------------------------------------
-# block matrix serialization
-# ---------------------------------------------------------------------------
-
-def test_block_matrix_bytes_roundtrip():
-    bm = cd.BlockMatrix([[0, 1, 2], [2, 1, 0]], 3)
-    blob = bm.to_bytes()
-    assert blob[:2] == b"FB" and len(blob) == 8 + 6
-    assert cd.BlockMatrix.from_bytes(blob) == bm
-    wide = cd.BlockMatrix([[0, 300], [511, 5]], 512)
-    assert cd.BlockMatrix.from_bytes(wide.to_bytes()) == wide
-
-
-def test_block_matrix_csv_roundtrip():
-    bm = cd.BlockMatrix([[0, 1], [1, 0], [1, 1]], 2)
-    assert cd.BlockMatrix.from_csv(bm.to_csv()) == bm
-
-
-def test_block_matrix_validation():
-    with pytest.raises(ValueError):
-        cd.BlockMatrix([[0, 3]], 3)
-    with pytest.raises(ValueError):
-        cd.BlockMatrix(np.zeros((0, 4)), 2)
-
-
 # ---------------------------------------------------------------------------
 # hashing and the outer code
 # ---------------------------------------------------------------------------
 
 def test_digest_length_matches_rate():
-    p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 4, 1.0)
-    mat = np.zeros((8, 4), dtype=int)
-    for rate_nats in (0.0, 0.5, 1.37, 9.01):
-        out = cd.outer_encode(mat, code, rate_nats, seed=1)
-        assert out.digest.bits == math.ceil(rate_nats * 8 / LN2 - 1e-12)
-    out0 = cd.outer_encode(mat, code, 0.0, seed=1)
-    assert out0.digest.bits == 0 and out0.digest.value == 0
+    # the digest is exactly as wide as the bit budget of r nats per row,
+    # ceil(r m / log 2) bits, and a zero budget gives the empty digest
+    mat = np.random.default_rng(2).integers(0, 2, size=(8, 4))
+    for rate_nats in (0.0, 0.5, 1.37, 9.01, 25.0):
+        bits = math.ceil(rate_nats * 8 / LN2 - 1e-12)
+        out = cd.MatrixHasher(bits, 1, 2, 4, 8).digest(mat)
+        assert out.bits == bits and 0 <= out.value < 2 ** bits
+    assert cd.MatrixHasher(0, 1, 2, 4, 8).digest(mat) == cd.Digest(bits=0, value=0)
 
 
 def test_equal_matrices_equal_digests():
@@ -344,8 +311,14 @@ def test_outer_encode_digest_uses_the_code_alphabet():
     # ternary, so the decoder's hasher verifies it
     code = cd.build_inner_code(pk.Pmf([0.5, 0.3, 0.2]), 4, 2.0)
     mat = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1]])
-    out = cd.outer_encode(mat, code, 0.0, seed=5, hash_bits=64)
-    assert out.digest == cd.MatrixHasher(64, 5, 3, 4, 3).digest(mat)
+    enc = code.encode_rows(mat)
+    khat = code.reconstruct_rows(enc.index, enc.residual)
+    assert np.array_equal(khat, mat)
+    hasher = cd.MatrixHasher(64, 5, code.p_k1.alphabet_size, 4, 3)
+    digest = hasher.digest(mat)
+    assert digest != cd.MatrixHasher(64, 5, 2, 4, 3).digest(mat)
+    res = cd.outer_decode(khat, digest, cd.hamming_ball_rule(3, radius=1), 0, hasher)
+    assert res.status == "ok" and np.array_equal(res.matrix, mat)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -228,36 +228,33 @@ def test_g_rho_l_domain():
     w = pk.Dmc.binary_symmetric(0.05)
     p = pk.Pmf.uniform(2)
     with pytest.raises(ValueError):
-        ex.g_rho_l(16, 0.2, 0.3, p, (w, w))
+        ex.log_g_rho_l(16, 0.2, 0.3, p, (w, w))
     with pytest.raises(ValueError):
-        ex.g_rho_l(16, 0.2, 0.0, p, (w, w))
+        ex.log_g_rho_l(16, 0.2, 0.0, p, (w, w))
+    with pytest.raises(ValueError):
+        ex.log_g_rho_l(0, 0.2, 0.1, p, (w, w))
 
 
 def test_g_rho_l_clamps_to_one():
     # rate above capacity makes the exponent zero, so the bound saturates
     w = pk.Dmc.binary_symmetric(0.4)
     p = pk.Pmf.uniform(2)
-    assert ex.g_rho_l(16, 0.6, 0.3, p, (w, w)) == 1.0
+    assert ex.log_g_rho_l(16, 0.6, 0.3, p, (w, w)) == 0.0
 
 
 def test_g_rho_l_exact_zero_for_deterministic_injective():
     ident = pk.Dmc.identity(3)
     p = pk.Pmf.uniform(3)
-    assert ex.g_rho_l(8, 0.9, 0.5, p, (ident, ident)) == 0.0
-    # but the formula path stays positive
-    val = ex.g_rho_l(8, 0.9, 0.5, p, (ident, ident),
-                     exact_zero_when_noiseless=False)
-    assert val > 0.0
+    assert ex.log_g_rho_l(8, 0.9, 0.5, p, (ident, ident)) == -math.inf
 
 
 def test_g_rho_l_decreasing_in_l_near_noiseless():
     w = pk.Dmc([[0.999, 0.001], [0.001, 0.999]])
     p = pk.Pmf.uniform(2)
-    vals = [ex.g_rho_l(l, 0.3, 0.05, p, (w, w), exact_zero_when_noiseless=False)
-            for l in (8, 16, 32, 64)]
-    for hi, lo in zip(vals[:-1], vals[1:]):
-        assert lo <= hi + 1e-12
-    assert all(0.0 <= v <= 1.0 for v in vals)
+    logs = [ex.log_g_rho_l(l, 0.3, 0.05, p, (w, w)) for l in (8, 16, 32, 64)]
+    for hi, lo in zip(logs[:-1], logs[1:]):
+        assert lo <= hi
+    assert all(-math.inf < v <= 0.0 for v in logs)
 
 
 @pytest.mark.parametrize("l", [10**4, 10**16])
@@ -269,7 +266,7 @@ def test_log_g_rho_l_stays_finite_where_g_underflows(l):
     # two equal terms: log 2 - l * gap (about log 2 - 2113.6 at l = 10^4)
     assert math.isfinite(log_g)
     assert log_g == pytest.approx(LN2 - l * gap, rel=1e-12)
-    assert ex.g_rho_l(l, 0.1, 0.01, p, (w, w)) == 0.0
+    assert math.exp(log_g) == 0.0
 
 
 def test_thm1_quantities_log_g_in_log_domain():

@@ -8,6 +8,8 @@ rate-point oracle outcomes, the worked example's witness and its section
 To re-record after an intended change of output:
 
     PYTHONPATH=src:tests python tests/test_golden_conditions.py > tests/golden_conditions.json
+
+CI runs this command and diffs its output against the committed file.
 """
 
 import json

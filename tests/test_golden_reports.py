@@ -7,12 +7,15 @@ in order must match them. A refactor of the chains must reproduce every
 field exactly. To re-record after an intended change of output:
 
     PYTHONPATH=src:tests python tests/test_golden_reports.py > tests/golden_reports.json
+
+CI runs this command and diffs its output against the committed file.
 """
 
 import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from fblic import bounds as bd
@@ -42,38 +45,65 @@ def _folded_instance():
         p_x1_given_uv1=mix_kernel(0.98), p_x2_given_uv2=mix_kernel(0.98))
 
 
+# name -> (chain, setup, run options); setup() gives the chain's source or
+# instance and its scheme
 CASES = {
-    "dueck_fixture_t1": lambda: sm.simulate_dueck(
-        binary_pair_source(0.01), _fixture_scheme(8), trials=4, seed=3, e_max=1),
-    "dueck_fixture_t2": lambda: sm.simulate_dueck(
-        binary_pair_source(0.02), _fixture_scheme(8), trials=4, seed=11, e_max=2),
-    "dueck_fixture_e3": lambda: sm.simulate_dueck(
-        binary_pair_source(0.02), _fixture_scheme(8), trials=4, seed=11, e_max=3),
-    "dueck_starved": lambda: sm.simulate_dueck(
-        binary_pair_source(0.004), _fixture_scheme(8), trials=4, seed=31,
-        capacity_slack=-1.0),
-    "dueck_params": lambda: sm.simulate_dueck(
-        dk.DueckParams(2, 2, 8),
-        bd.SchemeParams(l=8, delta=0.9, A=LN2, B=1.1, rho=0.4, m=8),
-        trials=4, seed=1, e_max=1),
-    "generic_t1": lambda: sm.simulate_generic(
-        small_instance(), small_scheme(m=8), trials=4, seed=9, e_max=1),
-    "generic_t2": lambda: sm.simulate_generic(
-        small_instance(xi=0.05, eps=0.02), small_scheme(m=8), trials=4, seed=12,
-        e_max=1),
-    "generic_folded": lambda: sm.simulate_generic(
-        _folded_instance(), small_scheme(m=8), trials=4, seed=5),
+    "dueck_fixture_t1": (sm.simulate_dueck,
+                         lambda: (binary_pair_source(0.01), _fixture_scheme(8)),
+                         dict(trials=4, seed=3, e_max=1)),
+    "dueck_fixture_t2": (sm.simulate_dueck,
+                         lambda: (binary_pair_source(0.02), _fixture_scheme(8)),
+                         dict(trials=4, seed=11, e_max=2)),
+    "dueck_fixture_e3": (sm.simulate_dueck,
+                         lambda: (binary_pair_source(0.02), _fixture_scheme(8)),
+                         dict(trials=4, seed=11, e_max=3)),
+    "dueck_starved": (sm.simulate_dueck,
+                      lambda: (binary_pair_source(0.004), _fixture_scheme(8)),
+                      dict(trials=4, seed=31, capacity_slack=-1.0)),
+    "dueck_params": (sm.simulate_dueck,
+                     lambda: (dk.DueckParams(2, 2, 8),
+                              bd.SchemeParams(l=8, delta=0.9, A=LN2, B=1.1, rho=0.4, m=8)),
+                     dict(trials=4, seed=1, e_max=1)),
+    "generic_t1": (sm.simulate_generic,
+                   lambda: (small_instance(), small_scheme(m=8)),
+                   dict(trials=4, seed=9, e_max=1)),
+    "generic_t2": (sm.simulate_generic,
+                   lambda: (small_instance(xi=0.05, eps=0.02), small_scheme(m=8)),
+                   dict(trials=4, seed=12, e_max=1)),
+    "generic_folded": (sm.simulate_generic,
+                       lambda: (_folded_instance(), small_scheme(m=8)),
+                       dict(trials=4, seed=5)),
 }
 
 
 def _report(name):
-    return json.loads(CASES[name]().to_json())
+    chain, setup, options = CASES[name]
+    return json.loads(chain(*setup(), **options).to_json())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_recording(name):
     golden = json.loads(GOLDEN.read_text())
     assert _report(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_chain_reports_the_checkers_phi(name):
+    chain, setup, options = CASES[name]
+    source, sp = setup()
+    phi_bound = chain(source, sp, **options).phi_bound
+    if chain is sm.simulate_generic:
+        assert phi_bound == bd.check_thm1(source, sp).phi
+        return
+    # the example's channel is deterministic and injective: g = 0
+    joint = dk.build_source(source).materialize() if isinstance(source, dk.DueckParams) else source
+    xi_block = bd.xi_l(1.0 - float(np.trace(joint.probs)), sp.l)
+    phi, _ = bd._phi_from_logs({
+        "log_tau": bd.log_tau_l_delta(joint.row_marginal(), sp.l, sp.delta),
+        "log_xi_l": math.log(xi_block) if xi_block > 0.0 else -math.inf,
+        "log_g": -math.inf,
+    })
+    assert phi_bound == phi
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from fblic import dueck as dk
 from fblic import probkit as pk
 from fblic.codec import FullCubeCode
-from helpers import entropy_brute, kl_row, mi_from_joint
+from helpers import entropy_brute, mi_from_joint
 
 LN2 = math.log(2.0)
 
@@ -136,19 +136,6 @@ def test_mutual_information():
     assert got == pytest.approx(closed, abs=1e-12)
     joint = pk.JointPmf.from_input_and_channel(pk.Pmf.uniform(2), w)
     assert got == pytest.approx(mi_from_joint(joint.probs), abs=1e-12)
-
-
-def test_conditional_kl():
-    p = pk.Pmf.uniform(2)
-    w = pk.Dmc.binary_symmetric(0.1)
-    assert pk.conditional_kl(w, w, p) == 0.0
-    v = pk.Dmc([[0.5, 0.5], [0.0, 1.0]])
-    ident = pk.Dmc.identity(2)
-    assert pk.conditional_kl(v, ident, p) == math.inf
-    v2 = pk.Dmc([[0.8, 0.2], [0.3, 0.7]])
-    w2 = pk.Dmc([[0.6, 0.4], [0.5, 0.5]])
-    expected = 0.5 * kl_row(v2.rows[0], w2.rows[0]) + 0.5 * kl_row(v2.rows[1], w2.rows[1])
-    assert pk.conditional_kl(v2, w2, p) == pytest.approx(expected, abs=1e-12)
 
 
 def test_least_positive_prob():

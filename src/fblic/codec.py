@@ -371,6 +371,8 @@ class MatrixHasher:
         if self.words:
             cols[:, -1] &= np.uint64((1 << (self.bits - 64 * (self.words - 1))) - 1)
         self._cols = cols
+        # the candidate table outer_decode built last (see _candidates)
+        self._table = None
 
     def _check_symbols(self, rows: np.ndarray) -> None:
         if rows.size and (rows.min() < 0 or rows.max() >= self.alphabet_size):
@@ -411,15 +413,37 @@ def _capped(total: int, what: str) -> int:
     return total
 
 
-def _candidates(base: np.ndarray, groups, hasher: MatrixHasher) -> tuple:
-    """Check a rule's substitution groups and merge them by row: each
-    candidate's row, digest delta (the XOR of the H columns of the bits
-    old ^ new it flips), and the flat cells and new symbols it writes,
-    padded to the widest radius by repeating its last cell."""
+class _Candidates(NamedTuple):
+    """A rule's candidates merged by row, and what a search reads of them:
+    each candidate's row, digest delta (the XOR of the H columns of the
+    bits old ^ new it flips), flat cells and bit flips, padded to the
+    widest radius by repeating its last cell; the pattern tables T_0 and
+    T_1; the (cells, flips) of each group they were built from; and, per
+    e_max, the (matches, searched) of a search whose baseline matches."""
+
+    owner: np.ndarray
+    delta: np.ndarray
+    cells: np.ndarray
+    flips: np.ndarray
+    tables: tuple
+    inputs: tuple
+    settled: dict
+
+
+def _candidates(base: np.ndarray, groups, hasher: MatrixHasher) -> _Candidates:
+    """Check a rule's substitution groups and merge them by row.
+
+    The merged table reads only each group's cells and bit flips (a
+    candidate's row is its first cell // l), so the hasher keeps the last
+    one and returns it again while every group's cells and flips are equal
+    to those it was built from: on a binary alphabet every flip is 1, and
+    a rule over fixed positions gives one table for all of a user's
+    decodes. A rule that proposes no group proposes one empty group.
+    """
     m, l = base.shape
     a, bit = hasher.alphabet_size, np.arange(hasher.sym_bits)
-    parts, radii = [], []
-    for group in groups:
+    inputs, radii = [], []
+    for group in tuple(groups) or ((np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1))),):
         owner, pos, sym = (np.asarray(g, dtype=np.int64) for g in group)
         n, r = pos.shape
         if owner.shape != (n,) or sym.shape != (n, r) or r < 1 or r in radii:
@@ -436,17 +460,31 @@ def _candidates(base: np.ndarray, groups, hasher: MatrixHasher) -> tuple:
                 and (key[1:] > key[:-1]).all()):
             raise ValueError("a candidate rule must list distinct substitutions that each "
                              "change their cells, in increasing order")
+        inputs.append((cells, flips))
+        radii.append(r)
+    memo = hasher._table
+    if memo is not None and len(memo.inputs) == len(inputs) and all(
+            np.array_equal(new, old) for pair in zip(inputs, memo.inputs) for new, old in zip(*pair)):
+        return memo
+    deltas = []
+    for cells, flips in inputs:
         on = (flips[:, :, None] >> bit & 1)[..., None].astype(np.uint64)
         cols = hasher._cols.take(cells[:, :, None] * bit.size + bit, axis=0) * on
-        parts.append((owner, np.bitwise_xor.reduce(cols, axis=(1, 2)), cells, sym))
-        radii.append(r)
+        deltas.append(np.bitwise_xor.reduce(cols, axis=(1, 2)))
     # a candidate repeats its last cell up to the widest radius: written
     # twice, the cell is written once
     widen = [np.minimum(np.arange(max(radii)), r - 1) for r in radii]
-    owner, delta, cells, sym = (np.concatenate(arrays) for arrays in zip(*(
-        (o, d, c.take(w, axis=1), s.take(w, axis=1)) for (o, d, c, s), w in zip(parts, widen))))
+    delta, cells, flips = (np.concatenate(arrays) for arrays in zip(*(
+        (d, c.take(w, axis=1), f.take(w, axis=1)) for d, (c, f), w in zip(deltas, inputs, widen))))
+    owner = cells[:, 0] // l
     order = np.argsort(owner, kind="stable")
-    return tuple(arr.take(order, axis=0) for arr in (owner, delta, cells, sym))
+    owner, delta, cells, flips = (arr.take(order, axis=0) for arr in (owner, delta, cells, flips))
+    tables = (_patterns(np.zeros((1, 0), dtype=np.int64),
+                        np.zeros((1, hasher.words), dtype=np.uint64),
+                        np.array([m]), np.array([-1])),
+              _patterns(np.arange(len(owner))[:, None], delta, owner, owner))
+    hasher._table = _Candidates(owner, delta, cells, flips, tables, tuple(inputs), {})
+    return hasher._table
 
 
 class _Patterns(NamedTuple):
@@ -530,6 +568,17 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
     serves depths 1 and 2, T_2 depths 3 and 4. A table of more than 2^20
     patterns, or a join with more than 2^20 equal-key pairs to compare (a
     narrow digest), is refused.
+
+    The hasher keeps the last candidate table (deltas, rows and T_1, in
+    their sorted order), because the table reads only the cells each
+    candidate writes and the bits it flips there: a decode whose rule
+    proposes the same cells and flips (a binary alphabet over fixed
+    positions) reuses it, after every check of the rule's groups has run
+    on this baseline. When the baseline already matches, the joins look
+    for zero-delta patterns, which the table alone fixes, so the same
+    entry keeps each e_max's matches and searched count for that case.
+    The joins for any other target, the tables above T_1 and every
+    refusal run on each call; a refused search is never kept.
     """
     if e_max < 0:
         raise ValueError("e_max must be non-negative")
@@ -550,26 +599,34 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
         hit = not need.any()
         return OuterDecodeResult(status="ok" if hit else "failed", matrix=base if hit else None,
                                  matches=int(hit), searched=1)
-    owner, delta, cells, sym = _candidates(base, side(base), hasher)
-    tables = [_patterns(np.zeros((1, 0), dtype=np.int64),
-                        np.zeros((1, hasher.words), dtype=np.uint64),
-                        np.array([base.shape[0]]), np.array([-1])),
-              _patterns(np.arange(len(owner))[:, None], delta, owner, owner)]
-    found = []
-    for d in range(e_max + 1):
-        if len(tables) <= d - d // 2:
-            tables.append(_extend(tables[-1], owner, delta))
-        found.append(_join(tables[d // 2], tables[d - d // 2], need))
-    searched = 1 + len(owner) + sum(f.shape[0] for f in found[2:3])
-    matches = sum(f.shape[0] for f in found)
+    table = _candidates(base, side(base), hasher)
+    # when the baseline matches, the joins look for zero-delta patterns,
+    # which the candidate table alone fixes
+    baseline_ok = not need.any()
+    if baseline_ok and e_max in table.settled:
+        matches, searched = table.settled[e_max]
+    else:
+        tables, found = list(table.tables), []
+        for d in range(e_max + 1):
+            if len(tables) <= d - d // 2:
+                tables.append(_extend(tables[-1], table.owner, table.delta))
+            found.append(_join(tables[d // 2], tables[d - d // 2], need))
+        searched = 1 + len(table.owner) + sum(f.shape[0] for f in found[2:3])
+        matches = sum(f.shape[0] for f in found)
+        if baseline_ok:
+            table.settled[e_max] = matches, searched
 
     if matches == 0:
         return OuterDecodeResult(status="failed", matrix=None, matches=0, searched=searched)
     if matches > 1:
         return OuterDecodeResult(status="ambiguous", matrix=None,
                                  matches=matches, searched=searched)
-    pattern = next(f[0] for f in found if f.shape[0])
-    base.reshape(-1)[cells[pattern]] = sym[pattern]
+    if not baseline_ok:
+        # the one match is not the baseline; a padded cell is written twice
+        # with the same symbol
+        pattern = next(f[0] for f in found if f.shape[0])
+        flat, cells = base.reshape(-1), table.cells[pattern]
+        flat[cells] = flat.take(cells) ^ table.flips[pattern]
     return OuterDecodeResult(status="ok", matrix=base, matches=1, searched=searched)
 
 

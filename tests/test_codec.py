@@ -513,6 +513,85 @@ def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l,
             == _decode_outcome(row_outer_decode, khat, digest, rows, e_max, h))
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(alphabet=st.sampled_from([2, 3, 4]),
+       bits=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64, 128]),
+       m=st.integers(1, 4), l=st.integers(1, 5), la_share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       steps=st.lists(st.tuples(st.sampled_from(["ball1", "ball2", "prefix"]),
+                                st.integers(0, 4), st.integers(0, 3)),
+                      min_size=2, max_size=8))
+# a binary ball at every depth: every decode after the first reuses the table
+@example(alphabet=2, bits=64, m=4, l=5, la_share=0.0, seed=3,
+         steps=[("ball1", e, c) for e in (1, 2, 3, 4) for c in (0, 1, 0, 2)])
+# a one-bit digest: baselines that match are ambiguous (kept, then read
+# back), or refused at depth 4 (again on the repeat)
+@example(alphabet=4, bits=1, m=4, l=3, la_share=1.0, seed=5,
+         steps=[("ball2", 4, 0), ("prefix", 2, 0), ("ball2", 2, 0), ("ball2", 4, 0),
+                ("ball1", 3, 1), ("ball2", 2, 0), ("ball2", 2, 0)])
+def test_outer_decode_reuses_its_table_across_baselines_and_rules(
+        alphabet, bits, m, l, la_share, seed, steps):
+    # one hasher decodes a sequence of baselines, the rule changing between
+    # calls; baseline c is the truth with its first c rows corrupted, so
+    # baselines repeat and match their digest when c = 0. Each outcome
+    # (or refusal) equals the row pipeline's and a fresh hasher's
+    sym_bits = (alphabet - 1).bit_length()
+    code = cd.build_inner_code(pk.Pmf.uniform(2 ** sym_bits), l, 5.0,
+                               cu_size=1 << round(la_share * l * sym_bits),
+                               codebook=cd.FullCubeCode(2 ** sym_bits, l))
+    rules = {"ball1": (cd.hamming_ball_rule(alphabet, 1), hamming_ball_rows(alphabet, 1)),
+             "ball2": (cd.hamming_ball_rule(alphabet, 2), hamming_ball_rows(alphabet, 2))}
+    # the prefix rule needs a power-of-two alphabet: a ternary run uses ball1
+    rules["prefix"] = ((cd.prefix_flip_rule(code, alphabet), prefix_flip_rows(code, alphabet))
+                       if alphabet != 3 else rules["ball1"])
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, alphabet, size=(m, l))
+    baselines = [truth.copy()]
+    for _ in range(3):
+        khat = baselines[-1].copy()
+        t = len(baselines) - 1
+        if t < m:
+            i = int(rng.integers(0, l))
+            khat[t, i] = (khat[t, i] + rng.integers(1, alphabet)) % alphabet
+        baselines.append(khat)
+    h = cd.MatrixHasher(bits, seed=seed, alphabet_size=alphabet, l=l, m=m)
+    digest = h.digest(truth)
+    for rule, e_max, c in steps:
+        side, rows = rules[rule]
+        fresh = cd.MatrixHasher(bits, seed=seed, alphabet_size=alphabet, l=l, m=m)
+        outcome = _decode_outcome(cd.outer_decode, baselines[c], digest, side, e_max, h)
+        assert outcome == _decode_outcome(row_outer_decode, baselines[c], digest, rows, e_max, h)
+        assert outcome == _decode_outcome(cd.outer_decode, baselines[c], digest, side, e_max,
+                                          fresh)
+
+
+def test_outer_decode_keeps_the_last_candidate_table():
+    # a binary rule over fixed positions flips the same bits of the same
+    # cells from any baseline: one table serves every decode, and a matching
+    # baseline's count is kept per e_max. A ternary ball flips bits that
+    # depend on the baseline, so a new baseline builds a new table
+    rng = np.random.default_rng(6)
+    truth = rng.integers(0, 2, size=(4, 5))
+    khat = truth.copy()
+    khat[1, 2] ^= 1
+    h = cd.MatrixHasher(64, seed=2, alphabet_size=2, l=5, m=4)
+    side = cd.hamming_ball_rule(2, radius=1)
+    res = cd.outer_decode(truth, h.digest(truth), side, 2, h)
+    table = h._table
+    assert table.settled == {2: (res.matches, res.searched)} and res.status == "ok"
+    res = cd.outer_decode(khat, h.digest(truth), side, 2, h)
+    assert res.status == "ok" and np.array_equal(res.matrix, truth)
+    assert h._table is table and set(table.settled) == {2}
+    ternary = cd.MatrixHasher(64, seed=2, alphabet_size=3, l=5, m=4)
+    side3 = cd.hamming_ball_rule(3, radius=1)
+    cd.outer_decode(truth, ternary.digest(truth), side3, 1, ternary)
+    first = ternary._table
+    cd.outer_decode(truth, ternary.digest(truth), side3, 1, ternary)
+    assert ternary._table is first
+    cd.outer_decode(khat, ternary.digest(truth), side3, 1, ternary)
+    assert ternary._table is not first
+
+
 def test_outer_decode_refuses_repeated_and_no_op_substitutions():
     # a rule must list distinct substitutions that each change their cells,
     # in increasing order; anything else is refused, not cleaned up
@@ -608,8 +687,8 @@ def test_outer_decode_e_max_zero_checks_only_the_baseline():
 
 
 def test_outer_decode_without_candidates():
-    # no address bits: the prefix rule proposes nothing, so only the
-    # baseline can match, at every depth
+    # no address bits: the prefix rule proposes one empty group, so only
+    # the baseline can match, at every depth
     code = cd.build_inner_code(pk.Pmf.uniform(2), 4, 1.0, cu_size=1,
                                codebook=cd.FullCubeCode(2, 4))
     side = cd.prefix_flip_rule(code, 2)
@@ -617,11 +696,13 @@ def test_outer_decode_without_candidates():
     truth = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
     khat = truth.copy()
     khat[1, 0] ^= 1
-    for e_max in range(4):
-        res = cd.outer_decode(truth, h.digest(truth), side, e_max, h)
-        assert (res.status, res.searched) == ("ok", 1) and np.array_equal(res.matrix, truth)
-        res = cd.outer_decode(khat, h.digest(truth), side, e_max, h)
-        assert (res.status, res.matches, res.searched) == ("failed", 0, 1)
+    # a rule that proposes no group at all acts the same
+    for rule in (side, lambda base: ()):
+        for e_max in range(4):
+            res = cd.outer_decode(truth, h.digest(truth), rule, e_max, h)
+            assert (res.status, res.searched) == ("ok", 1) and np.array_equal(res.matrix, truth)
+            res = cd.outer_decode(khat, h.digest(truth), rule, e_max, h)
+            assert (res.status, res.matches, res.searched) == ("failed", 0, 1)
 
 
 def test_outer_decode_no_wrong_accepts_fuzz():
@@ -652,11 +733,22 @@ def test_outer_decode_refuses_an_oversized_pattern_table():
         cd.outer_decode(khat, cd.Digest(64, 1), side, 3, h)
     res = cd.outer_decode(khat, cd.Digest(64, 1), side, 2, h)
     assert res.searched >= 1 + 2048
+    # the hasher keeps its candidate table through the refusal: e_max = 2
+    # decodes on it still equal a fresh hasher's, matching baseline or not
+    fresh = cd.MatrixHasher(64, seed=1, alphabet_size=2, l=32, m=64)
+    flipped = khat.copy()
+    flipped[[3, 40], [0, 17]] = 1
+    for target in (khat, flipped):
+        for digest in (h.digest(target), cd.Digest(64, 1)):
+            assert (_decode_outcome(cd.outer_decode, khat, digest, side, 2, h)
+                    == _decode_outcome(cd.outer_decode, khat, digest, side, 2, fresh))
     # a one-bit digest gives at least 2048^2 / 2 > 2^20 two-row pairs with
-    # equal keys when the target is the baseline's digest: refused too
+    # equal keys when the target is the baseline's digest: refused too, on
+    # every call, because a refused search is never kept
     narrow = cd.MatrixHasher(1, seed=1, alphabet_size=2, l=32, m=64)
-    with pytest.raises(ValueError, match=r"more than 2\^20"):
-        cd.outer_decode(khat, narrow.digest(khat), side, 2, narrow)
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"more than 2\^20"):
+            cd.outer_decode(khat, narrow.digest(khat), side, 2, narrow)
 
 
 # ---------------------------------------------------------------------------

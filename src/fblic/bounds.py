@@ -2,9 +2,9 @@
 
 Every checker returns a ConditionReport: a list of named inequalities with
 left/right values, slacks, and satisfied flags, plus the miss-probability
-bound phi that feeds the rate-loss terms. Comparisons use a configurable
-guard band so boundary cases do not flap between runs; strict "<"
-inequalities must clear the guard, ">=" ones may sit on it.
+bound phi that feeds the rate-loss terms. Comparisons use a fixed guard
+band, DEFAULT_GUARD, so boundary cases do not flap between runs; strict
+"<" inequalities must clear the guard, ">=" ones may sit on it.
 
 Quantities that can be astronomically small (the tau and xi terms of the
 worked example at its natural scale) are carried as natural logs end to
@@ -161,7 +161,6 @@ class Inequality:
     right: float
     kind: str = "lt"  # "lt" strict; "le"/"ge" allow equality within the guard
     scale: str = "linear"  # "log" when left/right are natural logs
-    guard: float = DEFAULT_GUARD
 
     @property
     def slack(self) -> float:
@@ -170,9 +169,9 @@ class Inequality:
     @property
     def satisfied(self) -> bool:
         if self.kind == "lt":
-            return self.slack > self.guard
+            return self.slack > DEFAULT_GUARD
         if self.kind in ("le", "ge"):
-            return self.slack >= -self.guard
+            return self.slack >= -DEFAULT_GUARD
         raise ValueError(f"unknown inequality kind {self.kind!r}")
 
     def to_dict(self) -> dict:
@@ -448,8 +447,7 @@ def _phi_from_logs(q: dict) -> tuple[float, float]:
     return phi, log_phi
 
 
-def _check(inst, sp: SchemeParams, guard: float, phi_override: float | None,
-           theorem) -> ConditionReport:
+def _check(inst, sp: SchemeParams, phi_override: float | None, theorem) -> ConditionReport:
     """The analysis every checker shares, finished by ``theorem``.
 
     Computes the quantities and the miss bound phi (or takes phi_override),
@@ -464,8 +462,8 @@ def _check(inst, sp: SchemeParams, guard: float, phi_override: float | None,
         phi = phi_override
         log_phi = math.log(phi) if phi > 0.0 else -math.inf
     budget = Inequality("A+B >= (1+delta)*H(K1)", sp.A + sp.B,
-                        (1.0 + sp.delta) * q["H_K1"], kind="ge", guard=guard)
-    phi_iq = Inequality("phi < 1/2", phi, 0.5, kind="lt", guard=guard)
+                        (1.0 + sp.delta) * q["H_K1"], kind="ge")
+    phi_iq = Inequality("phi < 1/2", phi, 0.5, kind="lt")
     if phi >= 0.5:
         return ConditionReport(
             inequalities=(budget, phi_iq), phi=phi, log_phi=log_phi,
@@ -478,8 +476,7 @@ def _check(inst, sp: SchemeParams, guard: float, phi_override: float | None,
     return report
 
 
-def check_thm1(inst, sp: SchemeParams, guard: float = DEFAULT_GUARD,
-               phi_override: float | None = None) -> ConditionReport:
+def check_thm1(inst, sp: SchemeParams, phi_override: float | None = None) -> ConditionReport:
     """Separation-based sufficient conditions with per-user private streams.
 
     Accepts the dense ProblemInstance or any object implementing
@@ -495,13 +492,13 @@ def check_thm1(inst, sp: SchemeParams, guard: float = DEFAULT_GUARD,
             right = q["I_vy"][j - 1] - lc
             rows.append(Inequality(
                 f"user{j}: B + H(S{j}|K1) + L^S < I(V{j};Y{j}) - L^C", left, right,
-                kind="lt", guard=guard))
+                kind="lt"))
         return rows, {}
 
-    return _check(inst, sp, guard, phi_override, user_rows)
+    return _check(inst, sp, phi_override, user_rows)
 
 
-def check_thm3(inst: ProblemInstance, sp: SchemeParams, guard: float = DEFAULT_GUARD,
+def check_thm3(inst: ProblemInstance, sp: SchemeParams,
                phi_override: float | None = None) -> ConditionReport:
     """Conditional-decoding conditions: the decoded shared word is side info.
 
@@ -520,14 +517,14 @@ def check_thm3(inst: ProblemInstance, sp: SchemeParams, guard: float = DEFAULT_G
             right = inst.cond_mi_x_y_given_u(j) - lc
             rows.append(Inequality(
                 f"user{j}: B + H(S{j}|K1) + L^S < I(X{j};Y{j}|U) - L^C", left, right,
-                kind="lt", guard=guard))
+                kind="lt"))
         return rows, {}
 
-    return _check(inst, sp, guard, phi_override, user_rows)
+    return _check(inst, sp, phi_override, user_rows)
 
 
 def check_thm2_rate_point(inst: ProblemInstance, sp: SchemeParams,
-                          hk_oracle=None, guard: float = DEFAULT_GUARD) -> ConditionReport:
+                          hk_oracle=None) -> ConditionReport:
     """Rate point for the message-splitting step, membership delegated.
 
     The region itself is defined in an external reference, so membership
@@ -547,7 +544,7 @@ def check_thm2_rate_point(inst: ProblemInstance, sp: SchemeParams,
         )
         return (), {"rate_point": point, "uvw_size": uvw}
 
-    report = _check(inst, sp, guard, None, rate_point)
+    report = _check(inst, sp, None, rate_point)
     if report.status == "infeasible-by-phi":
         return report
     if hk_oracle is None:

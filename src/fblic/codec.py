@@ -10,14 +10,14 @@ outputs, which is the agreement property the whole construction rides on.
 The outer stage realizes binning operationally at desk scale: the encoder
 sends a seeded GF(2)-linear digest of the whole m x l source matrix (a
 syndrome H . bits(x) for a random binary H), and the decoder searches
-error patterns touching at most E_max rows, applying the candidate
-substitutions (row, positions, new symbols) a caller-supplied rule
-side(base) proposes for the whole baseline matrix, accepting the unique
-digest match. Two distinct matrices collide with probability exactly
-2^-b over the draw of H, at any width b, and the linearity of the digest
-is what lets a candidate's digest change be read straight off the H
-columns of the bits it flips, and the pattern search run as one sorted
-join of XOR-delta tables per error depth instead of a cartesian sweep.
+error patterns touching at most E_max rows, each row rewritten by one of
+the substitutions a candidate rule allows (r of its leading symbols),
+accepting the unique digest match. Two distinct matrices collide with
+probability exactly 2^-b over the draw of H, at any width b, and the
+linearity of the digest is what lets a candidate's digest change be read
+straight off the H columns of the bits it flips, and the pattern search
+run as one sorted join of XOR-delta tables per error depth instead of a
+cartesian sweep.
 """
 
 from __future__ import annotations
@@ -374,15 +374,12 @@ class MatrixHasher:
         # the candidate table outer_decode built last (see _candidates)
         self._table = None
 
-    def _check_symbols(self, rows: np.ndarray) -> None:
-        if rows.size and (rows.min() < 0 or rows.max() >= self.alphabet_size):
-            raise ValueError("symbols outside the hasher's alphabet")
-
     def _digest_words(self, matrix) -> np.ndarray:
         arr = np.asarray(matrix, dtype=np.int64)
         if arr.shape != (self.m, self.l):
             raise ValueError("matrix shape disagrees with the hasher")
-        self._check_symbols(arr)
+        if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet_size):
+            raise ValueError("symbols outside the hasher's alphabet")
         # symbol i of the flattened matrix owns bits i*sym_bits.., low bit first
         bits = (arr[:, :, None] >> np.arange(self.sym_bits)) & 1
         cols = self._cols.take(np.flatnonzero(bits), axis=0)
@@ -414,76 +411,50 @@ def _capped(total: int, what: str) -> int:
 
 
 class _Candidates(NamedTuple):
-    """A rule's candidates merged by row, and what a search reads of them:
-    each candidate's row, digest delta (the XOR of the H columns of the
-    bits old ^ new it flips), flat cells and bit flips, padded to the
-    widest radius by repeating its last cell; the pattern tables T_0 and
-    T_1; the (cells, flips) of each group they were built from; and, per
-    e_max, the (matches, searched) of a search whose baseline matches."""
+    """A rule's candidates on one baseline, by row, and what a search reads
+    of them: each candidate's row, digest delta (the XOR of the H columns
+    of the bits old ^ new it flips), flat cells and bit flips, padded to
+    the widest radius by repeating its last cell; the pattern tables T_0
+    and T_1; the rule they were built for; and, per e_max, the (matches,
+    searched) of a search whose baseline matches."""
 
     owner: np.ndarray
     delta: np.ndarray
     cells: np.ndarray
     flips: np.ndarray
     tables: tuple
-    inputs: tuple
+    rule: CandidateRule
     settled: dict
 
 
-def _candidates(base: np.ndarray, groups, hasher: MatrixHasher) -> _Candidates:
-    """Check a rule's substitution groups and merge them by row.
+def _candidates(base: np.ndarray, rule: CandidateRule, hasher: MatrixHasher) -> _Candidates:
+    """The rule's candidates on this baseline, over the hasher's alphabet.
 
-    The merged table reads only each group's cells and bit flips (a
-    candidate's row is its first cell // l), so the hasher keeps the last
-    one and returns it again while every group's cells and flips are equal
-    to those it was built from: on a binary alphabet every flip is 1, and
-    a rule over fixed positions gives one table for all of a user's
-    decodes. A rule that proposes no group proposes one empty group.
+    The table reads only the rule's cells, fixed by the rule and the
+    matrix shape, and the bits each candidate flips there, so the hasher
+    keeps the last one and returns it again for an equal rule with equal
+    flips: on a binary alphabet every flip is 1, and one table serves all
+    of a user's decodes.
     """
     m, l = base.shape
-    a, bit = hasher.alphabet_size, np.arange(hasher.sym_bits)
-    inputs, radii = [], []
-    for group in tuple(groups) or ((np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1))),):
-        owner, pos, sym = (np.asarray(g, dtype=np.int64) for g in group)
-        n, r = pos.shape
-        if owner.shape != (n,) or sym.shape != (n, r) or r < 1 or r in radii:
-            raise ValueError("a candidate rule needs one (owner, pos, sym) group per radius")
-        if n and (owner.min() < 0 or owner.max() >= m or pos.min() < 0 or pos.max() >= l):
-            raise ValueError("a substitution lies outside the baseline")
-        hasher._check_symbols(sym)
-        cells = owner[:, None] * l + pos
-        flips = base.take(cells) ^ sym
-        # the cell-by-cell key of a group that rises strictly repeats no
-        # candidate (keys must fit int64: (m*l*a)^r < 2^63, else ValueError)
-        key = np.ravel_multi_index(tuple((cells * a + sym).T), (m * l * a,) * r)
-        if not (flips.all() and (pos[:, 1:] > pos[:, :-1]).all()
-                and (key[1:] > key[:-1]).all()):
-            raise ValueError("a candidate rule must list distinct substitutions that each "
-                             "change their cells, in increasing order")
-        inputs.append((cells, flips))
-        radii.append(r)
+    n_pos = l if rule.n_pos is None else min(rule.n_pos, l)
+    owner, cells, alt, pad = _substitution_layout(m, l, n_pos, hasher.alphabet_size, rule.radii)
+    cur = base.take(cells)
+    # offset k is the k-th symbol, ascending, other than the current one
+    flips = cur ^ (alt + (alt >= cur))
     memo = hasher._table
-    if memo is not None and len(memo.inputs) == len(inputs) and all(
-            np.array_equal(new, old) for pair in zip(inputs, memo.inputs) for new, old in zip(*pair)):
+    if memo is not None and memo.rule == rule and np.array_equal(memo.flips, flips):
         return memo
-    deltas = []
-    for cells, flips in inputs:
-        on = (flips[:, :, None] >> bit & 1)[..., None].astype(np.uint64)
-        cols = hasher._cols.take(cells[:, :, None] * bit.size + bit, axis=0) * on
-        deltas.append(np.bitwise_xor.reduce(cols, axis=(1, 2)))
-    # a candidate repeats its last cell up to the widest radius: written
-    # twice, the cell is written once
-    widen = [np.minimum(np.arange(max(radii)), r - 1) for r in radii]
-    delta, cells, flips = (np.concatenate(arrays) for arrays in zip(*(
-        (d, c.take(w, axis=1), f.take(w, axis=1)) for d, (c, f), w in zip(deltas, inputs, widen))))
-    owner = cells[:, 0] // l
-    order = np.argsort(owner, kind="stable")
-    owner, delta, cells, flips = (arr.take(order, axis=0) for arr in (owner, delta, cells, flips))
+    # a padded cell repeats one already counted: it adds no delta
+    bit = np.arange(hasher.sym_bits)
+    on = ((flips[:, :, None] >> bit & 1) * ~pad[:, :, None])[..., None].astype(np.uint64)
+    cols = hasher._cols.take(cells[:, :, None] * bit.size + bit, axis=0) * on
+    delta = np.bitwise_xor.reduce(cols, axis=(1, 2))
     tables = (_patterns(np.zeros((1, 0), dtype=np.int64),
                         np.zeros((1, hasher.words), dtype=np.uint64),
                         np.array([m]), np.array([-1])),
               _patterns(np.arange(len(owner))[:, None], delta, owner, owner))
-    hasher._table = _Candidates(owner, delta, cells, flips, tables, tuple(inputs), {})
+    hasher._table = _Candidates(owner, delta, cells, flips, tables, rule, {})
     return hasher._table
 
 
@@ -536,24 +507,20 @@ def _join(left: _Patterns, right: _Patterns, need: np.ndarray) -> np.ndarray:
     return np.column_stack([left.idx.take(i[hit], axis=0), right.idx.take(j[hit], axis=0)])
 
 
-def outer_decode(khat, digest: Digest, side, e_max: int,
+def outer_decode(khat, digest: Digest, rule: CandidateRule, e_max: int,
                  hasher: MatrixHasher) -> OuterDecodeResult:
     """Digest-verified bounded-error-pattern search.
 
     khat is the decoder's per-row baseline (already refined by residual
-    bits). side(base) proposes the candidates for the whole (m, l)
-    baseline as substitutions: a sequence of Substitutions groups, one per
-    radius r, each giving for every candidate the row it rewrites and the
-    r positions (increasing) and new symbols it writes there. A group
-    lists its candidates row by row, in increasing lexicographic order of
-    their (position, symbol) pairs, and every written symbol differs from
-    the baseline's, so no candidate repeats another or leaves a cell
-    unchanged; a rule that breaks this is refused with ValueError. All
-    patterns touching at most e_max rows are examined; the unique digest
-    match wins, two distinct matches report ambiguity, none reports a
-    search failure. At e_max = 0 only the baseline is tested and the rule
-    is not consulted. searched counts the baseline, the candidates (when
-    e_max >= 1) and the matched row pairs (when e_max >= 2).
+    bits). The rule fixes the candidates of each baseline row: every
+    substitution of r of its first n_pos symbols by other symbols of the
+    hasher's alphabet, for each r in rule.radii, so no two candidates are
+    equal and each changes the cells it writes. All patterns touching at
+    most e_max rows are examined; the unique digest match wins, two
+    distinct matches report ambiguity, none reports a search failure. At
+    e_max = 0 only the baseline is tested and no candidate is built.
+    searched counts the baseline, the candidates (when e_max >= 1) and
+    the matched row pairs (when e_max >= 2).
 
     The digest is linear, so a candidate's effect on it is a fixed delta,
     the XOR of the H columns of the bits its substitutions flip, and a
@@ -570,15 +537,14 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
     narrow digest), is refused.
 
     The hasher keeps the last candidate table (deltas, rows and T_1, in
-    their sorted order), because the table reads only the cells each
-    candidate writes and the bits it flips there: a decode whose rule
-    proposes the same cells and flips (a binary alphabet over fixed
-    positions) reuses it, after every check of the rule's groups has run
-    on this baseline. When the baseline already matches, the joins look
-    for zero-delta patterns, which the table alone fixes, so the same
-    entry keeps each e_max's matches and searched count for that case.
-    The joins for any other target, the tables above T_1 and every
-    refusal run on each call; a refused search is never kept.
+    their sorted order), because the table reads only the rule's cells
+    and the bits each candidate flips there: a decode with an equal rule
+    and equal flips (a binary alphabet) reuses it. When the baseline
+    already matches, the joins look for zero-delta patterns, which the
+    table alone fixes, so the same entry keeps each e_max's matches and
+    searched count for that case. The joins for any other target, the
+    tables above T_1 and every refusal run on each call; a refused search
+    is never kept.
     """
     if e_max < 0:
         raise ValueError("e_max must be non-negative")
@@ -599,7 +565,7 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
         hit = not need.any()
         return OuterDecodeResult(status="ok" if hit else "failed", matrix=base if hit else None,
                                  matches=int(hit), searched=1)
-    table = _candidates(base, side(base), hasher)
+    table = _candidates(base, rule, hasher)
     # when the baseline matches, the joins look for zero-delta patterns,
     # which the candidate table alone fixes
     baseline_ok = not need.any()
@@ -634,80 +600,64 @@ def outer_decode(khat, digest: Digest, side, e_max: int,
 # candidate rules for flagged-row completion
 # ---------------------------------------------------------------------------
 
-class Substitutions(NamedTuple):
-    """Candidates that each rewrite r cells of one baseline row: the row
-    (n,), the positions (n, r), increasing along each candidate, and the
-    new symbols (n, r)."""
+@dataclass(frozen=True)
+class CandidateRule:
+    """Which substitutions the outer decoder tries in each baseline row:
+    every replacement of exactly r of the row's first n_pos symbols (the
+    whole row when n_pos is None) by other symbols of the hasher's
+    alphabet, for each radius r in radii, nearest first."""
 
-    owner: np.ndarray
-    pos: np.ndarray
-    sym: np.ndarray
+    n_pos: int | None
+    radii: tuple
 
 
 @functools.lru_cache(maxsize=64)
-def _substitution_layout(m: int, l: int, n_pos: int, alphabet_size: int, radius: int):
-    """Every substitution of exactly radius symbols among the first n_pos of
-    each row of an m x l matrix, row by row, each as (position, symbol
-    offset) pairs by increasing position, in lexicographic order of those
-    pairs. Returns the rows (n,) and the positions, offsets and flat cells,
-    each (n, radius)."""
-    alts = alphabet_size - 1
-    pairs = np.array([c for c in itertools.combinations(range(n_pos * alts), radius)
-                      if len({p // alts for p in c}) == radius],
-                     dtype=np.int64).reshape(-1, radius)
-    owner = np.repeat(np.arange(m), pairs.shape[0])
-    pos, alt = np.divmod(np.tile(pairs, (m, 1)), alts)
+def _substitution_layout(m: int, l: int, n_pos: int, alphabet_size: int, radii: tuple):
+    """Every substitution of r symbols among the first n_pos of each row of
+    an m x l matrix, for r in radii: row by row, nearest first, then in
+    lexicographic order of their (position, symbol offset) pairs, taken
+    by increasing position. Returns the rows (n,) and the flat cells,
+    symbol offsets and padding flags (n, max(radii)): a candidate of a
+    smaller radius repeats its last pair, flagged as padding."""
+    alts, width = alphabet_size - 1, max(radii)
+    pairs, pad = [], []
+    for r in radii:
+        for c in itertools.combinations(range(n_pos * alts), r):
+            if len({p // alts for p in c}) == r:
+                pairs.append(c + c[-1:] * (width - r))
+                pad.append((False,) * r + (True,) * (width - r))
+    owner = np.repeat(np.arange(m), len(pairs))
+    pos, alt = np.divmod(np.tile(np.array(pairs, dtype=np.int64).reshape(-1, width), (m, 1)), alts)
     cells = owner[:, None] * l + pos
-    for arr in (owner, pos, alt, cells):
+    pad = np.tile(np.array(pad, dtype=bool).reshape(-1, width), (m, 1))
+    for arr in (owner, cells, alt, pad):
         arr.setflags(write=False)
-    return owner, pos, alt, cells
+    return owner, cells, alt, pad
 
 
-def _substitutions(base: np.ndarray, n_pos: int, alphabet_size: int, radii) -> tuple:
-    """Every replacement of r of the first n_pos symbols of each row of
-    base, one Substitutions group per r in radii, each by row, then
-    position and symbol pairs."""
-    groups = []
-    for radius in radii:
-        owner, pos, alt, cells = _substitution_layout(*base.shape, n_pos, alphabet_size, radius)
-        # offset k is the k-th symbol, ascending, other than the current one
-        groups.append(Substitutions(owner, pos, alt + (alt >= base.take(cells))))
-    return tuple(groups)
-
-
-def hamming_ball_rule(alphabet_size: int, radius: int = 1):
-    """Every row's substitutions within the given Hamming distance, one
-    Substitutions group per distance, nearest first."""
+def hamming_ball_rule(radius: int = 1) -> CandidateRule:
+    """Every row's substitutions within the given Hamming distance."""
     if radius not in (1, 2):
         raise ValueError("supported radii are 1 and 2")
-
-    def rule(base):
-        return _substitutions(base, base.shape[1], alphabet_size, range(1, radius + 1))
-
-    return rule
+    return CandidateRule(n_pos=None, radii=tuple(range(1, radius + 1)))
 
 
-def prefix_flip_rule(code: InnerCode, alphabet_size: int):
+def prefix_flip_rule(code: InnerCode) -> CandidateRule:
     """One-symbol substitutions restricted to the positions carried by the
-    codeword address, as one Substitutions group.
+    codeword address.
 
     Valid when the typical set is the full cube over a power-of-two
     alphabet: ranks are then base-n values of the rows, the address bits
     are exactly the leading symbols, and only those can be corrupted by a
     shared-channel disagreement (the residual pins the rest).
     """
-    n = alphabet_size
+    n = code.p_k1.alphabet_size
     sym_bits = (n - 1).bit_length()
     if 2 ** sym_bits != n:
         raise ValueError("prefix rule needs a power-of-two alphabet")
     if code.typical.size != n ** code.l:
         raise ValueError("prefix rule needs the full-cube typical set")
-    prefix_syms = -(-code.la_bits // sym_bits)
-
-    def rule(base):
-        return _substitutions(base, min(prefix_syms, base.shape[1]), n, (1,))
-
-    return rule
+    return CandidateRule(n_pos=-(-code.la_bits // sym_bits), radii=(1,))
 
 
 # ---------------------------------------------------------------------------

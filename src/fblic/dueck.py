@@ -37,8 +37,14 @@ from .bounds import (
 from .probkit import Dmc, JointPmf, binary_entropy
 
 
+# the most symbols a^k a dense joint may have
+_MATERIALIZE_CAP = 4096
+# the multiplicative-weight step of max_H_Y0_product_inputs
+_ASCENT_STEP = 0.25
+
+
 class MaterializationError(ValueError):
-    """Raised when a dense representation would exceed the configured cap."""
+    """Raised when a dense joint would exceed _MATERIALIZE_CAP symbols."""
 
 
 def _safe_exp(v: float) -> float:
@@ -142,11 +148,11 @@ class DueckSource:
             return self.p_offdiag
         return Fraction(0)
 
-    def materialize(self, cap: int = 4096) -> JointPmf:
+    def materialize(self) -> JointPmf:
         n = self.params.symbol_count
-        if n > cap:
+        if n > _MATERIALIZE_CAP:
             raise MaterializationError(
-                f"dense joint needs a^k = {n} symbols, above the cap {cap}")
+                f"dense joint needs a^k = {n} symbols, above the cap {_MATERIALIZE_CAP}")
         probs = np.zeros((n, n))
         probs[0, 0] = float(self.p_diag0)
         diag = float(self.p_diag)
@@ -334,7 +340,7 @@ def h_y0_product(p, q) -> float:
 
 
 def max_H_Y0_product_inputs(a: int, starts: int = 120, iters: int = 2500,
-                            seed: int = 0, step: float = 0.25) -> float:
+                            seed: int = 0) -> float:
     """Maximize H(Y0) over product input pmfs by multiplicative-weight ascent.
 
     Batched over random starts plus a few deterministic ones; the problem
@@ -370,8 +376,8 @@ def max_H_Y0_product_inputs(a: int, starts: int = 120, iters: int = 2500,
         grad_q = np.clip(p * ln_ratio, -50.0, 50.0)
         grad_p[:, 0] = 0.0
         grad_q[:, 0] = 0.0
-        p = p * np.exp(step * grad_p)
-        q = q * np.exp(step * grad_q)
+        p = p * np.exp(_ASCENT_STEP * grad_p)
+        q = q * np.exp(_ASCENT_STEP * grad_q)
         p /= p.sum(axis=1, keepdims=True)
         q /= q.sum(axis=1, keepdims=True)
 

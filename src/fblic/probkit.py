@@ -510,9 +510,8 @@ class TypicalSet:
             return valid.all(axis=1)
         offset = np.where(valid, seq, 0) + k * np.arange(seq.shape[0])[:, None]
         counts = np.bincount(offset.ravel(), minlength=seq.shape[0] * k).reshape(-1, k)
-        probs = self.p.probs
-        ok = np.where(probs == 0.0, counts == 0,
-                      np.abs(counts / self.l - probs) <= self.delta * probs)
+        # the count ranges contains() admits, read off once by _count_bounds
+        ok = (counts >= np.array(self.lo)) & (counts <= np.array(self.hi))
         return valid.all(axis=1) & ok.all(axis=1)
 
     def rank_rows(self, x) -> np.ndarray:

@@ -120,7 +120,7 @@ def _check_run(trials: int, hash_bits: int, e_max: int,
 # ---------------------------------------------------------------------------
 
 def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
-              code, side, digest_bits: int, e_max: int, outer: bool, channel,
+              code, rule, digest_bits: int, e_max: int, outer: bool, channel,
               phi_bound: float, xi_block: float, extras: dict,
               capacity: float = math.inf, rate_exceeded: bool = False) -> TrialStats:
     """Sample sub-block pairs, map them to their common parts K, inner-code
@@ -160,7 +160,7 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
             if not outer:
                 continue
             digest = hashers[j].digest(mats[j])
-            result = _codec.outer_decode(khat, digest, side, e_max, hashers[j])
+            result = _codec.outer_decode(khat, digest, rule, e_max, hashers[j])
             counters["decode"][j] = (result.status, result.searched)
             final = result.matrix if result.status == "ok" else khat
             wrong_rows = int((final != mats[j]).any(axis=1).sum())
@@ -344,9 +344,9 @@ def simulate_dueck(
     digest_bits = max(0, min(hash_bits, budget_bits - code.lb_bits * sp.m))
 
     try:
-        side = _codec.prefix_flip_rule(code, p_s1.alphabet_size)
+        rule = _codec.prefix_flip_rule(code)
     except ValueError:
-        side = _codec.hamming_ball_rule(p_s1.alphabet_size, radius=1)
+        rule = _codec.hamming_ball_rule(radius=1)
 
     xi = max(0.0, 1.0 - float(np.trace(joint.probs)))
     xi_block = _bounds.xi_l(xi, sp.l)
@@ -359,7 +359,7 @@ def simulate_dueck(
     return _simulate(
         sp, trials, seed, joint=joint,
         maps=(np.arange(joint.row_size), np.arange(joint.col_size)),
-        code=code, side=side, digest_bits=digest_bits, e_max=e_max, outer=True,
+        code=code, rule=rule, digest_bits=digest_bits, e_max=e_max, outer=True,
         channel=_ExampleChannel(code), phi_bound=phi_bound, xi_block=xi_block,
         capacity=capacity, rate_exceeded=code.lb_bits * sp.m > budget_bits,
         extras={"e_max": e_max, "digest_bits": digest_bits, "hash_bits": hash_bits,
@@ -403,7 +403,7 @@ def simulate_generic(
     phi_bound, _ = _bounds._phi_from_logs(inst.thm1_quantities(sp))
     return _simulate(
         sp, trials, seed, joint=src, maps=(inst.f1, inst.f2), code=code,
-        side=_codec.hamming_ball_rule(p_k1.alphabet_size, radius=1),
+        rule=_codec.hamming_ball_rule(radius=1),
         digest_bits=hash_bits, e_max=e_max, outer=outer,
         channel=_SampledChannel(inst, code, sp, seed, phi_bound),
         phi_bound=phi_bound, xi_block=_bounds.xi_l(inst.xi_k(), sp.l),

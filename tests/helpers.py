@@ -232,20 +232,6 @@ def small_scheme(l: int = 16, delta: float = 0.75, la_bits: int = 2,
 # planes; the reference the substitution-based codec.outer_decode must equal
 # ---------------------------------------------------------------------------
 
-def candidate_rows(base, groups):
-    """The candidate rows a rule's substitution groups describe, as
-    (rows, owner), ordered by row and, within a row, by group."""
-    rows, owner = [], []
-    for g_owner, pos, sym in groups:
-        cand = base[g_owner].copy()
-        np.put_along_axis(cand, pos, sym, axis=1)
-        rows.append(cand)
-        owner.append(g_owner)
-    owner = np.concatenate(owner)
-    order = np.argsort(owner, kind="stable")
-    return np.concatenate(rows)[order], owner[order]
-
-
 def _row_substitutions(base, n_pos, alphabet_size, radii):
     """Every row of base with r of its first n_pos symbols replaced, for each
     r in radii, nearest first: (cands, owner)."""
@@ -273,9 +259,10 @@ def hamming_ball_rows(alphabet_size, radius=1):
                                            range(1, radius + 1))
 
 
-def prefix_flip_rows(code, alphabet_size):
+def prefix_flip_rows(code):
     """Row form of codec.prefix_flip_rule (same preconditions)."""
-    cd.prefix_flip_rule(code, alphabet_size)
+    cd.prefix_flip_rule(code)
+    alphabet_size = code.p_k1.alphabet_size
     prefix_syms = -(-code.la_bits // (alphabet_size - 1).bit_length())
     return lambda base: _row_substitutions(base, min(prefix_syms, base.shape[1]),
                                            alphabet_size, (1,))

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from fblic import codec as cd
 from fblic import probkit as pk
-from helpers import candidate_rows, hamming_ball_rows, prefix_flip_rows, row_outer_decode
+from helpers import hamming_ball_rows, prefix_flip_rows, row_outer_decode
 
 LN2 = math.log(2.0)
 
@@ -317,7 +317,7 @@ def test_outer_encode_digest_uses_the_code_alphabet():
     hasher = cd.MatrixHasher(64, 5, code.p_k1.alphabet_size, 4, 3)
     digest = hasher.digest(mat)
     assert digest != cd.MatrixHasher(64, 5, 2, 4, 3).digest(mat)
-    res = cd.outer_decode(khat, digest, cd.hamming_ball_rule(3, radius=1), 0, hasher)
+    res = cd.outer_decode(khat, digest, cd.hamming_ball_rule(radius=1), 0, hasher)
     assert res.status == "ok" and np.array_equal(res.matrix, mat)
 
 
@@ -368,16 +368,25 @@ def test_outer_decode_clean_matrix():
     rng = np.random.default_rng(1)
     truth = rng.integers(0, 2, size=(5, 6))
     h = cd.MatrixHasher(80, seed=2, alphabet_size=2, l=6, m=5)
-    side = cd.hamming_ball_rule(2, radius=1)
+    side = cd.hamming_ball_rule(radius=1)
     res = cd.outer_decode(truth.copy(), h.digest(truth), side, 2, h)
     assert res.status == "ok"
     assert np.array_equal(res.matrix, truth)
+    # one flipped cell is found among the baseline and 3 rows x 4 flips
+    truth = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
+    khat = truth.copy()
+    khat[1, 3] ^= 1
+    h = cd.MatrixHasher(64, seed=9, alphabet_size=2, l=4, m=3)
+    res = cd.outer_decode(khat, h.digest(truth), side, 2, h)
+    assert res.status == "ok" and np.array_equal(res.matrix, truth)
+    assert res.searched == 1 + 3 * 4
 
 
-def brute_force_outer(khat, digest, side, e_max, hasher):
-    """Enumerate every candidate matrix within e_max row changes."""
+def brute_force_outer(khat, digest, rows_rule, e_max, hasher):
+    """Enumerate every candidate matrix within e_max row changes, the
+    candidate rows of each row from a row rule of tests/helpers.py."""
     m = khat.shape[0]
-    rows, owner = candidate_rows(khat, side(khat))
+    rows, owner = rows_rule(khat)
     cands = [list(rows[owner == t]) for t in range(m)]
     matches = []
     rows_sets = []
@@ -402,7 +411,7 @@ def brute_force_outer(khat, digest, side, e_max, hasher):
 
 
 def test_outer_decode_matches_brute_force_enumeration():
-    side = cd.hamming_ball_rule(2, radius=1)
+    side, rows_rule = cd.hamming_ball_rule(radius=1), hamming_ball_rows(2, 1)
     rng = np.random.default_rng(8)
     h = cd.MatrixHasher(64, seed=3, alphabet_size=2, l=5, m=4)
     for trial in range(25):
@@ -414,7 +423,7 @@ def test_outer_decode_matches_brute_force_enumeration():
             khat[t, pos] ^= 1
         digest = h.digest(truth)
         res = cd.outer_decode(khat.copy(), digest, side, 2, h)
-        brute = brute_force_outer(khat, digest, side, 2, h)
+        brute = brute_force_outer(khat, digest, rows_rule, 2, h)
         if len(brute) == 1:
             assert res.status == "ok"
             assert np.array_equal(res.matrix, brute[0])
@@ -425,18 +434,22 @@ def test_outer_decode_matches_brute_force_enumeration():
             assert res.status == "ambiguous"
 
 
-# name: (inner code, candidate rule, alphabet, m, e_max, digest bits)
+# name: (inner code, (candidate rule, its row form), alphabet, m, e_max, digest bits)
 NARROW_CASES = {
     # ternary alphabet: sym_bits = 2 and the bit pattern of symbol 3 is unused
     "ternary_hamming": (lambda: cd.build_inner_code(pk.Pmf([0.5, 0.3, 0.2]), 2, 5.0),
-                        lambda code: cd.hamming_ball_rule(3, radius=1), 3, 3, 2, 6),
+                        lambda code: (cd.hamming_ball_rule(radius=1), hamming_ball_rows(3, 1)),
+                        3, 3, 2, 6),
     "quaternary_prefix": (lambda: cd.build_inner_code(pk.Pmf.uniform(4), 3, 5.0, cu_size=1 << 3,
                                                       codebook=cd.FullCubeCode(4, 3)),
-                          lambda code: cd.prefix_flip_rule(code, 4), 4, 3, 2, 7),
+                          lambda code: (cd.prefix_flip_rule(code), prefix_flip_rows(code)),
+                          4, 3, 2, 7),
     "binary_e_max_3": (lambda: cd.build_inner_code(pk.Pmf.uniform(2), 2, 5.0),
-                       lambda code: cd.hamming_ball_rule(2, radius=1), 2, 4, 3, 6),
+                       lambda code: (cd.hamming_ball_rule(radius=1), hamming_ball_rows(2, 1)),
+                       2, 4, 3, 6),
     "binary_e_max_4": (lambda: cd.build_inner_code(pk.Pmf.uniform(2), 2, 5.0),
-                       lambda code: cd.hamming_ball_rule(2, radius=1), 2, 5, 4, 7),
+                       lambda code: (cd.hamming_ball_rule(radius=1), hamming_ball_rows(2, 1)),
+                       2, 5, 4, 7),
 }
 
 
@@ -446,7 +459,7 @@ def test_outer_decode_matches_brute_force_narrow_digest(case):
     # common, so every status occurs and each is checked against the oracle
     make_code, make_rule, a, m, e_max, bits = NARROW_CASES[case]
     code = make_code()
-    side = make_rule(code)
+    side, rows_rule = make_rule(code)
     l = code.l
     rng = np.random.default_rng(21)
     seen = set()
@@ -459,7 +472,7 @@ def test_outer_decode_matches_brute_force_narrow_digest(case):
             khat[t, i] = (khat[t, i] + rng.integers(1, a)) % a
         digest = h.digest(truth)
         res = cd.outer_decode(khat.copy(), digest, side, e_max, h)
-        brute = brute_force_outer(khat, digest, side, e_max, h)
+        brute = brute_force_outer(khat, digest, rows_rule, e_max, h)
         seen.add(res.status)
         if len(brute) == 1:
             assert res.status == "ok"
@@ -497,10 +510,10 @@ def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l,
         code = cd.build_inner_code(pk.Pmf.uniform(alphabet), l, 5.0,
                                    cu_size=1 << round(la_share * l * sym_bits),
                                    codebook=cd.FullCubeCode(alphabet, l))
-        side, rows = cd.prefix_flip_rule(code, alphabet), prefix_flip_rows(code, alphabet)
+        side, rows = cd.prefix_flip_rule(code), prefix_flip_rows(code)
     else:
         radius = int(rule[-1])
-        side, rows = cd.hamming_ball_rule(alphabet, radius), hamming_ball_rows(alphabet, radius)
+        side, rows = cd.hamming_ball_rule(radius), hamming_ball_rows(alphabet, radius)
     rng = np.random.default_rng(seed)
     h = cd.MatrixHasher(bits, seed=seed, alphabet_size=alphabet, l=l, m=m)
     truth = rng.integers(0, alphabet, size=(m, l))
@@ -539,10 +552,10 @@ def test_outer_decode_reuses_its_table_across_baselines_and_rules(
     code = cd.build_inner_code(pk.Pmf.uniform(2 ** sym_bits), l, 5.0,
                                cu_size=1 << round(la_share * l * sym_bits),
                                codebook=cd.FullCubeCode(2 ** sym_bits, l))
-    rules = {"ball1": (cd.hamming_ball_rule(alphabet, 1), hamming_ball_rows(alphabet, 1)),
-             "ball2": (cd.hamming_ball_rule(alphabet, 2), hamming_ball_rows(alphabet, 2))}
+    rules = {"ball1": (cd.hamming_ball_rule(1), hamming_ball_rows(alphabet, 1)),
+             "ball2": (cd.hamming_ball_rule(2), hamming_ball_rows(alphabet, 2))}
     # the prefix rule needs a power-of-two alphabet: a ternary run uses ball1
-    rules["prefix"] = ((cd.prefix_flip_rule(code, alphabet), prefix_flip_rows(code, alphabet))
+    rules["prefix"] = ((cd.prefix_flip_rule(code), prefix_flip_rows(code))
                        if alphabet != 3 else rules["ball1"])
     rng = np.random.default_rng(seed)
     truth = rng.integers(0, alphabet, size=(m, l))
@@ -566,75 +579,38 @@ def test_outer_decode_reuses_its_table_across_baselines_and_rules(
 
 
 def test_outer_decode_keeps_the_last_candidate_table():
-    # a binary rule over fixed positions flips the same bits of the same
-    # cells from any baseline: one table serves every decode, and a matching
-    # baseline's count is kept per e_max. A ternary ball flips bits that
-    # depend on the baseline, so a new baseline builds a new table
+    # on a binary alphabet every flip is 1, so two equal rule values share
+    # one table across baselines, and a matching baseline's count is kept
+    # per e_max. A ternary ball flips bits that depend on the baseline, so
+    # a baseline with new flips builds a new table
     rng = np.random.default_rng(6)
     truth = rng.integers(0, 2, size=(4, 5))
     khat = truth.copy()
     khat[1, 2] ^= 1
     h = cd.MatrixHasher(64, seed=2, alphabet_size=2, l=5, m=4)
-    side = cd.hamming_ball_rule(2, radius=1)
-    res = cd.outer_decode(truth, h.digest(truth), side, 2, h)
+    res = cd.outer_decode(truth, h.digest(truth), cd.hamming_ball_rule(radius=1), 2, h)
     table = h._table
     assert table.settled == {2: (res.matches, res.searched)} and res.status == "ok"
-    res = cd.outer_decode(khat, h.digest(truth), side, 2, h)
+    res = cd.outer_decode(khat, h.digest(truth), cd.hamming_ball_rule(radius=1), 2, h)
     assert res.status == "ok" and np.array_equal(res.matrix, truth)
     assert h._table is table and set(table.settled) == {2}
+    cd.outer_decode(khat, h.digest(truth), cd.hamming_ball_rule(radius=2), 1, h)
+    assert h._table is not table
     ternary = cd.MatrixHasher(64, seed=2, alphabet_size=3, l=5, m=4)
-    side3 = cd.hamming_ball_rule(3, radius=1)
+    side3 = cd.hamming_ball_rule(radius=1)
     cd.outer_decode(truth, ternary.digest(truth), side3, 1, ternary)
     first = ternary._table
-    cd.outer_decode(truth, ternary.digest(truth), side3, 1, ternary)
+    cd.outer_decode(truth, ternary.digest(truth), cd.hamming_ball_rule(radius=1), 1, ternary)
     assert ternary._table is first
     cd.outer_decode(khat, ternary.digest(truth), side3, 1, ternary)
     assert ternary._table is not first
-
-
-def test_outer_decode_refuses_repeated_and_no_op_substitutions():
-    # a rule must list distinct substitutions that each change their cells,
-    # in increasing order; anything else is refused, not cleaned up
-    truth = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
-    khat = truth.copy()
-    khat[1, 3] ^= 1
-    h = cd.MatrixHasher(64, seed=9, alphabet_size=2, l=4, m=3)
-    ball = cd.hamming_ball_rule(2, radius=1)
-    ref = cd.outer_decode(khat, h.digest(truth), ball, 2, h)
-    assert ref.status == "ok" and np.array_equal(ref.matrix, truth)
-    assert ref.searched == 1 + 3 * 4
-
-    def twice(base):  # every candidate twice, the copies after the originals
-        (g,) = ball(base)
-        return (cd.Substitutions(*(np.concatenate([a, a]) for a in g)),)
-
-    def unsorted(base):  # every candidate once, rows out of order
-        (g,) = ball(base)
-        return (cd.Substitutions(*(a[::-1] for a in g)),)
-
-    def no_op(base):  # the first candidate writes the symbol already there
-        (g,) = ball(base)
-        sym = g.sym.copy()
-        sym[0, 0] = base[g.owner[0], g.pos[0, 0]]
-        return (g._replace(sym=sym),)
-
-    def repeated_cell(base):  # one candidate writes one cell twice
-        rows = np.arange(base.shape[0])
-        pos = np.zeros((rows.shape[0], 2), dtype=np.int64)
-        return (cd.Substitutions(rows, pos, 1 - base[:, :1].repeat(2, axis=1)),)
-
-    def same_radius_twice(base):
-        return ball(base) + ball(base)
-
-    for rule in (twice, unsorted, no_op, repeated_cell, same_radius_twice):
-        with pytest.raises(ValueError, match="candidate rule"):
-            cd.outer_decode(khat, h.digest(truth), rule, 2, h)
+    assert not np.array_equal(ternary._table.flips, first.flips)
 
 
 def test_outer_decode_compares_every_digest_word():
     # a target that agrees with a reachable pattern on the low 64 bits but
     # not above them must not match: the join keys on the first word only
-    side = cd.hamming_ball_rule(2, radius=1)
+    side = cd.hamming_ball_rule(radius=1)
     h = cd.MatrixHasher(128, seed=4, alphabet_size=2, l=4, m=3)
     khat = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
     for rows in ((1,), (0, 2)):
@@ -647,7 +623,7 @@ def test_outer_decode_compares_every_digest_word():
 
 
 def test_outer_decode_failure_when_pattern_exceeds_e_max():
-    side = cd.hamming_ball_rule(2, radius=1)
+    side = cd.hamming_ball_rule(radius=1)
     rng = np.random.default_rng(9)
     truth = rng.integers(0, 2, size=(6, 5))
     khat = truth.copy()
@@ -663,15 +639,14 @@ def test_outer_decode_failure_when_pattern_exceeds_e_max():
 def test_outer_decode_zero_width_digest():
     h = cd.MatrixHasher(0, seed=0, alphabet_size=2, l=4, m=3)
     mat = np.zeros((3, 4), dtype=int)
-    side = cd.hamming_ball_rule(2, radius=1)
+    side = cd.hamming_ball_rule(radius=1)
     assert cd.outer_decode(mat, cd.Digest(0, 0), side, 0, h).status == "ok"
     assert cd.outer_decode(mat, cd.Digest(0, 0), side, 1, h).status == "ambiguous"
 
 
 def test_outer_decode_e_max_zero_checks_only_the_baseline():
-    def side(base):  # depth 0 must not consult the rule
-        raise AssertionError("the rule was consulted")
-
+    # depth 0 tests the baseline's digest and builds no candidate table
+    side = cd.hamming_ball_rule(radius=1)
     rng = np.random.default_rng(4)
     truth = rng.integers(0, 2, size=(4, 5))
     h = cd.MatrixHasher(64, seed=3, alphabet_size=2, l=5, m=4)
@@ -682,32 +657,31 @@ def test_outer_decode_e_max_zero_checks_only_the_baseline():
     khat[2, 0] ^= 1
     res = cd.outer_decode(khat, h.digest(truth), side, 0, h)
     assert (res.status, res.matrix, res.matches, res.searched) == ("failed", None, 0, 1)
-    with pytest.raises(AssertionError, match="consulted"):
-        cd.outer_decode(khat, h.digest(truth), side, 1, h)
+    assert h._table is None
+    res = cd.outer_decode(khat, h.digest(truth), side, 1, h)
+    assert res.status == "ok" and h._table is not None
 
 
 def test_outer_decode_without_candidates():
-    # no address bits: the prefix rule proposes one empty group, so only
+    # no address bits: the prefix rule has no position to search, so only
     # the baseline can match, at every depth
     code = cd.build_inner_code(pk.Pmf.uniform(2), 4, 1.0, cu_size=1,
                                codebook=cd.FullCubeCode(2, 4))
-    side = cd.prefix_flip_rule(code, 2)
+    side = cd.prefix_flip_rule(code)
     h = cd.MatrixHasher(32, seed=5, alphabet_size=2, l=4, m=3)
     truth = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
     khat = truth.copy()
     khat[1, 0] ^= 1
-    # a rule that proposes no group at all acts the same
-    for rule in (side, lambda base: ()):
-        for e_max in range(4):
-            res = cd.outer_decode(truth, h.digest(truth), rule, e_max, h)
-            assert (res.status, res.searched) == ("ok", 1) and np.array_equal(res.matrix, truth)
-            res = cd.outer_decode(khat, h.digest(truth), rule, e_max, h)
-            assert (res.status, res.matches, res.searched) == ("failed", 0, 1)
+    for e_max in range(4):
+        res = cd.outer_decode(truth, h.digest(truth), side, e_max, h)
+        assert (res.status, res.searched) == ("ok", 1) and np.array_equal(res.matrix, truth)
+        res = cd.outer_decode(khat, h.digest(truth), side, e_max, h)
+        assert (res.status, res.matches, res.searched) == ("failed", 0, 1)
 
 
 def test_outer_decode_no_wrong_accepts_fuzz():
     # ten thousand corruption rounds, wide digest: never accept a wrong matrix
-    side = cd.hamming_ball_rule(2, radius=1)
+    side = cd.hamming_ball_rule(radius=1)
     h = cd.MatrixHasher(96, seed=11, alphabet_size=2, l=4, m=4)
     rng = np.random.default_rng(12)
     wrong = 0
@@ -728,7 +702,7 @@ def test_outer_decode_refuses_an_oversized_pattern_table():
     # size, before it is built
     h = cd.MatrixHasher(64, seed=1, alphabet_size=2, l=32, m=64)
     khat = np.zeros((64, 32), dtype=np.int64)
-    side = cd.hamming_ball_rule(2, radius=1)
+    side = cd.hamming_ball_rule(radius=1)
     with pytest.raises(ValueError, match=r"more than 2\^20"):
         cd.outer_decode(khat, cd.Digest(64, 1), side, 3, h)
     res = cd.outer_decode(khat, cd.Digest(64, 1), side, 2, h)
@@ -755,32 +729,48 @@ def test_outer_decode_refuses_an_oversized_pattern_table():
 # candidate rules and multiplexing
 # ---------------------------------------------------------------------------
 
+def _candidate_rows(base, rule, alphabet_size):
+    """Each candidate of the rule's table on base, written into a copy of
+    its row, as (rows, owner)."""
+    m, l = base.shape
+    table = cd._candidates(base, rule, cd.MatrixHasher(64, 0, alphabet_size, l, m))
+    rows = base[table.owner]
+    idx = np.arange(rows.shape[0])[:, None]
+    rows[idx, table.cells % l] = base.take(table.cells) ^ table.flips
+    return rows, table.owner
+
+
 def test_prefix_flip_rule_positions():
     p = pk.Pmf.uniform(2)
     code = cd.build_inner_code(p, 8, 1.0, cu_size=1 << 3,
                                codebook=cd.FullCubeCode(2, 8))
-    rule = cd.prefix_flip_rule(code, 2)
+    rule = cd.prefix_flip_rule(code)
+    assert rule == cd.CandidateRule(n_pos=3, radii=(1,))
     base = np.array([np.zeros(8, dtype=int), np.ones(8, dtype=int)])
-    (group,) = rule(base)
-    assert group.pos.shape == group.sym.shape == (6, 1)
-    cands, owner = candidate_rows(base, rule(base))
+    cands, owner = _candidate_rows(base, rule, 2)
     assert len(cands) == 2 * 3  # one flip per address position, row by row
-    assert owner.tolist() == group.owner.tolist() == [0, 0, 0, 1, 1, 1]
+    assert owner.tolist() == [0, 0, 0, 1, 1, 1]
     for cand, t in zip(cands, owner):
         diff = np.flatnonzero(cand != base[t])
         assert diff.shape == (1,) and diff[0] < 3
+    rows, row_owner = prefix_flip_rows(code)(base)
+    assert np.array_equal(cands, rows) and np.array_equal(owner, row_owner)
     with pytest.raises(ValueError):
-        cd.prefix_flip_rule(cd.build_inner_code(p, 8, 0.25), 2)
+        cd.prefix_flip_rule(cd.build_inner_code(p, 8, 0.25))
 
 
 def test_hamming_ball_rule_radius_two():
-    rule = cd.hamming_ball_rule(2, radius=2)
+    rule = cd.hamming_ball_rule(radius=2)
+    assert rule == cd.CandidateRule(n_pos=None, radii=(1, 2))
     base = np.zeros((2, 3), dtype=int)
-    assert [g.pos.shape[1] for g in rule(base)] == [1, 2]  # one group per radius
-    cands, owner = candidate_rows(base, rule(base))
+    cands, owner = _candidate_rows(base, rule, 2)
     assert len(cands) == 2 * (3 + 3)  # three singles, three pairs, per row
     assert owner.tolist() == [0] * 6 + [1] * 6
     assert (cands != 0).sum(axis=1).tolist() == [1, 1, 1, 2, 2, 2] * 2
+    rows, row_owner = hamming_ball_rows(2, 2)(base)
+    assert np.array_equal(cands, rows) and np.array_equal(owner, row_owner)
+    with pytest.raises(ValueError):
+        cd.hamming_ball_rule(radius=3)
 
 
 def test_multiplex_inputs():

@@ -168,6 +168,43 @@ def sample_constant_composition(composition, rate_a: float, l: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
+# maximum-likelihood decoding
+# ---------------------------------------------------------------------------
+
+def ml_decode(words, y, channel: Dmc) -> np.ndarray:
+    """Maximum-likelihood word per row of y over the channel; ties go to the
+    lowest index.
+
+    A (row, word) pair scores sum_(x, y') N[x, y'] log W[x, y'], where
+    N[x, y'] counts the positions at which the word holds x and the row
+    reads y': a 0/1 float matmul, exact below 2^53. The terms are added
+    in one fixed (x, y') order, so pairs of equal joint type score bit
+    for bit the same and argmax keeps the lowest of tied indices. Words
+    are scored in blocks that keep each one-hot and count array within
+    2^21 entries. A zero-probability transition costs _NEG_INF_LLH per
+    use, finite so that a zero count times it stays 0, not NaN.
+    """
+    words = np.asarray(words, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    (n, l), rows = words.shape, y.shape[0]
+    nx, ny = channel.rows.shape
+    # read unsigned, a negative symbol is out of range too
+    if words.view(np.uint64).max(initial=0) >= nx or y.view(np.uint64).max(initial=0) >= ny:
+        raise ValueError("symbols outside the channel's alphabets")
+    logw = np.log(channel.rows, out=np.full((nx, ny), _NEG_INF_LLH), where=channel.rows > 0.0)
+    ys = [(y == v).astype(float) for v in range(ny)]
+    scores = np.zeros((rows, n))
+    step = max(1, (1 << 21) // (l + rows))
+    for s in range(0, n, step):
+        block = scores[:, s:s + step]
+        for x in range(nx):
+            xs = (words[s:s + step] == x).astype(float).T
+            for yy in range(ny):
+                block += (ys[yy] @ xs) * logw[x, yy]
+    return scores.argmax(axis=1)
+
+
+# ---------------------------------------------------------------------------
 # the inner fixed-length code
 # ---------------------------------------------------------------------------
 
@@ -225,19 +262,9 @@ class InnerCode:
         return np.where(fallback, 0, idx), fallback
 
     def decode_ml_rows(self, y_words, induced: Dmc) -> np.ndarray:
-        """Maximum-likelihood codeword decision per row; ties go to the
-        lowest index."""
-        words = self._materialized_words()
-        y = np.asarray(y_words, dtype=np.int64)
-        with np.errstate(divide="ignore"):
-            logw = np.where(induced.rows > 0.0, np.log(np.maximum(induced.rows, 1e-320)),
-                            _NEG_INF_LLH)
-        out = np.empty(y.shape[0], dtype=np.int64)
-        chunk = max(1, 2_000_000 // words.size)
-        for s in range(0, y.shape[0], chunk):
-            scores = logw[words[None, :, :], y[s:s + chunk, None, :]].sum(axis=2)
-            out[s:s + chunk] = scores.argmax(axis=1)
-        return out
+        """ml_decode over the addressable codewords: the maximum-likelihood
+        decision per row, ties going to the lowest index."""
+        return ml_decode(self._materialized_words(), y_words, induced)
 
     def _materialized_words(self) -> np.ndarray:
         if isinstance(self.codebook, ConstantCompositionCode):
@@ -661,7 +688,7 @@ def prefix_flip_rule(code: InnerCode) -> CandidateRule:
 
 
 # ---------------------------------------------------------------------------
-# input multiplexing
+# input multiplexing and inverse-CDF draws
 # ---------------------------------------------------------------------------
 
 def multiplex_inputs(u_mat, v_mat, p_x_given_uv, seed: int):
@@ -674,9 +701,20 @@ def multiplex_inputs(u_mat, v_mat, p_x_given_uv, seed: int):
     if p.ndim != 3:
         raise ValueError("p_x_given_uv must have shape (|U|, |V|, |X|)")
     nu, nv, nx = p.shape
-    cum = np.cumsum(p.reshape(nu * nv, nx), axis=1)
     groups = (u * nv + v).ravel()
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x58)))
     r = rng.random(groups.shape[0])
-    x = (cum[groups] > r[:, None]).argmax(axis=1)
-    return x.reshape(u.shape)
+    return draw_from_rows(p.reshape(nu * nv, nx), groups, r).reshape(u.shape)
+
+
+def draw_from_rows(probs, rows, r) -> np.ndarray:
+    """Inverse-CDF draw from row rows[i] of the stochastic matrix probs with
+    the uniform r[i], for arrays rows and r of one shape: the first symbol
+    whose cumulative probability exceeds r[i]. A row whose float cumulative
+    sum ends at or below r[i] gives its last positive-probability symbol,
+    not symbol 0."""
+    p = np.asarray(probs, dtype=float)
+    cum = np.cumsum(p, axis=1)
+    last = p.shape[1] - 1 - (p[:, ::-1] > 0.0).argmax(axis=1)
+    cum[np.arange(p.shape[0]), last] = np.inf
+    return (cum[rows] > np.asarray(r)[..., None]).argmax(axis=-1)

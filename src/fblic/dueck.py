@@ -39,8 +39,9 @@ from .probkit import Dmc, JointPmf, binary_entropy
 
 # the most symbols a^k a dense joint may have
 _MATERIALIZE_CAP = 4096
-# the multiplicative-weight step of max_H_Y0_product_inputs
-_ASCENT_STEP = 0.25
+# the grid points per axis and the zoom rounds of max_H_Y0_product_inputs
+_FAMILY_GRID = 101
+_FAMILY_ROUNDS = 6
 
 
 class MaterializationError(ValueError):
@@ -339,47 +340,42 @@ def h_y0_product(p, q) -> float:
     return float(-(r[mask] * np.log(r[mask])).sum())
 
 
-def max_H_Y0_product_inputs(a: int, starts: int = 120, iters: int = 2500,
-                            seed: int = 0) -> float:
-    """Maximize H(Y0) over product input pmfs by multiplicative-weight ascent.
+def max_H_Y0_product_inputs(a: int) -> float:
+    """max H(Y0) over product input pmfs, searched on the family that holds it.
 
-    Batched over random starts plus a few deterministic ones; the problem
-    is bilinear inside the entropy so multiple starts guard the local
-    structure. The returned maximum is asserted against the
+    A product input's H(Y0) reads only r_u = p_u q_u (u >= 1), and the
+    symmetric input x_u = sqrt(p_u q_u) gives the same r_u with
+    sum x_u <= 1 (Cauchy-Schwarz). At an optimum each nonzero x_u solves
+    x ln(r_0 / x^2) = c, which has at most two roots, so the nonzero x_u
+    take at most two values: k1 symbols at x1 and k2 at x2, with
+    k1 + k2 <= a - 1 and k1 x1 + k2 x2 <= 1. For each (k1, k2), a grid
+    over x1 and the share of the mass left for x2 is zoomed in around its
+    best point. This gives ln 2 at a = 2 and (3/2) ln 2 (two symbols at
+    1/2) for a in [3, 8]; the maximum is asserted against the
     log 2 + (3/4) log a case bound.
     """
     if not 2 <= a <= 8:
-        raise ValueError("brute-force regime covers a in [2, 8]")
-    rng = np.random.default_rng(seed)
-    n = starts + 3
-    p = rng.dirichlet(np.ones(a), size=n)
-    q = rng.dirichlet(np.ones(a), size=n)
-    p[0] = q[0] = np.full(a, 1.0 / a)
-    off = np.zeros(a)
-    off[1:] = 1.0 / (a - 1)
-    p[1] = q[1] = off
-    half = np.full(a, 0.5 / max(1, a - 1))
-    half[1] = 0.5
-    half[0] = 0.0
-    half /= half.sum()
-    p[2] = q[2] = half
+        raise ValueError("the family search covers a in [2, 8]")
 
-    best = 0.0
-    for _ in range(iters):
-        r = p * q
-        r[:, 0] = 1.0 - r[:, 1:].sum(axis=1)
-        r = np.clip(r, 1e-300, 1.0)
-        h = -(r * np.log(r)).sum(axis=1)
-        best = max(best, float(h.max()))
-        ln_ratio = np.log(r[:, :1]) - np.log(r)  # ln(r0 / r_u)
-        grad_p = np.clip(q * ln_ratio, -50.0, 50.0)
-        grad_q = np.clip(p * ln_ratio, -50.0, 50.0)
-        grad_p[:, 0] = 0.0
-        grad_q[:, 0] = 0.0
-        p = p * np.exp(_ASCENT_STEP * grad_p)
-        q = q * np.exp(_ASCENT_STEP * grad_q)
-        p /= p.sum(axis=1, keepdims=True)
-        q /= q.sum(axis=1, keepdims=True)
+    def xlogx(r):
+        return r * np.log(np.where(r > 0.0, r, 1.0))
+
+    n, best = _FAMILY_GRID, 0.0
+    for k1 in range(1, a):
+        for k2 in range(a - k1):
+            x1_lo, x1_hi, f_lo, f_hi = 0.0, 1.0 / k1, 0.0, 1.0
+            for _ in range(_FAMILY_ROUNDS):
+                x1 = np.linspace(x1_lo, x1_hi, n)[:, None]
+                f = np.linspace(f_lo, f_hi, n)[None, :]
+                r1 = x1 ** 2
+                r2 = (f * (1.0 - k1 * x1) / max(k2, 1)) ** 2
+                r0 = np.maximum(1.0 - k1 * r1 - k2 * r2, 0.0)
+                h = -(xlogx(r0) + k1 * xlogx(r1) + k2 * xlogx(r2))
+                i, j = np.unravel_index(np.argmax(h), h.shape)
+                best = max(best, float(h[i, j]))
+                dx, df = (x1_hi - x1_lo) / (n - 1), (f_hi - f_lo) / (n - 1)
+                x1_lo, x1_hi = max(0.0, x1[i, 0] - 2 * dx), min(1.0 / k1, x1[i, 0] + 2 * dx)
+                f_lo, f_hi = max(0.0, f[0, j] - 2 * df), min(1.0, f[0, j] + 2 * df)
 
     bound = math.log(2.0) + 0.75 * math.log(a)
     if best > bound + 1e-9:

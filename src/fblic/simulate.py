@@ -231,7 +231,7 @@ class _SampledChannel:
         self.phi_bound = phi_bound
         nx1, nx2 = inst.nx
         ny1, ny2 = inst.ny
-        self.wcum = np.cumsum(inst.ic.reshape(nx1 * nx2, ny1 * ny2), axis=1)
+        self.w = inst.ic.reshape(nx1 * nx2, ny1 * ny2)
         self.induced = (inst.induced_to_user(1), inst.induced_to_user(2))
         self.users = ((inst.p_v1, inst.p_x1_given_uv1, ny1),
                       (inst.p_v2, inst.p_x2_given_uv2, ny2))
@@ -246,8 +246,7 @@ class _SampledChannel:
             x.append(_codec.multiplex_inputs(u[j], v_j, px_uv,
                                              _child_seed(self.seed, t, 0x58, j)))
         pair = (x[0] * self.inst.nx[1] + x[1]).ravel()
-        r = rng.random(pair.shape[0])
-        y_pair = (self.wcum[pair] > r[:, None]).argmax(axis=1).reshape(m, l)
+        y_pair = _codec.draw_from_rows(self.w, pair, rng.random(pair.shape[0])).reshape(m, l)
         y = divmod(y_pair, self.inst.ny[1])
         index = tuple(self.code.decode_ml_rows(y[j], self.induced[j]) for j in (0, 1))
         vy = []
@@ -314,10 +313,10 @@ def simulate_dueck(
     residuals and a digest on private pipes of capacity (1 + capacity_slack)
     times the full demand.
 
-    source is the example's parameter triple or any materialized joint pmf
-    fixture (a^k <= 4096 for dense work). phi_bound is the checkers'
-    log-domain phi of log tau, log xi^[l] and log g = -inf, as the shared
-    channel is deterministic and injective.
+    source is the example's parameter triple or any square materialized
+    joint pmf fixture (a^k <= 4096 for dense work). phi_bound is the
+    checkers' log-domain phi of log tau, log xi^[l] and log g = -inf, as
+    the shared channel is deterministic and injective.
     """
     _check_run(trials, hash_bits, e_max, capacity_slack)
     if isinstance(source, _dueck.DueckParams):
@@ -328,6 +327,9 @@ def simulate_dueck(
         a_sh = joint.row_size
     else:
         raise TypeError("source must be example parameters or a joint pmf")
+    if joint.row_size != joint.col_size:
+        # the maps are the identity (K_j = S_j): one inner code serves both users
+        raise ValueError(f"the joint pmf must be square, got {joint.row_size} x {joint.col_size}")
 
     p_s1 = joint.row_marginal()
     la_target = int(math.floor(sp.l * sp.A / _LN2 + 1e-9))
@@ -550,30 +552,17 @@ def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
 
     n_words = max(2, int(math.floor(math.exp(l * rate))))
     n_words = min(n_words, _codec.type_class_size(comp), int(max_codewords))
-    wcum = np.cumsum(channel.rows, axis=1)
-    with np.errstate(divide="ignore"):
-        logw = np.where(channel.rows > 0.0,
-                        np.log(np.maximum(channel.rows, 1e-320)), -1e30)
-
     errors = 0
-    decoded = 0
     for b in range(codebooks):
         book = _codec.sample_constant_composition(
             comp, rate, l, _child_seed(seed, 0xB0, b), n_codewords=n_words)
-        words = book.codewords
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x7A, b)))
         sent = rng.integers(0, n_words, size=trials_per_book)
-        tx = words[sent]
-        r = rng.random(tx.shape)
-        y = (wcum[tx.ravel()] > r.ravel()[:, None]).argmax(axis=1).reshape(tx.shape)
-        chunk = max(1, int(2_000_000 // max(1, n_words)))
-        for s in range(0, trials_per_book, chunk):
-            ys = y[s:s + chunk]
-            scores = logw[words[:, None, :], ys[None, :, :]].sum(axis=2)
-            dec = scores.argmax(axis=0)
-            errors += int((dec != sent[s:s + chunk]).sum())
-            decoded += ys.shape[0]
+        tx = book.codewords[sent]
+        y = _codec.draw_from_rows(channel.rows, tx, rng.random(tx.shape))
+        errors += int((_codec.ml_decode(book.codewords, y, channel) != sent).sum())
 
+    decoded = codebooks * trials_per_book
     empirical = errors / decoded
     return CcExponentReport(rate=float(rate), exponent=float(er), bound=float(bound),
                             empirical=float(empirical), errors=errors,

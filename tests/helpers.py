@@ -227,6 +227,73 @@ def small_scheme(l: int = 16, delta: float = 0.75, la_bits: int = 2,
 
 
 # ---------------------------------------------------------------------------
+# the inner ML decision and the case-bound maximum, one plain loop at a time
+# ---------------------------------------------------------------------------
+
+def ml_decode_oracle(words, y, channel: pk.Dmc) -> list:
+    """ML word per row of y, from each (row, word) pair's integer joint-type
+    counts N[x][y'], tallied one position at a time. A count matrix scores
+    sum N[x][y'] log W[x][y'], added in (x, y') order with the codec's
+    sentinel for a zero-probability transition, so equal joint types
+    score alike; the first word of the highest score wins."""
+    rows = channel.rows
+    nx, ny = rows.shape
+    logw = np.where(rows > 0.0, np.log(np.where(rows > 0.0, rows, 1.0)), cd._NEG_INF_LLH)
+    out = []
+    for row in np.asarray(y).tolist():
+        best, pick = -math.inf, None
+        for i, word in enumerate(np.asarray(words).tolist()):
+            counts = [[0] * ny for _ in range(nx)]
+            for a, b in zip(word, row):
+                counts[a][b] += 1
+            score = 0.0
+            for a in range(nx):
+                for b in range(ny):
+                    score += counts[a][b] * float(logw[a, b])
+            if score > best:
+                best, pick = score, i
+        out.append(pick)
+    return out
+
+
+def ascent_max_h_y0(a: int, starts: int, iters: int, seed: int) -> float:
+    """max H(Y0) over product input pmfs by multiplicative-weight ascent from
+    `starts` random starts and three deterministic ones (uniform, uniform
+    off symbol 0, half on symbol 1), with no structural assumption."""
+    rng = np.random.default_rng(seed)
+    n = starts + 3
+    p = rng.dirichlet(np.ones(a), size=n)
+    q = rng.dirichlet(np.ones(a), size=n)
+    p[0] = q[0] = np.full(a, 1.0 / a)
+    off = np.zeros(a)
+    off[1:] = 1.0 / (a - 1)
+    p[1] = q[1] = off
+    half = np.full(a, 0.5 / max(1, a - 1))
+    half[1] = 0.5
+    half[0] = 0.0
+    half /= half.sum()
+    p[2] = q[2] = half
+
+    best, step = 0.0, 0.25
+    for _ in range(iters):
+        r = p * q
+        r[:, 0] = 1.0 - r[:, 1:].sum(axis=1)
+        r = np.clip(r, 1e-300, 1.0)
+        h = -(r * np.log(r)).sum(axis=1)
+        best = max(best, float(h.max()))
+        ln_ratio = np.log(r[:, :1]) - np.log(r)  # ln(r0 / r_u)
+        grad_p = np.clip(q * ln_ratio, -50.0, 50.0)
+        grad_q = np.clip(p * ln_ratio, -50.0, 50.0)
+        grad_p[:, 0] = 0.0
+        grad_q[:, 0] = 0.0
+        p = p * np.exp(step * grad_p)
+        q = q * np.exp(step * grad_q)
+        p /= p.sum(axis=1, keepdims=True)
+        q /= q.sum(axis=1, keepdims=True)
+    return best
+
+
+# ---------------------------------------------------------------------------
 # the row-based outer decoder: rules that build every candidate as a whole
 # row, and a search that finds each candidate's digest change from its bit
 # planes; the reference the substitution-based codec.outer_decode must equal

@@ -181,7 +181,7 @@ def test_criterion_6_outer_bound_witness_and_case_bound():
     assert margin > 0.0
     maxima = {}
     for a in (2, 3, 4, 5):
-        best = dk.max_H_Y0_product_inputs(a, starts=120, iters=2500, seed=1006)
+        best = dk.max_H_Y0_product_inputs(a)
         assert best <= LN2 + 0.75 * math.log(a) + 1e-9
         maxima[a] = best
     elapsed = time.time() - t0

@@ -440,11 +440,17 @@ def test_simulate_dueck_e_max_zero(tmp_path):
     # a seed is a non-negative integer, refused by the parser with one line
     ("dueck", ["--seed", "-3"], "argument --seed: expected a non-negative integer, got '-3'"),
     ("generic", ["--seed", "x"], "argument --seed: expected a non-negative integer, got 'x'"),
+    # the dueck chain's maps are the identity, so both users share one alphabet
+    ("nonsquare", [], "the joint pmf must be square, got 2 x 3"),
 ])
 def test_simulate_bad_input_exits_2(tmp_path, capsys, chain, flags, message):
     sch = write(tmp_path / "scheme.json", scheme_doc())
     if chain == "dueck":
         inputs = ["--params", write(tmp_path / "params.json", {"joint": [[0.5, 0], [0, 0.5]]})]
+    elif chain == "nonsquare":
+        inputs = ["--params", write(tmp_path / "params.json",
+                                    {"joint": [[0.3, 0.1, 0.1], [0.1, 0.3, 0.1]]})]
+        chain = "dueck"
     elif chain == "generic":
         inputs = ["--instance", write(tmp_path / "inst.json", instance_doc())]
     else:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from fblic import codec as cd
 from fblic import probkit as pk
-from helpers import hamming_ball_rows, prefix_flip_rows, row_outer_decode
+from helpers import (cross_ic, hamming_ball_rows, ml_decode_oracle, prefix_flip_rows,
+                     row_outer_decode)
 
 LN2 = math.log(2.0)
 
@@ -161,13 +163,14 @@ def test_decode_ml_matches_brute_force():
     chan = pk.Dmc([[0.8, 0.2], [0.3, 0.7]])
     ys = rng.integers(0, 2, size=(40, 6))
     got = code.decode_ml_rows(ys, chan)
+    # equal joint types score bit for bit the same, so ties go to the
+    # lowest index exactly, as in the joint-type oracle
+    assert got.tolist() == ml_decode_oracle(book.codewords[: 1 << code.la_bits], ys, chan)
     for y, index in zip(ys, got):
         scores = []
         for i in range(1 << code.la_bits):
             w = book.codeword(i)
             scores.append(math.prod(chan.rows[int(w[t]), int(y[t])] for t in range(6)))
-        # exact ties are not bit-stable across float paths; the decision
-        # must achieve the brute-force maximum likelihood
         assert scores[index] == pytest.approx(max(scores), rel=1e-9)
 
 
@@ -180,6 +183,52 @@ def test_decode_ml_tie_breaks_to_lowest_index():
     # symmetric channel and a symmetric observation tie both codewords
     chan = pk.Dmc([[0.5, 0.5], [0.5, 0.5]])
     assert code.decode_ml_rows(np.array([[0, 0]]), chan)[0] == 0
+
+
+@st.composite
+def _permuted_books(draw):
+    """A channel over alphabets of 2-4 symbols with zero-probability
+    transitions, words that permute one composition, and received rows."""
+    nx, ny, l = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(2, 8))
+    weights = draw(hnp.arrays(np.int64, (nx, ny), elements=st.integers(0, 3)))
+    weights[weights.sum(axis=1) == 0, 0] = 1
+    base = draw(hnp.arrays(np.int64, l, elements=st.integers(0, nx - 1)))
+    words = np.array(draw(st.lists(st.permutations(base.tolist()), min_size=1, max_size=8)))
+    y = draw(hnp.arrays(np.int64, (draw(st.integers(1, 6)), l), elements=st.integers(0, ny - 1)))
+    return pk.Dmc(weights / weights.sum(axis=1, keepdims=True)), words, y
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_permuted_books())
+def test_ml_decode_is_the_joint_type_argmax(case):
+    # the generic chain decodes through InnerCode.decode_ml_rows, the
+    # cc-exponent ensemble through codec.ml_decode over the whole book;
+    # both give the oracle's exact decision, equal joint types included
+    chan, words, y = case
+    nx = chan.rows.shape[0]
+    assert cd.ml_decode(words, y, chan).tolist() == ml_decode_oracle(words, y, chan)
+    book = cd.ConstantCompositionCode(composition=tuple(np.bincount(words[0], minlength=nx)),
+                                      codewords=words, rate=0.1, seed=0)
+    code = cd.InnerCode(pk.Pmf.uniform(nx), words.shape[1], 1.0, book)
+    assert code.decode_ml_rows(y, chan).tolist() == ml_decode_oracle(
+        words[: 1 << code.la_bits], y, chan)
+
+
+def test_ml_decode_zero_probability_transition_loses():
+    # 0 -> 1 is impossible; 1 -> either output has probability 1/2
+    chan = pk.Dmc([[1.0, 0.0], [0.5, 0.5]])
+    l = 40
+    words = np.array([[0] * l, [1] * l, [0] + [1] * (l - 1)])
+    y = np.array([[1] + [0] * (l - 1), [0] * l, [1] * l])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cd.ml_decode(words, y, chan)
+    # one impossible transition loses against 2^-40; all-0 reads keep word 0
+    assert got.tolist() == [1, 0, 1]
+    # a symbol off either alphabet would count toward no joint type
+    for bad_words, bad_y in ((words + 1, y), (words, y - 1)):
+        with pytest.raises(ValueError, match="outside the channel"):
+            cd.ml_decode(bad_words, bad_y, chan)
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +836,39 @@ def test_multiplex_inputs():
     p2[1, 0] = [0.0, 1.0]
     out = cd.multiplex_inputs(u, np.zeros_like(u), p2, seed=1)
     assert np.all(out[u == 1] == 1)
+
+
+def test_draw_from_rows_never_falls_through_to_symbol_0():
+    # ten 0.1s sum to 1 - 1.1e-16 in floats, the largest uniform draw, so no
+    # CDF entry exceeds that draw; the last row of the (0.003, 0.003, 0.005,
+    # 0.005) cross channel ends there too
+    short = np.array([[0.1] * 10 + [0.0], [0.0] * 10 + [1.0]])
+    top = np.nextafter(1.0, 0.0)
+    rows = np.array([0, 0, 0, 1, 1])
+    r = np.array([top, 0.0, 0.55, top, 0.0])
+    # the last positive-probability symbol, not 0 and not the empty 10
+    assert cd.draw_from_rows(short, rows, r).tolist() == [9, 0, 5, 10, 10]
+    w = cross_ic(0.003, 0.003, 0.005, 0.005).reshape(4, 4)
+    assert np.cumsum(w, axis=1)[3, -1] <= top
+    assert cd.draw_from_rows(w, np.array([[3]]), np.array([[top]])).tolist() == [[3]]
+
+
+def test_draw_from_rows_is_the_first_cdf_crossing_elsewhere():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        k, n = rng.integers(1, 5), rng.integers(1, 6)
+        p = rng.random((k, n)) * (rng.random((k, n)) < 0.7)
+        p[p.sum(axis=1) == 0, -1] = 1.0
+        p /= p.sum(axis=1, keepdims=True)
+        cum = np.cumsum(p, axis=1)
+        rows = rng.integers(0, k, size=50)
+        # uniforms, plus the CDF values themselves
+        r = np.where(rng.random(50) < 0.5, rng.random(50), cum[rows, rng.integers(0, n, 50)])
+        r = np.minimum(r, np.nextafter(1.0, 0.0))
+        crossed = (cum[rows] > r[:, None]).any(axis=1)
+        got = cd.draw_from_rows(p, rows, r)
+        assert np.array_equal(got[crossed], (cum[rows] > r[:, None]).argmax(axis=1)[crossed])
+        assert (p[rows, got] > 0.0).all()
 
 
 def test_multiplex_conditional_frequencies():

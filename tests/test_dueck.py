@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import xlogy
 
 from fblic import bounds as bd
 from fblic import dueck as dk
 from fblic import probkit as pk
+from helpers import ascent_max_h_y0
 
 LN2 = math.log(2.0)
 
@@ -166,7 +166,7 @@ def test_h_y0_product_inputs():
     point = np.zeros(a)
     point[2] = 1.0
     assert dk.h_y0_product(point, point) == pytest.approx(0.0, abs=1e-12)
-    best = dk.max_H_Y0_product_inputs(2, starts=40, iters=800, seed=0)
+    best = dk.max_H_Y0_product_inputs(2)
     # binary case is exactly h_b(1/2) at p1*q1 = 1/2
     assert best == pytest.approx(LN2, abs=1e-3)
     assert best <= LN2 + 0.75 * LN2 + 1e-9
@@ -174,43 +174,16 @@ def test_h_y0_product_inputs():
         dk.max_H_Y0_product_inputs(9)
 
 
-def _two_value_max_h_y0(a: int, n: int = 101, rounds: int = 6) -> float:
-    """max H(Y0) over symmetric product inputs whose nonzero p_u = q_u take
-    at most two values: k1 symbols at x1 and k2 at x2, with k1 + k2 <= a - 1
-    and k1 x1 + k2 x2 <= 1, so r_u = x_u^2 and r_0 = 1 - sum r_u. For each
-    (k1, k2), an n x n grid over x1 and the share of the mass left for x2,
-    zoomed in `rounds` times around its best point."""
-    best = 0.0
-    for k1 in range(1, a):
-        for k2 in range(a - k1):
-            x1_lo, x1_hi, f_lo, f_hi = 0.0, 1.0 / k1, 0.0, 1.0
-            for _ in range(rounds):
-                x1 = np.linspace(x1_lo, x1_hi, n)[:, None]
-                f = np.linspace(f_lo, f_hi, n)[None, :]
-                r1 = x1 ** 2
-                r2 = (f * (1.0 - k1 * x1) / max(k2, 1)) ** 2
-                r0 = np.maximum(1.0 - k1 * r1 - k2 * r2, 0.0)
-                h = -(xlogy(r0, r0) + k1 * xlogy(r1, r1) + k2 * xlogy(r2, r2))
-                i, j = np.unravel_index(np.argmax(h), h.shape)
-                best = max(best, float(h[i, j]))
-                dx, df = (x1_hi - x1_lo) / (n - 1), (f_hi - f_lo) / (n - 1)
-                x1_lo, x1_hi = max(0.0, x1[i, 0] - 2 * dx), min(1.0 / k1, x1[i, 0] + 2 * dx)
-                f_lo, f_hi = max(0.0, f[0, j] - 2 * df), min(1.0, f[0, j] + 2 * df)
-    return best
-
-
 @pytest.mark.parametrize("a", range(2, 9))
 def test_case_bound_holds_on_the_two_value_family(a):
-    # any product input's H(Y0) is reached by a symmetric one, and at an
-    # optimum the nonzero p_u take at most two values, so this family holds
-    # the maximum: it stays under the case bound, and the multiplicative
-    # ascent reaches it. The grid gives ln 2 at a = 2 and (3/2) ln 2
-    # (two symbols at 1/2) for every a >= 3
-    best = _two_value_max_h_y0(a)
+    # the maximum lies on the two-value family, which max_H_Y0_product_inputs
+    # searches: it stays under the case bound, and the multiplicative
+    # ascent, which assumes nothing of the optimum, reaches it. It is ln 2
+    # at a = 2 and (3/2) ln 2 (two symbols at 1/2) for every a >= 3
+    best = dk.max_H_Y0_product_inputs(a)
     assert best <= LN2 + 0.75 * math.log(a)
     assert best == pytest.approx(LN2 if a == 2 else 1.5 * LN2, abs=1e-9)
-    assert dk.max_H_Y0_product_inputs(a, starts=20, iters=400, seed=0) == pytest.approx(
-        best, abs=1e-6)
+    assert ascent_max_h_y0(a, starts=20, iters=400, seed=0) == pytest.approx(best, abs=1e-6)
 
 
 def test_section3a_small_params_report_failures():

@@ -243,16 +243,42 @@ class SchemeParams:
     m: int = 1
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("l must be >= 1")
+        for name in ("l", "m"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         if not self.delta > 0.0:
             raise ValueError("delta must be positive")
         if self.A < 0.0 or self.B < 0.0:
             raise ValueError("A and B must be non-negative")
         if not 0.0 < self.rho < self.A:
             raise ValueError("rho must lie strictly inside (0, A)")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+
+
+def _integer(value, name: str, least: int) -> int:
+    """value as an int, refused unless it is an integer >= least: int()
+    alone would truncate 16.7 to 16."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _symbol_map(values, name: str) -> np.ndarray:
+    """A common-part map as an int array. An entry that is not a non-negative
+    integer is refused: numpy would truncate 1.7 to 1 and wrap -1 to the last
+    symbol."""
+    raw = np.asarray(values)
+    if (raw.ndim != 1 or raw.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(raw) & (raw >= 0) & (raw == np.floor(raw)))):
+        raise ValueError(f"{name} must be a list of non-negative integers")
+    return raw.astype(int)
+
+
+def _mutual_information(jp: JointPmf) -> float:
+    """I(row; column) of a joint law."""
+    return entropy(jp.col_marginal()) - conditional_entropy(jp)
 
 
 def is_type_of(p: Pmf, l: int, tol: float = 1e-9) -> bool:
@@ -288,12 +314,12 @@ class ProblemInstance:
         p_w2: Pmf | None = None,
     ):
         self.source = source
-        self.f1 = np.asarray(f1, dtype=int)
-        self.f2 = np.asarray(f2, dtype=int)
+        self.f1 = _symbol_map(f1, "f1")
+        self.f2 = _symbol_map(f2, "f2")
         if self.f1.shape[0] != source.row_size or self.f2.shape[0] != source.col_size:
             raise ValueError("common-part maps must cover the source alphabets")
         inferred = int(max(self.f1.max(), self.f2.max())) + 1
-        self.k_size = inferred if k_size is None else int(k_size)
+        self.k_size = inferred if k_size is None else _integer(k_size, "k_size", 0)
         if self.k_size < inferred:
             raise ValueError("k_size smaller than the range of the maps")
 
@@ -344,75 +370,63 @@ class ProblemInstance:
         jk = self.joint_k().probs
         return max(0.0, 1.0 - float(np.trace(jk)))
 
-    def marginal_ic(self, j: int) -> np.ndarray:
-        """W_j[x1, x2, y_j], decoder j's view of the channel."""
-        return self.ic.sum(axis=3 if j == 1 else 2)
+    def _user(self, j: int) -> tuple[Pmf, np.ndarray, np.ndarray]:
+        """User j's view of the single-letter law: (p_Vj, p(x_j | u, v_j),
+        p(y_j | u, x_j)).
+
+        The last array is W summed over the other user's output, with the
+        other user's input mixed out by its kernel and p_V. User 2's view is
+        user 1's computed on W with the two users' axes swapped, so the two
+        users' quantities come from one code path.
+        """
+        if j not in (1, 2):
+            raise ValueError("user index must be 1 or 2")
+        key = ("user", j)
+        if key not in self._cache:
+            users = ((self.p_v1, self.p_x1_given_uv1), (self.p_v2, self.p_x2_given_uv2))
+            (p_v, px), (p_vo, pxo) = users if j == 1 else users[::-1]
+            w = np.ascontiguousarray(self.ic if j == 1 else self.ic.transpose(1, 0, 3, 2))
+            other = np.einsum("v,uvx->ux", p_vo.probs, pxo)
+            chan = np.einsum("ub,aby->uay", other, w.sum(axis=3))
+            self._cache[key] = (p_v, px, chan)
+        return self._cache[key]
 
     def induced_to_user(self, j: int) -> Dmc:
         """p(y_j | u) when both encoders transmit the same shared word."""
         key = ("induced", j)
         if key not in self._cache:
-            nx1, nx2 = self.nx
-            wj = Dmc(self.marginal_ic(j).reshape(nx1 * nx2, -1))
-            self._cache[key] = _exponent.induced_channel(
-                self.p_v1, self.p_v2, self.p_x1_given_uv1, self.p_x2_given_uv2, wj, j)
+            p_v, px, chan = self._user(j)
+            rows = np.einsum("v,uvx,uxy->uy", p_v.probs, px, chan)
+            self._cache[key] = Dmc(rows / rows.sum(axis=1, keepdims=True))
         return self._cache[key]
-
-    def p_x_given_u(self, j: int) -> np.ndarray:
-        if j == 1:
-            return np.einsum("v,uvx->ux", self.p_v1.probs, self.p_x1_given_uv1)
-        return np.einsum("v,uvx->ux", self.p_v2.probs, self.p_x2_given_uv2)
 
     def ideal_joint_vy(self, j: int) -> JointPmf:
         """Single-letter law of (V_j, Y_j) with both encoders on a common U."""
-        wj = self.marginal_ic(j)  # (nx1, nx2, nyj)
-        if j == 1:
-            mix_other = self.p_x_given_u(2)  # (nu, nx2)
-            chan = np.einsum("ub,aby->uay", mix_other, wj)  # (nu, nx1, nyj)
-            cond = np.einsum("uva,uay->uvy", self.p_x1_given_uv1, chan)
-            joint = np.einsum("u,v,uvy->vy", self.p_u.probs, self.p_v1.probs, cond)
-        else:
-            mix_other = self.p_x_given_u(1)  # (nu, nx1)
-            chan = np.einsum("ua,aby->uby", mix_other, wj)  # (nu, nx2, nyj)
-            cond = np.einsum("uvb,uby->uvy", self.p_x2_given_uv2, chan)
-            joint = np.einsum("u,v,uvy->vy", self.p_u.probs, self.p_v2.probs, cond)
-        total = joint.sum()
-        return JointPmf(joint / total)
+        p_v, px, chan = self._user(j)
+        cond = np.einsum("uvx,uxy->uvy", px, chan)
+        joint = np.einsum("u,v,uvy->vy", self.p_u.probs, p_v.probs, cond)
+        return JointPmf(joint / joint.sum())
 
     def mutual_information_vy(self, j: int) -> float:
-        jp = self.ideal_joint_vy(j)
-        return entropy(jp.col_marginal()) - conditional_entropy(jp)
+        return _mutual_information(self.ideal_joint_vy(j))
 
     def cond_mi_x_y_given_u(self, j: int) -> float:
         """I(X_j; Y_j | U) under p_U p_{X1|U} p_{X2|U} W."""
-        wj = self.marginal_ic(j)
-        own = self.p_x_given_u(j)
-        other = self.p_x_given_u(2 if j == 1 else 1)
-        total = 0.0
-        for u in range(len(self.p_u)):
-            pu = float(self.p_u.probs[u])
-            if pu == 0.0:
-                continue
-            if j == 1:
-                chan = np.einsum("b,aby->ay", other[u], wj)
-            else:
-                chan = np.einsum("a,aby->by", other[u], wj)
-            joint = own[u][:, None] * chan
-            jp = JointPmf(joint / joint.sum())
-            total += pu * (entropy(jp.col_marginal()) - conditional_entropy(jp))
-        return total
+        p_v, px, chan = self._user(j)
+        own = np.einsum("v,uvx->ux", p_v.probs, px)
+        joints = own[:, :, None] * chan
+        return sum(float(pu) * _mutual_information(JointPmf(joint / joint.sum()))
+                   for pu, joint in zip(self.p_u.probs, joints) if pu > 0.0)
 
     def h_s_given_k1(self, j: int) -> float:
-        """H(S_j | K_1) from the source pushforward."""
-        if j == 1:
-            # joint of (K1, S1): both coordinates are functions of S1
-            p_s1 = self.source.row_marginal()
-            joint = np.zeros((self.k_size, self.source.row_size))
-            np.add.at(joint, (self.f1, np.arange(self.source.row_size)), p_s1.probs)
-            return conditional_entropy(JointPmf(joint))
-        # joint of (K1, S2): map the source rows through f1, keep columns
-        return conditional_entropy(
-            push_joint(self.source, self.f1, None, self.k_size, None))
+        """H(S_j | K_1): (K1, S_j) is the pushforward through f1 of (S1, S_j),
+        whose law is S1's diagonal joint for j = 1 and the source for j = 2."""
+        key = ("h_s_given_k1", j)
+        if key not in self._cache:
+            pairs = (JointPmf(np.diag(self.source.row_marginal().probs)), self.source)
+            self._cache[key] = conditional_entropy(
+                push_joint(pairs[j - 1], self.f1, None, self.k_size, None))
+        return self._cache[key]
 
     # quantity protocol -----------------------------------------------------
     def thm1_quantities(self, sp: SchemeParams) -> dict:

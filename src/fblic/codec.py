@@ -312,19 +312,6 @@ class PermutationSet:
         if bad.size:
             raise ValueError(f"row {int(bad[0])} is not a permutation")
 
-    @property
-    def m(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
-    def l(self) -> int:
-        return int(self.rows.shape[1])
-
-    def inverse(self) -> np.ndarray:
-        inv = np.empty_like(self.rows)
-        np.put_along_axis(inv, self.rows, np.broadcast_to(np.arange(self.l), self.rows.shape), axis=1)
-        return inv
-
 
 def draw_permutations(m: int, l: int, seed: int) -> PermutationSet:
     """m independent uniform permutations of [l], row after row from one

@@ -25,9 +25,10 @@ s(x) = sum_y W^a q^(1-a) as G(q) = -(1+rho) sum_x p(x) log s(x), which
 falls monotonically to F(rho) and is the convergence test. Every solve
 of the search starts from the previous solve's q.
 
-The module also provides the channel a user code sees when both encoders
-transmit the same cloud-center word, and the two-user miss bound built
-from the exponent, in log domain.
+The module also provides the two-user miss bound built from the exponent,
+in log domain, over the induced channels p(y_j | u) that
+bounds.ProblemInstance.induced_to_user derives, and the test that lets a
+deterministic injective channel skip the solve.
 """
 
 from __future__ import annotations
@@ -191,53 +192,6 @@ def is_deterministic_injective(w: Dmc) -> bool:
     if not np.all(rows[np.arange(rows.shape[0]), tops] >= 1.0 - 1e-12):
         return False
     return len(set(tops.tolist())) == rows.shape[0]
-
-
-def induced_channel(
-    p_v1: Pmf,
-    p_v2: Pmf,
-    p_x1_given_uv1,
-    p_x2_given_uv2,
-    ic: Dmc,
-    j: int,
-    ic_output_sizes: tuple[int, int] | None = None,
-) -> Dmc:
-    """Channel from the shared word u to decoder j's output, both users sending u.
-
-    p_xj_given_uvj has shape (|U|, |Vj|, |Xj|) with stochastic last axis.
-    ic has paired inputs (x1, x2) row-major. When ic_output_sizes=(n1, n2)
-    is given its outputs are paired row-major and the marginal to user j
-    is taken; otherwise the outputs are already decoder j's observation.
-    """
-    if j not in (1, 2):
-        raise ValueError("user index must be 1 or 2")
-    px1 = np.asarray(p_x1_given_uv1, dtype=float)
-    px2 = np.asarray(p_x2_given_uv2, dtype=float)
-    if px1.ndim != 3 or px2.ndim != 3:
-        raise ValueError("p_x_given_uv must have shape (|U|, |V|, |X|)")
-    nu = px1.shape[0]
-    if px2.shape[0] != nu:
-        raise ValueError("the two input maps disagree on |U|")
-    if px1.shape[1] != len(p_v1) or px2.shape[1] != len(p_v2):
-        raise ValueError("p_x_given_uv shape does not match its V pmf")
-    nx1, nx2 = px1.shape[2], px2.shape[2]
-    if ic.num_inputs != nx1 * nx2:
-        raise ValueError("channel input alphabet does not match |X1|*|X2|")
-    w = ic.rows
-    if ic_output_sizes is not None:
-        ny1, ny2 = ic_output_sizes
-        if ny1 * ny2 != ic.num_outputs:
-            raise ValueError("output sizes do not match the channel output alphabet")
-        w = ic.rows.reshape(nx1 * nx2, ny1, ny2).sum(axis=2 if j == 1 else 1)
-
-    mix1 = np.einsum("v,uvx->ux", p_v1.probs, px1)
-    mix2 = np.einsum("v,uvx->ux", p_v2.probs, px2)
-    rows = np.empty((nu, w.shape[1]))
-    for u in range(nu):
-        pair = np.outer(mix1[u], mix2[u]).reshape(-1)
-        rows[u] = pair @ w
-    rows /= rows.sum(axis=1, keepdims=True)
-    return Dmc(rows)
 
 
 def log_g_rho_l(

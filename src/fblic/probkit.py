@@ -133,12 +133,6 @@ class JointPmf:
         m = self.probs.sum(axis=0)
         return Pmf(m / m.sum())
 
-    @classmethod
-    def from_input_and_channel(cls, p: "Pmf", w: "Dmc") -> "JointPmf":
-        if len(p) != w.num_inputs:
-            raise ValueError("input pmf size does not match channel input alphabet")
-        return cls(p.probs[:, None] * w.rows)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, JointPmf) and np.array_equal(self.probs, other.probs)
 
@@ -182,9 +176,6 @@ class Dmc:
     @property
     def num_outputs(self) -> int:
         return int(self.rows.shape[1])
-
-    def row(self, i: int) -> Pmf:
-        return Pmf(self.rows[i] / self.rows[i].sum())
 
     @classmethod
     def identity(cls, n: int) -> "Dmc":

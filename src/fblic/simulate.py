@@ -269,8 +269,7 @@ class _SampledChannel:
             ideal = self.inst.ideal_joint_vy(j).probs
             tv = 0.5 * float(np.abs(emp - ideal).sum())
             sigma_tv = 0.5 * float(np.sqrt(ideal * (1.0 - ideal) / n).sum())
-            i_ideal = entropy(JointPmf(ideal / ideal.sum()).col_marginal()) - \
-                conditional_entropy(JointPmf(ideal / ideal.sum()))
+            i_ideal = self.inst.mutual_information_vy(j)
             emp_j = JointPmf(emp / emp.sum())
             i_plug = entropy(emp_j.col_marginal()) - conditional_entropy(emp_j)
             # Miller-Madow style first-order bias removal for the plug-in MI

@@ -226,6 +226,60 @@ def small_scheme(l: int = 16, delta: float = 0.75, la_bits: int = 2,
                            rho=rho, m=m)
 
 
+def random_instance(rng, nu: int, nv: tuple, nx: tuple, ny: tuple) -> bd.ProblemInstance:
+    """A dense instance with Dirichlet-drawn laws on the given alphabet sizes
+    (nv, nx and ny give user 1's size, then user 2's) and a 2 x 3 source."""
+    def kernel(*shape):
+        return rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    return bd.ProblemInstance(
+        source=pk.JointPmf(kernel(6).reshape(2, 3)), f1=[0, 1], f2=[1, 0, 1],
+        ic=kernel(nx[0] * nx[1], ny[0] * ny[1]).reshape(nx[0], nx[1], ny[0], ny[1]),
+        p_u=pk.Pmf(kernel(nu)), p_v1=pk.Pmf(kernel(nv[0])), p_v2=pk.Pmf(kernel(nv[1])),
+        p_x1_given_uv1=kernel(nu, nv[0], nx[0]), p_x2_given_uv2=kernel(nu, nv[1], nx[1]))
+
+
+def swapped_instance(inst: bd.ProblemInstance) -> bd.ProblemInstance:
+    """inst with the two users' roles swapped: the source transposed, f1 and
+    f2 exchanged, W's axes (1, 0, 3, 2), and the users' pmfs and kernels
+    exchanged."""
+    return bd.ProblemInstance(
+        source=pk.JointPmf(inst.source.probs.T), f1=inst.f2, f2=inst.f1,
+        ic=inst.ic.transpose(1, 0, 3, 2), p_u=inst.p_u, p_v1=inst.p_v2, p_v2=inst.p_v1,
+        p_x1_given_uv1=inst.p_x2_given_uv2, p_x2_given_uv2=inst.p_x1_given_uv1,
+        k_size=inst.k_size)
+
+
+def single_letter_oracle(inst: bd.ProblemInstance) -> dict:
+    """Per-user p(y_j | u), law of (V_j, Y_j) and I(X_j; Y_j | U), each read
+    off the full single-letter law p(u, v1, v2, x1, x2, y1, y2), which is
+    summed one plain loop at a time."""
+    (nx1, nx2), (ny1, ny2) = inst.nx, inst.ny
+    nu, nv1, nv2 = len(inst.p_u), len(inst.p_v1), len(inst.p_v2)
+    p_uy = [np.zeros((nu, ny1)), np.zeros((nu, ny2))]
+    p_vy = [np.zeros((nv1, ny1)), np.zeros((nv2, ny2))]
+    p_uxy = [np.zeros((nu, nx1, ny1)), np.zeros((nu, nx2, ny2))]
+    for u, v1, v2, x1, x2, y1, y2 in itertools.product(
+            range(nu), range(nv1), range(nv2), range(nx1), range(nx2), range(ny1), range(ny2)):
+        p = (inst.p_u.probs[u] * inst.p_v1.probs[v1] * inst.p_v2.probs[v2]
+             * inst.p_x1_given_uv1[u, v1, x1] * inst.p_x2_given_uv2[u, v2, x2]
+             * inst.ic[x1, x2, y1, y2])
+        for j, (v, x, y) in enumerate(((v1, x1, y1), (v2, x2, y2))):
+            p_uy[j][u, y] += p
+            p_vy[j][v, y] += p
+            p_uxy[j][u, x, y] += p
+    out = {}
+    for j in (1, 2):
+        joint = p_uxy[j - 1]
+        cond_mi = 0.0
+        for u, x, y in itertools.product(*(range(n) for n in joint.shape)):
+            if joint[u, x, y] > 0.0:
+                cond_mi += joint[u, x, y] * math.log(
+                    joint[u, x, y] * joint[u].sum() / (joint[u, x].sum() * joint[u, :, y].sum()))
+        out[j] = {"induced": p_uy[j - 1] / inst.p_u.probs[:, None],
+                  "joint_vy": p_vy[j - 1], "cond_mi": cond_mi}
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the inner ML decision and the case-bound maximum, one plain loop at a time
 # ---------------------------------------------------------------------------

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblic import bounds as bd
 from fblic import dueck as dk
 from fblic import exponent as ex
 from fblic import probkit as pk
-from helpers import small_instance, small_scheme
+from helpers import (
+    random_instance,
+    single_letter_oracle,
+    small_instance,
+    small_scheme,
+    swapped_instance,
+)
 
 LN2 = math.log(2.0)
 
@@ -174,6 +182,14 @@ def test_scheme_params_validation():
         bd.SchemeParams(l=8, delta=0.1, A=0.1, B=0.1, rho=0.2)
     sp = bd.SchemeParams(l=8, delta=0.1, A=0.3, B=0.1, rho=0.2, m=4)
     assert sp.m == 4
+    # a non-integral or non-positive l or m is refused, not truncated
+    for l, m in ((16.7, 1), (16, 2.5), (-3, 1), (16, 0), ("16", 1), (math.inf, 1), (16, math.nan)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            bd.SchemeParams(l=l, delta=0.1, A=0.3, B=0.1, rho=0.2, m=m)
+    # an integral value is stored as an int, also the worked example's huge l
+    sp = bd.SchemeParams(l=16.0, delta=0.1, A=0.3, B=0.1, rho=0.2, m=np.int64(4))
+    assert type(sp.l) is int and type(sp.m) is int and (sp.l, sp.m) == (16, 4)
+    assert bd.SchemeParams(l=3 ** 4000, delta=0.1, A=0.3, B=0.1, rho=0.2).l == 3 ** 4000
 
 
 def test_is_type_of():
@@ -186,11 +202,28 @@ def test_instance_validation():
     inst = small_instance()
     assert inst.k_size == 2
     assert inst.nx == (2, 2) and inst.ny == (2, 2)
-    with pytest.raises(ValueError):
-        bd.ProblemInstance(
-            source=inst.source, f1=[0], f2=[0, 1], ic=inst.ic,
-            p_u=inst.p_u, p_v1=inst.p_v1, p_v2=inst.p_v2,
-            p_x1_given_uv1=inst.p_x1_given_uv1, p_x2_given_uv2=inst.p_x2_given_uv2)
+    good = dict(source=inst.source, f1=[0, 1], f2=[0, 1], ic=inst.ic,
+                p_u=inst.p_u, p_v1=inst.p_v1, p_v2=inst.p_v2,
+                p_x1_given_uv1=inst.p_x1_given_uv1, p_x2_given_uv2=inst.p_x2_given_uv2)
+    three_inputs = np.zeros((2, 2, 3))
+    three_inputs[:, :, 0] = 1.0
+    for change, message in (
+            ({"f1": [0]}, "maps must cover the source alphabets"),
+            # numpy would wrap -1 to the last symbol and truncate 1.7 to 1
+            ({"f1": [-1, -1]}, "f1 must be a list of non-negative integers"),
+            ({"f2": [0, 1.7]}, "f2 must be a list of non-negative integers"),
+            ({"f1": [0, math.nan]}, "f1 must be a list of non-negative integers"),
+            ({"f2": ["0", "1"]}, "f2 must be a list of non-negative integers"),
+            ({"k_size": 2.9}, "k_size must be an integer >= 0"),
+            ({"k_size": -1}, "k_size must be an integer >= 0"),
+            ({"k_size": math.nan}, "k_size must be an integer >= 0"),
+            ({"k_size": 1}, "k_size smaller than the range of the maps"),
+            # user 1's kernel reaches three inputs, the channel takes two
+            ({"p_x1_given_uv1": three_inputs}, "do not match the channel input alphabets"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bd.ProblemInstance(**{**good, **change})
+    assert bd.ProblemInstance(**{**good, "f1": [0.0, 1.0], "k_size": 3.0}).k_size == 3
 
 
 @pytest.mark.parametrize("field", ["ic", "p_x1_given_uv1", "p_x2_given_uv2"])
@@ -202,6 +235,35 @@ def test_instance_rejects_nan_kernel_entry(field):
     with pytest.raises(ValueError, match="stochastic"):
         bd.ProblemInstance(source=inst.source, f1=[0, 1], f2=[0, 1], p_u=inst.p_u,
                            p_v1=inst.p_v1, p_v2=inst.p_v2, **kw)
+
+
+_UNEQUAL_PAIR = st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(nu=st.integers(1, 3), nv=_UNEQUAL_PAIR, nx=_UNEQUAL_PAIR, ny=_UNEQUAL_PAIR,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_per_user_view_matches_brute_force_oracle(nu, nv, nx, ny, seed):
+    inst = random_instance(np.random.default_rng(seed), nu, nv, nx, ny)
+    want = single_letter_oracle(inst)
+    for j in (1, 2):
+        assert np.allclose(inst.induced_to_user(j).rows, want[j]["induced"], rtol=0, atol=1e-12)
+        assert np.allclose(inst.ideal_joint_vy(j).probs, want[j]["joint_vy"], rtol=0, atol=1e-12)
+        assert inst.cond_mi_x_y_given_u(j) == pytest.approx(want[j]["cond_mi"], rel=0, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(nu=st.integers(1, 4), nv=_UNEQUAL_PAIR, nx=_UNEQUAL_PAIR, ny=_UNEQUAL_PAIR,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_per_user_view_exact_under_role_swap(nu, nv, nx, ny, seed):
+    # user j of an instance is user 3 - j of its role-swapped twin, to the bit
+    inst = random_instance(np.random.default_rng(seed), nu, nv, nx, ny)
+    twin = swapped_instance(inst)
+    for j in (1, 2):
+        assert np.array_equal(inst.induced_to_user(j).rows, twin.induced_to_user(3 - j).rows)
+        assert np.array_equal(inst.ideal_joint_vy(j).probs, twin.ideal_joint_vy(3 - j).probs)
+        assert inst.mutual_information_vy(j) == twin.mutual_information_vy(3 - j)
+        assert inst.cond_mi_x_y_given_u(j) == twin.cond_mi_x_y_given_u(3 - j)
 
 
 def test_instance_derived_quantities():

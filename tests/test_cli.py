@@ -319,6 +319,25 @@ def test_bounds_check_command(tmp_path):
     assert code2 == 1
 
 
+@pytest.mark.parametrize("instance, scheme, message", [
+    # numpy would wrap -1 to the last symbol, and truncate 1.7, 2.9, 16.7 and 2.5
+    ({"f1": [-1, -1]}, {}, "f1 must be a list of non-negative integers"),
+    ({"f2": [0, 1.7]}, {}, "f2 must be a list of non-negative integers"),
+    ({"k_size": 2.9}, {}, "k_size must be an integer >= 0, got 2.9"),
+    ({}, {"l": 16.7}, "l must be an integer >= 1, got 16.7"),
+    ({}, {"m": 2.5}, "m must be an integer >= 1, got 2.5"),
+])
+def test_bounds_check_non_integral_field_exits_2(tmp_path, capsys, instance, scheme, message):
+    inst = write(tmp_path / "inst.json", {**instance_doc(), **instance})
+    sch = write(tmp_path / "scheme.json", {**scheme_doc(), **scheme})
+    out = tmp_path / "report.json"
+    code = cli.main(["bounds", "check", "--instance", inst, "--scheme", sch, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bounds_search_command(tmp_path):
     spec = write(tmp_path / "spec.json", {
         "instance": instance_doc(),
@@ -541,6 +560,8 @@ def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, mess
     (["exponent"], ["--seed", "-3"], "argument --seed: expected a non-negative integer"),
     (["bounds", "search"], ["--seed", "-1"], "argument --seed: expected a non-negative integer"),
     (["dueck", "lc-check"], ["--seed", "x"], "argument --seed: expected a non-negative integer"),
+    # a grid value is checked like the scheme's own
+    (["bounds", "search"], {"l": [16, 16.5]}, "l must be an integer >= 1, got 16.5"),
 ])
 def test_empty_grid_and_bad_sat_outputs_exit_2(tmp_path, capsys, command, flags, message):
     if isinstance(flags, dict):

@@ -22,33 +22,36 @@ def query(rate, channel, p=None, **kw):
 # induced channel
 # ---------------------------------------------------------------------------
 
+def _same_word_instance(ic, px):
+    """Both users send x_j drawn by px from the shared word u; V is trivial."""
+    return bd.ProblemInstance(
+        source=pk.JointPmf([[0.5, 0.0], [0.0, 0.5]]), f1=[0, 1], f2=[0, 1], ic=ic,
+        p_u=pk.Pmf.uniform(px.shape[0]), p_v1=pk.Pmf.uniform(1), p_v2=pk.Pmf.uniform(1),
+        p_x1_given_uv1=px, p_x2_given_uv2=px)
+
+
 def test_induced_channel_identity_passthrough():
-    # X_j = U and an identity single-output channel: the induced map is identity
+    # X_j = U and the noiseless channel y_j = x_j: the induced map is identity
     n = 3
-    px = np.zeros((n, 1, n))
-    for u in range(n):
-        px[u, 0, u] = 1.0
-    # W(y|x1,x2) = [y == x1]
-    rows = np.zeros((n * n, n))
-    for x1 in range(n):
-        for x2 in range(n):
-            rows[x1 * n + x2, x1] = 1.0
-    ic = pk.Dmc(rows)
-    got = ex.induced_channel(pk.Pmf.uniform(1), pk.Pmf.uniform(1), px, px, ic, 1)
-    assert np.allclose(got.rows, np.eye(n))
+    px = np.eye(n)[:, None, :]
+    ic = np.einsum("ac,bd->abcd", np.eye(n), np.eye(n))
+    inst = _same_word_instance(ic, px)
+    for j in (1, 2):
+        assert np.allclose(inst.induced_to_user(j).rows, np.eye(n))
 
 
 def test_induced_channel_shared_example_law():
-    # both users send the same u through the worked example's shared channel
+    # both users send the same u through the worked example's shared channel,
+    # which each decoder sees on its own output
     from fblic import dueck as dk
     a = 3
-    px = np.zeros((a, 1, a))
-    for u in range(a):
-        px[u, 0, u] = 1.0
-    got = ex.induced_channel(pk.Pmf.uniform(1), pk.Pmf.uniform(1), px, px,
-                             dk.shared_channel(a), 1)
-    assert np.allclose(got.rows, np.eye(a))
-    assert ex.is_deterministic_injective(got)
+    shared = dk.shared_channel(a).rows.reshape(a, a, a)
+    ic = np.einsum("abc,abd->abcd", shared, shared)
+    inst = _same_word_instance(ic, np.eye(a)[:, None, :])
+    for j in (1, 2):
+        got = inst.induced_to_user(j)
+        assert np.allclose(got.rows, np.eye(a))
+        assert ex.is_deterministic_injective(got)
 
 
 def test_induced_channel_matches_brute_force():
@@ -59,10 +62,12 @@ def test_induced_channel_matches_brute_force():
     px1 = rng.dirichlet(np.ones(nx1), size=(nu, nv1))
     px2 = rng.dirichlet(np.ones(nx2), size=(nu, nv2))
     w = rng.dirichlet(np.ones(ny1 * ny2), size=nx1 * nx2)
-    ic = pk.Dmc(w)
+    inst = bd.ProblemInstance(
+        source=pk.JointPmf([[0.5, 0.0], [0.0, 0.5]]), f1=[0, 1], f2=[0, 1],
+        ic=w.reshape(nx1, nx2, ny1, ny2), p_u=pk.Pmf.uniform(nu), p_v1=p_v1, p_v2=p_v2,
+        p_x1_given_uv1=px1, p_x2_given_uv2=px2)
     for j in (1, 2):
-        got = ex.induced_channel(p_v1, p_v2, px1, px2, ic, j,
-                                 ic_output_sizes=(ny1, ny2))
+        got = inst.induced_to_user(j)
         ny = ny1 if j == 1 else ny2
         expect = np.zeros((nu, ny))
         for u in range(nu):
@@ -75,14 +80,6 @@ def test_induced_channel_matches_brute_force():
                             expect[u] += (p_v1.probs[v1] * p_v2.probs[v2]
                                           * px1[u, v1, x1] * px2[u, v2, x2] * marg)
         assert np.allclose(got.rows, expect, atol=1e-12)
-
-
-def test_induced_channel_dimension_mismatch():
-    px = np.zeros((2, 1, 2))
-    px[:, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        ex.induced_channel(pk.Pmf.uniform(1), pk.Pmf.uniform(1), px, px,
-                           pk.Dmc.identity(3), 1)
 
 
 # ---------------------------------------------------------------------------

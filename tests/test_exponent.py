@@ -82,6 +82,15 @@ def test_induced_channel_matches_brute_force():
         assert np.allclose(got.rows, expect, atol=1e-12)
 
 
+def test_induced_channel_dimension_mismatch():
+    # the kernels reach two inputs, the channel takes three: no induced channel
+    px = np.zeros((2, 1, 2))
+    px[:, 0, 0] = 1.0
+    ic = np.einsum("ac,bd->abcd", np.eye(3), np.eye(3))
+    with pytest.raises(ValueError, match="do not match the channel input alphabets"):
+        _same_word_instance(ic, px)
+
+
 # ---------------------------------------------------------------------------
 # the exponent itself
 # ---------------------------------------------------------------------------

@@ -508,7 +508,7 @@ def _cmd_simulate_dueck(cfg: RunConfig) -> int:
     if "joint" in d:
         source = _probkit.JointPmf(d["joint"])
     else:
-        source = _dueck.DueckParams(int(d["a"]), int(d["k"]), int(d["eta"]))
+        source = _dueck.DueckParams(d["a"], d["k"], d["eta"])
     return _simulate_each_scheme(
         cfg, _simulate.simulate_dueck, source, trials=_opt(cfg, "trials", 1000),
         **_given(cfg, "e_max", "hash_bits", "capacity_slack"))

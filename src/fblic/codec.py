@@ -301,10 +301,10 @@ def build_inner_code(p_k1: Pmf, l: int, delta: float, cu_size: int | None = None
 @dataclass(frozen=True)
 class PermutationSet:
     """One permutation of [l] per row, and the seed of the one stream they
-    were drawn from."""
+    were drawn from (None for rows gathered from several streams)."""
 
     rows: np.ndarray
-    seed: int
+    seed: int | None = None
 
     def __post_init__(self):
         _, l = self.rows.shape
@@ -678,20 +678,19 @@ def prefix_flip_rule(code: InnerCode) -> CandidateRule:
 # input multiplexing and inverse-CDF draws
 # ---------------------------------------------------------------------------
 
-def multiplex_inputs(u_mat, v_mat, p_x_given_uv, seed: int):
-    """Sample X(t, i) ~ p(x | u(t,i), v(t,i)) entrywise, fixed by the seed."""
+def multiplex_inputs(u_mat, v_mat, p_x_given_uv, r):
+    """Draw X(t, i) ~ p(x | u(t,i), v(t,i)) entrywise by inverse CDF with
+    the uniform r(t, i) (draw_from_rows); whoever draws r owns its stream."""
     u = np.asarray(u_mat, dtype=np.int64)
     v = np.asarray(v_mat, dtype=np.int64)
-    if u.shape != v.shape:
+    r = np.asarray(r, dtype=float)
+    if not u.shape == v.shape == r.shape:
         raise ValueError("matrix shapes disagree")
     p = np.asarray(p_x_given_uv, dtype=float)
     if p.ndim != 3:
         raise ValueError("p_x_given_uv must have shape (|U|, |V|, |X|)")
     nu, nv, nx = p.shape
-    groups = (u * nv + v).ravel()
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x58)))
-    r = rng.random(groups.shape[0])
-    return draw_from_rows(p.reshape(nu * nv, nx), groups, r).reshape(u.shape)
+    return draw_from_rows(p.reshape(nu * nv, nx), u * nv + v, r)
 
 
 def draw_from_rows(probs, rows, r) -> np.ndarray:

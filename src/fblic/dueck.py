@@ -31,6 +31,7 @@ from .bounds import (
     ConditionReport,
     Inequality,
     SchemeParams,
+    _integer,
     log_tau_from_parts,
     log_xi_l,
 )
@@ -91,12 +92,8 @@ class DueckParams:
     eta: int
 
     def __post_init__(self):
-        if int(self.a) != self.a or self.a < 2:
-            raise ValueError("a must be an integer >= 2")
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError("k must be an integer >= 1")
-        if int(self.eta) != self.eta or self.eta < 1:
-            raise ValueError("eta must be a positive integer")
+        for name, least in (("a", 2), ("k", 1), ("eta", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         if self.eta < 6:
             warnings.warn(
                 f"eta={self.eta} is outside the construction's regime; "

@@ -1,14 +1,26 @@
 """Monte Carlo harness: end-to-end chains and statistical validation runs.
 
-Reproducibility contract: every trial derives its own generator from
-(master seed, trial index), and aggregation is a sum of per-trial
-counters, so a run is fixed by its seed. A generic trial also draws its
-m row interleavers, in one stream, from a generator seeded by the child
-seed of (master seed, trial index, 0x9E), and each user's input
-multiplexer is seeded by the child seed of (master seed, trial index,
-0x58, user). Statistical pass thresholds are three sigmas (or
-significance 0.01 for chi-square tests) and are recorded in every
-report.
+Reproducibility contract: a run is fixed by its seed, whatever its
+trials' grouping. It has two stages.
+
+* Draw stage: every trial makes all of its random draws from its own
+  generators. The generator of (master seed, trial index) draws the
+  source pairs and then, on a generic instance, V_1, V_2 and the channel
+  uniforms. A generic trial's m row interleavers come, in one stream,
+  from a generator seeded by the child seed of (master seed, trial
+  index, 0x9E), and user j's multiplexer uniforms from
+  SeedSequence((child seed of (master seed, trial index, 0x58, j), 0x58)).
+* Block stage: the deterministic work (inner encode, deinterleaving,
+  multiplexing, the channel draw, inner decode, reconstruction, the
+  (V, Y) probe counts and the envelope check) runs once over a block of
+  trials, row by row, so how trials are grouped cannot change a row's
+  result. A block holds at most _BLOCK_SYMBOLS source symbols (m * l per
+  trial) and at least one trial. Only the digest and the outer decode
+  run per trial, in trial order.
+
+Aggregation is a sum of integer counters. Statistical pass thresholds
+are three sigmas (or significance 0.01 for chi-square tests) and are
+recorded in every report.
 
 The private links are ideal rate-counted pipes: residual bits always
 arrive (a capacity shortfall is flagged, not simulated as loss), while
@@ -22,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +45,16 @@ from . import exponent as _exponent
 from .probkit import Dmc, JointPmf, Pmf, conditional_entropy, entropy
 
 _LN2 = math.log(2.0)
+
+# Source symbols per block of trials. Batching pays on the generic chain,
+# whose per-trial arrays (64 x 16) are too small to hide numpy's per-call
+# cost, but one block for the whole run holds every trial's arrays at
+# once. Measured on a 2-vCPU VM with the whole run as one block, a
+# 1000-trial `simulate dueck` on the dueck_chain fixture peaked at
+# 233 MiB (38.2 MiB trial by trial) and the generic_chain measure process
+# at 46.4 MiB (39.6 MiB), +17%; at 2^13 symbols they peaked at 38.7 and
+# 41.8-42.0 MiB.
+_BLOCK_SYMBOLS = 1 << 13
 
 
 @dataclass
@@ -79,27 +102,6 @@ def _child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
-def _sample_pairs(rng, joint: JointPmf, m: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    flat = joint.probs.ravel()
-    idx = rng.choice(flat.shape[0], size=m * l, p=flat)
-    s1 = (idx // joint.col_size).reshape(m, l)
-    s2 = (idx % joint.col_size).reshape(m, l)
-    return s1, s2
-
-
-def _outer_decode_counts(results) -> dict:
-    """Per-user tally of how the outer decodes ended and how many candidates
-    they searched."""
-    out = {k: [0, 0] for k in ("ok", "ambiguous", "failed", "searched")}
-    for r in results:
-        for j, dec in enumerate(r["decode"]):
-            if dec is not None:
-                status, searched = dec
-                out[status][j] += 1
-                out["searched"][j] += searched
-    return out
-
-
 def _check_run(trials: int, hash_bits: int, e_max: int,
                capacity_slack: float = 0.0) -> None:
     if trials < 1:
@@ -128,71 +130,78 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     and residual, then, when ``outer`` (K is the source itself), bin-decode
     each user's matrix against its digest_bits-bit digest; tally.
 
-    ``channel.transmit(t, rng, codewords)`` returns both users' decoded
-    inner indices per row and a per-trial probe; ``channel.check(kmats,
-    enc, bad)`` vets a user's inner-error rows; ``channel.extras(probes)``
-    adds report fields.
+    Trials run in blocks of _BLOCK_SYMBOLS source symbols. Each trial of a
+    block first makes its draws; every stage up to the reconstructed
+    baselines then runs once on the block's rows, and the digest and outer
+    decode run per trial. ``channel.draw(t, rng)`` makes trial t's channel
+    draws after its pairs; ``channel.transmit(draws, codewords)`` returns
+    both users' decoded inner indices per row of a block and the block's
+    probe; ``channel.check(kmats, enc, bad)`` vets a user's inner-error
+    rows; ``channel.extras(probes)`` adds report fields.
     """
+    m, l = sp.m, sp.l
     hashers = [
-        _codec.MatrixHasher(digest_bits, _child_seed(seed, 0xD1, j), size, sp.l, sp.m)
+        _codec.MatrixHasher(digest_bits, _child_seed(seed, 0xD1, j), size, l, m)
         for j, size in ((1, joint.row_size), (2, joint.col_size))
     ]
-    demand = (code.lb_bits * sp.m + digest_bits) * _LN2 / (sp.m * sp.l)
-
-    def one_trial(t: int) -> dict:
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(t))))
-        mats = _sample_pairs(rng, joint, sp.m, sp.l)
+    demand = (code.lb_bits * m + digest_bits) * _LN2 / (m * l)
+    flat = joint.probs.ravel()
+    per_block = max(1, _BLOCK_SYMBOLS // (m * l))
+    mismatch, probes = 0, []
+    inner, rows_wrong, matrix_fail, wrong_accepts = ([0, 0] for _ in range(4))
+    decodes = {k: [0, 0] for k in ("ok", "ambiguous", "failed", "searched")}
+    for start in range(0, trials, per_block):
+        pairs, draws = [], []
+        for t in range(start, min(trials, start + per_block)):
+            rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(t))))
+            pairs.append(rng.choice(flat.shape[0], size=(m, l), p=flat))
+            draws.append(channel.draw(t, rng))
+        pair = np.concatenate(pairs)
+        mats = (pair // joint.col_size, pair % joint.col_size)
         kmats = (maps[0][mats[0]], maps[1][mats[1]])
         enc = [code.encode_rows(kmat) for kmat in kmats]
-        index, probe = channel.transmit(t, rng, [e.codewords for e in enc])
-        counters = {
-            "rows_mismatch": int((kmats[0] != kmats[1]).any(axis=1).sum()),
-            "inner": [0, 0], "rows_wrong": [0, 0], "matrix_fail": [0, 0],
-            "wrong_accept": [0, 0], "decode": [None, None], "probe": probe,
-        }
-        # both users' baselines in one unrank over 2m rows
+        index, probe = channel.transmit(draws, [e.codewords for e in enc])
+        probes.append(probe)
+        mismatch += int((kmats[0] != kmats[1]).any(axis=1).sum())
+        # both users' baselines in one unrank
         khats = code.reconstruct_rows(np.concatenate(index),
-                                      np.concatenate([e.residual for e in enc]))
-        for j, khat in enumerate(khats.reshape(2, sp.m, sp.l)):
+                                      np.concatenate([e.residual for e in enc])).reshape(2, -1, l)
+        for j, khat in enumerate(khats):
             bad = (khat != kmats[0]).any(axis=1)
-            counters["inner"][j] = int(bad.sum())
+            inner[j] += int(bad.sum())
             channel.check(kmats, enc, bad)
-            if not outer:
-                continue
-            digest = hashers[j].digest(mats[j])
-            result = _codec.outer_decode(khat, digest, rule, e_max, hashers[j])
-            counters["decode"][j] = (result.status, result.searched)
-            final = result.matrix if result.status == "ok" else khat
-            wrong_rows = int((final != mats[j]).any(axis=1).sum())
-            counters["rows_wrong"][j] = wrong_rows
-            counters["matrix_fail"][j] = int(wrong_rows > 0)
-            if result.status == "ok" and not np.array_equal(result.matrix, mats[j]):
-                counters["wrong_accept"][j] = 1
-        return counters
+        if not outer:
+            continue
+        for first in range(0, len(draws) * m, m):
+            rows = slice(first, first + m)
+            for j, hasher in enumerate(hashers):
+                mat, khat = mats[j][rows], khats[j, rows]
+                result = _codec.outer_decode(khat, hasher.digest(mat), rule, e_max, hasher)
+                decodes[result.status][j] += 1
+                decodes["searched"][j] += result.searched
+                final = result.matrix if result.status == "ok" else khat
+                wrong_rows = int((final != mat).any(axis=1).sum())
+                rows_wrong[j] += wrong_rows
+                matrix_fail[j] += int(wrong_rows > 0)
+                if result.status == "ok" and not np.array_equal(result.matrix, mat):
+                    wrong_accepts[j] += 1
 
-    results = [one_trial(t) for t in range(trials)]
-    total_rows = trials * sp.m
-
-    def per_user(key: str, scale: int | None = None) -> tuple:
-        sums = tuple(sum(r[key][j] for r in results) for j in (0, 1))
-        return sums if scale is None else tuple(s / scale for s in sums)
-
-    inner = per_user("inner", total_rows)
+    total_rows = trials * m
+    inner_rate = tuple(n / total_rows for n in inner)
     return TrialStats(
-        trials=trials, m=sp.m, l=sp.l, seed=seed,
-        inner_error_rate=inner,
-        block_error_rate=per_user("rows_wrong", total_rows),
-        matrix_failure_rate=per_user("matrix_fail", trials),
-        wrong_accepts=per_user("wrong_accept"),
+        trials=trials, m=m, l=l, seed=seed,
+        inner_error_rate=inner_rate,
+        block_error_rate=tuple(n / total_rows for n in rows_wrong),
+        matrix_failure_rate=tuple(n / trials for n in matrix_fail),
+        wrong_accepts=tuple(wrong_accepts),
         rate_demand=(demand, demand),
         satellite_capacity=(capacity, capacity),
         rate_exceeded=(rate_exceeded, rate_exceeded),
         phi_bound=phi_bound,
-        phi_empirical=inner,
-        s1_neq_s2_rate=sum(r["rows_mismatch"] for r in results) / total_rows,
+        phi_empirical=inner_rate,
+        s1_neq_s2_rate=mismatch / total_rows,
         xi_block_expected=xi_block,
-        extras={**extras, **channel.extras([r["probe"] for r in results]),
-                "outer_decode": _outer_decode_counts(results)},
+        extras={**extras, **channel.extras(probes), "outer_decode": decodes},
     )
 
 
@@ -204,7 +213,11 @@ class _ExampleChannel:
     def __init__(self, code):
         self.code = code
 
-    def transmit(self, t, rng, u):
+    def draw(self, t, rng) -> None:
+        # the channel is deterministic: nothing to draw
+        return None
+
+    def transmit(self, draws, u):
         y = np.where(u[0] == u[1], u[0], 0)
         index, _ = self.code.decode_exact_rows(y)
         return (index, index), None
@@ -217,6 +230,17 @@ class _ExampleChannel:
 
     def extras(self, probes) -> dict:
         return {}
+
+
+class _ChannelDraws(NamedTuple):
+    """One trial's draws for the sampled channel, each with rows on axis -2:
+    its row interleavers (m, l), both users' V in interleaved order and
+    their multiplexer uniforms (2, m, l), and the channel uniforms (m, l)."""
+
+    perms: np.ndarray
+    vpi: np.ndarray
+    mux: np.ndarray
+    channel: np.ndarray
 
 
 class _SampledChannel:
@@ -236,23 +260,28 @@ class _SampledChannel:
         self.users = ((inst.p_v1, inst.p_x1_given_uv1, ny1),
                       (inst.p_v2, inst.p_x2_given_uv2, ny2))
 
-    def transmit(self, t, rng, u):
+    def draw(self, t, rng) -> _ChannelDraws:
         m, l = self.sp.m, self.sp.l
-        perms = _codec.draw_permutations(m, l, _child_seed(self.seed, t, 0x9E))
-        vpi, x = [], []
-        for j, (p_v, px_uv, _) in enumerate(self.users):
-            vpi.append(rng.choice(len(p_v), size=(m, l), p=p_v.probs))
-            v_j = _codec.deinterleave(vpi[j], perms)
-            x.append(_codec.multiplex_inputs(u[j], v_j, px_uv,
-                                             _child_seed(self.seed, t, 0x58, j)))
-        pair = (x[0] * self.inst.nx[1] + x[1]).ravel()
-        y_pair = _codec.draw_from_rows(self.w, pair, rng.random(pair.shape[0])).reshape(m, l)
+        perms = _codec.draw_permutations(m, l, _child_seed(self.seed, t, 0x9E)).rows
+        vpi = np.stack([rng.choice(len(p_v), size=(m, l), p=p_v.probs)
+                        for p_v, _, _ in self.users])
+        mux = np.stack([np.random.default_rng(np.random.SeedSequence(
+            (_child_seed(self.seed, t, 0x58, j), 0x58))).random((m, l)) for j in (0, 1)])
+        return _ChannelDraws(perms, vpi, mux, rng.random((m, l)))
+
+    def transmit(self, draws, u):
+        # the trials' rows one after another: axis -2 is the row axis of every field
+        d = _ChannelDraws(*(np.concatenate(f, axis=-2) for f in zip(*draws)))
+        perms = _codec.PermutationSet(rows=d.perms)
+        x = [_codec.multiplex_inputs(u[j], _codec.deinterleave(d.vpi[j], perms), px_uv, d.mux[j])
+             for j, (_, px_uv, _) in enumerate(self.users)]
+        y_pair = _codec.draw_from_rows(self.w, x[0] * self.inst.nx[1] + x[1], d.channel)
         y = divmod(y_pair, self.inst.ny[1])
         index = tuple(self.code.decode_ml_rows(y[j], self.induced[j]) for j in (0, 1))
         vy = []
         for j, (p_v, _, ny) in enumerate(self.users):
-            y0 = np.take_along_axis(y[j], perms.rows[:, :1], axis=1)[:, 0]  # interleaved column 0
-            vy.append(np.bincount(vpi[j][:, 0] * ny + y0, minlength=len(p_v) * ny).reshape(-1, ny))
+            y0 = np.take_along_axis(y[j], d.perms[:, :1], axis=1)[:, 0]  # interleaved column 0
+            vy.append(np.bincount(d.vpi[j][:, 0] * ny + y0, minlength=len(p_v) * ny).reshape(-1, ny))
         return index, vy
 
     def check(self, kmats, enc, bad) -> None:

@@ -218,6 +218,18 @@ def small_instance(xi: float = 0.01, stay: float = 0.98, eps: float = 0.005,
     )
 
 
+def folded_instance() -> bd.ProblemInstance:
+    """A 4-symbol source folded onto 2 common-part symbols: K is not the
+    source, so the generic chain skips the outer decode."""
+    src = pk.JointPmf([[0.24, 0.01, 0.0, 0.0], [0.01, 0.24, 0.0, 0.0],
+                       [0.0, 0.0, 0.24, 0.01], [0.0, 0.0, 0.01, 0.24]])
+    return bd.ProblemInstance(
+        source=src, f1=[0, 1, 0, 1], f2=[0, 1, 0, 1],
+        ic=cross_ic(0.005, 0.005, 0.01, 0.01), p_u=pk.Pmf([0.5, 0.5]),
+        p_v1=pk.Pmf([0.5, 0.5]), p_v2=pk.Pmf([0.5, 0.5]),
+        p_x1_given_uv1=mix_kernel(0.98), p_x2_given_uv2=mix_kernel(0.98))
+
+
 def small_scheme(l: int = 16, delta: float = 0.75, la_bits: int = 2,
                  rho: float = 0.02, m: int = 64) -> bd.SchemeParams:
     ln2 = math.log(2.0)

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +101,39 @@ def test_tau_monte_carlo_bound():
     atypical = ~((np.abs(counts / l - 0.5) <= delta * 0.5)
                  & (np.abs((l - counts) / l - 0.5) <= delta * 0.5))
     assert atypical.mean() <= tau(p, l, delta)
+
+
+def exact_atypical_mass(weights, l: int, delta: float, probs) -> Fraction:
+    """1 - P(typical type) under the law weights / sum(weights), exactly.
+
+    Every type (c_1, ..., c_a) of length l is enumerated and weighed by its
+    multinomial probability; it is typical when every symbol passes the
+    closed test |c/l - p| <= delta p on the float pmf probs (a symbol of
+    probability 0 must not occur), as the chains decide it.
+    """
+    total = sum(weights)
+    typical = 0
+    for head in itertools.product(range(l + 1), repeat=len(weights) - 1):
+        counts = head + (l - sum(head),)
+        if counts[-1] < 0 or not all(c == 0 if q == 0.0 else abs(c / l - q) <= delta * q
+                                     for c, q in zip(counts, probs)):
+            continue
+        ways = math.factorial(l)
+        for c in counts:
+            ways //= math.factorial(c)
+        typical += ways * math.prod(w ** c for w, c in zip(weights, counts))
+    return 1 - Fraction(typical, total ** l)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(weights=st.integers(2, 3).flatmap(
+           lambda a: st.lists(st.integers(0, 20), min_size=a, max_size=a).filter(any)),
+       l=st.integers(1, 64), delta=st.floats(0.05, 2.0))
+def test_tau_bounds_the_exact_atypical_mass(weights, l, delta):
+    p = pk.Pmf([w / sum(weights) for w in weights])
+    log_tau = bd.log_tau_l_delta(p, l, delta)
+    if log_tau < 0.0:
+        assert float(exact_atypical_mass(weights, l, delta, p.probs.tolist())) <= math.exp(log_tau)
 
 
 def test_loss_source():

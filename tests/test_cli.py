@@ -484,6 +484,25 @@ def test_simulate_bad_input_exits_2(tmp_path, capsys, chain, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # int() would run a = 2.9 as 2 and eta = 6.5 as 6
+    ("a", 2.9, "a must be an integer >= 2, got 2.9"),
+    ("k", 2.5, "k must be an integer >= 1, got 2.5"),
+    ("eta", 6.5, "eta must be an integer >= 1, got 6.5"),
+    ("a", "2", "a must be an integer >= 2, got '2'"),
+])
+def test_simulate_dueck_non_integral_params_exit_2(tmp_path, capsys, field, value, message):
+    params = write(tmp_path / "params.json", {"a": 2, "k": 2, "eta": 8, field: value})
+    sch = write(tmp_path / "scheme.json", dict(scheme_doc(l=8, la_bits=8), m=8))
+    out = tmp_path / "stats.json"
+    code = cli.main(["simulate", "dueck", "--params", params, "--scheme", sch,
+                     "--trials", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("chain", ["dueck", "generic"])
 def test_simulate_report_independent_of_threads(tmp_path, chain):
     sch = write(tmp_path / "scheme.json", scheme_doc())

@@ -825,12 +825,12 @@ def test_multiplex_inputs():
     p_xu = np.zeros((2, 2, 2))
     for uu in range(2):
         p_xu[uu, :, uu] = 1.0
-    assert np.array_equal(cd.multiplex_inputs(u, v, p_xu, seed=0), u)
+    assert np.array_equal(cd.multiplex_inputs(u, v, p_xu, np.random.default_rng(0).random(u.shape)), u)
     # degenerate v alphabet reduces to p(x|u)
     p2 = np.zeros((2, 1, 2))
     p2[0, 0] = [0.5, 0.5]
     p2[1, 0] = [0.0, 1.0]
-    out = cd.multiplex_inputs(u, np.zeros_like(u), p2, seed=1)
+    out = cd.multiplex_inputs(u, np.zeros_like(u), p2, np.random.default_rng(1).random(u.shape))
     assert np.all(out[u == 1] == 1)
 
 
@@ -875,7 +875,7 @@ def test_multiplex_conditional_frequencies():
     p = np.zeros((2, 2, 2))
     p[:, :, 1] = [[0.1, 0.4], [0.6, 0.9]]
     p[:, :, 0] = 1.0 - p[:, :, 1]
-    x = cd.multiplex_inputs(u, v, p, seed=5)
+    x = cd.multiplex_inputs(u, v, p, np.random.default_rng(5).random((m, l)))
     for uu in range(2):
         for vv in range(2):
             mask = (u == uu) & (v == vv)

@@ -28,6 +28,17 @@ def test_params_validation_and_warnings():
         dk.DueckParams(2, 2, 8)  # no warning at the stated regime
 
 
+def test_params_store_integral_values_as_int():
+    p = dk.DueckParams(2.0, 2, 8.0)
+    assert (p.a, p.k, p.eta) == (2, 2, 8)
+    assert all(type(v) is int for v in (p.a, p.k, p.eta))
+    # int() would truncate these
+    with pytest.raises(ValueError, match="a must be an integer >= 2, got 2.9"):
+        dk.DueckParams(2.9, 2, 8)
+    with pytest.raises(ValueError, match="eta must be an integer >= 1, got 6.5"):
+        dk.DueckParams(2, 2, 6.5)
+
+
 def test_source_class_masses():
     src = dk.build_source(dk.DueckParams(2, 2, 8))
     assert src.p_diag0 == Fraction(1, 2)

@@ -20,9 +20,8 @@ import pytest
 
 from fblic import bounds as bd
 from fblic import dueck as dk
-from fblic import probkit as pk
 from fblic import simulate as sm
-from helpers import binary_pair_source, cross_ic, mix_kernel, small_instance, small_scheme
+from helpers import binary_pair_source, folded_instance, small_instance, small_scheme
 
 LN2 = math.log(2.0)
 GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
@@ -31,18 +30,6 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
 def _fixture_scheme(m):
     return bd.SchemeParams(l=32, delta=1.0, A=16 * LN2 / 32, B=16 * LN2 / 32,
                            rho=0.17, m=m)
-
-
-def _folded_instance():
-    # a 4-symbol source folded onto 2 common-part symbols: K is not the
-    # source, so the outer decode is skipped
-    src = pk.JointPmf([[0.24, 0.01, 0.0, 0.0], [0.01, 0.24, 0.0, 0.0],
-                       [0.0, 0.0, 0.24, 0.01], [0.0, 0.0, 0.01, 0.24]])
-    return bd.ProblemInstance(
-        source=src, f1=[0, 1, 0, 1], f2=[0, 1, 0, 1],
-        ic=cross_ic(0.005, 0.005, 0.01, 0.01), p_u=pk.Pmf([0.5, 0.5]),
-        p_v1=pk.Pmf([0.5, 0.5]), p_v2=pk.Pmf([0.5, 0.5]),
-        p_x1_given_uv1=mix_kernel(0.98), p_x2_given_uv2=mix_kernel(0.98))
 
 
 # name -> (chain, setup, run options); setup() gives the chain's source or
@@ -71,7 +58,7 @@ CASES = {
                    lambda: (small_instance(xi=0.05, eps=0.02), small_scheme(m=8)),
                    dict(trials=4, seed=12, e_max=1)),
     "generic_folded": (sm.simulate_generic,
-                       lambda: (_folded_instance(), small_scheme(m=8)),
+                       lambda: (folded_instance(), small_scheme(m=8)),
                        dict(trials=4, seed=5)),
 }
 

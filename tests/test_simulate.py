@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from fblic import bounds as bd
 from fblic import dueck as dk
 from fblic import probkit as pk
 from fblic import simulate as sm
-from helpers import binary_pair_source, small_instance, small_scheme
+from helpers import binary_pair_source, folded_instance, small_instance, small_scheme
 
 LN2 = math.log(2.0)
 
@@ -90,7 +91,7 @@ def test_simulate_dueck_error_rate_monotone_in_capacity_slack():
 
 
 def test_simulate_dueck_inner_envelope_assertion_runs():
-    # the per-trial inclusion check is active on every run; a healthy
+    # the inclusion check runs on every block of every run; a healthy
     # fixture passes through it without tripping
     stats = sm.simulate_dueck(binary_pair_source(0.01), regression_scheme(m=8),
                               trials=20, seed=3, e_max=1)
@@ -139,6 +140,69 @@ def test_simulate_generic_requires_type_pmf():
     sp = bd.SchemeParams(l=15, delta=0.75, A=0.09, B=0.6, rho=0.02, m=8)
     with pytest.raises(ValueError):
         sm.simulate_generic(inst, sp, trials=5, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# block staging
+# ---------------------------------------------------------------------------
+
+# name -> (chain, shared-channel class, setup, run options): 7 trials each
+BLOCK_CASES = {
+    "dueck": (sm.simulate_dueck, sm._ExampleChannel,
+              lambda: (binary_pair_source(0.02), regression_scheme(m=8)),
+              dict(seed=11, e_max=2)),
+    "generic": (sm.simulate_generic, sm._SampledChannel,
+                lambda: (small_instance(xi=0.05, eps=0.02), small_scheme(m=8)),
+                dict(seed=12, e_max=1)),
+    "generic_folded": (sm.simulate_generic, sm._SampledChannel,
+                       lambda: (folded_instance(), small_scheme(m=8)), dict(seed=5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_split_does_not_change_the_report(name, monkeypatch):
+    chain, channel, setup, options = BLOCK_CASES[name]
+    source, sp = setup()
+    transmit = channel.transmit
+    blocks = []
+
+    def counted(self, draws, u):
+        blocks.append(len(draws))
+        return transmit(self, draws, u)
+
+    monkeypatch.setattr(channel, "transmit", counted)
+    reports = []
+    # one trial per block, a ragged last block, the whole run as one block
+    for per_block, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (1 << 40, [7])):
+        monkeypatch.setattr(sm, "_BLOCK_SYMBOLS", per_block * sp.m * sp.l)
+        blocks.clear()
+        reports.append(chain(source, sp, trials=7, **options).to_json())
+        assert blocks == sizes
+    assert reports[0] == reports[1] == reports[2]
+    searched = json.loads(reports[0])["extras"]["outer_decode"]["searched"]
+    if name == "generic_folded":
+        # K is not the source: no outer decode runs
+        assert searched == [0, 0]
+    else:
+        # each trial's outer decode searched at least its baseline
+        assert min(searched) >= 7
+
+
+def test_dueck_envelope_check_raises_when_a_row_escapes(monkeypatch):
+    # diagonal source on the full cube: every row is typical and the users
+    # agree, so a wrong index in any row of a block escapes the envelope
+    transmit = sm._ExampleChannel.transmit
+
+    def corrupt_last_row(self, draws, u):
+        (index, _), probe = transmit(self, draws, u)
+        index = index.copy()
+        index[-1] ^= 1
+        return (index, index), probe
+
+    monkeypatch.setattr(sm._ExampleChannel, "transmit", corrupt_last_row)
+    joint = pk.JointPmf([[0.5, 0.0], [0.0, 0.5]])
+    with pytest.raises(AssertionError, match="escaped the mismatch/atypicality envelope"):
+        sm.simulate_dueck(joint, regression_scheme(m=16), trials=7, seed=5, e_max=1)
 
 
 # ---------------------------------------------------------------------------

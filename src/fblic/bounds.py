@@ -245,6 +245,9 @@ class SchemeParams:
     def __post_init__(self):
         for name in ("l", "m"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
+        for name in ("delta", "A", "B", "rho"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.delta > 0.0:
             raise ValueError("delta must be positive")
         if self.A < 0.0 or self.B < 0.0:

@@ -32,6 +32,9 @@ outputs (exponent curves, simulation rate fields, the cc-exponent rate
 and exponent) are divided by log 2 at emission; condition reports mix
 rates, probabilities, and log-domain values, so they are always emitted
 in nats and say so in their "unit" field.
+
+JSON reports are RFC 8259 JSON: an infinite value is written as null, and
+a report that would hold a NaN is an error (exit 2, no --out file).
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ import sys
 import time
 import zlib
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from . import __version__
 from . import bounds as _bounds
@@ -306,12 +307,34 @@ def _parse_rates(text: str) -> list[float]:
     rates = [float(v) for v in text.split(",") if v.strip()]
     if not rates:
         raise ValueError(f"rates {text!r}: no rate given")
+    if any(map(math.isinf, rates)):
+        raise ValueError(f"rates {text!r}: each rate must be finite")
     return rates
 
 
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
+
+def json_text(obj, indent: int = 2) -> str:
+    """The one JSON writer of reports: RFC 8259 text, so any strict parser
+    reads it. An infinite float is written as null (a log-domain value's
+    log 0 = -inf, or the +inf capacity of an absent private pipe); a NaN
+    raises ValueError."""
+    return json.dumps(_nulled(obj), indent=indent, allow_nan=False)
+
+
+def _nulled(obj):
+    """obj with each infinite float replaced by None; a NaN is left for
+    json.dumps to refuse."""
+    if isinstance(obj, float):
+        return None if math.isinf(obj) else obj
+    if isinstance(obj, dict):
+        return {k: _nulled(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(v) for v in obj]
+    return obj
+
 
 def _emit(payload, cfg: RunConfig, csv_rows=None) -> None:
     """Write the report atomically (or to stdout), embedding the config."""
@@ -323,7 +346,7 @@ def _emit(payload, cfg: RunConfig, csv_rows=None) -> None:
         doc = {"config": cfg.resolved(), "unit": cfg.unit, "report": payload}
         if not cfg.no_timestamp:
             doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+        text = json_text(doc) + "\n"
     if cfg.out:
         tmp = cfg.out + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -333,20 +356,14 @@ def _emit(payload, cfg: RunConfig, csv_rows=None) -> None:
         sys.stdout.write(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if obj == math.inf:
-        return "inf"
-    if obj == -math.inf:
-        return "-inf"
-    return str(obj)
-
-
 def _unit_factor(cfg: RunConfig) -> float:
     return _LN2 if cfg.unit == "bits" else 1.0
+
+
+def _in_unit(doc: dict, cfg: RunConfig, *keys: str) -> dict:
+    """doc with the named nats fields in cfg's unit (x / 1.0 is x exactly)."""
+    factor = _unit_factor(cfg)
+    return {**doc, **{k: doc[k] / factor for k in keys}}
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +498,7 @@ def _stats_row(stats: "_simulate.TrialStats", factor: float) -> tuple:
             stats.block_error_rate[0], stats.block_error_rate[1],
             stats.matrix_failure_rate[0], stats.matrix_failure_rate[1],
             stats.wrong_accepts[0], stats.wrong_accepts[1],
-            stats.rate_demand[0] / factor, stats.satellite_capacity[0] / factor,
+            stats.rate_demand / factor, stats.satellite_capacity / factor,
             stats.phi_bound, stats.s1_neq_s2_rate)
 
 
@@ -489,7 +506,8 @@ def _emit_stats(all_stats: list, cfg: RunConfig) -> None:
     """One JSON document, or a CSV with one row per configuration."""
     factor = _unit_factor(cfg)
     rows = [_STATS_COLUMNS] + [_stats_row(s, factor) for s in all_stats]
-    docs = [_convert_stats(s, cfg) for s in all_stats]
+    docs = [_in_unit(s.to_dict(), cfg, "rate_demand", "satellite_capacity")
+            for s in all_stats]
     _emit(docs[0] if len(docs) == 1 else docs, cfg, csv_rows=rows)
 
 
@@ -521,15 +539,6 @@ def _cmd_simulate_generic(cfg: RunConfig) -> int:
         trials=_opt(cfg, "trials", 200), **_given(cfg, "e_max", "hash_bits"))
 
 
-def _convert_stats(stats: _simulate.TrialStats, cfg: RunConfig) -> dict:
-    doc = stats.to_dict()
-    factor = _unit_factor(cfg)
-    if factor != 1.0:
-        doc["rate_demand"] = [v / factor for v in doc["rate_demand"]]
-        doc["satellite_capacity"] = [v / factor for v in doc["satellite_capacity"]]
-    return doc
-
-
 def _cmd_test_interleave(cfg: RunConfig) -> int:
     d = _load_json(_require(cfg, "law"))
     pmfs = [_probkit.Pmf(p) for p in d["positions"]]
@@ -543,16 +552,11 @@ def _cmd_test_interleave(cfg: RunConfig) -> int:
 def _cmd_test_cc_exponent(cfg: RunConfig) -> int:
     channel = _load_dmc(_require(cfg, "channel"))
     comp = _parse_int_list(_require(cfg, "composition"), "--composition")
-    factor = _unit_factor(cfg)
     report = _simulate.cc_exponent_test(
         channel, comp, rate=_require(cfg, "rate"), l=_require(cfg, "l"),
         codebooks=_opt(cfg, "codebooks", 100),
         trials_per_book=_opt(cfg, "trials_per_book", 20), seed=cfg.seed)
-    doc = report.to_dict()
-    if factor != 1.0:
-        doc["rate"] /= factor
-        doc["exponent"] /= factor
-    _emit(doc, cfg)
+    _emit(_in_unit(report.to_dict(), cfg, "rate", "exponent"), cfg)
     return 0 if report.passed else 1
 
 

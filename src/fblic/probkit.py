@@ -1,8 +1,8 @@
 """Finite-alphabet probability primitives.
 
 Pmf / JointPmf / Dmc are immutable wrappers around numpy arrays with
-validation, JSON round-tripping, and the information measures used by the
-rest of the package. Everything is computed in nats with the 0*log(0) = 0
+validation, and the information measures used by the rest of the
+package. Everything is computed in nats with the 0*log(0) = 0
 convention; unit conversion happens only at the CLI boundary.
 
 Typicality is the robust (relative-frequency) kind: a sequence is typical
@@ -11,15 +11,14 @@ probability and zero-probability symbols never occur. The typical set
 supports exact counting and lexicographic rank/unrank with arbitrary
 precision integers, which is what the inner source code is built on.
 
-JSON schema (all probabilities row-major):
-    Pmf      {"probs": [p0, p1, ...]}
-    JointPmf {"probs": [[...], [...]]}
-    Dmc      {"rows": [[...], [...]]}
+JSON files the CLI reads them from (all probabilities row-major):
+    Pmf      {"probs": [p0, p1, ...]}         --input-pmf
+    Dmc      {"rows": [[...], [...]]}         --channel
+A JointPmf is a bare nested list inside an instance or params file.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -92,13 +91,6 @@ class Pmf:
     def __repr__(self) -> str:
         return f"Pmf({self.probs.tolist()})"
 
-    def to_json(self) -> str:
-        return json.dumps({"probs": self.probs.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Pmf":
-        return cls(json.loads(text)["probs"])
-
 
 class JointPmf:
     """Joint pmf over pairs (row symbol, column symbol)."""
@@ -138,13 +130,6 @@ class JointPmf:
 
     def __repr__(self) -> str:
         return f"JointPmf(shape={self.probs.shape})"
-
-    def to_json(self) -> str:
-        return json.dumps({"probs": self.probs.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointPmf":
-        return cls(json.loads(text)["probs"])
 
 
 class Dmc:
@@ -193,13 +178,6 @@ class Dmc:
 
     def __repr__(self) -> str:
         return f"Dmc(inputs={self.num_inputs}, outputs={self.num_outputs})"
-
-    def to_json(self) -> str:
-        return json.dumps({"rows": self.rows.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Dmc":
-        return cls(json.loads(text)["rows"])
 
 
 @dataclass(frozen=True)

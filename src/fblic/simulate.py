@@ -31,7 +31,6 @@ decoder gracefully, which is what the capacity-slack regression checks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -59,7 +58,28 @@ _BLOCK_SYMBOLS = 1 << 13
 
 @dataclass
 class TrialStats:
-    """Aggregated outcome of a simulation run (rates are frequencies).
+    """Aggregated outcome of a simulation run; each value is held once.
+
+    Pairs are (user 1, user 2); rates are frequencies over trials * m rows,
+    or over trials for matrix_failure_rate:
+
+    * inner_error_rate: rows whose reconstructed common part K̂_j differs
+      from K_1. Both users are compared with K_1, and user 2 rebuilds K̂_2
+      from its own residual, so user 2's rate includes the rows where
+      K_1 != K_2 (s1_neq_s2_rate; K_j = S_j on the worked example).
+    * block_error_rate: rows of the final matrix (the outer decode's when
+      it ends "ok", else the baseline K̂_j) that differ from S_j; 0 when no
+      outer decode runs (K is not the source).
+    * matrix_failure_rate: trials with at least one such row.
+    * wrong_accepts: outer decodes that ended "ok" on a wrong matrix
+      (counts, not rates).
+    * s1_neq_s2_rate: rows where K_1 != K_2; xi_block_expected is its
+      expectation xi^[l].
+
+    rate_demand is the rate (nats/symbol) each private pipe must carry:
+    residual bits plus the digest. satellite_capacity is the pipes'
+    capacity, +inf where there is no private pipe (generic chain);
+    rate_exceeded says the residual bits alone exceed it.
 
     phi_bound is the inner-layer miss bound phi = min(1, tau + xi^[l] + g)
     in the checkers' log-domain form (bounds._phi_from_logs), so it is the
@@ -74,11 +94,10 @@ class TrialStats:
     block_error_rate: tuple
     matrix_failure_rate: tuple
     wrong_accepts: tuple
-    rate_demand: tuple
-    satellite_capacity: tuple
-    rate_exceeded: tuple
+    rate_demand: float
+    satellite_capacity: float
+    rate_exceeded: bool
     phi_bound: float
-    phi_empirical: tuple
     s1_neq_s2_rate: float
     xi_block_expected: float
     extras: dict = field(default_factory=dict)
@@ -88,14 +107,19 @@ class TrialStats:
             "trials", "m", "l", "seed", "phi_bound", "s1_neq_s2_rate",
             "xi_block_expected")}
         for k in ("inner_error_rate", "block_error_rate", "matrix_failure_rate",
-                  "wrong_accepts", "rate_demand", "satellite_capacity",
-                  "rate_exceeded", "phi_empirical"):
+                  "wrong_accepts"):
             out[k] = list(getattr(self, k))
-        out["extras"] = self.extras
+        for k in ("rate_demand", "satellite_capacity", "rate_exceeded", "extras"):
+            out[k] = getattr(self, k)
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), default=float)
+
+def _codebook_size(log_words: float, least: int, cap: int) -> int:
+    """min(cap, max(least, floor(exp(log_words)))), with log_words compared
+    to log(cap) first, so a large l * R cannot overflow exp."""
+    if log_words >= math.log(cap):
+        return cap
+    return min(cap, max(least, int(math.floor(math.exp(log_words)))))
 
 
 def _child_seed(*parts: int) -> int:
@@ -187,18 +211,14 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
                     wrong_accepts[j] += 1
 
     total_rows = trials * m
-    inner_rate = tuple(n / total_rows for n in inner)
     return TrialStats(
         trials=trials, m=m, l=l, seed=seed,
-        inner_error_rate=inner_rate,
+        inner_error_rate=tuple(n / total_rows for n in inner),
         block_error_rate=tuple(n / total_rows for n in rows_wrong),
         matrix_failure_rate=tuple(n / trials for n in matrix_fail),
         wrong_accepts=tuple(wrong_accepts),
-        rate_demand=(demand, demand),
-        satellite_capacity=(capacity, capacity),
-        rate_exceeded=(rate_exceeded, rate_exceeded),
+        rate_demand=demand, satellite_capacity=capacity, rate_exceeded=rate_exceeded,
         phi_bound=phi_bound,
-        phi_empirical=inner_rate,
         s1_neq_s2_rate=mismatch / total_rows,
         xi_block_expected=xi_block,
         extras={**extras, **channel.extras(probes), "outer_decode": decodes},
@@ -425,10 +445,9 @@ def simulate_generic(
         and np.array_equal(inst.f2, np.arange(src.col_size))
     )
     p_k1 = inst.p_k1()
-    n_words = max(1, int(math.floor(math.exp(sp.l * sp.A))))
     cc = _codec.sample_constant_composition(
         tuple(int(c) for c in comp), sp.A, sp.l, _child_seed(seed, 0xCC),
-        n_codewords=min(n_words, _codec.type_class_size(comp)))
+        n_codewords=_codebook_size(sp.l * sp.A, 1, _codec.type_class_size(comp)))
     code = _codec.build_inner_code(p_k1, sp.l, sp.delta, codebook=cc)
     phi_bound, _ = _bounds._phi_from_logs(inst.thm1_quantities(sp))
     return _simulate(
@@ -570,6 +589,8 @@ def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
     if codebooks < 1 or trials_per_book < 1:
         raise ValueError(f"codebooks and trials_per_book must be at least 1, "
                          f"got {codebooks} and {trials_per_book}")
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate}")
     comp = tuple(int(c) for c in composition)
     if sum(comp) != l:
         raise ValueError("composition must sum to the block length")
@@ -578,8 +599,8 @@ def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
         rate=rate, input_pmf=p_u, channel=channel))
     bound = 2.0 * math.exp(-l * er)
 
-    n_words = max(2, int(math.floor(math.exp(l * rate))))
-    n_words = min(n_words, _codec.type_class_size(comp), int(max_codewords))
+    n_words = _codebook_size(
+        l * rate, 2, min(_codec.type_class_size(comp), int(max_codewords)))
     errors = 0
     for b in range(codebooks):
         book = _codec.sample_constant_composition(

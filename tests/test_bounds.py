@@ -221,6 +221,12 @@ def test_scheme_params_validation():
     for l, m in ((16.7, 1), (16, 2.5), (-3, 1), (16, 0), ("16", 1), (math.inf, 1), (16, math.nan)):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             bd.SchemeParams(l=l, delta=0.1, A=0.3, B=0.1, rho=0.2, m=m)
+    # a non-finite rate or tolerance is refused, not carried into a report
+    good = dict(l=8, delta=0.1, A=0.3, B=0.1, rho=0.2)
+    for name, value in (("delta", math.inf), ("A", math.inf), ("B", math.nan),
+                        ("rho", math.nan), ("B", -math.inf)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            bd.SchemeParams(**{**good, name: value})
     # an integral value is stored as an int, also the worked example's huge l
     sp = bd.SchemeParams(l=16.0, delta=0.1, A=0.3, B=0.1, rho=0.2, m=np.int64(4))
     assert type(sp.l) is int and type(sp.m) is int and (sp.l, sp.m) == (16, 4)

@@ -326,6 +326,11 @@ def test_bounds_check_command(tmp_path):
     ({"k_size": 2.9}, {}, "k_size must be an integer >= 0, got 2.9"),
     ({}, {"l": 16.7}, "l must be an integer >= 1, got 16.7"),
     ({}, {"m": 2.5}, "m must be an integer >= 1, got 2.5"),
+    # a non-finite rate or tolerance would reach a report as NaN or inf
+    ({}, {"B": math.nan}, "B must be finite, got nan"),
+    ({}, {"A": math.inf}, "A must be finite, got inf"),
+    ({}, {"delta": math.inf}, "delta must be finite, got inf"),
+    ({}, {"rho": -math.inf}, "rho must be finite, got -inf"),
 ])
 def test_bounds_check_non_integral_field_exits_2(tmp_path, capsys, instance, scheme, message):
     inst = write(tmp_path / "inst.json", {**instance_doc(), **instance})
@@ -396,8 +401,8 @@ def test_simulate_dueck_command(tmp_path):
              "--trials", "25", "--seed", "5", "--unit", "bits",
              "--out", str(out_b)])
     doc_b = json.loads(out_b.read_text())
-    assert doc_b["report"]["rate_demand"][0] == pytest.approx(
-        doc["report"]["rate_demand"][0] / math.log(2), rel=1e-12)
+    assert doc_b["report"]["rate_demand"] == pytest.approx(
+        doc["report"]["rate_demand"] / math.log(2), rel=1e-12)
 
 
 def test_simulate_dueck_batch_csv(tmp_path):
@@ -552,6 +557,7 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command):
     ("interleave", ["--significance", "nan"], "significance must lie in (0, 1)"),
     ("interleave", ["--seed", "-3"], "argument --seed: expected a non-negative integer"),
     ("cc-exponent", ["--seed", "1.5"], "argument --seed: expected a non-negative integer"),
+    ("cc-exponent", ["--rate", "inf"], "rate must be finite, got inf"),
 ])
 def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, message):
     if command == "interleave":
@@ -591,6 +597,57 @@ def test_empty_grid_and_bad_sat_outputs_exit_2(tmp_path, capsys, command, flags,
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_every_report_is_strict_json(tmp_path, bsc_file, capsys):
+    # RFC 8259 has no NaN or Infinity: a strict parser (JavaScript's
+    # JSON.parse) must read every command's report; the generic chain's
+    # +inf capacity and the worked example's log 0 = -inf are written as null
+    inst = write(tmp_path / "inst.json", instance_doc())
+    sch = write(tmp_path / "scheme.json", dict(scheme_doc(la_bits=8), m=2))
+    spec = write(tmp_path / "spec.json", {"instance": instance_doc(), "scheme": scheme_doc(),
+                                          "grid": {"B": [0.1, 0.6066017177982121]}})
+    runs = {
+        ("exponent",): ["--channel", bsc_file, "--rates", "0:0.8:0.2"],
+        ("dueck", "lc-check"): ["--a-grid", "2,4", "--k-grid", "2,5"],
+        ("dueck", "feasibility"): ["--a", "512", "--k", "500"],
+        ("bounds", "check"): ["--instance", inst, "--scheme", sch],
+        ("bounds", "search"): ["--spec", spec],
+        ("simulate", "dueck"): ["--params", write(tmp_path / "params.json", {
+            "joint": [[0.45, 0.05], [0.05, 0.45]]}), "--scheme", sch, "--trials", "2"],
+        ("simulate", "generic"): ["--instance", inst, "--scheme", sch, "--trials", "2"],
+        ("test", "interleave"): ["--law", write(tmp_path / "law.json", {
+            "positions": [[0.5, 0.5], [0.2, 0.8]]}), "--m", "500"],
+        ("test", "cc-exponent"): ["--channel", bsc_file, "--composition", "4,4",
+                                  "--rate", "0.1", "--l", "8", "--codebooks", "2"],
+    }
+    assert sorted(runs) == sorted(map(tuple, _COMMANDS))
+    reports = {}
+    for command, flags in runs.items():
+        out = tmp_path / "report.json"
+        assert cli.main([*command, *flags, "--out", str(out)]) in (0, 1), command
+        reports[command] = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert capsys.readouterr().err == ""
+    assert reports[("simulate", "generic")]["report"]["satellite_capacity"] is None
+    section3a = reports[("dueck", "feasibility")]["report"]["section3a"]
+    assert section3a["extras"]["ln_tau"] is None
+    here = pathlib.Path(__file__).parent
+    for golden in ("golden_reports.json", "golden_conditions.json"):
+        json.loads((here / golden).read_text(), parse_constant=_refuse_constant)
+
+
+def test_nan_in_a_report_exits_2_without_a_file(monkeypatch, bsc_file, tmp_path, capsys):
+    monkeypatch.setattr(cli._exponent, "random_coding_exponent", lambda q: math.nan)
+    out = tmp_path / "curve.json"
+    assert cli.main(["exponent", "--channel", bsc_file, "--rates", "0.1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "not JSON compliant" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -686,6 +743,7 @@ def test_missing_input_file_exits_2(tmp_path):
     ("0.8:0:0.1", "stop lies below start"),
     ("0.1,nan", "rate must be a non-negative number"),
     ("0:inf:0.1", "must be finite"),
+    ("0.1,inf", "must be finite"),
     (",", "no rate given"),
 ])
 def test_exponent_bad_rates_exit_2(tmp_path, bsc_file, capsys, rates, message):

@@ -1,10 +1,11 @@
 """Condition reports pinned to recorded values.
 
-``golden_conditions.json`` holds ``ConditionReport.to_dict()`` (through its
-JSON form, so floats compare by their exact repr) for each theorem checker
-on small instances, including the early ``infeasible-by-phi`` exits, the
-rate-point oracle outcomes, the worked example's witness and its section
-3A chain. A refactor of the checkers must reproduce every field exactly.
+``golden_conditions.json`` holds ``ConditionReport.to_dict()`` (through the
+CLI's report writer ``cli.json_text``, so floats compare by their exact
+repr and a log 0 = -inf reads as null, as in a report) for each theorem
+checker on small instances, including the early ``infeasible-by-phi``
+exits, the rate-point oracle outcomes, the worked example's witness and
+its section 3A chain. A refactor of the checkers must reproduce every field exactly.
 To re-record after an intended change of output:
 
     PYTHONPATH=src:tests python tests/test_golden_conditions.py > tests/golden_conditions.json
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from fblic import bounds as bd
+from fblic import cli
 from fblic import dueck as dk
 from fblic import probkit as pk
 from helpers import small_instance, small_scheme
@@ -99,7 +101,7 @@ CASES = {
 
 
 def _report(name):
-    return json.loads(json.dumps(CASES[name]().to_dict(), default=float))
+    return json.loads(cli.json_text(CASES[name]().to_dict()))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -109,4 +111,4 @@ def test_condition_report_matches_recording(name):
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: _report(name) for name in sorted(CASES)}, indent=1))
+    print(cli.json_text({name: _report(name) for name in sorted(CASES)}, indent=1))

@@ -1,9 +1,10 @@
 """Seeded simulation reports pinned to recorded values.
 
-``golden_reports.json`` holds ``TrialStats.to_dict()`` (through its JSON
-form, so floats compare by their exact repr) for small runs of both
-chains; the ``_t2`` cases were recorded with two trial threads, and a run
-in order must match them. A refactor of the chains must reproduce every
+``golden_reports.json`` holds ``TrialStats.to_dict()`` (through the CLI's
+report writer ``cli.json_text``, so floats compare by their exact repr and
+an infinity reads as null, as in a report) for small runs of both chains;
+the ``_t2`` cases were recorded with two trial threads, and a run in order
+must match them. A refactor of the chains must reproduce every
 field exactly. To re-record after an intended change of output:
 
     PYTHONPATH=src:tests python tests/test_golden_reports.py > tests/golden_reports.json
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from fblic import bounds as bd
+from fblic import cli
 from fblic import dueck as dk
 from fblic import simulate as sm
 from helpers import binary_pair_source, folded_instance, small_instance, small_scheme
@@ -65,7 +67,7 @@ CASES = {
 
 def _report(name):
     chain, setup, options = CASES[name]
-    return json.loads(chain(*setup(), **options).to_json())
+    return json.loads(cli.json_text(chain(*setup(), **options).to_dict()))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -94,4 +96,4 @@ def test_chain_reports_the_checkers_phi(name):
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: _report(name) for name in sorted(CASES)}, indent=1))
+    print(cli.json_text({name: _report(name) for name in sorted(CASES)}, indent=1))

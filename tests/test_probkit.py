@@ -67,15 +67,6 @@ def test_mutual_information_of_input_independent_channel_is_not_negative():
         assert 0.0 <= mi <= 1e-15
 
 
-def test_json_round_trips():
-    p = pk.Pmf([0.2, 0.3, 0.5])
-    assert pk.Pmf.from_json(p.to_json()) == p
-    j = pk.JointPmf([[0.2, 0.3], [0.1, 0.4]])
-    assert pk.JointPmf.from_json(j.to_json()) == j
-    w = pk.Dmc([[0.9, 0.1], [0.3, 0.7]])
-    assert pk.Dmc.from_json(w.to_json()) == w
-
-
 # ---------------------------------------------------------------------------
 # information measures
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from fblic import bounds as bd
+from fblic import cli
+from fblic import codec as cd
 from fblic import dueck as dk
 from fblic import probkit as pk
 from fblic import simulate as sm
@@ -86,7 +88,7 @@ def test_simulate_dueck_error_rate_monotone_in_capacity_slack():
         assert worse[1] >= better[1] - 1e-12
     # a starved pipe is flagged, not failed
     starved = sm.simulate_dueck(joint, sp, trials=5, seed=31, capacity_slack=-1.0)
-    assert starved.rate_exceeded == (True, True)
+    assert starved.rate_exceeded is True
     assert starved.extras["digest_bits"] == 0
 
 
@@ -142,6 +144,28 @@ def test_simulate_generic_requires_type_pmf():
         sm.simulate_generic(inst, sp, trials=5, seed=0)
 
 
+@pytest.fixture
+def codebook_sizes(monkeypatch):
+    """The n_codewords of every constant-composition codebook drawn."""
+    sizes, sample = [], sm._codec.sample_constant_composition
+
+    def recorded(*args, n_codewords, **kw):
+        sizes.append(n_codewords)
+        return sample(*args, n_codewords=n_codewords, **kw)
+
+    monkeypatch.setattr(sm._codec, "sample_constant_composition", recorded)
+    return sizes
+
+
+def test_simulate_generic_large_rate_caps_the_codebook(codebook_sizes):
+    # l * A = 960 would overflow exp; the codebook is the whole type class
+    base = small_scheme(m=8)
+    sp = bd.SchemeParams(l=16, delta=base.delta, A=60.0, B=base.B, rho=base.rho, m=8)
+    stats = sm.simulate_generic(small_instance(), sp, trials=2, seed=1)
+    assert stats.trials == 2
+    assert codebook_sizes == [cd.type_class_size((8, 8))]
+
+
 # ---------------------------------------------------------------------------
 # block staging
 # ---------------------------------------------------------------------------
@@ -176,7 +200,7 @@ def test_block_split_does_not_change_the_report(name, monkeypatch):
     for per_block, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (1 << 40, [7])):
         monkeypatch.setattr(sm, "_BLOCK_SYMBOLS", per_block * sp.m * sp.l)
         blocks.clear()
-        reports.append(chain(source, sp, trials=7, **options).to_json())
+        reports.append(cli.json_text(chain(source, sp, trials=7, **options).to_dict()))
         assert blocks == sizes
     assert reports[0] == reports[1] == reports[2]
     searched = json.loads(reports[0])["extras"]["outer_decode"]["searched"]
@@ -277,6 +301,23 @@ def test_cc_exponent_half_capacity_run():
     assert rep.decoded == 500
     assert rep.empirical <= rep.bound
     assert rep.passed
+
+
+def test_cc_exponent_large_rate_caps_the_codebook(codebook_sizes):
+    # l * R = 800 would overflow exp; at a rate above capacity the test
+    # auto-passes with every codebook at its cap, the 70-word type class
+    rep = sm.cc_exponent_test(pk.Dmc.binary_symmetric(0.1), (4, 4), rate=100.0, l=8,
+                              codebooks=2, trials_per_book=5, seed=1)
+    assert rep.exponent == 0.0 and rep.passed
+    assert codebook_sizes == [70, 70]
+
+
+def test_codebook_size_is_floor_exp_between_least_and_cap():
+    assert sm._codebook_size(math.log(5.5), 2, 70) == 5
+    assert sm._codebook_size(0.0, 2, 70) == 2
+    assert sm._codebook_size(1e6, 2, 70) == 70
+    assert sm._codebook_size(math.inf, 1, 3 ** 1000) == 3 ** 1000
+    assert sm._codebook_size(5.0, 2, 1) == 1
 
 
 @pytest.mark.parametrize("codebooks, trials_per_book", [(0, 5), (2, 0), (-1, 5), (2, -3)])

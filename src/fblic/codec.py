@@ -33,6 +33,8 @@ import numpy as np
 from .probkit import BaseDigits, Dmc, Pmf, TypicalityParams, typical_set
 
 _NEG_INF_LLH = -1e30
+# the most codewords, or search patterns or pairs, one array may hold
+MAX_ROWS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +142,9 @@ def type_class_size(composition) -> int:
 
 
 def sample_constant_composition(composition, rate_a: float, l: int, seed: int,
-                                n_codewords: int | None = None) -> ConstantCompositionCode:
-    """Draw codewords iid uniform on the type class (repeats allowed).
+                                n_codewords: int) -> ConstantCompositionCode:
+    """Draw n_codewords codewords iid uniform on the type class (repeats
+    allowed); rate_a is recorded, the caller sizes the book.
 
     Each codeword is an independent uniform permutation of the composition
     multiset; the draw is a fixed function of the seed.
@@ -149,7 +152,7 @@ def sample_constant_composition(composition, rate_a: float, l: int, seed: int,
     comp = tuple(int(c) for c in composition)
     if sum(comp) != l:
         raise ValueError("composition must sum to the block length")
-    n = n_codewords if n_codewords is not None else max(1, int(math.floor(math.exp(l * rate_a))))
+    n = int(n_codewords)
     if n > type_class_size(comp):
         raise ValueError("more codewords requested than the type class holds")
     base = np.repeat(np.arange(len(comp), dtype=np.int64), comp)
@@ -270,7 +273,7 @@ class InnerCode:
         if isinstance(self.codebook, ConstantCompositionCode):
             return self.codebook.codewords[: 1 << self.la_bits]
         n = 1 << self.la_bits
-        if n > 1 << 20:
+        if n > MAX_ROWS:
             raise ValueError("refusing to materialize more than 2^20 codewords")
         return self.codebook.words(np.arange(n))
 
@@ -313,11 +316,15 @@ class PermutationSet:
             raise ValueError(f"row {int(bad[0])} is not a permutation")
 
 
-def draw_permutations(m: int, l: int, seed: int) -> PermutationSet:
+def draw_permutations(m: int, l: int, seed) -> PermutationSet:
     """m independent uniform permutations of [l], row after row from one
-    generator seeded by seed."""
-    rows = np.random.default_rng(int(seed)).permuted(np.tile(np.arange(l), (m, 1)), axis=1)
-    return PermutationSet(rows=rows, seed=int(seed))
+    generator seeded by seed; for a sequence of seeds, m rows from each
+    seed's generator in turn, checked once as one set."""
+    one = np.ndim(seed) == 0
+    seeds = [int(seed)] if one else [int(s) for s in seed]
+    base = np.tile(np.arange(l), (m, 1))
+    rows = np.concatenate([np.random.default_rng(s).permuted(base, axis=1) for s in seeds])
+    return PermutationSet(rows=rows, seed=seeds[0] if one else None)
 
 
 def interleave(mat, perm: PermutationSet):
@@ -419,7 +426,7 @@ class OuterDecodeResult:
 
 def _capped(total: int, what: str) -> int:
     """total, unless it exceeds the 2^20 patterns or pairs one search step may hold."""
-    if total > 1 << 20:
+    if total > MAX_ROWS:
         raise ValueError(f"refusing to build {total} {what}: more than 2^20")
     return total
 
@@ -695,12 +702,23 @@ def multiplex_inputs(u_mat, v_mat, p_x_given_uv, r):
 
 def draw_from_rows(probs, rows, r) -> np.ndarray:
     """Inverse-CDF draw from row rows[i] of the stochastic matrix probs with
-    the uniform r[i], for arrays rows and r of one shape: the first symbol
-    whose cumulative probability exceeds r[i]. A row whose float cumulative
-    sum ends at or below r[i] gives its last positive-probability symbol,
-    not symbol 0."""
+    the uniform r[i], for arrays rows and r that broadcast together: the
+    first symbol whose cumulative probability exceeds r[i]. A row whose
+    float cumulative sum ends at or below r[i] gives its last
+    positive-probability symbol, not symbol 0.
+
+    Every CDF entry from a row's last positive symbol on is +inf, so each
+    row is non-decreasing and the first crossing is the count of entries
+    at or below r[i]: one 1-D take and compare per symbol, of that
+    symbol's column of the CDF table.
+    """
     p = np.asarray(probs, dtype=float)
+    k = p.shape[1]
     cum = np.cumsum(p, axis=1)
-    last = p.shape[1] - 1 - (p[:, ::-1] > 0.0).argmax(axis=1)
-    cum[np.arange(p.shape[0]), last] = np.inf
-    return (cum[rows] > np.asarray(r)[..., None]).argmax(axis=-1)
+    last = k - 1 - (p[:, ::-1] > 0.0).argmax(axis=1)
+    cum[np.arange(k) >= last[:, None]] = np.inf
+    rows, r = np.asarray(rows), np.asarray(r)
+    out = np.zeros(np.broadcast_shapes(rows.shape, r.shape), dtype=np.int64)
+    for column in cum.T[:-1]:  # the last column is +inf: never at or below r
+        out += column.take(rows) <= r
+    return out

@@ -390,9 +390,11 @@ def section3a_feasibility(params: DueckParams,
 
     Every comparison whose sides live at the a^{eta k} scale is done on
     natural logs (scale="log" rows); ordinary-scale comparisons stay
-    linear. Infeasible parameters produce negative slacks, not errors.
+    linear. Infeasible parameters produce negative slacks, not errors;
+    k < 2 raises ValueError, as the satellite capacities need k >= 2.
     """
     a, k, eta = params.a, params.k, params.eta
+    c1, c2 = satellite_capacities(params)
     la = math.log(a)
     ln_k = math.log(k)
     delta = 1.0 / k
@@ -437,11 +439,9 @@ def section3a_feasibility(params: DueckParams,
     ineqs.append(Inequality("B <= 2/l + log(a)/k + (1+1/k) h_b(1/k)",
                             b_exact, b_chain, kind="le"))
 
-    c1, c2 = satellite_capacities(params) if k >= 2 else (math.nan, math.nan)
-    if k >= 2:
-        ineqs.append(Inequality("user1: B + L^S < C1", b_exact + ls_val, c1, kind="lt"))
-        ineqs.append(Inequality("user2: B + H(S2|S1) + L^S < C2",
-                                b_exact + stats.h_s2_given_s1 + ls_val, c2, kind="lt"))
+    ineqs.append(Inequality("user1: B + L^S < C1", b_exact + ls_val, c1, kind="lt"))
+    ineqs.append(Inequality("user2: B + H(S2|S1) + L^S < C2",
+                            b_exact + stats.h_s2_given_s1 + ls_val, c2, kind="lt"))
 
     phi = _safe_exp(float(ln_phi))
     report = ConditionReport(

@@ -335,7 +335,8 @@ class TypicalSet:
       indexed by count vector (coordinate s runs over 0..hi_s + 1), filled
       once from the memo that ``size`` builds. Its entries reach |T|, so it
       needs |T| < 2^63, and (l + 2)^k <= 2^22, which caps it at
-      2^22 (k + 1) entries;
+      2^22 (k + 1) entries. Rank reads it flat in one 1-D take, unrank
+      in one take per position and symbol;
     * otherwise a loop of the exact-int ``rank``/``unrank``.
 
     On every path ranks are int64 while |T| <= 2^63 and an object array of
@@ -498,9 +499,13 @@ class TypicalSet:
         if table is None:
             return np.array([self.rank(row) for row in seq], dtype=self.rank_dtype)
         strides, cum = table
-        step = strides[seq]
-        prefix = np.cumsum(step, axis=1) - step
-        return cum[prefix, seq].sum(axis=1)
+        # flat index of (prefix count vector, symbol), built in place: a
+        # block's temporaries cost more than its arithmetic
+        step = (strides * cum.shape[1]).take(seq)
+        at = np.cumsum(step, axis=1)
+        at -= step
+        at += seq
+        return cum.ravel().take(at).sum(axis=1)
 
     def unrank_rows(self, r) -> np.ndarray:
         """unrank() of every entry of a 1-D array of ranks, as (rows, l)."""
@@ -516,17 +521,18 @@ class TypicalSet:
             return np.array([self.unrank(int(v)) for v in ranks],
                             dtype=int).reshape(ranks.shape[0], self.l)
         strides, cum = table
+        width = cum.shape[1]
+        flat, steps = cum.ravel(), strides * width
         rest = ranks.astype(np.int64)
-        at = np.zeros(rest.shape[0], dtype=np.int64)
-        out = np.empty((rest.shape[0], self.l), dtype=np.int64)
-        rows = np.arange(rest.shape[0])
-        for i in range(self.l):
-            below = cum[at]
-            sym = (below[:, 1:] <= rest[:, None]).sum(axis=1)
-            rest -= below[rows, sym]
-            at += strides[sym]
-            out[:, i] = sym
-        return out
+        at = np.zeros(rest.shape[0], dtype=np.int64)  # flat index of the prefix's row
+        out = np.zeros((self.l, rest.shape[0]), dtype=np.int64)
+        for sym in out:
+            # cum[v, k] bounds every remaining rank: only s < k can be passed
+            for s in range(1, width - 1):
+                sym += flat.take(at + s) <= rest
+            rest -= flat.take(at + sym)
+            at += steps.take(sym)
+        return out.T
 
 
 @lru_cache(maxsize=128)

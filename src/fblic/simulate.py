@@ -4,19 +4,26 @@ Reproducibility contract: a run is fixed by its seed, whatever its
 trials' grouping. It has two stages.
 
 * Draw stage: every trial makes all of its random draws from its own
-  generators. The generator of (master seed, trial index) draws the
-  source pairs and then, on a generic instance, V_1, V_2 and the channel
-  uniforms. A generic trial's m row interleavers come, in one stream,
-  from a generator seeded by the child seed of (master seed, trial
-  index, 0x9E), and user j's multiplexer uniforms from
+  generators, which draw uniforms and interleavers, not symbols. The
+  generator of (master seed, trial index) draws one (n, m, l) array of
+  uniforms: the source pairs' and then, on a generic instance, V_1's,
+  V_2's and the channel's. A generic trial's m row interleavers come,
+  in one stream, from a generator seeded by the child seed of (master
+  seed, trial index, 0x9E), and user j's multiplexer uniforms from
   SeedSequence((child seed of (master seed, trial index, 0x58, j), 0x58)).
-* Block stage: the deterministic work (inner encode, deinterleaving,
-  multiplexing, the channel draw, inner decode, reconstruction, the
-  (V, Y) probe counts and the envelope check) runs once over a block of
-  trials, row by row, so how trials are grouped cannot change a row's
-  result. A block holds at most _BLOCK_SYMBOLS source symbols (m * l per
-  trial) and at least one trial. Only the digest and the outer decode
-  run per trial, in trial order.
+* Block stage: the deterministic work (uniforms mapped to symbols,
+  inner encode, deinterleaving, multiplexing, the channel outputs, inner
+  decode, reconstruction, the (V, Y) probe counts and the envelope
+  check) runs once over a block of trials, row by row, so how trials are
+  grouped cannot change a row's result. A block holds at most
+  _BLOCK_SYMBOLS source symbols (m * l per trial) and at least one
+  trial. Only the digest and the outer decode run per trial, in trial
+  order.
+
+Every symbol is drawn by the one inverse-CDF rule of codec.draw_from_rows.
+numpy's Generator.choice(p=...) also maps one random() per symbol through
+its CDF, but divides the CDF by its last entry first, so the two give the
+same symbols whenever the pmf's float cumulative sum ends at exactly 1.
 
 Aggregation is a sum of integer counters. Statistical pass thresholds
 are three sigmas (or significance 0.01 for chi-square tests) and are
@@ -155,13 +162,15 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     each user's matrix against its digest_bits-bit digest; tally.
 
     Trials run in blocks of _BLOCK_SYMBOLS source symbols. Each trial of a
-    block first makes its draws; every stage up to the reconstructed
+    block first draws its uniforms; every stage up to the reconstructed
     baselines then runs once on the block's rows, and the digest and outer
-    decode run per trial. ``channel.draw(t, rng)`` makes trial t's channel
-    draws after its pairs; ``channel.transmit(draws, codewords)`` returns
-    both users' decoded inner indices per row of a block and the block's
-    probe; ``channel.check(kmats, enc, bad)`` vets a user's inner-error
-    rows; ``channel.extras(probes)`` adds report fields.
+    decode run per trial. Trial t's (seed, t) generator draws one
+    (1 + ``channel.uniforms``, m, l) array of uniforms, the pairs' first;
+    ``channel.draw(t, u)`` makes trial t's channel draws, given the rest
+    of that array; ``channel.transmit(draws, codewords)`` returns both
+    users' decoded inner indices per row of a block and the block's probe;
+    ``channel.check(kmats, enc, bad)`` vets a user's inner-error rows;
+    ``channel.extras(probes)`` adds report fields.
     """
     m, l = sp.m, sp.l
     hashers = [
@@ -169,18 +178,17 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
         for j, size in ((1, joint.row_size), (2, joint.col_size))
     ]
     demand = (code.lb_bits * m + digest_bits) * _LN2 / (m * l)
-    flat = joint.probs.ravel()
+    pair_law = joint.probs.reshape(1, -1)  # one table row: pairs (s1, s2) row-major
     per_block = max(1, _BLOCK_SYMBOLS // (m * l))
     mismatch, probes = 0, []
     inner, rows_wrong, matrix_fail, wrong_accepts = ([0, 0] for _ in range(4))
     decodes = {k: [0, 0] for k in ("ok", "ambiguous", "failed", "searched")}
     for start in range(0, trials, per_block):
-        pairs, draws = [], []
-        for t in range(start, min(trials, start + per_block)):
-            rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(t))))
-            pairs.append(rng.choice(flat.shape[0], size=(m, l), p=flat))
-            draws.append(channel.draw(t, rng))
-        pair = np.concatenate(pairs)
+        ts = range(start, min(trials, start + per_block))
+        u = [np.random.default_rng(np.random.SeedSequence((int(seed), t)))
+             .random((1 + channel.uniforms, m, l)) for t in ts]
+        pair = _codec.draw_from_rows(pair_law, 0, np.concatenate([u_t[0] for u_t in u]))
+        draws = [channel.draw(t, u_t[1:]) for t, u_t in zip(ts, u)]
         mats = (pair // joint.col_size, pair % joint.col_size)
         kmats = (maps[0][mats[0]], maps[1][mats[1]])
         enc = [code.encode_rows(kmat) for kmat in kmats]
@@ -230,11 +238,12 @@ class _ExampleChannel:
     common codeword where both users send the same one, 0 elsewhere; both
     users see the same output and decode it exactly."""
 
+    uniforms = 0  # the channel is deterministic: nothing to draw
+
     def __init__(self, code):
         self.code = code
 
-    def draw(self, t, rng) -> None:
-        # the channel is deterministic: nothing to draw
+    def draw(self, t, u) -> None:
         return None
 
     def transmit(self, draws, u):
@@ -253,12 +262,15 @@ class _ExampleChannel:
 
 
 class _ChannelDraws(NamedTuple):
-    """One trial's draws for the sampled channel, each with rows on axis -2:
-    its row interleavers (m, l), both users' V in interleaved order and
-    their multiplexer uniforms (2, m, l), and the channel uniforms (m, l)."""
+    """One trial's draws for the sampled channel: the seed of its row
+    interleavers, and its uniforms, each with rows on axis -2: both users'
+    V's, in interleaved order, and their multiplexers' (2, m, l), and the
+    channel's (m, l). transmit maps a block's uniforms to V, X and Y once,
+    by codec.draw_from_rows, and draws its interleavers in one
+    draw_permutations call, which checks each row once."""
 
-    perms: np.ndarray
-    vpi: np.ndarray
+    perm_seed: int
+    v: np.ndarray
     mux: np.ndarray
     channel: np.ndarray
 
@@ -268,6 +280,8 @@ class _SampledChannel:
     deinterleaved, inputs multiplexed from (U, V), the channel sampled, and
     U decoded by ML over each user's induced channel. The interleaved
     column-0 (V, Y) pairs are tallied for the channel-quality check."""
+
+    uniforms = 3  # V_1, V_2 and the channel, after the pairs
 
     def __init__(self, inst: _bounds.ProblemInstance, code, sp, seed: int,
                  phi_bound: float):
@@ -279,29 +293,32 @@ class _SampledChannel:
         self.induced = (inst.induced_to_user(1), inst.induced_to_user(2))
         self.users = ((inst.p_v1, inst.p_x1_given_uv1, ny1),
                       (inst.p_v2, inst.p_x2_given_uv2, ny2))
+        # both users' V laws as the rows of one table, zero-padded to one width
+        self.p_v = np.zeros((2, max(len(inst.p_v1), len(inst.p_v2))))
+        for j, (p_v, _, _) in enumerate(self.users):
+            self.p_v[j, :len(p_v)] = p_v.probs
 
-    def draw(self, t, rng) -> _ChannelDraws:
+    def draw(self, t, u) -> _ChannelDraws:
         m, l = self.sp.m, self.sp.l
-        perms = _codec.draw_permutations(m, l, _child_seed(self.seed, t, 0x9E)).rows
-        vpi = np.stack([rng.choice(len(p_v), size=(m, l), p=p_v.probs)
-                        for p_v, _, _ in self.users])
         mux = np.stack([np.random.default_rng(np.random.SeedSequence(
             (_child_seed(self.seed, t, 0x58, j), 0x58))).random((m, l)) for j in (0, 1)])
-        return _ChannelDraws(perms, vpi, mux, rng.random((m, l)))
+        return _ChannelDraws(_child_seed(self.seed, t, 0x9E), u[:2], mux, u[2])
 
     def transmit(self, draws, u):
+        m, l = self.sp.m, self.sp.l
+        perms = _codec.draw_permutations(m, l, [d.perm_seed for d in draws])
         # the trials' rows one after another: axis -2 is the row axis of every field
-        d = _ChannelDraws(*(np.concatenate(f, axis=-2) for f in zip(*draws)))
-        perms = _codec.PermutationSet(rows=d.perms)
-        x = [_codec.multiplex_inputs(u[j], _codec.deinterleave(d.vpi[j], perms), px_uv, d.mux[j])
+        v, mux, channel = (np.concatenate(f, axis=-2) for f in list(zip(*draws))[1:])
+        vpi = _codec.draw_from_rows(self.p_v, np.arange(2)[:, None, None], v)
+        x = [_codec.multiplex_inputs(u[j], _codec.deinterleave(vpi[j], perms), px_uv, mux[j])
              for j, (_, px_uv, _) in enumerate(self.users)]
-        y_pair = _codec.draw_from_rows(self.w, x[0] * self.inst.nx[1] + x[1], d.channel)
+        y_pair = _codec.draw_from_rows(self.w, x[0] * self.inst.nx[1] + x[1], channel)
         y = divmod(y_pair, self.inst.ny[1])
         index = tuple(self.code.decode_ml_rows(y[j], self.induced[j]) for j in (0, 1))
         vy = []
         for j, (p_v, _, ny) in enumerate(self.users):
-            y0 = np.take_along_axis(y[j], d.perms[:, :1], axis=1)[:, 0]  # interleaved column 0
-            vy.append(np.bincount(d.vpi[j][:, 0] * ny + y0, minlength=len(p_v) * ny).reshape(-1, ny))
+            y0 = np.take_along_axis(y[j], perms.rows[:, :1], axis=1)[:, 0]  # interleaved column 0
+            vy.append(np.bincount(vpi[j][:, 0] * ny + y0, minlength=len(p_v) * ny).reshape(-1, ny))
         return index, vy
 
     def check(self, kmats, enc, bad) -> None:
@@ -432,7 +449,8 @@ def simulate_generic(
     compared against its ideal single-letter law in total variation and
     estimated mutual information, per the rate-loss bound it must obey.
     The outer decode runs only when K is the source itself. phi_bound is
-    the checkers' log-domain phi of inst.thm1_quantities(sp).
+    the checkers' log-domain phi of inst.thm1_quantities(sp). A codebook
+    of more than 2^20 words is refused before anything is drawn.
     """
     _check_run(trials, hash_bits, e_max)
     comp = np.round(inst.p_u.probs * sp.l).astype(int)
@@ -445,9 +463,11 @@ def simulate_generic(
         and np.array_equal(inst.f2, np.arange(src.col_size))
     )
     p_k1 = inst.p_k1()
+    n_words = _codebook_size(sp.l * sp.A, 1, _codec.type_class_size(comp))
+    if n_words > _codec.MAX_ROWS:
+        raise ValueError(f"refusing to draw a codebook of {n_words} words: more than 2^20")
     cc = _codec.sample_constant_composition(
-        tuple(int(c) for c in comp), sp.A, sp.l, _child_seed(seed, 0xCC),
-        n_codewords=_codebook_size(sp.l * sp.A, 1, _codec.type_class_size(comp)))
+        tuple(int(c) for c in comp), sp.A, sp.l, _child_seed(seed, 0xCC), n_codewords=n_words)
     code = _codec.build_inner_code(p_k1, sp.l, sp.delta, codebook=cc)
     phi_bound, _ = _bounds._phi_from_logs(inst.thm1_quantities(sp))
     return _simulate(
@@ -580,7 +600,7 @@ class CcExponentReport:
 
 def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
                      codebooks: int, trials_per_book: int, seed: int,
-                     max_codewords: int = 1 << 20) -> CcExponentReport:
+                     max_codewords: int = _codec.MAX_ROWS) -> CcExponentReport:
     """Ensemble-average ML error of constant-composition codes against
     2 exp(-l E_r(R)); a rate at or above capacity makes the bound vacuous
     and the test auto-passes. Codebooks are capped at max_codewords (a

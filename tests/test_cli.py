@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblic import cli
+from fblic import codec as cd
 
 
 def write(path, doc):
@@ -486,6 +487,24 @@ def test_simulate_bad_input_exits_2(tmp_path, capsys, chain, flags, message):
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_generic_oversized_codebook_exits_2(tmp_path, capsys, monkeypatch):
+    # l = 64 at A = 1 nat asks for ~1.8e18 words of the (32, 32) type class
+    def sample(*args, **kw):
+        raise AssertionError("the codebook draw started")
+
+    monkeypatch.setattr(cd, "sample_constant_composition", sample)
+    inst = write(tmp_path / "inst.json", instance_doc())
+    sch = write(tmp_path / "scheme.json",
+                {"l": 64, "delta": 0.75, "A": 1.0, "B": 0.5, "rho": 0.02, "m": 16})
+    out = tmp_path / "stats.json"
+    code = cli.main(["simulate", "generic", "--instance", inst, "--scheme", sch,
+                     "--trials", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "more than 2^20" in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -247,8 +247,8 @@ def test_constant_composition_types_exact():
 
 
 def test_constant_composition_deterministic_and_bounded():
-    b1 = cd.sample_constant_composition((4, 4), 0.5, 8, seed=3)
-    b2 = cd.sample_constant_composition((4, 4), 0.5, 8, seed=3)
+    b1 = cd.sample_constant_composition((4, 4), 0.5, 8, seed=3, n_codewords=54)
+    b2 = cd.sample_constant_composition((4, 4), 0.5, 8, seed=3, n_codewords=54)
     assert np.array_equal(b1.codewords, b2.codewords)
     with pytest.raises(ValueError):
         cd.sample_constant_composition((2, 2), 0.5, 4, seed=0, n_codewords=100)
@@ -303,6 +303,13 @@ def test_permutation_rows_independent_chi_square():
     table = np.zeros((2, 2), dtype=np.int64)
     np.add.at(table, (first[0::2], first[1::2]), 1)
     assert float(sstats.chi2_contingency(table).pvalue) > 0.01
+
+
+def test_permutations_from_several_seeds_are_each_seeds_rows_in_turn():
+    block = cd.draw_permutations(4, 6, [3, 8, 3])
+    each = [cd.draw_permutations(4, 6, seed).rows for seed in (3, 8, 3)]
+    assert np.array_equal(block.rows, np.concatenate(each))
+    assert block.seed is None and cd.draw_permutations(4, 6, 8).seed == 8
 
 
 def test_permutations_differ_across_seeds():
@@ -865,6 +872,69 @@ def test_draw_from_rows_is_the_first_cdf_crossing_elsewhere():
         got = cd.draw_from_rows(p, rows, r)
         assert np.array_equal(got[crossed], (cum[rows] > r[:, None]).argmax(axis=1)[crossed])
         assert (p[rows, got] > 0.0).all()
+
+
+def _first_crossing_oracle(p, rows, r):
+    """The gather-and-argmax rule draw_from_rows replaced: the first CDF
+    entry above r, with the last positive symbol's entry set to inf."""
+    cum = np.cumsum(p, axis=1)
+    last = p.shape[1] - 1 - (p[:, ::-1] > 0.0).argmax(axis=1)
+    cum[np.arange(p.shape[0]), last] = np.inf
+    return (cum[rows] > r[..., None]).argmax(-1)
+
+
+@st.composite
+def _draw_cases(draw):
+    """A stochastic matrix whose rows have zero-probability leading,
+    interior and trailing symbols, and uniforms that include its CDF values,
+    0 and the largest double below 1."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.lists(st.sampled_from([0, 0, 1, 2, 3, 7, 50]),
+                                              min_size=k, max_size=k),
+                                     min_size=n, max_size=n)), dtype=float)
+    weights[weights.sum(axis=1) == 0, draw(st.integers(0, k - 1))] = 1.0
+    p = weights / weights.sum(axis=1, keepdims=True)
+    size = draw(st.integers(1, 40))
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
+    cum = np.cumsum(p, axis=1)
+    top = np.nextafter(1.0, 0.0)
+    r = np.array([draw(st.one_of(
+        st.floats(0.0, top), st.sampled_from([0.0, top]),
+        st.integers(0, k - 1).map(lambda s, row=row: min(float(cum[row, s]), top))))
+        for row in rows])
+    return p, rows, r
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_draw_cases())
+# a CDF ending below 1, at the largest uniform, before two zero symbols
+@example((np.array([[0.1] * 10 + [0.0, 0.0]]), np.array([0, 0]),
+          np.array([np.nextafter(1.0, 0.0), 0.95])))
+def test_draw_from_rows_equals_the_gather_argmax_rule(case):
+    p, rows, r = case
+    assert np.array_equal(cd.draw_from_rows(p, rows, r), _first_crossing_oracle(p, rows, r))
+    # rows and uniforms broadcast: one row index for a (2, size) array
+    twice = np.stack([r, r[::-1]])
+    assert np.array_equal(cd.draw_from_rows(p, rows[0], twice),
+                          _first_crossing_oracle(p, np.full(twice.shape, rows[0]), twice))
+
+
+@pytest.mark.parametrize("probs", [
+    [0.4995, 0.0005, 0.0005, 0.4995],  # the dueck_chain pair law
+    [0.495, 0.005, 0.005, 0.495],
+    [0.5, 0.5],
+    [0.0, 0.3, 0.0, 0.7, 0.0],
+    [0.125] * 8,
+])
+def test_draw_from_rows_equals_generator_choice(probs):
+    # choice(p=...) maps one random() per symbol through its CDF, divided by
+    # its last entry: with a cumulative sum ending at exactly 1 the two agree
+    p = np.array(probs)
+    assert np.cumsum(p)[-1] == 1.0
+    g1, g2 = np.random.default_rng(21), np.random.default_rng(21)
+    drawn = cd.draw_from_rows(p[None], 0, g1.random((64, 16)))
+    assert np.array_equal(drawn, g2.choice(len(p), (64, 16), p=p))
+    assert g1.random() == g2.random()
 
 
 def test_multiplex_conditional_frequencies():

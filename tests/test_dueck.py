@@ -207,6 +207,12 @@ def test_section3a_small_params_report_failures():
     assert by_name["user1: B + L^S < C1"].slack < 0.0
 
 
+def test_section3a_refuses_k_below_2():
+    # at k = 1 the satellite capacities are undefined: no verdict without them
+    with pytest.raises(ValueError, match="k >= 2"):
+        dk.section3a_feasibility(dk.DueckParams(4, 1, 8))
+
+
 def test_section3a_witness_params_all_hold():
     report = dk.section3a_feasibility(dk.DueckParams(512, 500, 8))
     assert report.overall is True

@@ -166,6 +166,28 @@ def test_simulate_generic_large_rate_caps_the_codebook(codebook_sizes):
     assert codebook_sizes == [cd.type_class_size((8, 8))]
 
 
+@pytest.mark.parametrize("words", [1 << 20, (1 << 20) + 1])
+def test_simulate_generic_refuses_more_than_2_20_codewords(monkeypatch, words):
+    # floor(exp(l * A)) words of the (32, 32) type class; above 2^20 the run
+    # is refused before the sampler is reached
+    class Drawn(Exception):
+        pass
+
+    def sample(*args, n_codewords, **kw):
+        raise Drawn(n_codewords)
+
+    monkeypatch.setattr(sm._codec, "sample_constant_composition", sample)
+    sp = bd.SchemeParams(l=64, delta=0.75, A=math.log(words + 0.5) / 64, B=0.5,
+                         rho=0.02, m=8)
+    if words <= 1 << 20:
+        with pytest.raises(Drawn) as drawn:
+            sm.simulate_generic(small_instance(), sp, trials=2, seed=1)
+        assert drawn.value.args == (words,)
+    else:
+        with pytest.raises(ValueError, match="more than 2\\^20"):
+            sm.simulate_generic(small_instance(), sp, trials=2, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # block staging
 # ---------------------------------------------------------------------------

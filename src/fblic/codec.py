@@ -17,7 +17,9 @@ probability exactly 2^-b over the draw of H, at any width b, and the
 linearity of the digest is what lets a candidate's digest change be read
 straight off the H columns of the bits it flips, and the pattern search
 run as one sorted join of XOR-delta tables per error depth instead of a
-cartesian sweep.
+cartesian sweep. Linearity also feeds the decoder: its input is the
+syndrome digest(sent) ^ digest(baseline) = H . bits(sent ^ baseline),
+which reads only the H columns of the bits where the two differ.
 """
 
 from __future__ import annotations
@@ -303,11 +305,9 @@ def build_inner_code(p_k1: Pmf, l: int, delta: float, cu_size: int | None = None
 
 @dataclass(frozen=True)
 class PermutationSet:
-    """One permutation of [l] per row, and the seed of the one stream they
-    were drawn from (None for rows gathered from several streams)."""
+    """One permutation of [l] per row."""
 
     rows: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         _, l = self.rows.shape
@@ -320,11 +320,10 @@ def draw_permutations(m: int, l: int, seed) -> PermutationSet:
     """m independent uniform permutations of [l], row after row from one
     generator seeded by seed; for a sequence of seeds, m rows from each
     seed's generator in turn, checked once as one set."""
-    one = np.ndim(seed) == 0
-    seeds = [int(seed)] if one else [int(s) for s in seed]
+    seeds = [int(seed)] if np.ndim(seed) == 0 else [int(s) for s in seed]
     base = np.tile(np.arange(l), (m, 1))
     rows = np.concatenate([np.random.default_rng(s).permuted(base, axis=1) for s in seeds])
-    return PermutationSet(rows=rows, seed=seeds[0] if one else None)
+    return PermutationSet(rows=rows)
 
 
 def interleave(mat, perm: PermutationSet):
@@ -359,10 +358,6 @@ def _words_to_int(words: np.ndarray) -> int:
     return int.from_bytes(words.astype("<u8").tobytes(), "little")
 
 
-def _int_to_words(value: int, n_words: int) -> np.ndarray:
-    return np.frombuffer(value.to_bytes(8 * n_words, "little"), dtype="<u8").astype(np.uint64)
-
-
 class MatrixHasher:
     """Seeded GF(2)-linear (syndrome) digest of an m x l symbol matrix.
 
@@ -374,7 +369,10 @@ class MatrixHasher:
     with probability exactly 2^-b over the draw of H, at every width b.
     Linearity is what the binning decoder exploits: changing one symbol
     XORs a fixed set of H columns into the digest, whatever the rest of
-    the matrix holds.
+    the matrix holds, and digest(a) ^ digest(b) is the syndrome
+    H . bits(a ^ b), which reads only the H columns of the bits where a
+    and b differ. An H of more than MAX_ROWS 64-bit words is refused
+    before it is drawn.
     """
 
     def __init__(self, bits: int, seed: int, alphabet_size: int, l: int, m: int):
@@ -385,31 +383,67 @@ class MatrixHasher:
         self.m = int(m)
         self.sym_bits = max(1, (self.alphabet_size - 1).bit_length())
         self.words = -(-max(self.bits, 0) // 64)
+        n_cols = self.m * self.l * self.sym_bits
+        if n_cols * self.words > MAX_ROWS:
+            raise ValueError(f"refusing to draw a digest matrix of {n_cols * self.words} "
+                             "64-bit words: more than 2^20")
+        # the bits of the last word at and above the digest width
+        self._spare = np.uint64(0)
         # column p of H, packed little-endian into words of 64 digest bits
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0x4855)))
-        cols = rng.integers(0, 2 ** 64 - 1, size=(self.m * self.l * self.sym_bits, self.words),
+        cols = rng.integers(0, 2 ** 64 - 1, size=(n_cols, self.words),
                             dtype=np.uint64, endpoint=True)
         if self.words:
-            cols[:, -1] &= np.uint64((1 << (self.bits - 64 * (self.words - 1))) - 1)
+            self._spare = ~np.uint64((1 << (self.bits - 64 * (self.words - 1))) - 1)
+            cols[:, -1] &= ~self._spare
         self._cols = cols
         # the candidate table outer_decode built last (see _candidates)
         self._table = None
 
-    def _digest_words(self, matrix) -> np.ndarray:
-        arr = np.asarray(matrix, dtype=np.int64)
-        if arr.shape != (self.m, self.l):
+    def _stack(self, x, ndim: int) -> np.ndarray:
+        """x as an int64 array of ndim axes ending in (m, l), refused unless
+        every symbol lies in the alphabet."""
+        arr = np.asarray(x, dtype=np.int64)
+        if arr.ndim != ndim or arr.shape[-2:] != (self.m, self.l):
             raise ValueError("matrix shape disagrees with the hasher")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet_size):
+        # read unsigned, a negative symbol is out of range too
+        if arr.view(np.uint64).max(initial=0) >= self.alphabet_size:
             raise ValueError("symbols outside the hasher's alphabet")
-        # symbol i of the flattened matrix owns bits i*sym_bits.., low bit first
-        bits = (arr[:, :, None] >> np.arange(self.sym_bits)) & 1
-        cols = self._cols.take(np.flatnonzero(bits), axis=0)
-        return np.bitwise_xor.reduce(cols.T.copy(), axis=1)
+        return arr
+
+    def syndromes(self, sent, base) -> np.ndarray:
+        """H . bits(sent[t] ^ base[t]) = digest(sent[t]) ^ digest(base[t]) for
+        each matrix t of two (trials, m, l) stacks, as (trials, words).
+
+        Symbol i of a flattened stack owns bits i*sym_bits.., low bit first,
+        and bits(a) ^ bits(b) = bits(a ^ b), so the H columns to gather are
+        the set bits of sent ^ base at the symbols where the stacks differ,
+        in ascending order, trial after trial; a trial whose matrices agree
+        has syndrome 0. Only the differing symbols are expanded to bits.
+        """
+        sent, base = self._stack(sent, 3), self._stack(base, 3)
+        if sent.shape != base.shape:
+            raise ValueError("the two stacks' shapes disagree")
+        out = np.zeros((sent.shape[0], self.words), dtype=np.uint64)
+        cells = np.flatnonzero(sent != base)
+        flips = sent.reshape(-1).take(cells) ^ base.reshape(-1).take(cells)
+        bit = np.arange(self.sym_bits)
+        hot = (cells[:, None] * self.sym_bits + bit)[(flips[:, None] >> bit & 1).astype(bool)]
+        if hot.size and self.words:
+            per = self.m * self.l * self.sym_bits
+            bounds = np.searchsorted(hot, np.arange(sent.shape[0] + 1) * per)
+            # reduceat turns an empty segment into the next bit's column
+            has = bounds[1:] > bounds[:-1]
+            out[has] = np.bitwise_xor.reduceat(self._cols.take(hot % per, axis=0),
+                                               bounds[:-1][has], axis=0)
+        return out
 
     def digest(self, matrix) -> Digest:
+        """H . bits(matrix): the syndrome of the matrix against the zero one."""
         if self.bits <= 0:
             return Digest(bits=0, value=0)
-        return Digest(bits=self.bits, value=_words_to_int(self._digest_words(matrix)))
+        x = np.asarray(matrix, dtype=np.int64)[None]
+        return Digest(bits=self.bits, value=_words_to_int(self.syndromes(x, np.zeros_like(x))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -528,34 +562,36 @@ def _join(left: _Patterns, right: _Patterns, need: np.ndarray) -> np.ndarray:
     return np.column_stack([left.idx.take(i[hit], axis=0), right.idx.take(j[hit], axis=0)])
 
 
-def outer_decode(khat, digest: Digest, rule: CandidateRule, e_max: int,
+def outer_decode(khat, need, rule: CandidateRule, e_max: int,
                  hasher: MatrixHasher) -> OuterDecodeResult:
-    """Digest-verified bounded-error-pattern search.
+    """Syndrome-verified bounded-error-pattern search.
 
     khat is the decoder's per-row baseline (already refined by residual
-    bits). The rule fixes the candidates of each baseline row: every
-    substitution of r of its first n_pos symbols by other symbols of the
-    hasher's alphabet, for each r in rule.radii, so no two candidates are
-    equal and each changes the cells it writes. All patterns touching at
-    most e_max rows are examined; the unique digest match wins, two
-    distinct matches report ambiguity, none reports a search failure. At
-    e_max = 0 only the baseline is tested and no candidate is built.
-    searched counts the baseline, the candidates (when e_max >= 1) and
-    the matched row pairs (when e_max >= 2).
+    bits) and need the syndrome digest(sent) ^ digest(khat) =
+    H . bits(sent ^ khat), as hasher.words 64-bit words (see
+    MatrixHasher.syndromes). The rule fixes the candidates of each
+    baseline row: every substitution of r of its first n_pos symbols by
+    other symbols of the hasher's alphabet, for each r in rule.radii, so
+    no two candidates are equal and each changes the cells it writes. All
+    patterns touching at most e_max rows are examined; the unique
+    syndrome match wins, two distinct matches report ambiguity, none
+    reports a search failure. Depth 0 is the baseline itself, which
+    matches iff need is 0; at e_max = 0 no candidate is built. searched
+    counts the baseline, the candidates (when e_max >= 1) and the matched
+    row pairs (when e_max >= 2).
 
     The digest is linear, so a candidate's effect on it is a fixed delta,
     the XOR of the H columns of the bits its substitutions flip, and a
-    pattern matches when the XOR of its deltas equals
-    digest ^ digest(khat). Table k holds every pattern of k rows (T_0 is
-    the empty pattern, T_1 the candidates), each built from the one below
-    by adding a candidate above the pattern's highest row and sorted once
-    by its first digest word. A d-row pattern, read by increasing row,
-    splits once into its lowest d // 2 rows and the rest, so depth d is
-    one searchsorted join of T_(d // 2) against T_(d - d // 2): depth 0
-    tests the baseline itself, depth 1 the single candidates, and T_1
-    serves depths 1 and 2, T_2 depths 3 and 4. A table of more than 2^20
-    patterns, or a join with more than 2^20 equal-key pairs to compare (a
-    narrow digest), is refused.
+    pattern matches when the XOR of its deltas equals need. Table k holds
+    every pattern of k rows (T_0 is the empty pattern, T_1 the
+    candidates), each built from the one below by adding a candidate
+    above the pattern's highest row and sorted once by its first digest
+    word. A d-row pattern, read by increasing row, splits once into its
+    lowest d // 2 rows and the rest, so depth d >= 1 is one searchsorted
+    join of T_(d // 2) against T_(d - d // 2): depth 1 tests the single
+    candidates, and T_1 serves depths 1 and 2, T_2 depths 3 and 4. A
+    table of more than 2^20 patterns, or a join with more than 2^20
+    equal-key pairs to compare (a narrow digest), is refused.
 
     The hasher keeps the last candidate table (deltas, rows and T_1, in
     their sorted order), because the table reads only the rule's cells
@@ -569,32 +605,33 @@ def outer_decode(khat, digest: Digest, rule: CandidateRule, e_max: int,
     """
     if e_max < 0:
         raise ValueError("e_max must be non-negative")
-    base = np.array(khat, dtype=np.int64)
-    if digest.bits != hasher.bits:
-        raise ValueError("digest width disagrees with the hasher")
+    base = hasher._stack(khat, 2).copy()
+    need = np.asarray(need, dtype=np.uint64)
+    if need.shape != (hasher.words,):
+        raise ValueError("syndrome width disagrees with the hasher")
 
     if hasher.bits <= 0:
         # a zero-width digest verifies nothing: every pattern matches
         status = "ok" if e_max == 0 else "ambiguous"
         return OuterDecodeResult(status=status, matrix=base if e_max == 0 else None,
                                  matches=1 if e_max == 0 else 2, searched=1)
-    if not 0 <= digest.value < 1 << hasher.bits:
-        raise ValueError("digest value exceeds its width")
+    if need[-1] & hasher._spare:
+        raise ValueError("syndrome value exceeds the digest width")
 
-    need = _int_to_words(digest.value, hasher.words) ^ hasher._digest_words(base)
+    baseline_ok = not need.any()
     if e_max == 0:
-        hit = not need.any()
-        return OuterDecodeResult(status="ok" if hit else "failed", matrix=base if hit else None,
-                                 matches=int(hit), searched=1)
+        return OuterDecodeResult(status="ok" if baseline_ok else "failed",
+                                 matrix=base if baseline_ok else None,
+                                 matches=int(baseline_ok), searched=1)
     table = _candidates(base, rule, hasher)
     # when the baseline matches, the joins look for zero-delta patterns,
     # which the candidate table alone fixes
-    baseline_ok = not need.any()
     if baseline_ok and e_max in table.settled:
         matches, searched = table.settled[e_max]
     else:
-        tables, found = list(table.tables), []
-        for d in range(e_max + 1):
+        tables = list(table.tables)
+        found = [np.zeros((int(baseline_ok), 0), dtype=np.int64)]
+        for d in range(1, e_max + 1):
             if len(tables) <= d - d // 2:
                 tables.append(_extend(tables[-1], table.owner, table.delta))
             found.append(_join(tables[d // 2], tables[d - d // 2], need))

@@ -17,8 +17,9 @@ trials' grouping. It has two stages.
   check) runs once over a block of trials, row by row, so how trials are
   grouped cannot change a row's result. A block holds at most
   _BLOCK_SYMBOLS source symbols (m * l per trial) and at least one
-  trial. Only the digest and the outer decode run per trial, in trial
-  order.
+  trial. Each user's syndromes (the digest of the sent matrix XOR that
+  of the baseline) are computed once per block, and the outer decode
+  runs per trial, in trial order within each user.
 
 Every symbol is drawn by the one inverse-CDF rule of codec.draw_from_rows.
 numpy's Generator.choice(p=...) also maps one random() per symbol through
@@ -163,8 +164,11 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
 
     Trials run in blocks of _BLOCK_SYMBOLS source symbols. Each trial of a
     block first draws its uniforms; every stage up to the reconstructed
-    baselines then runs once on the block's rows, and the digest and outer
-    decode run per trial. Trial t's (seed, t) generator draws one
+    baselines then runs once on the block's rows. Per user, one
+    hasher.syndromes call gives every trial's outer-decode input, the
+    outer decode runs per trial, and the rows wrong, matrix failures and
+    wrong accepts are tallied once on the block's final matrices. Trial
+    t's (seed, t) generator draws one
     (1 + ``channel.uniforms``, m, l) array of uniforms, the pairs' first;
     ``channel.draw(t, u)`` makes trial t's channel draws, given the rest
     of that array; ``channel.transmit(draws, codewords)`` returns both
@@ -204,19 +208,20 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
             channel.check(kmats, enc, bad)
         if not outer:
             continue
-        for first in range(0, len(draws) * m, m):
-            rows = slice(first, first + m)
-            for j, hasher in enumerate(hashers):
-                mat, khat = mats[j][rows], khats[j, rows]
-                result = _codec.outer_decode(khat, hasher.digest(mat), rule, e_max, hasher)
+        for j, hasher in enumerate(hashers):
+            sent, final = mats[j].reshape(-1, m, l), khats[j].reshape(-1, m, l)
+            accepted = np.zeros(sent.shape[0], dtype=bool)
+            for t, need in enumerate(hasher.syndromes(sent, final)):
+                result = _codec.outer_decode(final[t], need, rule, e_max, hasher)
                 decodes[result.status][j] += 1
                 decodes["searched"][j] += result.searched
-                final = result.matrix if result.status == "ok" else khat
-                wrong_rows = int((final != mat).any(axis=1).sum())
-                rows_wrong[j] += wrong_rows
-                matrix_fail[j] += int(wrong_rows > 0)
-                if result.status == "ok" and not np.array_equal(result.matrix, mat):
-                    wrong_accepts[j] += 1
+                if result.status == "ok":
+                    final[t], accepted[t] = result.matrix, True
+            wrong = (final != sent).any(axis=2)
+            failed = wrong.any(axis=1)
+            rows_wrong[j] += int(wrong.sum())
+            matrix_fail[j] += int(failed.sum())
+            wrong_accepts[j] += int((accepted & failed).sum())
 
     total_rows = trials * m
     return TrialStats(

@@ -508,6 +508,25 @@ def test_simulate_generic_oversized_codebook_exits_2(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_simulate_dueck_oversized_digest_matrix_exits_2(tmp_path, capsys, monkeypatch):
+    # 2^24 digest bits on the dueck_chain fixture ask for a 2048 x 2^18-word
+    # H, 4 GiB: refused before the draw, which is stubbed out here
+    def draw(*args, **kw):
+        raise AssertionError("the digest matrix draw started")
+
+    monkeypatch.setattr(cd.np.random, "default_rng", draw)
+    params = write(tmp_path / "params.json", {"joint": [[0.4995, 0.0005], [0.0005, 0.4995]]})
+    sch = write(tmp_path / "scheme.json", dict(scheme_doc(l=32, la_bits=16), m=64))
+    out = tmp_path / "stats.json"
+    code = cli.main(["simulate", "dueck", "--params", params, "--scheme", sch,
+                     "--trials", "2", "--hash-bits", str(1 << 24), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "digest matrix of 536870912 64-bit words: more than 2^20" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value, message", [
     # int() would run a = 2.9 as 2 and eta = 6.5 as 6
     ("a", 2.9, "a must be an integer >= 2, got 2.9"),

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from fblic import codec as cd
 from fblic import probkit as pk
-from helpers import (cross_ic, hamming_ball_rows, ml_decode_oracle, prefix_flip_rows,
+from helpers import (_words, cross_ic, hamming_ball_rows, ml_decode_oracle, prefix_flip_rows,
                      row_outer_decode)
 
 LN2 = math.log(2.0)
@@ -280,7 +280,7 @@ def test_permutation_set_names_the_first_bad_row():
     rows[2, 0] = 1
     rows[3, 4] = 0
     with pytest.raises(ValueError, match="row 2 is not a permutation"):
-        cd.PermutationSet(rows=rows, seed=0)
+        cd.PermutationSet(rows=rows)
 
 
 def test_permutation_uniformity_chi_square():
@@ -309,7 +309,6 @@ def test_permutations_from_several_seeds_are_each_seeds_rows_in_turn():
     block = cd.draw_permutations(4, 6, [3, 8, 3])
     each = [cd.draw_permutations(4, 6, seed).rows for seed in (3, 8, 3)]
     assert np.array_equal(block.rows, np.concatenate(each))
-    assert block.seed is None and cd.draw_permutations(4, 6, 8).seed == 8
 
 
 def test_permutations_differ_across_seeds():
@@ -324,7 +323,7 @@ def test_permutations_differ_across_seeds():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_interleave_identity_and_roundtrip(m, l, alphabet, seed):
     mat = np.random.default_rng(seed).integers(0, alphabet, size=(m, l))
-    ident = cd.PermutationSet(rows=np.tile(np.arange(l), (m, 1)), seed=0)
+    ident = cd.PermutationSet(rows=np.tile(np.arange(l), (m, 1)))
     assert np.array_equal(cd.interleave(mat, ident), mat)
     perm = cd.draw_permutations(m, l, seed)
     assert np.array_equal(cd.deinterleave(cd.interleave(mat, perm), perm), mat)
@@ -369,7 +368,8 @@ def test_outer_encode_digest_uses_the_code_alphabet():
     hasher = cd.MatrixHasher(64, 5, code.p_k1.alphabet_size, 4, 3)
     digest = hasher.digest(mat)
     assert digest != cd.MatrixHasher(64, 5, 2, 4, 3).digest(mat)
-    res = cd.outer_decode(khat, digest, cd.hamming_ball_rule(radius=1), 0, hasher)
+    res = cd.outer_decode(khat, _syndrome(hasher, mat, khat), cd.hamming_ball_rule(radius=1), 0,
+                          hasher)
     assert res.status == "ok" and np.array_equal(res.matrix, mat)
 
 
@@ -416,12 +416,137 @@ def test_digest_collision_rate_is_two_to_minus_b():
     assert abs(hits - n * p) <= 3 * math.sqrt(n * p * (1 - p))
 
 
+def _syndrome(h, sent, khat):
+    """The outer decoder's input for one matrix, by the block kernel."""
+    return h.syndromes(np.asarray(sent)[None], np.asarray(khat)[None])[0]
+
+
+def _digest_words(h, mat):
+    """h.digest(mat) as words, checked against H . bits(mat) summed column by
+    column: symbol i owns bits i * sym_bits.., low bit first."""
+    words = _words(h.digest(mat).value, h.words)
+    loop = np.zeros(h.words, dtype=np.uint64)
+    for i, symbol in enumerate(mat.reshape(-1).tolist()):
+        for b in range(h.sym_bits):
+            if symbol >> b & 1:
+                loop ^= h._cols[i * h.sym_bits + b]
+    assert np.array_equal(words, loop)
+    return words
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(alphabet=st.integers(2, 5), bits=st.sampled_from([0, 1, 63, 64, 65, 130]),
+       m=st.integers(1, 4), l=st.integers(1, 5),
+       differs=st.lists(st.booleans(), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(alphabet=3, bits=130, m=3, l=4, differs=[False, False, False], seed=1)
+@example(alphabet=5, bits=65, m=4, l=5, differs=[True, True, True, True], seed=2)
+@example(alphabet=3, bits=63, m=2, l=3, differs=[False, True, False, True], seed=3)
+def test_syndromes_are_the_xor_of_two_digests(alphabet, bits, m, l, differs, seed):
+    # one block-wide kernel over the bits where the stacks differ, word for
+    # word equal to digest(sent[t]) ^ digest(base[t]); at alphabets 3 and 5
+    # a ^ b can exceed a - 1. Trials marked False agree and get 0
+    rng = np.random.default_rng(seed)
+    h = cd.MatrixHasher(bits, seed, alphabet, l, m)
+    sent = rng.integers(0, alphabet, size=(len(differs), m, l))
+    base = sent.copy()
+    for t in np.flatnonzero(differs):
+        cells = rng.random((m, l)) < 0.5
+        cells.flat[rng.integers(0, m * l)] = True
+        base[t][cells] = (base[t][cells] + rng.integers(1, alphabet, size=cells.sum())) % alphabet
+    out = h.syndromes(sent, base)
+    assert out.dtype == np.uint64 and out.shape == (len(differs), h.words)
+    for t in range(len(differs)):
+        assert np.array_equal(out[t], _digest_words(h, sent[t]) ^ _digest_words(h, base[t]))
+        if not differs[t]:
+            assert not out[t].any()
+
+
+def test_syndromes_refuse_bad_stacks():
+    h = cd.MatrixHasher(70, seed=1, alphabet_size=3, l=4, m=2)
+    good = np.zeros((3, 2, 4), dtype=np.int64)
+    for bad_symbol in (3, -1):
+        bad = good.copy()
+        bad[2, 1, 3] = bad_symbol
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="outside the hasher's alphabet"):
+                h.syndromes(*pair)
+    with pytest.raises(ValueError, match="stacks' shapes disagree"):
+        h.syndromes(good, good[:2])
+    for shape in ((3, 4, 2), (2, 4), (1, 3, 2, 4)):
+        with pytest.raises(ValueError, match="shape disagrees with the hasher"):
+            h.syndromes(np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+
+
+@pytest.mark.parametrize("bits, alphabet, l, m, refused", [
+    # 2^20 64-bit words of H are drawn, one word more is refused
+    (64 * 1024, 2, 32, 32, False),
+    (64 * 1024 + 1, 2, 32, 32, True),
+    # sym_bits = 2 doubles the columns: 2048 columns of 512 words
+    (64 * 512, 3, 32, 32, False),
+    (64 * 512 + 1, 4, 32, 32, True),
+    # --hash-bits 16777216 on the dueck_chain fixture: 4 GiB
+    (1 << 24, 2, 32, 64, True),
+])
+def test_matrix_hasher_refuses_an_oversized_h_before_drawing_it(monkeypatch, bits, alphabet,
+                                                                l, m, refused):
+    class Drawn(Exception):
+        pass
+
+    def draw(*args, **kw):
+        raise Drawn
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    if refused:
+        with pytest.raises(ValueError, match=r"digest matrix of \d+ 64-bit words: more than 2\^20"):
+            cd.MatrixHasher(bits, 1, alphabet, l, m)
+    else:
+        with pytest.raises(Drawn):
+            cd.MatrixHasher(bits, 1, alphabet, l, m)
+
+
+@pytest.mark.parametrize("bits", [1, 63, 64, 65, 100, 128])
+def test_outer_decode_refuses_a_bad_syndrome(bits):
+    # the syndrome must have the hasher's word count and no bit at or above
+    # its width
+    h = cd.MatrixHasher(bits, seed=3, alphabet_size=2, l=4, m=3)
+    khat = np.zeros((3, 4), dtype=np.int64)
+    side = cd.hamming_ball_rule(radius=1)
+    for words in (h.words - 1, h.words + 1):
+        with pytest.raises(ValueError, match="syndrome width disagrees"):
+            cd.outer_decode(khat, np.zeros(words, dtype=np.uint64), side, 1, h)
+    # the spare bits of the last word, if the width leaves any
+    for bit in sorted({bits, 64 * h.words - 1} & set(range(bits, 64 * h.words))):
+        need = np.zeros(h.words, dtype=np.uint64)
+        need[bit // 64] = np.uint64(1 << (bit % 64))
+        for e_max in (0, 2):
+            with pytest.raises(ValueError, match="exceeds the digest width"):
+                cd.outer_decode(khat, need, side, e_max, h)
+    # the highest bit inside the width is a valid syndrome
+    need = np.zeros(h.words, dtype=np.uint64)
+    need[(bits - 1) // 64] = np.uint64(1 << ((bits - 1) % 64))
+    assert cd.outer_decode(khat, need, side, 0, h).status == "failed"
+
+
+def test_outer_decode_refuses_a_bad_baseline():
+    h = cd.MatrixHasher(64, seed=3, alphabet_size=3, l=4, m=3)
+    side = cd.hamming_ball_rule(radius=1)
+    need = np.zeros(1, dtype=np.uint64)
+    with pytest.raises(ValueError, match="shape disagrees with the hasher"):
+        cd.outer_decode(np.zeros((4, 3), dtype=np.int64), need, side, 1, h)
+    for bad_symbol in (3, -1):
+        khat = np.zeros((3, 4), dtype=np.int64)
+        khat[1, 2] = bad_symbol
+        with pytest.raises(ValueError, match="outside the hasher's alphabet"):
+            cd.outer_decode(khat, need, side, 1, h)
+
+
 def test_outer_decode_clean_matrix():
     rng = np.random.default_rng(1)
     truth = rng.integers(0, 2, size=(5, 6))
     h = cd.MatrixHasher(80, seed=2, alphabet_size=2, l=6, m=5)
     side = cd.hamming_ball_rule(radius=1)
-    res = cd.outer_decode(truth.copy(), h.digest(truth), side, 2, h)
+    res = cd.outer_decode(truth.copy(), _syndrome(h, truth, truth), side, 2, h)
     assert res.status == "ok"
     assert np.array_equal(res.matrix, truth)
     # one flipped cell is found among the baseline and 3 rows x 4 flips
@@ -429,7 +554,7 @@ def test_outer_decode_clean_matrix():
     khat = truth.copy()
     khat[1, 3] ^= 1
     h = cd.MatrixHasher(64, seed=9, alphabet_size=2, l=4, m=3)
-    res = cd.outer_decode(khat, h.digest(truth), side, 2, h)
+    res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 2, h)
     assert res.status == "ok" and np.array_equal(res.matrix, truth)
     assert res.searched == 1 + 3 * 4
 
@@ -474,7 +599,7 @@ def test_outer_decode_matches_brute_force_enumeration():
             pos = int(rng.integers(0, 5))
             khat[t, pos] ^= 1
         digest = h.digest(truth)
-        res = cd.outer_decode(khat.copy(), digest, side, 2, h)
+        res = cd.outer_decode(khat.copy(), _syndrome(h, truth, khat), side, 2, h)
         brute = brute_force_outer(khat, digest, rows_rule, 2, h)
         if len(brute) == 1:
             assert res.status == "ok"
@@ -523,7 +648,7 @@ def test_outer_decode_matches_brute_force_narrow_digest(case):
             i = int(rng.integers(0, l))
             khat[t, i] = (khat[t, i] + rng.integers(1, a)) % a
         digest = h.digest(truth)
-        res = cd.outer_decode(khat.copy(), digest, side, e_max, h)
+        res = cd.outer_decode(khat.copy(), _syndrome(h, truth, khat), side, e_max, h)
         brute = brute_force_outer(khat, digest, rows_rule, e_max, h)
         seen.add(res.status)
         if len(brute) == 1:
@@ -573,8 +698,10 @@ def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l,
     for t in rng.choice(m, size=min(m, int(rng.integers(0, e_max + 2))), replace=False):
         i = rng.choice(l, size=min(l, int(rng.integers(1, 3))), replace=False)
         khat[t, i] = (khat[t, i] + rng.integers(1, alphabet, size=i.shape[0])) % alphabet
-    digest = h.digest(truth)
-    assert (_decode_outcome(cd.outer_decode, khat, digest, side, e_max, h)
+    # the oracle reads the digest, so this also checks the syndrome kernel
+    # against the digest's definition
+    need, digest = _syndrome(h, truth, khat), h.digest(truth)
+    assert (_decode_outcome(cd.outer_decode, khat, need, side, e_max, h)
             == _decode_outcome(row_outer_decode, khat, digest, rows, e_max, h))
 
 
@@ -624,9 +751,10 @@ def test_outer_decode_reuses_its_table_across_baselines_and_rules(
     for rule, e_max, c in steps:
         side, rows = rules[rule]
         fresh = cd.MatrixHasher(bits, seed=seed, alphabet_size=alphabet, l=l, m=m)
-        outcome = _decode_outcome(cd.outer_decode, baselines[c], digest, side, e_max, h)
+        need = _syndrome(h, truth, baselines[c])
+        outcome = _decode_outcome(cd.outer_decode, baselines[c], need, side, e_max, h)
         assert outcome == _decode_outcome(row_outer_decode, baselines[c], digest, rows, e_max, h)
-        assert outcome == _decode_outcome(cd.outer_decode, baselines[c], digest, side, e_max,
+        assert outcome == _decode_outcome(cd.outer_decode, baselines[c], need, side, e_max,
                                           fresh)
 
 
@@ -640,21 +768,22 @@ def test_outer_decode_keeps_the_last_candidate_table():
     khat = truth.copy()
     khat[1, 2] ^= 1
     h = cd.MatrixHasher(64, seed=2, alphabet_size=2, l=5, m=4)
-    res = cd.outer_decode(truth, h.digest(truth), cd.hamming_ball_rule(radius=1), 2, h)
+    res = cd.outer_decode(truth, _syndrome(h, truth, truth), cd.hamming_ball_rule(radius=1), 2, h)
     table = h._table
     assert table.settled == {2: (res.matches, res.searched)} and res.status == "ok"
-    res = cd.outer_decode(khat, h.digest(truth), cd.hamming_ball_rule(radius=1), 2, h)
+    res = cd.outer_decode(khat, _syndrome(h, truth, khat), cd.hamming_ball_rule(radius=1), 2, h)
     assert res.status == "ok" and np.array_equal(res.matrix, truth)
     assert h._table is table and set(table.settled) == {2}
-    cd.outer_decode(khat, h.digest(truth), cd.hamming_ball_rule(radius=2), 1, h)
+    cd.outer_decode(khat, _syndrome(h, truth, khat), cd.hamming_ball_rule(radius=2), 1, h)
     assert h._table is not table
     ternary = cd.MatrixHasher(64, seed=2, alphabet_size=3, l=5, m=4)
     side3 = cd.hamming_ball_rule(radius=1)
-    cd.outer_decode(truth, ternary.digest(truth), side3, 1, ternary)
+    cd.outer_decode(truth, _syndrome(ternary, truth, truth), side3, 1, ternary)
     first = ternary._table
-    cd.outer_decode(truth, ternary.digest(truth), cd.hamming_ball_rule(radius=1), 1, ternary)
+    cd.outer_decode(truth, _syndrome(ternary, truth, truth), cd.hamming_ball_rule(radius=1), 1,
+                    ternary)
     assert ternary._table is first
-    cd.outer_decode(khat, ternary.digest(truth), side3, 1, ternary)
+    cd.outer_decode(khat, _syndrome(ternary, truth, khat), side3, 1, ternary)
     assert ternary._table is not first
     assert not np.array_equal(ternary._table.flips, first.flips)
 
@@ -668,9 +797,10 @@ def test_outer_decode_compares_every_digest_word():
     for rows in ((1,), (0, 2)):
         truth = khat.copy()
         truth[list(rows), 2] ^= 1
-        exact = h.digest(truth)
+        exact = _syndrome(h, truth, khat)
         assert cd.outer_decode(khat, exact, side, 2, h).status == "ok"
-        off = cd.Digest(128, exact.value ^ (1 << 100))
+        off = exact.copy()
+        off[100 // 64] ^= np.uint64(1 << (100 % 64))
         assert cd.outer_decode(khat, off, side, 2, h).status == "failed"
 
 
@@ -682,9 +812,9 @@ def test_outer_decode_failure_when_pattern_exceeds_e_max():
     for t in (0, 2, 4):
         khat[t, 1] ^= 1
     h = cd.MatrixHasher(80, seed=1, alphabet_size=2, l=5, m=6)
-    res = cd.outer_decode(khat, h.digest(truth), side, 2, h)
+    res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 2, h)
     assert res.status == "failed"
-    res3 = cd.outer_decode(khat, h.digest(truth), side, 3, h)
+    res3 = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 3, h)
     assert res3.status == "ok" and np.array_equal(res3.matrix, truth)
 
 
@@ -692,8 +822,10 @@ def test_outer_decode_zero_width_digest():
     h = cd.MatrixHasher(0, seed=0, alphabet_size=2, l=4, m=3)
     mat = np.zeros((3, 4), dtype=int)
     side = cd.hamming_ball_rule(radius=1)
-    assert cd.outer_decode(mat, cd.Digest(0, 0), side, 0, h).status == "ok"
-    assert cd.outer_decode(mat, cd.Digest(0, 0), side, 1, h).status == "ambiguous"
+    need = _syndrome(h, mat, mat)
+    assert need.shape == (0,)
+    assert cd.outer_decode(mat, need, side, 0, h).status == "ok"
+    assert cd.outer_decode(mat, need, side, 1, h).status == "ambiguous"
 
 
 def test_outer_decode_e_max_zero_checks_only_the_baseline():
@@ -702,15 +834,15 @@ def test_outer_decode_e_max_zero_checks_only_the_baseline():
     rng = np.random.default_rng(4)
     truth = rng.integers(0, 2, size=(4, 5))
     h = cd.MatrixHasher(64, seed=3, alphabet_size=2, l=5, m=4)
-    res = cd.outer_decode(truth.copy(), h.digest(truth), side, 0, h)
+    res = cd.outer_decode(truth.copy(), _syndrome(h, truth, truth), side, 0, h)
     assert (res.status, res.matches, res.searched) == ("ok", 1, 1)
     assert np.array_equal(res.matrix, truth)
     khat = truth.copy()
     khat[2, 0] ^= 1
-    res = cd.outer_decode(khat, h.digest(truth), side, 0, h)
+    res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 0, h)
     assert (res.status, res.matrix, res.matches, res.searched) == ("failed", None, 0, 1)
     assert h._table is None
-    res = cd.outer_decode(khat, h.digest(truth), side, 1, h)
+    res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 1, h)
     assert res.status == "ok" and h._table is not None
 
 
@@ -725,9 +857,9 @@ def test_outer_decode_without_candidates():
     khat = truth.copy()
     khat[1, 0] ^= 1
     for e_max in range(4):
-        res = cd.outer_decode(truth, h.digest(truth), side, e_max, h)
+        res = cd.outer_decode(truth, _syndrome(h, truth, truth), side, e_max, h)
         assert (res.status, res.searched) == ("ok", 1) and np.array_equal(res.matrix, truth)
-        res = cd.outer_decode(khat, h.digest(truth), side, e_max, h)
+        res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, e_max, h)
         assert (res.status, res.matches, res.searched) == ("failed", 0, 1)
 
 
@@ -742,7 +874,7 @@ def test_outer_decode_no_wrong_accepts_fuzz():
         khat = truth.copy()
         for t in rng.choice(4, size=int(rng.integers(0, 3)), replace=False):
             khat[t] = rng.integers(0, 2, size=4)
-        res = cd.outer_decode(khat, h.digest(truth), side, 2, h)
+        res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 2, h)
         if res.status == "ok" and not np.array_equal(res.matrix, truth):
             wrong += 1
     assert wrong == 0
@@ -755,9 +887,11 @@ def test_outer_decode_refuses_an_oversized_pattern_table():
     h = cd.MatrixHasher(64, seed=1, alphabet_size=2, l=32, m=64)
     khat = np.zeros((64, 32), dtype=np.int64)
     side = cd.hamming_ball_rule(radius=1)
+    # the syndrome of the digest 1 against the all-zero baseline (digest 0)
+    one = np.ones(1, dtype=np.uint64)
     with pytest.raises(ValueError, match=r"more than 2\^20"):
-        cd.outer_decode(khat, cd.Digest(64, 1), side, 3, h)
-    res = cd.outer_decode(khat, cd.Digest(64, 1), side, 2, h)
+        cd.outer_decode(khat, one, side, 3, h)
+    res = cd.outer_decode(khat, one, side, 2, h)
     assert res.searched >= 1 + 2048
     # the hasher keeps its candidate table through the refusal: e_max = 2
     # decodes on it still equal a fresh hasher's, matching baseline or not
@@ -765,16 +899,16 @@ def test_outer_decode_refuses_an_oversized_pattern_table():
     flipped = khat.copy()
     flipped[[3, 40], [0, 17]] = 1
     for target in (khat, flipped):
-        for digest in (h.digest(target), cd.Digest(64, 1)):
-            assert (_decode_outcome(cd.outer_decode, khat, digest, side, 2, h)
-                    == _decode_outcome(cd.outer_decode, khat, digest, side, 2, fresh))
+        for need in (_syndrome(h, target, khat), one):
+            assert (_decode_outcome(cd.outer_decode, khat, need, side, 2, h)
+                    == _decode_outcome(cd.outer_decode, khat, need, side, 2, fresh))
     # a one-bit digest gives at least 2048^2 / 2 > 2^20 two-row pairs with
     # equal keys when the target is the baseline's digest: refused too, on
     # every call, because a refused search is never kept
     narrow = cd.MatrixHasher(1, seed=1, alphabet_size=2, l=32, m=64)
     for _ in range(3):
         with pytest.raises(ValueError, match=r"more than 2\^20"):
-            cd.outer_decode(khat, narrow.digest(khat), side, 2, narrow)
+            cd.outer_decode(khat, _syndrome(narrow, khat, khat), side, 2, narrow)
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,8 @@ def _simulate_each_scheme(cfg: RunConfig, chain, first, **kw) -> int:
     each scheme of a list, and emit the reports together."""
     scheme_doc = _load_json(_require(cfg, "scheme"))
     schemes = scheme_doc if isinstance(scheme_doc, list) else [scheme_doc]
+    if not schemes:
+        raise ValueError("scheme list is empty")
     _emit_stats([chain(first, _scheme_from_doc(sd), seed=cfg.seed, **kw)
                  for sd in schemes], cfg)
     return 0

@@ -316,14 +316,12 @@ class PermutationSet:
             raise ValueError(f"row {int(bad[0])} is not a permutation")
 
 
-def draw_permutations(m: int, l: int, seed) -> PermutationSet:
-    """m independent uniform permutations of [l], row after row from one
-    generator seeded by seed; for a sequence of seeds, m rows from each
-    seed's generator in turn, checked once as one set."""
-    seeds = [int(seed)] if np.ndim(seed) == 0 else [int(s) for s in seed]
-    base = np.tile(np.arange(l), (m, 1))
-    rows = np.concatenate([np.random.default_rng(s).permuted(base, axis=1) for s in seeds])
-    return PermutationSet(rows=rows)
+def draw_permutations(keys) -> PermutationSet:
+    """One permutation of [l] per row of a (rows, l) array of uniform keys:
+    the stable argsort of the row, uniform over the l! permutations. Equal
+    keys (a tie, probability about l^2 2^-54 per row) keep index order, so
+    a tie still gives a permutation."""
+    return PermutationSet(rows=np.argsort(keys, axis=1, kind="stable"))
 
 
 def interleave(mat, perm: PermutationSet):

@@ -3,14 +3,12 @@
 Reproducibility contract: a run is fixed by its seed, whatever its
 trials' grouping. It has two stages.
 
-* Draw stage: every trial makes all of its random draws from its own
-  generators, which draw uniforms and interleavers, not symbols. The
-  generator of (master seed, trial index) draws one (n, m, l) array of
-  uniforms: the source pairs' and then, on a generic instance, V_1's,
-  V_2's and the channel's. A generic trial's m row interleavers come,
-  in one stream, from a generator seeded by the child seed of (master
-  seed, trial index, 0x9E), and user j's multiplexer uniforms from
-  SeedSequence((child seed of (master seed, trial index, 0x58, j), 0x58)).
+* Draw stage: each trial makes all of its random draws from one
+  generator, that of (master seed, trial index). It draws uniforms, not
+  symbols: one (1 + channel.uniforms, m, l) array whose layers are the
+  source pairs' and then, on a generic instance, V_1's, V_2's, the
+  channel's, user 1's and user 2's multiplexers' and the interleaver
+  keys. A row's interleaver is the stable argsort of its keys.
 * Block stage: the deterministic work (uniforms mapped to symbols,
   inner encode, deinterleaving, multiplexing, the channel outputs, inner
   decode, reconstruction, the (V, Y) probe counts and the envelope
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -168,13 +165,16 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     hasher.syndromes call gives every trial's outer-decode input, the
     outer decode runs per trial, and the rows wrong, matrix failures and
     wrong accepts are tallied once on the block's final matrices. Trial
-    t's (seed, t) generator draws one
-    (1 + ``channel.uniforms``, m, l) array of uniforms, the pairs' first;
-    ``channel.draw(t, u)`` makes trial t's channel draws, given the rest
-    of that array; ``channel.transmit(draws, codewords)`` returns both
-    users' decoded inner indices per row of a block and the block's probe;
-    ``channel.check(kmats, enc, bad)`` vets a user's inner-error rows;
-    ``channel.extras(probes)`` adds report fields.
+    t's (seed, t) generator draws one (1 + ``channel.uniforms``, m, l)
+    array of uniforms, the pairs' layer first. The channel protocol:
+
+    * ``channel.uniforms``: how many (m, l) layers a trial draws for it;
+    * ``channel.transmit(uniforms, codewords)``: given the block's channel
+      layers, each stacked trial after trial on the row axis, and both
+      users' codewords, returns both users' decoded inner indices per row
+      and the block's probe;
+    * ``channel.check(kmats, enc, bad)`` vets a user's inner-error rows;
+    * ``channel.extras(probes)`` adds report fields.
     """
     m, l = sp.m, sp.l
     hashers = [
@@ -189,14 +189,14 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     decodes = {k: [0, 0] for k in ("ok", "ambiguous", "failed", "searched")}
     for start in range(0, trials, per_block):
         ts = range(start, min(trials, start + per_block))
-        u = [np.random.default_rng(np.random.SeedSequence((int(seed), t)))
-             .random((1 + channel.uniforms, m, l)) for t in ts]
-        pair = _codec.draw_from_rows(pair_law, 0, np.concatenate([u_t[0] for u_t in u]))
-        draws = [channel.draw(t, u_t[1:]) for t, u_t in zip(ts, u)]
+        # the block's layers, each stacked trial after trial on the row axis
+        u = np.concatenate([np.random.default_rng(np.random.SeedSequence((int(seed), t)))
+                            .random((1 + channel.uniforms, m, l)) for t in ts], axis=1)
+        pair = _codec.draw_from_rows(pair_law, 0, u[0])
         mats = (pair // joint.col_size, pair % joint.col_size)
         kmats = (maps[0][mats[0]], maps[1][mats[1]])
         enc = [code.encode_rows(kmat) for kmat in kmats]
-        index, probe = channel.transmit(draws, [e.codewords for e in enc])
+        index, probe = channel.transmit(u[1:], [e.codewords for e in enc])
         probes.append(probe)
         mismatch += int((kmats[0] != kmats[1]).any(axis=1).sum())
         # both users' baselines in one unrank
@@ -248,11 +248,9 @@ class _ExampleChannel:
     def __init__(self, code):
         self.code = code
 
-    def draw(self, t, u) -> None:
-        return None
-
-    def transmit(self, draws, u):
-        y = np.where(u[0] == u[1], u[0], 0)
+    def transmit(self, uniforms, codewords):
+        c1, c2 = codewords
+        y = np.where(c1 == c2, c1, 0)
         index, _ = self.code.decode_exact_rows(y)
         return (index, index), None
 
@@ -266,31 +264,16 @@ class _ExampleChannel:
         return {}
 
 
-class _ChannelDraws(NamedTuple):
-    """One trial's draws for the sampled channel: the seed of its row
-    interleavers, and its uniforms, each with rows on axis -2: both users'
-    V's, in interleaved order, and their multiplexers' (2, m, l), and the
-    channel's (m, l). transmit maps a block's uniforms to V, X and Y once,
-    by codec.draw_from_rows, and draws its interleavers in one
-    draw_permutations call, which checks each row once."""
-
-    perm_seed: int
-    v: np.ndarray
-    mux: np.ndarray
-    channel: np.ndarray
-
-
 class _SampledChannel:
     """A generic instance's interference channel: each user's V drawn and
     deinterleaved, inputs multiplexed from (U, V), the channel sampled, and
     U decoded by ML over each user's induced channel. The interleaved
     column-0 (V, Y) pairs are tallied for the channel-quality check."""
 
-    uniforms = 3  # V_1, V_2 and the channel, after the pairs
+    uniforms = 6  # V_1, V_2, the channel, two multiplexers, interleaver keys
 
-    def __init__(self, inst: _bounds.ProblemInstance, code, sp, seed: int,
-                 phi_bound: float):
-        self.inst, self.code, self.sp, self.seed = inst, code, sp, seed
+    def __init__(self, inst: _bounds.ProblemInstance, code, phi_bound: float):
+        self.inst, self.code = inst, code
         self.phi_bound = phi_bound
         nx1, nx2 = inst.nx
         ny1, ny2 = inst.ny
@@ -303,20 +286,12 @@ class _SampledChannel:
         for j, (p_v, _, _) in enumerate(self.users):
             self.p_v[j, :len(p_v)] = p_v.probs
 
-    def draw(self, t, u) -> _ChannelDraws:
-        m, l = self.sp.m, self.sp.l
-        mux = np.stack([np.random.default_rng(np.random.SeedSequence(
-            (_child_seed(self.seed, t, 0x58, j), 0x58))).random((m, l)) for j in (0, 1)])
-        return _ChannelDraws(_child_seed(self.seed, t, 0x9E), u[:2], mux, u[2])
-
-    def transmit(self, draws, u):
-        m, l = self.sp.m, self.sp.l
-        perms = _codec.draw_permutations(m, l, [d.perm_seed for d in draws])
-        # the trials' rows one after another: axis -2 is the row axis of every field
-        v, mux, channel = (np.concatenate(f, axis=-2) for f in list(zip(*draws))[1:])
+    def transmit(self, uniforms, codewords):
+        v, channel, mux, keys = uniforms[:2], uniforms[2], uniforms[3:5], uniforms[5]
+        perms = _codec.draw_permutations(keys)
         vpi = _codec.draw_from_rows(self.p_v, np.arange(2)[:, None, None], v)
-        x = [_codec.multiplex_inputs(u[j], _codec.deinterleave(vpi[j], perms), px_uv, mux[j])
-             for j, (_, px_uv, _) in enumerate(self.users)]
+        x = [_codec.multiplex_inputs(c, _codec.deinterleave(vpi[j], perms), px_uv, mux[j])
+             for j, (c, (_, px_uv, _)) in enumerate(zip(codewords, self.users))]
         y_pair = _codec.draw_from_rows(self.w, x[0] * self.inst.nx[1] + x[1], channel)
         y = divmod(y_pair, self.inst.ny[1])
         index = tuple(self.code.decode_ml_rows(y[j], self.induced[j]) for j in (0, 1))
@@ -479,7 +454,7 @@ def simulate_generic(
         sp, trials, seed, joint=src, maps=(inst.f1, inst.f2), code=code,
         rule=_codec.hamming_ball_rule(radius=1),
         digest_bits=hash_bits, e_max=e_max, outer=outer,
-        channel=_SampledChannel(inst, code, sp, seed, phi_bound),
+        channel=_SampledChannel(inst, code, phi_bound),
         phi_bound=phi_bound, xi_block=_bounds.xi_l(inst.xi_k(), sp.l),
         extras={"e_max": e_max, "digest_bits": hash_bits,
                 "la_bits": code.la_bits, "lb_bits": code.lb_bits})
@@ -538,7 +513,7 @@ def interleave_iid_test(position_pmfs, m: int, seed: int,
     cols = [rng.choice(k, size=m, p=pm.probs) for pm in pmfs]
     mat = np.stack(cols, axis=1)
     if interleaved:
-        perms = _codec.draw_permutations(m, l, _child_seed(seed, 0x9E))
+        perms = _codec.draw_permutations(rng.random((m, l)))
         mat = _codec.interleave(mat, perms)
     mixture = np.mean([pm.probs for pm in pmfs], axis=0)
 

@@ -638,6 +638,24 @@ def test_empty_grid_and_bad_sat_outputs_exit_2(tmp_path, capsys, command, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("chain", ["dueck", "generic"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_empty_scheme_list_exits_2(tmp_path, capsys, chain, fmt):
+    # like an empty grid axis: no run, no report with an empty list or a bare header
+    if chain == "dueck":
+        inputs = ["--params", write(tmp_path / "params.json", {"joint": [[0.45, 0.05],
+                                                                          [0.05, 0.45]]})]
+    else:
+        inputs = ["--instance", write(tmp_path / "inst.json", instance_doc())]
+    out = tmp_path / f"report.{fmt}"
+    code = cli.main(["simulate", chain, *inputs, "--scheme", write(tmp_path / "s.json", []),
+                     "--trials", "2", "--format", fmt, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "scheme list is empty" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _refuse_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

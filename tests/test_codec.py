@@ -266,13 +266,23 @@ def test_constant_composition_position_frequencies():
 # permutations and interleaving
 # ---------------------------------------------------------------------------
 
+def keyed_permutations(m, l, seed):
+    return cd.draw_permutations(np.random.default_rng(seed).random((m, l)))
+
+
 def test_permutations_basics():
-    perm = cd.draw_permutations(5, 1, seed=0)
+    perm = keyed_permutations(5, 1, seed=0)
     assert np.array_equal(perm.rows, np.zeros((5, 1), dtype=int))
-    perm2 = cd.draw_permutations(50, 7, seed=1)
+    perm2 = keyed_permutations(50, 7, seed=1)
     for row in perm2.rows:
         assert sorted(row.tolist()) == list(range(7))
-    assert np.array_equal(cd.draw_permutations(50, 7, seed=1).rows, perm2.rows)
+    assert np.array_equal(keyed_permutations(50, 7, seed=1).rows, perm2.rows)
+
+
+def test_permutation_ties_keep_index_order():
+    keys = np.array([[0.5, 0.5, 0.5, 0.5], [0.7, 0.2, 0.7, 0.2], [0.3, 0.1, 0.3, 0.9]])
+    assert cd.draw_permutations(keys).rows.tolist() == [
+        [0, 1, 2, 3], [1, 3, 0, 2], [1, 0, 2, 3]]
 
 
 def test_permutation_set_names_the_first_bad_row():
@@ -286,7 +296,7 @@ def test_permutation_set_names_the_first_bad_row():
 def test_permutation_uniformity_chi_square():
     from scipy import stats as sstats
     n = 100_000
-    perm = cd.draw_permutations(n, 3, seed=9)
+    perm = keyed_permutations(n, 3, seed=9)
     codes = perm.rows[:, 0] * 9 + perm.rows[:, 1] * 3 + perm.rows[:, 2]
     _, counts = np.unique(codes, return_counts=True)
     assert counts.shape[0] == 6
@@ -296,26 +306,20 @@ def test_permutation_uniformity_chi_square():
 
 
 def test_permutation_rows_independent_chi_square():
-    # every row comes from one stream: the first entries of rows t and t + 1
-    # (disjoint pairs) must be independent
+    # every row comes from one key array: the first entries of rows t and
+    # t + 1 (disjoint pairs) must be independent
     from scipy import stats as sstats
-    first = cd.draw_permutations(100_000, 2, seed=9).rows[:, 0]
+    first = keyed_permutations(100_000, 2, seed=9).rows[:, 0]
     table = np.zeros((2, 2), dtype=np.int64)
     np.add.at(table, (first[0::2], first[1::2]), 1)
     assert float(sstats.chi2_contingency(table).pvalue) > 0.01
 
 
-def test_permutations_from_several_seeds_are_each_seeds_rows_in_turn():
-    block = cd.draw_permutations(4, 6, [3, 8, 3])
-    each = [cd.draw_permutations(4, 6, seed).rows for seed in (3, 8, 3)]
-    assert np.array_equal(block.rows, np.concatenate(each))
-
-
 def test_permutations_differ_across_seeds():
-    sets = [cd.draw_permutations(64, 16, seed).rows.tobytes() for seed in range(50)]
+    sets = [keyed_permutations(64, 16, seed).rows.tobytes() for seed in range(50)]
     assert len(set(sets)) == len(sets)
-    assert not np.array_equal(cd.draw_permutations(64, 16, 1).rows[0],
-                              cd.draw_permutations(64, 16, 1).rows[1])
+    assert not np.array_equal(keyed_permutations(64, 16, 1).rows[0],
+                              keyed_permutations(64, 16, 1).rows[1])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -325,7 +329,7 @@ def test_interleave_identity_and_roundtrip(m, l, alphabet, seed):
     mat = np.random.default_rng(seed).integers(0, alphabet, size=(m, l))
     ident = cd.PermutationSet(rows=np.tile(np.arange(l), (m, 1)))
     assert np.array_equal(cd.interleave(mat, ident), mat)
-    perm = cd.draw_permutations(m, l, seed)
+    perm = keyed_permutations(m, l, seed)
     assert np.array_equal(cd.deinterleave(cd.interleave(mat, perm), perm), mat)
 
 

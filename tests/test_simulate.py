@@ -212,9 +212,9 @@ def test_block_split_does_not_change_the_report(name, monkeypatch):
     transmit = channel.transmit
     blocks = []
 
-    def counted(self, draws, u):
-        blocks.append(len(draws))
-        return transmit(self, draws, u)
+    def counted(self, uniforms, codewords):
+        blocks.append(codewords[0].shape[0] // sp.m)
+        return transmit(self, uniforms, codewords)
 
     monkeypatch.setattr(channel, "transmit", counted)
     reports = []
@@ -234,13 +234,34 @@ def test_block_split_does_not_change_the_report(name, monkeypatch):
         assert min(searched) >= 7
 
 
+@pytest.mark.parametrize("name", ["dueck", "generic"])
+def test_each_trial_builds_one_generator(name, monkeypatch):
+    # every uniform of a trial, interleaver keys included, comes from its
+    # (seed, t) generator: two more trials build exactly two more generators
+    chain, _, setup, options = BLOCK_CASES[name]
+    source, sp = setup()
+    default_rng, built = np.random.default_rng, []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    counts = []
+    for trials in (3, 5):
+        built.clear()
+        chain(source, sp, trials=trials, **options)
+        counts.append(len(built))
+    assert counts[1] - counts[0] == 2
+
+
 def test_dueck_envelope_check_raises_when_a_row_escapes(monkeypatch):
     # diagonal source on the full cube: every row is typical and the users
     # agree, so a wrong index in any row of a block escapes the envelope
     transmit = sm._ExampleChannel.transmit
 
-    def corrupt_last_row(self, draws, u):
-        (index, _), probe = transmit(self, draws, u)
+    def corrupt_last_row(self, uniforms, codewords):
+        (index, _), probe = transmit(self, uniforms, codewords)
         index = index.copy()
         index[-1] ^= 1
         return (index, index), probe

@@ -16,10 +16,11 @@ accepting the unique digest match. Two distinct matrices collide with
 probability exactly 2^-b over the draw of H, at any width b, and the
 linearity of the digest is what lets a candidate's digest change be read
 straight off the H columns of the bits it flips, and the pattern search
-run as one sorted join of XOR-delta tables per error depth instead of a
-cartesian sweep. Linearity also feeds the decoder: its input is the
-syndrome digest(sent) ^ digest(baseline) = H . bits(sent ^ baseline),
-which reads only the H columns of the bits where the two differ.
+run as sorted joins of XOR-delta tables (one for depths 1 and 2
+together) instead of a cartesian sweep. Linearity also feeds the
+decoder: its input is the syndrome digest(sent) ^ digest(baseline) =
+H . bits(sent ^ baseline), which reads only the H columns of the bits
+where the two differ.
 """
 
 from __future__ import annotations
@@ -468,14 +469,17 @@ class _Candidates(NamedTuple):
     of them: each candidate's row, digest delta (the XOR of the H columns
     of the bits old ^ new it flips), flat cells and bit flips, padded to
     the widest radius by repeating its last cell; the pattern tables T_0
-    and T_1; the rule they were built for; and, per e_max, the (matches,
-    searched) of a search whose baseline matches."""
+    and T_1; the left side [T_0; T_1] of the join that answers depths 1
+    and 2, as its (deltas, highest rows): row 0 is T_0's empty pattern and
+    row r > 0 is T_1's row r - 1; the rule they were built for; and, per
+    e_max, the (matches, searched) of a search whose baseline matches."""
 
     owner: np.ndarray
     delta: np.ndarray
     cells: np.ndarray
     flips: np.ndarray
     tables: tuple
+    merged: tuple
     rule: CandidateRule
     settled: dict
 
@@ -486,8 +490,8 @@ def _candidates(base: np.ndarray, rule: CandidateRule, hasher: MatrixHasher) -> 
     The table reads only the rule's cells, fixed by the rule and the
     matrix shape, and the bits each candidate flips there, so the hasher
     keeps the last one and returns it again for an equal rule with equal
-    flips: on a binary alphabet every flip is 1, and one table serves all
-    of a user's decodes.
+    flips. On a binary alphabet every flip is 1, so one table serves all
+    of a user's decodes, and outer_decode reuses it without calling this.
     """
     m, l = base.shape
     n_pos = l if rule.n_pos is None else min(rule.n_pos, l)
@@ -503,30 +507,42 @@ def _candidates(base: np.ndarray, rule: CandidateRule, hasher: MatrixHasher) -> 
     on = ((flips[:, :, None] >> bit & 1) * ~pad[:, :, None])[..., None].astype(np.uint64)
     cols = hasher._cols.take(cells[:, :, None] * bit.size + bit, axis=0) * on
     delta = np.bitwise_xor.reduce(cols, axis=(1, 2))
-    tables = (_patterns(np.zeros((1, 0), dtype=np.int64),
-                        np.zeros((1, hasher.words), dtype=np.uint64),
-                        np.array([m]), np.array([-1])),
-              _patterns(np.arange(len(owner))[:, None], delta, owner, owner))
-    hasher._table = _Candidates(owner, delta, cells, flips, tables, rule, {})
+    t0 = _patterns(np.zeros((1, 0), dtype=np.int64), np.zeros((1, hasher.words), dtype=np.uint64),
+                   np.array([m]), np.array([-1]))
+    t1 = _patterns(np.arange(len(owner))[:, None], delta, owner, owner)
+    merged = np.concatenate([t0.delta, t1.delta]), np.concatenate([t0.hi, t1.hi])
+    hasher._table = _Candidates(owner, delta, cells, flips, (t0, t1), merged, rule, {})
     return hasher._table
 
 
 class _Patterns(NamedTuple):
     """Row-disjoint patterns of k candidates each, sorted by the first word
-    of their digest delta: the candidate indices (n, k) by increasing row,
-    the XOR of their digest deltas (n, words), and each pattern's lowest
-    and highest row."""
+    of their digest delta (their key): the candidate indices (n, k) by
+    increasing row, the XOR of their digest deltas (n, words), each
+    pattern's lowest and highest row; at the first pattern of each run of
+    equal keys, the run's length; and seen, a power-of-two table of flags
+    whose entry k & (size - 1) is set for every key k."""
 
     idx: np.ndarray
     delta: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    run: np.ndarray
+    seen: np.ndarray
 
 
 def _patterns(idx, delta, lo, hi) -> _Patterns:
     """The table of these patterns, in the one order every join reads it in."""
     order = np.argsort(delta[:, 0])
-    return _Patterns(*(a.take(order, axis=0) for a in (idx, delta, lo, hi)))
+    idx, delta, lo, hi = (a.take(order, axis=0) for a in (idx, delta, lo, hi))
+    key = delta[:, 0]
+    first = np.flatnonzero(np.r_[key.shape[0] > 0, key[1:] != key[:-1]])
+    run = np.zeros_like(first, shape=key.shape)
+    run[first] = np.diff(first, append=key.shape[0])
+    # about 1 flag in 32 set: a join drops most targets before its search
+    seen = np.zeros(1 << min(20, key.shape[0].bit_length() + 5), dtype=bool)
+    seen[key & np.uint64(seen.shape[0] - 1)] = True
+    return _Patterns(idx, delta, lo, hi, run, seen)
 
 
 def _extend(table: _Patterns, owner: np.ndarray, delta: np.ndarray) -> _Patterns:
@@ -542,22 +558,43 @@ def _extend(table: _Patterns, owner: np.ndarray, delta: np.ndarray) -> _Patterns
                      np.minimum(table.lo.take(src), owner.take(c)), owner.take(c))
 
 
-def _join(left: _Patterns, right: _Patterns, need: np.ndarray) -> np.ndarray:
-    """Every left pattern below a right one whose deltas XOR to need, joined.
+def _join(delta, hi, right: _Patterns, need: np.ndarray, cuts=()) -> tuple:
+    """(i, j): each left pattern i, given by its deltas and highest rows,
+    below a right pattern j whose deltas XOR to need with its own.
 
-    A searchsorted join on the first digest word, by which right is sorted:
-    each left pattern is paired with every right one in its equal-key
-    range, then the full words and the row order are checked.
+    A join on the first digest word, by which right is sorted. The
+    targets whose low bits no key has are dropped; one searchsorted finds
+    where each other target would start in right, and right's run length
+    there counts its equal keys. Each left pattern is paired with every
+    right one of that run, then the full words and the row order are
+    checked. The equal-key pairs of the left rows before, between and
+    after the cuts are capped apart, each slice being one depth's join; a
+    join with none returns at once.
     """
-    key, target = right.delta[:, 0], left.delta[:, 0] ^ need[0]
-    lo = np.searchsorted(key, target, "left")
-    counts = np.searchsorted(key, target, "right") - lo
-    total = _capped(int(counts.sum()), "pattern pairs with equal digest keys")
-    i = np.repeat(np.arange(target.shape[0]), counts)
-    j = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)
-    hit = (left.hi.take(i) < right.lo.take(j)) & (
-        (left.delta.take(i, axis=0) ^ right.delta.take(j, axis=0)) == need).all(axis=1)
-    return np.column_stack([left.idx.take(i[hit], axis=0), right.idx.take(j[hit], axis=0)])
+    target = delta[:, 0] ^ need[0]
+    rows = np.flatnonzero(right.seen.take(target & np.uint64(right.seen.shape[0] - 1)))
+    key, target = right.delta[:, 0], target.take(rows)
+    start = np.searchsorted(key, target)
+    # a target above every key clips to the last key, which differs from it
+    equal = key.take(start, mode="clip") == target
+    rows, start = rows[equal], start[equal]
+    if not rows.shape[0]:
+        return rows, rows
+    c = right.run.take(start)
+    total = int(c.sum())
+    if total > MAX_ROWS:
+        bounds = np.searchsorted(rows, (0, *cuts, delta.shape[0]))
+        for a, b in zip(bounds, bounds[1:]):
+            _capped(int(c[a:b].sum()), "pattern pairs with equal digest keys")
+    if total == rows.shape[0]:
+        # every run is one key long (a wide digest): one pair per row
+        i, j = rows, start
+    else:
+        i = np.repeat(rows, c)
+        j = np.repeat(start - np.cumsum(c) + c, c) + np.arange(total)
+    hit = (hi.take(i) < right.lo.take(j)) & (
+        (delta.take(i, axis=0) ^ right.delta.take(j, axis=0)) == need).all(axis=1)
+    return i[hit], j[hit]
 
 
 def outer_decode(khat, need, rule: CandidateRule, e_max: int,
@@ -585,21 +622,27 @@ def outer_decode(khat, need, rule: CandidateRule, e_max: int,
     candidates), each built from the one below by adding a candidate
     above the pattern's highest row and sorted once by its first digest
     word. A d-row pattern, read by increasing row, splits once into its
-    lowest d // 2 rows and the rest, so depth d >= 1 is one searchsorted
-    join of T_(d // 2) against T_(d - d // 2): depth 1 tests the single
-    candidates, and T_1 serves depths 1 and 2, T_2 depths 3 and 4. A
-    table of more than 2^20 patterns, or a join with more than 2^20
-    equal-key pairs to compare (a narrow digest), is refused.
+    lowest d // 2 rows and the rest, so depth d is a join of T_(d // 2)
+    against T_(d - d // 2). Depths 1 and 2 both join against T_1, so one
+    join of the stacked table [T_0; T_1] against T_1 answers both, its
+    hits split by whether the left pattern is T_0's (at e_max = 1 only
+    that row joins); T_1 against T_2 and T_2 against T_2 answer depths 3
+    and 4. A table of more than 2^20 patterns, or a depth whose join
+    compares more than 2^20 equal-key pairs (a narrow digest), is
+    refused.
 
-    The hasher keeps the last candidate table (deltas, rows and T_1, in
-    their sorted order), because the table reads only the rule's cells
-    and the bits each candidate flips there: a decode with an equal rule
-    and equal flips (a binary alphabet) reuses it. When the baseline
-    already matches, the joins look for zero-delta patterns, which the
-    table alone fixes, so the same entry keeps each e_max's matches and
-    searched count for that case. The joins for any other target, the
-    tables above T_1 and every refusal run on each call; a refused search
-    is never kept.
+    The hasher keeps the last candidate table (deltas, rows, T_1 in its
+    sorted order, and [T_0; T_1]), because the table reads only the
+    rule's cells and the bits each candidate flips there: a decode with
+    an equal rule and equal flips reuses it, and on a binary alphabet,
+    where every flip is 1, an equal rule is enough, so the flips are not
+    recomputed. When the baseline already matches, the joins look for
+    zero-delta patterns, which the table alone fixes, so the same entry
+    keeps each e_max's matches and searched count for that case, and a
+    binary decode with a zero syndrome returns them before building or
+    joining anything. The joins for any other target, the tables above
+    T_1 and every refusal run on each call; a refused search is never
+    kept.
     """
     if e_max < 0:
         raise ValueError("e_max must be non-negative")
@@ -621,32 +664,49 @@ def outer_decode(khat, need, rule: CandidateRule, e_max: int,
         return OuterDecodeResult(status="ok" if baseline_ok else "failed",
                                  matrix=base if baseline_ok else None,
                                  matches=int(baseline_ok), searched=1)
-    table = _candidates(base, rule, hasher)
+    table = hasher._table
+    # on a binary alphabet every flip is 1: an equal rule's kept table is
+    # this baseline's too
+    if table is None or table.rule != rule or hasher.alphabet_size != 2:
+        table = _candidates(base, rule, hasher)
+    pattern = None
     # when the baseline matches, the joins look for zero-delta patterns,
     # which the candidate table alone fixes
     if baseline_ok and e_max in table.settled:
         matches, searched = table.settled[e_max]
     else:
         tables = list(table.tables)
-        found = [np.zeros((int(baseline_ok), 0), dtype=np.int64)]
-        for d in range(1, e_max + 1):
+        t1 = tables[1]
+        # [T_0; T_1] against T_1 answers depths 1 and 2; at e_max = 1 only
+        # its first row, T_0's, joins
+        n = 1 if e_max == 1 else None
+        i, j = _join(table.merged[0][:n], table.merged[1][:n], t1, need, cuts=(1,))
+        matches = int(baseline_ok) + i.shape[0]
+        searched = 1 + len(table.owner) + int(np.count_nonzero(i))
+        deeper = []
+        for d in range(3, e_max + 1):
             if len(tables) <= d - d // 2:
                 tables.append(_extend(tables[-1], table.owner, table.delta))
-            found.append(_join(tables[d // 2], tables[d - d // 2], need))
-        searched = 1 + len(table.owner) + sum(f.shape[0] for f in found[2:3])
-        matches = sum(f.shape[0] for f in found)
+            left, right = tables[d // 2], tables[d - d // 2]
+            di, dj = _join(left.delta, left.hi, right, need)
+            matches += di.shape[0]
+            deeper.append((left.idx.take(di, axis=0), right.idx.take(dj, axis=0)))
         if baseline_ok:
             table.settled[e_max] = matches, searched
+        elif matches == 1 and i.shape[0]:
+            # left row r > 0 of [T_0; T_1] is T_1's row r - 1
+            pattern = t1.idx[[j[0]] if i[0] == 0 else [i[0] - 1, j[0]], 0]
+        elif matches == 1:
+            pattern = next(np.concatenate([a[0], b[0]]) for a, b in deeper if a.shape[0])
 
     if matches == 0:
         return OuterDecodeResult(status="failed", matrix=None, matches=0, searched=searched)
     if matches > 1:
         return OuterDecodeResult(status="ambiguous", matrix=None,
                                  matches=matches, searched=searched)
-    if not baseline_ok:
+    if pattern is not None:
         # the one match is not the baseline; a padded cell is written twice
         # with the same symbol
-        pattern = next(f[0] for f in found if f.shape[0])
         flat, cells = base.reshape(-1), table.cells[pattern]
         flat[cells] = flat.take(cells) ^ table.flips[pattern]
     return OuterDecodeResult(status="ok", matrix=base, matches=1, searched=searched)

@@ -173,7 +173,8 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
       layers, each stacked trial after trial on the row axis, and both
       users' codewords, returns both users' decoded inner indices per row
       and the block's probe;
-    * ``channel.check(kmats, enc, bad)`` vets a user's inner-error rows;
+    * ``channel.check(differ, enc, bad)`` vets a user's inner-error rows,
+      given the rows where K_1 != K_2 and both users' encodings;
     * ``channel.extras(probes)`` adds report fields.
     """
     m, l = sp.m, sp.l
@@ -193,19 +194,20 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
         u = np.concatenate([np.random.default_rng(np.random.SeedSequence((int(seed), t)))
                             .random((1 + channel.uniforms, m, l)) for t in ts], axis=1)
         pair = _codec.draw_from_rows(pair_law, 0, u[0])
-        mats = (pair // joint.col_size, pair % joint.col_size)
+        mats = np.divmod(pair, joint.col_size)
         kmats = (maps[0][mats[0]], maps[1][mats[1]])
         enc = [code.encode_rows(kmat) for kmat in kmats]
         index, probe = channel.transmit(u[1:], [e.codewords for e in enc])
         probes.append(probe)
-        mismatch += int((kmats[0] != kmats[1]).any(axis=1).sum())
+        differ = (kmats[0] != kmats[1]).any(axis=1)
+        mismatch += int(differ.sum())
         # both users' baselines in one unrank
         khats = code.reconstruct_rows(np.concatenate(index),
                                       np.concatenate([e.residual for e in enc])).reshape(2, -1, l)
         for j, khat in enumerate(khats):
             bad = (khat != kmats[0]).any(axis=1)
             inner[j] += int(bad.sum())
-            channel.check(kmats, enc, bad)
+            channel.check(differ, enc, bad)
         if not outer:
             continue
         for j, hasher in enumerate(hashers):
@@ -254,8 +256,8 @@ class _ExampleChannel:
         index, _ = self.code.decode_exact_rows(y)
         return (index, index), None
 
-    def check(self, kmats, enc, bad) -> None:
-        envelope = (kmats[0] != kmats[1]).any(axis=1) | enc[0].atypical
+    def check(self, differ, enc, bad) -> None:
+        envelope = differ | enc[0].atypical
         if not bool(np.all(~bad | envelope)):
             raise AssertionError(
                 "an inner error escaped the mismatch/atypicality envelope")
@@ -301,7 +303,7 @@ class _SampledChannel:
             vy.append(np.bincount(vpi[j][:, 0] * ny + y0, minlength=len(p_v) * ny).reshape(-1, ny))
         return index, vy
 
-    def check(self, kmats, enc, bad) -> None:
+    def check(self, differ, enc, bad) -> None:
         pass
 
     def extras(self, probes) -> dict:

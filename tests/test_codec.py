@@ -915,6 +915,53 @@ def test_outer_decode_refuses_an_oversized_pattern_table():
             cd.outer_decode(khat, _syndrome(narrow, khat, khat), side, 2, narrow)
 
 
+def test_outer_decode_caps_each_depth_of_the_shared_join_apart():
+    # depths 1 and 2 share one join, but each depth's equal-key pairs are
+    # capped on their own: on this one-bit digest depth 2 compares just
+    # under 2^20 pairs and the two depths together just over, so the
+    # search runs (and is ambiguous), as the row pipeline's does
+    m, l = 21, 69
+    h = cd.MatrixHasher(1, seed=5, alphabet_size=2, l=l, m=m)
+    khat = np.zeros((m, l), dtype=np.int64)
+    side = cd.hamming_ball_rule(radius=1)
+    one = np.ones(1, dtype=np.uint64)
+    res = cd.outer_decode(khat, one, side, 2, h)
+    keys = h._table.delta[:, 0]
+    ones = int(keys.sum())
+    depth1, depth2 = ones, 2 * ones * (keys.shape[0] - ones)
+    assert depth2 <= 1 << 20 < depth1 + depth2
+    assert res.status == "ambiguous"
+    assert (_decode_outcome(cd.outer_decode, khat, one, side, 2, h)
+            == _decode_outcome(row_outer_decode, khat, cd.Digest(bits=1, value=1),
+                               hamming_ball_rows(2, 1), 2, h))
+
+
+def test_settled_zero_syndrome_decodes_build_no_table(monkeypatch):
+    # on a binary alphabet the kept table serves every baseline, so once a
+    # zero-syndrome decode has settled its count, the next ones build no
+    # candidate table and run no join; each still equals a fresh hasher's
+    rng = np.random.default_rng(11)
+    side = cd.hamming_ball_rule(radius=1)
+    h = cd.MatrixHasher(64, seed=7, alphabet_size=2, l=6, m=5)
+    calls = {"_candidates": 0, "_join": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(cd, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(cd, name, counted)
+    baselines = [rng.integers(0, 2, size=(5, 6)) for _ in range(4)]
+    for k, base in enumerate(baselines):
+        before = dict(calls)
+        res = cd.outer_decode(base, _syndrome(h, base, base), side, 2, h)
+        if k:
+            assert calls == before
+        fresh = cd.MatrixHasher(64, seed=7, alphabet_size=2, l=6, m=5)
+        want = cd.outer_decode(base, _syndrome(fresh, base, base), side, 2, fresh)
+        assert (res.status, res.matches, res.searched) == (want.status, want.matches, want.searched)
+        assert np.array_equal(res.matrix, want.matrix)
+    assert calls["_candidates"] == 1 + 4 and calls["_join"] == 1 + 4
+
+
 # ---------------------------------------------------------------------------
 # candidate rules and multiplexing
 # ---------------------------------------------------------------------------

@@ -249,11 +249,10 @@ class InnerCode:
     def encode_rows(self, blocks) -> InnerRows:
         """Rank each typical row and split the rank into the codeword index
         (top la_bits) and the residual; atypical rows get codeword 0 and a
-        zero residual."""
-        blk = np.asarray(blocks, dtype=np.int64)
-        typical = self.typical.contains_rows(blk)
-        rank = np.zeros(blk.shape[0], dtype=self.typical.rank_dtype)
-        rank[typical] = self.typical._rank_typical_rows(blk[typical])
+        zero residual. Rank and typicality come from one
+        TypicalSet.typical_ranks call: one lookup per row when k^l <= 2^16,
+        and no copy of the rows when every row is typical."""
+        rank, typical = self.typical.typical_ranks(blocks)
         index = rank >> self.lb_bits
         return InnerRows(index=index, codewords=self.codebook.words(index),
                          residual=rank & ((1 << self.lb_bits) - 1), atypical=~typical)
@@ -287,6 +286,8 @@ class InnerCode:
         rank = np.asarray(index).astype(dtype) << self.lb_bits
         rank |= np.asarray(residual).astype(dtype)
         ok = rank < self.typical.size
+        if ok.all():
+            return self.typical.unrank_rows(rank)
         out = np.zeros((rank.shape[0], self.l), dtype=np.int64)
         out[ok] = self.typical.unrank_rows(rank[ok])
         return out
@@ -321,8 +322,21 @@ def draw_permutations(keys) -> PermutationSet:
     """One permutation of [l] per row of a (rows, l) array of uniform keys:
     the stable argsort of the row, uniform over the l! permutations. Equal
     keys (a tie, probability about l^2 2^-54 per row) keep index order, so
-    a tie still gives a permutation."""
-    return PermutationSet(rows=np.argsort(keys, axis=1, kind="stable"))
+    a tie still gives a permutation.
+
+    A row whose sorted keys rise strictly has one sorting order, so the
+    default argsort finds it; only the other rows (a tie, or a NaN key)
+    are sorted again, stably, which keeps the result equal to the stable
+    argsort on every input."""
+    keys = np.asarray(keys)
+    order = np.argsort(keys, axis=1)
+    rows, l = keys.shape
+    ranked = keys.reshape(-1).take(order + np.arange(0, rows * l, l)[:, None])
+    rising = ranked[:, 1:] > ranked[:, :-1]
+    if not rising.all():
+        tied = np.flatnonzero(~rising.all(axis=1))
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    return PermutationSet(rows=order)
 
 
 def interleave(mat, perm: PermutationSet):
@@ -334,12 +348,14 @@ def interleave(mat, perm: PermutationSet):
 
 
 def deinterleave(mat, perm: PermutationSet):
-    """Exact inverse of interleave."""
+    """Exact inverse of interleave: one scatter into the flat output, entry
+    (t, i) of the matrix going to flat cell t * l + pi_t(i)."""
     arr = np.asarray(mat, dtype=np.int64)
     if arr.shape != perm.rows.shape:
         raise ValueError("matrix and permutation shapes disagree")
+    rows, l = arr.shape
     out = np.empty_like(arr)
-    np.put_along_axis(out, perm.rows, arr, axis=1)
+    out.reshape(-1)[perm.rows + np.arange(0, rows * l, l)[:, None]] = arr
     return out
 
 

@@ -315,6 +315,7 @@ class BaseDigits:
         return out.astype(np.int64, copy=False)
 
 
+_LOOKUP_ROWS = 1 << 16  # largest k^l for which rows are looked up by value
 _TABLE_ENTRIES = 1 << 22  # largest (l + 2)^k for which rows use the count table
 
 
@@ -326,11 +327,19 @@ class TypicalSet:
     Rank is the lexicographic position within the set; unrank inverts it.
 
     The ``*_rows`` methods work on a whole (rows, l) array at once, by the
-    first of three paths that applies:
+    first of four paths that applies:
 
     * digit reads, when T is the full cube (|T| = k^l for k symbols): the
       rank of a row is then its base-k value (``BaseDigits``), and
       membership only asks that every symbol be in range;
+    * the lookup, when k^l <= 2^16: a table of 1 + each row's rank, or 0
+      when it is not typical, indexed by the row's base-k value, and a
+      table of values by rank, both uint8 or uint16 (at most 256 KiB, at
+      k = 2 and l = 16). Membership and rank are one matmul and one take
+      per row, unrank one take and the digit read. The tables
+      are built from the count ranges of ``_count_bounds``, the ones the
+      count path of ``contains_rows`` applies, one digit at a time, so no
+      array of every row's digits is ever made;
     * the count table: a dense int64 table of cumulative completion counts
       indexed by count vector (coordinate s runs over 0..hi_s + 1), filled
       once from the memo that ``size`` builds. Its entries reach |T|, so it
@@ -446,6 +455,30 @@ class TypicalSet:
         return BaseDigits(k, self.l) if self.size == k ** self.l else None
 
     @cached_property
+    def _lookup(self):
+        """(digits, position, value_of) or None: position[v] is 1 + the rank
+        of the row of base-k value v, or 0 when that row is not typical, and
+        value_of[r] the value of the row of rank r. None on a full cube,
+        which reads digits instead, and when k^l > 2^16."""
+        k, n = len(self.p), len(self.p) ** self.l
+        if self._cube is not None or n > _LOOKUP_ROWS:
+            return None
+        # every row's count of symbol s, one digit at a time: prepending a
+        # most significant digit d puts the longer rows in k blocks, block d
+        # being the shorter rows' counts plus [d == s]
+        typical = np.ones(1, dtype=bool)
+        for s in range(k):
+            count = np.zeros(1, dtype=np.uint8)  # k >= 2 here, so l <= 16
+            for _ in range(self.l):
+                count = np.concatenate([count + (d == s) for d in range(k)])
+            typical = typical & (count >= self.lo[s]) & (count <= self.hi[s])
+        # |T| < n <= 2^16: positions 0..|T| and values 0..n-1 fit 16 bits
+        position = np.cumsum(typical, dtype=np.min_scalar_type(n - 1))
+        position *= typical
+        value_of = np.arange(n, dtype=position.dtype)[typical]
+        return BaseDigits(k, self.l), position, value_of
+
+    @cached_property
     def _table(self):
         """(strides, cum) or None: cum[v, s] is the number of typical
         sequences extending a prefix with flat count index v by a symbol
@@ -469,13 +502,35 @@ class TypicalSet:
             cum[:, s + 1] = cum[:, s] + flat[strides[s]:strides[s] + n]
         return strides, cum
 
-    def contains_rows(self, x) -> np.ndarray:
-        """contains() of every row of a (rows, l) array, as a bool array."""
+    def _rows(self, x) -> np.ndarray:
+        """x as an int64 (rows, l) array."""
         seq = np.asarray(x, dtype=np.int64)
         if seq.ndim != 2 or seq.shape[1] != self.l:
             raise ValueError(f"rows must have length {self.l}")
+        return seq
+
+    def _look_up(self, seq: np.ndarray) -> np.ndarray:
+        """position[] of every row of an int64 (rows, l) array: 1 + its rank,
+        or 0 when it is not typical; a row with a symbol outside 0..k-1 is
+        not."""
+        digits, position, _ = self._lookup
         k = len(self.p)
-        valid = (seq >= 0) & (seq < k)
+        # read unsigned, a negative symbol is out of range too
+        symbols = seq.view(np.uint64)
+        if symbols.max(initial=0) < k:
+            return position.take(digits.values(seq))
+        valid = (symbols < k).all(axis=1)
+        out = position.take(digits.values(np.where(valid[:, None], seq, 0)))
+        out[~valid] = 0
+        return out
+
+    def contains_rows(self, x) -> np.ndarray:
+        """contains() of every row of a (rows, l) array, as a bool array."""
+        seq = self._rows(x)
+        k = len(self.p)
+        if self._lookup is not None:
+            return self._look_up(seq) != 0
+        valid = seq.view(np.uint64) < k  # read unsigned, as in _look_up
         if self._cube is not None:
             return valid.all(axis=1)
         offset = np.where(valid, seq, 0) + k * np.arange(seq.shape[0])[:, None]
@@ -484,15 +539,35 @@ class TypicalSet:
         ok = (counts >= np.array(self.lo)) & (counts <= np.array(self.hi))
         return valid.all(axis=1) & ok.all(axis=1)
 
+    def typical_ranks(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(rank, typical) of every row of a (rows, l) array: rank() of each
+        typical row and 0 at the others, and contains_rows(). The lookup
+        gives both at once; the other paths rank the typical rows, copying
+        them out only when some row is not typical."""
+        seq = self._rows(x)
+        if self._lookup is not None:
+            position = self._look_up(seq)
+            typical = position != 0
+            rank = position.astype(self.rank_dtype)
+            rank -= typical
+            return rank, typical
+        typical = self.contains_rows(seq)
+        if typical.all():
+            return self._rank_typical_rows(seq), typical
+        rank = np.zeros(seq.shape[0], dtype=self.rank_dtype)
+        rank[typical] = self._rank_typical_rows(seq[typical])
+        return rank, typical
+
     def rank_rows(self, x) -> np.ndarray:
         """rank() of every row of a (rows, l) array."""
-        seq = np.asarray(x, dtype=np.int64)
-        if not self.contains_rows(seq).all():
+        rank, typical = self.typical_ranks(x)
+        if not typical.all():
             raise ValueError("sequence is not typical")
-        return self._rank_typical_rows(seq)
+        return rank
 
     def _rank_typical_rows(self, seq: np.ndarray) -> np.ndarray:
-        """rank_rows() of an int64 (rows, l) array already known typical."""
+        """rank_rows() of an int64 (rows, l) array already known typical, off
+        the lookup path."""
         if self._cube is not None:
             return self._cube.values(seq)
         table = self._table
@@ -516,6 +591,9 @@ class TypicalSet:
             raise ValueError(f"rank outside [0, {self.size})")
         if self._cube is not None:
             return self._cube.digits(ranks)
+        if self._lookup is not None:
+            digits, _, value_of = self._lookup
+            return digits.digits(value_of.take(ranks.astype(np.int64)))
         table = self._table
         if table is None:
             return np.array([self.unrank(int(v)) for v in ranks],

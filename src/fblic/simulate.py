@@ -184,6 +184,9 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     ]
     demand = (code.lb_bits * m + digest_bits) * _LN2 / (m * l)
     pair_law = joint.probs.reshape(1, -1)  # one table row: pairs (s1, s2) row-major
+    # per pair index: both users' source symbols, and both users' common parts
+    sources = np.stack(np.divmod(np.arange(pair_law.shape[1]), joint.col_size))
+    parts = np.stack([f.take(s) for f, s in zip(maps, sources)])
     per_block = max(1, _BLOCK_SYMBOLS // (m * l))
     mismatch, probes = 0, []
     inner, rows_wrong, matrix_fail, wrong_accepts = ([0, 0] for _ in range(4))
@@ -194,8 +197,7 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
         u = np.concatenate([np.random.default_rng(np.random.SeedSequence((int(seed), t)))
                             .random((1 + channel.uniforms, m, l)) for t in ts], axis=1)
         pair = _codec.draw_from_rows(pair_law, 0, u[0])
-        mats = np.divmod(pair, joint.col_size)
-        kmats = (maps[0][mats[0]], maps[1][mats[1]])
+        mats, kmats = sources.take(pair, axis=1), parts.take(pair, axis=1)
         enc = [code.encode_rows(kmat) for kmat in kmats]
         index, probe = channel.transmit(u[1:], [e.codewords for e in enc])
         probes.append(probe)
@@ -274,9 +276,13 @@ class _SampledChannel:
 
     uniforms = 6  # V_1, V_2, the channel, two multiplexers, interleaver keys
 
-    def __init__(self, inst: _bounds.ProblemInstance, code, phi_bound: float):
+    def __init__(self, inst: _bounds.ProblemInstance, code, phi_bound: float, i_vy: tuple):
         self.inst, self.code = inst, code
         self.phi_bound = phi_bound
+        # both users' ideal (V, Y) laws, and their I(V; Y) as thm1_quantities
+        # computed it
+        self.ideal = tuple(inst.ideal_joint_vy(j).probs for j in (1, 2))
+        self.i_vy = i_vy
         nx1, nx2 = inst.nx
         ny1, ny2 = inst.ny
         self.w = inst.ic.reshape(nx1 * nx2, ny1 * ny2)
@@ -314,10 +320,10 @@ class _SampledChannel:
             counts = sum(p[j - 1] for p in probes)
             n = int(counts.sum())
             emp = counts / n
-            ideal = self.inst.ideal_joint_vy(j).probs
+            ideal = self.ideal[j - 1]
             tv = 0.5 * float(np.abs(emp - ideal).sum())
             sigma_tv = 0.5 * float(np.sqrt(ideal * (1.0 - ideal) / n).sum())
-            i_ideal = self.inst.mutual_information_vy(j)
+            i_ideal = self.i_vy[j - 1]
             emp_j = JointPmf(emp / emp.sum())
             i_plug = entropy(emp_j.col_marginal()) - conditional_entropy(emp_j)
             # Miller-Madow style first-order bias removal for the plug-in MI
@@ -451,12 +457,13 @@ def simulate_generic(
     cc = _codec.sample_constant_composition(
         tuple(int(c) for c in comp), sp.A, sp.l, _child_seed(seed, 0xCC), n_codewords=n_words)
     code = _codec.build_inner_code(p_k1, sp.l, sp.delta, codebook=cc)
-    phi_bound, _ = _bounds._phi_from_logs(inst.thm1_quantities(sp))
+    q = inst.thm1_quantities(sp)
+    phi_bound, _ = _bounds._phi_from_logs(q)
     return _simulate(
         sp, trials, seed, joint=src, maps=(inst.f1, inst.f2), code=code,
         rule=_codec.hamming_ball_rule(radius=1),
         digest_bits=hash_bits, e_max=e_max, outer=outer,
-        channel=_SampledChannel(inst, code, phi_bound),
+        channel=_SampledChannel(inst, code, phi_bound, q["I_vy"]),
         phi_bound=phi_bound, xi_block=_bounds.xi_l(inst.xi_k(), sp.l),
         extras={"e_max": e_max, "digest_bits": hash_bits,
                 "la_bits": code.la_bits, "lb_bits": code.lb_bits})

@@ -333,6 +333,24 @@ def test_interleave_identity_and_roundtrip(m, l, alphabet, seed):
     assert np.array_equal(cd.deinterleave(cd.interleave(mat, perm), perm), mat)
 
 
+# keys with ties: repeated values, -0.0 == 0.0 and NaN, which sorts last
+TIED_KEYS = st.sampled_from([0.0, -0.0, 0.25, 0.5, math.nan]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(keys=hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 12)),
+                       elements=TIED_KEYS),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(keys=np.full((3, 5), 0.5), seed=0)  # all-equal rows: the identity
+@example(keys=np.random.default_rng(3).random((64, 16)), seed=3)  # no tie
+def test_draw_permutations_is_the_stable_argsort(keys, seed):
+    perm = cd.draw_permutations(keys)
+    assert np.array_equal(perm.rows, np.argsort(keys, axis=1, kind="stable"))
+    mat = np.random.default_rng(seed).integers(0, 300, size=keys.shape)
+    assert np.array_equal(cd.deinterleave(cd.interleave(mat, perm), perm), mat)
+    assert np.array_equal(cd.interleave(cd.deinterleave(mat, perm), perm), mat)
+
+
 # ---------------------------------------------------------------------------
 # hashing and the outer code
 # ---------------------------------------------------------------------------

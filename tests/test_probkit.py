@@ -216,8 +216,9 @@ def test_rank_unrank_errors():
         ts.unrank(-1)
 
 
-# (probs, l, delta, whether the rows methods use the count table); a set
-# that is the full cube (|T| = k^l) reads digits instead
+# (probs, l, delta, whether the count table is built); the rows methods
+# read digits on a full cube (|T| = k^l), look rows up when k^l <= 2^16 and
+# read the count table otherwise
 ROWS_CASES = [
     ((0.5, 0.5), 32, 1.0, False),  # the dueck fixture, |T| = 2^32: full cube
     ((0.7, 0.3), 9, 0.3, True),
@@ -245,6 +246,7 @@ def _check_rows_case(case, ranks, rows):
     assert (ts._table is not None) == table
     k, n = len(probs), ts.size
     assert (ts._cube is not None) == (n == k ** l)
+    assert (ts._lookup is not None) == (n < k ** l <= 1 << 16)
     x = ts.unrank_rows(np.array(ranks, dtype=ts.rank_dtype))
     assert np.array_equal(x, np.stack([ts.unrank(r) for r in ranks]))
     got = ts.rank_rows(x)
@@ -286,6 +288,84 @@ def test_rows_methods_on_every_case(index):
     rows = rng.integers(-1, len(probs) + 1, size=(6, l))
     rows[:2] = rng.integers(0, len(probs), size=(2, l))  # in range, so sometimes typical
     _check_rows_case(case, ranks, rows)
+
+
+def _count_table_twin(ts):
+    """A fresh copy of ts whose rows methods read the count table: its
+    cached lookup is set to None before first use."""
+    twin = pk.TypicalSet(ts.p, pk.TypicalityParams(ts.l, ts.delta))
+    twin.__dict__["_lookup"] = None
+    return twin
+
+
+def _check_every_row(ts, scalar):
+    """ts's rows methods on every row of its cube against the count-table
+    path (when ts looks rows up) and, at the rows scalar picks, against the
+    scalar oracle. Ranks are lexicographic, so T in rank order is the cube's
+    typical rows in value order."""
+    k, l = len(ts.p), ts.l
+    rows = pk.BaseDigits(k, l).digits(np.arange(k ** l))
+    typical = ts.contains_rows(rows)
+    assert int(typical.sum()) == ts.size
+    members = rows[typical]
+    ranks = np.arange(ts.size)
+    assert np.array_equal(ts.rank_rows(members), ranks)
+    assert np.array_equal(ts.unrank_rows(ranks), members)
+    rank, flags = ts.typical_ranks(rows)
+    assert rank.dtype == ts.rank_dtype
+    assert np.array_equal(flags, typical) and np.array_equal(rank[typical], ranks)
+    assert not rank[~typical].any()
+    if ts._lookup is not None:
+        twin = _count_table_twin(ts)
+        assert twin._lookup is None and twin._table is not None
+        assert np.array_equal(twin.contains_rows(rows), typical)
+        assert np.array_equal(twin.rank_rows(members), ranks)
+        assert np.array_equal(twin.unrank_rows(ranks), members)
+    picked = rows[scalar]
+    assert ts.contains_rows(picked).tolist() == [ts.contains(row) for row in picked]
+    assert [ts.rank(row) for row in members[:: max(1, ts.size // 64)]] == (
+        ranks[:: max(1, ts.size // 64)].tolist())
+    assert all(np.array_equal(ts.unrank(int(r)), members[r])
+               for r in ranks[:: max(1, ts.size // 64)])
+
+
+@pytest.mark.parametrize("probs, l, delta", [
+    ((0.5, 0.5), 16, 0.75),  # the generic_chain inner code: |T| = 65502 of 2^16
+    # the constant rows sit exactly on the closed boundary |1 - 1/3| = 2 * 1/3,
+    # and rounding drops them: |T| = 3^9 - 3
+    ((1 / 3, 1 / 3, 1 / 3), 9, 2.0),
+    ((0.25, 0.25, 0.25, 0.25), 8, 0.8),  # 4^8 = 2^16
+])
+def test_lookup_agrees_on_every_row_of_the_largest_cubes(probs, l, delta):
+    ts = pk.TypicalSet(pk.Pmf(list(probs)), pk.TypicalityParams(l, delta))
+    assert ts._lookup is not None
+    k = len(probs)
+    # every constant row, and random ones
+    scalar = np.r_[[s * (k ** l - 1) // (k - 1) for s in range(k)],
+                   np.random.default_rng(l).integers(0, k ** l, 200)]
+    _check_every_row(ts, scalar)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(weights=st.sampled_from([2, 3, 4]).flatmap(
+           lambda k: st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any)),
+       data=st.data())
+def test_lookup_agrees_on_every_row_of_small_cubes(weights, data):
+    k = len(weights)
+    l = data.draw(st.integers(1, {2: 9, 3: 6, 4: 4}[k]))
+    delta = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.75, 1.0, 2.0]))
+    ts = pk.TypicalSet(pk.Pmf(np.array(weights) / sum(weights)), pk.TypicalityParams(l, delta))
+    assert (ts._cube is not None) or (ts._lookup is not None)
+    _check_every_row(ts, np.arange(k ** l))
+
+
+def test_lookup_tables_fit_in_a_mebibyte():
+    ts = pk.TypicalSet(pk.Pmf.uniform(2), pk.TypicalityParams(16, 0.75))
+    digits, position, value_of = ts._lookup
+    # 16 bits hold every position 0..65502 and every value 0..2^16 - 1
+    assert position.dtype == value_of.dtype == np.uint16
+    assert position.nbytes + value_of.nbytes + digits.powers.nbytes <= 1 << 20
+    assert ts.rank_rows(np.zeros((1, 16), dtype=np.int64) + [1, 0] * 8).dtype == ts.rank_dtype
 
 
 @pytest.mark.parametrize("l", [62, 63, 64])

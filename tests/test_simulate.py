@@ -137,6 +137,23 @@ def test_simulate_generic_reproducible():
     assert c.to_dict() != a.to_dict()
 
 
+def test_simulate_generic_takes_each_single_letter_law_twice(monkeypatch):
+    # thm1_quantities computes I(V; Y) from each user's ideal (V, Y) law; the
+    # channel takes both laws once more and reuses that I(V; Y)
+    calls = {"ideal_joint_vy": [], "mutual_information_vy": []}
+    for name, users in calls.items():
+        method = getattr(bd.ProblemInstance, name)
+
+        def counted(self, j, method=method, users=users):
+            users.append(j)
+            return method(self, j)
+
+        monkeypatch.setattr(bd.ProblemInstance, name, counted)
+    sm.simulate_generic(small_instance(), small_scheme(m=8), trials=2, seed=1)
+    assert sorted(calls["mutual_information_vy"]) == [1, 2]
+    assert sorted(calls["ideal_joint_vy"]) == [1, 1, 2, 2]
+
+
 def test_simulate_generic_requires_type_pmf():
     inst = small_instance()
     sp = bd.SchemeParams(l=15, delta=0.75, A=0.09, B=0.6, rho=0.02, m=8)

@@ -13,14 +13,13 @@ syndrome H . bits(x) for a random binary H), and the decoder searches
 error patterns touching at most E_max rows, each row rewritten by one of
 the substitutions a candidate rule allows (r of its leading symbols),
 accepting the unique digest match. Two distinct matrices collide with
-probability exactly 2^-b over the draw of H, at any width b, and the
-linearity of the digest is what lets a candidate's digest change be read
-straight off the H columns of the bits it flips, and the pattern search
-run as sorted joins of XOR-delta tables (one for depths 1 and 2
-together) instead of a cartesian sweep. Linearity also feeds the
-decoder: its input is the syndrome digest(sent) ^ digest(baseline) =
-H . bits(sent ^ baseline), which reads only the H columns of the bits
-where the two differ.
+probability exactly 2^-b over the draw of H, at any width b. Linearity
+lets a candidate's digest change be read straight off the H columns of
+the bits it flips, the pattern search run as sorted joins of XOR-delta
+tables (one for depths 1 and 2 together), and the decoder's input be the
+syndrome digest(sent) ^ digest(baseline) = H . bits(sent ^ baseline),
+which reads only the H columns of the bits where the two differ. One
+OuterDecoder serves a user's whole run, a block of baselines per call.
 """
 
 from __future__ import annotations
@@ -313,9 +312,9 @@ class PermutationSet:
 
     def __post_init__(self):
         _, l = self.rows.shape
-        bad = np.flatnonzero((np.sort(self.rows, axis=1) != np.arange(l)).any(axis=1))
-        if bad.size:
-            raise ValueError(f"row {int(bad[0])} is not a permutation")
+        ok = np.sort(self.rows, axis=1) == np.arange(l)
+        if not ok.all():
+            raise ValueError(f"row {int(np.argmin(ok.all(axis=1)))} is not a permutation")
 
 
 def draw_permutations(keys) -> PermutationSet:
@@ -412,8 +411,6 @@ class MatrixHasher:
             self._spare = ~np.uint64((1 << (self.bits - 64 * (self.words - 1))) - 1)
             cols[:, -1] &= ~self._spare
         self._cols = cols
-        # the candidate table outer_decode built last (see _candidates)
-        self._table = None
 
     def _stack(self, x, ndim: int) -> np.ndarray:
         """x as an int64 array of ndim axes ending in (m, l), refused unless
@@ -465,14 +462,6 @@ class MatrixHasher:
 # outer binning code
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OuterDecodeResult:
-    status: str  # ok | ambiguous | failed
-    matrix: np.ndarray | None
-    matches: int
-    searched: int
-
-
 def _capped(total: int, what: str) -> int:
     """total, unless it exceeds the 2^20 patterns or pairs one search step may hold."""
     if total > MAX_ROWS:
@@ -485,10 +474,9 @@ class _Candidates(NamedTuple):
     of them: each candidate's row, digest delta (the XOR of the H columns
     of the bits old ^ new it flips), flat cells and bit flips, padded to
     the widest radius by repeating its last cell; the pattern tables T_0
-    and T_1; the left side [T_0; T_1] of the join that answers depths 1
+    and T_1; and the left side [T_0; T_1] of the join that answers depths 1
     and 2, as its (deltas, highest rows): row 0 is T_0's empty pattern and
-    row r > 0 is T_1's row r - 1; the rule they were built for; and, per
-    e_max, the (matches, searched) of a search whose baseline matches."""
+    row r > 0 is T_1's row r - 1."""
 
     owner: np.ndarray
     delta: np.ndarray
@@ -496,18 +484,14 @@ class _Candidates(NamedTuple):
     flips: np.ndarray
     tables: tuple
     merged: tuple
-    rule: CandidateRule
-    settled: dict
 
 
 def _candidates(base: np.ndarray, rule: CandidateRule, hasher: MatrixHasher) -> _Candidates:
     """The rule's candidates on this baseline, over the hasher's alphabet.
 
     The table reads only the rule's cells, fixed by the rule and the
-    matrix shape, and the bits each candidate flips there, so the hasher
-    keeps the last one and returns it again for an equal rule with equal
-    flips. On a binary alphabet every flip is 1, so one table serves all
-    of a user's decodes, and outer_decode reuses it without calling this.
+    matrix shape, and the bits each candidate flips there: on a binary
+    alphabet every flip is 1, so the table is the same on every baseline.
     """
     m, l = base.shape
     n_pos = l if rule.n_pos is None else min(rule.n_pos, l)
@@ -515,9 +499,6 @@ def _candidates(base: np.ndarray, rule: CandidateRule, hasher: MatrixHasher) -> 
     cur = base.take(cells)
     # offset k is the k-th symbol, ascending, other than the current one
     flips = cur ^ (alt + (alt >= cur))
-    memo = hasher._table
-    if memo is not None and memo.rule == rule and np.array_equal(memo.flips, flips):
-        return memo
     # a padded cell repeats one already counted: it adds no delta
     bit = np.arange(hasher.sym_bits)
     on = ((flips[:, :, None] >> bit & 1) * ~pad[:, :, None])[..., None].astype(np.uint64)
@@ -527,8 +508,7 @@ def _candidates(base: np.ndarray, rule: CandidateRule, hasher: MatrixHasher) -> 
                    np.array([m]), np.array([-1]))
     t1 = _patterns(np.arange(len(owner))[:, None], delta, owner, owner)
     merged = np.concatenate([t0.delta, t1.delta]), np.concatenate([t0.hi, t1.hi])
-    hasher._table = _Candidates(owner, delta, cells, flips, (t0, t1), merged, rule, {})
-    return hasher._table
+    return _Candidates(owner, delta, cells, flips, (t0, t1), merged)
 
 
 class _Patterns(NamedTuple):
@@ -613,28 +593,40 @@ def _join(delta, hi, right: _Patterns, need: np.ndarray, cuts=()) -> tuple:
     return i[hit], j[hit]
 
 
-def outer_decode(khat, need, rule: CandidateRule, e_max: int,
-                 hasher: MatrixHasher) -> OuterDecodeResult:
-    """Syndrome-verified bounded-error-pattern search.
+class OuterDecodes(NamedTuple):
+    """OuterDecoder.decode's outcome per trial: status, matches and candidates searched."""
 
-    khat is the decoder's per-row baseline (already refined by residual
-    bits) and need the syndrome digest(sent) ^ digest(khat) =
-    H . bits(sent ^ khat), as hasher.words 64-bit words (see
-    MatrixHasher.syndromes). The rule fixes the candidates of each
-    baseline row: every substitution of r of its first n_pos symbols by
-    other symbols of the hasher's alphabet, for each r in rule.radii, so
-    no two candidates are equal and each changes the cells it writes. All
-    patterns touching at most e_max rows are examined; the unique
-    syndrome match wins, two distinct matches report ambiguity, none
-    reports a search failure. Depth 0 is the baseline itself, which
-    matches iff need is 0; at e_max = 0 no candidate is built. searched
-    counts the baseline, the candidates (when e_max >= 1) and the matched
-    row pairs (when e_max >= 2).
+    status: np.ndarray
+    matches: np.ndarray
+    searched: np.ndarray
+
+
+# the status of a search by its match count: none, one, two or more
+_STATUS = np.array(["failed", "ok", "ambiguous"])
+
+
+class OuterDecoder:
+    """Syndrome-verified bounded-error-pattern search for one user's run:
+    one hasher, one candidate rule and one e_max.
+
+    A baseline is the decoder's per-row estimate of the sent matrix
+    (already refined by residual bits), and its syndrome is
+    digest(sent) ^ digest(baseline) = H . bits(sent ^ baseline), as
+    hasher.words 64-bit words (see MatrixHasher.syndromes). The rule fixes
+    the candidates of each baseline row: every substitution of r of its
+    first n_pos symbols by other symbols of the hasher's alphabet, for
+    each r in rule.radii, so no two candidates are equal and each changes
+    the cells it writes. All patterns touching at most e_max rows are
+    examined; the unique syndrome match wins, two distinct matches report
+    ambiguity, none reports a search failure. Depth 0 is the baseline
+    itself, which matches iff its syndrome is 0; at e_max = 0 no candidate
+    is built. searched counts the baseline, the candidates (when
+    e_max >= 1) and the matched row pairs (when e_max >= 2).
 
     The digest is linear, so a candidate's effect on it is a fixed delta,
     the XOR of the H columns of the bits its substitutions flip, and a
-    pattern matches when the XOR of its deltas equals need. Table k holds
-    every pattern of k rows (T_0 is the empty pattern, T_1 the
+    pattern matches when the XOR of its deltas equals the syndrome. Table
+    k holds every pattern of k rows (T_0 is the empty pattern, T_1 the
     candidates), each built from the one below by adding a candidate
     above the pattern's highest row and sorted once by its first digest
     word. A d-row pattern, read by increasing row, splits once into its
@@ -647,60 +639,73 @@ def outer_decode(khat, need, rule: CandidateRule, e_max: int,
     compares more than 2^20 equal-key pairs (a narrow digest), is
     refused.
 
-    The hasher keeps the last candidate table (deltas, rows, T_1 in its
-    sorted order, and [T_0; T_1]), because the table reads only the
-    rule's cells and the bits each candidate flips there: a decode with
-    an equal rule and equal flips reuses it, and on a binary alphabet,
-    where every flip is 1, an equal rule is enough, so the flips are not
-    recomputed. When the baseline already matches, the joins look for
-    zero-delta patterns, which the table alone fixes, so the same entry
-    keeps each e_max's matches and searched count for that case, and a
-    binary decode with a zero syndrome returns them before building or
-    joining anything. The joins for any other target, the tables above
-    T_1 and every refusal run on each call; a refused search is never
-    kept.
+    On a binary alphabet every flip is 1, so the candidate table (rows,
+    deltas, T_1 in its sorted order, and [T_0; T_1]) is every baseline's:
+    the decoder keeps the first one it builds for the run, and with it the
+    (matches, searched) of the first search whose baseline matches (its
+    joins look for zero-delta patterns, which that table alone fixes),
+    which every later zero syndrome returns without building or joining
+    anything. On a larger alphabet each search builds its own table. The
+    tables above T_1 and every refusal are recomputed on each search; a
+    refused search is never kept.
     """
-    if e_max < 0:
-        raise ValueError("e_max must be non-negative")
-    base = hasher._stack(khat, 2).copy()
-    need = np.asarray(need, dtype=np.uint64)
-    if need.shape != (hasher.words,):
-        raise ValueError("syndrome width disagrees with the hasher")
 
-    if hasher.bits <= 0:
-        # a zero-width digest verifies nothing: every pattern matches
-        status = "ok" if e_max == 0 else "ambiguous"
-        return OuterDecodeResult(status=status, matrix=base if e_max == 0 else None,
-                                 matches=1 if e_max == 0 else 2, searched=1)
-    if need[-1] & hasher._spare:
-        raise ValueError("syndrome value exceeds the digest width")
+    def __init__(self, hasher: MatrixHasher, rule: CandidateRule, e_max: int):
+        if e_max < 0:
+            raise ValueError("e_max must be non-negative")
+        self.hasher, self.rule, self.e_max = hasher, rule, int(e_max)
+        # on a binary alphabet: the run's candidate table, and the
+        # (matches, searched) of a search whose baseline matches
+        self._table = self._settled = None
 
-    baseline_ok = not need.any()
-    if e_max == 0:
-        return OuterDecodeResult(status="ok" if baseline_ok else "failed",
-                                 matrix=base if baseline_ok else None,
-                                 matches=int(baseline_ok), searched=1)
-    table = hasher._table
-    # on a binary alphabet every flip is 1: an equal rule's kept table is
-    # this baseline's too
-    if table is None or table.rule != rule or hasher.alphabet_size != 2:
-        table = _candidates(base, rule, hasher)
-    pattern = None
-    # when the baseline matches, the joins look for zero-delta patterns,
-    # which the candidate table alone fixes
-    if baseline_ok and e_max in table.settled:
-        matches, searched = table.settled[e_max]
-    else:
+    def decode(self, khats, needs) -> OuterDecodes:
+        """Search each trial of a block of (trials, m, l) int64 baselines
+        khats, given their (trials, words) syndromes, writing each accepted
+        matrix into khats; a trial not accepted keeps its baseline. The
+        whole block is checked before any search, and the first trial whose
+        search is refused, in trial order, raises."""
+        if getattr(khats, "dtype", None) != np.int64:
+            raise TypeError("the baselines must be an int64 array: decode writes into them")
+        h = self.hasher
+        base = h._stack(khats, 3)
+        trials = base.shape[0]
+        needs = np.asarray(needs, dtype=np.uint64)
+        if needs.shape != (trials, h.words):
+            raise ValueError("syndrome width disagrees with the hasher or the trial count")
+        searched = np.ones(trials, dtype=np.int64)
+        if h.bits <= 0:
+            # a zero-width digest verifies nothing: every pattern matches
+            matches = np.full(trials, 1 if self.e_max == 0 else 2)
+            return OuterDecodes(_STATUS[matches], matches, searched)
+        if (needs[:, -1] & h._spare).any():
+            raise ValueError("syndrome value exceeds the digest width")
+        # depth 0: the baseline matches iff its syndrome is 0
+        matches = (~needs.any(axis=1)).astype(np.int64)
+        if self.e_max:
+            for t in range(trials):
+                matches[t], searched[t] = self._search(base[t], needs[t])
+        return OuterDecodes(_STATUS[np.minimum(matches, 2)], matches, searched)
+
+    def _search(self, base: np.ndarray, need: np.ndarray) -> tuple:
+        """One baseline's (matches, searched) at e_max >= 1; a unique match
+        other than the baseline is written into base."""
+        baseline_ok = not need.any()
+        if baseline_ok and self._settled is not None:
+            return self._settled
+        table = self._table or _candidates(base, self.rule, self.hasher)
+        if self.hasher.alphabet_size == 2:
+            # every flip is 1: the table is every baseline's
+            self._table = table
         tables = list(table.tables)
         t1 = tables[1]
         # [T_0; T_1] against T_1 answers depths 1 and 2; at e_max = 1 only
         # its first row, T_0's, joins
-        n = 1 if e_max == 1 else None
+        n = 1 if self.e_max == 1 else None
         i, j = _join(table.merged[0][:n], table.merged[1][:n], t1, need, cuts=(1,))
         matches = int(baseline_ok) + i.shape[0]
         searched = 1 + len(table.owner) + int(np.count_nonzero(i))
         deeper = []
-        for d in range(3, e_max + 1):
+        for d in range(3, self.e_max + 1):
             if len(tables) <= d - d // 2:
                 tables.append(_extend(tables[-1], table.owner, table.delta))
             left, right = tables[d // 2], tables[d - d // 2]
@@ -708,24 +713,18 @@ def outer_decode(khat, need, rule: CandidateRule, e_max: int,
             matches += di.shape[0]
             deeper.append((left.idx.take(di, axis=0), right.idx.take(dj, axis=0)))
         if baseline_ok:
-            table.settled[e_max] = matches, searched
-        elif matches == 1 and i.shape[0]:
-            # left row r > 0 of [T_0; T_1] is T_1's row r - 1
-            pattern = t1.idx[[j[0]] if i[0] == 0 else [i[0] - 1, j[0]], 0]
+            if table is self._table:
+                self._settled = matches, searched
         elif matches == 1:
-            pattern = next(np.concatenate([a[0], b[0]]) for a, b in deeper if a.shape[0])
-
-    if matches == 0:
-        return OuterDecodeResult(status="failed", matrix=None, matches=0, searched=searched)
-    if matches > 1:
-        return OuterDecodeResult(status="ambiguous", matrix=None,
-                                 matches=matches, searched=searched)
-    if pattern is not None:
-        # the one match is not the baseline; a padded cell is written twice
-        # with the same symbol
-        flat, cells = base.reshape(-1), table.cells[pattern]
-        flat[cells] = flat.take(cells) ^ table.flips[pattern]
-    return OuterDecodeResult(status="ok", matrix=base, matches=1, searched=searched)
+            if i.shape[0]:
+                # left row r > 0 of [T_0; T_1] is T_1's row r - 1
+                pattern = t1.idx[[j[0]] if i[0] == 0 else [i[0] - 1, j[0]], 0]
+            else:
+                pattern = next(np.concatenate([a[0], b[0]]) for a, b in deeper if a.shape[0])
+            # a padded cell is written twice with the same symbol
+            rows, cols = np.divmod(table.cells[pattern], base.shape[1])
+            base[rows, cols] = base[rows, cols] ^ table.flips[pattern]
+        return matches, searched
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ trials' grouping. It has two stages.
   check) runs once over a block of trials, row by row, so how trials are
   grouped cannot change a row's result. A block holds at most
   _BLOCK_SYMBOLS source symbols (m * l per trial) and at least one
-  trial. Each user's syndromes (the digest of the sent matrix XOR that
-  of the baseline) are computed once per block, and the outer decode
-  runs per trial, in trial order within each user.
+  trial. Per block and user, one call computes the syndromes (the digest
+  of the sent matrix XOR that of the baseline) and one the outer decode.
 
 Every symbol is drawn by the one inverse-CDF rule of codec.draw_from_rows.
 numpy's Generator.choice(p=...) also maps one random() per symbol through
@@ -46,7 +45,7 @@ from . import bounds as _bounds
 from . import codec as _codec
 from . import dueck as _dueck
 from . import exponent as _exponent
-from .probkit import Dmc, JointPmf, Pmf, conditional_entropy, entropy
+from .probkit import Dmc, JointPmf, Pmf
 
 _LN2 = math.log(2.0)
 
@@ -162,11 +161,12 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     Trials run in blocks of _BLOCK_SYMBOLS source symbols. Each trial of a
     block first draws its uniforms; every stage up to the reconstructed
     baselines then runs once on the block's rows. Per user, one
-    hasher.syndromes call gives every trial's outer-decode input, the
-    outer decode runs per trial, and the rows wrong, matrix failures and
-    wrong accepts are tallied once on the block's final matrices. Trial
-    t's (seed, t) generator draws one (1 + ``channel.uniforms``, m, l)
-    array of uniforms, the pairs' layer first. The channel protocol:
+    hasher.syndromes call gives every trial's outer-decode input, one
+    decode call of the user's codec.OuterDecoder (built once per run)
+    searches them all in trial order, and the outcomes, rows wrong,
+    matrix failures and wrong accepts are tallied on the block's arrays.
+    Trial t's (seed, t) generator draws one (1 + ``channel.uniforms``, m,
+    l) array of uniforms, the pairs' layer first. The channel protocol:
 
     * ``channel.uniforms``: how many (m, l) layers a trial draws for it;
     * ``channel.transmit(uniforms, codewords)``: given the block's channel
@@ -178,8 +178,9 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     * ``channel.extras(probes)`` adds report fields.
     """
     m, l = sp.m, sp.l
-    hashers = [
-        _codec.MatrixHasher(digest_bits, _child_seed(seed, 0xD1, j), size, l, m)
+    decoders = [
+        _codec.OuterDecoder(
+            _codec.MatrixHasher(digest_bits, _child_seed(seed, 0xD1, j), size, l, m), rule, e_max)
         for j, size in ((1, joint.row_size), (2, joint.col_size))
     ]
     demand = (code.lb_bits * m + digest_bits) * _LN2 / (m * l)
@@ -212,20 +213,17 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
             channel.check(differ, enc, bad)
         if not outer:
             continue
-        for j, hasher in enumerate(hashers):
+        for j, decoder in enumerate(decoders):
             sent, final = mats[j].reshape(-1, m, l), khats[j].reshape(-1, m, l)
-            accepted = np.zeros(sent.shape[0], dtype=bool)
-            for t, need in enumerate(hasher.syndromes(sent, final)):
-                result = _codec.outer_decode(final[t], need, rule, e_max, hasher)
-                decodes[result.status][j] += 1
-                decodes["searched"][j] += result.searched
-                if result.status == "ok":
-                    final[t], accepted[t] = result.matrix, True
+            result = decoder.decode(final, decoder.hasher.syndromes(sent, final))
+            for status in ("ok", "ambiguous", "failed"):
+                decodes[status][j] += int((result.status == status).sum())
+            decodes["searched"][j] += int(result.searched.sum())
             wrong = (final != sent).any(axis=2)
             failed = wrong.any(axis=1)
             rows_wrong[j] += int(wrong.sum())
             matrix_fail[j] += int(failed.sum())
-            wrong_accepts[j] += int((accepted & failed).sum())
+            wrong_accepts[j] += int(((result.status == "ok") & failed).sum())
 
     total_rows = trials * m
     return TrialStats(
@@ -324,8 +322,7 @@ class _SampledChannel:
             tv = 0.5 * float(np.abs(emp - ideal).sum())
             sigma_tv = 0.5 * float(np.sqrt(ideal * (1.0 - ideal) / n).sum())
             i_ideal = self.i_vy[j - 1]
-            emp_j = JointPmf(emp / emp.sum())
-            i_plug = entropy(emp_j.col_marginal()) - conditional_entropy(emp_j)
+            i_plug = _bounds._mutual_information(JointPmf(emp / emp.sum()))
             # Miller-Madow style first-order bias removal for the plug-in MI
             bias = (counts.shape[0] - 1) * (counts.shape[1] - 1) / (2.0 * n)
             i_emp = max(0.0, i_plug - bias)
@@ -600,7 +597,11 @@ def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
                          f"got {codebooks} and {trials_per_book}")
     if not math.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate}")
+    if l < 1:
+        raise ValueError(f"l must be at least 1, got {l}")
     comp = tuple(int(c) for c in composition)
+    if min(comp, default=0) < 0:
+        raise ValueError(f"composition counts must be non-negative, got {min(comp)}")
     if sum(comp) != l:
         raise ValueError("composition must sum to the block length")
     p_u = Pmf(np.array(comp, dtype=float) / l)

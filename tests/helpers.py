@@ -7,6 +7,7 @@ implementations are checked against.
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -360,10 +361,27 @@ def ascent_max_h_y0(a: int, starts: int, iters: int, seed: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the row-based outer decoder: rules that build every candidate as a whole
-# row, and a search that finds each candidate's digest change from its bit
-# planes; the reference the substitution-based codec.outer_decode must equal
+# the outer decoder one matrix at a time, and the row-based outer decoder:
+# rules that build every candidate as a whole row, and a search that finds
+# each candidate's digest change from its bit planes; the reference the
+# substitution-based codec.OuterDecoder must equal
 # ---------------------------------------------------------------------------
+
+class DecodeResult(NamedTuple):
+    status: str  # ok | ambiguous | failed
+    matrix: np.ndarray | None  # the accepted matrix, None unless ok
+    matches: int
+    searched: int
+
+
+def decode_one(decoder, khat, need):
+    """decoder.decode on the one-trial stack of khat and its syndrome need."""
+    stack = np.array(khat, dtype=np.int64)[None]
+    res = decoder.decode(stack, np.asarray(need, dtype=np.uint64)[None])
+    status = str(res.status[0])
+    return DecodeResult(status, stack[0] if status == "ok" else None,
+                        int(res.matches[0]), int(res.searched[0]))
+
 
 def _row_substitutions(base, n_pos, alphabet_size, radii):
     """Every row of base with r of its first n_pos symbols replaced, for each
@@ -467,7 +485,7 @@ def _join_rows(left, right, need):
 
 
 def row_outer_decode(khat, digest, side, e_max, hasher):
-    """codec.outer_decode over a row rule side(base) -> (cands, owner):
+    """codec.OuterDecoder on one matrix, over a row rule side(base) -> (cands, owner):
     baseline rows and repeats within a row are dropped, each candidate's
     digest delta is read off its changed bit planes, and depth d joins
     pattern tables T_(d // 2) and T_(d - d // 2), each sorted per join."""
@@ -476,8 +494,8 @@ def row_outer_decode(khat, digest, side, e_max, hasher):
     base = np.asarray(khat, dtype=np.int64).copy()
     if hasher.bits <= 0:
         status = "ok" if e_max == 0 else "ambiguous"
-        return cd.OuterDecodeResult(status=status, matrix=base if e_max == 0 else None,
-                                    matches=1 if e_max == 0 else 2, searched=1)
+        return DecodeResult(status=status, matrix=base if e_max == 0 else None,
+                            matches=1 if e_max == 0 else 2, searched=1)
     need = _words(digest.value ^ hasher.digest(base).value, hasher.words)
     cands, owner = (np.asarray(a, dtype=np.int64) for a in side(base))
     planes = _bit_planes(hasher, cands ^ base[owner])
@@ -494,8 +512,8 @@ def row_outer_decode(khat, digest, side, e_max, hasher):
     searched = 1 + (cands.shape[0] if e_max >= 1 else 0) + sum(f.shape[0] for f in found[2:3])
     matches = sum(f.shape[0] for f in found)
     if matches != 1:
-        return cd.OuterDecodeResult(status="failed" if matches == 0 else "ambiguous",
-                                    matrix=None, matches=matches, searched=searched)
+        return DecodeResult(status="failed" if matches == 0 else "ambiguous",
+                            matrix=None, matches=matches, searched=searched)
     pattern = next(f[0] for f in found if f.shape[0])
     base[owner[pattern]] = cands[pattern]
-    return cd.OuterDecodeResult(status="ok", matrix=base, matches=1, searched=searched)
+    return DecodeResult(status="ok", matrix=base, matches=1, searched=searched)

@@ -596,6 +596,10 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command):
     ("interleave", ["--seed", "-3"], "argument --seed: expected a non-negative integer"),
     ("cc-exponent", ["--seed", "1.5"], "argument --seed: expected a non-negative integer"),
     ("cc-exponent", ["--rate", "inf"], "rate must be finite, got inf"),
+    # refused before any arithmetic: no 0 / 0 composition, no factorial of -1
+    ("cc-exponent", ["--composition", "0", "--l", "0"], "l must be at least 1, got 0"),
+    ("cc-exponent", ["--composition=-1", "--l=-1"], "l must be at least 1, got -1"),
+    ("cc-exponent", ["--composition=-1,9"], "composition counts must be non-negative, got -1"),
 ])
 def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, message):
     if command == "interleave":

@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from fblic import codec as cd
 from fblic import probkit as pk
-from helpers import (_words, cross_ic, hamming_ball_rows, ml_decode_oracle, prefix_flip_rows,
-                     row_outer_decode)
+from helpers import (_words, cross_ic, decode_one, hamming_ball_rows, ml_decode_oracle,
+                     prefix_flip_rows, row_outer_decode)
 
 LN2 = math.log(2.0)
 
@@ -390,8 +390,8 @@ def test_outer_encode_digest_uses_the_code_alphabet():
     hasher = cd.MatrixHasher(64, 5, code.p_k1.alphabet_size, 4, 3)
     digest = hasher.digest(mat)
     assert digest != cd.MatrixHasher(64, 5, 2, 4, 3).digest(mat)
-    res = cd.outer_decode(khat, _syndrome(hasher, mat, khat), cd.hamming_ball_rule(radius=1), 0,
-                          hasher)
+    res = decode_one(cd.OuterDecoder(hasher, cd.hamming_ball_rule(radius=1), 0), khat,
+                     _syndrome(hasher, mat, khat))
     assert res.status == "ok" and np.array_equal(res.matrix, mat)
 
 
@@ -536,18 +536,21 @@ def test_outer_decode_refuses_a_bad_syndrome(bits):
     side = cd.hamming_ball_rule(radius=1)
     for words in (h.words - 1, h.words + 1):
         with pytest.raises(ValueError, match="syndrome width disagrees"):
-            cd.outer_decode(khat, np.zeros(words, dtype=np.uint64), side, 1, h)
+            decode_one(cd.OuterDecoder(h, side, 1), khat, np.zeros(words, dtype=np.uint64))
+    # one syndrome per trial of the stack
+    with pytest.raises(ValueError, match="syndrome width disagrees"):
+        cd.OuterDecoder(h, side, 1).decode(khat[None], np.zeros((2, h.words), dtype=np.uint64))
     # the spare bits of the last word, if the width leaves any
     for bit in sorted({bits, 64 * h.words - 1} & set(range(bits, 64 * h.words))):
         need = np.zeros(h.words, dtype=np.uint64)
         need[bit // 64] = np.uint64(1 << (bit % 64))
         for e_max in (0, 2):
             with pytest.raises(ValueError, match="exceeds the digest width"):
-                cd.outer_decode(khat, need, side, e_max, h)
+                decode_one(cd.OuterDecoder(h, side, e_max), khat, need)
     # the highest bit inside the width is a valid syndrome
     need = np.zeros(h.words, dtype=np.uint64)
     need[(bits - 1) // 64] = np.uint64(1 << ((bits - 1) % 64))
-    assert cd.outer_decode(khat, need, side, 0, h).status == "failed"
+    assert decode_one(cd.OuterDecoder(h, side, 0), khat, need).status == "failed"
 
 
 def test_outer_decode_refuses_a_bad_baseline():
@@ -555,12 +558,16 @@ def test_outer_decode_refuses_a_bad_baseline():
     side = cd.hamming_ball_rule(radius=1)
     need = np.zeros(1, dtype=np.uint64)
     with pytest.raises(ValueError, match="shape disagrees with the hasher"):
-        cd.outer_decode(np.zeros((4, 3), dtype=np.int64), need, side, 1, h)
+        decode_one(cd.OuterDecoder(h, side, 1), np.zeros((4, 3), dtype=np.int64), need)
     for bad_symbol in (3, -1):
         khat = np.zeros((3, 4), dtype=np.int64)
         khat[1, 2] = bad_symbol
         with pytest.raises(ValueError, match="outside the hasher's alphabet"):
-            cd.outer_decode(khat, need, side, 1, h)
+            decode_one(cd.OuterDecoder(h, side, 1), khat, need)
+    # accepted matrices are written into the stack, so it must be an int64 array
+    for stack in (np.zeros((1, 3, 4), dtype=np.int32), np.zeros((1, 3, 4)).tolist()):
+        with pytest.raises(TypeError, match="int64 array"):
+            cd.OuterDecoder(h, side, 1).decode(stack, need[None])
 
 
 def test_outer_decode_clean_matrix():
@@ -568,7 +575,7 @@ def test_outer_decode_clean_matrix():
     truth = rng.integers(0, 2, size=(5, 6))
     h = cd.MatrixHasher(80, seed=2, alphabet_size=2, l=6, m=5)
     side = cd.hamming_ball_rule(radius=1)
-    res = cd.outer_decode(truth.copy(), _syndrome(h, truth, truth), side, 2, h)
+    res = decode_one(cd.OuterDecoder(h, side, 2), truth.copy(), _syndrome(h, truth, truth))
     assert res.status == "ok"
     assert np.array_equal(res.matrix, truth)
     # one flipped cell is found among the baseline and 3 rows x 4 flips
@@ -576,7 +583,7 @@ def test_outer_decode_clean_matrix():
     khat = truth.copy()
     khat[1, 3] ^= 1
     h = cd.MatrixHasher(64, seed=9, alphabet_size=2, l=4, m=3)
-    res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 2, h)
+    res = decode_one(cd.OuterDecoder(h, side, 2), khat, _syndrome(h, truth, khat))
     assert res.status == "ok" and np.array_equal(res.matrix, truth)
     assert res.searched == 1 + 3 * 4
 
@@ -621,7 +628,7 @@ def test_outer_decode_matches_brute_force_enumeration():
             pos = int(rng.integers(0, 5))
             khat[t, pos] ^= 1
         digest = h.digest(truth)
-        res = cd.outer_decode(khat.copy(), _syndrome(h, truth, khat), side, 2, h)
+        res = decode_one(cd.OuterDecoder(h, side, 2), khat.copy(), _syndrome(h, truth, khat))
         brute = brute_force_outer(khat, digest, rows_rule, 2, h)
         if len(brute) == 1:
             assert res.status == "ok"
@@ -670,7 +677,7 @@ def test_outer_decode_matches_brute_force_narrow_digest(case):
             i = int(rng.integers(0, l))
             khat[t, i] = (khat[t, i] + rng.integers(1, a)) % a
         digest = h.digest(truth)
-        res = cd.outer_decode(khat.copy(), _syndrome(h, truth, khat), side, e_max, h)
+        res = decode_one(cd.OuterDecoder(h, side, e_max), khat.copy(), _syndrome(h, truth, khat))
         brute = brute_force_outer(khat, digest, rows_rule, e_max, h)
         seen.add(res.status)
         if len(brute) == 1:
@@ -681,6 +688,20 @@ def test_outer_decode_matches_brute_force_narrow_digest(case):
         else:
             assert res.status == "ambiguous" and res.matches == len(brute)
     assert seen == {"ok", "ambiguous", "failed"}
+
+
+def _rule_pair(alphabet, rule, l, la_share):
+    """(alphabet, candidate rule, its row form) for a rule name: ball1,
+    ball2, or prefix, which needs a power-of-two alphabet (3 becomes 2)."""
+    if rule != "prefix":
+        radius = int(rule[-1])
+        return alphabet, cd.hamming_ball_rule(radius), hamming_ball_rows(alphabet, radius)
+    alphabet = 2 if alphabet == 3 else alphabet
+    sym_bits = (alphabet - 1).bit_length()
+    code = cd.build_inner_code(pk.Pmf.uniform(alphabet), l, 5.0,
+                               cu_size=1 << round(la_share * l * sym_bits),
+                               codebook=cd.FullCubeCode(alphabet, l))
+    return alphabet, cd.prefix_flip_rule(code), prefix_flip_rows(code)
 
 
 def _decode_outcome(decode, *args):
@@ -703,16 +724,7 @@ def _decode_outcome(decode, *args):
 def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l, la_share, seed):
     # the substitution search against the row-based search it replaced:
     # same status, matches, searched count and matrix, or the same refusal
-    if rule == "prefix":
-        alphabet = 2 if alphabet == 3 else alphabet
-        sym_bits = (alphabet - 1).bit_length()
-        code = cd.build_inner_code(pk.Pmf.uniform(alphabet), l, 5.0,
-                                   cu_size=1 << round(la_share * l * sym_bits),
-                                   codebook=cd.FullCubeCode(alphabet, l))
-        side, rows = cd.prefix_flip_rule(code), prefix_flip_rows(code)
-    else:
-        radius = int(rule[-1])
-        side, rows = cd.hamming_ball_rule(radius), hamming_ball_rows(alphabet, radius)
+    alphabet, side, rows = _rule_pair(alphabet, rule, l, la_share)
     rng = np.random.default_rng(seed)
     h = cd.MatrixHasher(bits, seed=seed, alphabet_size=alphabet, l=l, m=m)
     truth = rng.integers(0, alphabet, size=(m, l))
@@ -723,8 +735,49 @@ def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l,
     # the oracle reads the digest, so this also checks the syndrome kernel
     # against the digest's definition
     need, digest = _syndrome(h, truth, khat), h.digest(truth)
-    assert (_decode_outcome(cd.outer_decode, khat, need, side, e_max, h)
+    assert (_decode_outcome(decode_one, cd.OuterDecoder(h, side, e_max), khat, need)
             == _decode_outcome(row_outer_decode, khat, digest, rows, e_max, h))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(alphabet=st.sampled_from([2, 3, 4]), rule=st.sampled_from(["ball1", "ball2", "prefix"]),
+       e_max=st.integers(0, 4), bits=st.sampled_from([0, 1, 2, 3, 5, 8, 64, 96]),
+       m=st.integers(1, 4), l=st.integers(1, 5), la_share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       corrupt=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+# the one-bit digest of test_outer_decode_caps_each_depth_of_the_shared_join_apart:
+# trials 0 and 1 (syndrome 1) are ambiguous, trial 2 (syndrome 0) is
+# refused for too many equal-key pairs
+@example(alphabet=2, rule="ball1", e_max=2, bits=1, m=21, l=69, la_share=0.0, seed=5,
+         corrupt=[1, 1, 0])
+def test_outer_decoder_block_equals_the_row_pipeline_trial_by_trial(
+        alphabet, rule, e_max, bits, m, l, la_share, seed, corrupt):
+    # one decode of a stack of baselines, zero and nonzero syndromes mixed,
+    # so a binary decoder's table and zero-syndrome count serve later
+    # trials: each trial's outcome equals the row pipeline's on that trial
+    # alone, and a refusing stack raises the first refusing trial's refusal
+    alphabet, side, rows = _rule_pair(alphabet, rule, l, la_share)
+    rng = np.random.default_rng(seed)
+    h = cd.MatrixHasher(bits, seed=seed, alphabet_size=alphabet, l=l, m=m)
+    truths = rng.integers(0, alphabet, size=(len(corrupt), m, l))
+    khats = truths.copy()
+    for khat, c in zip(khats, corrupt):
+        for t in rng.choice(m, size=min(m, c), replace=False):
+            i = int(rng.integers(0, l))
+            khat[t, i] = (khat[t, i] + rng.integers(1, alphabet)) % alphabet
+    want = [_decode_outcome(row_outer_decode, khat, h.digest(truth), rows, e_max, h)
+            for khat, truth in zip(khats, truths)]
+    stack = khats.copy()
+    try:
+        res = cd.OuterDecoder(h, side, e_max).decode(stack, h.syndromes(truths, khats))
+    except ValueError as exc:
+        assert ("refused", str(exc)) == next(w for w in want if w[0] == "refused")
+        return
+    assert [(str(status), int(matches), int(searched), mat.tolist() if status == "ok" else None)
+            for status, matches, searched, mat in zip(*res, stack)] == want
+    # a trial that is not accepted keeps its baseline
+    assert all(np.array_equal(mat, khat) for status, mat, khat in zip(res.status, stack, khats)
+               if status != "ok")
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -735,7 +788,8 @@ def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l,
        steps=st.lists(st.tuples(st.sampled_from(["ball1", "ball2", "prefix"]),
                                 st.integers(0, 4), st.integers(0, 3)),
                       min_size=2, max_size=8))
-# a binary ball at every depth: every decode after the first reuses the table
+# a binary ball at every depth: each decoder reuses its table after its
+# first decode, and its zero-syndrome count on the second c = 0
 @example(alphabet=2, bits=64, m=4, l=5, la_share=0.0, seed=3,
          steps=[("ball1", e, c) for e in (1, 2, 3, 4) for c in (0, 1, 0, 2)])
 # a one-bit digest: baselines that match are ambiguous (kept, then read
@@ -745,10 +799,11 @@ def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l,
                 ("ball1", 3, 1), ("ball2", 2, 0), ("ball2", 2, 0)])
 def test_outer_decode_reuses_its_table_across_baselines_and_rules(
         alphabet, bits, m, l, la_share, seed, steps):
-    # one hasher decodes a sequence of baselines, the rule changing between
-    # calls; baseline c is the truth with its first c rows corrupted, so
-    # baselines repeat and match their digest when c = 0. Each outcome
-    # (or refusal) equals the row pipeline's and a fresh hasher's
+    # one hasher serves a decoder per (rule, e_max), the decoders taking
+    # turns on a sequence of baselines; baseline c is the truth with its
+    # first c rows corrupted, so baselines repeat and match their digest
+    # when c = 0. Each outcome (or refusal) equals the row pipeline's and
+    # a fresh decoder's
     sym_bits = (alphabet - 1).bit_length()
     code = cd.build_inner_code(pk.Pmf.uniform(2 ** sym_bits), l, 5.0,
                                cu_size=1 << round(la_share * l * sym_bits),
@@ -770,44 +825,50 @@ def test_outer_decode_reuses_its_table_across_baselines_and_rules(
         baselines.append(khat)
     h = cd.MatrixHasher(bits, seed=seed, alphabet_size=alphabet, l=l, m=m)
     digest = h.digest(truth)
+    decoders = {}
     for rule, e_max, c in steps:
         side, rows = rules[rule]
-        fresh = cd.MatrixHasher(bits, seed=seed, alphabet_size=alphabet, l=l, m=m)
+        decoder = decoders.setdefault((rule, e_max), cd.OuterDecoder(h, side, e_max))
         need = _syndrome(h, truth, baselines[c])
-        outcome = _decode_outcome(cd.outer_decode, baselines[c], need, side, e_max, h)
+        outcome = _decode_outcome(decode_one, decoder, baselines[c], need)
         assert outcome == _decode_outcome(row_outer_decode, baselines[c], digest, rows, e_max, h)
-        assert outcome == _decode_outcome(cd.outer_decode, baselines[c], need, side, e_max,
-                                          fresh)
+        assert outcome == _decode_outcome(decode_one, cd.OuterDecoder(h, side, e_max),
+                                          baselines[c], need)
 
 
-def test_outer_decode_keeps_the_last_candidate_table():
-    # on a binary alphabet every flip is 1, so two equal rule values share
-    # one table across baselines, and a matching baseline's count is kept
-    # per e_max. A ternary ball flips bits that depend on the baseline, so
-    # a baseline with new flips builds a new table
+def test_outer_decode_keeps_the_last_candidate_table(monkeypatch):
+    # on a binary alphabet every flip is 1, so a decoder builds one table
+    # for its run, whatever the baseline, and keeps a matching baseline's
+    # count; another rule's decoder builds its own. A ternary ball flips
+    # bits that depend on the baseline, so its decoder builds a table per
+    # search and keeps none
+    built = []
+
+    def candidates(*args, _fn=cd._candidates):
+        built.append(_fn(*args))
+        return built[-1]
+    monkeypatch.setattr(cd, "_candidates", candidates)
     rng = np.random.default_rng(6)
     truth = rng.integers(0, 2, size=(4, 5))
     khat = truth.copy()
     khat[1, 2] ^= 1
     h = cd.MatrixHasher(64, seed=2, alphabet_size=2, l=5, m=4)
-    res = cd.outer_decode(truth, _syndrome(h, truth, truth), cd.hamming_ball_rule(radius=1), 2, h)
-    table = h._table
-    assert table.settled == {2: (res.matches, res.searched)} and res.status == "ok"
-    res = cd.outer_decode(khat, _syndrome(h, truth, khat), cd.hamming_ball_rule(radius=1), 2, h)
+    dec = cd.OuterDecoder(h, cd.hamming_ball_rule(radius=1), 2)
+    res = decode_one(dec, truth, _syndrome(h, truth, truth))
+    settled = res.matches, res.searched
+    assert res.status == "ok" and dec._settled == settled and built == [dec._table]
+    res = decode_one(dec, khat, _syndrome(h, truth, khat))
     assert res.status == "ok" and np.array_equal(res.matrix, truth)
-    assert h._table is table and set(table.settled) == {2}
-    cd.outer_decode(khat, _syndrome(h, truth, khat), cd.hamming_ball_rule(radius=2), 1, h)
-    assert h._table is not table
+    assert built == [dec._table] and dec._settled == settled
+    other = cd.OuterDecoder(h, cd.hamming_ball_rule(radius=2), 1)
+    decode_one(other, khat, _syndrome(h, truth, khat))
+    assert built == [dec._table, other._table]
     ternary = cd.MatrixHasher(64, seed=2, alphabet_size=3, l=5, m=4)
-    side3 = cd.hamming_ball_rule(radius=1)
-    cd.outer_decode(truth, _syndrome(ternary, truth, truth), side3, 1, ternary)
-    first = ternary._table
-    cd.outer_decode(truth, _syndrome(ternary, truth, truth), cd.hamming_ball_rule(radius=1), 1,
-                    ternary)
-    assert ternary._table is first
-    cd.outer_decode(khat, _syndrome(ternary, truth, khat), side3, 1, ternary)
-    assert ternary._table is not first
-    assert not np.array_equal(ternary._table.flips, first.flips)
+    dec3 = cd.OuterDecoder(ternary, cd.hamming_ball_rule(radius=1), 1)
+    for base in (truth, truth, khat):
+        decode_one(dec3, base, _syndrome(ternary, truth, base))
+    assert len(built) == 2 + 3 and dec3._table is None and dec3._settled is None
+    assert not np.array_equal(built[-1].flips, built[-2].flips)
 
 
 def test_outer_decode_compares_every_digest_word():
@@ -820,10 +881,10 @@ def test_outer_decode_compares_every_digest_word():
         truth = khat.copy()
         truth[list(rows), 2] ^= 1
         exact = _syndrome(h, truth, khat)
-        assert cd.outer_decode(khat, exact, side, 2, h).status == "ok"
+        assert decode_one(cd.OuterDecoder(h, side, 2), khat, exact).status == "ok"
         off = exact.copy()
         off[100 // 64] ^= np.uint64(1 << (100 % 64))
-        assert cd.outer_decode(khat, off, side, 2, h).status == "failed"
+        assert decode_one(cd.OuterDecoder(h, side, 2), khat, off).status == "failed"
 
 
 def test_outer_decode_failure_when_pattern_exceeds_e_max():
@@ -834,9 +895,9 @@ def test_outer_decode_failure_when_pattern_exceeds_e_max():
     for t in (0, 2, 4):
         khat[t, 1] ^= 1
     h = cd.MatrixHasher(80, seed=1, alphabet_size=2, l=5, m=6)
-    res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 2, h)
+    res = decode_one(cd.OuterDecoder(h, side, 2), khat, _syndrome(h, truth, khat))
     assert res.status == "failed"
-    res3 = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 3, h)
+    res3 = decode_one(cd.OuterDecoder(h, side, 3), khat, _syndrome(h, truth, khat))
     assert res3.status == "ok" and np.array_equal(res3.matrix, truth)
 
 
@@ -846,26 +907,36 @@ def test_outer_decode_zero_width_digest():
     side = cd.hamming_ball_rule(radius=1)
     need = _syndrome(h, mat, mat)
     assert need.shape == (0,)
-    assert cd.outer_decode(mat, need, side, 0, h).status == "ok"
-    assert cd.outer_decode(mat, need, side, 1, h).status == "ambiguous"
+    assert decode_one(cd.OuterDecoder(h, side, 0), mat, need).status == "ok"
+    assert decode_one(cd.OuterDecoder(h, side, 1), mat, need).status == "ambiguous"
 
 
-def test_outer_decode_e_max_zero_checks_only_the_baseline():
-    # depth 0 tests the baseline's digest and builds no candidate table
+def test_outer_decode_e_max_zero_checks_only_the_baseline(monkeypatch):
+    # depth 0 tests the baseline's digest and builds no candidate table,
+    # and neither does a zero-width digest, at any depth
+    built = []
+    monkeypatch.setattr(cd, "_candidates", lambda *args: built.append(args))
     side = cd.hamming_ball_rule(radius=1)
     rng = np.random.default_rng(4)
     truth = rng.integers(0, 2, size=(4, 5))
     h = cd.MatrixHasher(64, seed=3, alphabet_size=2, l=5, m=4)
-    res = cd.outer_decode(truth.copy(), _syndrome(h, truth, truth), side, 0, h)
+    dec = cd.OuterDecoder(h, side, 0)
+    res = decode_one(dec, truth.copy(), _syndrome(h, truth, truth))
     assert (res.status, res.matches, res.searched) == ("ok", 1, 1)
     assert np.array_equal(res.matrix, truth)
     khat = truth.copy()
     khat[2, 0] ^= 1
-    res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 0, h)
+    res = decode_one(dec, khat, _syndrome(h, truth, khat))
     assert (res.status, res.matrix, res.matches, res.searched) == ("failed", None, 0, 1)
-    assert h._table is None
-    res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 1, h)
-    assert res.status == "ok" and h._table is not None
+    zero_width = cd.MatrixHasher(0, seed=3, alphabet_size=2, l=5, m=4)
+    for e_max in (0, 2):
+        decode_one(cd.OuterDecoder(zero_width, side, e_max), khat,
+                   _syndrome(zero_width, truth, khat))
+    assert built == []
+    monkeypatch.undo()
+    dec = cd.OuterDecoder(h, side, 1)
+    res = decode_one(dec, khat, _syndrome(h, truth, khat))
+    assert res.status == "ok" and dec._table is not None
 
 
 def test_outer_decode_without_candidates():
@@ -879,9 +950,9 @@ def test_outer_decode_without_candidates():
     khat = truth.copy()
     khat[1, 0] ^= 1
     for e_max in range(4):
-        res = cd.outer_decode(truth, _syndrome(h, truth, truth), side, e_max, h)
+        res = decode_one(cd.OuterDecoder(h, side, e_max), truth, _syndrome(h, truth, truth))
         assert (res.status, res.searched) == ("ok", 1) and np.array_equal(res.matrix, truth)
-        res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, e_max, h)
+        res = decode_one(cd.OuterDecoder(h, side, e_max), khat, _syndrome(h, truth, khat))
         assert (res.status, res.matches, res.searched) == ("failed", 0, 1)
 
 
@@ -890,16 +961,18 @@ def test_outer_decode_no_wrong_accepts_fuzz():
     side = cd.hamming_ball_rule(radius=1)
     h = cd.MatrixHasher(96, seed=11, alphabet_size=2, l=4, m=4)
     rng = np.random.default_rng(12)
-    wrong = 0
+    truths, khats = [], []
     for _ in range(10_000):
         truth = rng.integers(0, 2, size=(4, 4))
         khat = truth.copy()
         for t in rng.choice(4, size=int(rng.integers(0, 3)), replace=False):
             khat[t] = rng.integers(0, 2, size=4)
-        res = cd.outer_decode(khat, _syndrome(h, truth, khat), side, 2, h)
-        if res.status == "ok" and not np.array_equal(res.matrix, truth):
-            wrong += 1
-    assert wrong == 0
+        truths.append(truth)
+        khats.append(khat)
+    truths, stack = np.array(truths), np.array(khats)
+    res = cd.OuterDecoder(h, side, 2).decode(stack, h.syndromes(truths, stack))
+    assert (res.status == "ok").any()
+    assert not ((res.status == "ok") & (stack != truths).any(axis=(1, 2))).any()
 
 
 def test_outer_decode_refuses_an_oversized_pattern_table():
@@ -911,26 +984,32 @@ def test_outer_decode_refuses_an_oversized_pattern_table():
     side = cd.hamming_ball_rule(radius=1)
     # the syndrome of the digest 1 against the all-zero baseline (digest 0)
     one = np.ones(1, dtype=np.uint64)
-    with pytest.raises(ValueError, match=r"more than 2\^20"):
-        cd.outer_decode(khat, one, side, 3, h)
-    res = cd.outer_decode(khat, one, side, 2, h)
+    # the decoder keeps its candidate table through the refusal, and the
+    # refusal repeats, matching baseline or not
+    deep = cd.OuterDecoder(h, side, 3)
+    for need in (one, one, _syndrome(h, khat, khat)):
+        with pytest.raises(ValueError, match=r"more than 2\^20"):
+            decode_one(deep, khat, need)
+    assert deep._table is not None and deep._settled is None
+    res = decode_one(cd.OuterDecoder(h, side, 2), khat, one)
     assert res.searched >= 1 + 2048
-    # the hasher keeps its candidate table through the refusal: e_max = 2
-    # decodes on it still equal a fresh hasher's, matching baseline or not
-    fresh = cd.MatrixHasher(64, seed=1, alphabet_size=2, l=32, m=64)
+    # e_max = 2 decodes on one decoder equal a fresh decoder's, matching
+    # baseline or not
+    dec = cd.OuterDecoder(h, side, 2)
     flipped = khat.copy()
     flipped[[3, 40], [0, 17]] = 1
     for target in (khat, flipped):
         for need in (_syndrome(h, target, khat), one):
-            assert (_decode_outcome(cd.outer_decode, khat, need, side, 2, h)
-                    == _decode_outcome(cd.outer_decode, khat, need, side, 2, fresh))
+            assert (_decode_outcome(decode_one, dec, khat, need)
+                    == _decode_outcome(decode_one, cd.OuterDecoder(h, side, 2), khat, need))
     # a one-bit digest gives at least 2048^2 / 2 > 2^20 two-row pairs with
     # equal keys when the target is the baseline's digest: refused too, on
     # every call, because a refused search is never kept
-    narrow = cd.MatrixHasher(1, seed=1, alphabet_size=2, l=32, m=64)
+    narrow = cd.OuterDecoder(cd.MatrixHasher(1, seed=1, alphabet_size=2, l=32, m=64), side, 2)
     for _ in range(3):
         with pytest.raises(ValueError, match=r"more than 2\^20"):
-            cd.outer_decode(khat, _syndrome(narrow, khat, khat), side, 2, narrow)
+            decode_one(narrow, khat, _syndrome(narrow.hasher, khat, khat))
+    assert narrow._settled is None
 
 
 def test_outer_decode_caps_each_depth_of_the_shared_join_apart():
@@ -943,21 +1022,23 @@ def test_outer_decode_caps_each_depth_of_the_shared_join_apart():
     khat = np.zeros((m, l), dtype=np.int64)
     side = cd.hamming_ball_rule(radius=1)
     one = np.ones(1, dtype=np.uint64)
-    res = cd.outer_decode(khat, one, side, 2, h)
-    keys = h._table.delta[:, 0]
+    dec = cd.OuterDecoder(h, side, 2)
+    res = decode_one(dec, khat, one)
+    keys = dec._table.delta[:, 0]
     ones = int(keys.sum())
     depth1, depth2 = ones, 2 * ones * (keys.shape[0] - ones)
     assert depth2 <= 1 << 20 < depth1 + depth2
     assert res.status == "ambiguous"
-    assert (_decode_outcome(cd.outer_decode, khat, one, side, 2, h)
+    assert (_decode_outcome(decode_one, dec, khat, one)
             == _decode_outcome(row_outer_decode, khat, cd.Digest(bits=1, value=1),
                                hamming_ball_rows(2, 1), 2, h))
 
 
 def test_settled_zero_syndrome_decodes_build_no_table(monkeypatch):
-    # on a binary alphabet the kept table serves every baseline, so once a
-    # zero-syndrome decode has settled its count, the next ones build no
-    # candidate table and run no join; each still equals a fresh hasher's
+    # on a binary alphabet the decoder's one table serves every baseline,
+    # so once a zero-syndrome search has settled its count, the later
+    # zero-syndrome trials, of the same block or the next, build no
+    # candidate table and run no join; each still equals a fresh decoder's
     rng = np.random.default_rng(11)
     side = cd.hamming_ball_rule(radius=1)
     h = cd.MatrixHasher(64, seed=7, alphabet_size=2, l=6, m=5)
@@ -967,16 +1048,19 @@ def test_settled_zero_syndrome_decodes_build_no_table(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kw)
         monkeypatch.setattr(cd, name, counted)
-    baselines = [rng.integers(0, 2, size=(5, 6)) for _ in range(4)]
+    baselines = rng.integers(0, 2, size=(4, 5, 6))
+    stack, zero = baselines.copy(), np.zeros((4, h.words), dtype=np.uint64)
+    dec = cd.OuterDecoder(h, side, 2)
+    res = [dec.decode(stack[:3], zero[:3])]
+    assert calls == {"_candidates": 1, "_join": 1}
+    res.append(dec.decode(stack[3:], zero[3:]))
+    assert calls == {"_candidates": 1, "_join": 1}
+    got = [(str(status), int(matches), int(searched))
+           for r in res for status, matches, searched in zip(*r)]
     for k, base in enumerate(baselines):
-        before = dict(calls)
-        res = cd.outer_decode(base, _syndrome(h, base, base), side, 2, h)
-        if k:
-            assert calls == before
-        fresh = cd.MatrixHasher(64, seed=7, alphabet_size=2, l=6, m=5)
-        want = cd.outer_decode(base, _syndrome(fresh, base, base), side, 2, fresh)
-        assert (res.status, res.matches, res.searched) == (want.status, want.matches, want.searched)
-        assert np.array_equal(res.matrix, want.matrix)
+        want = decode_one(cd.OuterDecoder(h, side, 2), base, zero[k])
+        assert got[k] == (want.status, want.matches, want.searched) == ("ok", 1, got[0][2])
+        assert np.array_equal(stack[k], want.matrix)
     assert calls["_candidates"] == 1 + 4 and calls["_join"] == 1 + 4
 
 

@@ -60,11 +60,8 @@ class FullCubeCode:
 
     @property
     def size(self) -> int:
-        """a^l; len() only works below 2^63."""
+        """a^l, an exact int at any l."""
         return self.alphabet_size ** self.l
-
-    def __len__(self) -> int:
-        return self.size
 
     def codeword(self, idx: int) -> np.ndarray:
         if not 0 <= idx < self.size:
@@ -103,8 +100,6 @@ class ConstantCompositionCode:
 
     composition: tuple
     codewords: np.ndarray
-    rate: float
-    seed: int
 
     def __post_init__(self):
         counts = np.array(self.composition, dtype=np.int64)
@@ -115,22 +110,8 @@ class ConstantCompositionCode:
             raise ValueError("a codeword deviates from the composition")
 
     @property
-    def l(self) -> int:
-        return int(self.codewords.shape[1])
-
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.composition)
-
-    @property
     def size(self) -> int:
         return int(self.codewords.shape[0])
-
-    def __len__(self) -> int:
-        return self.size
-
-    def codeword(self, idx: int) -> np.ndarray:
-        return self.codewords[idx]
 
     def words(self, idx) -> np.ndarray:
         return self.codewords[np.asarray(idx, dtype=np.int64)]
@@ -143,10 +124,10 @@ def type_class_size(composition) -> int:
     return total
 
 
-def sample_constant_composition(composition, rate_a: float, l: int, seed: int,
+def sample_constant_composition(composition, l: int, seed: int,
                                 n_codewords: int) -> ConstantCompositionCode:
     """Draw n_codewords codewords iid uniform on the type class (repeats
-    allowed); rate_a is recorded, the caller sizes the book.
+    allowed); the caller sizes the book from its rate.
 
     Each codeword is an independent uniform permutation of the composition
     multiset; the draw is a fixed function of the seed.
@@ -168,8 +149,7 @@ def sample_constant_composition(composition, rate_a: float, l: int, seed: int,
         chunks.append(base[order])
         remaining -= take
     words = np.vstack(chunks)
-    return ConstantCompositionCode(composition=comp, codewords=words,
-                                   rate=float(rate_a), seed=int(seed))
+    return ConstantCompositionCode(composition=comp, codewords=words)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +205,20 @@ class InnerRows(NamedTuple):
 class InnerCode:
     """Typical-set source code split into a codeword address and a residual.
 
+    The rank of a typical row has total_bits bits; its top la_bits address
+    a codeword and the other lb_bits are the residual. la_bits is the
+    least of max_la_bits (None: no cap), the widest address the codebook
+    holds (bitlen(size) - 1) and total_bits; the cap is a bit count, so a
+    large one costs nothing. The codebook defaults to the full cube on K.
+
     Every method takes a whole (rows, l) array (or one value per row).
     Ranks and their index/residual split are int64 while the typical set
     has at most 2^63 members and exact Python ints (object arrays)
     beyond; full-cube codeword indices are int64 while a^l <= 2^63.
     """
 
-    def __init__(self, p_k1: Pmf, l: int, delta: float, codebook, cu_size: int | None = None):
+    def __init__(self, p_k1: Pmf, l: int, delta: float, codebook=None,
+                 max_la_bits: int | None = None):
         self.p_k1 = p_k1
         self.l = int(l)
         self.delta = float(delta)
@@ -239,10 +226,12 @@ class InnerCode:
         size = self.typical.size
         if size < 1:
             raise ValueError("the typical set is empty")
-        self.codebook = codebook
+        if max_la_bits is not None and max_la_bits < 0:
+            raise ValueError(f"max_la_bits must be non-negative, got {max_la_bits}")
+        self.codebook = FullCubeCode(p_k1.alphabet_size, l) if codebook is None else codebook
         self.total_bits = (size - 1).bit_length()
-        cap = codebook.size if cu_size is None else min(int(cu_size), codebook.size)
-        self.la_bits = min(cap.bit_length() - 1, self.total_bits) if cap >= 1 else 0
+        cap = self.total_bits if max_la_bits is None else int(max_la_bits)
+        self.la_bits = min(cap, self.codebook.size.bit_length() - 1, self.total_bits)
         self.lb_bits = self.total_bits - self.la_bits
 
     def encode_rows(self, blocks) -> InnerRows:
@@ -271,8 +260,6 @@ class InnerCode:
         return ml_decode(self._materialized_words(), y_words, induced)
 
     def _materialized_words(self) -> np.ndarray:
-        if isinstance(self.codebook, ConstantCompositionCode):
-            return self.codebook.codewords[: 1 << self.la_bits]
         n = 1 << self.la_bits
         if n > MAX_ROWS:
             raise ValueError("refusing to materialize more than 2^20 codewords")
@@ -290,14 +277,6 @@ class InnerCode:
         out = np.zeros((rank.shape[0], self.l), dtype=np.int64)
         out[ok] = self.typical.unrank_rows(rank[ok])
         return out
-
-
-def build_inner_code(p_k1: Pmf, l: int, delta: float, cu_size: int | None = None,
-                     codebook=None) -> InnerCode:
-    """Inner code over the given codebook; default is the full cube on K."""
-    if codebook is None:
-        codebook = FullCubeCode(p_k1.alphabet_size, l)
-    return InnerCode(p_k1, l, delta, codebook, cu_size=cu_size)
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +341,6 @@ def deinterleave(mat, perm: PermutationSet):
 # seeded GF(2)-linear digest over matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Digest:
-    bits: int
-    value: int
-
-
-def _words_to_int(words: np.ndarray) -> int:
-    return int.from_bytes(words.astype("<u8").tobytes(), "little")
-
-
 class MatrixHasher:
     """Seeded GF(2)-linear (syndrome) digest of an m x l symbol matrix.
 
@@ -385,8 +354,10 @@ class MatrixHasher:
     XORs a fixed set of H columns into the digest, whatever the rest of
     the matrix holds, and digest(a) ^ digest(b) is the syndrome
     H . bits(a ^ b), which reads only the H columns of the bits where a
-    and b differ. An H of more than MAX_ROWS 64-bit words is refused
-    before it is drawn.
+    and b differ. That syndrome, as (trials, words) uint64 words of 64
+    digest bits, low word first, is the digest's one form: a matrix's own
+    digest is its syndrome against the zero matrix. An H of more than
+    MAX_ROWS 64-bit words is refused before it is drawn.
     """
 
     def __init__(self, bits: int, seed: int, alphabet_size: int, l: int, m: int):
@@ -412,11 +383,11 @@ class MatrixHasher:
             cols[:, -1] &= ~self._spare
         self._cols = cols
 
-    def _stack(self, x, ndim: int) -> np.ndarray:
-        """x as an int64 array of ndim axes ending in (m, l), refused unless
-        every symbol lies in the alphabet."""
+    def _stack(self, x) -> np.ndarray:
+        """x as an int64 (trials, m, l) stack, refused unless every symbol
+        lies in the alphabet."""
         arr = np.asarray(x, dtype=np.int64)
-        if arr.ndim != ndim or arr.shape[-2:] != (self.m, self.l):
+        if arr.ndim != 3 or arr.shape[1:] != (self.m, self.l):
             raise ValueError("matrix shape disagrees with the hasher")
         # read unsigned, a negative symbol is out of range too
         if arr.view(np.uint64).max(initial=0) >= self.alphabet_size:
@@ -433,7 +404,7 @@ class MatrixHasher:
         in ascending order, trial after trial; a trial whose matrices agree
         has syndrome 0. Only the differing symbols are expanded to bits.
         """
-        sent, base = self._stack(sent, 3), self._stack(base, 3)
+        sent, base = self._stack(sent), self._stack(base)
         if sent.shape != base.shape:
             raise ValueError("the two stacks' shapes disagree")
         out = np.zeros((sent.shape[0], self.words), dtype=np.uint64)
@@ -449,13 +420,6 @@ class MatrixHasher:
             out[has] = np.bitwise_xor.reduceat(self._cols.take(hot % per, axis=0),
                                                bounds[:-1][has], axis=0)
         return out
-
-    def digest(self, matrix) -> Digest:
-        """H . bits(matrix): the syndrome of the matrix against the zero one."""
-        if self.bits <= 0:
-            return Digest(bits=0, value=0)
-        x = np.asarray(matrix, dtype=np.int64)[None]
-        return Digest(bits=self.bits, value=_words_to_int(self.syndromes(x, np.zeros_like(x))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +631,7 @@ class OuterDecoder:
         if getattr(khats, "dtype", None) != np.int64:
             raise TypeError("the baselines must be an int64 array: decode writes into them")
         h = self.hasher
-        base = h._stack(khats, 3)
+        base = h._stack(khats)
         trials = base.shape[0]
         needs = np.asarray(needs, dtype=np.uint64)
         if needs.shape != (trials, h.words):

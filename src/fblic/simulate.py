@@ -383,11 +383,8 @@ def simulate_dueck(
 
     p_s1 = joint.row_marginal()
     la_target = int(math.floor(sp.l * sp.A / _LN2 + 1e-9))
-    code = _codec.build_inner_code(
-        p_s1, sp.l, sp.delta,
-        cu_size=1 << la_target,
-        codebook=_codec.FullCubeCode(a_sh, sp.l),
-    )
+    code = _codec.InnerCode(p_s1, sp.l, sp.delta, _codec.FullCubeCode(a_sh, sp.l),
+                            max_la_bits=la_target)
 
     # satellite budget: residuals first, the digest gets the remainder
     demand_full = (code.lb_bits * sp.m + hash_bits) * _LN2 / (sp.m * sp.l)
@@ -452,8 +449,8 @@ def simulate_generic(
     if n_words > _codec.MAX_ROWS:
         raise ValueError(f"refusing to draw a codebook of {n_words} words: more than 2^20")
     cc = _codec.sample_constant_composition(
-        tuple(int(c) for c in comp), sp.A, sp.l, _child_seed(seed, 0xCC), n_codewords=n_words)
-    code = _codec.build_inner_code(p_k1, sp.l, sp.delta, codebook=cc)
+        tuple(int(c) for c in comp), sp.l, _child_seed(seed, 0xCC), n_codewords=n_words)
+    code = _codec.InnerCode(p_k1, sp.l, sp.delta, cc)
     q = inst.thm1_quantities(sp)
     phi_bound, _ = _bounds._phi_from_logs(q)
     return _simulate(
@@ -614,7 +611,7 @@ def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
     errors = 0
     for b in range(codebooks):
         book = _codec.sample_constant_composition(
-            comp, rate, l, _child_seed(seed, 0xB0, b), n_codewords=n_words)
+            comp, l, _child_seed(seed, 0xB0, b), n_codewords=n_words)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x7A, b)))
         sent = rng.integers(0, n_words, size=trials_per_book)
         tx = book.codewords[sent]

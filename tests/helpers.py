@@ -440,7 +440,7 @@ def _distinct_changes(owner, planes):
 
 
 def _xor_columns(hasher, owners, planes):
-    """Digest change, as (n, words), of XOR-ing planes[c] into the bits of row owners[c]."""
+    """The digest change, as (n, words), of XOR-ing planes[c] into the bits of row owners[c]."""
     c, pos = np.nonzero(planes)
     out = np.zeros((planes.shape[0], hasher.words), dtype=np.uint64)
     if c.size:
@@ -450,8 +450,9 @@ def _xor_columns(hasher, owners, planes):
     return out
 
 
-def _words(value, n_words):
-    return np.frombuffer(value.to_bytes(8 * n_words, "little"), dtype="<u8").astype(np.uint64)
+def digest_words(hasher, mat):
+    """One matrix's digest words: its syndrome against the zero matrix."""
+    return hasher.syndromes(np.asarray(mat)[None], np.zeros((1, *np.shape(mat)), np.int64))[0]
 
 
 def _capped(total, what):
@@ -485,10 +486,10 @@ def _join_rows(left, right, need):
 
 
 def row_outer_decode(khat, digest, side, e_max, hasher):
-    """codec.OuterDecoder on one matrix, over a row rule side(base) -> (cands, owner):
-    baseline rows and repeats within a row are dropped, each candidate's
-    digest delta is read off its changed bit planes, and depth d joins
-    pattern tables T_(d // 2) and T_(d - d // 2), each sorted per join."""
+    """codec.OuterDecoder on one matrix and the sent matrix's digest words, over
+    a row rule side(base) -> (cands, owner): baseline rows and repeats within a
+    row are dropped, each candidate's digest delta is read off its changed bit
+    planes, and depth d joins tables T_(d // 2) and T_(d - d // 2), sorted per join."""
     if e_max < 0:
         raise ValueError("e_max must be non-negative")
     base = np.asarray(khat, dtype=np.int64).copy()
@@ -496,7 +497,7 @@ def row_outer_decode(khat, digest, side, e_max, hasher):
         status = "ok" if e_max == 0 else "ambiguous"
         return DecodeResult(status=status, matrix=base if e_max == 0 else None,
                             matches=1 if e_max == 0 else 2, searched=1)
-    need = _words(digest.value ^ hasher.digest(base).value, hasher.words)
+    need = np.asarray(digest, dtype=np.uint64) ^ digest_words(hasher, base)
     cands, owner = (np.asarray(a, dtype=np.int64) for a in side(base))
     planes = _bit_planes(hasher, cands ^ base[owner])
     keep = _distinct_changes(owner, planes)

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from fblic import codec as cd
 from fblic import probkit as pk
-from helpers import (_words, cross_ic, decode_one, hamming_ball_rows, ml_decode_oracle,
+from helpers import (cross_ic, decode_one, digest_words, hamming_ball_rows, ml_decode_oracle,
                      prefix_flip_rows, row_outer_decode)
 
 LN2 = math.log(2.0)
@@ -20,18 +20,18 @@ LN2 = math.log(2.0)
 # inner code
 # ---------------------------------------------------------------------------
 
-def test_build_inner_code_degenerate_source():
+def test_inner_code_degenerate_source():
     p = pk.Pmf([1.0, 0.0])
-    code = cd.build_inner_code(p, 5, 0.5)
+    code = cd.InnerCode(p, 5, 0.5)
     assert code.typical.size == 1
     assert code.total_bits == 0 and code.lb_bits == 0
     enc = code.encode_rows([[0, 0, 0, 0, 0]])
     assert enc.index[0] == 0 and not enc.atypical[0]
 
 
-def test_build_inner_code_split_consistent_with_enumeration():
+def test_inner_code_split_consistent_with_enumeration():
     p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 8, 0.25)
+    code = cd.InnerCode(p, 8, 0.25)
     n = code.typical.size
     assert code.total_bits == (n - 1).bit_length()
     assert code.la_bits + code.lb_bits >= math.ceil(math.log2(n))
@@ -41,14 +41,20 @@ def test_full_cube_convention():
     # the worked example uses every word over the channel alphabet, with
     # floor(log2 a^l) bits addressing them
     p = pk.Pmf([0.5, 0.25, 0.25])
-    code = cd.build_inner_code(p, 4, 2.0, codebook=cd.FullCubeCode(3, 4))
+    code = cd.InnerCode(p, 4, 2.0, codebook=cd.FullCubeCode(3, 4))
     assert code.la_bits == min(math.floor(4 * math.log2(3)), code.total_bits)
-    assert len(code.codebook) == 81
+    assert code.codebook.size == 81
+    # the address cap is a bit count: a huge one is no cap, a negative one
+    # is refused
+    huge = cd.InnerCode(p, 4, 2.0, codebook=cd.FullCubeCode(3, 4), max_la_bits=10 ** 12)
+    assert (huge.la_bits, huge.lb_bits) == (code.la_bits, code.lb_bits)
+    with pytest.raises(ValueError, match="max_la_bits must be non-negative"):
+        cd.InnerCode(p, 4, 2.0, max_la_bits=-1)
 
 
 def test_encode_roundtrip_and_atypical_fallback():
     p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 8, 0.25)
+    code = cd.InnerCode(p, 8, 0.25)
     blk = np.array([0, 1, 1, 0, 1, 0, 0, 1])
     bad = np.zeros(8, dtype=int)
     enc = code.encode_rows([blk, bad])
@@ -62,8 +68,8 @@ def test_encode_roundtrip_and_atypical_fallback():
 def test_conditional_coding_agreement_exhaustive():
     # two independently built encoders agree bit for bit on every typical block
     p = pk.Pmf.uniform(2)
-    enc1 = cd.build_inner_code(p, 6, 0.4)
-    enc2 = cd.build_inner_code(p, 6, 0.4)
+    enc1 = cd.InnerCode(p, 6, 0.4)
+    enc2 = cd.InnerCode(p, 6, 0.4)
     blks = np.array(list(itertools.product((0, 1), repeat=6)))
     blks = blks[enc1.typical.contains_rows(blks)]
     r1, r2 = enc1.encode_rows(blks), enc2.encode_rows(blks)
@@ -75,8 +81,8 @@ def test_conditional_coding_agreement_exhaustive():
 def test_decode_exact_agreement_and_disagreement():
     from fblic import dueck as dk
     p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 8, 1.0, cu_size=1 << 4,
-                               codebook=cd.FullCubeCode(2, 8))
+    code = cd.InnerCode(p, 8, 1.0, max_la_bits=4,
+                        codebook=cd.FullCubeCode(2, 8))
     blk1 = np.array([1, 0, 1, 0, 1, 0, 0, 1])
     blk2 = np.array([1, 0, 1, 0, 1, 0, 1, 1])  # differs in a residual position
     blk3 = np.array([0, 0, 1, 0, 1, 0, 0, 1])  # differs in an address position
@@ -99,8 +105,8 @@ def test_decode_exact_agreement_and_disagreement():
 
 def test_decode_exact_out_of_range_falls_back():
     p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 4, 1.0, cu_size=1 << 2,
-                               codebook=cd.FullCubeCode(2, 4))
+    code = cd.InnerCode(p, 4, 1.0, max_la_bits=2,
+                        codebook=cd.FullCubeCode(2, 4))
     # a word whose cube index exceeds the addressable range
     index, fallback = code.decode_exact_rows(np.array([[1, 1, 1, 1]]))
     assert fallback[0] and index[0] == 0
@@ -109,7 +115,7 @@ def test_decode_exact_out_of_range_falls_back():
 def test_rows_beyond_int64_use_exact_ints():
     # a^l = 2^64 cube indices and |T| = 2^64 ranks do not fit int64
     cube = cd.FullCubeCode(2, 64)
-    code = cd.build_inner_code(pk.Pmf.uniform(2), 64, 1.0, cu_size=1 << 40, codebook=cube)
+    code = cd.InnerCode(pk.Pmf.uniform(2), 64, 1.0, max_la_bits=40, codebook=cube)
     assert code.la_bits == 40 and code.lb_bits == 24
     rng = np.random.default_rng(5)
     words = rng.integers(0, 2, size=(6, 64))
@@ -132,7 +138,7 @@ def test_rows_beyond_int64_use_exact_ints():
 def test_inner_round_trip_at_the_int64_edge(l):
     # the binary full cube reads digits; a^l = 2^63 is the last int64 size
     cube = cd.FullCubeCode(2, l)
-    code = cd.build_inner_code(pk.Pmf.uniform(2), l, 1.0, cu_size=1 << (l // 2), codebook=cube)
+    code = cd.InnerCode(pk.Pmf.uniform(2), l, 1.0, max_la_bits=l // 2, codebook=cube)
     assert code.typical.size == 2 ** l
     rng = np.random.default_rng(l)
     x = rng.integers(0, 2, size=(8, l))
@@ -158,7 +164,7 @@ def test_decode_ml_matches_brute_force():
     rng = np.random.default_rng(3)
     p_u = pk.Pmf.uniform(2)
     comp = (3, 3)
-    book = cd.sample_constant_composition(comp, 0.4, 6, seed=1, n_codewords=12)
+    book = cd.sample_constant_composition(comp, 6, seed=1, n_codewords=12)
     code = cd.InnerCode(p_u, 6, 1.0, book)
     chan = pk.Dmc([[0.8, 0.2], [0.3, 0.7]])
     ys = rng.integers(0, 2, size=(40, 6))
@@ -169,7 +175,7 @@ def test_decode_ml_matches_brute_force():
     for y, index in zip(ys, got):
         scores = []
         for i in range(1 << code.la_bits):
-            w = book.codeword(i)
+            w = book.codewords[i]
             scores.append(math.prod(chan.rows[int(w[t]), int(y[t])] for t in range(6)))
         assert scores[index] == pytest.approx(max(scores), rel=1e-9)
 
@@ -177,8 +183,7 @@ def test_decode_ml_matches_brute_force():
 def test_decode_ml_tie_breaks_to_lowest_index():
     p_u = pk.Pmf.uniform(2)
     words = np.array([[0, 1], [1, 0]])
-    book = cd.ConstantCompositionCode(composition=(1, 1), codewords=words,
-                                      rate=0.3, seed=0)
+    book = cd.ConstantCompositionCode(composition=(1, 1), codewords=words)
     code = cd.InnerCode(p_u, 2, 1.0, book)
     # symmetric channel and a symmetric observation tie both codewords
     chan = pk.Dmc([[0.5, 0.5], [0.5, 0.5]])
@@ -208,7 +213,7 @@ def test_ml_decode_is_the_joint_type_argmax(case):
     nx = chan.rows.shape[0]
     assert cd.ml_decode(words, y, chan).tolist() == ml_decode_oracle(words, y, chan)
     book = cd.ConstantCompositionCode(composition=tuple(np.bincount(words[0], minlength=nx)),
-                                      codewords=words, rate=0.1, seed=0)
+                                      codewords=words)
     code = cd.InnerCode(pk.Pmf.uniform(nx), words.shape[1], 1.0, book)
     assert code.decode_ml_rows(y, chan).tolist() == ml_decode_oracle(
         words[: 1 << code.la_bits], y, chan)
@@ -236,27 +241,27 @@ def test_ml_decode_zero_probability_transition_loses():
 # ---------------------------------------------------------------------------
 
 def test_constant_composition_degenerate():
-    book = cd.sample_constant_composition((4, 0), 0.1, 4, seed=0, n_codewords=1)
+    book = cd.sample_constant_composition((4, 0), 4, seed=0, n_codewords=1)
     assert np.array_equal(book.codewords, np.zeros((1, 4), dtype=int))
 
 
 def test_constant_composition_types_exact():
-    book = cd.sample_constant_composition((2, 3, 1), 0.5, 6, seed=7, n_codewords=50)
+    book = cd.sample_constant_composition((2, 3, 1), 6, seed=7, n_codewords=50)
     for word in book.codewords:
         assert tuple(np.bincount(word, minlength=3)) == (2, 3, 1)
 
 
 def test_constant_composition_deterministic_and_bounded():
-    b1 = cd.sample_constant_composition((4, 4), 0.5, 8, seed=3, n_codewords=54)
-    b2 = cd.sample_constant_composition((4, 4), 0.5, 8, seed=3, n_codewords=54)
+    b1 = cd.sample_constant_composition((4, 4), 8, seed=3, n_codewords=54)
+    b2 = cd.sample_constant_composition((4, 4), 8, seed=3, n_codewords=54)
     assert np.array_equal(b1.codewords, b2.codewords)
     with pytest.raises(ValueError):
-        cd.sample_constant_composition((2, 2), 0.5, 4, seed=0, n_codewords=100)
+        cd.sample_constant_composition((2, 2), 4, seed=0, n_codewords=100)
 
 
 def test_constant_composition_position_frequencies():
     # across many sampled codewords each position follows composition/l
-    book = cd.sample_constant_composition((12, 4), 0.9, 16, seed=5, n_codewords=1500)
+    book = cd.sample_constant_composition((12, 4), 16, seed=5, n_codewords=1500)
     freq1 = (book.codewords == 1).mean(axis=0)
     sigma = math.sqrt(0.25 * 0.75 / 1500)
     assert np.all(np.abs(freq1 - 0.25) <= 4 * sigma)
@@ -357,39 +362,40 @@ def test_draw_permutations_is_the_stable_argsort(keys, seed):
 
 def test_digest_length_matches_rate():
     # the digest is exactly as wide as the bit budget of r nats per row,
-    # ceil(r m / log 2) bits, and a zero budget gives the empty digest
+    # ceil(r m / log 2) bits in whole words whose spare bits are zero, and a
+    # zero budget gives the empty digest
     mat = np.random.default_rng(2).integers(0, 2, size=(8, 4))
     for rate_nats in (0.0, 0.5, 1.37, 9.01, 25.0):
         bits = math.ceil(rate_nats * 8 / LN2 - 1e-12)
-        out = cd.MatrixHasher(bits, 1, 2, 4, 8).digest(mat)
-        assert out.bits == bits and 0 <= out.value < 2 ** bits
-    assert cd.MatrixHasher(0, 1, 2, 4, 8).digest(mat) == cd.Digest(bits=0, value=0)
+        out = _digest_words(cd.MatrixHasher(bits, 1, 2, 4, 8), mat)
+        assert out.dtype == np.uint64 and out.shape == (-(-bits // 64),)
+        assert int.from_bytes(out.astype("<u8").tobytes(), "little") < 2 ** bits
 
 
 def test_equal_matrices_equal_digests():
     h = cd.MatrixHasher(96, seed=4, alphabet_size=3, l=5, m=6)
     rng = np.random.default_rng(0)
     mat = rng.integers(0, 3, size=(6, 5))
-    assert h.digest(mat) == h.digest(mat.copy())
+    assert np.array_equal(_digest_words(h, mat), _digest_words(h, mat.copy()))
     other = mat.copy()
     other[0, 0] = (other[0, 0] + 1) % 3
-    assert h.digest(other) != h.digest(mat)
+    assert not np.array_equal(_digest_words(h, other), _digest_words(h, mat))
     # a different seed gives a different map
     h2 = cd.MatrixHasher(96, seed=5, alphabet_size=3, l=5, m=6)
-    assert h2.digest(mat) != h.digest(mat)
+    assert not np.array_equal(_digest_words(h2, mat), _digest_words(h, mat))
 
 
 def test_outer_encode_digest_uses_the_code_alphabet():
     # a ternary source matrix that never uses symbol 2 is still hashed as
     # ternary, so the decoder's hasher verifies it
-    code = cd.build_inner_code(pk.Pmf([0.5, 0.3, 0.2]), 4, 2.0)
+    code = cd.InnerCode(pk.Pmf([0.5, 0.3, 0.2]), 4, 2.0)
     mat = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1]])
     enc = code.encode_rows(mat)
     khat = code.reconstruct_rows(enc.index, enc.residual)
     assert np.array_equal(khat, mat)
     hasher = cd.MatrixHasher(64, 5, code.p_k1.alphabet_size, 4, 3)
-    digest = hasher.digest(mat)
-    assert digest != cd.MatrixHasher(64, 5, 2, 4, 3).digest(mat)
+    assert not np.array_equal(_digest_words(hasher, mat),
+                              _digest_words(cd.MatrixHasher(64, 5, 2, 4, 3), mat))
     res = decode_one(cd.OuterDecoder(hasher, cd.hamming_ball_rule(radius=1), 0), khat,
                      _syndrome(hasher, mat, khat))
     assert res.status == "ok" and np.array_equal(res.matrix, mat)
@@ -403,8 +409,8 @@ def test_digest_is_linear_over_gf2(m, l, bits, seed, data):
     shape = (m, l)
     a = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 1)))
     b = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 1)))
-    assert h.digest(a).value ^ h.digest(b).value == h.digest(a ^ b).value
-    assert h.digest(np.zeros(shape, dtype=np.int64)).value == 0
+    assert np.array_equal(_digest_words(h, a) ^ _digest_words(h, b), _digest_words(h, a ^ b))
+    assert not _digest_words(h, np.zeros(shape, dtype=np.int64)).any()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -419,9 +425,9 @@ def test_digest_symbol_change_shift_is_context_free(a, m, l, bits, seed, data):
     for _ in range(2):
         mat = data.draw(hnp.arrays(np.int64, (m, l), elements=st.integers(0, a - 1)))
         mat[t, i] = old
-        before = h.digest(mat).value
+        before = _digest_words(h, mat)
         mat[t, i] = new
-        shifts.add(before ^ h.digest(mat).value)
+        shifts.add((before ^ _digest_words(h, mat)).tobytes())
     assert len(shifts) == 1
 
 
@@ -434,7 +440,7 @@ def test_digest_collision_rate_is_two_to_minus_b():
     y[2, 4] = (y[2, 4] + 2) % 3
     n, p = 4096, 2.0 ** -4
     hashers = (cd.MatrixHasher(4, s, 3, 5, 3) for s in range(n))
-    hits = sum(h.digest(x) == h.digest(y) for h in hashers)
+    hits = sum((h.syndromes(x[None], y[None]) == 0).all() for h in hashers)
     assert abs(hits - n * p) <= 3 * math.sqrt(n * p * (1 - p))
 
 
@@ -444,16 +450,15 @@ def _syndrome(h, sent, khat):
 
 
 def _digest_words(h, mat):
-    """h.digest(mat) as words, checked against H . bits(mat) summed column by
+    """digest_words(h, mat), checked against H . bits(mat) summed column by
     column: symbol i owns bits i * sym_bits.., low bit first."""
-    words = _words(h.digest(mat).value, h.words)
     loop = np.zeros(h.words, dtype=np.uint64)
     for i, symbol in enumerate(mat.reshape(-1).tolist()):
         for b in range(h.sym_bits):
             if symbol >> b & 1:
                 loop ^= h._cols[i * h.sym_bits + b]
-    assert np.array_equal(words, loop)
-    return words
+    assert np.array_equal(digest_words(h, mat), loop)
+    return loop
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -607,7 +612,7 @@ def brute_force_outer(khat, digest, rows_rule, e_max, hasher):
                 mat[t] = cands[t][ci]
             if np.array_equal(mat, khat) and rows:
                 continue
-            if hasher.digest(mat) == digest:
+            if np.array_equal(digest_words(hasher, mat), digest):
                 matches.append(mat.copy())
     uniq = []
     for mat in matches:
@@ -627,7 +632,7 @@ def test_outer_decode_matches_brute_force_enumeration():
         for t in rng.choice(4, size=n_bad, replace=False):
             pos = int(rng.integers(0, 5))
             khat[t, pos] ^= 1
-        digest = h.digest(truth)
+        digest = digest_words(h, truth)
         res = decode_one(cd.OuterDecoder(h, side, 2), khat.copy(), _syndrome(h, truth, khat))
         brute = brute_force_outer(khat, digest, rows_rule, 2, h)
         if len(brute) == 1:
@@ -643,17 +648,17 @@ def test_outer_decode_matches_brute_force_enumeration():
 # name: (inner code, (candidate rule, its row form), alphabet, m, e_max, digest bits)
 NARROW_CASES = {
     # ternary alphabet: sym_bits = 2 and the bit pattern of symbol 3 is unused
-    "ternary_hamming": (lambda: cd.build_inner_code(pk.Pmf([0.5, 0.3, 0.2]), 2, 5.0),
+    "ternary_hamming": (lambda: cd.InnerCode(pk.Pmf([0.5, 0.3, 0.2]), 2, 5.0),
                         lambda code: (cd.hamming_ball_rule(radius=1), hamming_ball_rows(3, 1)),
                         3, 3, 2, 6),
-    "quaternary_prefix": (lambda: cd.build_inner_code(pk.Pmf.uniform(4), 3, 5.0, cu_size=1 << 3,
-                                                      codebook=cd.FullCubeCode(4, 3)),
+    "quaternary_prefix": (lambda: cd.InnerCode(pk.Pmf.uniform(4), 3, 5.0, max_la_bits=3,
+                                               codebook=cd.FullCubeCode(4, 3)),
                           lambda code: (cd.prefix_flip_rule(code), prefix_flip_rows(code)),
                           4, 3, 2, 7),
-    "binary_e_max_3": (lambda: cd.build_inner_code(pk.Pmf.uniform(2), 2, 5.0),
+    "binary_e_max_3": (lambda: cd.InnerCode(pk.Pmf.uniform(2), 2, 5.0),
                        lambda code: (cd.hamming_ball_rule(radius=1), hamming_ball_rows(2, 1)),
                        2, 4, 3, 6),
-    "binary_e_max_4": (lambda: cd.build_inner_code(pk.Pmf.uniform(2), 2, 5.0),
+    "binary_e_max_4": (lambda: cd.InnerCode(pk.Pmf.uniform(2), 2, 5.0),
                        lambda code: (cd.hamming_ball_rule(radius=1), hamming_ball_rows(2, 1)),
                        2, 5, 4, 7),
 }
@@ -676,7 +681,7 @@ def test_outer_decode_matches_brute_force_narrow_digest(case):
         for t in rng.choice(m, size=min(m, int(rng.integers(0, e_max + 2))), replace=False):
             i = int(rng.integers(0, l))
             khat[t, i] = (khat[t, i] + rng.integers(1, a)) % a
-        digest = h.digest(truth)
+        digest = digest_words(h, truth)
         res = decode_one(cd.OuterDecoder(h, side, e_max), khat.copy(), _syndrome(h, truth, khat))
         brute = brute_force_outer(khat, digest, rows_rule, e_max, h)
         seen.add(res.status)
@@ -698,9 +703,8 @@ def _rule_pair(alphabet, rule, l, la_share):
         return alphabet, cd.hamming_ball_rule(radius), hamming_ball_rows(alphabet, radius)
     alphabet = 2 if alphabet == 3 else alphabet
     sym_bits = (alphabet - 1).bit_length()
-    code = cd.build_inner_code(pk.Pmf.uniform(alphabet), l, 5.0,
-                               cu_size=1 << round(la_share * l * sym_bits),
-                               codebook=cd.FullCubeCode(alphabet, l))
+    code = cd.InnerCode(pk.Pmf.uniform(alphabet), l, 5.0, cd.FullCubeCode(alphabet, l),
+                        max_la_bits=round(la_share * l * sym_bits))
     return alphabet, cd.prefix_flip_rule(code), prefix_flip_rows(code)
 
 
@@ -734,7 +738,7 @@ def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l,
         khat[t, i] = (khat[t, i] + rng.integers(1, alphabet, size=i.shape[0])) % alphabet
     # the oracle reads the digest, so this also checks the syndrome kernel
     # against the digest's definition
-    need, digest = _syndrome(h, truth, khat), h.digest(truth)
+    need, digest = _syndrome(h, truth, khat), digest_words(h, truth)
     assert (_decode_outcome(decode_one, cd.OuterDecoder(h, side, e_max), khat, need)
             == _decode_outcome(row_outer_decode, khat, digest, rows, e_max, h))
 
@@ -765,7 +769,7 @@ def test_outer_decoder_block_equals_the_row_pipeline_trial_by_trial(
         for t in rng.choice(m, size=min(m, c), replace=False):
             i = int(rng.integers(0, l))
             khat[t, i] = (khat[t, i] + rng.integers(1, alphabet)) % alphabet
-    want = [_decode_outcome(row_outer_decode, khat, h.digest(truth), rows, e_max, h)
+    want = [_decode_outcome(row_outer_decode, khat, digest_words(h, truth), rows, e_max, h)
             for khat, truth in zip(khats, truths)]
     stack = khats.copy()
     try:
@@ -805,9 +809,8 @@ def test_outer_decode_reuses_its_table_across_baselines_and_rules(
     # when c = 0. Each outcome (or refusal) equals the row pipeline's and
     # a fresh decoder's
     sym_bits = (alphabet - 1).bit_length()
-    code = cd.build_inner_code(pk.Pmf.uniform(2 ** sym_bits), l, 5.0,
-                               cu_size=1 << round(la_share * l * sym_bits),
-                               codebook=cd.FullCubeCode(2 ** sym_bits, l))
+    code = cd.InnerCode(pk.Pmf.uniform(2 ** sym_bits), l, 5.0, cd.FullCubeCode(2 ** sym_bits, l),
+                        max_la_bits=round(la_share * l * sym_bits))
     rules = {"ball1": (cd.hamming_ball_rule(1), hamming_ball_rows(alphabet, 1)),
              "ball2": (cd.hamming_ball_rule(2), hamming_ball_rows(alphabet, 2))}
     # the prefix rule needs a power-of-two alphabet: a ternary run uses ball1
@@ -824,7 +827,7 @@ def test_outer_decode_reuses_its_table_across_baselines_and_rules(
             khat[t, i] = (khat[t, i] + rng.integers(1, alphabet)) % alphabet
         baselines.append(khat)
     h = cd.MatrixHasher(bits, seed=seed, alphabet_size=alphabet, l=l, m=m)
-    digest = h.digest(truth)
+    digest = digest_words(h, truth)
     decoders = {}
     for rule, e_max, c in steps:
         side, rows = rules[rule]
@@ -942,8 +945,8 @@ def test_outer_decode_e_max_zero_checks_only_the_baseline(monkeypatch):
 def test_outer_decode_without_candidates():
     # no address bits: the prefix rule has no position to search, so only
     # the baseline can match, at every depth
-    code = cd.build_inner_code(pk.Pmf.uniform(2), 4, 1.0, cu_size=1,
-                               codebook=cd.FullCubeCode(2, 4))
+    code = cd.InnerCode(pk.Pmf.uniform(2), 4, 1.0, max_la_bits=0,
+                        codebook=cd.FullCubeCode(2, 4))
     side = cd.prefix_flip_rule(code)
     h = cd.MatrixHasher(32, seed=5, alphabet_size=2, l=4, m=3)
     truth = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
@@ -1030,8 +1033,7 @@ def test_outer_decode_caps_each_depth_of_the_shared_join_apart():
     assert depth2 <= 1 << 20 < depth1 + depth2
     assert res.status == "ambiguous"
     assert (_decode_outcome(decode_one, dec, khat, one)
-            == _decode_outcome(row_outer_decode, khat, cd.Digest(bits=1, value=1),
-                               hamming_ball_rows(2, 1), 2, h))
+            == _decode_outcome(row_outer_decode, khat, one, hamming_ball_rows(2, 1), 2, h))
 
 
 def test_settled_zero_syndrome_decodes_build_no_table(monkeypatch):
@@ -1081,8 +1083,8 @@ def _candidate_rows(base, rule, alphabet_size):
 
 def test_prefix_flip_rule_positions():
     p = pk.Pmf.uniform(2)
-    code = cd.build_inner_code(p, 8, 1.0, cu_size=1 << 3,
-                               codebook=cd.FullCubeCode(2, 8))
+    code = cd.InnerCode(p, 8, 1.0, max_la_bits=3,
+                        codebook=cd.FullCubeCode(2, 8))
     rule = cd.prefix_flip_rule(code)
     assert rule == cd.CandidateRule(n_pos=3, radii=(1,))
     base = np.array([np.zeros(8, dtype=int), np.ones(8, dtype=int)])
@@ -1095,7 +1097,7 @@ def test_prefix_flip_rule_positions():
     rows, row_owner = prefix_flip_rows(code)(base)
     assert np.array_equal(cands, rows) and np.array_equal(owner, row_owner)
     with pytest.raises(ValueError):
-        cd.prefix_flip_rule(cd.build_inner_code(p, 8, 0.25))
+        cd.prefix_flip_rule(cd.InnerCode(p, 8, 0.25))
 
 
 def test_hamming_ball_rule_radius_two():

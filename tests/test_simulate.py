@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,25 @@ def test_simulate_dueck_accepts_example_params():
     assert stats.trials == 20
     assert 0.0 <= stats.inner_error_rate[0] <= 1.0
     assert stats.phi_bound <= 1.0
+
+
+def test_simulate_dueck_address_cap_is_a_bit_count():
+    # A = 2^28 ln 2 / l asks for ~2^28 address bits; the typical set holds
+    # 32, so the run equals the one at A = ln 2 and never builds a 2^(2^28)
+    # codeword count, a 32 MiB integer
+    runs = []
+    for a in (2 ** 28 * LN2 / 32, LN2):
+        sp = bd.SchemeParams(l=32, delta=1.0, A=a, B=16 * LN2 / 32, rho=0.17, m=64)
+        tracemalloc.start()
+        try:
+            stats = sm.simulate_dueck(binary_pair_source(0.001), sp, trials=20, seed=3,
+                                      e_max=2, hash_bits=128, capacity_slack=0.2)
+            runs.append((stats.to_dict(), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    (large, peak), (small, _) = runs
+    assert large == small and large["extras"]["la_bits"] == 32
+    assert peak < 4 << 20
 
 
 def test_simulate_dueck_error_rate_monotone_in_capacity_slack():

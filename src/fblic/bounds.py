@@ -16,6 +16,7 @@ with plain floats and the closed-form example implements in log domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -290,6 +291,19 @@ def is_type_of(p: Pmf, l: int, tol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(scaled - np.round(scaled)) <= tol * l))
 
 
+def _per_instance(compute):
+    """A method memoized in its instance's own memo, keyed by the method and
+    its arguments. An instance never changes (its arrays are read-only), so
+    a value never goes stale, and the memo goes with the instance."""
+    @functools.wraps(compute)
+    def memoized(self, *args):
+        key = (compute, *args)
+        if key not in self._memo:
+            self._memo[key] = compute(self, *args)
+        return self._memo[key]
+    return memoized
+
+
 class ProblemInstance:
     """A dense generic source-channel instance.
 
@@ -299,6 +313,10 @@ class ProblemInstance:
     type of denominator l), the per-user outer pmfs p_{Vj}, and the input
     synthesis kernels p_{Xj|U,Vj} with shape (|U|, |Vj|, |Xj|). Optional
     p_{Wj} marginals extend the instance for the rate-point check.
+
+    Its arrays are read-only copies, as a Pmf's are, so each quantity that
+    depends on the instance alone is computed once per instance (see
+    _per_instance); thm1_quantities computes per call what the scheme fixes.
     """
 
     def __init__(
@@ -326,7 +344,7 @@ class ProblemInstance:
         if self.k_size < inferred:
             raise ValueError("k_size smaller than the range of the maps")
 
-        w = np.asarray(ic, dtype=float)
+        w = np.array(ic, dtype=float)
         if w.ndim != 4:
             raise ValueError("interference channel must be W[x1, x2, y1, y2]")
         # the checks are phrased so that a NaN entry fails them
@@ -338,8 +356,8 @@ class ProblemInstance:
         self.p_v2 = p_v2
         self.p_w1 = p_w1
         self.p_w2 = p_w2
-        self.p_x1_given_uv1 = np.asarray(p_x1_given_uv1, dtype=float)
-        self.p_x2_given_uv2 = np.asarray(p_x2_given_uv2, dtype=float)
+        self.p_x1_given_uv1 = np.array(p_x1_given_uv1, dtype=float)
+        self.p_x2_given_uv2 = np.array(p_x2_given_uv2, dtype=float)
         for name, px, pv in (("user 1", self.p_x1_given_uv1, p_v1),
                              ("user 2", self.p_x2_given_uv2, p_v2)):
             if px.ndim != 3 or px.shape[0] != len(p_u) or px.shape[1] != len(pv):
@@ -348,7 +366,9 @@ class ProblemInstance:
                 raise ValueError(f"{name} input kernel rows must be stochastic")
         if self.p_x1_given_uv1.shape[2] != w.shape[0] or self.p_x2_given_uv2.shape[2] != w.shape[1]:
             raise ValueError("input kernels do not match the channel input alphabets")
-        self._cache: dict = {}
+        for arr in (self.f1, self.f2, self.ic, self.p_x1_given_uv1, self.p_x2_given_uv2):
+            arr.setflags(write=False)
+        self._memo: dict = {}
 
     # sizes -----------------------------------------------------------------
     @property
@@ -359,20 +379,26 @@ class ProblemInstance:
     def ny(self) -> tuple[int, int]:
         return int(self.ic.shape[2]), int(self.ic.shape[3])
 
-    # derived quantities ----------------------------------------------------
+    # derived quantities, each computed once per instance -------------------
+    @_per_instance
     def joint_k(self) -> JointPmf:
-        if "joint_k" not in self._cache:
-            self._cache["joint_k"] = push_joint(
-                self.source, self.f1, self.f2, self.k_size, self.k_size)
-        return self._cache["joint_k"]
+        return push_joint(self.source, self.f1, self.f2, self.k_size, self.k_size)
 
+    @_per_instance
     def p_k1(self) -> Pmf:
         return self.joint_k().row_marginal()
 
+    @_per_instance
+    def h_k1(self) -> float:
+        """H(K1)."""
+        return entropy(self.p_k1())
+
+    @_per_instance
     def xi_k(self) -> float:
         jk = self.joint_k().probs
         return max(0.0, 1.0 - float(np.trace(jk)))
 
+    @_per_instance
     def _user(self, j: int) -> tuple[Pmf, np.ndarray, np.ndarray]:
         """User j's view of the single-letter law: (p_Vj, p(x_j | u, v_j),
         p(y_j | u, x_j)).
@@ -384,25 +410,22 @@ class ProblemInstance:
         """
         if j not in (1, 2):
             raise ValueError("user index must be 1 or 2")
-        key = ("user", j)
-        if key not in self._cache:
-            users = ((self.p_v1, self.p_x1_given_uv1), (self.p_v2, self.p_x2_given_uv2))
-            (p_v, px), (p_vo, pxo) = users if j == 1 else users[::-1]
-            w = np.ascontiguousarray(self.ic if j == 1 else self.ic.transpose(1, 0, 3, 2))
-            other = np.einsum("v,uvx->ux", p_vo.probs, pxo)
-            chan = np.einsum("ub,aby->uay", other, w.sum(axis=3))
-            self._cache[key] = (p_v, px, chan)
-        return self._cache[key]
+        users = ((self.p_v1, self.p_x1_given_uv1), (self.p_v2, self.p_x2_given_uv2))
+        (p_v, px), (p_vo, pxo) = users if j == 1 else users[::-1]
+        w = np.ascontiguousarray(self.ic if j == 1 else self.ic.transpose(1, 0, 3, 2))
+        other = np.einsum("v,uvx->ux", p_vo.probs, pxo)
+        chan = np.einsum("ub,aby->uay", other, w.sum(axis=3))
+        chan.setflags(write=False)
+        return p_v, px, chan
 
+    @_per_instance
     def induced_to_user(self, j: int) -> Dmc:
         """p(y_j | u) when both encoders transmit the same shared word."""
-        key = ("induced", j)
-        if key not in self._cache:
-            p_v, px, chan = self._user(j)
-            rows = np.einsum("v,uvx,uxy->uy", p_v.probs, px, chan)
-            self._cache[key] = Dmc(rows / rows.sum(axis=1, keepdims=True))
-        return self._cache[key]
+        p_v, px, chan = self._user(j)
+        rows = np.einsum("v,uvx,uxy->uy", p_v.probs, px, chan)
+        return Dmc(rows / rows.sum(axis=1, keepdims=True))
 
+    @_per_instance
     def ideal_joint_vy(self, j: int) -> JointPmf:
         """Single-letter law of (V_j, Y_j) with both encoders on a common U."""
         p_v, px, chan = self._user(j)
@@ -410,9 +433,11 @@ class ProblemInstance:
         joint = np.einsum("u,v,uvy->vy", self.p_u.probs, p_v.probs, cond)
         return JointPmf(joint / joint.sum())
 
+    @_per_instance
     def mutual_information_vy(self, j: int) -> float:
         return _mutual_information(self.ideal_joint_vy(j))
 
+    @_per_instance
     def cond_mi_x_y_given_u(self, j: int) -> float:
         """I(X_j; Y_j | U) under p_U p_{X1|U} p_{X2|U} W."""
         p_v, px, chan = self._user(j)
@@ -421,15 +446,12 @@ class ProblemInstance:
         return sum(float(pu) * _mutual_information(JointPmf(joint / joint.sum()))
                    for pu, joint in zip(self.p_u.probs, joints) if pu > 0.0)
 
+    @_per_instance
     def h_s_given_k1(self, j: int) -> float:
         """H(S_j | K_1): (K1, S_j) is the pushforward through f1 of (S1, S_j),
         whose law is S1's diagonal joint for j = 1 and the source for j = 2."""
-        key = ("h_s_given_k1", j)
-        if key not in self._cache:
-            pairs = (JointPmf(np.diag(self.source.row_marginal().probs)), self.source)
-            self._cache[key] = conditional_entropy(
-                push_joint(pairs[j - 1], self.f1, None, self.k_size, None))
-        return self._cache[key]
+        pairs = (JointPmf(np.diag(self.source.row_marginal().probs)), self.source)
+        return conditional_entropy(push_joint(pairs[j - 1], self.f1, None, self.k_size, None))
 
     # quantity protocol -----------------------------------------------------
     def thm1_quantities(self, sp: SchemeParams) -> dict:
@@ -440,7 +462,7 @@ class ProblemInstance:
             (self.induced_to_user(1), self.induced_to_user(2)))
         xi_block = xi_l(self.xi_k(), sp.l)
         return {
-            "H_K1": entropy(self.p_k1()),
+            "H_K1": self.h_k1(),
             "H_S_given_K1": (self.h_s_given_k1(1), self.h_s_given_k1(2)),
             "log_S_sizes": (math.log(self.source.row_size), math.log(self.source.col_size)),
             "u_size": len(self.p_u),

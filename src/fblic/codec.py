@@ -117,11 +117,25 @@ class ConstantCompositionCode:
         return self.codewords[np.asarray(idx, dtype=np.int64)]
 
 
-def type_class_size(composition) -> int:
-    total = math.factorial(int(sum(composition)))
-    for c in composition:
-        total //= math.factorial(int(c))
-    return total
+def type_class_size(composition, cap: int | None = None) -> int:
+    """|T_P|, the number of sequences of the given composition; with a cap,
+    min(cap, |T_P|).
+
+    The capped size is decided from lgamma logs first: a class more than a
+    factor e past the cap returns the cap without exact arithmetic, so a
+    long block costs no big-int factorials. Otherwise |T_P| is an exact
+    product of binomials, each no larger than |T_P| itself.
+    """
+    comp = [int(c) for c in composition]
+    if cap is not None:
+        log_size = math.lgamma(sum(comp) + 1) - sum(math.lgamma(c + 1) for c in comp)
+        if log_size > math.log(cap) + 1.0:
+            return cap
+    total, n = 1, 0
+    for c in comp:
+        n += c
+        total *= math.comb(n, c)
+    return total if cap is None else min(cap, total)
 
 
 def sample_constant_composition(composition, l: int, seed: int,
@@ -136,7 +150,7 @@ def sample_constant_composition(composition, l: int, seed: int,
     if sum(comp) != l:
         raise ValueError("composition must sum to the block length")
     n = int(n_codewords)
-    if n > type_class_size(comp):
+    if type_class_size(comp, cap=n) < n:
         raise ValueError("more codewords requested than the type class holds")
     base = np.repeat(np.arange(len(comp), dtype=np.int64), comp)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC0DE)))

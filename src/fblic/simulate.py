@@ -119,8 +119,9 @@ class TrialStats:
 
 
 def _codebook_size(log_words: float, least: int, cap: int) -> int:
-    """min(cap, max(least, floor(exp(log_words)))), with log_words compared
-    to log(cap) first, so a large l * R cannot overflow exp."""
+    """min(cap, max(least, floor(exp(log_words)))). exp is taken only below
+    log(cap), so it cannot overflow while cap < e^709; every caller caps the
+    type class at 2^20 + 1 words or fewer with codec.type_class_size."""
     if log_words >= math.log(cap):
         return cap
     return min(cap, max(least, int(math.floor(math.exp(log_words)))))
@@ -274,13 +275,9 @@ class _SampledChannel:
 
     uniforms = 6  # V_1, V_2, the channel, two multiplexers, interleaver keys
 
-    def __init__(self, inst: _bounds.ProblemInstance, code, phi_bound: float, i_vy: tuple):
+    def __init__(self, inst: _bounds.ProblemInstance, code, phi_bound: float):
         self.inst, self.code = inst, code
         self.phi_bound = phi_bound
-        # both users' ideal (V, Y) laws, and their I(V; Y) as thm1_quantities
-        # computed it
-        self.ideal = tuple(inst.ideal_joint_vy(j).probs for j in (1, 2))
-        self.i_vy = i_vy
         nx1, nx2 = inst.nx
         ny1, ny2 = inst.ny
         self.w = inst.ic.reshape(nx1 * nx2, ny1 * ny2)
@@ -318,10 +315,12 @@ class _SampledChannel:
             counts = sum(p[j - 1] for p in probes)
             n = int(counts.sum())
             emp = counts / n
-            ideal = self.ideal[j - 1]
+            # the instance's memo holds both laws and both I(V; Y) from phi's
+            # thm1_quantities call
+            ideal = self.inst.ideal_joint_vy(j).probs
             tv = 0.5 * float(np.abs(emp - ideal).sum())
             sigma_tv = 0.5 * float(np.sqrt(ideal * (1.0 - ideal) / n).sum())
-            i_ideal = self.i_vy[j - 1]
+            i_ideal = self.inst.mutual_information_vy(j)
             i_plug = _bounds._mutual_information(JointPmf(emp / emp.sum()))
             # Miller-Madow style first-order bias removal for the plug-in MI
             bias = (counts.shape[0] - 1) * (counts.shape[1] - 1) / (2.0 * n)
@@ -445,19 +444,19 @@ def simulate_generic(
         and np.array_equal(inst.f2, np.arange(src.col_size))
     )
     p_k1 = inst.p_k1()
-    n_words = _codebook_size(sp.l * sp.A, 1, _codec.type_class_size(comp))
+    n_words = _codebook_size(sp.l * sp.A, 1, _codec.type_class_size(comp, _codec.MAX_ROWS + 1))
     if n_words > _codec.MAX_ROWS:
-        raise ValueError(f"refusing to draw a codebook of {n_words} words: more than 2^20")
+        raise ValueError(f"refusing to draw a codebook of more than 2^20 words "
+                         f"(l*A = {sp.l * sp.A:.6g} nats)")
     cc = _codec.sample_constant_composition(
         tuple(int(c) for c in comp), sp.l, _child_seed(seed, 0xCC), n_codewords=n_words)
     code = _codec.InnerCode(p_k1, sp.l, sp.delta, cc)
-    q = inst.thm1_quantities(sp)
-    phi_bound, _ = _bounds._phi_from_logs(q)
+    phi_bound, _ = _bounds._phi_from_logs(inst.thm1_quantities(sp))
     return _simulate(
         sp, trials, seed, joint=src, maps=(inst.f1, inst.f2), code=code,
         rule=_codec.hamming_ball_rule(radius=1),
         digest_bits=hash_bits, e_max=e_max, outer=outer,
-        channel=_SampledChannel(inst, code, phi_bound, q["I_vy"]),
+        channel=_SampledChannel(inst, code, phi_bound),
         phi_bound=phi_bound, xi_block=_bounds.xi_l(inst.xi_k(), sp.l),
         extras={"e_max": e_max, "digest_bits": hash_bits,
                 "la_bits": code.la_bits, "lb_bits": code.lb_bits})
@@ -606,8 +605,7 @@ def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
         rate=rate, input_pmf=p_u, channel=channel))
     bound = 2.0 * math.exp(-l * er)
 
-    n_words = _codebook_size(
-        l * rate, 2, min(_codec.type_class_size(comp), int(max_codewords)))
+    n_words = _codebook_size(l * rate, 2, _codec.type_class_size(comp, int(max_codewords)))
     errors = 0
     for b in range(codebooks):
         book = _codec.sample_constant_composition(

@@ -262,6 +262,22 @@ def swapped_instance(inst: bd.ProblemInstance) -> bd.ProblemInstance:
         k_size=inst.k_size)
 
 
+def count_computations(monkeypatch, *names) -> dict:
+    """Patch each named memoized ProblemInstance method to log the arguments
+    of every value it computes, memo misses rather than calls:
+    {name: [args, ...]}."""
+    computed = {name: [] for name in names}
+    for name in names:
+        compute = getattr(bd.ProblemInstance, name).__wrapped__
+
+        def counted(self, *args, compute=compute, log=computed[name]):
+            log.append(args)
+            return compute(self, *args)
+
+        monkeypatch.setattr(bd.ProblemInstance, name, bd._per_instance(counted))
+    return computed
+
+
 def single_letter_oracle(inst: bd.ProblemInstance) -> dict:
     """Per-user p(y_j | u), law of (V_j, Y_j) and I(X_j; Y_j | U), each read
     off the full single-letter law p(u, v1, v2, x1, x2, y1, y2), which is

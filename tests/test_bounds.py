@@ -12,6 +12,8 @@ from fblic import dueck as dk
 from fblic import exponent as ex
 from fblic import probkit as pk
 from helpers import (
+    count_computations,
+    cross_ic,
     random_instance,
     single_letter_oracle,
     small_instance,
@@ -537,6 +539,57 @@ def test_search_feasible_ranks_log_scale_slack_before_linear():
     # all infeasible: the best attempt falls short least on log scale
     result = bd.search_feasible(lambda p: (None, p), list("ef"), checker=checker)
     assert len(result) == 0 and result.best_attempt[0] == "f"
+
+
+# the instance-only quantities each checker reads, and their arguments
+_INSTANCE_ONLY = {
+    "joint_k": [()], "p_k1": [()], "h_k1": [()], "xi_k": [()],
+    "_user": [(1,), (2,)], "induced_to_user": [(1,), (2,)],
+    "h_s_given_k1": [(1,), (2,)],
+}
+_READ_BY = {
+    bd.check_thm1: {"ideal_joint_vy": [(1,), (2,)], "mutual_information_vy": [(1,), (2,)]},
+    bd.check_thm3: {"ideal_joint_vy": [(1,), (2,)], "mutual_information_vy": [(1,), (2,)],
+                    "cond_mi_x_y_given_u": [(1,), (2,)]},
+}
+
+
+@pytest.mark.parametrize("checker", list(_READ_BY), ids=lambda c: c.__name__)
+def test_search_with_a_shared_instance_reports_as_fresh_ones(monkeypatch, checker):
+    # a 2 x 2 x 2 grid of (B, rho, l): one instance shared by every point
+    # computes each instance-only quantity once and gives the reports that a
+    # fresh instance per point gives
+    grid = list(itertools.product((0.1, 0.6), (0.01, 0.02), (16, 32)))
+
+    def scheme(point):
+        b, rho, l = point
+        return bd.SchemeParams(l=l, delta=0.75, A=2 * LN2 / 16, B=b, rho=rho, m=4)
+
+    fresh = bd.search_feasible(lambda p: (small_instance(), scheme(p)), grid, checker)
+    wanted = {**_INSTANCE_ONLY, **_READ_BY[checker]}
+    computed = count_computations(monkeypatch, *wanted)
+    inst = small_instance()
+    shared = bd.search_feasible(lambda p: (inst, scheme(p)), grid, checker)
+    assert [r.to_dict() for r in shared.reports] == [r.to_dict() for r in fresh.reports]
+    assert [p for p, _ in shared.feasible] == [p for p, _ in fresh.feasible]
+    assert shared.best_attempt[0] == fresh.best_attempt[0]
+    assert {name: sorted(args) for name, args in computed.items()} == wanted
+
+
+def test_instance_arrays_are_read_only():
+    ic = cross_ic(0.005, 0.005, 0.01, 0.01)
+    inst = bd.ProblemInstance(
+        source=pk.JointPmf([[0.495, 0.005], [0.005, 0.495]]), f1=[0, 1], f2=[0, 1], ic=ic,
+        p_u=pk.Pmf([0.5, 0.5]), p_v1=pk.Pmf([0.5, 0.5]), p_v2=pk.Pmf([0.5, 0.5]),
+        p_x1_given_uv1=np.full((2, 2, 2), 0.5), p_x2_given_uv2=np.full((2, 2, 2), 0.5))
+    with pytest.raises(ValueError, match="read-only"):
+        inst.ic[0, 0, 0, 0] = 0.5
+    for arr in (inst.f1, inst.f2, inst.p_x1_given_uv1, inst.p_x2_given_uv2):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.reshape(-1)[0] = 0
+    # the instance holds a copy: the caller's array stays writable
+    ic[0, 0, 0, 0] = 0.5
+    assert inst.ic[0, 0, 0, 0] != 0.5
 
 
 def test_report_json_round_trip_and_determinism():

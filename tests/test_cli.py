@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from fblic import cli
 from fblic import codec as cd
+from fblic import exponent as ex
+from fblic import probkit as pk
 
 
 def write(path, doc):
@@ -223,6 +225,36 @@ def test_exponent_unit_bits(tmp_path, bsc_file):
     nats = json.loads(out_n.read_text())["report"]["curve"]
     bits = json.loads(out_b.read_text())["report"]["curve"]
     assert bits[0]["exponent"] == pytest.approx(nats[0]["exponent"] / math.log(2), rel=1e-12)
+
+
+def test_exponent_input_pmf_file(tmp_path, bsc_file):
+    # a non-uniform --input-pmf gives the solver's exponents at that pmf
+    pmf = write(tmp_path / "pmf.json", {"probs": [0.3, 0.7]})
+    out = tmp_path / "curve.json"
+    code = run_cli(["exponent", "--channel", bsc_file, "--input-pmf", pmf,
+                    "--rates", "0:0.3:0.1", "--out", str(out)])
+    assert code == 0
+    curve = json.loads(out.read_text())["report"]["curve"]
+    assert [p["rate"] for p in curve] == cli._parse_rates("0:0.3:0.1")
+    channel = cli._load_dmc(bsc_file)
+    for point in curve:
+        assert point["exponent"] == ex.random_coding_exponent(ex.ExponentQuery(
+            rate=point["rate"], input_pmf=pk.Pmf([0.3, 0.7]), channel=channel))
+    # the file is read: the default uniform pmf gives another curve
+    assert run_cli(["exponent", "--channel", bsc_file, "--rates", "0:0.3:0.1",
+                    "--out", str(out)]) == 0
+    uniform = json.loads(out.read_text())["report"]["curve"]
+    assert uniform[0]["exponent"] != curve[0]["exponent"]
+
+
+def test_report_to_stdout_without_out(tmp_path, capsys, bsc_file):
+    # with no --out the report goes to stdout, the --out file's bytes exactly
+    args = ["exponent", "--channel", bsc_file, "--rates", "0:0.2:0.1", "--no-timestamp"]
+    out = tmp_path / "curve.json"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_reports_reproducible_without_timestamp(tmp_path, bsc_file):
@@ -499,6 +531,23 @@ def test_simulate_generic_oversized_codebook_exits_2(tmp_path, capsys, monkeypat
     inst = write(tmp_path / "inst.json", instance_doc())
     sch = write(tmp_path / "scheme.json",
                 {"l": 64, "delta": 0.75, "A": 1.0, "B": 0.5, "rho": 0.02, "m": 16})
+    out = tmp_path / "stats.json"
+    code = cli.main(["simulate", "generic", "--instance", inst, "--scheme", sch,
+                     "--trials", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "more than 2^20" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("l", [10**4, 10**6])
+def test_simulate_generic_long_block_codebook_refused_from_logs(tmp_path, capsys, l):
+    # at A = 2 ln 2 / 16, l = 10^4 asks for e^866 words, past exp's range, and
+    # l = 10^6 for e^86643 words of a ~10^301029-word type class: both are
+    # refused from their logs, with no overflow and no exact class size
+    inst = write(tmp_path / "inst.json", instance_doc())
+    sch = write(tmp_path / "scheme.json",
+                {"l": l, "delta": 0.75, "A": 2 * math.log(2) / 16, "B": 0.5, "rho": 0.02, "m": 16})
     out = tmp_path / "stats.json"
     code = cli.main(["simulate", "generic", "--instance", inst, "--scheme", sch,
                      "--trials", "2", "--out", str(out)])

@@ -37,6 +37,21 @@ def test_inner_code_split_consistent_with_enumeration():
     assert code.la_bits + code.lb_bits >= math.ceil(math.log2(n))
 
 
+def test_reconstruct_rows_beyond_the_typical_set_are_zero():
+    # |T| = 182 is not a power of two, so the 8-bit (index, residual) pairs
+    # from 182 to 255 name no typical row: an inner decode that errs to a top
+    # address can land there, and those rows come back all zero
+    code = cd.InnerCode(pk.Pmf.uniform(2), 8, 0.25, max_la_bits=3)
+    size = code.typical.size
+    assert size == 182 and (code.la_bits, code.lb_bits) == (3, 5)
+    ranks = np.array([0, size, 181, 255, 100, size + 1])
+    rows = code.reconstruct_rows(ranks >> code.lb_bits, ranks & ((1 << code.lb_bits) - 1))
+    beyond = ranks >= size
+    assert rows.shape == (6, 8)
+    assert not rows[beyond].any()
+    assert np.array_equal(rows[~beyond], code.typical.unrank_rows(ranks[~beyond]))
+
+
 def test_full_cube_convention():
     # the worked example uses every word over the channel alphabet, with
     # floor(log2 a^l) bits addressing them
@@ -257,6 +272,20 @@ def test_constant_composition_deterministic_and_bounded():
     assert np.array_equal(b1.codewords, b2.codewords)
     with pytest.raises(ValueError):
         cd.sample_constant_composition((2, 2), 4, seed=0, n_codewords=100)
+
+
+def test_type_class_size_capped_from_logs():
+    assert cd.type_class_size((2, 3, 1)) == 60 == math.factorial(6) // (2 * 6)
+    assert cd.type_class_size((4, 0)) == 1
+    cap = 1 << 20
+    # a class near or below the cap is sized exactly
+    assert cd.type_class_size((2, 3, 1), cap=cap) == 60
+    assert cd.type_class_size((999_999, 1), cap=cap) == 1_000_000
+    assert cd.type_class_size((10**6, 0), cap=cap) == 1
+    assert cd.type_class_size((10, 10), cap=184_756) == 184_756 == math.comb(20, 10)
+    assert cd.type_class_size((10, 10), cap=184_000) == 184_000
+    # ~10^301029 sequences: the lgamma log decides, with no exact arithmetic
+    assert cd.type_class_size((500_000, 500_000), cap=cap) == cap
 
 
 def test_constant_composition_position_frequencies():

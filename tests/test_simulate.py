@@ -11,7 +11,13 @@ from fblic import codec as cd
 from fblic import dueck as dk
 from fblic import probkit as pk
 from fblic import simulate as sm
-from helpers import binary_pair_source, folded_instance, small_instance, small_scheme
+from helpers import (
+    binary_pair_source,
+    count_computations,
+    folded_instance,
+    small_instance,
+    small_scheme,
+)
 
 LN2 = math.log(2.0)
 
@@ -157,21 +163,13 @@ def test_simulate_generic_reproducible():
     assert c.to_dict() != a.to_dict()
 
 
-def test_simulate_generic_takes_each_single_letter_law_twice(monkeypatch):
+def test_simulate_generic_computes_each_single_letter_law_once(monkeypatch):
     # thm1_quantities computes I(V; Y) from each user's ideal (V, Y) law; the
-    # channel takes both laws once more and reuses that I(V; Y)
-    calls = {"ideal_joint_vy": [], "mutual_information_vy": []}
-    for name, users in calls.items():
-        method = getattr(bd.ProblemInstance, name)
-
-        def counted(self, j, method=method, users=users):
-            users.append(j)
-            return method(self, j)
-
-        monkeypatch.setattr(bd.ProblemInstance, name, counted)
+    # channel reads both laws and both I(V; Y) back from the instance's memo
+    computed = count_computations(monkeypatch, "ideal_joint_vy", "mutual_information_vy")
     sm.simulate_generic(small_instance(), small_scheme(m=8), trials=2, seed=1)
-    assert sorted(calls["mutual_information_vy"]) == [1, 2]
-    assert sorted(calls["ideal_joint_vy"]) == [1, 1, 2, 2]
+    assert sorted(computed["ideal_joint_vy"]) == [(1,), (2,)]
+    assert sorted(computed["mutual_information_vy"]) == [(1,), (2,)]
 
 
 def test_simulate_generic_requires_type_pmf():

@@ -50,13 +50,9 @@ def xi_l(xi: float, l) -> float:
         raise ValueError("l must be a positive integer")
     if xi == 0.0:
         return 0.0
-    if l > 10**15 or float(l) * xi > 700.0:
-        val = 1.0
-    else:
-        val = -math.expm1(float(l) * math.log1p(-xi))
-    if val > min(1.0, float(l) * xi if l < 10**15 else 1.0) + 1e-12:
-        raise AssertionError("xi_l exceeded its l*xi bound")
-    return val
+    if l > 10**15 or float(l) * xi > 700.0 or xi == 1.0:
+        return 1.0
+    return -math.expm1(float(l) * math.log1p(-xi))
 
 
 def log_xi_l(log_xi: float, log_l: float) -> float:
@@ -609,9 +605,6 @@ class SearchResult:
     feasible: list
     best_attempt: tuple | None  # (params, report) ranked highest by slack
     reports: list  # one report per grid point, in grid order
-
-    def __iter__(self):
-        return iter(self.feasible)
 
     def __len__(self):
         return len(self.feasible)

@@ -576,12 +576,8 @@ _HANDLERS = {
 
 
 def run(cfg: RunConfig) -> int:
-    handler = _HANDLERS.get((cfg.command, cfg.subcommand))
-    if handler is None:
-        print(f"error: unknown command {cfg.command} {cfg.subcommand}", file=sys.stderr)
-        return 2
     try:
-        return handler(cfg)
+        return _HANDLERS[cfg.command, cfg.subcommand](cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
             _exponent.ExponentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

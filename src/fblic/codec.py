@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,6 +38,8 @@ from .probkit import BaseDigits, Dmc, Pmf, TypicalityParams, typical_set
 _NEG_INF_LLH = -1e30
 # the most codewords, or search patterns or pairs, one array may hold
 MAX_ROWS = 1 << 20
+# the most symbols (words x l) a drawn codebook may hold: 2^20 words at l = 16
+MAX_CODEBOOK_SYMBOLS = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +59,11 @@ class FullCubeCode:
             raise ValueError("need alphabet >= 2 and l >= 1")
         self.alphabet_size = int(alphabet_size)
         self.l = int(l)
-        self._digits = BaseDigits(self.alphabet_size, self.l)
+
+    @functools.cached_property
+    def _digits(self) -> BaseDigits:
+        # built on first read: its l powers of a hold O(l^2) bits
+        return BaseDigits(self.alphabet_size, self.l)
 
     @property
     def size(self) -> int:
@@ -141,7 +148,8 @@ def type_class_size(composition, cap: int | None = None) -> int:
 def sample_constant_composition(composition, l: int, seed: int,
                                 n_codewords: int) -> ConstantCompositionCode:
     """Draw n_codewords codewords iid uniform on the type class (repeats
-    allowed); the caller sizes the book from its rate.
+    allowed); the caller sizes the book from its rate. A book of more than
+    MAX_CODEBOOK_SYMBOLS symbols is refused before anything is drawn.
 
     Each codeword is an independent uniform permutation of the composition
     multiset; the draw is a fixed function of the seed.
@@ -150,6 +158,9 @@ def sample_constant_composition(composition, l: int, seed: int,
     if sum(comp) != l:
         raise ValueError("composition must sum to the block length")
     n = int(n_codewords)
+    if n * l > MAX_CODEBOOK_SYMBOLS:
+        raise ValueError(f"refusing to draw {n} codewords of length {l}: "
+                         f"{n * l} symbols, more than 2^24")
     if type_class_size(comp, cap=n) < n:
         raise ValueError("more codewords requested than the type class holds")
     base = np.repeat(np.arange(len(comp), dtype=np.int64), comp)
@@ -233,6 +244,9 @@ class InnerCode:
 
     def __init__(self, p_k1: Pmf, l: int, delta: float, codebook=None,
                  max_la_bits: int | None = None):
+        if l >= sys.getrecursionlimit():
+            raise ValueError(f"refusing an inner code of block length {l}: its typical-set count "
+                             f"recurses once per symbol, to at most {sys.getrecursionlimit()} levels")
         self.p_k1 = p_k1
         self.l = int(l)
         self.delta = float(delta)

@@ -64,9 +64,7 @@ def _ln_pow_minus_1(a: int, x: float) -> float:
 
 
 def _hb_from_log(log_p: float) -> float:
-    """Binary entropy of p given ln p; accurate down to underflow."""
-    if log_p >= math.log(0.5):
-        return binary_entropy(_safe_exp(log_p))
+    """Binary entropy of p given ln p <= 0; accurate down to underflow."""
     if log_p >= -30.0:
         return binary_entropy(math.exp(log_p))
     # h_b(p) = p(1 - ln p) + O(p^2) in this regime
@@ -74,9 +72,7 @@ def _hb_from_log(log_p: float) -> float:
 
 
 def _ln_hb(log_p: float) -> float:
-    """ln h_b(p) from ln p (p in (0, 1/2])."""
-    if log_p == -math.inf:
-        return -math.inf
+    """ln h_b(p) from a finite ln p (p in (0, 1/2])."""
     if log_p >= -30.0:
         val = binary_entropy(math.exp(log_p))
         return math.log(val) if val > 0.0 else -math.inf
@@ -419,18 +415,14 @@ def section3a_feasibility(params: DueckParams,
 
     # source loss evaluated at the chain's phi bound (monotone in phi)
     ln_phi_used = min(float(ln_phi), ln_phi_chain)
+    # the loss has no value at phi >= 1/2: the row reads +inf and fails
+    ln_ls = math.inf
     if ln_phi_used < math.log(0.5):
-        ln_ls = np.logaddexp(_ln_hb(ln_phi_used) - ln_l,
-                             ln_phi_used + math.log(k * la))
-        ls_val = _safe_exp(float(ln_ls))
-        ineqs.append(Inequality("log: L^S(phi, |S_j|) <= log(a)/(4k)",
-                                float(ln_ls), math.log(la / (4.0 * k)),
-                                kind="le", scale="log"))
-    else:
-        ls_val = math.inf
-        ineqs.append(Inequality("log: L^S(phi, |S_j|) <= log(a)/(4k)",
-                                math.inf, math.log(la / (4.0 * k)),
-                                kind="le", scale="log"))
+        ln_ls = float(np.logaddexp(_ln_hb(ln_phi_used) - ln_l,
+                                   ln_phi_used + math.log(k * la)))
+    ls_val = _safe_exp(ln_ls)
+    ineqs.append(Inequality("log: L^S(phi, |S_j|) <= log(a)/(4k)",
+                            ln_ls, math.log(la / (4.0 * k)), kind="le", scale="log"))
 
     # residual rate: operational bound vs the displayed bound
     inv_l = _safe_exp(-ln_l)
@@ -519,7 +511,5 @@ def lemma2_scheme(params: DueckParams,
     stats = source_stats(build_source(params))
     b = (1.0 + 1.0 / k) * stats.h_s1 - big_a
     l = k ** 4 * params.a ** (eta * k // 2)
-    if l % a != 0:
-        raise ValueError("uniform p_U must be a type of denominator l")
     sp = SchemeParams(l=l, delta=1.0 / k, A=big_a, B=max(0.0, b), rho=1.0, m=1)
     return DueckThm2Instance(params, sat_output_sizes), sp

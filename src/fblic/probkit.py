@@ -82,12 +82,6 @@ class Pmf:
     def __len__(self) -> int:
         return self.alphabet_size
 
-    def __getitem__(self, i: int) -> float:
-        return float(self.probs[i])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Pmf) and np.array_equal(self.probs, other.probs)
-
     def __repr__(self) -> str:
         return f"Pmf({self.probs.tolist()})"
 
@@ -124,9 +118,6 @@ class JointPmf:
     def col_marginal(self) -> Pmf:
         m = self.probs.sum(axis=0)
         return Pmf(m / m.sum())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JointPmf) and np.array_equal(self.probs, other.probs)
 
     def __repr__(self) -> str:
         return f"JointPmf(shape={self.probs.shape})"
@@ -172,9 +163,6 @@ class Dmc:
         if not 0.0 <= e <= 1.0:
             raise ValueError("crossover must be in [0, 1]")
         return cls([[1.0 - e, e], [e, 1.0 - e]])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Dmc) and np.array_equal(self.rows, other.rows)
 
     def __repr__(self) -> str:
         return f"Dmc(inputs={self.num_inputs}, outputs={self.num_outputs})"
@@ -247,8 +235,6 @@ def least_positive_prob(p: Pmf) -> tuple[int, float]:
     for i, q in enumerate(p.probs):
         if q > 0.0 and q < best_p:
             best, best_p = i, float(q)
-    if best < 0:
-        raise ValueError("pmf has no positive entry")
     return best, best_p
 
 
@@ -437,8 +423,6 @@ class TypicalSet:
                     break
                 r -= n
                 counts[s] -= 1
-            else:
-                raise RuntimeError("unrank walked off the enumeration")
         return out
 
     # -- whole (rows, l) arrays ---------------------------------------------

@@ -431,7 +431,8 @@ def simulate_generic(
     estimated mutual information, per the rate-loss bound it must obey.
     The outer decode runs only when K is the source itself. phi_bound is
     the checkers' log-domain phi of inst.thm1_quantities(sp). A codebook
-    of more than 2^20 words is refused before anything is drawn.
+    of more than 2^20 words, or of more than 2^24 symbols, is refused
+    before anything is drawn.
     """
     _check_run(trials, hash_bits, e_max)
     comp = np.round(inst.p_u.probs * sp.l).astype(int)

@@ -32,6 +32,8 @@ def test_xi_l_values():
     assert bd.xi_l(0.0, 10) == 0.0
     assert bd.xi_l(0.3, 1) == pytest.approx(0.3, abs=1e-15)
     assert bd.xi_l(0.01, 50) == pytest.approx(1.0 - 0.99 ** 50, rel=1e-12)
+    # xi = 1: every block mismatches (log1p(-1) has no value)
+    assert bd.xi_l(1.0, 1) == bd.xi_l(1.0, 3) == 1.0
     with pytest.raises(ValueError):
         bd.xi_l(1.5, 4)
     with pytest.raises(ValueError):
@@ -63,6 +65,8 @@ def test_log_xi_l_tiny_regime():
     got = bd.log_xi_l(math.log(1e-300), math.log(1e6))
     assert got == pytest.approx(math.log(1e-300) + math.log(1e6), rel=1e-12)
     assert bd.log_xi_l(-math.inf, 10.0) == -math.inf
+    # xi = 1 makes every block mismatch, at any l
+    assert bd.log_xi_l(0.0, math.log(3)) == 0.0 == math.log(bd.xi_l(1.0, 3))
     # moderate regime agrees with the direct formula
     got = bd.log_xi_l(math.log(0.01), math.log(50))
     assert got == pytest.approx(math.log(bd.xi_l(0.01, 50)), rel=1e-9)
@@ -182,6 +186,13 @@ def test_loss_channel_variants():
         bd.loss_channel("thm1", 0.6, u=2, y=2)
     with pytest.raises(ValueError):
         bd.loss_channel("thm4", 0.1, u=2, y=2)
+    # each variant names the sizes it lacks
+    for variant, kw, message in [("thm1", {"u": 2}, "thm1 variant needs sizes u and y"),
+                                 ("thm2", {"u": 2, "y": 2}, "thm2 variant needs the aggregate"),
+                                 ("thm3", {"u": 2, "y": 2, "x_own": 2},
+                                  "thm3 variant needs sizes u, y, x_own, x_other")]:
+        with pytest.raises(ValueError, match=message):
+            bd.loss_channel(variant, 0.1, **kw)
 
 
 def test_loss_channel_thm2_dominates_thm1_on_grid():
@@ -217,6 +228,9 @@ def test_scheme_params_validation():
         bd.SchemeParams(l=8, delta=0.0, A=0.1, B=0.1, rho=0.05)
     with pytest.raises(ValueError):
         bd.SchemeParams(l=8, delta=0.1, A=0.1, B=0.1, rho=0.2)
+    for a, b in ((-0.1, 0.1), (0.3, -0.1)):
+        with pytest.raises(ValueError, match="A and B must be non-negative"):
+            bd.SchemeParams(l=8, delta=0.1, A=a, B=b, rho=0.05)
     sp = bd.SchemeParams(l=8, delta=0.1, A=0.3, B=0.1, rho=0.2, m=4)
     assert sp.m == 4
     # a non-integral or non-positive l or m is refused, not truncated
@@ -263,6 +277,10 @@ def test_instance_validation():
             ({"k_size": 1}, "k_size smaller than the range of the maps"),
             # user 1's kernel reaches three inputs, the channel takes two
             ({"p_x1_given_uv1": three_inputs}, "do not match the channel input alphabets"),
+            ({"ic": inst.ic[0]}, "interference channel must be W\\[x1, x2, y1, y2\\]"),
+            # a kernel per (u, v) pair: |U| = 2 and |V2| = 2, not one u
+            ({"p_x2_given_uv2": inst.p_x2_given_uv2[:1]}, "user 2 input kernel has a bad shape"),
+            ({"p_x1_given_uv1": inst.p_x1_given_uv1[0]}, "user 1 input kernel has a bad shape"),
     ):
         with pytest.raises(ValueError, match=message):
             bd.ProblemInstance(**{**good, **change})
@@ -318,6 +336,10 @@ def test_instance_derived_quantities():
     assert inst.h_s_given_k1(1) == pytest.approx(0.0, abs=1e-12)
     assert inst.h_s_given_k1(2) == pytest.approx(
         pk.conditional_entropy(inst.source), rel=1e-12)
+    # there are two users
+    for j in (0, 3):
+        with pytest.raises(ValueError, match="user index must be 1 or 2"):
+            inst.induced_to_user(j)
 
 
 def test_phi_total_term_by_term():
@@ -390,6 +412,19 @@ def test_check_thm1_zero_capacity_infeasible():
     iq = report.inequality("user1: B + H(S1|K1) + L^S < I(V1;Y1) - L^C")
     assert iq.slack < 0.0
     assert iq.right < 0.0  # I(V;Y) = 0 minus a positive loss
+
+
+def test_check_thm1_when_the_common_parts_always_differ():
+    # xi = 1 (K1 != K2 on every symbol) makes phi = 1: infeasible, not a crash
+    inst = small_instance()
+    anti = bd.ProblemInstance(
+        source=pk.JointPmf([[0.0, 0.5], [0.5, 0.0]]), f1=[0, 1], f2=[0, 1], ic=inst.ic,
+        p_u=inst.p_u, p_v1=inst.p_v1, p_v2=inst.p_v2,
+        p_x1_given_uv1=inst.p_x1_given_uv1, p_x2_given_uv2=inst.p_x2_given_uv2)
+    report = bd.check_thm1(anti, small_scheme())
+    assert anti.xi_k() == 1.0
+    assert report.status == "infeasible-by-phi" and report.phi == 1.0
+    assert report.extras["quantities"]["log_xi_l"] == 0.0
 
 
 def test_check_thm1_phi_override_and_infeasible_by_phi():
@@ -601,3 +636,13 @@ def test_report_json_round_trip_and_determinism():
     import json
     blob = json.dumps(r1.to_dict())
     assert json.loads(blob)["overall"] == r1.overall
+
+
+def test_report_refuses_unknown_names():
+    report = bd.check_thm1(small_instance(), small_scheme())
+    assert report.inequality("phi < 1/2").right == 0.5
+    with pytest.raises(KeyError, match="no such row"):
+        report.inequality("no such row")
+    # a kind other than lt, le and ge has no verdict
+    with pytest.raises(ValueError, match="unknown inequality kind 'gt'"):
+        bd.Inequality("x", 1.0, 0.0, kind="gt").satisfied

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblic import cli
@@ -58,6 +58,26 @@ def test_config_file_fills_unset_values(tmp_path, bsc_file):
     cfg2 = cli.parse_config(["exponent", "--config", conf, "--channel", bsc_file,
                              "--seed", "1", "--format", "json"])
     assert cfg2.seed == 1 and cfg2.format == "json"
+    # a JSON true or false sets a switch on or off
+    for value in (True, False):
+        switch = write(tmp_path / "switch.json", {"no_timestamp": value})
+        cfg3 = cli.parse_config(["exponent", "--config", switch, "--channel", bsc_file])
+        assert cfg3.no_timestamp is value
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": 5', "error: config file is not valid JSON: "),
+    ('["seed", 5]', "error: config file must hold a JSON object\n"),
+])
+def test_config_file_not_a_json_object_exits_2(tmp_path, capsys, bsc_file, text, message):
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    out = tmp_path / "curve.json"
+    assert cli.main(["exponent", "--channel", bsc_file, "--config", str(conf),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_unknown_key_and_malformed_value(tmp_path, bsc_file):
@@ -296,6 +316,14 @@ def test_dueck_feasibility_exit_codes(tmp_path):
     bad = run_cli(["dueck", "feasibility", "--a", "4", "--k", "2",
                    "--eta", "8", "--out", str(tmp_path / "feas2.json")])
     assert bad == 1
+    # at a = 2 the witness scheme does not exist (rho = 1 needs a >= 3): the
+    # report says why in its place
+    skipped = tmp_path / "feas3.json"
+    assert run_cli(["dueck", "feasibility", "--a", "2", "--k", "2", "--eta", "8",
+                    "--out", str(skipped)]) == 1
+    doc = json.loads(skipped.read_text())["report"]
+    assert doc["witness"] == {"skipped": "rho = 1 needs (1 - 1/k^3) log a > 1, i.e. a >= 3"}
+    assert doc["section3a"]["overall"] is False
 
 
 def test_dueck_lc_check(tmp_path):
@@ -557,6 +585,27 @@ def test_simulate_generic_long_block_codebook_refused_from_logs(tmp_path, capsys
     assert not out.exists()
 
 
+def test_simulate_generic_codebook_of_more_than_2_24_symbols_exits_2(tmp_path, capsys,
+                                                                    monkeypatch):
+    # l = 2000 at A = 13.8 / 2000 asks for 984609 words, under 2^20, but of
+    # 2000 symbols each: 15 GiB of codewords, refused before the draw
+    def draw(*args, **kw):
+        raise AssertionError("the codebook draw started")
+
+    monkeypatch.setattr(cd.np.random, "default_rng", draw)
+    inst = write(tmp_path / "inst.json", instance_doc())
+    sch = write(tmp_path / "scheme.json",
+                {"l": 2000, "delta": 0.75, "A": 13.8 / 2000, "B": 0.5, "rho": 0.003, "m": 16})
+    out = tmp_path / "stats.json"
+    code = cli.main(["simulate", "generic", "--instance", inst, "--scheme", sch,
+                     "--trials", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert ("refusing to draw 984609 codewords of length 2000: 1969218000 symbols, "
+            "more than 2^24") in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_dueck_oversized_digest_matrix_exits_2(tmp_path, capsys, monkeypatch):
     # 2^24 digest bits on the dueck_chain fixture ask for a 2048 x 2^18-word
     # H, 4 GiB: refused before the draw, which is stubbed out here
@@ -649,6 +698,7 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command):
     ("cc-exponent", ["--composition", "0", "--l", "0"], "l must be at least 1, got 0"),
     ("cc-exponent", ["--composition=-1", "--l=-1"], "l must be at least 1, got -1"),
     ("cc-exponent", ["--composition=-1,9"], "composition counts must be non-negative, got -1"),
+    ("cc-exponent", ["--composition", "4,3"], "composition must sum to the block length"),
 ])
 def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, message):
     if command == "interleave":
@@ -678,6 +728,9 @@ def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, mess
     (["dueck", "lc-check"], ["--seed", "x"], "argument --seed: expected a non-negative integer"),
     # a grid value is checked like the scheme's own
     (["bounds", "search"], {"l": [16, 16.5]}, "l must be an integer >= 1, got 16.5"),
+    # an input file no flag, config key or default names
+    (["exponent"], [], "missing required option 'channel'"),
+    (["bounds", "search"], [], "missing required option 'spec'"),
 ])
 def test_empty_grid_and_bad_sat_outputs_exit_2(tmp_path, capsys, command, flags, message):
     if isinstance(flags, dict):
@@ -776,6 +829,7 @@ def fuzz_inputs(tmp_path_factory):
             "--channel", write(d / "bsc.json", {"rows": [[0.9, 0.1], [0.1, 0.9]]}),
             "--composition", "4,4", "--rate", "0.1", "--l", "8"],
         "out": d / "report.json",
+        "dir": d,
     }
 
 
@@ -810,6 +864,65 @@ def test_exit_code_contract_fuzz(fuzz_inputs, command, values):
         assert err.getvalue().count("\n") == 1, (command, flags, err.getvalue())
     else:
         assert out.exists(), (command, flags)
+
+
+# the commands that read an --instance or a --scheme document, and their flags
+_DOC_COMMANDS = {
+    "bounds check thm1": ["bounds", "check", "--theorem", "thm1"],
+    "bounds check thm3": ["bounds", "check", "--theorem", "thm3"],
+    "bounds check thm2-rate": ["bounds", "check", "--theorem", "thm2-rate"],
+    "simulate generic": ["simulate", "generic", "--trials", "2"],
+    "simulate dueck": ["simulate", "dueck", "--trials", "2"],
+}
+# (command, document, field): the dueck chain reads no instance
+_DOC_CASES = [(command, doc, field) for command in sorted(_DOC_COMMANDS)
+              for doc, fields in (("instance", instance_doc()), ("scheme", scheme_doc()))
+              for field in fields if doc == "scheme" or command != "simulate dueck"]
+
+
+def _perturbed(value, kind):
+    """value with one perturbation: every number zeroed or negated, its
+    first number made huge or moved by 1e-7 (a pmf's mass off by 1e-7), or
+    the wrong shape (a list's last entry dropped, a number put in a list)."""
+    if isinstance(value, list) and kind in ("zero", "negative"):
+        return [_perturbed(v, kind) for v in value]
+    if isinstance(value, list) and kind in ("huge", "mass"):
+        return [_perturbed(value[0], kind), *value[1:]]
+    if kind == "wrong shape":
+        return value[:-1] if isinstance(value, list) else [value]
+    huge = 10 ** 18 if isinstance(value, int) else 1e300
+    return {"zero": 0 * value, "negative": -value if value else -1, "huge": huge,
+            "mass": value + 1e-7}[kind]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=st.sampled_from(_DOC_CASES),
+       kind=st.sampled_from(["zero", "negative", "huge", "wrong shape", "mass"]))
+# a block of 10^18 symbols: the dueck chain refuses its inner code before
+# counting the typical set, the generic chain its codebook from logs
+@example(case=("simulate dueck", "scheme", "l"), kind="huge")
+@example(case=("simulate generic", "scheme", "l"), kind="huge")
+def test_document_exit_code_contract_fuzz(fuzz_inputs, case, kind):
+    # one field of the instance or scheme document perturbed: exit 2 writes
+    # nothing and says why in one line; exit 0 or 1 writes a report
+    command, doc, field = case
+    docs = {"instance": instance_doc(), "scheme": dict(scheme_doc(la_bits=8), m=2)}
+    docs[doc][field] = _perturbed(docs[doc][field], kind)
+    d, out = fuzz_inputs["dir"], fuzz_inputs["out"]
+    if command == "simulate dueck":
+        inputs = [*fuzz_inputs[("simulate", "dueck")][:2],
+                  "--scheme", write(d / "doc_scheme.json", docs["scheme"])]
+    else:
+        inputs = [f"--{name}={write(d / f'doc_{name}.json', body)}" for name, body in docs.items()]
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([*_DOC_COMMANDS[command], *inputs, "--out", str(out)])
+    outcome = (case, kind, code, err.getvalue())
+    if code == 2:
+        assert not out.exists() and err.getvalue().count("\n") == 1, outcome
+    else:
+        assert code in (0, 1) and out.exists(), outcome
 
 
 def test_uncaught_exception_exits_2_with_one_line(monkeypatch, bsc_file, capsys):

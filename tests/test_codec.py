@@ -29,6 +29,24 @@ def test_inner_code_degenerate_source():
     assert enc.index[0] == 0 and not enc.atypical[0]
 
 
+def test_inner_code_refusals():
+    # at l = 3 no count of either symbol lies within 5% of 1.5
+    with pytest.raises(ValueError, match="the typical set is empty"):
+        cd.InnerCode(pk.Pmf.uniform(2), 3, 0.1)
+    # exact inversion reads cube indices, which a sampled codebook has not
+    book = cd.sample_constant_composition((2, 2), 4, seed=0, n_codewords=4)
+    with pytest.raises(TypeError, match="needs the full-cube codebook"):
+        cd.InnerCode(pk.Pmf.uniform(2), 4, 1.0, book).decode_exact_rows([[0, 1, 1, 0]])
+    # 21 address bits would score 2^21 codewords
+    wide = cd.InnerCode(pk.Pmf.uniform(2), 21, 1.0)
+    assert wide.la_bits == 21
+    with pytest.raises(ValueError, match="more than 2\\^20 codewords"):
+        wide.decode_ml_rows(np.zeros((1, 21), dtype=np.int64), pk.Dmc.identity(2))
+    # the typical set is counted one recursion level per symbol
+    with pytest.raises(ValueError, match="inner code of block length 100000"):
+        cd.InnerCode(pk.Pmf.uniform(2), 100_000, 0.5, cd.FullCubeCode(2, 100_000))
+
+
 def test_inner_code_split_consistent_with_enumeration():
     p = pk.Pmf.uniform(2)
     code = cd.InnerCode(p, 8, 0.25)
@@ -65,6 +83,20 @@ def test_full_cube_convention():
     assert (huge.la_bits, huge.lb_bits) == (code.la_bits, code.lb_bits)
     with pytest.raises(ValueError, match="max_la_bits must be non-negative"):
         cd.InnerCode(p, 4, 2.0, max_la_bits=-1)
+    cube = cd.FullCubeCode(3, 4)
+    assert cube.index_of(cube.codeword(80)) == 80
+    for a, l in ((1, 4), (3, 0)):
+        with pytest.raises(ValueError, match="need alphabet >= 2 and l >= 1"):
+            cd.FullCubeCode(a, l)
+    for idx in (-1, 81):
+        with pytest.raises(IndexError, match="codeword index out of range"):
+            cube.codeword(idx)
+    for word in ([0, 1, 2], [0, 1, 2, 3], [0, -1, 0, 0]):
+        with pytest.raises(ValueError, match="word outside the cube"):
+            cube.index_of(word)
+    for words in ([[0, 1, 2]], [[0, 1, 2, 3]], [0, 1, 2, 0]):
+        with pytest.raises(ValueError, match="word outside the cube"):
+            cube.indices(words)
 
 
 def test_encode_roundtrip_and_atypical_fallback():
@@ -264,6 +296,32 @@ def test_constant_composition_types_exact():
     book = cd.sample_constant_composition((2, 3, 1), 6, seed=7, n_codewords=50)
     for word in book.codewords:
         assert tuple(np.bincount(word, minlength=3)) == (2, 3, 1)
+    with pytest.raises(ValueError, match="a codeword deviates from the composition"):
+        cd.ConstantCompositionCode((2, 3, 1), np.vstack([book.codewords[:2], [[0] * 6]]))
+    with pytest.raises(ValueError, match="composition must sum to the block length"):
+        cd.sample_constant_composition((2, 3, 1), 7, seed=7, n_codewords=5)
+
+
+@pytest.mark.parametrize("words, l, comp", [
+    ((1 << 20) + 1, 16, (4, 4, 4, 4)),
+    # ~1e6 words of length 2000: 15 GiB of codewords
+    (984_609, 2000, (1000, 1000)),
+])
+def test_constant_composition_refuses_more_than_2_24_symbols(monkeypatch, words, l, comp):
+    # the cap is on words x l, checked before anything is drawn
+    class Drawn(Exception):
+        pass
+
+    def draw(*args, **kw):
+        raise Drawn
+
+    monkeypatch.setattr(cd.np.random, "default_rng", draw)
+    with pytest.raises(ValueError, match=f"refusing to draw {words} codewords of length {l}: "
+                                         f"{words * l} symbols, more than 2\\^24"):
+        cd.sample_constant_composition(comp, l, seed=0, n_codewords=words)
+    # a book of exactly 2^24 symbols passes the cap and reaches the draw
+    with pytest.raises(Drawn):
+        cd.sample_constant_composition(comp, l, seed=0, n_codewords=(1 << 24) // l)
 
 
 def test_constant_composition_deterministic_and_bounded():
@@ -311,6 +369,14 @@ def test_permutations_basics():
     for row in perm2.rows:
         assert sorted(row.tolist()) == list(range(7))
     assert np.array_equal(keyed_permutations(50, 7, seed=1).rows, perm2.rows)
+
+
+def test_interleave_refuses_a_shape_mismatch():
+    perm = keyed_permutations(3, 4, seed=2)
+    for shape in ((3, 5), (2, 4), (12,)):
+        for step in (cd.interleave, cd.deinterleave):
+            with pytest.raises(ValueError, match="matrix and permutation shapes disagree"):
+                step(np.zeros(shape, dtype=np.int64), perm)
 
 
 def test_permutation_ties_keep_index_order():
@@ -602,6 +668,8 @@ def test_outer_decode_refuses_a_bad_baseline():
     for stack in (np.zeros((1, 3, 4), dtype=np.int32), np.zeros((1, 3, 4)).tolist()):
         with pytest.raises(TypeError, match="int64 array"):
             cd.OuterDecoder(h, side, 1).decode(stack, need[None])
+    with pytest.raises(ValueError, match="e_max must be non-negative"):
+        cd.OuterDecoder(h, side, -1)
 
 
 def test_outer_decode_clean_matrix():
@@ -1125,8 +1193,10 @@ def test_prefix_flip_rule_positions():
         assert diff.shape == (1,) and diff[0] < 3
     rows, row_owner = prefix_flip_rows(code)(base)
     assert np.array_equal(cands, rows) and np.array_equal(owner, row_owner)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs the full-cube typical set"):
         cd.prefix_flip_rule(cd.InnerCode(p, 8, 0.25))
+    with pytest.raises(ValueError, match="needs a power-of-two alphabet"):
+        cd.prefix_flip_rule(cd.InnerCode(pk.Pmf.uniform(3), 4, 2.0))
 
 
 def test_hamming_ball_rule_radius_two():
@@ -1157,6 +1227,12 @@ def test_multiplex_inputs():
     p2[1, 0] = [0.0, 1.0]
     out = cd.multiplex_inputs(u, np.zeros_like(u), p2, np.random.default_rng(1).random(u.shape))
     assert np.all(out[u == 1] == 1)
+    r = np.random.default_rng(2).random(u.shape)
+    for uu, vv, rr in ((u, v[:1], r), (u, v, r[:, :1]), (u[0], v, r)):
+        with pytest.raises(ValueError, match="matrix shapes disagree"):
+            cd.multiplex_inputs(uu, vv, p_xu, rr)
+    with pytest.raises(ValueError, match="must have shape"):
+        cd.multiplex_inputs(u, v, p_xu.reshape(4, 2), r)
 
 
 def test_draw_from_rows_never_falls_through_to_symbol_0():

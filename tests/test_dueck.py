@@ -46,7 +46,11 @@ def test_source_class_masses():
     assert src.pair_mass(0, 1) == src.p_offdiag
     assert src.pair_mass(3, 3) == src.p_diag
     assert src.pair_mass(2, 1) == 0
+    assert src.pair_mass(0, 0) == src.p_diag0 == Fraction(1, 2)
     assert src.total_mass() == 1
+    for c, d in ((4, 0), (0, 4), (-1, 0)):
+        with pytest.raises(ValueError, match="symbol out of range"):
+            src.pair_mass(c, d)
 
 
 @pytest.mark.parametrize("a", [2, 3, 5, 8])
@@ -91,6 +95,15 @@ def test_source_stats_sandwich_larger_params():
         assert lower - 1e-9 <= h <= upper + 1e-9
 
 
+def test_source_stats_at_k_1_past_underflow():
+    # at k = 1 the sources differ only when S1 = 0, of mass 2^-1100, which
+    # underflows: H(S2 | S1) is 0 (exactly 0 at a = 2, where S2 = 1 always)
+    stats = dk.source_stats(dk.build_source(dk.DueckParams(2, 1, 1100)))
+    assert stats.h_s2_given_s1 == 0.0
+    assert stats.h_s1 == stats.h_s2 == 0.0
+    assert stats.log_xi == pytest.approx(-1100 * LN2, rel=1e-15)
+
+
 def test_diagonal_variant_has_zero_conditional_entropy():
     # force the off-diagonal class to zero and renormalize
     src = dk.build_source(dk.DueckParams(2, 2, 8))
@@ -127,6 +140,10 @@ def test_shared_channel():
         rows = dk.shared_channel(a).rows
         assert np.allclose(rows.sum(axis=1), 1.0)
         assert set(np.unique(rows)) <= {0.0, 1.0}
+    with pytest.raises(ValueError, match="a must be >= 2"):
+        dk.shared_channel(1)
+    with pytest.raises(dk.MaterializationError, match="capped at a <= 256"):
+        dk.shared_channel(257)
 
 
 def test_satellite_capacities():
@@ -232,6 +249,22 @@ def test_section3a_phi_half_implication():
         half_row = by_name["log: phi < 1/2"]
         if bound_row.satisfied and bound_row.right < math.log(0.5):
             assert half_row.satisfied
+
+
+def test_section3a_at_phi_above_half_has_no_source_loss():
+    # at eta = 1 the block is only 32 long and phi >= 1/2: the loss terms
+    # have no value, so the L^S row reads +inf and every rate row fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # eta = 1 is outside the regime
+        report = dk.section3a_feasibility(dk.DueckParams(2, 2, 1))
+    by_name = {iq.name: iq for iq in report.inequalities}
+    assert not by_name["log: phi < 1/2"].satisfied
+    loss = by_name["log: L^S(phi, |S_j|) <= log(a)/(4k)"]
+    assert loss.left == math.inf and not loss.satisfied
+    assert report.extras["L_S"] == math.inf
+    assert not by_name["user1: B + L^S < C1"].satisfied
+    assert not by_name["user2: B + H(S2|S1) + L^S < C2"].satisfied
+    assert report.status == "infeasible" and report.overall is False
 
 
 def test_lemma2_scheme_witness_feasible():

@@ -161,6 +161,10 @@ def test_exponent_rejects_bad_query():
         ex.ExponentQuery(rate=math.nan, input_pmf=pk.Pmf.uniform(2), channel=w)
     with pytest.raises(ValueError):
         ex.ExponentQuery(rate=0.1, input_pmf=pk.Pmf.uniform(3), channel=w)
+    for tolerance in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            ex.ExponentQuery(rate=0.1, input_pmf=pk.Pmf.uniform(2), channel=w,
+                             tolerance=tolerance)
 
 
 def random_case(seed, shape):

@@ -30,6 +30,8 @@ def test_pmf_validation():
         pk.Pmf([1.2, -0.2])
     with pytest.raises(ValueError):
         pk.Pmf([])
+    with pytest.raises(ValueError, match="pmf must be 1-dimensional"):
+        pk.Pmf([[0.5, 0.5]])
     p = pk.Pmf([0.25, 0.75])
     with pytest.raises(AttributeError):
         p.probs = None
@@ -43,6 +45,25 @@ def test_joint_and_dmc_validation():
         pk.Dmc([[0.5, 0.4], [0.5, 0.5]])
     w = pk.Dmc.binary_symmetric(0.1)
     assert w.num_inputs == w.num_outputs == 2
+    for crossover in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="crossover must be in"):
+            pk.Dmc.binary_symmetric(crossover)
+    # like a Pmf, neither is rebound after construction
+    with pytest.raises(AttributeError, match="JointPmf is immutable"):
+        pk.JointPmf([[0.5, 0.0], [0.0, 0.5]]).probs = None
+    with pytest.raises(AttributeError, match="Dmc is immutable"):
+        w.rows = None
+
+
+@pytest.mark.parametrize("l, delta, message", [
+    (0, 0.5, "block length l must be a positive integer"),
+    (2.5, 0.5, "block length l must be a positive integer"),
+    (4, 0.0, "delta must be positive"),
+    (4, math.nan, "delta must be positive"),
+])
+def test_typicality_params_refuse_bad_values(l, delta, message):
+    with pytest.raises(ValueError, match=message):
+        pk.TypicalityParams(l, delta)
 
 
 @pytest.mark.parametrize("build", [
@@ -127,6 +148,8 @@ def test_mutual_information():
     assert got == pytest.approx(closed, abs=1e-12)
     joint = pk.Pmf.uniform(2).probs[:, None] * w.rows
     assert got == pytest.approx(mi_from_joint(joint), abs=1e-12)
+    with pytest.raises(ValueError, match="does not match channel input alphabet"):
+        pk.mutual_information(pk.Pmf.uniform(3), w)
 
 
 def test_least_positive_prob():
@@ -214,6 +237,12 @@ def test_rank_unrank_errors():
         ts.unrank(ts.size)
     with pytest.raises(ValueError):
         ts.unrank(-1)
+    with pytest.raises(ValueError, match="rows must have length 8"):
+        ts.contains_rows(np.zeros((2, 7), dtype=np.int64))
+    with pytest.raises(ValueError, match="rows must have length 8"):
+        ts.typical_ranks(np.zeros(8, dtype=np.int64))
+    with pytest.raises(ValueError, match="ranks must be a 1-D array"):
+        ts.unrank_rows(np.zeros((2, 1), dtype=np.int64))
 
 
 # (probs, l, delta, whether the count table is built); the rows methods
@@ -425,3 +454,5 @@ def test_push_joint():
     assert merged.probs.shape == (1, 2)
     assert merged.probs[0, 0] == pytest.approx(0.4)
     assert merged.probs[0, 1] == pytest.approx(0.6)
+    with pytest.raises(ValueError, match="map length does not match joint pmf shape"):
+        pk.push_joint(j, [0, 0, 1], None)

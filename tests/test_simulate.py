@@ -73,6 +73,11 @@ def test_simulate_dueck_reproducible():
     assert c.to_dict() != a.to_dict()
 
 
+def test_simulate_dueck_refuses_any_other_source():
+    with pytest.raises(TypeError, match="source must be example parameters or a joint pmf"):
+        sm.simulate_dueck([[0.5, 0.0], [0.0, 0.5]], regression_scheme(m=8), trials=1, seed=0)
+
+
 def test_simulate_dueck_accepts_example_params():
     params = dk.DueckParams(2, 2, 8)
     sp = bd.SchemeParams(l=8, delta=0.9, A=LN2, B=1.1, rho=0.4, m=8)
@@ -139,6 +144,43 @@ def test_simulate_generic_reduces_to_clean_chain():
     assert stats.wrong_accepts == (0, 0)
     dec = stats.extras["outer_decode"]
     assert dec["ok"] == [20, 20] and dec["ambiguous"] == [0, 0] and dec["failed"] == [0, 0]
+
+
+def test_simulate_generic_counts_out_of_range_inner_decodes(monkeypatch):
+    # |T| = 182 at l = 8 and delta = 1/4 is not a power of two. Its typical
+    # rows take addresses 0..5 of the 3 address bits (ranks below 182), but
+    # the ML decode over the 8-word codebook may return 6 or 7, or 5 with a
+    # large residual: an (index || residual) rank of 182..255, which names no
+    # typical row. Such rows come back all zero and count as inner errors.
+    sent, rebuilt = [], []
+    encode, reconstruct = cd.InnerCode.encode_rows, cd.InnerCode.reconstruct_rows
+
+    def spy_encode(self, blocks):
+        sent.append(np.array(blocks))
+        return encode(self, blocks)
+
+    def spy_reconstruct(self, index, residual):
+        out = reconstruct(self, index, residual)
+        rank = np.asarray(index) << self.lb_bits | np.asarray(residual)
+        rebuilt.append((rank >= self.typical.size, out))
+        return out
+
+    monkeypatch.setattr(cd.InnerCode, "encode_rows", spy_encode)
+    monkeypatch.setattr(cd.InnerCode, "reconstruct_rows", spy_reconstruct)
+    # floor(exp(l * A)) = 12 words: 3 address bits and 5 residual bits
+    sp = bd.SchemeParams(l=8, delta=0.25, A=math.log(12.5) / 8, B=5 * LN2 / 8, rho=0.02, m=16)
+    stats = sm.simulate_generic(small_instance(eps=0.2), sp, trials=20, seed=3)
+    assert (stats.extras["la_bits"], stats.extras["lb_bits"]) == (3, 5)
+    errors, beyond_wrong = [0, 0], 0
+    # per block, both users' K are encoded in turn, and both rebuilt in one call
+    for k1, (beyond, out) in zip(sent[::2], rebuilt):
+        assert not out[beyond].any()
+        for j, khat in enumerate(np.split(out, 2)):
+            wrong = (khat != k1).any(axis=1)
+            errors[j] += int(wrong.sum())
+            beyond_wrong += int((wrong & np.split(beyond, 2)[j]).sum())
+    assert beyond_wrong > 0
+    assert stats.inner_error_rate == tuple(n / (20 * 16) for n in errors)
 
 
 def test_simulate_generic_channel_quality_bounds():

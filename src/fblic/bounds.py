@@ -36,6 +36,9 @@ from .probkit import (
 )
 
 DEFAULT_GUARD = 1e-12
+# the most entries of the dense k x k law of the common parts (K1, K2): 128 MiB
+# of floats at k = 4096
+MAX_COMMON_LAW_ENTRIES = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +233,11 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Fixed-block parameters of the layered code (rates in nats/symbol)."""
+    """Fixed-block parameters of the layered code (rates in nats/symbol).
+
+    l and m are stored as ints and delta, A, B and rho as floats; a value
+    that is neither is refused with its field's name.
+    """
 
     l: int
     delta: float
@@ -243,6 +250,7 @@ class SchemeParams:
         for name in ("l", "m"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         for name in ("delta", "A", "B", "rho"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.delta > 0.0:
@@ -263,6 +271,15 @@ def _integer(value, name: str, least: int) -> int:
     if not whole or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """float(value), refused with the field's name when value is not a
+    number (a list, say): float() alone names no field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 def _symbol_map(values, name: str) -> np.ndarray:
@@ -312,7 +329,8 @@ class ProblemInstance:
 
     Its arrays are read-only copies, as a Pmf's are, so each quantity that
     depends on the instance alone is computed once per instance (see
-    _per_instance); thm1_quantities computes per call what the scheme fixes.
+    _per_instance), and so is each term the scheme's l and delta alone fix;
+    per call, thm1_quantities runs only the two users' rho searches.
     """
 
     def __init__(
@@ -339,6 +357,11 @@ class ProblemInstance:
         self.k_size = inferred if k_size is None else _integer(k_size, "k_size", 0)
         if self.k_size < inferred:
             raise ValueError("k_size smaller than the range of the maps")
+        if self.k_size ** 2 > MAX_COMMON_LAW_ENTRIES:
+            name = "k_size" if k_size is not None else " and ".join(
+                f for f, m in (("f1", self.f1), ("f2", self.f2)) if m.max() + 1 == inferred)
+            raise ValueError(f"refusing a common part of {self.k_size} symbols from {name}: "
+                             f"its {self.k_size} x {self.k_size} law has more than 2^24 entries")
 
         w = np.array(ic, dtype=float)
         if w.ndim != 4:
@@ -422,6 +445,12 @@ class ProblemInstance:
         return Dmc(rows / rows.sum(axis=1, keepdims=True))
 
     @_per_instance
+    def channel_exponent(self, j: int) -> _exponent.ChannelExponent:
+        """E_r(., p_U, p(y_j | u)): the rate-independent half of user j's
+        exponent, so a point runs only the rho search."""
+        return _exponent.ChannelExponent(self.p_u, self.induced_to_user(j))
+
+    @_per_instance
     def ideal_joint_vy(self, j: int) -> JointPmf:
         """Single-letter law of (V_j, Y_j) with both encoders on a common U."""
         p_v, px, chan = self._user(j)
@@ -449,14 +478,26 @@ class ProblemInstance:
         pairs = (JointPmf(np.diag(self.source.row_marginal().probs)), self.source)
         return conditional_entropy(push_joint(pairs[j - 1], self.f1, None, self.k_size, None))
 
+    # terms the scheme's l and delta fix, each computed once per value ----
+    @_per_instance
+    def _p_u_is_type(self, l: int) -> bool:
+        return is_type_of(self.p_u, l)
+
+    @_per_instance
+    def _log_tau(self, l: int, delta: float) -> float:
+        return log_tau_l_delta(self.p_k1(), l, delta)
+
+    @_per_instance
+    def _log_xi_l(self, l: int) -> float:
+        xi_block = xi_l(self.xi_k(), l)
+        return math.log(xi_block) if xi_block > 0.0 else -math.inf
+
     # quantity protocol -----------------------------------------------------
     def thm1_quantities(self, sp: SchemeParams) -> dict:
-        if not is_type_of(self.p_u, sp.l):
+        if not self._p_u_is_type(sp.l):
             raise ValueError("p_U must be a type of denominator l")
         log_g = _exponent.log_g_rho_l(
-            sp.l, sp.A, sp.rho, self.p_u,
-            (self.induced_to_user(1), self.induced_to_user(2)))
-        xi_block = xi_l(self.xi_k(), sp.l)
+            sp.l, sp.A, sp.rho, (self.channel_exponent(1), self.channel_exponent(2)))
         return {
             "H_K1": self.h_k1(),
             "H_S_given_K1": (self.h_s_given_k1(1), self.h_s_given_k1(2)),
@@ -464,8 +505,8 @@ class ProblemInstance:
             "u_size": len(self.p_u),
             "y_sizes": self.ny,
             "I_vy": (self.mutual_information_vy(1), self.mutual_information_vy(2)),
-            "log_tau": log_tau_l_delta(self.p_k1(), sp.l, sp.delta),
-            "log_xi_l": math.log(xi_block) if xi_block > 0.0 else -math.inf,
+            "log_tau": self._log_tau(sp.l, sp.delta),
+            "log_xi_l": self._log_xi_l(sp.l),
             "log_g": log_g,
         }
 

@@ -279,9 +279,8 @@ def _load_instance_from_doc(d: dict) -> _bounds.ProblemInstance:
 
 
 def _scheme_from_doc(d: dict) -> _bounds.SchemeParams:
-    return _bounds.SchemeParams(l=d["l"], delta=float(d["delta"]),
-                                A=float(d["A"]), B=float(d["B"]),
-                                rho=float(d["rho"]), m=d.get("m", 1))
+    return _bounds.SchemeParams(l=d["l"], delta=d["delta"], A=d["A"], B=d["B"],
+                                rho=d["rho"], m=d.get("m", 1))
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:

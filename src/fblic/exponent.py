@@ -25,6 +25,10 @@ s(x) = sum_y W^a q^(1-a) as G(q) = -(1+rho) sum_x p(x) log s(x), which
 falls monotonically to F(rho) and is the convergence test. Every solve
 of the search starts from the previous solve's q.
 
+Only the rho search depends on R. ChannelExponent holds what depends on
+(p, W) alone and answers one rate per `at` call; random_coding_exponent is
+one such object asked at the query's rate.
+
 The module also provides the two-user miss bound built from the exponent,
 in log domain, over the induced channels p(y_j | u) that
 bounds.ProblemInstance.induced_to_user derives, and the test that lets a
@@ -33,6 +37,7 @@ deterministic injective channel skip the solve.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -122,67 +127,94 @@ def _minimize_d_plus_lambda_i(
     return q, d_val, i_val, iters
 
 
+class ChannelExponent:
+    """E_r(., p, W) for one input pmf and channel.
+
+    Everything the search reads that does not depend on the rate is
+    computed once, here: the law pruned to the inputs p uses and the
+    outputs they reach, log W, the output pmf p.W and I(p;W); whether W is
+    deterministic and injective is computed at its first use. `at` runs
+    the rho search for one rate.
+    """
+
+    def __init__(self, input_pmf: Pmf, channel: Dmc):
+        p, w = input_pmf.probs, channel.rows
+        # inputs of zero probability and outputs no used input reaches play no part
+        if not p.all():
+            w = w[p > 0.0]
+            p = p[p > 0.0]
+        q_w = p @ w
+        if not q_w.all():
+            w = w[:, q_w > 0.0]
+            q_w = q_w[q_w > 0.0]
+        logw = np.log(w, out=np.zeros_like(w), where=w > 0.0)
+        self._channel = channel
+        self._p, self._w, self._logw, self._q_w = p, w, logw, q_w
+        self.mutual_information = float(p @ (w * logw).sum(axis=1) - q_w @ np.log(q_w))
+
+    @functools.cached_property
+    def deterministic_injective(self) -> bool:
+        # lazy: random_coding_exponent never reads it
+        return is_deterministic_injective(self._channel)
+
+    def at(self, rate: float, tolerance: float = 1e-6, max_iters: int = 100_000) -> float:
+        """E_r(rate, p, W) >= 0, within the tolerance; max_iters caps the
+        inner iterations summed over the whole search. rate >= 0 and
+        tolerance > 0, as ExponentQuery checks."""
+        rate = float(rate)
+        p, w, logw, q_w = self._p, self._w, self._logw, self._q_w
+        i_w = self.mutual_information
+        if rate >= i_w - _ACTIVE_TOL:
+            return 0.0
+
+        tol = min(tolerance * 1e-3, 1e-10)
+        spent = 0
+
+        def solve(rho: float, q_start: np.ndarray) -> tuple[np.ndarray, float, float]:
+            """(q, slope I(p;V_rho) - R, value F(rho) - rho*R) at one rho."""
+            nonlocal spent
+            q_out, d_val, i_val, iters = _minimize_d_plus_lambda_i(
+                p, w, logw, rho, tol, max_iters - spent, q_start)
+            spent += iters
+            if not math.isfinite(d_val + i_val):
+                raise ExponentError(f"solve at rho={rho:.6g} lost precision", best=math.nan)
+            d_val, i_val = max(0.0, d_val), max(0.0, i_val)
+            value = d_val + rho * (i_val - rate)
+            if spent >= max_iters:
+                raise ExponentError(f"iteration cap {max_iters} reached at rho={rho:.6g}",
+                                    best=max(0.0, value))
+            return q_out, i_val - rate, value
+
+        # rho = 1: optimal when the slope there is still non-negative
+        q_out, f_hi, value = solve(1.0, q_w)
+        if f_hi >= -tol:
+            return max(0.0, value)
+        lo, hi, f_lo = 0.0, 1.0, i_w - rate
+        side = -1  # the last point, rho = 1, lies on the high side
+        while True:
+            rho = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            q_out, f, value = solve(rho, q_out)
+            # the maximum lies on the side of rho that f points to
+            if f * ((hi if f > 0.0 else lo) - rho) <= tol:
+                return max(0.0, value)
+            # Anderson-Bjorck: scale down the value kept at an end that stays twice in a row
+            if f > 0.0:
+                if side > 0:
+                    m = 1.0 - f / f_lo
+                    f_hi *= m if m > 0.0 else 0.5
+                lo, f_lo = rho, f
+                side = 1
+            else:
+                if side < 0:
+                    m = 1.0 - f / f_hi
+                    f_lo *= m if m > 0.0 else 0.5
+                hi, f_hi = rho, f
+                side = -1
+
+
 def random_coding_exponent(q: ExponentQuery) -> float:
     """E_r(R, p, W) >= 0, within the query tolerance."""
-    rate = float(q.rate)
-    p, w = q.input_pmf.probs, q.channel.rows
-    # inputs of zero probability and outputs no used input reaches play no part
-    if not p.all():
-        w = w[p > 0.0]
-        p = p[p > 0.0]
-    q_w = p @ w
-    if not q_w.all():
-        w = w[:, q_w > 0.0]
-        q_w = q_w[q_w > 0.0]
-    logw = np.log(w, out=np.zeros_like(w), where=w > 0.0)
-    i_w = float(p @ (w * logw).sum(axis=1) - q_w @ np.log(q_w))
-    if rate >= i_w - _ACTIVE_TOL:
-        return 0.0
-
-    tol = min(q.tolerance * 1e-3, 1e-10)
-    budget = q.max_iters
-    spent = 0
-
-    def solve(rho: float, q_start: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """(q, slope I(p;V_rho) - R, value F(rho) - rho*R) at one rho."""
-        nonlocal spent
-        q_out, d_val, i_val, iters = _minimize_d_plus_lambda_i(
-            p, w, logw, rho, tol, budget - spent, q_start)
-        spent += iters
-        if not math.isfinite(d_val + i_val):
-            raise ExponentError(f"solve at rho={rho:.6g} lost precision", best=math.nan)
-        d_val, i_val = max(0.0, d_val), max(0.0, i_val)
-        value = d_val + rho * (i_val - rate)
-        if spent >= budget:
-            raise ExponentError(f"iteration cap {budget} reached at rho={rho:.6g}",
-                                best=max(0.0, value))
-        return q_out, i_val - rate, value
-
-    # rho = 1: optimal when the slope there is still non-negative
-    q_out, f_hi, value = solve(1.0, q_w)
-    if f_hi >= -tol:
-        return max(0.0, value)
-    lo, hi, f_lo = 0.0, 1.0, i_w - rate
-    side = -1  # the last point, rho = 1, lies on the high side
-    while True:
-        rho = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        q_out, f, value = solve(rho, q_out)
-        # the maximum lies on the side of rho that f points to
-        if f * ((hi if f > 0.0 else lo) - rho) <= tol:
-            return max(0.0, value)
-        # Anderson-Bjorck: scale down the value kept at an end that stays twice in a row
-        if f > 0.0:
-            if side > 0:
-                m = 1.0 - f / f_lo
-                f_hi *= m if m > 0.0 else 0.5
-            lo, f_lo = rho, f
-            side = 1
-        else:
-            if side < 0:
-                m = 1.0 - f / f_hi
-                f_lo *= m if m > 0.0 else 0.5
-            hi, f_hi = rho, f
-            side = -1
+    return ChannelExponent(q.input_pmf, q.channel).at(q.rate, q.tolerance, q.max_iters)
 
 
 def is_deterministic_injective(w: Dmc) -> bool:
@@ -198,11 +230,11 @@ def log_g_rho_l(
     l,
     a_rate: float,
     rho: float,
-    p_u: Pmf,
-    induced: tuple[Dmc, Dmc],
+    users: tuple[ChannelExponent, ChannelExponent],
 ) -> float:
-    """log sum_j exp{-l (E_r(A+rho, p, p_Yj|U) - rho)}, clamped to <= 0.
+    """log sum_j exp{-l (E_r(A+rho, p_U, p_Yj|U) - rho)}, clamped to <= 0.
 
+    users holds each user's exponent over its induced channel p(y_j | u).
     The sum is taken as a logsumexp, so the bound keeps its value at any
     block length where exp would underflow. A deterministic injective
     induced channel is decoded without error, so its term is taken as
@@ -214,14 +246,11 @@ def log_g_rho_l(
         raise ValueError("block length must be positive")
     lf = math.inf if l > sys.float_info.max else float(l)
     logs = []
-    for w in induced:
-        if is_deterministic_injective(w):
+    for user in users:
+        if user.deterministic_injective:
             continue
-        er = random_coding_exponent(ExponentQuery(
-            rate=a_rate + rho, input_pmf=p_u, channel=w))
-        gap = er - rho
+        gap = user.at(a_rate + rho) - rho
         if gap <= 0.0:
             return 0.0
         logs.append(-lf * gap)
     return min(0.0, log_sum_exp(*logs))
-

@@ -243,6 +243,10 @@ def test_scheme_params_validation():
                         ("rho", math.nan), ("B", -math.inf)):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             bd.SchemeParams(**{**good, name: value})
+    # a value that is not a number names its field
+    for name, value in (("delta", [0.1]), ("A", "x"), ("B", None), ("rho", 10 ** 400)):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            bd.SchemeParams(**{**good, name: value})
     # an integral value is stored as an int, also the worked example's huge l
     sp = bd.SchemeParams(l=16.0, delta=0.1, A=0.3, B=0.1, rho=0.2, m=np.int64(4))
     assert type(sp.l) is int and type(sp.m) is int and (sp.l, sp.m) == (16, 4)
@@ -275,6 +279,9 @@ def test_instance_validation():
             ({"k_size": -1}, "k_size must be an integer >= 0"),
             ({"k_size": math.nan}, "k_size must be an integer >= 0"),
             ({"k_size": 1}, "k_size smaller than the range of the maps"),
+            # a k x k law of the common parts past 2^24 entries, asked for or inferred
+            ({"k_size": 4097}, "4097 symbols from k_size: .* more than 2\\^24"),
+            ({"f1": [5000, 0], "f2": [0, 5000]}, "5001 symbols from f1 and f2"),
             # user 1's kernel reaches three inputs, the channel takes two
             ({"p_x1_given_uv1": three_inputs}, "do not match the channel input alphabets"),
             ({"ic": inst.ic[0]}, "interference channel must be W\\[x1, x2, y1, y2\\]"),
@@ -285,6 +292,7 @@ def test_instance_validation():
         with pytest.raises(ValueError, match=message):
             bd.ProblemInstance(**{**good, **change})
     assert bd.ProblemInstance(**{**good, "f1": [0.0, 1.0], "k_size": 3.0}).k_size == 3
+    assert bd.ProblemInstance(**{**good, "k_size": 4096}).k_size == 4096
 
 
 @pytest.mark.parametrize("field", ["ic", "p_x1_given_uv1", "p_x2_given_uv2"])
@@ -346,13 +354,23 @@ def test_phi_total_term_by_term():
     inst = small_instance()
     sp = small_scheme()
     q = inst.thm1_quantities(sp)
-    g = math.exp(ex.log_g_rho_l(sp.l, sp.A, sp.rho, inst.p_u,
-                                (inst.induced_to_user(1), inst.induced_to_user(2))))
+    g = math.exp(ex.log_g_rho_l(sp.l, sp.A, sp.rho,
+                                tuple(ex.ChannelExponent(inst.p_u, inst.induced_to_user(j))
+                                      for j in (1, 2))))
     xil = bd.xi_l(inst.xi_k(), sp.l)
     want = min(1.0, g + tau(inst.p_k1(), sp.l, sp.delta) + xil)
     phi, log_phi = bd._phi_from_logs(q)
     assert math.exp(log_phi) == pytest.approx(want, rel=1e-12)
     assert phi == math.exp(log_phi)
+
+
+def test_thm1_quantities_refuses_p_u_off_the_l_grid_on_every_call():
+    # the type test is memoized per l; its refusal is not
+    inst = small_instance()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="p_U must be a type of denominator l"):
+            inst.thm1_quantities(small_scheme(l=15))
+    assert inst.thm1_quantities(small_scheme(l=16))["log_g"] < 0.0
 
 
 def test_phi_total_near_zero_for_clean_setup():

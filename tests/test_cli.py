@@ -392,6 +392,14 @@ def test_bounds_check_command(tmp_path):
     ({}, {"A": math.inf}, "A must be finite, got inf"),
     ({}, {"delta": math.inf}, "delta must be finite, got inf"),
     ({}, {"rho": -math.inf}, "rho must be finite, got -inf"),
+    # a field that is not a number names itself, not float()'s TypeError
+    ({}, {"delta": [0.75]}, "delta must be a number, got [0.75]"),
+    ({}, {"A": [0.1]}, "A must be a number, got [0.1]"),
+    ({}, {"B": {"nats": 0.6}}, "B must be a number, got {'nats': 0.6}"),
+    ({}, {"rho": [0.01, 0.02]}, "rho must be a number, got [0.01, 0.02]"),
+    # the dense k x k law of the common parts would take 80 GB
+    ({"k_size": 100_000}, {}, "common part of 100000 symbols from k_size"),
+    ({"f2": [0, 99_999]}, {}, "common part of 100000 symbols from f2"),
 ])
 def test_bounds_check_non_integral_field_exits_2(tmp_path, capsys, instance, scheme, message):
     inst = write(tmp_path / "inst.json", {**instance_doc(), **instance})
@@ -440,6 +448,37 @@ def test_bounds_search_checks_each_point_once(tmp_path, monkeypatch):
     for row, sp in zip(rows[1:], evals):
         rep = bd.check_thm1(inst, sp)
         assert row == f"{sp.B!r},{sp.rho!r},{rep.phi!r},{rep.min_slack!r},{bool(rep.overall)}"
+
+
+def test_bounds_search_computes_rate_free_terms_once(tmp_path, monkeypatch):
+    # each user's exponent setup, injective test included, runs once per
+    # search; tau once per (l, delta) and the type test once per l
+    from fblic import bounds as bd
+    grid = {"B": [0.1, 0.6], "rho": [0.01, 0.02], "l": [16, 32], "delta": [0.75, 1.5]}
+    spec = write(tmp_path / "spec.json",
+                 {"instance": instance_doc(), "scheme": scheme_doc(), "grid": grid})
+    calls = {"setup": [], "injective": [], "tau": [], "type": []}
+
+    def counted(name, original, key):
+        def wrapper(*args):
+            calls[name].append(key(*args))
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(ex.ChannelExponent, "__init__", counted(
+        "setup", ex.ChannelExponent.__init__, lambda self, p, w: w.rows.tobytes()))
+    monkeypatch.setattr(ex, "is_deterministic_injective", counted(
+        "injective", ex.is_deterministic_injective, lambda w: w.rows.tobytes()))
+    monkeypatch.setattr(bd, "log_tau_l_delta", counted(
+        "tau", bd.log_tau_l_delta, lambda p, l, delta: (l, delta)))
+    monkeypatch.setattr(bd, "is_type_of", counted("type", bd.is_type_of, lambda p, l: l))
+    run_cli(["bounds", "search", "--spec", spec, "--format", "csv",
+             "--out", str(tmp_path / "search.csv")])
+    assert len((tmp_path / "search.csv").read_text().splitlines()) == 1 + 16
+    assert len(calls["setup"]) == len(calls["injective"]) == 2
+    assert calls["setup"] == calls["injective"]
+    assert sorted(calls["tau"]) == [(16, 0.75), (16, 1.5), (32, 0.75), (32, 1.5)]
+    assert sorted(calls["type"]) == [16, 32]
 
 
 def test_simulate_dueck_command(tmp_path):
@@ -731,6 +770,7 @@ def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, mess
     # an input file no flag, config key or default names
     (["exponent"], [], "missing required option 'channel'"),
     (["bounds", "search"], [], "missing required option 'spec'"),
+    (["bounds", "search"], {"rho": [0.01, [0.02]]}, "rho must be a number, got [0.02]"),
 ])
 def test_empty_grid_and_bad_sat_outputs_exit_2(tmp_path, capsys, command, flags, message):
     if isinstance(flags, dict):

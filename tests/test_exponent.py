@@ -230,38 +230,66 @@ def test_exponent_zero_input_probability_and_unreached_output():
                                     abs=1e-12)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 4), ny=st.integers(2, 4),
+       unused_input=st.booleans(), dead_output=st.booleans(), orphan_output=st.booleans(),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_channel_exponent_matches_a_fresh_solve_per_rate(
+        seed, nx, ny, unused_input, dead_output, orphan_output, fracs):
+    # one object asked at many rates, in any order, gives each rate's fresh solve
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(ny), size=nx)
+    probs = rng.dirichlet(2.0 * np.ones(nx))
+    if dead_output:  # a zero column: no input reaches the last output
+        rows[:, -1] = 0.0
+    if unused_input:  # a zero row of p: input 0 is never sent
+        probs[0] = 0.0
+        if orphan_output and ny - dead_output > 2:  # and output 0 is reached from input 0 alone
+            rows[1:, 0] = 0.0
+            rows[0] = np.eye(ny)[0]
+    w = pk.Dmc(rows / rows.sum(axis=1, keepdims=True))
+    p = pk.Pmf(probs / probs.sum())
+    user = ex.ChannelExponent(p, w)
+    assert user.mutual_information == pytest.approx(pk.mutual_information(p, w), abs=1e-12)
+    cap = max(0.0, user.mutual_information)  # one used input rounds it below 0
+    rates = [0.0, *(f * cap for f in fracs), cap, cap + 0.05]
+    for i in rng.permutation(len(rates)):
+        assert user.at(rates[i]) == ex.random_coding_exponent(query(rates[i], w, p))
+
+
 # ---------------------------------------------------------------------------
 # the two-user miss bound
 # ---------------------------------------------------------------------------
 
+def both_users(p, w):
+    user = ex.ChannelExponent(p, w)
+    return user, user
+
+
 def test_g_rho_l_domain():
-    w = pk.Dmc.binary_symmetric(0.05)
-    p = pk.Pmf.uniform(2)
+    users = both_users(pk.Pmf.uniform(2), pk.Dmc.binary_symmetric(0.05))
     with pytest.raises(ValueError):
-        ex.log_g_rho_l(16, 0.2, 0.3, p, (w, w))
+        ex.log_g_rho_l(16, 0.2, 0.3, users)
     with pytest.raises(ValueError):
-        ex.log_g_rho_l(16, 0.2, 0.0, p, (w, w))
+        ex.log_g_rho_l(16, 0.2, 0.0, users)
     with pytest.raises(ValueError):
-        ex.log_g_rho_l(0, 0.2, 0.1, p, (w, w))
+        ex.log_g_rho_l(0, 0.2, 0.1, users)
 
 
 def test_g_rho_l_clamps_to_one():
     # rate above capacity makes the exponent zero, so the bound saturates
-    w = pk.Dmc.binary_symmetric(0.4)
-    p = pk.Pmf.uniform(2)
-    assert ex.log_g_rho_l(16, 0.6, 0.3, p, (w, w)) == 0.0
+    users = both_users(pk.Pmf.uniform(2), pk.Dmc.binary_symmetric(0.4))
+    assert ex.log_g_rho_l(16, 0.6, 0.3, users) == 0.0
 
 
 def test_g_rho_l_exact_zero_for_deterministic_injective():
-    ident = pk.Dmc.identity(3)
-    p = pk.Pmf.uniform(3)
-    assert ex.log_g_rho_l(8, 0.9, 0.5, p, (ident, ident)) == -math.inf
+    users = both_users(pk.Pmf.uniform(3), pk.Dmc.identity(3))
+    assert ex.log_g_rho_l(8, 0.9, 0.5, users) == -math.inf
 
 
 def test_g_rho_l_decreasing_in_l_near_noiseless():
-    w = pk.Dmc([[0.999, 0.001], [0.001, 0.999]])
-    p = pk.Pmf.uniform(2)
-    logs = [ex.log_g_rho_l(l, 0.3, 0.05, p, (w, w)) for l in (8, 16, 32, 64)]
+    users = both_users(pk.Pmf.uniform(2), pk.Dmc([[0.999, 0.001], [0.001, 0.999]]))
+    logs = [ex.log_g_rho_l(l, 0.3, 0.05, users) for l in (8, 16, 32, 64)]
     for hi, lo in zip(logs[:-1], logs[1:]):
         assert lo <= hi
     assert all(-math.inf < v <= 0.0 for v in logs)
@@ -272,7 +300,7 @@ def test_log_g_rho_l_stays_finite_where_g_underflows(l):
     w = pk.Dmc.binary_symmetric(0.05)
     p = pk.Pmf.uniform(2)
     gap = ex.random_coding_exponent(query(0.11, w)) - 0.01
-    log_g = ex.log_g_rho_l(l, 0.1, 0.01, p, (w, w))
+    log_g = ex.log_g_rho_l(l, 0.1, 0.01, both_users(p, w))
     # two equal terms: log 2 - l * gap (about log 2 - 2113.6 at l = 10^4)
     assert math.isfinite(log_g)
     assert log_g == pytest.approx(LN2 - l * gap, rel=1e-12)
@@ -283,8 +311,9 @@ def test_thm1_quantities_log_g_in_log_domain():
     inst = small_instance()
     sp = bd.SchemeParams(l=10_000, delta=0.75, A=0.1, B=0.6, rho=0.01, m=4)
     log_g = inst.thm1_quantities(sp)["log_g"]
-    want = ex.log_g_rho_l(sp.l, sp.A, sp.rho, inst.p_u,
-                          (inst.induced_to_user(1), inst.induced_to_user(2)))
+    want = ex.log_g_rho_l(sp.l, sp.A, sp.rho,
+                          tuple(ex.ChannelExponent(inst.p_u, inst.induced_to_user(j))
+                                for j in (1, 2)))
     assert math.isfinite(log_g) and log_g < -700.0
     assert log_g == want
 

@@ -298,10 +298,13 @@ def _mutual_information(jp: JointPmf) -> float:
     return entropy(jp.col_marginal()) - conditional_entropy(jp)
 
 
-def is_type_of(p: Pmf, l: int, tol: float = 1e-9) -> bool:
-    """True when every entry of p is an integer multiple of 1/l."""
+def is_type_of(p: Pmf, l: int) -> bool:
+    """True when every entry of p is an integer multiple n/l of 1/l, to float
+    resolution: p * l may miss its count n by a few ulps of n. (An allowance
+    that grows with l would pass every pmf once it reaches 1/2.)"""
     scaled = p.probs * l
-    return bool(np.all(np.abs(scaled - np.round(scaled)) <= tol * l))
+    counts = np.round(scaled)
+    return bool(np.all(np.abs(scaled - counts) <= 4.0 * np.spacing(np.maximum(counts, 1.0))))
 
 
 def _per_instance(compute):
@@ -480,7 +483,8 @@ class ProblemInstance:
 
     # terms the scheme's l and delta fix, each computed once per value ----
     @_per_instance
-    def _p_u_is_type(self, l: int) -> bool:
+    def p_u_is_type(self, l: int) -> bool:
+        """Whether p_U is a type of denominator l."""
         return is_type_of(self.p_u, l)
 
     @_per_instance
@@ -488,14 +492,16 @@ class ProblemInstance:
         return log_tau_l_delta(self.p_k1(), l, delta)
 
     @_per_instance
-    def _log_xi_l(self, l: int) -> float:
-        xi_block = xi_l(self.xi_k(), l)
-        return math.log(xi_block) if xi_block > 0.0 else -math.inf
+    def xi_block(self, l: int) -> float:
+        """xi^[l] = 1 - (1 - xi)^l, xi = P(K1 != K2): a block of l pairs
+        has a mismatch somewhere."""
+        return xi_l(self.xi_k(), l)
 
     # quantity protocol -----------------------------------------------------
     def thm1_quantities(self, sp: SchemeParams) -> dict:
-        if not self._p_u_is_type(sp.l):
+        if not self.p_u_is_type(sp.l):
             raise ValueError("p_U must be a type of denominator l")
+        xi_block = self.xi_block(sp.l)
         log_g = _exponent.log_g_rho_l(
             sp.l, sp.A, sp.rho, (self.channel_exponent(1), self.channel_exponent(2)))
         return {
@@ -506,7 +512,7 @@ class ProblemInstance:
             "y_sizes": self.ny,
             "I_vy": (self.mutual_information_vy(1), self.mutual_information_vy(2)),
             "log_tau": self._log_tau(sp.l, sp.delta),
-            "log_xi_l": self._log_xi_l(sp.l),
+            "log_xi_l": math.log(xi_block) if xi_block > 0.0 else -math.inf,
             "log_g": log_g,
         }
 

@@ -402,9 +402,9 @@ def _cmd_exponent(cfg: RunConfig) -> int:
     factor = _unit_factor(cfg)
     rows = [("rate", "exponent")]
     curve = []
+    solver = _exponent.ChannelExponent(pmf, channel)
     for r in rates:
-        er = _exponent.random_coding_exponent(_exponent.ExponentQuery(
-            rate=r, input_pmf=pmf, channel=channel))
+        er = solver.at(r)
         rows.append((r / factor, er / factor))
         curve.append({"rate": r / factor, "exponent": er / factor})
     _emit({"curve": curve}, cfg, csv_rows=rows)

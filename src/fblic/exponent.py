@@ -25,9 +25,9 @@ s(x) = sum_y W^a q^(1-a) as G(q) = -(1+rho) sum_x p(x) log s(x), which
 falls monotonically to F(rho) and is the convergence test. Every solve
 of the search starts from the previous solve's q.
 
-Only the rho search depends on R. ChannelExponent holds what depends on
-(p, W) alone and answers one rate per `at` call; random_coding_exponent is
-one such object asked at the query's rate.
+Only the rho search depends on R. ChannelExponent, the one entry to the
+solver, holds what depends on (p, W) alone and answers one rate per `at`
+call, so a curve or a bounds grid builds it once and asks it at every rate.
 
 The module also provides the two-user miss bound built from the exponent,
 in log domain, over the induced channels p(y_j | u) that
@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,38 +50,7 @@ _TINY = np.finfo(float).tiny
 
 
 class ExponentError(RuntimeError):
-    """Raised when the solver hits its iteration cap; carries the best value."""
-
-    def __init__(self, message: str, best: float):
-        super().__init__(message)
-        self.best = best
-
-
-@dataclass(frozen=True)
-class ExponentQuery:
-    """Arguments of one exponent evaluation.
-
-    max_iters caps the inner iterations summed over the whole search.
-    restarts and seed are accepted but no longer read: the dual search is
-    deterministic and needs no restarts. They stay because callers and
-    traces key queries on every field.
-    """
-
-    rate: float
-    input_pmf: Pmf
-    channel: Dmc
-    tolerance: float = 1e-6
-    max_iters: int = 100_000
-    restarts: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.rate >= 0.0:
-            raise ValueError(f"rate must be a non-negative number, got {self.rate!r}")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if len(self.input_pmf) != self.channel.num_inputs:
-            raise ValueError("input pmf size does not match channel input alphabet")
+    """Raised when the solver hits its iteration cap or loses precision."""
 
 
 def _minimize_d_plus_lambda_i(
@@ -138,6 +106,8 @@ class ChannelExponent:
     """
 
     def __init__(self, input_pmf: Pmf, channel: Dmc):
+        if len(input_pmf) != channel.num_inputs:
+            raise ValueError("input pmf size does not match channel input alphabet")
         p, w = input_pmf.probs, channel.rows
         # inputs of zero probability and outputs no used input reaches play no part
         if not p.all():
@@ -154,13 +124,17 @@ class ChannelExponent:
 
     @functools.cached_property
     def deterministic_injective(self) -> bool:
-        # lazy: random_coding_exponent never reads it
+        # lazy: only log_g_rho_l reads it
         return is_deterministic_injective(self._channel)
 
     def at(self, rate: float, tolerance: float = 1e-6, max_iters: int = 100_000) -> float:
         """E_r(rate, p, W) >= 0, within the tolerance; max_iters caps the
-        inner iterations summed over the whole search. rate >= 0 and
-        tolerance > 0, as ExponentQuery checks."""
+        inner iterations summed over the whole search. A negative or NaN
+        rate, or a tolerance that is not positive, is refused."""
+        if not rate >= 0.0:
+            raise ValueError(f"rate must be a non-negative number, got {rate!r}")
+        if not tolerance > 0.0:
+            raise ValueError("tolerance must be positive")
         rate = float(rate)
         p, w, logw, q_w = self._p, self._w, self._logw, self._q_w
         i_w = self.mutual_information
@@ -177,12 +151,11 @@ class ChannelExponent:
                 p, w, logw, rho, tol, max_iters - spent, q_start)
             spent += iters
             if not math.isfinite(d_val + i_val):
-                raise ExponentError(f"solve at rho={rho:.6g} lost precision", best=math.nan)
+                raise ExponentError(f"solve at rho={rho:.6g} lost precision")
             d_val, i_val = max(0.0, d_val), max(0.0, i_val)
             value = d_val + rho * (i_val - rate)
             if spent >= max_iters:
-                raise ExponentError(f"iteration cap {max_iters} reached at rho={rho:.6g}",
-                                    best=max(0.0, value))
+                raise ExponentError(f"iteration cap {max_iters} reached at rho={rho:.6g}")
             return q_out, i_val - rate, value
 
         # rho = 1: optimal when the slope there is still non-negative
@@ -210,11 +183,6 @@ class ChannelExponent:
                     f_lo *= m if m > 0.0 else 0.5
                 hi, f_hi = rho, f
                 side = -1
-
-
-def random_coding_exponent(q: ExponentQuery) -> float:
-    """E_r(R, p, W) >= 0, within the query tolerance."""
-    return ChannelExponent(q.input_pmf, q.channel).at(q.rate, q.tolerance, q.max_iters)
 
 
 def is_deterministic_injective(w: Dmc) -> bool:

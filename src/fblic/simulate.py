@@ -436,7 +436,7 @@ def simulate_generic(
     """
     _check_run(trials, hash_bits, e_max)
     comp = np.round(inst.p_u.probs * sp.l).astype(int)
-    if comp.sum() != sp.l or not _bounds.is_type_of(inst.p_u, sp.l):
+    if comp.sum() != sp.l or not inst.p_u_is_type(sp.l):
         raise ValueError("p_U must be a type of denominator l")
     src = inst.source
     outer = (
@@ -458,7 +458,7 @@ def simulate_generic(
         rule=_codec.hamming_ball_rule(radius=1),
         digest_bits=hash_bits, e_max=e_max, outer=outer,
         channel=_SampledChannel(inst, code, phi_bound),
-        phi_bound=phi_bound, xi_block=_bounds.xi_l(inst.xi_k(), sp.l),
+        phi_bound=phi_bound, xi_block=inst.xi_block(sp.l),
         extras={"e_max": e_max, "digest_bits": hash_bits,
                 "la_bits": code.la_bits, "lb_bits": code.lb_bits})
 
@@ -582,13 +582,14 @@ class CcExponentReport:
 
 
 def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
-                     codebooks: int, trials_per_book: int, seed: int,
-                     max_codewords: int = _codec.MAX_ROWS) -> CcExponentReport:
+                     codebooks: int, trials_per_book: int, seed: int) -> CcExponentReport:
     """Ensemble-average ML error of constant-composition codes against
-    2 exp(-l E_r(R)); a rate at or above capacity makes the bound vacuous
-    and the test auto-passes. Codebooks are capped at max_codewords (a
-    subsampled ensemble keeps the empirical mean honest; exp(lR) words at
-    high rates would dwarf memory)."""
+    2 exp(-l E_r(R)). Each book holds min(exp(lR), |type class|, 2^20)
+    words (a subsampled ensemble keeps the empirical mean honest). A rate
+    at or above I(p;W) makes the bound vacuous (E_r = 0, bound 2), so such
+    a run passes, unless its book is past 2^24 symbols: then
+    codec.sample_constant_composition refuses it ("refusing to draw N
+    codewords of length l") before anything is drawn."""
     if codebooks < 1 or trials_per_book < 1:
         raise ValueError(f"codebooks and trials_per_book must be at least 1, "
                          f"got {codebooks} and {trials_per_book}")
@@ -602,11 +603,10 @@ def cc_exponent_test(channel: Dmc, composition, rate: float, l: int,
     if sum(comp) != l:
         raise ValueError("composition must sum to the block length")
     p_u = Pmf(np.array(comp, dtype=float) / l)
-    er = _exponent.random_coding_exponent(_exponent.ExponentQuery(
-        rate=rate, input_pmf=p_u, channel=channel))
+    er = _exponent.ChannelExponent(p_u, channel).at(rate)
     bound = 2.0 * math.exp(-l * er)
 
-    n_words = _codebook_size(l * rate, 2, _codec.type_class_size(comp, int(max_codewords)))
+    n_words = _codebook_size(l * rate, 2, _codec.type_class_size(comp, _codec.MAX_ROWS))
     errors = 0
     for b in range(codebooks):
         book = _codec.sample_constant_composition(

@@ -120,9 +120,7 @@ def test_criterion_4_exponent_oracle_and_ensemble():
     cap05 = pk.mutual_information(uniform, bsc05)
     # zero at and above the mutual information
     for rate in (cap05, cap05 + 0.05, cap05 + 0.5):
-        got = ex.random_coding_exponent(ex.ExponentQuery(rate=rate, input_pmf=uniform,
-                                                         channel=bsc05))
-        assert got <= 1e-9
+        assert ex.ChannelExponent(uniform, bsc05).at(rate) <= 1e-9
 
     cases = [
         (pk.Dmc.binary_symmetric(0.1), uniform),
@@ -134,8 +132,7 @@ def test_criterion_4_exponent_oracle_and_ensemble():
     for channel, p in cases:
         cap = pk.mutual_information(p, channel)
         for frac in (0.3, 0.7):
-            got = ex.random_coding_exponent(ex.ExponentQuery(
-                rate=frac * cap, input_pmf=p, channel=channel))
+            got = ex.ChannelExponent(p, channel).at(frac * cap)
             oracle = er_grid_oracle(frac * cap, channel, p, res=2001)
             worst = max(worst, abs(got - oracle))
             assert abs(got - oracle) <= 1e-3

@@ -257,6 +257,10 @@ def test_is_type_of():
     assert bd.is_type_of(pk.Pmf([0.5, 0.5]), 16)
     assert not bd.is_type_of(pk.Pmf([0.3, 0.7]), 16)
     assert bd.is_type_of(pk.Pmf([0.25, 0.75]), 16)
+    # the allowance is float resolution, not a share of l
+    assert not bd.is_type_of(pk.Pmf([1 / 3, 2 / 3]), 10 ** 9)
+    assert bd.is_type_of(pk.Pmf([1 / 3, 2 / 3]), 3 * 10 ** 9)
+    assert bd.is_type_of(pk.Pmf([0.5, 0.5]), 10 ** 18)
 
 
 def test_instance_validation():

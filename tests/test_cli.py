@@ -256,10 +256,9 @@ def test_exponent_input_pmf_file(tmp_path, bsc_file):
     assert code == 0
     curve = json.loads(out.read_text())["report"]["curve"]
     assert [p["rate"] for p in curve] == cli._parse_rates("0:0.3:0.1")
-    channel = cli._load_dmc(bsc_file)
+    user = ex.ChannelExponent(pk.Pmf([0.3, 0.7]), cli._load_dmc(bsc_file))
     for point in curve:
-        assert point["exponent"] == ex.random_coding_exponent(ex.ExponentQuery(
-            rate=point["rate"], input_pmf=pk.Pmf([0.3, 0.7]), channel=channel))
+        assert point["exponent"] == user.at(point["rate"])
     # the file is read: the default uniform pmf gives another curve
     assert run_cli(["exponent", "--channel", bsc_file, "--rates", "0:0.3:0.1",
                     "--out", str(out)]) == 0
@@ -400,6 +399,10 @@ def test_bounds_check_command(tmp_path):
     # the dense k x k law of the common parts would take 80 GB
     ({"k_size": 100_000}, {}, "common part of 100000 symbols from k_size"),
     ({"f2": [0, 99_999]}, {}, "common part of 100000 symbols from f2"),
+    # p_U = (1/3, 2/3) is no type of denominator 1000, nor of 10^9, where an
+    # allowance of 1e-9 * l on the counts would reach 1/2 and pass any pmf
+    ({"p_u": [1 / 3, 2 / 3]}, {"l": 1000}, "p_U must be a type of denominator l"),
+    ({"p_u": [1 / 3, 2 / 3]}, {"l": 10 ** 9}, "p_U must be a type of denominator l"),
 ])
 def test_bounds_check_non_integral_field_exits_2(tmp_path, capsys, instance, scheme, message):
     inst = write(tmp_path / "inst.json", {**instance_doc(), **instance})
@@ -410,6 +413,15 @@ def test_bounds_check_non_integral_field_exits_2(tmp_path, capsys, instance, sch
     assert code == 2
     assert message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_bounds_check_accepts_a_type_of_denominator_10_18(tmp_path):
+    # p_U = (1/2, 1/2) is a type of any even l; the check runs and reports
+    inst = write(tmp_path / "inst.json", instance_doc())
+    sch = write(tmp_path / "scheme.json", {**scheme_doc(), "l": 10 ** 18})
+    out = tmp_path / "report.json"
+    code = run_cli(["bounds", "check", "--instance", inst, "--scheme", sch, "--out", str(out)])
+    assert code in (0, 1) and out.exists()
 
 
 def test_bounds_search_command(tmp_path):
@@ -738,6 +750,7 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command):
     ("cc-exponent", ["--composition=-1", "--l=-1"], "l must be at least 1, got -1"),
     ("cc-exponent", ["--composition=-1,9"], "composition counts must be non-negative, got -1"),
     ("cc-exponent", ["--composition", "4,3"], "composition must sum to the block length"),
+    ("cc-exponent", ["--rate", "-0.1"], "rate must be a non-negative number"),
 ])
 def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, message):
     if command == "interleave":
@@ -844,7 +857,7 @@ def test_every_report_is_strict_json(tmp_path, bsc_file, capsys):
 
 
 def test_nan_in_a_report_exits_2_without_a_file(monkeypatch, bsc_file, tmp_path, capsys):
-    monkeypatch.setattr(cli._exponent, "random_coding_exponent", lambda q: math.nan)
+    monkeypatch.setattr(ex.ChannelExponent, "at", lambda self, rate: math.nan)
     out = tmp_path / "curve.json"
     assert cli.main(["exponent", "--channel", bsc_file, "--rates", "0.1",
                      "--out", str(out)]) == 2
@@ -966,10 +979,10 @@ def test_document_exit_code_contract_fuzz(fuzz_inputs, case, kind):
 
 
 def test_uncaught_exception_exits_2_with_one_line(monkeypatch, bsc_file, capsys):
-    def broken(q):
+    def broken(self, rate):
         raise ZeroDivisionError("float division\nby zero")
 
-    monkeypatch.setattr(cli._exponent, "random_coding_exponent", broken)
+    monkeypatch.setattr(ex.ChannelExponent, "at", broken)
     assert cli.main(["exponent", "--channel", bsc_file, "--rates", "0.1"]) == 2
     assert capsys.readouterr().err == "error: ZeroDivisionError: float division by zero\n"
 
@@ -1007,6 +1020,7 @@ def test_missing_input_file_exits_2(tmp_path):
     ("0:inf:0.1", "must be finite"),
     ("0.1,inf", "must be finite"),
     (",", "no rate given"),
+    ("-0.1", "rate must be a non-negative number"),
 ])
 def test_exponent_bad_rates_exit_2(tmp_path, bsc_file, capsys, rates, message):
     out = tmp_path / "curve.json"
@@ -1017,11 +1031,27 @@ def test_exponent_bad_rates_exit_2(tmp_path, bsc_file, capsys, rates, message):
     assert not out.exists()
 
 
-def test_exponent_solver_error_exits_2(monkeypatch, bsc_file, capsys):
-    def capped(q):
-        raise cli._exponent.ExponentError("iteration cap 3 reached", best=0.0)
+def test_input_pmf_size_mismatch_exits_2(tmp_path, bsc_file, capsys):
+    # three input symbols on a binary channel, and two on a ternary one
+    pmf = write(tmp_path / "pmf.json", {"probs": [0.2, 0.3, 0.5]})
+    ternary = write(tmp_path / "ternary.json",
+                    {"rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]})
+    out = tmp_path / "report.json"
+    for args in (["exponent", "--channel", bsc_file, "--input-pmf", pmf],
+                 ["test", "cc-exponent", "--channel", ternary, "--composition", "4,4",
+                  "--rate", "0.1", "--l", "8", "--codebooks", "2", "--trials-per-book", "2"]):
+        code = cli.main([*args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, args
+        assert "input pmf size does not match channel input alphabet" in err, args
+        assert err.count("\n") == 1 and not out.exists(), args
 
-    monkeypatch.setattr(cli._exponent, "random_coding_exponent", capped)
+
+def test_exponent_solver_error_exits_2(monkeypatch, bsc_file, capsys):
+    def capped(self, rate):
+        raise ex.ExponentError("iteration cap 3 reached")
+
+    monkeypatch.setattr(ex.ChannelExponent, "at", capped)
     assert cli.main(["exponent", "--channel", bsc_file, "--rates", "0.1"]) == 2
     err = capsys.readouterr().err
     assert err == "error: iteration cap 3 reached\n"

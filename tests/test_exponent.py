@@ -13,9 +13,10 @@ from helpers import er_grid_oracle, er_two_branch_reference, small_instance
 LN2 = math.log(2.0)
 
 
-def query(rate, channel, p=None, **kw):
-    p = p or pk.Pmf.uniform(channel.num_inputs)
-    return ex.ExponentQuery(rate=rate, input_pmf=p, channel=channel, **kw)
+def fresh_er(rate, channel, p=None):
+    """E_r(rate, p, W) from a solver built for this one rate; p is uniform
+    unless given."""
+    return ex.ChannelExponent(p or pk.Pmf.uniform(channel.num_inputs), channel).at(rate)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +99,13 @@ def test_induced_channel_dimension_mismatch():
 def test_exponent_zero_at_and_above_capacity():
     w = pk.Dmc.binary_symmetric(0.1)
     cap = pk.mutual_information(pk.Pmf.uniform(2), w)
-    assert ex.random_coding_exponent(query(cap, w)) <= 1e-9
-    assert ex.random_coding_exponent(query(cap + 0.1, w)) == 0.0
+    assert fresh_er(cap, w) <= 1e-9
+    assert fresh_er(cap + 0.1, w) == 0.0
 
 
 def test_exponent_noiseless_rate_zero():
     ident = pk.Dmc.identity(2)
-    got = ex.random_coding_exponent(query(0.0, ident))
+    got = fresh_er(0.0, ident)
     assert got == pytest.approx(LN2, abs=1e-9)
     assert er_grid_oracle(0.0, ident, pk.Pmf.uniform(2), res=501) == pytest.approx(LN2, abs=1e-9)
 
@@ -112,7 +113,7 @@ def test_exponent_noiseless_rate_zero():
 def test_exponent_bsc_half_capacity_vs_grid():
     w = pk.Dmc.binary_symmetric(0.1)
     cap = pk.mutual_information(pk.Pmf.uniform(2), w)
-    got = ex.random_coding_exponent(query(0.5 * cap, w))
+    got = fresh_er(0.5 * cap, w)
     oracle = er_grid_oracle(0.5 * cap, w, pk.Pmf.uniform(2), res=2001)
     assert got == pytest.approx(oracle, abs=1e-3)
 
@@ -128,7 +129,7 @@ def test_exponent_random_binary_channels_vs_grid(seed, frac):
     if cap < 1e-3:
         pytest.skip("degenerate random channel")
     rate = frac * cap
-    got = ex.random_coding_exponent(query(rate, w, p))
+    got = fresh_er(rate, w, p)
     oracle = er_grid_oracle(rate, w, p, res=2001)
     assert got == pytest.approx(oracle, abs=1e-3)
 
@@ -136,35 +137,31 @@ def test_exponent_random_binary_channels_vs_grid(seed, frac):
 def test_exponent_monotone_in_rate():
     w = pk.Dmc.binary_symmetric(0.05)
     cap = pk.mutual_information(pk.Pmf.uniform(2), w)
-    values = [ex.random_coding_exponent(query(f * cap, w))
-              for f in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
+    values = [fresh_er(f * cap, w) for f in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-9
     assert values[-1] <= 1e-9
 
 
-def test_exponent_iteration_cap_raises_with_best_value():
+def test_exponent_iteration_cap_raises():
     # R = 0.2 lies above the critical rate (~0.131) of BSC(0.1), so the rho
     # search must run past the rho = 1 solve and hits the cap
-    w = pk.Dmc.binary_symmetric(0.1)
-    q = query(0.2, w, tolerance=1e-12, max_iters=3)
-    with pytest.raises(ex.ExponentError) as err:
-        ex.random_coding_exponent(q)
-    assert hasattr(err.value, "best")
+    user = ex.ChannelExponent(pk.Pmf.uniform(2), pk.Dmc.binary_symmetric(0.1))
+    with pytest.raises(ex.ExponentError, match="iteration cap 3 reached"):
+        user.at(0.2, tolerance=1e-12, max_iters=3)
 
 
-def test_exponent_rejects_bad_query():
+def test_channel_exponent_rejects_bad_input():
     w = pk.Dmc.binary_symmetric(0.1)
-    with pytest.raises(ValueError):
-        ex.ExponentQuery(rate=-0.1, input_pmf=pk.Pmf.uniform(2), channel=w)
-    with pytest.raises(ValueError):
-        ex.ExponentQuery(rate=math.nan, input_pmf=pk.Pmf.uniform(2), channel=w)
-    with pytest.raises(ValueError):
-        ex.ExponentQuery(rate=0.1, input_pmf=pk.Pmf.uniform(3), channel=w)
+    with pytest.raises(ValueError, match="input pmf size does not match channel input alphabet"):
+        ex.ChannelExponent(pk.Pmf.uniform(3), w)
+    user = ex.ChannelExponent(pk.Pmf.uniform(2), w)
+    for rate in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="rate must be a non-negative number"):
+            user.at(rate)
     for tolerance in (0.0, -1e-6, math.nan):
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            ex.ExponentQuery(rate=0.1, input_pmf=pk.Pmf.uniform(2), channel=w,
-                             tolerance=tolerance)
+            user.at(0.1, tolerance=tolerance)
 
 
 def random_case(seed, shape):
@@ -182,12 +179,12 @@ REFERENCE_FRACS = (0.02, 0.1, 0.35, 0.7, 0.95)
 def test_exponent_matches_two_branch_reference(seed, shape):
     w, p = random_case(seed, shape)
     cap = pk.mutual_information(p, w)
-    e0 = ex.random_coding_exponent(query(0.0, w, p))
+    e0 = fresh_er(0.0, w, p)
     below = above = 0
     for frac in REFERENCE_FRACS:
         rate = frac * cap
         want = er_two_branch_reference(rate, w, p)
-        assert ex.random_coding_exponent(query(rate, w, p)) == pytest.approx(want, abs=1e-8)
+        assert fresh_er(rate, w, p) == pytest.approx(want, abs=1e-8)
         # below the critical rate E_r(R) = E_r(0) - R; above it E_r lies higher
         assert e0 - want <= rate + 1e-8
         if e0 - want >= rate - 1e-8:
@@ -206,7 +203,7 @@ def test_exponent_properties(seed, shape, f1, f2):
     r1, r2 = sorted((f1 * cap, f2 * cap))
 
     def er(rate):
-        return ex.random_coding_exponent(query(rate, w, p))
+        return fresh_er(rate, w, p)
 
     e1, e2, em = er(r1), er(r2), er(0.5 * (r1 + r2))
     assert min(e1, e2, em) >= 0.0
@@ -224,10 +221,9 @@ def test_exponent_zero_input_probability_and_unreached_output():
     p_used = pk.Pmf([0.5, 0.5])
     cap = pk.mutual_information(p, w)
     for frac in (0.0, 0.3, 0.8):
-        got = ex.random_coding_exponent(query(frac * cap, w, p))
+        got = fresh_er(frac * cap, w, p)
         assert got == pytest.approx(er_grid_oracle(frac * cap, w_used, p_used, res=2001), abs=1e-3)
-        assert got == pytest.approx(ex.random_coding_exponent(query(frac * cap, w_used, p_used)),
-                                    abs=1e-12)
+        assert got == pytest.approx(fresh_er(frac * cap, w_used, p_used), abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -254,7 +250,7 @@ def test_channel_exponent_matches_a_fresh_solve_per_rate(
     cap = max(0.0, user.mutual_information)  # one used input rounds it below 0
     rates = [0.0, *(f * cap for f in fracs), cap, cap + 0.05]
     for i in rng.permutation(len(rates)):
-        assert user.at(rates[i]) == ex.random_coding_exponent(query(rates[i], w, p))
+        assert user.at(rates[i]) == fresh_er(rates[i], w, p)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +295,7 @@ def test_g_rho_l_decreasing_in_l_near_noiseless():
 def test_log_g_rho_l_stays_finite_where_g_underflows(l):
     w = pk.Dmc.binary_symmetric(0.05)
     p = pk.Pmf.uniform(2)
-    gap = ex.random_coding_exponent(query(0.11, w)) - 0.01
+    gap = fresh_er(0.11, w) - 0.01
     log_g = ex.log_g_rho_l(l, 0.1, 0.01, both_users(p, w))
     # two equal terms: log 2 - l * gap (about log 2 - 2113.6 at l = 10^4)
     assert math.isfinite(log_g)

@@ -214,6 +214,21 @@ def test_simulate_generic_computes_each_single_letter_law_once(monkeypatch):
     assert sorted(computed["mutual_information_vy"]) == [(1,), (2,)]
 
 
+def test_simulate_generic_reads_type_test_and_xi_l_from_the_memo(monkeypatch):
+    # the chain and thm1_quantities share the instance's p_U type verdict and
+    # xi^[l]: each is computed once per (instance, l)
+    calls = {"type": [], "xi": []}
+    is_type_of, xi_l = bd.is_type_of, bd.xi_l
+    monkeypatch.setattr(bd, "is_type_of", lambda p, l: calls["type"].append(l) or is_type_of(p, l))
+    monkeypatch.setattr(bd, "xi_l", lambda xi, l: calls["xi"].append(l) or xi_l(xi, l))
+    for inst in (small_instance(), small_instance(xi=0.02)):
+        for l in (16, 32, 16):
+            sp = small_scheme(l=l, m=8)
+            inst.thm1_quantities(sp)
+            sm.simulate_generic(inst, sp, trials=2, seed=1)
+    assert calls == {"type": [16, 32] * 2, "xi": [16, 32] * 2}
+
+
 def test_simulate_generic_requires_type_pmf():
     inst = small_instance()
     sp = bd.SchemeParams(l=15, delta=0.75, A=0.09, B=0.6, rho=0.02, m=8)
@@ -403,11 +418,11 @@ def test_cc_exponent_noiseless_channel_zero_errors():
 
 
 def test_cc_exponent_vacuous_above_capacity():
+    # the book is the whole type class of (8, 8), 12870 words of 16 symbols
     w = pk.Dmc.binary_symmetric(0.05)
     cap = pk.mutual_information(pk.Pmf.uniform(2), w)
-    rep = sm.cc_exponent_test(w, (12, 12), rate=1.2 * cap, l=24,
-                              codebooks=2, trials_per_book=5, seed=2,
-                              max_codewords=1 << 12)
+    rep = sm.cc_exponent_test(w, (8, 8), rate=1.2 * cap, l=16,
+                              codebooks=2, trials_per_book=5, seed=2)
     assert rep.exponent == 0.0
     assert rep.bound >= 2.0
     assert rep.passed

@@ -13,9 +13,11 @@ trials' grouping. It has two stages.
   inner encode, deinterleaving, multiplexing, the channel outputs, inner
   decode, reconstruction, the (V, Y) probe counts and the envelope
   check) runs once over a block of trials, row by row, so how trials are
-  grouped cannot change a row's result. A block holds at most
-  _BLOCK_SYMBOLS source symbols (m * l per trial) and at least one
-  trial. Per block and user, one call computes the syndromes (the digest
+  grouped cannot change a row's result. A run of n trials is split, in
+  trial order, into ceil(n / per_block) blocks whose sizes differ by at
+  most one trial, where per_block is the number of trials in
+  _BLOCK_SYMBOLS source symbols (m * l per trial), and at least one.
+  Per block and user, one call computes the syndromes (the digest
   of the sent matrix XOR that of the baseline) and one the outer decode.
 
 Every symbol is drawn by the one inverse-CDF rule of codec.draw_from_rows.
@@ -49,15 +51,20 @@ from .probkit import Dmc, JointPmf, Pmf
 
 _LN2 = math.log(2.0)
 
-# Source symbols per block of trials. Batching pays on the generic chain,
-# whose per-trial arrays (64 x 16) are too small to hide numpy's per-call
-# cost, but one block for the whole run holds every trial's arrays at
-# once. Measured on a 2-vCPU VM with the whole run as one block, a
-# 1000-trial `simulate dueck` on the dueck_chain fixture peaked at
-# 233 MiB (38.2 MiB trial by trial) and the generic_chain measure process
-# at 46.4 MiB (39.6 MiB), +17%; at 2^13 symbols they peaked at 38.7 and
-# 41.8-42.0 MiB.
-_BLOCK_SYMBOLS = 1 << 13
+# Source symbols per block of trials, at most; a run is split evenly into
+# as few blocks as that allows (_block_edges). Batching pays because the
+# per-trial arrays (64 x 32 on the dueck chain, 64 x 16 on the generic
+# chain) are too small to hide numpy's per-call cost, but one block for the
+# whole run holds every trial's arrays at once: a 1000-trial `simulate
+# dueck` on the dueck_chain fixture peaked at 233 MiB that way (38.2 MiB
+# trial by trial). A sweep of even blocks on a 2-vCPU VM with 2 MiB of L2
+# per core (BENCH_35.json) picks 3 * 2^13: the generic_chain calls (30
+# trials) ran slower as one block than as two of 15, and on the dueck_chain
+# calls 2^14 to 2^16 ran alike while 2^16 raised their peak by 11%. At
+# 3 * 2^13 the 1000-trial `simulate dueck` peaks at 41.3 MiB (38.6 MiB in
+# ragged 2^13 blocks) and the dueck_chain and generic_chain measure
+# processes at 44.0 and 46.5 MiB (41.8 and 44.9 MiB).
+_BLOCK_SYMBOLS = 3 << 13
 
 
 @dataclass
@@ -150,6 +157,13 @@ def _check_run(trials: int, hash_bits: int, e_max: int,
 # the one chain: inner code over a shared channel, digest-verified binning
 # ---------------------------------------------------------------------------
 
+def _block_edges(trials: int, per_block: int) -> list[int]:
+    """Trial-order edges of ceil(trials / per_block) blocks whose sizes
+    differ by at most one trial: block b holds trials edges[b]..edges[b+1]-1."""
+    n_blocks = -(-trials // per_block)
+    return [trials * b // n_blocks for b in range(n_blocks + 1)]
+
+
 def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
               code, rule, digest_bits: int, e_max: int, outer: bool, channel,
               phi_bound: float, xi_block: float, extras: dict,
@@ -159,15 +173,19 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     and residual, then, when ``outer`` (K is the source itself), bin-decode
     each user's matrix against its digest_bits-bit digest; tally.
 
-    Trials run in blocks of _BLOCK_SYMBOLS source symbols. Each trial of a
-    block first draws its uniforms; every stage up to the reconstructed
-    baselines then runs once on the block's rows. Per user, one
-    hasher.syndromes call gives every trial's outer-decode input, one
-    decode call of the user's codec.OuterDecoder (built once per run)
-    searches them all in trial order, and the outcomes, rows wrong,
-    matrix failures and wrong accepts are tallied on the block's arrays.
-    Trial t's (seed, t) generator draws one (1 + ``channel.uniforms``, m,
-    l) array of uniforms, the pairs' layer first. The channel protocol:
+    Trials run in trial order in ceil(trials / per_block) blocks whose
+    sizes differ by at most one trial (_block_edges), where per_block is
+    max(1, _BLOCK_SYMBOLS // (m * l)). Each trial of a block first draws
+    its uniforms; every stage up to the reconstructed baselines then runs
+    once on the block's rows. Per user, one hasher.syndromes call gives
+    every trial's outer-decode input, one decode call of the user's
+    codec.OuterDecoder (built once per run) searches them all in trial
+    order, and the outcomes, rows wrong, matrix failures and wrong
+    accepts are tallied on the block's arrays. Trial t's (seed, t)
+    generator draws its 1 + ``channel.uniforms`` (m, l) layers of
+    uniforms in turn, the pairs' layer first, straight into its rows of
+    the block's array: the numbers of one (1 + uniforms, m, l) draw. The
+    channel protocol:
 
     * ``channel.uniforms``: how many (m, l) layers a trial draws for it;
     * ``channel.transmit(uniforms, codewords)``: given the block's channel
@@ -189,17 +207,23 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     # per pair index: both users' source symbols, and both users' common parts
     sources = np.stack(np.divmod(np.arange(pair_law.shape[1]), joint.col_size))
     parts = np.stack([f.take(s) for f, s in zip(maps, sources)])
-    per_block = max(1, _BLOCK_SYMBOLS // (m * l))
+    # K is the source when both maps are the identity: then kmats is mats
+    k_is_source = np.array_equal(parts, sources)
+    edges = _block_edges(trials, max(1, _BLOCK_SYMBOLS // (m * l)))
     mismatch, probes = 0, []
     inner, rows_wrong, matrix_fail, wrong_accepts = ([0, 0] for _ in range(4))
     decodes = {k: [0, 0] for k in ("ok", "ambiguous", "failed", "searched")}
-    for start in range(0, trials, per_block):
-        ts = range(start, min(trials, start + per_block))
-        # the block's layers, each stacked trial after trial on the row axis
-        u = np.concatenate([np.random.default_rng(np.random.SeedSequence((int(seed), t)))
-                            .random((1 + channel.uniforms, m, l)) for t in ts], axis=1)
+    for start, stop in zip(edges, edges[1:]):
+        # the block's layers, each stacked trial after trial on the row axis;
+        # trial t fills its rows of each layer in turn from its own generator
+        u = np.empty((1 + channel.uniforms, (stop - start) * m, l))
+        for i, t in enumerate(range(start, stop)):
+            rng = np.random.default_rng(np.random.SeedSequence((int(seed), t)))
+            for layer in u:
+                rng.random(out=layer[i * m:(i + 1) * m])
         pair = _codec.draw_from_rows(pair_law, 0, u[0])
-        mats, kmats = sources.take(pair, axis=1), parts.take(pair, axis=1)
+        mats = sources.take(pair, axis=1)
+        kmats = mats if k_is_source else parts.take(pair, axis=1)
         enc = [code.encode_rows(kmat) for kmat in kmats]
         index, probe = channel.transmit(u[1:], [e.codewords for e in enc])
         probes.append(probe)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblic import bounds as bd
 from fblic import cli
@@ -297,21 +299,27 @@ BLOCK_CASES = {
 }
 
 
+def count_blocks(monkeypatch, channel, m) -> list:
+    """Patch channel.transmit to append each block's trial count to the
+    returned list."""
+    transmit, blocks = channel.transmit, []
+
+    def counted(self, uniforms, codewords):
+        blocks.append(codewords[0].shape[0] // m)
+        return transmit(self, uniforms, codewords)
+
+    monkeypatch.setattr(channel, "transmit", counted)
+    return blocks
+
+
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 def test_block_split_does_not_change_the_report(name, monkeypatch):
     chain, channel, setup, options = BLOCK_CASES[name]
     source, sp = setup()
-    transmit = channel.transmit
-    blocks = []
-
-    def counted(self, uniforms, codewords):
-        blocks.append(codewords[0].shape[0] // sp.m)
-        return transmit(self, uniforms, codewords)
-
-    monkeypatch.setattr(channel, "transmit", counted)
+    blocks = count_blocks(monkeypatch, channel, sp.m)
     reports = []
-    # one trial per block, a ragged last block, the whole run as one block
-    for per_block, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (1 << 40, [7])):
+    # one trial per block, even blocks under a cap of 3, the whole run as one block
+    for per_block, sizes in ((1, [1] * 7), (3, [2, 2, 3]), (1 << 40, [7])):
         monkeypatch.setattr(sm, "_BLOCK_SYMBOLS", per_block * sp.m * sp.l)
         blocks.clear()
         reports.append(cli.json_text(chain(source, sp, trials=7, **options).to_dict()))
@@ -324,6 +332,32 @@ def test_block_split_does_not_change_the_report(name, monkeypatch):
     else:
         # each trial's outer decode searched at least its baseline
         assert min(searched) >= 7
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(trials=st.integers(1, 10 ** 5), per_block=st.integers(1, 10 ** 4))
+def test_block_edges_split_the_trials_evenly_in_order(trials, per_block):
+    edges = sm._block_edges(trials, per_block)
+    sizes = np.diff(edges)
+    # trial order, covering [0, trials) with no empty block
+    assert edges[0] == 0 and edges[-1] == trials and sizes.min() >= 1
+    assert len(sizes) == math.ceil(trials / per_block)
+    assert sizes.max() <= per_block
+    assert sizes.max() - sizes.min() <= 1
+
+
+# the benchmark chains' shapes: 50 trials of 64 x 32 (dueck_chain) and 30 of
+# 64 x 16 (generic_chain) at the default _BLOCK_SYMBOLS
+@pytest.mark.parametrize("name, sp, trials, sizes", [
+    ("dueck", regression_scheme(m=64), 50, [10] * 5),
+    ("generic", small_scheme(m=64), 30, [15, 15]),
+], ids=["dueck", "generic"])
+def test_default_blocking_of_the_workload_shapes(name, sp, trials, sizes, monkeypatch):
+    chain, channel, setup, options = BLOCK_CASES[name]
+    source, _ = setup()
+    blocks = count_blocks(monkeypatch, channel, sp.m)
+    chain(source, sp, trials=trials, **options)
+    assert blocks == sizes
 
 
 @pytest.mark.parametrize("name", ["dueck", "generic"])

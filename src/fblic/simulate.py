@@ -55,15 +55,9 @@ _LN2 = math.log(2.0)
 # as few blocks as that allows (_block_edges). Batching pays because the
 # per-trial arrays (64 x 32 on the dueck chain, 64 x 16 on the generic
 # chain) are too small to hide numpy's per-call cost, but one block for the
-# whole run holds every trial's arrays at once: a 1000-trial `simulate
-# dueck` on the dueck_chain fixture peaked at 233 MiB that way (38.2 MiB
-# trial by trial). A sweep of even blocks on a 2-vCPU VM with 2 MiB of L2
-# per core (BENCH_35.json) picks 3 * 2^13: the generic_chain calls (30
-# trials) ran slower as one block than as two of 15, and on the dueck_chain
-# calls 2^14 to 2^16 ran alike while 2^16 raised their peak by 11%. At
-# 3 * 2^13 the 1000-trial `simulate dueck` peaks at 41.3 MiB (38.6 MiB in
-# ragged 2^13 blocks) and the dueck_chain and generic_chain measure
-# processes at 44.0 and 46.5 MiB (41.8 and 44.9 MiB).
+# whole run holds every trial's arrays at once, and bigger blocks grow the
+# peak memory. 3 * 2^13 is the largest even block under the generic chain's
+# cache cliff (the cap sweep in BENCH_35.json).
 _BLOCK_SYMBOLS = 3 << 13
 
 
@@ -182,10 +176,9 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     codec.OuterDecoder (built once per run) searches them all in trial
     order, and the outcomes, rows wrong, matrix failures and wrong
     accepts are tallied on the block's arrays. Trial t's (seed, t)
-    generator draws its 1 + ``channel.uniforms`` (m, l) layers of
-    uniforms in turn, the pairs' layer first, straight into its rows of
-    the block's array: the numbers of one (1 + uniforms, m, l) draw. The
-    channel protocol:
+    generator draws one (1 + ``channel.uniforms``, m, l) array of
+    uniforms, the pairs' layer first, which is copied into its rows of
+    the block's array. The channel protocol:
 
     * ``channel.uniforms``: how many (m, l) layers a trial draws for it;
     * ``channel.transmit(uniforms, codewords)``: given the block's channel
@@ -207,23 +200,19 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     # per pair index: both users' source symbols, and both users' common parts
     sources = np.stack(np.divmod(np.arange(pair_law.shape[1]), joint.col_size))
     parts = np.stack([f.take(s) for f, s in zip(maps, sources)])
-    # K is the source when both maps are the identity: then kmats is mats
-    k_is_source = np.array_equal(parts, sources)
     edges = _block_edges(trials, max(1, _BLOCK_SYMBOLS // (m * l)))
     mismatch, probes = 0, []
     inner, rows_wrong, matrix_fail, wrong_accepts = ([0, 0] for _ in range(4))
     decodes = {k: [0, 0] for k in ("ok", "ambiguous", "failed", "searched")}
     for start, stop in zip(edges, edges[1:]):
         # the block's layers, each stacked trial after trial on the row axis;
-        # trial t fills its rows of each layer in turn from its own generator
+        # trial t's own generator fills its rows of every layer
         u = np.empty((1 + channel.uniforms, (stop - start) * m, l))
         for i, t in enumerate(range(start, stop)):
             rng = np.random.default_rng(np.random.SeedSequence((int(seed), t)))
-            for layer in u:
-                rng.random(out=layer[i * m:(i + 1) * m])
+            u[:, i * m:(i + 1) * m] = rng.random((1 + channel.uniforms, m, l))
         pair = _codec.draw_from_rows(pair_law, 0, u[0])
-        mats = sources.take(pair, axis=1)
-        kmats = mats if k_is_source else parts.take(pair, axis=1)
+        kmats = parts.take(pair, axis=1)
         enc = [code.encode_rows(kmat) for kmat in kmats]
         index, probe = channel.transmit(u[1:], [e.codewords for e in enc])
         probes.append(probe)
@@ -238,8 +227,9 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
             channel.check(differ, enc, bad)
         if not outer:
             continue
+        # outer implies both maps are the identity: K is the sent source
         for j, decoder in enumerate(decoders):
-            sent, final = mats[j].reshape(-1, m, l), khats[j].reshape(-1, m, l)
+            sent, final = kmats[j].reshape(-1, m, l), khats[j].reshape(-1, m, l)
             result = decoder.decode(final, decoder.hasher.syndromes(sent, final))
             for status in ("ok", "ambiguous", "failed"):
                 decodes[status][j] += int((result.status == status).sum())

@@ -286,14 +286,21 @@ def test_simulate_generic_refuses_more_than_2_20_codewords(monkeypatch, words):
 # block staging
 # ---------------------------------------------------------------------------
 
-# name -> (chain, shared-channel class, setup, run options): 7 trials each
+# name -> (chain, shared-channel class, setup, run options): 7 trials each;
+# the _m64 cases have the benchmark chains' trial shapes (64 x 32 and 64 x 16)
 BLOCK_CASES = {
     "dueck": (sm.simulate_dueck, sm._ExampleChannel,
               lambda: (binary_pair_source(0.02), regression_scheme(m=8)),
               dict(seed=11, e_max=2)),
+    "dueck_m64": (sm.simulate_dueck, sm._ExampleChannel,
+                  lambda: (binary_pair_source(0.02), regression_scheme(m=64)),
+                  dict(seed=1, e_max=2)),
     "generic": (sm.simulate_generic, sm._SampledChannel,
                 lambda: (small_instance(xi=0.05, eps=0.02), small_scheme(m=8)),
                 dict(seed=12, e_max=1)),
+    "generic_m64": (sm.simulate_generic, sm._SampledChannel,
+                    lambda: (small_instance(xi=0.05, eps=0.02), small_scheme(m=64)),
+                    dict(seed=1, e_max=1)),
     "generic_folded": (sm.simulate_generic, sm._SampledChannel,
                        lambda: (folded_instance(), small_scheme(m=8)), dict(seed=5)),
 }

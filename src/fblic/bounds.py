@@ -651,7 +651,6 @@ class SearchResult:
 
     feasible: list
     best_attempt: tuple | None  # (params, report) ranked highest by slack
-    reports: list  # one report per grid point, in grid order
 
     def __len__(self):
         return len(self.feasible)
@@ -664,22 +663,17 @@ def _slack_rank(report: ConditionReport) -> tuple:
                      default=math.inf) for scale in ("log", "linear"))
 
 
-def search_feasible(make_case, grid, checker=check_thm1) -> SearchResult:
-    """Run a checker over a parameter grid.
+def search_feasible(grid, reports) -> SearchResult:
+    """Rank a parameter grid by its points' reports, one per point in grid order.
 
-    make_case(params) must return (instance, scheme_params). Points rank
-    by their least log-scale slack, then by their least linear slack,
-    larger first, and ties break on grid order, so the result is
-    deterministic for a fixed grid. The feasible list holds the feasible
-    (params, report) pairs in rank order; best_attempt, the top-ranked
-    point, diagnoses an all-infeasible grid. reports holds every point's
-    report in grid order, so each point is checked once.
+    Points rank by their least log-scale slack, then by their least
+    linear slack, larger first, and ties break on grid order, so the
+    result is deterministic for a fixed grid. The feasible list holds the
+    feasible (params, report) pairs in rank order; best_attempt, the
+    top-ranked point, diagnoses an all-infeasible grid.
     """
-    grid = list(grid)
-    reports = [checker(*make_case(params)) for params in grid]
-    ranked = sorted(range(len(grid)), key=lambda i: ([-s for s in _slack_rank(reports[i])], i))
-    return SearchResult(
-        feasible=[(grid[i], reports[i]) for i in ranked if reports[i].overall],
-        best_attempt=(grid[ranked[0]], reports[ranked[0]]) if ranked else None,
-        reports=reports,
-    )
+    # a stable sort: ties keep grid order
+    ranked = sorted(zip(grid, reports, strict=True),
+                    key=lambda point: [-s for s in _slack_rank(point[1])])
+    return SearchResult(feasible=[p for p in ranked if p[1].overall],
+                        best_attempt=ranked[0] if ranked else None)

@@ -256,6 +256,9 @@ def _fill_from_config(ns: argparse.Namespace, path: str) -> None:
 # input loading helpers
 # ---------------------------------------------------------------------------
 
+_SCHEME_KEYS = ("l", "delta", "A", "B", "rho", "m")
+
+
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -278,7 +281,12 @@ def _load_instance_from_doc(d: dict) -> _bounds.ProblemInstance:
         p_x2_given_uv2=d["p_x2_given_uv2"], k_size=d.get("k_size"), **kw)
 
 
-def _scheme_from_doc(d: dict) -> _bounds.SchemeParams:
+def _scheme_from_doc(d: dict, source: str) -> _bounds.SchemeParams:
+    """The scheme of document d, read from source (a flag and its path); a
+    key that SchemeParams does not take is refused, naming both."""
+    unknown = [key for key in d if key not in _SCHEME_KEYS]
+    if unknown:
+        raise ValueError(f"{source}: unknown scheme key {unknown[0]!r}")
     return _bounds.SchemeParams(l=d["l"], delta=d["delta"], A=d["A"], B=d["B"],
                                 rho=d["rho"], m=d.get("m", 1))
 
@@ -441,7 +449,8 @@ def _cmd_dueck_feasibility(cfg: RunConfig) -> int:
 
 def _cmd_bounds_check(cfg: RunConfig) -> int:
     inst = _load_instance_from_doc(_load_json(_require(cfg, "instance")))
-    sp = _scheme_from_doc(_load_json(_require(cfg, "scheme")))
+    path = _require(cfg, "scheme")
+    sp = _scheme_from_doc(_load_json(path), f"--scheme {path}")
     check = {"thm1": _bounds.check_thm1, "thm3": _bounds.check_thm3,
              "thm2-rate": _bounds.check_thm2_rate_point}[_opt(cfg, "theorem", "thm1")]
     report = check(inst, sp)
@@ -450,7 +459,8 @@ def _cmd_bounds_check(cfg: RunConfig) -> int:
 
 
 def _cmd_bounds_search(cfg: RunConfig) -> int:
-    spec = _load_json(_require(cfg, "spec"))
+    path = _require(cfg, "spec")
+    spec = _load_json(path)
     inst_doc = spec["instance"]
     tmp_inst = json.dumps(inst_doc)
     inst = _load_instance_from_doc(inst_doc)
@@ -462,13 +472,12 @@ def _cmd_bounds_search(cfg: RunConfig) -> int:
         if not grid_axes[name]:
             raise ValueError(f"grid axis {name!r} is empty")
         combos = [c + (v,) for c in combos for v in grid_axes[name]]
-
-    def make_case(combo):
-        return inst, _scheme_from_doc({**base, **dict(zip(names, combo))})
-
-    result = _bounds.search_feasible(make_case, combos)
+    reports = [_bounds.check_thm1(inst, _scheme_from_doc({**base, **dict(zip(names, combo))},
+                                                         f"--spec {path}"))
+               for combo in combos]
+    result = _bounds.search_feasible(combos, reports)
     rows = [tuple(names) + ("phi", "min_slack", "feasible")]
-    for combo, rep in zip(combos, result.reports):
+    for combo, rep in zip(combos, reports):
         rows.append(combo + (rep.phi, rep.min_slack, bool(rep.overall)))
     payload = {
         "feasible": [{"params": dict(zip(names, c)), "min_slack": r.min_slack}
@@ -513,11 +522,12 @@ def _emit_stats(all_stats: list, cfg: RunConfig) -> None:
 def _simulate_each_scheme(cfg: RunConfig, chain, first, **kw) -> int:
     """Run ``chain(first, scheme, ...)`` for the --scheme document, or for
     each scheme of a list, and emit the reports together."""
-    scheme_doc = _load_json(_require(cfg, "scheme"))
+    path = _require(cfg, "scheme")
+    scheme_doc = _load_json(path)
     schemes = scheme_doc if isinstance(scheme_doc, list) else [scheme_doc]
     if not schemes:
         raise ValueError("scheme list is empty")
-    _emit_stats([chain(first, _scheme_from_doc(sd), seed=cfg.seed, **kw)
+    _emit_stats([chain(first, _scheme_from_doc(sd, f"--scheme {path}"), seed=cfg.seed, **kw)
                  for sd in schemes], cfg)
     return 0
 

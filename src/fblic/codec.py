@@ -25,7 +25,6 @@ OuterDecoder serves a user's whole run, a block of baselines per call.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -464,11 +463,10 @@ def _capped(total: int, what: str) -> int:
 class _Candidates(NamedTuple):
     """A rule's candidates on one baseline, by row, and what a search reads
     of them: each candidate's row, digest delta (the XOR of the H columns
-    of the bits old ^ new it flips), flat cells and bit flips, padded to
-    the widest radius by repeating its last cell; the pattern tables T_0
-    and T_1; and the left side [T_0; T_1] of the join that answers depths 1
-    and 2, as its (deltas, highest rows): row 0 is T_0's empty pattern and
-    row r > 0 is T_1's row r - 1."""
+    of the bits old ^ new it flips), flat cell and bit flips; the pattern
+    tables T_0 and T_1; and the left side [T_0; T_1] of the join that
+    answers depths 1 and 2, as its (deltas, highest rows): row 0 is T_0's
+    empty pattern and row r > 0 is T_1's row r - 1."""
 
     owner: np.ndarray
     delta: np.ndarray
@@ -487,15 +485,14 @@ def _candidates(base: np.ndarray, rule: CandidateRule, hasher: MatrixHasher) -> 
     """
     m, l = base.shape
     n_pos = l if rule.n_pos is None else min(rule.n_pos, l)
-    owner, cells, alt, pad = _substitution_layout(m, l, n_pos, hasher.alphabet_size, rule.radii)
+    owner, cells, alt = _substitution_layout(m, l, n_pos, hasher.alphabet_size)
     cur = base.take(cells)
     # offset k is the k-th symbol, ascending, other than the current one
     flips = cur ^ (alt + (alt >= cur))
-    # a padded cell repeats one already counted: it adds no delta
     bit = np.arange(hasher.sym_bits)
-    on = ((flips[:, :, None] >> bit & 1) * ~pad[:, :, None])[..., None].astype(np.uint64)
-    cols = hasher._cols.take(cells[:, :, None] * bit.size + bit, axis=0) * on
-    delta = np.bitwise_xor.reduce(cols, axis=(1, 2))
+    on = (flips[:, None] >> bit & 1)[..., None].astype(np.uint64)
+    cols = hasher._cols.take(cells[:, None] * bit.size + bit, axis=0) * on
+    delta = np.bitwise_xor.reduce(cols, axis=1)
     t0 = _patterns(np.zeros((1, 0), dtype=np.int64), np.zeros((1, hasher.words), dtype=np.uint64),
                    np.array([m]), np.array([-1]))
     t1 = _patterns(np.arange(len(owner))[:, None], delta, owner, owner)
@@ -605,18 +602,18 @@ class OuterDecoder:
     (already refined by residual bits), and its syndrome is
     digest(sent) ^ digest(baseline) = H . bits(sent ^ baseline), as
     hasher.words 64-bit words (see MatrixHasher.syndromes). The rule fixes
-    the candidates of each baseline row: every substitution of r of its
-    first n_pos symbols by other symbols of the hasher's alphabet, for
-    each r in rule.radii, so no two candidates are equal and each changes
-    the cells it writes. All patterns touching at most e_max rows are
-    examined; the unique syndrome match wins, two distinct matches report
-    ambiguity, none reports a search failure. Depth 0 is the baseline
+    the candidates of each baseline row: every substitution of one of its
+    first n_pos symbols by another symbol of the hasher's alphabet, so no
+    two candidates are equal and each changes the cell it writes. All
+    patterns touching at most e_max rows are examined; the unique
+    syndrome match wins, two distinct matches report ambiguity, none
+    reports a search failure. Depth 0 is the baseline
     itself, which matches iff its syndrome is 0; at e_max = 0 no candidate
     is built. searched counts the baseline, the candidates (when
     e_max >= 1) and the matched row pairs (when e_max >= 2).
 
     The digest is linear, so a candidate's effect on it is a fixed delta,
-    the XOR of the H columns of the bits its substitutions flip, and a
+    the XOR of the H columns of the bits its substitution flips, and a
     pattern matches when the XOR of its deltas equals the syndrome. Table
     k holds every pattern of k rows (T_0 is the empty pattern, T_1 the
     candidates), each built from the one below by adding a candidate
@@ -713,7 +710,6 @@ class OuterDecoder:
                 pattern = t1.idx[[j[0]] if i[0] == 0 else [i[0] - 1, j[0]], 0]
             else:
                 pattern = next(np.concatenate([a[0], b[0]]) for a, b in deeper if a.shape[0])
-            # a padded cell is written twice with the same symbol
             rows, cols = np.divmod(table.cells[pattern], base.shape[1])
             base[rows, cols] = base[rows, cols] ^ table.flips[pattern]
         return matches, searched
@@ -726,43 +722,24 @@ class OuterDecoder:
 @dataclass(frozen=True)
 class CandidateRule:
     """Which substitutions the outer decoder tries in each baseline row:
-    every replacement of exactly r of the row's first n_pos symbols (the
-    whole row when n_pos is None) by other symbols of the hasher's
-    alphabet, for each radius r in radii, nearest first."""
+    every replacement of one of the row's first n_pos symbols (the whole
+    row when n_pos is None) by another symbol of the hasher's alphabet."""
 
     n_pos: int | None
-    radii: tuple
 
 
 @functools.lru_cache(maxsize=64)
-def _substitution_layout(m: int, l: int, n_pos: int, alphabet_size: int, radii: tuple):
-    """Every substitution of r symbols among the first n_pos of each row of
-    an m x l matrix, for r in radii: row by row, nearest first, then in
-    lexicographic order of their (position, symbol offset) pairs, taken
-    by increasing position. Returns the rows (n,) and the flat cells,
-    symbol offsets and padding flags (n, max(radii)): a candidate of a
-    smaller radius repeats its last pair, flagged as padding."""
-    alts, width = alphabet_size - 1, max(radii)
-    pairs, pad = [], []
-    for r in radii:
-        for c in itertools.combinations(range(n_pos * alts), r):
-            if len({p // alts for p in c}) == r:
-                pairs.append(c + c[-1:] * (width - r))
-                pad.append((False,) * r + (True,) * (width - r))
-    owner = np.repeat(np.arange(m), len(pairs))
-    pos, alt = np.divmod(np.tile(np.array(pairs, dtype=np.int64).reshape(-1, width), (m, 1)), alts)
-    cells = owner[:, None] * l + pos
-    pad = np.tile(np.array(pad, dtype=bool).reshape(-1, width), (m, 1))
-    for arr in (owner, cells, alt, pad):
+def _substitution_layout(m: int, l: int, n_pos: int, alphabet_size: int):
+    """Every one-symbol substitution among the first n_pos of each row of
+    an m x l matrix, row by row, then by position, then by symbol offset:
+    their rows, flat cells and symbol offsets, each of shape (n,)."""
+    per_row = n_pos * (alphabet_size - 1)
+    pos, alt = np.divmod(np.tile(np.arange(per_row), m), alphabet_size - 1)
+    owner = np.repeat(np.arange(m), per_row)
+    out = owner, owner * l + pos, alt
+    for arr in out:
         arr.setflags(write=False)
-    return owner, cells, alt, pad
-
-
-def hamming_ball_rule(radius: int = 1) -> CandidateRule:
-    """Every row's substitutions within the given Hamming distance."""
-    if radius not in (1, 2):
-        raise ValueError("supported radii are 1 and 2")
-    return CandidateRule(n_pos=None, radii=tuple(range(1, radius + 1)))
+    return out
 
 
 def prefix_flip_rule(code: InnerCode) -> CandidateRule:
@@ -780,7 +757,7 @@ def prefix_flip_rule(code: InnerCode) -> CandidateRule:
         raise ValueError("prefix rule needs a power-of-two alphabet")
     if code.typical.size != n ** code.l:
         raise ValueError("prefix rule needs the full-cube typical set")
-    return CandidateRule(n_pos=-(-code.la_bits // sym_bits), radii=(1,))
+    return CandidateRule(n_pos=-(-code.la_bits // sym_bits))
 
 
 # ---------------------------------------------------------------------------

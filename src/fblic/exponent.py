@@ -15,7 +15,7 @@ variant) finds from the bracket [0, 1]. As E(rho) = F(rho) - rho*R is
 concave with slope f = I(p;V_rho) - R, the maximum lies on the side of
 rho that f points to and exceeds E(rho) by at most |f| times the distance
 to that end of the bracket; the search stops when this bound falls below
-the tolerance.
+the fixed tolerance _TOL.
 
 F(rho) is minimized by alternating closed-form steps: hold the output
 pmf q fixed and set each row of V to the normalized geometric mixture
@@ -46,6 +46,10 @@ import numpy as np
 from .probkit import Dmc, Pmf, log_sum_exp
 
 _ACTIVE_TOL = 1e-9
+# the search stops when its bound on the distance to the maximum falls
+# below _TOL; _MAX_ITERS caps the inner iterations summed over one search
+_TOL = 1e-10
+_MAX_ITERS = 100_000
 _TINY = np.finfo(float).tiny
 
 
@@ -127,21 +131,18 @@ class ChannelExponent:
         # lazy: only log_g_rho_l reads it
         return is_deterministic_injective(self._channel)
 
-    def at(self, rate: float, tolerance: float = 1e-6, max_iters: int = 100_000) -> float:
-        """E_r(rate, p, W) >= 0, within the tolerance; max_iters caps the
-        inner iterations summed over the whole search. A negative or NaN
-        rate, or a tolerance that is not positive, is refused."""
+    def at(self, rate: float) -> float:
+        """E_r(rate, p, W) >= 0, within _TOL; a search past _MAX_ITERS inner
+        iterations raises ExponentError. A negative or NaN rate is refused."""
         if not rate >= 0.0:
             raise ValueError(f"rate must be a non-negative number, got {rate!r}")
-        if not tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
         rate = float(rate)
         p, w, logw, q_w = self._p, self._w, self._logw, self._q_w
         i_w = self.mutual_information
         if rate >= i_w - _ACTIVE_TOL:
             return 0.0
 
-        tol = min(tolerance * 1e-3, 1e-10)
+        tol, max_iters = _TOL, _MAX_ITERS
         spent = 0
 
         def solve(rho: float, q_start: np.ndarray) -> tuple[np.ndarray, float, float]:

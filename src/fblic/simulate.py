@@ -20,8 +20,9 @@ trials' grouping. It has two stages.
   Per block and user, one call computes the syndromes (the digest
   of the sent matrix XOR that of the baseline) and one the outer decode.
 
-Every symbol is drawn by the one inverse-CDF rule of codec.draw_from_rows.
-numpy's Generator.choice(p=...) also maps one random() per symbol through
+Every symbol of the two chains is drawn by the one inverse-CDF rule of
+codec.draw_from_rows. interleave_iid_test draws its columns with numpy's
+Generator.choice(p=...), which also maps one random() per symbol through
 its CDF, but divides the CDF by its last entry first, so the two give the
 same symbols whenever the pmf's float cumulative sum ends at exactly 1.
 
@@ -408,7 +409,7 @@ def simulate_dueck(
     try:
         rule = _codec.prefix_flip_rule(code)
     except ValueError:
-        rule = _codec.hamming_ball_rule(radius=1)
+        rule = _codec.CandidateRule(n_pos=None)
 
     xi = max(0.0, 1.0 - float(np.trace(joint.probs)))
     xi_block = _bounds.xi_l(xi, sp.l)
@@ -469,7 +470,7 @@ def simulate_generic(
     phi_bound, _ = _bounds._phi_from_logs(inst.thm1_quantities(sp))
     return _simulate(
         sp, trials, seed, joint=src, maps=(inst.f1, inst.f2), code=code,
-        rule=_codec.hamming_ball_rule(radius=1),
+        rule=_codec.CandidateRule(n_pos=None),
         digest_bits=hash_bits, e_max=e_max, outer=outer,
         channel=_SampledChannel(inst, code, phi_bound),
         phi_bound=phi_bound, xi_block=inst.xi_block(sp.l),

@@ -399,31 +399,22 @@ def decode_one(decoder, khat, need):
                         int(res.matches[0]), int(res.searched[0]))
 
 
-def _row_substitutions(base, n_pos, alphabet_size, radii):
-    """Every row of base with r of its first n_pos symbols replaced, for each
-    r in radii, nearest first: (cands, owner)."""
+def _row_substitutions(base, n_pos, alphabet_size):
+    """Every row of base with one of its first n_pos symbols replaced, by
+    position, then by symbol offset: (cands, owner)."""
     m, l = base.shape
-    subs = []
-    for radius in radii:
-        sites = np.array(list(itertools.combinations(range(n_pos), radius)),
-                         dtype=np.int64).reshape(-1, radius)
-        offsets = np.array(list(itertools.product(range(alphabet_size - 1), repeat=radius)),
-                           dtype=np.int64).reshape(-1, radius)
-        pos = np.repeat(sites, offsets.shape[0], axis=0)
-        alt = np.tile(offsets, (sites.shape[0], 1))
-        out = np.repeat(base[:, None, :], pos.shape[0], axis=1)
-        flat = np.arange(pos.shape[0])[:, None] * l + pos
-        # offset k is the k-th symbol, ascending, other than the current one
-        out.reshape(m, -1)[:, flat] = alt + (alt >= base[:, pos])
-        subs.append(out)
-    out = np.concatenate(subs, axis=1)
-    return out.reshape(-1, l), np.repeat(np.arange(m), out.shape[1])
+    pos = np.repeat(np.arange(n_pos), alphabet_size - 1)
+    alt = np.tile(np.arange(alphabet_size - 1), n_pos)
+    out = np.repeat(base[:, None, :], pos.shape[0], axis=1)
+    flat = np.arange(pos.shape[0]) * l + pos
+    # offset k is the k-th symbol, ascending, other than the current one
+    out.reshape(m, -1)[:, flat] = alt + (alt >= base[:, pos])
+    return out.reshape(-1, l), np.repeat(np.arange(m), pos.shape[0])
 
 
-def hamming_ball_rows(alphabet_size, radius=1):
-    """Row form of codec.hamming_ball_rule."""
-    return lambda base: _row_substitutions(base, base.shape[1], alphabet_size,
-                                           range(1, radius + 1))
+def hamming_ball_rows(alphabet_size):
+    """Row form of codec.CandidateRule(n_pos=None): the radius-1 Hamming ball."""
+    return lambda base: _row_substitutions(base, base.shape[1], alphabet_size)
 
 
 def prefix_flip_rows(code):
@@ -431,8 +422,7 @@ def prefix_flip_rows(code):
     cd.prefix_flip_rule(code)
     alphabet_size = code.p_k1.alphabet_size
     prefix_syms = -(-code.la_bits // (alphabet_size - 1).bit_length())
-    return lambda base: _row_substitutions(base, min(prefix_syms, base.shape[1]),
-                                           alphabet_size, (1,))
+    return lambda base: _row_substitutions(base, min(prefix_syms, base.shape[1]), alphabet_size)
 
 
 def _bit_planes(hasher, rows):

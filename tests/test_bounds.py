@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -540,32 +541,28 @@ def test_check_thm2_rate_point_with_w_layer():
 # ---------------------------------------------------------------------------
 
 def test_search_feasible_empty_grid():
-    result = bd.search_feasible(lambda p: (None, None), [])
+    result = bd.search_feasible([], [])
     assert len(result) == 0 and result.best_attempt is None
+    # one report per grid point
+    with pytest.raises(ValueError):
+        bd.search_feasible([1.0], [])
 
 
 def test_search_feasible_finds_witness_point():
-    params = dk.DueckParams(512, 500, 8)
-
-    def make_case(scale):
-        inst, sp = dk.lemma2_scheme(params)
-        if scale != 1.0:
-            sp = bd.SchemeParams(l=sp.l, delta=sp.delta, A=sp.A,
-                                 B=sp.B * scale, rho=sp.rho, m=sp.m)
-        return inst, sp
-
-    result = bd.search_feasible(make_case, [0.5, 1.0])
+    inst, sp = dk.lemma2_scheme(dk.DueckParams(512, 500, 8))
+    grid = [0.5, 1.0]
+    reports = [bd.check_thm1(inst, dataclasses.replace(sp, B=sp.B * scale)) for scale in grid]
+    result = bd.search_feasible(grid, reports)
     feas_params = [p for p, _ in result.feasible]
     assert feas_params == [1.0]  # halving B breaks the bit budget
 
 
 def test_search_feasible_all_infeasible_diagnostics():
     inst = small_instance()
-
-    def make_case(b):
-        return inst, bd.SchemeParams(l=16, delta=0.75, A=0.0866, B=b, rho=0.02, m=4)
-
-    result = bd.search_feasible(make_case, [5.0, 6.0])
+    grid = [5.0, 6.0]
+    result = bd.search_feasible(grid, [
+        bd.check_thm1(inst, bd.SchemeParams(l=16, delta=0.75, A=0.0866, B=b, rho=0.02, m=4))
+        for b in grid])
     assert len(result.feasible) == 0
     assert result.best_attempt is not None
     params, report = result.best_attempt
@@ -580,7 +577,7 @@ def test_search_feasible_ranks_log_scale_slack_before_linear():
     slacks = {"a": (3.0, 0.01), "b": (0.1, 0.2), "c": (0.1, 0.5), "d": (-1.0, 1.0),
               "e": (-0.5, -0.01), "f": (-0.1, -2.0)}
 
-    def checker(_, point):
+    def report_of(point):
         log_slack, linear_slack = slacks[point]
         report = bd.ConditionReport(
             inequalities=(bd.Inequality("log row", 0.0, log_slack, kind="le", scale="log"),
@@ -589,12 +586,12 @@ def test_search_feasible_ranks_log_scale_slack_before_linear():
         report.status = "feasible" if report.overall else "infeasible"
         return report
 
-    result = bd.search_feasible(lambda p: (None, p), list("bdac"), checker=checker)
+    result = bd.search_feasible(list("bdac"), map(report_of, "bdac"))
     assert [p for p, _ in result.feasible] == ["a", "c", "b"]
     assert result.best_attempt[0] == "a"
     assert result.feasible[0][1].min_slack == 0.01  # the report itself is unchanged
     # all infeasible: the best attempt falls short least on log scale
-    result = bd.search_feasible(lambda p: (None, p), list("ef"), checker=checker)
+    result = bd.search_feasible(list("ef"), map(report_of, "ef"))
     assert len(result) == 0 and result.best_attempt[0] == "f"
 
 
@@ -622,12 +619,14 @@ def test_search_with_a_shared_instance_reports_as_fresh_ones(monkeypatch, checke
         b, rho, l = point
         return bd.SchemeParams(l=l, delta=0.75, A=2 * LN2 / 16, B=b, rho=rho, m=4)
 
-    fresh = bd.search_feasible(lambda p: (small_instance(), scheme(p)), grid, checker)
+    fresh_reports = [checker(small_instance(), scheme(p)) for p in grid]
+    fresh = bd.search_feasible(grid, fresh_reports)
     wanted = {**_INSTANCE_ONLY, **_READ_BY[checker]}
     computed = count_computations(monkeypatch, *wanted)
     inst = small_instance()
-    shared = bd.search_feasible(lambda p: (inst, scheme(p)), grid, checker)
-    assert [r.to_dict() for r in shared.reports] == [r.to_dict() for r in fresh.reports]
+    shared_reports = [checker(inst, scheme(p)) for p in grid]
+    shared = bd.search_feasible(grid, shared_reports)
+    assert [r.to_dict() for r in shared_reports] == [r.to_dict() for r in fresh_reports]
     assert [p for p, _ in shared.feasible] == [p for p, _ in fresh.feasible]
     assert shared.best_attempt[0] == fresh.best_attempt[0]
     assert {name: sorted(args) for name, args in computed.items()} == wanted

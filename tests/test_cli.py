@@ -403,6 +403,9 @@ def test_bounds_check_command(tmp_path):
     # allowance of 1e-9 * l on the counts would reach 1/2 and pass any pmf
     ({"p_u": [1 / 3, 2 / 3]}, {"l": 1000}, "p_U must be a type of denominator l"),
     ({"p_u": [1 / 3, 2 / 3]}, {"l": 10 ** 9}, "p_U must be a type of denominator l"),
+    # a key SchemeParams does not take names the document: "M" in place of
+    # "m" would run at m = 1
+    ({}, {"M": 8}, "scheme.json: unknown scheme key 'M'"),
 ])
 def test_bounds_check_non_integral_field_exits_2(tmp_path, capsys, instance, scheme, message):
     inst = write(tmp_path / "inst.json", {**instance_doc(), **instance})
@@ -784,6 +787,8 @@ def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, mess
     (["exponent"], [], "missing required option 'channel'"),
     (["bounds", "search"], [], "missing required option 'spec'"),
     (["bounds", "search"], {"rho": [0.01, [0.02]]}, "rho must be a number, got [0.02]"),
+    # a misspelled axis would run three identical points
+    (["bounds", "search"], {"rh0": [0.01, 0.02, 0.03]}, "spec.json: unknown scheme key 'rh0'"),
 ])
 def test_empty_grid_and_bad_sat_outputs_exit_2(tmp_path, capsys, command, flags, message):
     if isinstance(flags, dict):

@@ -491,7 +491,7 @@ def test_outer_encode_digest_uses_the_code_alphabet():
     hasher = cd.MatrixHasher(64, 5, code.p_k1.alphabet_size, 4, 3)
     assert not np.array_equal(_digest_words(hasher, mat),
                               _digest_words(cd.MatrixHasher(64, 5, 2, 4, 3), mat))
-    res = decode_one(cd.OuterDecoder(hasher, cd.hamming_ball_rule(radius=1), 0), khat,
+    res = decode_one(cd.OuterDecoder(hasher, cd.CandidateRule(n_pos=None), 0), khat,
                      _syndrome(hasher, mat, khat))
     assert res.status == "ok" and np.array_equal(res.matrix, mat)
 
@@ -633,7 +633,7 @@ def test_outer_decode_refuses_a_bad_syndrome(bits):
     # its width
     h = cd.MatrixHasher(bits, seed=3, alphabet_size=2, l=4, m=3)
     khat = np.zeros((3, 4), dtype=np.int64)
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     for words in (h.words - 1, h.words + 1):
         with pytest.raises(ValueError, match="syndrome width disagrees"):
             decode_one(cd.OuterDecoder(h, side, 1), khat, np.zeros(words, dtype=np.uint64))
@@ -655,7 +655,7 @@ def test_outer_decode_refuses_a_bad_syndrome(bits):
 
 def test_outer_decode_refuses_a_bad_baseline():
     h = cd.MatrixHasher(64, seed=3, alphabet_size=3, l=4, m=3)
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     need = np.zeros(1, dtype=np.uint64)
     with pytest.raises(ValueError, match="shape disagrees with the hasher"):
         decode_one(cd.OuterDecoder(h, side, 1), np.zeros((4, 3), dtype=np.int64), need)
@@ -676,7 +676,7 @@ def test_outer_decode_clean_matrix():
     rng = np.random.default_rng(1)
     truth = rng.integers(0, 2, size=(5, 6))
     h = cd.MatrixHasher(80, seed=2, alphabet_size=2, l=6, m=5)
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     res = decode_one(cd.OuterDecoder(h, side, 2), truth.copy(), _syndrome(h, truth, truth))
     assert res.status == "ok"
     assert np.array_equal(res.matrix, truth)
@@ -719,7 +719,7 @@ def brute_force_outer(khat, digest, rows_rule, e_max, hasher):
 
 
 def test_outer_decode_matches_brute_force_enumeration():
-    side, rows_rule = cd.hamming_ball_rule(radius=1), hamming_ball_rows(2, 1)
+    side, rows_rule = cd.CandidateRule(n_pos=None), hamming_ball_rows(2)
     rng = np.random.default_rng(8)
     h = cd.MatrixHasher(64, seed=3, alphabet_size=2, l=5, m=4)
     for trial in range(25):
@@ -746,17 +746,17 @@ def test_outer_decode_matches_brute_force_enumeration():
 NARROW_CASES = {
     # ternary alphabet: sym_bits = 2 and the bit pattern of symbol 3 is unused
     "ternary_hamming": (lambda: cd.InnerCode(pk.Pmf([0.5, 0.3, 0.2]), 2, 5.0),
-                        lambda code: (cd.hamming_ball_rule(radius=1), hamming_ball_rows(3, 1)),
+                        lambda code: (cd.CandidateRule(n_pos=None), hamming_ball_rows(3)),
                         3, 3, 2, 6),
     "quaternary_prefix": (lambda: cd.InnerCode(pk.Pmf.uniform(4), 3, 5.0, max_la_bits=3,
                                                codebook=cd.FullCubeCode(4, 3)),
                           lambda code: (cd.prefix_flip_rule(code), prefix_flip_rows(code)),
                           4, 3, 2, 7),
     "binary_e_max_3": (lambda: cd.InnerCode(pk.Pmf.uniform(2), 2, 5.0),
-                       lambda code: (cd.hamming_ball_rule(radius=1), hamming_ball_rows(2, 1)),
+                       lambda code: (cd.CandidateRule(n_pos=None), hamming_ball_rows(2)),
                        2, 4, 3, 6),
     "binary_e_max_4": (lambda: cd.InnerCode(pk.Pmf.uniform(2), 2, 5.0),
-                       lambda code: (cd.hamming_ball_rule(radius=1), hamming_ball_rows(2, 1)),
+                       lambda code: (cd.CandidateRule(n_pos=None), hamming_ball_rows(2)),
                        2, 5, 4, 7),
 }
 
@@ -793,11 +793,10 @@ def test_outer_decode_matches_brute_force_narrow_digest(case):
 
 
 def _rule_pair(alphabet, rule, l, la_share):
-    """(alphabet, candidate rule, its row form) for a rule name: ball1,
-    ball2, or prefix, which needs a power-of-two alphabet (3 becomes 2)."""
-    if rule != "prefix":
-        radius = int(rule[-1])
-        return alphabet, cd.hamming_ball_rule(radius), hamming_ball_rows(alphabet, radius)
+    """(alphabet, candidate rule, its row form) for a rule name: ball, every
+    position, or prefix, which needs a power-of-two alphabet (3 becomes 2)."""
+    if rule == "ball":
+        return alphabet, cd.CandidateRule(n_pos=None), hamming_ball_rows(alphabet)
     alphabet = 2 if alphabet == 3 else alphabet
     sym_bits = (alphabet - 1).bit_length()
     code = cd.InnerCode(pk.Pmf.uniform(alphabet), l, 5.0, cd.FullCubeCode(alphabet, l),
@@ -815,13 +814,14 @@ def _decode_outcome(decode, *args):
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(alphabet=st.sampled_from([2, 3, 4]), rule=st.sampled_from(["ball1", "ball2", "prefix"]),
+@given(alphabet=st.sampled_from([2, 3, 4]), rule=st.sampled_from(["ball", "prefix"]),
        e_max=st.integers(0, 4), bits=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64, 96, 128]),
        m=st.integers(1, 5), l=st.integers(1, 6), la_share=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 32 - 1))
-# both refusals: a join of too many equal-key pairs, a table of too many patterns
-@example(alphabet=4, rule="ball2", e_max=4, bits=1, m=5, l=6, la_share=0.0, seed=1)
-@example(alphabet=4, rule="ball2", e_max=3, bits=64, m=6, l=8, la_share=0.0, seed=1)
+# both refusals: a join of too many equal-key pairs (depth 4), a table of
+# too many patterns (C(81, 2) * 18^2 > 2^20 two-row patterns)
+@example(alphabet=4, rule="ball", e_max=4, bits=1, m=5, l=6, la_share=0.0, seed=1)
+@example(alphabet=4, rule="ball", e_max=3, bits=64, m=81, l=6, la_share=0.0, seed=1)
 def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l, la_share, seed):
     # the substitution search against the row-based search it replaced:
     # same status, matches, searched count and matrix, or the same refusal
@@ -841,7 +841,7 @@ def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l,
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(alphabet=st.sampled_from([2, 3, 4]), rule=st.sampled_from(["ball1", "ball2", "prefix"]),
+@given(alphabet=st.sampled_from([2, 3, 4]), rule=st.sampled_from(["ball", "prefix"]),
        e_max=st.integers(0, 4), bits=st.sampled_from([0, 1, 2, 3, 5, 8, 64, 96]),
        m=st.integers(1, 4), l=st.integers(1, 5), la_share=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 32 - 1),
@@ -849,7 +849,7 @@ def test_outer_decode_equals_the_row_pipeline(alphabet, rule, e_max, bits, m, l,
 # the one-bit digest of test_outer_decode_caps_each_depth_of_the_shared_join_apart:
 # trials 0 and 1 (syndrome 1) are ambiguous, trial 2 (syndrome 0) is
 # refused for too many equal-key pairs
-@example(alphabet=2, rule="ball1", e_max=2, bits=1, m=21, l=69, la_share=0.0, seed=5,
+@example(alphabet=2, rule="ball", e_max=2, bits=1, m=21, l=69, la_share=0.0, seed=5,
          corrupt=[1, 1, 0])
 def test_outer_decoder_block_equals_the_row_pipeline_trial_by_trial(
         alphabet, rule, e_max, bits, m, l, la_share, seed, corrupt):
@@ -886,18 +886,18 @@ def test_outer_decoder_block_equals_the_row_pipeline_trial_by_trial(
        bits=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64, 128]),
        m=st.integers(1, 4), l=st.integers(1, 5), la_share=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 32 - 1),
-       steps=st.lists(st.tuples(st.sampled_from(["ball1", "ball2", "prefix"]),
+       steps=st.lists(st.tuples(st.sampled_from(["ball", "prefix"]),
                                 st.integers(0, 4), st.integers(0, 3)),
                       min_size=2, max_size=8))
 # a binary ball at every depth: each decoder reuses its table after its
 # first decode, and its zero-syndrome count on the second c = 0
 @example(alphabet=2, bits=64, m=4, l=5, la_share=0.0, seed=3,
-         steps=[("ball1", e, c) for e in (1, 2, 3, 4) for c in (0, 1, 0, 2)])
+         steps=[("ball", e, c) for e in (1, 2, 3, 4) for c in (0, 1, 0, 2)])
 # a one-bit digest: baselines that match are ambiguous (kept, then read
 # back), or refused at depth 4 (again on the repeat)
-@example(alphabet=4, bits=1, m=4, l=3, la_share=1.0, seed=5,
-         steps=[("ball2", 4, 0), ("prefix", 2, 0), ("ball2", 2, 0), ("ball2", 4, 0),
-                ("ball1", 3, 1), ("ball2", 2, 0), ("ball2", 2, 0)])
+@example(alphabet=4, bits=1, m=4, l=6, la_share=0.5, seed=5,
+         steps=[("ball", 4, 0), ("prefix", 2, 0), ("ball", 2, 0), ("ball", 4, 0),
+                ("ball", 3, 1), ("ball", 2, 0), ("ball", 2, 0)])
 def test_outer_decode_reuses_its_table_across_baselines_and_rules(
         alphabet, bits, m, l, la_share, seed, steps):
     # one hasher serves a decoder per (rule, e_max), the decoders taking
@@ -908,11 +908,10 @@ def test_outer_decode_reuses_its_table_across_baselines_and_rules(
     sym_bits = (alphabet - 1).bit_length()
     code = cd.InnerCode(pk.Pmf.uniform(2 ** sym_bits), l, 5.0, cd.FullCubeCode(2 ** sym_bits, l),
                         max_la_bits=round(la_share * l * sym_bits))
-    rules = {"ball1": (cd.hamming_ball_rule(1), hamming_ball_rows(alphabet, 1)),
-             "ball2": (cd.hamming_ball_rule(2), hamming_ball_rows(alphabet, 2))}
-    # the prefix rule needs a power-of-two alphabet: a ternary run uses ball1
+    rules = {"ball": (cd.CandidateRule(n_pos=None), hamming_ball_rows(alphabet))}
+    # the prefix rule needs a power-of-two alphabet: a ternary run uses ball
     rules["prefix"] = ((cd.prefix_flip_rule(code), prefix_flip_rows(code))
-                       if alphabet != 3 else rules["ball1"])
+                       if alphabet != 3 else rules["ball"])
     rng = np.random.default_rng(seed)
     truth = rng.integers(0, alphabet, size=(m, l))
     baselines = [truth.copy()]
@@ -953,18 +952,18 @@ def test_outer_decode_keeps_the_last_candidate_table(monkeypatch):
     khat = truth.copy()
     khat[1, 2] ^= 1
     h = cd.MatrixHasher(64, seed=2, alphabet_size=2, l=5, m=4)
-    dec = cd.OuterDecoder(h, cd.hamming_ball_rule(radius=1), 2)
+    dec = cd.OuterDecoder(h, cd.CandidateRule(n_pos=None), 2)
     res = decode_one(dec, truth, _syndrome(h, truth, truth))
     settled = res.matches, res.searched
     assert res.status == "ok" and dec._settled == settled and built == [dec._table]
     res = decode_one(dec, khat, _syndrome(h, truth, khat))
     assert res.status == "ok" and np.array_equal(res.matrix, truth)
     assert built == [dec._table] and dec._settled == settled
-    other = cd.OuterDecoder(h, cd.hamming_ball_rule(radius=2), 1)
+    other = cd.OuterDecoder(h, cd.CandidateRule(n_pos=3), 1)
     decode_one(other, khat, _syndrome(h, truth, khat))
     assert built == [dec._table, other._table]
     ternary = cd.MatrixHasher(64, seed=2, alphabet_size=3, l=5, m=4)
-    dec3 = cd.OuterDecoder(ternary, cd.hamming_ball_rule(radius=1), 1)
+    dec3 = cd.OuterDecoder(ternary, cd.CandidateRule(n_pos=None), 1)
     for base in (truth, truth, khat):
         decode_one(dec3, base, _syndrome(ternary, truth, base))
     assert len(built) == 2 + 3 and dec3._table is None and dec3._settled is None
@@ -974,7 +973,7 @@ def test_outer_decode_keeps_the_last_candidate_table(monkeypatch):
 def test_outer_decode_compares_every_digest_word():
     # a target that agrees with a reachable pattern on the low 64 bits but
     # not above them must not match: the join keys on the first word only
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     h = cd.MatrixHasher(128, seed=4, alphabet_size=2, l=4, m=3)
     khat = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
     for rows in ((1,), (0, 2)):
@@ -988,7 +987,7 @@ def test_outer_decode_compares_every_digest_word():
 
 
 def test_outer_decode_failure_when_pattern_exceeds_e_max():
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     rng = np.random.default_rng(9)
     truth = rng.integers(0, 2, size=(6, 5))
     khat = truth.copy()
@@ -1004,7 +1003,7 @@ def test_outer_decode_failure_when_pattern_exceeds_e_max():
 def test_outer_decode_zero_width_digest():
     h = cd.MatrixHasher(0, seed=0, alphabet_size=2, l=4, m=3)
     mat = np.zeros((3, 4), dtype=int)
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     need = _syndrome(h, mat, mat)
     assert need.shape == (0,)
     assert decode_one(cd.OuterDecoder(h, side, 0), mat, need).status == "ok"
@@ -1016,7 +1015,7 @@ def test_outer_decode_e_max_zero_checks_only_the_baseline(monkeypatch):
     # and neither does a zero-width digest, at any depth
     built = []
     monkeypatch.setattr(cd, "_candidates", lambda *args: built.append(args))
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     rng = np.random.default_rng(4)
     truth = rng.integers(0, 2, size=(4, 5))
     h = cd.MatrixHasher(64, seed=3, alphabet_size=2, l=5, m=4)
@@ -1058,7 +1057,7 @@ def test_outer_decode_without_candidates():
 
 def test_outer_decode_no_wrong_accepts_fuzz():
     # ten thousand corruption rounds, wide digest: never accept a wrong matrix
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     h = cd.MatrixHasher(96, seed=11, alphabet_size=2, l=4, m=4)
     rng = np.random.default_rng(12)
     truths, khats = [], []
@@ -1081,7 +1080,7 @@ def test_outer_decode_refuses_an_oversized_pattern_table():
     # size, before it is built
     h = cd.MatrixHasher(64, seed=1, alphabet_size=2, l=32, m=64)
     khat = np.zeros((64, 32), dtype=np.int64)
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     # the syndrome of the digest 1 against the all-zero baseline (digest 0)
     one = np.ones(1, dtype=np.uint64)
     # the decoder keeps its candidate table through the refusal, and the
@@ -1120,7 +1119,7 @@ def test_outer_decode_caps_each_depth_of_the_shared_join_apart():
     m, l = 21, 69
     h = cd.MatrixHasher(1, seed=5, alphabet_size=2, l=l, m=m)
     khat = np.zeros((m, l), dtype=np.int64)
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     one = np.ones(1, dtype=np.uint64)
     dec = cd.OuterDecoder(h, side, 2)
     res = decode_one(dec, khat, one)
@@ -1130,7 +1129,7 @@ def test_outer_decode_caps_each_depth_of_the_shared_join_apart():
     assert depth2 <= 1 << 20 < depth1 + depth2
     assert res.status == "ambiguous"
     assert (_decode_outcome(decode_one, dec, khat, one)
-            == _decode_outcome(row_outer_decode, khat, one, hamming_ball_rows(2, 1), 2, h))
+            == _decode_outcome(row_outer_decode, khat, one, hamming_ball_rows(2), 2, h))
 
 
 def test_settled_zero_syndrome_decodes_build_no_table(monkeypatch):
@@ -1139,7 +1138,7 @@ def test_settled_zero_syndrome_decodes_build_no_table(monkeypatch):
     # zero-syndrome trials, of the same block or the next, build no
     # candidate table and run no join; each still equals a fresh decoder's
     rng = np.random.default_rng(11)
-    side = cd.hamming_ball_rule(radius=1)
+    side = cd.CandidateRule(n_pos=None)
     h = cd.MatrixHasher(64, seed=7, alphabet_size=2, l=6, m=5)
     calls = {"_candidates": 0, "_join": 0}
     for name in calls:
@@ -1173,8 +1172,7 @@ def _candidate_rows(base, rule, alphabet_size):
     m, l = base.shape
     table = cd._candidates(base, rule, cd.MatrixHasher(64, 0, alphabet_size, l, m))
     rows = base[table.owner]
-    idx = np.arange(rows.shape[0])[:, None]
-    rows[idx, table.cells % l] = base.take(table.cells) ^ table.flips
+    rows[np.arange(rows.shape[0]), table.cells % l] = base.take(table.cells) ^ table.flips
     return rows, table.owner
 
 
@@ -1183,7 +1181,7 @@ def test_prefix_flip_rule_positions():
     code = cd.InnerCode(p, 8, 1.0, max_la_bits=3,
                         codebook=cd.FullCubeCode(2, 8))
     rule = cd.prefix_flip_rule(code)
-    assert rule == cd.CandidateRule(n_pos=3, radii=(1,))
+    assert rule == cd.CandidateRule(n_pos=3)
     base = np.array([np.zeros(8, dtype=int), np.ones(8, dtype=int)])
     cands, owner = _candidate_rows(base, rule, 2)
     assert len(cands) == 2 * 3  # one flip per address position, row by row
@@ -1199,18 +1197,15 @@ def test_prefix_flip_rule_positions():
         cd.prefix_flip_rule(cd.InnerCode(pk.Pmf.uniform(3), 4, 2.0))
 
 
-def test_hamming_ball_rule_radius_two():
-    rule = cd.hamming_ball_rule(radius=2)
-    assert rule == cd.CandidateRule(n_pos=None, radii=(1, 2))
-    base = np.zeros((2, 3), dtype=int)
-    cands, owner = _candidate_rows(base, rule, 2)
-    assert len(cands) == 2 * (3 + 3)  # three singles, three pairs, per row
-    assert owner.tolist() == [0] * 6 + [1] * 6
-    assert (cands != 0).sum(axis=1).tolist() == [1, 1, 1, 2, 2, 2] * 2
-    rows, row_owner = hamming_ball_rows(2, 2)(base)
+def test_ball_rule_candidates_in_row_form_order():
+    # every one-symbol substitution, row by row, then by position, then by
+    # symbol offset, on a ternary alphabet: the row form's candidates in
+    # its order
+    base = np.array([[0, 2, 1], [1, 1, 0]])
+    cands, owner = _candidate_rows(base, cd.CandidateRule(n_pos=None), 3)
+    rows, row_owner = hamming_ball_rows(3)(base)
     assert np.array_equal(cands, rows) and np.array_equal(owner, row_owner)
-    with pytest.raises(ValueError):
-        cd.hamming_ball_rule(radius=3)
+    assert cands[:3].tolist() == [[1, 2, 1], [2, 2, 1], [0, 0, 1]]
 
 
 def test_multiplex_inputs():

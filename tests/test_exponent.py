@@ -143,12 +143,13 @@ def test_exponent_monotone_in_rate():
     assert values[-1] <= 1e-9
 
 
-def test_exponent_iteration_cap_raises():
+def test_exponent_iteration_cap_raises(monkeypatch):
     # R = 0.2 lies above the critical rate (~0.131) of BSC(0.1), so the rho
     # search must run past the rho = 1 solve and hits the cap
     user = ex.ChannelExponent(pk.Pmf.uniform(2), pk.Dmc.binary_symmetric(0.1))
+    monkeypatch.setattr(ex, "_MAX_ITERS", 3)
     with pytest.raises(ex.ExponentError, match="iteration cap 3 reached"):
-        user.at(0.2, tolerance=1e-12, max_iters=3)
+        user.at(0.2)
 
 
 def test_channel_exponent_rejects_bad_input():
@@ -159,9 +160,6 @@ def test_channel_exponent_rejects_bad_input():
     for rate in (-0.1, math.nan):
         with pytest.raises(ValueError, match="rate must be a non-negative number"):
             user.at(rate)
-    for tolerance in (0.0, -1e-6, math.nan):
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            user.at(0.1, tolerance=tolerance)
 
 
 def random_case(seed, shape):
@@ -270,6 +268,13 @@ def test_g_rho_l_domain():
         ex.log_g_rho_l(16, 0.2, 0.0, users)
     with pytest.raises(ValueError):
         ex.log_g_rho_l(0, 0.2, 0.1, users)
+    # l = 1, the least block length, runs: on a near-noiseless 4-ary channel
+    # the two equal terms exp(-(E_r(A + rho) - rho)) sum to less than 1
+    w = pk.Dmc(np.full((4, 4), 0.001 / 3) + np.eye(4) * (0.999 - 0.001 / 3))
+    users = both_users(pk.Pmf.uniform(4), w)
+    gap = users[0].at(0.35) - 0.05
+    log_g = ex.log_g_rho_l(1, 0.3, 0.05, users)
+    assert log_g < 0.0 and log_g == pytest.approx(LN2 - gap, rel=1e-12)
 
 
 def test_g_rho_l_clamps_to_one():
@@ -319,3 +324,7 @@ def test_is_deterministic_injective():
     assert not ex.is_deterministic_injective(pk.Dmc.binary_symmetric(0.1))
     # deterministic but not injective
     assert not ex.is_deterministic_injective(pk.Dmc([[1.0, 0.0], [1.0, 0.0]]))
+    # non-square: two inputs onto two of three outputs are injective; three
+    # inputs onto two outputs cannot be
+    assert ex.is_deterministic_injective(pk.Dmc([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert not ex.is_deterministic_injective(pk.Dmc([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))

@@ -125,6 +125,16 @@ def test_simulate_dueck_error_rate_monotone_in_capacity_slack():
     assert starved.extras["digest_bits"] == 0
 
 
+def test_simulate_dueck_truncates_the_digest_to_the_bit_budget():
+    # 16 rows of lb = 32 - 16 = 16 residual bits and a 128-bit digest
+    # demand 384 bits; a quarter less capacity leaves floor(384 * 0.75) = 288
+    # bits, 288 - 256 = 32 of them for the digest
+    stats = sm.simulate_dueck(binary_pair_source(0.004), regression_scheme(m=16), trials=2,
+                              seed=31, hash_bits=128, capacity_slack=-0.25)
+    assert stats.extras["lb_bits"] == 16 and stats.rate_exceeded is False
+    assert stats.extras["digest_bits"] == 32
+
+
 def test_simulate_dueck_inner_envelope_assertion_runs():
     # the inclusion check runs on every block of every run; a healthy
     # fixture passes through it without tripping
@@ -441,6 +451,22 @@ def test_interleave_iid_rejects_empty_matrix(m):
         sm.interleave_iid_test(make_position_law(), m=m, seed=1)
 
 
+def test_interleave_iid_accepts_a_one_row_matrix():
+    # m = 1, the least accepted: every column is tested, and with no row
+    # pair the independence table is empty
+    rep = sm.interleave_iid_test(make_position_law(), m=1, seed=1)
+    assert len(rep.column_p) == 6 and rep.pooled_df == 6 * (3 - 1)
+    assert rep.independence_p == 1.0
+
+
+def test_interleave_iid_pooled_df_counts_the_support():
+    # symbol 3 has probability 0 at every position, so each of the 6
+    # columns has |support| - 1 = 2 degrees of freedom, not 3
+    law = [pk.Pmf(np.r_[pm.probs, 0.0]) for pm in make_position_law()]
+    rep = sm.interleave_iid_test(law, m=300, seed=4)
+    assert rep.pooled_df == 6 * (3 - 1)
+
+
 def test_interleave_iid_report_serializes():
     rep = sm.interleave_iid_test(make_position_law(), m=500, seed=2)
     d = rep.to_dict()
@@ -494,6 +520,12 @@ def test_codebook_size_is_floor_exp_between_least_and_cap():
     assert sm._codebook_size(1e6, 2, 70) == 70
     assert sm._codebook_size(math.inf, 1, 3 ** 1000) == 3 ** 1000
     assert sm._codebook_size(5.0, 2, 1) == 1
+
+
+def test_cc_exponent_accepts_one_codebook_of_one_trial():
+    rep = sm.cc_exponent_test(pk.Dmc.identity(2), (4, 4), rate=0.1, l=8,
+                              codebooks=1, trials_per_book=1, seed=1)
+    assert (rep.codebooks, rep.decoded, rep.errors) == (1, 1, 0) and rep.passed
 
 
 @pytest.mark.parametrize("codebooks, trials_per_book", [(0, 5), (2, 0), (-1, 5), (2, -3)])

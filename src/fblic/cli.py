@@ -256,44 +256,59 @@ def _fill_from_config(ns: argparse.Namespace, path: str) -> None:
 # input loading helpers
 # ---------------------------------------------------------------------------
 
-_SCHEME_KEYS = ("l", "delta", "A", "B", "rho", "m")
+# Each kind of input document: its required keys, and its optional keys with
+# their defaults. A --params file is a "fixture" when it holds "joint" and an
+# "example" otherwise.
+_DOCUMENTS = {
+    "channel": (("rows",), {}),
+    "input-pmf": (("probs",), {}),
+    "instance": (("source", "f1", "f2", "ic", "p_u", "p_v1", "p_v2", "p_x1_given_uv1",
+                  "p_x2_given_uv2"), {"k_size": None, "p_w1": None, "p_w2": None}),
+    "scheme": (("l", "delta", "A", "B", "rho"), {"m": 1}),
+    "fixture": (("joint",), {}),
+    "example": (("a", "k", "eta"), {}),
+    "law": (("positions",), {}),
+    "spec": (("instance", "scheme"), {"grid": {}}),
+}
 
 
-def _load_json(path: str):
+def _read(cfg: RunConfig, name: str) -> tuple:
+    """The JSON document at option name's path, and the "--name path" naming it in errors."""
+    path = _require(cfg, name)
+    where = f"--{name.replace('_', '-')} {path}"
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh), where
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: not valid JSON: {exc}") from None
 
 
-def _load_pmf(path: str) -> _probkit.Pmf:
-    return _probkit.Pmf(_load_json(path)["probs"])
+def _checked(doc, where: str, kind: str) -> dict:
+    """doc, a document of the kind read from where, with its defaults filled
+    in; a non-object, an unknown key or a missing one is refused, by name."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    required, optional = _DOCUMENTS[kind]
+    for problem, keys in (("unknown", [k for k in doc if k not in required and k not in optional]),
+                          ("missing", [k for k in required if k not in doc])):
+        if keys:
+            raise ValueError(f"{where}: {problem} {kind} key {keys[0]!r}")
+    return {**optional, **doc}
 
 
-def _load_dmc(path: str) -> _probkit.Dmc:
-    return _probkit.Dmc(_load_json(path)["rows"])
-
-
-def _load_instance_from_doc(d: dict) -> _bounds.ProblemInstance:
-    kw = {k: _probkit.Pmf(d[k]) for k in ("p_w1", "p_w2") if d.get(k) is not None}
-    return _bounds.ProblemInstance(
-        source=_probkit.JointPmf(d["source"]), f1=d["f1"], f2=d["f2"], ic=d["ic"],
-        p_u=_probkit.Pmf(d["p_u"]), p_v1=_probkit.Pmf(d["p_v1"]),
-        p_v2=_probkit.Pmf(d["p_v2"]), p_x1_given_uv1=d["p_x1_given_uv1"],
-        p_x2_given_uv2=d["p_x2_given_uv2"], k_size=d.get("k_size"), **kw)
-
-
-def _scheme_from_doc(d: dict, source: str) -> _bounds.SchemeParams:
-    """The scheme of document d, read from source (a flag and its path); a
-    key that SchemeParams does not take is refused, naming both."""
-    unknown = [key for key in d if key not in _SCHEME_KEYS]
-    if unknown:
-        raise ValueError(f"{source}: unknown scheme key {unknown[0]!r}")
-    return _bounds.SchemeParams(l=d["l"], delta=d["delta"], A=d["A"], B=d["B"],
-                                rho=d["rho"], m=d.get("m", 1))
+def _instance(d: dict) -> _bounds.ProblemInstance:
+    """The instance of an instance document; a null p_w1 or p_w2 is absent."""
+    pmfs = {k: _probkit.Pmf(d[k]) for k in ("p_u", "p_v1", "p_v2", "p_w1", "p_w2")
+            if k in ("p_u", "p_v1", "p_v2") or d[k] is not None}
+    return _bounds.ProblemInstance(**{**d, **pmfs, "source": _probkit.JointPmf(d["source"])})
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     """A comma list of integers; an empty list is an error naming the flag."""
-    values = [int(v) for v in text.split(",") if v.strip()]
+    try:
+        values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} {text!r}: each entry must be an integer") from None
     if not values:
         raise ValueError(f"{flag} {text!r}: no value given")
     return values
@@ -301,21 +316,24 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _parse_rates(text: str) -> list[float]:
     """start:stop:step (stop included) or a comma list; a rate list is never empty."""
+    try:
+        rates = [float(v) for v in text.split(":" if ":" in text else ",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"--rates {text!r}: each entry must be a number") from None
     if ":" in text:
-        start, stop, step = (float(v) for v in text.split(":"))
+        start, stop, step = rates
         if not all(map(math.isfinite, (start, stop, step))):
-            raise ValueError(f"rates {text!r}: start, stop and step must be finite")
+            raise ValueError(f"--rates {text!r}: start, stop and step must be finite")
         if step <= 0.0:
-            raise ValueError(f"rates {text!r}: step must be positive")
+            raise ValueError(f"--rates {text!r}: step must be positive")
         if stop < start:
-            raise ValueError(f"rates {text!r}: stop lies below start")
+            raise ValueError(f"--rates {text!r}: stop lies below start")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(n)]
-    rates = [float(v) for v in text.split(",") if v.strip()]
     if not rates:
-        raise ValueError(f"rates {text!r}: no rate given")
+        raise ValueError(f"--rates {text!r}: no rate given")
     if any(map(math.isinf, rates)):
-        raise ValueError(f"rates {text!r}: each rate must be finite")
+        raise ValueError(f"--rates {text!r}: each rate must be finite")
     return rates
 
 
@@ -403,19 +421,15 @@ def _require(cfg: RunConfig, name: str):
 
 
 def _cmd_exponent(cfg: RunConfig) -> int:
-    channel = _load_dmc(_require(cfg, "channel"))
-    pmf = (_load_pmf(cfg.options["input_pmf"]) if cfg.options.get("input_pmf")
-           else _probkit.Pmf.uniform(channel.num_inputs))
+    channel = _probkit.Dmc(_checked(*_read(cfg, "channel"), "channel")["rows"])
+    pmf = (_probkit.Pmf(_checked(*_read(cfg, "input_pmf"), "input-pmf")["probs"])
+           if cfg.options.get("input_pmf") else _probkit.Pmf.uniform(channel.num_inputs))
     rates = _parse_rates(_opt(cfg, "rates", "0:0.7:0.05"))
     factor = _unit_factor(cfg)
-    rows = [("rate", "exponent")]
-    curve = []
     solver = _exponent.ChannelExponent(pmf, channel)
-    for r in rates:
-        er = solver.at(r)
-        rows.append((r / factor, er / factor))
-        curve.append({"rate": r / factor, "exponent": er / factor})
-    _emit({"curve": curve}, cfg, csv_rows=rows)
+    points = [(r / factor, solver.at(r) / factor) for r in rates]
+    _emit({"curve": [{"rate": r, "exponent": e} for r, e in points]}, cfg,
+          csv_rows=[("rate", "exponent"), *points])
     return 0
 
 
@@ -448,9 +462,8 @@ def _cmd_dueck_feasibility(cfg: RunConfig) -> int:
 
 
 def _cmd_bounds_check(cfg: RunConfig) -> int:
-    inst = _load_instance_from_doc(_load_json(_require(cfg, "instance")))
-    path = _require(cfg, "scheme")
-    sp = _scheme_from_doc(_load_json(path), f"--scheme {path}")
+    inst = _instance(_checked(*_read(cfg, "instance"), "instance"))
+    sp = _bounds.SchemeParams(**_checked(*_read(cfg, "scheme"), "scheme"))
     check = {"thm1": _bounds.check_thm1, "thm3": _bounds.check_thm3,
              "thm2-rate": _bounds.check_thm2_rate_point}[_opt(cfg, "theorem", "thm1")]
     report = check(inst, sp)
@@ -459,21 +472,21 @@ def _cmd_bounds_check(cfg: RunConfig) -> int:
 
 
 def _cmd_bounds_search(cfg: RunConfig) -> int:
-    path = _require(cfg, "spec")
-    spec = _load_json(path)
-    inst_doc = spec["instance"]
-    tmp_inst = json.dumps(inst_doc)
-    inst = _load_instance_from_doc(inst_doc)
-    base = spec["scheme"]
-    grid_axes = spec.get("grid", {})
+    spec, where = _read(cfg, "spec")
+    spec = _checked(spec, where, "spec")
+    inst = _instance(_checked(spec["instance"], f"{where}: instance", "instance"))
+    base = _checked(spec["scheme"], f"{where}: scheme", "scheme")
+    grid_axes = spec["grid"]
+    if not isinstance(grid_axes, dict) or not all(isinstance(v, list) for v in grid_axes.values()):
+        raise ValueError(f"{where}: grid must map scheme keys to lists of values")
     names = sorted(grid_axes)
     combos = [()]
     for name in names:
         if not grid_axes[name]:
             raise ValueError(f"grid axis {name!r} is empty")
         combos = [c + (v,) for c in combos for v in grid_axes[name]]
-    reports = [_bounds.check_thm1(inst, _scheme_from_doc({**base, **dict(zip(names, combo))},
-                                                         f"--spec {path}"))
+    reports = [_bounds.check_thm1(inst, _bounds.SchemeParams(
+                   **_checked({**base, **dict(zip(names, combo))}, where, "scheme")))
                for combo in combos]
     result = _bounds.search_feasible(combos, reports)
     rows = [tuple(names) + ("phi", "min_slack", "feasible")]
@@ -486,7 +499,8 @@ def _cmd_bounds_search(cfg: RunConfig) -> int:
             {"params": dict(zip(names, result.best_attempt[0])),
              "report": result.best_attempt[1].to_dict()}
             if result.best_attempt else None),
-        "instance_digest": zlib.crc32(tmp_inst.encode()),
+        # the instance exactly as read, before any default is filled in
+        "instance_digest": zlib.crc32(json.dumps(spec["instance"]).encode()),
     }
     _emit(payload, cfg, csv_rows=rows)
     return 0 if result.feasible else 1
@@ -522,22 +536,19 @@ def _emit_stats(all_stats: list, cfg: RunConfig) -> None:
 def _simulate_each_scheme(cfg: RunConfig, chain, first, **kw) -> int:
     """Run ``chain(first, scheme, ...)`` for the --scheme document, or for
     each scheme of a list, and emit the reports together."""
-    path = _require(cfg, "scheme")
-    scheme_doc = _load_json(path)
-    schemes = scheme_doc if isinstance(scheme_doc, list) else [scheme_doc]
+    doc, where = _read(cfg, "scheme")
+    schemes = doc if isinstance(doc, list) else [doc]
     if not schemes:
         raise ValueError("scheme list is empty")
-    _emit_stats([chain(first, _scheme_from_doc(sd, f"--scheme {path}"), seed=cfg.seed, **kw)
-                 for sd in schemes], cfg)
+    _emit_stats([chain(first, _bounds.SchemeParams(**_checked(sd, where, "scheme")),
+                       seed=cfg.seed, **kw) for sd in schemes], cfg)
     return 0
 
 
 def _cmd_simulate_dueck(cfg: RunConfig) -> int:
-    d = _load_json(_require(cfg, "params"))
-    if "joint" in d:
-        source = _probkit.JointPmf(d["joint"])
-    else:
-        source = _dueck.DueckParams(d["a"], d["k"], d["eta"])
+    d, where = _read(cfg, "params")
+    d = _checked(d, where, "fixture" if isinstance(d, dict) and "joint" in d else "example")
+    source = _probkit.JointPmf(d["joint"]) if "joint" in d else _dueck.DueckParams(**d)
     return _simulate_each_scheme(
         cfg, _simulate.simulate_dueck, source, trials=_opt(cfg, "trials", 1000),
         **_given(cfg, "e_max", "hash_bits", "capacity_slack"))
@@ -546,13 +557,13 @@ def _cmd_simulate_dueck(cfg: RunConfig) -> int:
 def _cmd_simulate_generic(cfg: RunConfig) -> int:
     return _simulate_each_scheme(
         cfg, _simulate.simulate_generic,
-        _load_instance_from_doc(_load_json(_require(cfg, "instance"))),
+        _instance(_checked(*_read(cfg, "instance"), "instance")),
         trials=_opt(cfg, "trials", 200), **_given(cfg, "e_max", "hash_bits"))
 
 
 def _cmd_test_interleave(cfg: RunConfig) -> int:
-    d = _load_json(_require(cfg, "law"))
-    pmfs = [_probkit.Pmf(p) for p in d["positions"]]
+    law = _checked(*_read(cfg, "law"), "law")
+    pmfs = [_probkit.Pmf(p) for p in law["positions"]]
     report = _simulate.interleave_iid_test(
         pmfs, m=_opt(cfg, "m", 10000), seed=cfg.seed,
         interleaved=not cfg.options["control"], **_given(cfg, "significance"))
@@ -561,7 +572,7 @@ def _cmd_test_interleave(cfg: RunConfig) -> int:
 
 
 def _cmd_test_cc_exponent(cfg: RunConfig) -> int:
-    channel = _load_dmc(_require(cfg, "channel"))
+    channel = _probkit.Dmc(_checked(*_read(cfg, "channel"), "channel")["rows"])
     comp = _parse_int_list(_require(cfg, "composition"), "--composition")
     report = _simulate.cc_exponent_test(
         channel, comp, rate=_require(cfg, "rate"), l=_require(cfg, "l"),

@@ -11,10 +11,8 @@ probability and zero-probability symbols never occur. The typical set
 supports exact counting and lexicographic rank/unrank with arbitrary
 precision integers, which is what the inner source code is built on.
 
-JSON files the CLI reads them from (all probabilities row-major):
-    Pmf      {"probs": [p0, p1, ...]}         --input-pmf
-    Dmc      {"rows": [[...], [...]]}         --channel
-A JointPmf is a bare nested list inside an instance or params file.
+The JSON documents the CLI reads them from are listed in README's "File
+formats".
 """
 
 from __future__ import annotations

@@ -525,6 +525,10 @@ def interleave_iid_test(position_pmfs, m: int, seed: int,
     from scipy import stats as sstats
 
     pmfs = list(position_pmfs)
+    if not pmfs:
+        raise ValueError("the position list is empty")
+    if len({len(pm) for pm in pmfs}) > 1:
+        raise ValueError(f"position pmfs differ in size: {[len(pm) for pm in pmfs]}")
     l = len(pmfs)
     k = len(pmfs[0])
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x17)))

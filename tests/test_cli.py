@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import zlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -256,7 +257,9 @@ def test_exponent_input_pmf_file(tmp_path, bsc_file):
     assert code == 0
     curve = json.loads(out.read_text())["report"]["curve"]
     assert [p["rate"] for p in curve] == cli._parse_rates("0:0.3:0.1")
-    user = ex.ChannelExponent(pk.Pmf([0.3, 0.7]), cli._load_dmc(bsc_file))
+    cfg = cli.parse_config(["exponent", "--channel", bsc_file])
+    rows = cli._checked(*cli._read(cfg, "channel"), "channel")["rows"]
+    user = ex.ChannelExponent(pk.Pmf([0.3, 0.7]), pk.Dmc(rows))
     for point in curve:
         assert point["exponent"] == user.at(point["rate"])
     # the file is read: the default uniform pmf gives another curve
@@ -438,6 +441,8 @@ def test_bounds_search_command(tmp_path):
     doc = json.loads(out.read_text())
     assert code in (0, 1)
     assert "feasible" in doc["report"] and "best_attempt" in doc["report"]
+    # the crc32 of the instance as read, before any default is filled in
+    assert doc["report"]["instance_digest"] == zlib.crc32(json.dumps(instance_doc()).encode())
 
 
 def test_bounds_search_checks_each_point_once(tmp_path, monkeypatch):
@@ -457,7 +462,7 @@ def test_bounds_search_checks_each_point_once(tmp_path, monkeypatch):
     run_cli(["bounds", "search", "--spec", spec, "--format", "csv", "--out", str(out)])
     assert len(evals) == 4
     # every CSV row is the report a fresh check of its point gives
-    inst = cli._load_instance_from_doc(instance_doc())
+    inst = cli._instance(cli._checked(instance_doc(), "spec.json: instance", "instance"))
     rows = out.read_text().splitlines()
     assert rows[0] == "B,rho,phi,min_slack,feasible"
     for row, sp in zip(rows[1:], evals):
@@ -754,8 +759,15 @@ def test_threads_below_one_exits_2(tmp_path, capsys, command):
     ("cc-exponent", ["--composition=-1,9"], "composition counts must be non-negative, got -1"),
     ("cc-exponent", ["--composition", "4,3"], "composition must sum to the block length"),
     ("cc-exponent", ["--rate", "-0.1"], "rate must be a non-negative number"),
+    ("cc-exponent", ["--composition", "4,x"], "--composition '4,x': each entry must be an integer"),
+    # no position, and positions of two sizes
+    ("interleave", {"positions": []}, "the position list is empty"),
+    ("interleave", {"positions": [[0.5, 0.5], [0.2, 0.3, 0.5]]},
+     "position pmfs differ in size: [2, 3]"),
 ])
 def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, message):
+    if isinstance(flags, dict):
+        flags = ["--law", write(tmp_path / "bad_law.json", flags)]
     if command == "interleave":
         inputs = ["--law", write(tmp_path / "law.json", {"positions": [[0.5, 0.5]] * 3})]
     else:
@@ -789,6 +801,10 @@ def test_test_bad_input_exits_2(tmp_path, bsc_file, capsys, command, flags, mess
     (["bounds", "search"], {"rho": [0.01, [0.02]]}, "rho must be a number, got [0.02]"),
     # a misspelled axis would run three identical points
     (["bounds", "search"], {"rh0": [0.01, 0.02, 0.03]}, "spec.json: unknown scheme key 'rh0'"),
+    # an entry that is not a number names the flag, not int()'s message
+    (["dueck", "lc-check"], ["--a-grid", "2,x"], "--a-grid '2,x': each entry must be an integer"),
+    (["dueck", "lc-check"], ["--k-grid", "2,2.5"],
+     "--k-grid '2,2.5': each entry must be an integer"),
 ])
 def test_empty_grid_and_bad_sat_outputs_exit_2(tmp_path, capsys, command, flags, message):
     if isinstance(flags, dict):
@@ -817,6 +833,95 @@ def test_empty_scheme_list_exits_2(tmp_path, capsys, chain, fmt):
     err = capsys.readouterr().err
     assert code == 2
     assert "scheme list is empty" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+_BSC = {"rows": [[0.9, 0.1], [0.1, 0.9]]}
+_FIXTURE = {"joint": [[0.45, 0.05], [0.05, 0.45]]}
+# each kind of input document: the command that reads it (with the inputs it
+# reads first), its flag, a valid document, and the refusal of that document
+# without its first key (a --params without "joint" is the worked example)
+_KINDS = {
+    "channel": (["exponent"], "--channel", _BSC, "missing channel key 'rows'"),
+    "input-pmf": (["exponent", "--channel", _BSC], "--input-pmf", {"probs": [0.5, 0.5]},
+                  "missing input-pmf key 'probs'"),
+    "instance": (["bounds", "check"], "--instance", instance_doc(),
+                 "missing instance key 'source'"),
+    "scheme": (["bounds", "check", "--instance", instance_doc()], "--scheme", scheme_doc(),
+               "missing scheme key 'l'"),
+    "fixture": (["simulate", "dueck"], "--params", _FIXTURE, "missing example key 'a'"),
+    "example": (["simulate", "dueck"], "--params", {"a": 2, "k": 2, "eta": 8},
+                "missing example key 'a'"),
+    "law": (["test", "interleave"], "--law", {"positions": [[0.5, 0.5]]},
+            "missing law key 'positions'"),
+    "spec": (["bounds", "search"], "--spec", {"instance": instance_doc(), "scheme": scheme_doc()},
+             "missing spec key 'instance'"),
+}
+
+
+def _faulty(kind, fault):
+    """(command, flag, document text, refusal) of a kind's document made a
+    list, given a key "note", stripped of its first key, or cut short."""
+    command, flag, doc, missing = _KINDS[kind]
+    text, message = {
+        "not an object": (json.dumps([doc]), "expected a JSON object, got list"),
+        "unknown key": (json.dumps({**doc, "note": 1}), f"unknown {kind} key 'note'"),
+        "missing key": (json.dumps(dict(list(doc.items())[1:])), missing),
+        "invalid JSON": (json.dumps(doc)[:-1], "not valid JSON"),
+    }[fault]
+    return command, flag, text, message
+
+
+_NO_L = {k: v for k, v in scheme_doc().items() if k != "l"}
+_NO_P_V1 = {k: v for k, v in instance_doc().items() if k != "p_v1"}
+_GENERIC = ["simulate", "generic", "--instance", instance_doc(), "--trials", "2"]
+_BAD_DOCUMENTS = [
+    pytest.param(_faulty(kind, fault), id=f"{kind}: {fault}") for kind in _KINDS
+    for fault in ("not an object", "unknown key", "missing key", "invalid JSON")
+] + [pytest.param((command, flag, json.dumps(doc), message), id=f"{flag} {message}")
+     for command, flag, doc, message in [
+    # a missing instance key named neither the document nor the problem
+    (["bounds", "check"], "--instance", _NO_P_V1, "missing instance key 'p_v1'"),
+    # a scheme, or a scheme list entry, that is no object or lacks "l"
+    (_GENERIC, "--scheme", [5], "expected a JSON object, got int"),
+    (_GENERIC, "--scheme", _NO_L, "missing scheme key 'l'"),
+    (_GENERIC, "--scheme", [scheme_doc(), _NO_L], "missing scheme key 'l'"),
+    # a bare list of rows, and a "probs" key a channel does not take
+    (["exponent"], "--channel", _BSC["rows"], "expected a JSON object, got list"),
+    (["exponent"], "--channel", {**_BSC, "probs": [0.5, 0.5]}, "unknown channel key 'probs'"),
+    # a fixture and the worked example at once
+    (["simulate", "dueck"], "--params", {**_FIXTURE, "a": 2}, "unknown fixture key 'a'"),
+    # the spec's instance and scheme are named by their key in the spec
+    (["bounds", "search"], "--spec", {"instance": [1], "scheme": scheme_doc()},
+     ": instance: expected a JSON object, got list"),
+    (["bounds", "search"], "--spec", {"instance": _NO_P_V1, "scheme": scheme_doc()},
+     ": instance: missing instance key 'p_v1'"),
+    (["bounds", "search"], "--spec", {"instance": instance_doc(), "scheme": _NO_L},
+     ": scheme: missing scheme key 'l'"),
+    (["bounds", "search"], "--spec", {"instance": instance_doc(), "scheme": scheme_doc(),
+                                      "grids": {}}, "unknown spec key 'grids'"),
+    (["bounds", "search"], "--spec", {"instance": instance_doc(), "scheme": scheme_doc(),
+                                      "grid": [16, 32]}, "grid must map scheme keys to lists"),
+    (["bounds", "search"], "--spec", {"instance": instance_doc(), "scheme": scheme_doc(),
+                                      "grid": {"l": 16}}, "grid must map scheme keys to lists"),
+]]
+
+
+@pytest.mark.parametrize("case", _BAD_DOCUMENTS)
+def test_bad_document_exits_2_naming_flag_path_and_key(tmp_path, capsys, case):
+    # a refused document writes nothing and says why in one line, which names
+    # the flag, the path and the key; a document in the command line stands
+    # for a valid input file read before it
+    command, flag, text, message = case
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    inputs = [write(tmp_path / f"input{i}.json", a) if isinstance(a, dict) else a
+              for i, a in enumerate(command)]
+    out = tmp_path / "report.json"
+    code = cli.main([*inputs, flag, str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {flag} {path}" in err and message in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -955,17 +1060,49 @@ def _perturbed(value, kind):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(case=st.sampled_from(_DOC_CASES),
-       kind=st.sampled_from(["zero", "negative", "huge", "wrong shape", "mass"]))
+       kind=st.sampled_from(["zero", "negative", "huge", "wrong shape", "mass", "delete",
+                             "rename"]))
 # a block of 10^18 symbols: the dueck chain refuses its inner code before
 # counting the typical set, the generic chain its codebook from logs
 @example(case=("simulate dueck", "scheme", "l"), kind="huge")
 @example(case=("simulate generic", "scheme", "l"), kind="huge")
+# the one optional key of the two documents, a required one, and a rename
+@example(case=("simulate generic", "scheme", "m"), kind="delete")
+@example(case=("bounds check thm1", "instance", "p_v1"), kind="delete")
+@example(case=("simulate dueck", "scheme", "rho"), kind="rename")
 def test_document_exit_code_contract_fuzz(fuzz_inputs, case, kind):
-    # one field of the instance or scheme document perturbed: exit 2 writes
-    # nothing and says why in one line; exit 0 or 1 writes a report
+    # one field of the instance or scheme document perturbed, deleted or
+    # renamed by one character: exit 2 writes nothing and says why in one
+    # line; exit 0 or 1 writes a report. A renamed key, or a deleted one the
+    # document requires, is named; a deleted "m" runs at its default of 1
     command, doc, field = case
     docs = {"instance": instance_doc(), "scheme": dict(scheme_doc(la_bits=8), m=2)}
-    docs[doc][field] = _perturbed(docs[doc][field], kind)
+    # no key of either document ends in "x"
+    renamed = field[:-1] + "x"
+    if kind == "delete":
+        del docs[doc][field]
+    elif kind == "rename":
+        docs[doc][renamed] = docs[doc].pop(field)
+    else:
+        docs[doc][field] = _perturbed(docs[doc][field], kind)
+    code, err, report = _run_documents(fuzz_inputs, command, docs)
+    outcome = (case, kind, code, err)
+    if code == 2:
+        assert report is None and err.count("\n") == 1, outcome
+    else:
+        assert code in (0, 1) and report is not None, outcome
+    if kind == "rename":
+        assert code == 2 and f"unknown {doc} key {renamed!r}" in err, outcome
+    elif kind == "delete" and field != "m":
+        assert code == 2 and f"missing {doc} key {field!r}" in err, outcome
+    elif kind == "delete":
+        docs[doc]["m"] = 1
+        assert (code, report) == _run_documents(fuzz_inputs, command, docs)[::2], outcome
+
+
+def _run_documents(fuzz_inputs, command, docs):
+    """(exit code, stderr, the report or None) of a document fuzz command run
+    on the instance and scheme documents docs."""
     d, out = fuzz_inputs["dir"], fuzz_inputs["out"]
     if command == "simulate dueck":
         inputs = [*fuzz_inputs[("simulate", "dueck")][:2],
@@ -976,11 +1113,8 @@ def test_document_exit_code_contract_fuzz(fuzz_inputs, case, kind):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main([*_DOC_COMMANDS[command], *inputs, "--out", str(out)])
-    outcome = (case, kind, code, err.getvalue())
-    if code == 2:
-        assert not out.exists() and err.getvalue().count("\n") == 1, outcome
-    else:
-        assert code in (0, 1) and out.exists(), outcome
+    report = json.loads(out.read_text())["report"] if out.exists() else None
+    return code, err.getvalue(), report
 
 
 def test_uncaught_exception_exits_2_with_one_line(monkeypatch, bsc_file, capsys):
@@ -1026,6 +1160,9 @@ def test_missing_input_file_exits_2(tmp_path):
     ("0.1,inf", "must be finite"),
     (",", "no rate given"),
     ("-0.1", "rate must be a non-negative number"),
+    # an entry that is not a number names the flag, not float()'s message
+    ("0:x:0.1", "--rates '0:x:0.1': each entry must be a number"),
+    ("0.1,x", "--rates '0.1,x': each entry must be a number"),
 ])
 def test_exponent_bad_rates_exit_2(tmp_path, bsc_file, capsys, rates, message):
     out = tmp_path / "curve.json"

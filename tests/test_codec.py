@@ -1111,6 +1111,15 @@ def test_outer_decode_refuses_an_oversized_pattern_table():
     assert narrow._settled is None
 
 
+def test_pattern_cap_builds_exactly_2_20():
+    # 2^20 patterns or pairs are the most one search step holds: that many
+    # is built, one more is refused
+    assert cd._capped(cd.MAX_ROWS, "error patterns") == 1 << 20
+    with pytest.raises(ValueError, match=r"refusing to build 1048577 error patterns: "
+                                         r"more than 2\^20"):
+        cd._capped(cd.MAX_ROWS + 1, "error patterns")
+
+
 def test_outer_decode_caps_each_depth_of_the_shared_join_apart():
     # depths 1 and 2 share one join, but each depth's equal-key pairs are
     # capped on their own: on this one-bit digest depth 2 compares just

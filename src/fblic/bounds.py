@@ -100,52 +100,31 @@ def log_tau_from_parts(log_2k: float, log_p_star: float, log_l: float, delta: fl
     return (log_2k - decay) if decay < math.inf else -math.inf
 
 
-def loss_source(phi: float, l, alphabet_size) -> float:
-    """Extra source-coding rate (1/l) h_b(phi) + phi log|K|, nats per symbol."""
-    return loss_source_from_log_size(phi, l, math.log(alphabet_size))
-
-
-def loss_source_from_log_size(phi: float, l, log_size: float) -> float:
+def loss_source(phi: float, l, log_size: float) -> float:
+    """Extra source-coding rate (1/l) h_b(phi) + phi log|S|, nats per symbol,
+    from log|S|, the log of the source alphabet's size."""
     if not 0.0 <= phi < 0.5:
         raise ValueError("loss_source requires phi in [0, 0.5)")
     inv_l = math.exp(-math.log(l)) if l > 10**15 else 1.0 / float(l)
     return inv_l * binary_entropy(phi) + phi * log_size
 
 
-def loss_channel(
-    variant: str,
-    phi: float,
-    *,
-    u: int | None = None,
-    y: int | None = None,
-    x_own: int | None = None,
-    x_other: int | None = None,
-    uvw: int | None = None,
-) -> float:
-    """Outer-code rate loss from erroneous conditional coding.
-
-    Variants (all use phi*log(1/phi) -> 0 at phi = 0):
-      thm1: h_b(phi) + phi log|U| + |Y||U| phi log(1/phi)
-      thm2: h_b(phi) + 5 phi log|UVW| + |UVW|^3 phi log(1/phi)
-      thm3: h_b(phi) + phi log|U| + |Xj||Y||U|(1+|Xo|) phi log(1/phi)
-    """
+def loss_channel(phi: float, u: int, y: int) -> float:
+    """Outer-code rate loss from erroneous conditional coding, Theorem 1's
+    form h_b(phi) + phi log|U| + |Y||U| phi log(1/phi); Theorem 3's loss is
+    this form at the output size |X_j||Y_j|(1+|X_o|)."""
     if not 0.0 <= phi < 0.5:
         raise ValueError("loss_channel requires phi in [0, 0.5)")
     plp = 0.0 if phi == 0.0 else phi * math.log(1.0 / phi)
-    hb = binary_entropy(phi)
-    if variant == "thm1":
-        if u is None or y is None:
-            raise ValueError("thm1 variant needs sizes u and y")
-        return hb + phi * math.log(u) + y * u * plp
-    if variant == "thm2":
-        if uvw is None:
-            raise ValueError("thm2 variant needs the aggregate size uvw")
-        return hb + 5.0 * phi * math.log(uvw) + float(uvw) ** 3 * plp
-    if variant == "thm3":
-        if u is None or y is None or x_own is None or x_other is None:
-            raise ValueError("thm3 variant needs sizes u, y, x_own, x_other")
-        return hb + phi * math.log(u) + x_own * y * u * (1 + x_other) * plp
-    raise ValueError(f"unknown loss variant {variant!r}")
+    return binary_entropy(phi) + phi * math.log(u) + y * u * plp
+
+
+def loss_channel_split(phi: float, uvw: int) -> float:
+    """Theorem 2's rate loss h_b(phi) + 5 phi log|UVW| + |UVW|^3 phi log(1/phi)."""
+    if not 0.0 <= phi < 0.5:
+        raise ValueError("loss_channel_split requires phi in [0, 0.5)")
+    plp = 0.0 if phi == 0.0 else phi * math.log(1.0 / phi)
+    return binary_entropy(phi) + 5.0 * phi * math.log(uvw) + float(uvw) ** 3 * plp
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +528,11 @@ def _check(inst, sp: SchemeParams, phi_override: float | None, theorem) -> Condi
     if phi >= 0.5:
         return ConditionReport(
             inequalities=(budget, phi_iq), phi=phi, log_phi=log_phi,
-            status="infeasible-by-phi", extras={"quantities": _q_summary(q)})
+            status="infeasible-by-phi", extras={"quantities": q})
     rows, extras = theorem(q, phi)
     report = ConditionReport(
         inequalities=(budget, *rows, phi_iq), phi=phi, log_phi=log_phi, status="",
-        extras={**extras, "quantities": _q_summary(q)})
+        extras={**extras, "quantities": q})
     report.status = "feasible" if report.overall else "infeasible"
     return report
 
@@ -568,8 +547,8 @@ def check_thm1(inst, sp: SchemeParams, phi_override: float | None = None) -> Con
     def user_rows(q, phi):
         rows = []
         for j in (1, 2):
-            ls = loss_source_from_log_size(phi, sp.l, q["log_S_sizes"][j - 1])
-            lc = loss_channel("thm1", phi, u=q["u_size"], y=q["y_sizes"][j - 1])
+            ls = loss_source(phi, sp.l, q["log_S_sizes"][j - 1])
+            lc = loss_channel(phi, q["u_size"], q["y_sizes"][j - 1])
             left = sp.B + q["H_S_given_K1"][j - 1] + ls
             right = q["I_vy"][j - 1] - lc
             rows.append(Inequality(
@@ -591,10 +570,9 @@ def check_thm3(inst: ProblemInstance, sp: SchemeParams,
         nx1, nx2 = inst.nx
         rows = []
         for j in (1, 2):
-            ls = loss_source(phi, sp.l, inst.k_size)
-            lc = loss_channel("thm3", phi, u=q["u_size"], y=q["y_sizes"][j - 1],
-                              x_own=nx1 if j == 1 else nx2,
-                              x_other=nx2 if j == 1 else nx1)
+            x_own, x_other = (nx1, nx2) if j == 1 else (nx2, nx1)
+            ls = loss_source(phi, sp.l, math.log(inst.k_size))
+            lc = loss_channel(phi, q["u_size"], x_own * q["y_sizes"][j - 1] * (1 + x_other))
             left = sp.B + q["H_S_given_K1"][j - 1] + ls
             right = inst.cond_mi_x_y_given_u(j) - lc
             rows.append(Inequality(
@@ -617,11 +595,11 @@ def check_thm2_rate_point(inst: ProblemInstance, sp: SchemeParams,
         nw1 = len(inst.p_w1) if inst.p_w1 is not None else 1
         nw2 = len(inst.p_w2) if inst.p_w2 is not None else 1
         uvw = len(inst.p_u) * len(inst.p_v1) * len(inst.p_v2) * nw1 * nw2
-        lc = loss_channel("thm2", phi, uvw=uvw)
+        lc = loss_channel_split(phi, uvw)
         point = tuple(
             (sp.B + lc,
              q["H_S_given_K1"][j - 1]
-             + loss_source_from_log_size(phi, sp.l, q["log_S_sizes"][j - 1]))
+             + loss_source(phi, sp.l, q["log_S_sizes"][j - 1]))
             for j in (1, 2)
         )
         return (), {"rate_point": point, "uvw_size": uvw}
@@ -637,24 +615,9 @@ def check_thm2_rate_point(inst: ProblemInstance, sp: SchemeParams,
     return report
 
 
-def _q_summary(q: dict) -> dict:
-    return {k: (v if not isinstance(v, tuple) else list(v)) for k, v in q.items()}
-
-
 # ---------------------------------------------------------------------------
 # grid search
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SearchResult:
-    """Feasible grid points sorted by decreasing slack, log scale first."""
-
-    feasible: list
-    best_attempt: tuple | None  # (params, report) ranked highest by slack
-
-    def __len__(self):
-        return len(self.feasible)
-
 
 def _slack_rank(report: ConditionReport) -> tuple:
     """(least log-scale slack, least linear slack): nats and plain values
@@ -663,17 +626,16 @@ def _slack_rank(report: ConditionReport) -> tuple:
                      default=math.inf) for scale in ("log", "linear"))
 
 
-def search_feasible(grid, reports) -> SearchResult:
-    """Rank a parameter grid by its points' reports, one per point in grid order.
+def search_feasible(grid, reports) -> list:
+    """A parameter grid's (params, report) points ranked by their reports,
+    one per point in grid order.
 
     Points rank by their least log-scale slack, then by their least
     linear slack, larger first, and ties break on grid order, so the
-    result is deterministic for a fixed grid. The feasible list holds the
-    feasible (params, report) pairs in rank order; best_attempt, the
-    top-ranked point, diagnoses an all-infeasible grid.
+    ranking is deterministic for a fixed grid. The feasible points are
+    the ranked ones whose report holds; the first point, the best
+    attempt, diagnoses an all-infeasible grid.
     """
     # a stable sort: ties keep grid order
-    ranked = sorted(zip(grid, reports, strict=True),
-                    key=lambda point: [-s for s in _slack_rank(point[1])])
-    return SearchResult(feasible=[p for p in ranked if p[1].overall],
-                        best_attempt=ranked[0] if ranked else None)
+    return sorted(zip(grid, reports, strict=True),
+                  key=lambda point: [-s for s in _slack_rank(point[1])])

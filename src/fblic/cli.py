@@ -219,11 +219,13 @@ def _fill_from_config(ns: argparse.Namespace, path: str) -> None:
     An unknown key, or a value its flag would refuse, is an error naming
     the key.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"error: config file is not valid JSON: {exc}")
+    except OSError as exc:
+        raise SystemExit(f"error: --config {path}: {exc.strerror}")
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"error: config file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SystemExit("error: config file must hold a JSON object")
     key_of, tokens = {}, []
@@ -276,11 +278,13 @@ def _read(cfg: RunConfig, name: str) -> tuple:
     """The JSON document at option name's path, and the "--name path" naming it in errors."""
     path = _require(cfg, name)
     where = f"--{name.replace('_', '-')} {path}"
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh), where
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{where}: not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{where}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not valid JSON: {exc}") from None
 
 
 def _checked(doc, where: str, kind: str) -> dict:
@@ -316,8 +320,11 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _parse_rates(text: str) -> list[float]:
     """start:stop:step (stop included) or a comma list; a rate list is never empty."""
+    parts = text.split(":" if ":" in text else ",")
+    if ":" in text and (len(parts) != 3 or not all(v.strip() for v in parts)):
+        raise ValueError(f"--rates {text!r}: give start:stop:step")
     try:
-        rates = [float(v) for v in text.split(":" if ":" in text else ",") if v.strip()]
+        rates = [float(v) for v in parts if v.strip()]
     except ValueError:
         raise ValueError(f"--rates {text!r}: each entry must be a number") from None
     if ":" in text:
@@ -455,8 +462,7 @@ def _cmd_dueck_feasibility(cfg: RunConfig) -> int:
         payload["witness"] = _bounds.check_thm1(inst, sp).to_dict()
     except ValueError as exc:
         payload["witness"] = {"skipped": str(exc)}
-    payload["lc_margin"] = _dueck.lc_infeasibility_margin(
-        params, _dueck.log_output_alphabet(params.a, ny1, ny2))
+    payload["lc_margin"] = _dueck.lc_infeasibility_margin(params, (ny1, ny2))
     _emit(payload, cfg)
     return 0 if report.overall else 1
 
@@ -488,22 +494,22 @@ def _cmd_bounds_search(cfg: RunConfig) -> int:
     reports = [_bounds.check_thm1(inst, _bounds.SchemeParams(
                    **_checked({**base, **dict(zip(names, combo))}, where, "scheme")))
                for combo in combos]
-    result = _bounds.search_feasible(combos, reports)
+    ranked = _bounds.search_feasible(combos, reports)
+    feasible = [(c, r) for c, r in ranked if r.overall]
     rows = [tuple(names) + ("phi", "min_slack", "feasible")]
     for combo, rep in zip(combos, reports):
         rows.append(combo + (rep.phi, rep.min_slack, bool(rep.overall)))
     payload = {
         "feasible": [{"params": dict(zip(names, c)), "min_slack": r.min_slack}
-                     for c, r in result.feasible],
+                     for c, r in feasible],
         "best_attempt": (
-            {"params": dict(zip(names, result.best_attempt[0])),
-             "report": result.best_attempt[1].to_dict()}
-            if result.best_attempt else None),
+            {"params": dict(zip(names, ranked[0][0])), "report": ranked[0][1].to_dict()}
+            if ranked else None),
         # the instance exactly as read, before any default is filled in
         "instance_digest": zlib.crc32(json.dumps(spec["instance"]).encode()),
     }
     _emit(payload, cfg, csv_rows=rows)
-    return 0 if result.feasible else 1
+    return 0 if feasible else 1
 
 
 _STATS_COLUMNS = (
@@ -595,8 +601,15 @@ _HANDLERS = {
 }
 
 
+# the commands whose report has no table form
+_JSON_ONLY = {("dueck", "feasibility"), ("bounds", "check"), ("test", "interleave"),
+              ("test", "cc-exponent")}
+
+
 def run(cfg: RunConfig) -> int:
     try:
+        if cfg.format == "csv" and (cfg.command, cfg.subcommand) in _JSON_ONLY:
+            raise ValueError(f"--format csv: {cfg.command} {cfg.subcommand} writes JSON only")
         return _HANDLERS[cfg.command, cfg.subcommand](cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
             _exponent.ExponentError) as exc:

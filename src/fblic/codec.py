@@ -11,7 +11,7 @@ The outer stage realizes binning operationally at desk scale: the encoder
 sends a seeded GF(2)-linear digest of the whole m x l source matrix (a
 syndrome H . bits(x) for a random binary H), and the decoder searches
 error patterns touching at most E_max rows, each row rewritten by one of
-the substitutions a candidate rule allows (r of its leading symbols),
+the one-symbol substitutions among its first n_pos symbols,
 accepting the unique digest match. Two distinct matrices collide with
 probability exactly 2^-b over the draw of H, at any width b. Linearity
 lets a candidate's digest change be read straight off the H columns of
@@ -461,7 +461,7 @@ def _capped(total: int, what: str) -> int:
 
 
 class _Candidates(NamedTuple):
-    """A rule's candidates on one baseline, by row, and what a search reads
+    """The candidates on one baseline, by row, and what a search reads
     of them: each candidate's row, digest delta (the XOR of the H columns
     of the bits old ^ new it flips), flat cell and bit flips; the pattern
     tables T_0 and T_1; and the left side [T_0; T_1] of the join that
@@ -476,15 +476,16 @@ class _Candidates(NamedTuple):
     merged: tuple
 
 
-def _candidates(base: np.ndarray, rule: CandidateRule, hasher: MatrixHasher) -> _Candidates:
-    """The rule's candidates on this baseline, over the hasher's alphabet.
+def _candidates(base: np.ndarray, n_pos: int | None, hasher: MatrixHasher) -> _Candidates:
+    """The candidates on this baseline, over the hasher's alphabet.
 
-    The table reads only the rule's cells, fixed by the rule and the
-    matrix shape, and the bits each candidate flips there: on a binary
-    alphabet every flip is 1, so the table is the same on every baseline.
+    The table reads only the cells of the first n_pos symbols of each row
+    (the whole row when n_pos is None), fixed by the matrix shape, and the
+    bits each candidate flips there: on a binary alphabet every flip is
+    1, so the table is the same on every baseline.
     """
     m, l = base.shape
-    n_pos = l if rule.n_pos is None else min(rule.n_pos, l)
+    n_pos = l if n_pos is None else min(n_pos, l)
     owner, cells, alt = _substitution_layout(m, l, n_pos, hasher.alphabet_size)
     cur = base.take(cells)
     # offset k is the k-th symbol, ascending, other than the current one
@@ -596,15 +597,16 @@ _STATUS = np.array(["failed", "ok", "ambiguous"])
 
 class OuterDecoder:
     """Syndrome-verified bounded-error-pattern search for one user's run:
-    one hasher, one candidate rule and one e_max.
+    one hasher, one candidate position count n_pos and one e_max.
 
     A baseline is the decoder's per-row estimate of the sent matrix
     (already refined by residual bits), and its syndrome is
     digest(sent) ^ digest(baseline) = H . bits(sent ^ baseline), as
-    hasher.words 64-bit words (see MatrixHasher.syndromes). The rule fixes
+    hasher.words 64-bit words (see MatrixHasher.syndromes). n_pos fixes
     the candidates of each baseline row: every substitution of one of its
-    first n_pos symbols by another symbol of the hasher's alphabet, so no
-    two candidates are equal and each changes the cell it writes. All
+    first n_pos symbols (all l when n_pos is None) by another symbol of
+    the hasher's alphabet, so no two candidates are equal and each
+    changes the cell it writes. All
     patterns touching at most e_max rows are examined; the unique
     syndrome match wins, two distinct matches report ambiguity, none
     reports a search failure. Depth 0 is the baseline
@@ -639,10 +641,10 @@ class OuterDecoder:
     refused search is never kept.
     """
 
-    def __init__(self, hasher: MatrixHasher, rule: CandidateRule, e_max: int):
+    def __init__(self, hasher: MatrixHasher, n_pos: int | None, e_max: int):
         if e_max < 0:
             raise ValueError("e_max must be non-negative")
-        self.hasher, self.rule, self.e_max = hasher, rule, int(e_max)
+        self.hasher, self.n_pos, self.e_max = hasher, n_pos, int(e_max)
         # on a binary alphabet: the run's candidate table, and the
         # (matches, searched) of a search whose baseline matches
         self._table = self._settled = None
@@ -681,7 +683,7 @@ class OuterDecoder:
         baseline_ok = not need.any()
         if baseline_ok and self._settled is not None:
             return self._settled
-        table = self._table or _candidates(base, self.rule, self.hasher)
+        table = self._table or _candidates(base, self.n_pos, self.hasher)
         if self.hasher.alphabet_size == 2:
             # every flip is 1: the table is every baseline's
             self._table = table
@@ -716,17 +718,8 @@ class OuterDecoder:
 
 
 # ---------------------------------------------------------------------------
-# candidate rules for flagged-row completion
+# candidate positions for flagged-row completion
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CandidateRule:
-    """Which substitutions the outer decoder tries in each baseline row:
-    every replacement of one of the row's first n_pos symbols (the whole
-    row when n_pos is None) by another symbol of the hasher's alphabet."""
-
-    n_pos: int | None
-
 
 @functools.lru_cache(maxsize=64)
 def _substitution_layout(m: int, l: int, n_pos: int, alphabet_size: int):
@@ -742,9 +735,9 @@ def _substitution_layout(m: int, l: int, n_pos: int, alphabet_size: int):
     return out
 
 
-def prefix_flip_rule(code: InnerCode) -> CandidateRule:
-    """One-symbol substitutions restricted to the positions carried by the
-    codeword address.
+def prefix_flip_rule(code: InnerCode) -> int:
+    """The n_pos of one-symbol substitutions restricted to the positions
+    carried by the codeword address.
 
     Valid when the typical set is the full cube over a power-of-two
     alphabet: ranks are then base-n values of the rows, the address bits
@@ -757,7 +750,7 @@ def prefix_flip_rule(code: InnerCode) -> CandidateRule:
         raise ValueError("prefix rule needs a power-of-two alphabet")
     if code.typical.size != n ** code.l:
         raise ValueError("prefix rule needs the full-cube typical set")
-    return CandidateRule(n_pos=-(-code.la_bits // sym_bits))
+    return -(-code.la_bits // sym_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -271,22 +271,21 @@ def satellite_capacities(params: DueckParams) -> tuple[float, float]:
     return c1, c1 + _hb_from_log(bump_log)
 
 
-def log_output_alphabet(a: int, ny1: int = 4, ny2: int = 4) -> float:
-    """log |shared output x satellite outputs| for the outer-bound margin."""
-    return math.log(a) + math.log(ny1) + math.log(ny2)
-
-
-def lc_infeasibility_margin(params: DueckParams, log_out_alphabet: float) -> float:
+def lc_infeasibility_margin(params: DueckParams,
+                            sat_output_sizes: tuple[int, int] = (4, 4)) -> float:
     """Positive margin certifies the single-letter outer bound fails here.
 
     margin = log a - [2 log 2 + 2 C1 + h_b(2/(k a^{eta k}))
-                      + (3/4) log a + log|Y...|/k]
+                      + (3/4) log a + log(a |Y_1| |Y_2|)/k]
+    with |Y_1|, |Y_2| the satellite output sizes.
     """
     a, k, eta = params.a, params.k, params.eta
+    ny1, ny2 = sat_output_sizes
     c1, _ = satellite_capacities(params)
     la = math.log(a)
     bump = _hb_from_log(math.log(2.0) - math.log(k) - eta * k * la)
-    rhs = 2.0 * math.log(2.0) + 2.0 * c1 + bump + 0.75 * la + log_out_alphabet / k
+    rhs = (2.0 * math.log(2.0) + 2.0 * c1 + bump + 0.75 * la
+           + (la + math.log(ny1) + math.log(ny2)) / k)
     return la - rhs
 
 
@@ -305,13 +304,11 @@ class LcScanResult:
 def scan_lc_margin(a_values, k_values, eta: int = 8,
                    sat_output_sizes: tuple[int, int] = (4, 4)) -> LcScanResult:
     """Scan (a, k) lexicographically for a positive infeasibility margin."""
-    ny1, ny2 = sat_output_sizes
     margins = []
     first = None
     for a in a_values:
         for k in k_values:
-            m = lc_infeasibility_margin(DueckParams(a, k, eta),
-                                        log_output_alphabet(a, ny1, ny2))
+            m = lc_infeasibility_margin(DueckParams(a, k, eta), sat_output_sizes)
             margins.append((a, k, m))
             if first is None and m > 0.0:
                 first = (a, k)

@@ -160,7 +160,7 @@ def _block_edges(trials: int, per_block: int) -> list[int]:
 
 
 def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
-              code, rule, digest_bits: int, e_max: int, outer: bool, channel,
+              code, n_pos, digest_bits: int, e_max: int, outer: bool, channel,
               phi_bound: float, xi_block: float, extras: dict,
               capacity: float = math.inf, rate_exceeded: bool = False) -> TrialStats:
     """Sample sub-block pairs, map them to their common parts K, inner-code
@@ -193,7 +193,7 @@ def _simulate(sp, trials: int, seed: int, *, joint: JointPmf, maps,
     m, l = sp.m, sp.l
     decoders = [
         _codec.OuterDecoder(
-            _codec.MatrixHasher(digest_bits, _child_seed(seed, 0xD1, j), size, l, m), rule, e_max)
+            _codec.MatrixHasher(digest_bits, _child_seed(seed, 0xD1, j), size, l, m), n_pos, e_max)
         for j, size in ((1, joint.row_size), (2, joint.col_size))
     ]
     demand = (code.lb_bits * m + digest_bits) * _LN2 / (m * l)
@@ -347,8 +347,8 @@ class _SampledChannel:
                 terms = np.where(ideal > 0.0, np.log(ratio), 0.0)
             var_mi = float((ideal * terms * terms).sum() - i_ideal ** 2)
             sigma_mi = math.sqrt(max(0.0, var_mi) / n) + bias
-            lc = _bounds.loss_channel("thm1", min(self.phi_bound, 0.499999),
-                                      u=len(self.inst.p_u), y=self.users[j - 1][2])
+            lc = _bounds.loss_channel(min(self.phi_bound, 0.499999),
+                                      len(self.inst.p_u), self.users[j - 1][2])
             quality[f"user{j}"] = {
                 "tv": tv, "tv_threshold": self.phi_bound + 3.0 * sigma_tv,
                 "mi_ideal": i_ideal, "mi_empirical": i_emp,
@@ -407,9 +407,9 @@ def simulate_dueck(
     digest_bits = max(0, min(hash_bits, budget_bits - code.lb_bits * sp.m))
 
     try:
-        rule = _codec.prefix_flip_rule(code)
+        n_pos = _codec.prefix_flip_rule(code)
     except ValueError:
-        rule = _codec.CandidateRule(n_pos=None)
+        n_pos = None
 
     xi = max(0.0, 1.0 - float(np.trace(joint.probs)))
     xi_block = _bounds.xi_l(xi, sp.l)
@@ -422,7 +422,7 @@ def simulate_dueck(
     return _simulate(
         sp, trials, seed, joint=joint,
         maps=(np.arange(joint.row_size), np.arange(joint.col_size)),
-        code=code, rule=rule, digest_bits=digest_bits, e_max=e_max, outer=True,
+        code=code, n_pos=n_pos, digest_bits=digest_bits, e_max=e_max, outer=True,
         channel=_ExampleChannel(code), phi_bound=phi_bound, xi_block=xi_block,
         capacity=capacity, rate_exceeded=code.lb_bits * sp.m > budget_bits,
         extras={"e_max": e_max, "digest_bits": digest_bits, "hash_bits": hash_bits,
@@ -470,7 +470,7 @@ def simulate_generic(
     phi_bound, _ = _bounds._phi_from_logs(inst.thm1_quantities(sp))
     return _simulate(
         sp, trials, seed, joint=src, maps=(inst.f1, inst.f2), code=code,
-        rule=_codec.CandidateRule(n_pos=None),
+        n_pos=None,
         digest_bits=hash_bits, e_max=e_max, outer=outer,
         channel=_SampledChannel(inst, code, phi_bound),
         phi_bound=phi_bound, xi_block=inst.xi_block(sp.l),

@@ -413,7 +413,7 @@ def _row_substitutions(base, n_pos, alphabet_size):
 
 
 def hamming_ball_rows(alphabet_size):
-    """Row form of codec.CandidateRule(n_pos=None): the radius-1 Hamming ball."""
+    """Row form of the OuterDecoder candidates at n_pos=None: the radius-1 Hamming ball."""
     return lambda base: _row_substitutions(base, base.shape[1], alphabet_size)
 
 

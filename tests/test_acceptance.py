@@ -172,9 +172,7 @@ def test_criterion_6_outer_bound_witness_and_case_bound():
     scan = dk.scan_lc_margin(SCAN_A_GRID, SCAN_K_GRID, eta=8,
                              sat_output_sizes=(4, 4))
     assert scan.first_positive == (WITNESS_A, WITNESS_K)
-    margin = dk.lc_infeasibility_margin(
-        dk.DueckParams(WITNESS_A, WITNESS_K, 8),
-        dk.log_output_alphabet(WITNESS_A, 4, 4))
+    margin = dk.lc_infeasibility_margin(dk.DueckParams(WITNESS_A, WITNESS_K, 8), (4, 4))
     assert margin > 0.0
     maxima = {}
     for a in (2, 3, 4, 5):
@@ -191,7 +189,7 @@ def test_criterion_6_outer_bound_witness_and_case_bound():
 def test_criterion_7_layered_scheme_witness():
     t0 = time.time()
     params = dk.DueckParams(WITNESS_A, WITNESS_K, 8)
-    margin = dk.lc_infeasibility_margin(params, dk.log_output_alphabet(WITNESS_A, 4, 4))
+    margin = dk.lc_infeasibility_margin(params, (4, 4))
     assert margin > 0.0
     inst, sp = dk.lemma2_scheme(params)
     assert sp.delta == pytest.approx(1 / WITNESS_K)

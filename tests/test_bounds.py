@@ -144,21 +144,21 @@ def test_tau_bounds_the_exact_atypical_mass(weights, l, delta):
 
 
 def test_loss_source():
-    assert bd.loss_source(0.0, 16, 4) == 0.0
+    assert bd.loss_source(0.0, 16, math.log(4)) == 0.0
     phi, l, size = 0.01, 32, 8
     expect = pk.binary_entropy(phi) / l + phi * math.log(size)
-    assert bd.loss_source(phi, l, size) == pytest.approx(expect, rel=1e-12)
+    assert bd.loss_source(phi, l, math.log(size)) == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ValueError):
-        bd.loss_source(0.5, 16, 4)
+        bd.loss_source(0.5, 16, math.log(4))
     with pytest.raises(ValueError):
-        bd.loss_source(-0.1, 16, 4)
+        bd.loss_source(-0.1, 16, math.log(4))
 
 
 def test_loss_source_approaches_half_log_size():
     # near phi = 1/2 the loss approaches (k/2) log a for the k-digit source
     a, k, l = 2, 4, 4096
     size = a ** k
-    val = bd.loss_source(0.5 - 1e-12, l, size)
+    val = bd.loss_source(0.5 - 1e-12, l, math.log(size))
     assert val == pytest.approx(0.5 * math.log(size), abs=1e-3)
     assert 0.5 * math.log(size) == pytest.approx((k / 2) * math.log(a), abs=1e-15)
 
@@ -167,33 +167,36 @@ def test_loss_source_monotone_random():
     rng = np.random.default_rng(24)
     for _ in range(100):
         lo, hi = sorted(rng.random(2) * 0.499)
-        assert bd.loss_source(lo, 16, 7) <= bd.loss_source(hi, 16, 7) + 1e-15
+        assert bd.loss_source(lo, 16, math.log(7)) <= bd.loss_source(hi, 16, math.log(7)) + 1e-15
+
+
+def _thm3_loss(phi, u, y, x_own, x_other):
+    """Theorem 3's channel loss written out in its own evaluation order."""
+    plp = 0.0 if phi == 0.0 else phi * math.log(1.0 / phi)
+    return pk.binary_entropy(phi) + phi * math.log(u) + x_own * y * u * (1 + x_other) * plp
 
 
 def test_loss_channel_variants():
-    for variant, kw in [("thm1", {"u": 2, "y": 2}),
-                        ("thm2", {"uvw": 8}),
-                        ("thm3", {"u": 2, "y": 2, "x_own": 2, "x_other": 2})]:
-        assert bd.loss_channel(variant, 0.0, **kw) == 0.0
+    assert bd.loss_channel(0.0, 2, 2) == 0.0
+    assert bd.loss_channel_split(0.0, 8) == 0.0
     phi = 0.01
     expect = pk.binary_entropy(phi) + phi * LN2 + 2 * 2 * phi * math.log(1 / phi)
-    assert bd.loss_channel("thm1", phi, u=2, y=2) == pytest.approx(expect, rel=1e-12)
+    assert bd.loss_channel(phi, 2, 2) == pytest.approx(expect, rel=1e-12)
     expect3 = pk.binary_entropy(phi) + phi * LN2 + 2 * 3 * 2 * (1 + 4) * phi * math.log(1 / phi)
-    assert bd.loss_channel("thm3", phi, u=2, y=3, x_own=2, x_other=4) == \
-        pytest.approx(expect3, rel=1e-12)
+    assert bd.loss_channel(phi, 2, 2 * 3 * (1 + 4)) == pytest.approx(expect3, rel=1e-12)
     expect2 = pk.binary_entropy(phi) + 5 * phi * math.log(8) + 8 ** 3 * phi * math.log(1 / phi)
-    assert bd.loss_channel("thm2", phi, uvw=8) == pytest.approx(expect2, rel=1e-12)
+    assert bd.loss_channel_split(phi, 8) == pytest.approx(expect2, rel=1e-12)
     with pytest.raises(ValueError):
-        bd.loss_channel("thm1", 0.6, u=2, y=2)
+        bd.loss_channel(0.6, 2, 2)
     with pytest.raises(ValueError):
-        bd.loss_channel("thm4", 0.1, u=2, y=2)
-    # each variant names the sizes it lacks
-    for variant, kw, message in [("thm1", {"u": 2}, "thm1 variant needs sizes u and y"),
-                                 ("thm2", {"u": 2, "y": 2}, "thm2 variant needs the aggregate"),
-                                 ("thm3", {"u": 2, "y": 2, "x_own": 2},
-                                  "thm3 variant needs sizes u, y, x_own, x_other")]:
-        with pytest.raises(ValueError, match=message):
-            bd.loss_channel(variant, 0.1, **kw)
+        bd.loss_channel_split(0.6, 8)
+    # Theorem 3's loss is Theorem 1's form at the output size
+    # |X_j||Y_j|(1+|X_o|), an exact integer, so every bit is the same
+    for phi in (0.0, 1e-300, 1e-9, 0.01, 0.1, 1 / 3, 0.45, 0.499999):
+        for u, y, x_own, x_other in itertools.product((1, 2, 3, 7), (1, 2, 5), (1, 2, 4),
+                                                      (1, 3, 8)):
+            assert bd.loss_channel(phi, u, x_own * y * (1 + x_other)) == \
+                _thm3_loss(phi, u, y, x_own, x_other)
 
 
 def test_loss_channel_thm2_dominates_thm1_on_grid():
@@ -206,16 +209,15 @@ def test_loss_channel_thm2_dominates_thm1_on_grid():
         uvw = u * int(rng.integers(2, 5)) * int(rng.integers(2, 5))
         if uvw ** 3 < y * u:
             continue
-        assert bd.loss_channel("thm2", phi, uvw=uvw) >= \
-            bd.loss_channel("thm1", phi, u=u, y=y) - 1e-12
+        assert bd.loss_channel_split(phi, uvw) >= bd.loss_channel(phi, u, y) - 1e-12
 
 
 def test_losses_vanish_with_phi():
     tiny = 1e-9
-    assert bd.loss_source(tiny, 16, 4) < 1e-7
-    assert bd.loss_channel("thm1", tiny, u=2, y=2) < 1e-6
-    assert bd.loss_channel("thm2", tiny, uvw=8) < 2e-5
-    assert bd.loss_channel("thm3", tiny, u=2, y=2, x_own=2, x_other=2) < 1e-6
+    assert bd.loss_source(tiny, 16, math.log(4)) < 1e-7
+    assert bd.loss_channel(tiny, 2, 2) < 1e-6
+    assert bd.loss_channel_split(tiny, 8) < 2e-5
+    assert bd.loss_channel(tiny, 2, 2 * 2 * (1 + 2)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +401,8 @@ def test_check_thm1_hand_assembled_slacks():
     report = bd.check_thm1(inst, sp)
     phi = report.phi
     for j in (1, 2):
-        ls = bd.loss_source(phi, sp.l, 2)
-        lc = bd.loss_channel("thm1", phi, u=2, y=2)
+        ls = bd.loss_source(phi, sp.l, math.log(2))
+        lc = bd.loss_channel(phi, 2, 2)
         left = sp.B + inst.h_s_given_k1(j) + ls
         right = inst.mutual_information_vy(j) - lc
         iq = report.inequality(f"user{j}: B + H(S{j}|K1) + L^S < I(V{j};Y{j}) - L^C")
@@ -478,8 +480,7 @@ def test_check_thm3_noiseless_given_u_feasible():
     for j in (1, 2):
         iq = report.inequality(f"user{j}: B + H(S{j}|K1) + L^S < I(X{j};Y{j}|U) - L^C")
         assert iq.right == pytest.approx(
-            inst.cond_mi_x_y_given_u(j) - bd.loss_channel(
-                "thm3", phi, u=2, y=2, x_own=2, x_other=2), rel=1e-12)
+            inst.cond_mi_x_y_given_u(j) - bd.loss_channel(phi, 2, 2 * 2 * (1 + 2)), rel=1e-12)
         assert iq.satisfied
     assert inst.cond_mi_x_y_given_u(1) == pytest.approx(LN2, rel=1e-12)
 
@@ -497,9 +498,8 @@ def test_check_thm3_hand_slack():
     report = bd.check_thm3(inst, sp)
     phi = report.phi
     iq = report.inequality("user1: B + H(S1|K1) + L^S < I(X1;Y1|U) - L^C")
-    left = sp.B + 0.0 + bd.loss_source(phi, sp.l, inst.k_size)
-    right = inst.cond_mi_x_y_given_u(1) - bd.loss_channel(
-        "thm3", phi, u=2, y=2, x_own=2, x_other=2)
+    left = sp.B + 0.0 + bd.loss_source(phi, sp.l, math.log(inst.k_size))
+    right = inst.cond_mi_x_y_given_u(1) - bd.loss_channel(phi, 2, 2 * 2 * (1 + 2))
     assert iq.slack == pytest.approx(right - left, rel=1e-9)
 
 
@@ -511,10 +511,10 @@ def test_check_thm2_rate_point():
     assert report.overall is None
     rp = report.extras["rate_point"]
     phi = report.phi
-    lc = bd.loss_channel("thm2", phi, uvw=2 * 2 * 2)
+    lc = bd.loss_channel_split(phi, 2 * 2 * 2)
     assert rp[0][0] == pytest.approx(sp.B + lc, rel=1e-12)
     assert rp[1][1] == pytest.approx(
-        inst.h_s_given_k1(2) + bd.loss_source(phi, sp.l, 2), rel=1e-12)
+        inst.h_s_given_k1(2) + bd.loss_source(phi, sp.l, math.log(2)), rel=1e-12)
 
     # with the always-true stub the report reduces to the budget and
     # phi rows, so use a scheme that satisfies the bit budget
@@ -541,8 +541,7 @@ def test_check_thm2_rate_point_with_w_layer():
 # ---------------------------------------------------------------------------
 
 def test_search_feasible_empty_grid():
-    result = bd.search_feasible([], [])
-    assert len(result) == 0 and result.best_attempt is None
+    assert bd.search_feasible([], []) == []
     # one report per grid point
     with pytest.raises(ValueError):
         bd.search_feasible([1.0], [])
@@ -552,20 +551,18 @@ def test_search_feasible_finds_witness_point():
     inst, sp = dk.lemma2_scheme(dk.DueckParams(512, 500, 8))
     grid = [0.5, 1.0]
     reports = [bd.check_thm1(inst, dataclasses.replace(sp, B=sp.B * scale)) for scale in grid]
-    result = bd.search_feasible(grid, reports)
-    feas_params = [p for p, _ in result.feasible]
+    feas_params = [p for p, r in bd.search_feasible(grid, reports) if r.overall]
     assert feas_params == [1.0]  # halving B breaks the bit budget
 
 
 def test_search_feasible_all_infeasible_diagnostics():
     inst = small_instance()
     grid = [5.0, 6.0]
-    result = bd.search_feasible(grid, [
+    ranked = bd.search_feasible(grid, [
         bd.check_thm1(inst, bd.SchemeParams(l=16, delta=0.75, A=0.0866, B=b, rho=0.02, m=4))
         for b in grid])
-    assert len(result.feasible) == 0
-    assert result.best_attempt is not None
-    params, report = result.best_attempt
+    assert not any(r.overall for _, r in ranked)
+    params, report = ranked[0]
     assert params == 5.0  # smaller B violates the rate inequality less
     assert report.overall is False
 
@@ -586,13 +583,14 @@ def test_search_feasible_ranks_log_scale_slack_before_linear():
         report.status = "feasible" if report.overall else "infeasible"
         return report
 
-    result = bd.search_feasible(list("bdac"), map(report_of, "bdac"))
-    assert [p for p, _ in result.feasible] == ["a", "c", "b"]
-    assert result.best_attempt[0] == "a"
-    assert result.feasible[0][1].min_slack == 0.01  # the report itself is unchanged
+    ranked = bd.search_feasible(list("bdac"), map(report_of, "bdac"))
+    feasible = [(p, r) for p, r in ranked if r.overall]
+    assert [p for p, _ in feasible] == ["a", "c", "b"]
+    assert ranked[0][0] == "a"
+    assert feasible[0][1].min_slack == 0.01  # the report itself is unchanged
     # all infeasible: the best attempt falls short least on log scale
-    result = bd.search_feasible(list("ef"), map(report_of, "ef"))
-    assert len(result) == 0 and result.best_attempt[0] == "f"
+    ranked = bd.search_feasible(list("ef"), map(report_of, "ef"))
+    assert not any(r.overall for _, r in ranked) and ranked[0][0] == "f"
 
 
 # the instance-only quantities each checker reads, and their arguments
@@ -627,8 +625,8 @@ def test_search_with_a_shared_instance_reports_as_fresh_ones(monkeypatch, checke
     shared_reports = [checker(inst, scheme(p)) for p in grid]
     shared = bd.search_feasible(grid, shared_reports)
     assert [r.to_dict() for r in shared_reports] == [r.to_dict() for r in fresh_reports]
-    assert [p for p, _ in shared.feasible] == [p for p, _ in fresh.feasible]
-    assert shared.best_attempt[0] == fresh.best_attempt[0]
+    assert [p for p, r in shared if r.overall] == [p for p, r in fresh if r.overall]
+    assert shared[0][0] == fresh[0][0]
     assert {name: sorted(args) for name, args in computed.items()} == wanted
 
 

@@ -445,6 +445,36 @@ def test_bounds_search_command(tmp_path):
     assert doc["report"]["instance_digest"] == zlib.crc32(json.dumps(instance_doc()).encode())
 
 
+def _clean_instance_doc():
+    # x_j = 2u + v_j seen without noise by its own receiver, and K = S: I(V_j; Y_j) = log 2,
+    # the shared word's channel is clean and H(S_j | K_1) = 0
+    ic = [[[[float((y1, y2) == (x1, x2)) for y2 in range(4)] for y1 in range(4)]
+           for x2 in range(4)] for x1 in range(4)]
+    kernel = [[[float(x == 2 * u + v) for x in range(4)] for v in range(2)] for u in range(2)]
+    return {"source": [[0.5, 0.0], [0.0, 0.5]], "f1": [0, 1], "f2": [0, 1], "ic": ic,
+            "p_u": [0.5, 0.5], "p_v1": [0.5, 0.5], "p_v2": [0.5, 0.5],
+            "p_x1_given_uv1": kernel, "p_x2_given_uv2": kernel}
+
+
+def test_bounds_search_lists_feasible_points_in_rank_order(tmp_path):
+    # B = 0.5 misses the A+B budget and rho = 0.2 leaves no exponent gap, so
+    # four of nine points hold; they list by slack, ties in grid order, and the
+    # best attempt is the first of them
+    spec = write(tmp_path / "spec.json", {
+        "instance": _clean_instance_doc(),
+        "scheme": {"l": 256, "delta": 0.3, "A": 0.3, "B": 0.5, "rho": 0.05, "m": 4},
+        "grid": {"B": [0.5, 0.68, 0.65], "rho": [0.02, 0.05, 0.2]}})
+    out = tmp_path / "search.json"
+    assert run_cli(["bounds", "search", "--spec", spec, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert [tuple(p["params"].values()) for p in report["feasible"]] == [
+        (0.65, 0.02), (0.65, 0.05), (0.68, 0.02), (0.68, 0.05)]
+    slacks = [p["min_slack"] for p in report["feasible"]]
+    assert slacks == sorted(slacks, reverse=True) and slacks[-1] > 0.0
+    assert report["best_attempt"]["params"] == {"B": 0.65, "rho": 0.02}
+    assert report["best_attempt"]["report"]["min_slack"] == slacks[0]
+
+
 def test_bounds_search_checks_each_point_once(tmp_path, monkeypatch):
     from fblic import bounds as bd
     grid = {"B": [0.1, 0.6066017177982121], "rho": [0.01, 0.02]}
@@ -904,6 +934,12 @@ _BAD_DOCUMENTS = [
                                       "grid": [16, 32]}, "grid must map scheme keys to lists"),
     (["bounds", "search"], "--spec", {"instance": instance_doc(), "scheme": scheme_doc(),
                                       "grid": {"l": 16}}, "grid must map scheme keys to lists"),
+]] + [pytest.param((command, flag, None, ": No such file or directory"), id=f"{flag} missing")
+      for command, flag in [
+    # a file that does not exist, an input document's or the --config file
+    (["exponent"], "--channel"),
+    (["bounds", "check", "--instance", instance_doc()], "--scheme"),
+    (["exponent", "--channel", _BSC], "--config"),
 ]]
 
 
@@ -911,10 +947,11 @@ _BAD_DOCUMENTS = [
 def test_bad_document_exits_2_naming_flag_path_and_key(tmp_path, capsys, case):
     # a refused document writes nothing and says why in one line, which names
     # the flag, the path and the key; a document in the command line stands
-    # for a valid input file read before it
+    # for a valid input file read before it, and a None text for no file
     command, flag, text, message = case
     path = tmp_path / "doc.json"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     inputs = [write(tmp_path / f"input{i}.json", a) if isinstance(a, dict) else a
               for i, a in enumerate(command)]
     out = tmp_path / "report.json"
@@ -922,6 +959,24 @@ def test_bad_document_exits_2_naming_flag_path_and_key(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {flag} {path}" in err and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["dueck", "feasibility", "--a", "4", "--k", "4"],
+    ["bounds", "check", "--instance", "nope.json", "--scheme", "nope.json"],
+    ["test", "interleave", "--law", "nope.json"],
+    ["test", "cc-exponent", "--channel", "nope.json", "--composition", "4,4", "--rate", "0.1",
+     "--l", "8"],
+], ids=lambda command: " ".join(command[:2]))
+def test_format_csv_without_a_table_exits_2(tmp_path, capsys, command):
+    # a command whose report has no table refuses --format csv before any
+    # work: its input files are never read
+    out = tmp_path / "report.csv"
+    code = cli.main([*command, "--format", "csv", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --format csv: {' '.join(command[:2])} writes JSON only\n"
     assert not out.exists()
 
 
@@ -1163,6 +1218,10 @@ def test_missing_input_file_exits_2(tmp_path):
     # an entry that is not a number names the flag, not float()'s message
     ("0:x:0.1", "--rates '0:x:0.1': each entry must be a number"),
     ("0.1,x", "--rates '0.1,x': each entry must be a number"),
+    # a start:stop:step form has exactly three non-empty parts
+    ("0::0.1", "--rates '0::0.1': give start:stop:step"),
+    ("0:1", "--rates '0:1': give start:stop:step"),
+    ("0:1:0.1:2", "--rates '0:1:0.1:2': give start:stop:step"),
 ])
 def test_exponent_bad_rates_exit_2(tmp_path, bsc_file, capsys, rates, message):
     out = tmp_path / "curve.json"

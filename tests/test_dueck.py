@@ -166,7 +166,7 @@ def test_satellite_capacities():
 
 def test_lc_margin_small_params_negative():
     params = dk.DueckParams(2, 2, 8)
-    margin = dk.lc_infeasibility_margin(params, dk.log_output_alphabet(2))
+    margin = dk.lc_infeasibility_margin(params)
     assert margin < 0.0
 
 
@@ -182,8 +182,7 @@ def test_lc_margin_scan_finds_witness():
 
 def test_lc_margin_monotone_in_a_beyond_crossover():
     k = 500
-    margins = [dk.lc_infeasibility_margin(dk.DueckParams(a, k, 8),
-                                          dk.log_output_alphabet(a))
+    margins = [dk.lc_infeasibility_margin(dk.DueckParams(a, k, 8))
                for a in (512, 1024, 2048, 4096)]
     assert all(hi > lo for lo, hi in zip(margins[:-1], margins[1:]))
 
